@@ -17,7 +17,9 @@ null, and reruns on identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +47,12 @@ from .model import (
 )
 from .oracle import verify_bounds
 from .simulate import builtin_scenarios, load_scenario, replicate_study
+
+# Generation-0 collection threshold for the length of one invocation.  A
+# table analysis allocates hundreds of thousands of acyclic objects that live
+# until the report is written; at the default threshold (700) the cycle
+# collector sweeps them about a thousand times per 10^4-stratum run.
+_GC_THRESHOLD0 = 100_000
 
 _CONDITIONAL_BOXES = {
     "PN": pn_interval_conditional,
@@ -211,8 +219,9 @@ def _cmd_identify(args) -> AnalysisReport:
     _print_data_line(joint)
     for est in (pn, pns):
         print(f"{est.quantity:<4} {est.value:.3f}  (se {est.se:.3f})")
+    flagged = set(diag.flagged)
     for key, rd in diag.risk_differences:
-        mark = "  [negative]" if key in diag.flagged else ""
+        mark = "  [negative]" if key in flagged else ""
         print(f"  risk difference {key}: {rd:.3f}{mark}")
     verdict = "plausible" if diag.plausible else "implausible"
     print(f"no-prevention assumption: {verdict} "
@@ -368,6 +377,27 @@ def _cmd_verify(args) -> AnalysisReport:
     )
 
 
+def _checked(convert, accept, expected: str):
+    """An argparse ``type`` that converts, then rejects values outside the
+    accepted range as a usage error."""
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {raw!r}")
+        return value
+    return parse
+
+
+_seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
+                      "a finite number >= 0")
+_level = _checked(float, lambda v: 0.0 < v < 1.0,
+                  "a number strictly between 0 and 1")
+
+
 def _add_common(sub: argparse.ArgumentParser, smoothing: bool = True) -> None:
     sub.add_argument("--json", metavar="PATH",
                      help="write a machine-readable report here")
@@ -413,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="covariate hypothesized to carry the outcome signal")
     s.add_argument("--t", required=True, metavar="NAME",
                    help="covariate hypothesized to carry only assignment signal")
-    s.add_argument("--alpha", type=float, default=0.05,
+    s.add_argument("--alpha", type=_level, default=0.05,
                    help="significance level for the premise tests")
     _add_common(s)
     s.set_defaults(handler=_cmd_select)
@@ -426,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, required=True, help="sample size per draw")
     m.add_argument("--reps", type=int, required=True,
                    help="number of replications")
-    m.add_argument("--seed", type=int, required=True, help="stream seed")
+    m.add_argument("--seed", type=_seed, required=True,
+                   help="stream seed (a nonnegative integer)")
     _add_common(m, smoothing=False)
     m.set_defaults(handler=_cmd_simulate)
 
@@ -436,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--experimental", metavar="JSON")
     v.add_argument("--resolution", type=float, default=1e-3,
                    help="sweep step for the free parameters")
-    v.add_argument("--tol", type=float, default=2e-3,
-                   help="largest acceptable discrepancy")
+    v.add_argument("--tol", type=_tolerance, default=2e-3,
+                   help="largest acceptable discrepancy (finite, >= 0)")
     _add_common(v)
     v.set_defaults(handler=_cmd_verify)
 
@@ -445,6 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    thresholds = gc.get_threshold()
+    gc.set_threshold(_GC_THRESHOLD0, *thresholds[1:])
+    try:
+        return _run(argv)
+    finally:
+        gc.set_threshold(*thresholds)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

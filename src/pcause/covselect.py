@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .errors import MissingSampleSizeError, ValidationError
 from .identify import Estimate, pn_point, pns_point
@@ -165,7 +165,10 @@ def ci_check(joint: StratifiedJoint, relation: CIRelation,
     if n_eff is None:
         raise MissingSampleSizeError("the count-test mode needs a sample size")
     statistic, df = _count_test(joint, relation, n_eff)
-    p_value = 1.0 if df == 0 else float(chi2.sf(statistic, df))
+    # chdtrc is the chi-square survival function without importing
+    # scipy.stats.  The clamp keeps a slightly negative G from rounding (where
+    # chi2.sf gives 1.0) out of chdtrc's domain (where it gives NaN).
+    p_value = 1.0 if df == 0 else float(chdtrc(df, max(statistic, 0.0)))
     return CIVerdict(relation=relation, mode=mode, holds=p_value >= alpha,
                      threshold=alpha, statistic=statistic, df=df,
                      p_value=p_value)

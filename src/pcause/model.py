@@ -25,8 +25,10 @@ risks; :func:`adjusted_experimental` builds them that way.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -46,12 +48,14 @@ Source = Union[str, Path, IO[str]]
 
 
 def _read_text(source: Source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
     try:
-        return Path(source).read_text()
+        if hasattr(source, "read"):
+            return source.read()
+        return Path(source).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {source}: {exc}") from exc
 
 
 @dataclass(frozen=True, order=True)
@@ -98,6 +102,16 @@ class StratumKey:
         if not self.labels:
             return "(pooled)"
         return ",".join(f"{name}={value}" for name, value in self.labels)
+
+
+# Sort keys that order strata as StratumKey's generated comparisons do,
+# without a dataclass __lt__/__eq__ call per comparison.
+_key_order = attrgetter("labels")
+
+
+def _cell_order(item: tuple[tuple[StratumKey, int, int], int]) -> tuple:
+    (key, x, y), _ = item
+    return key.labels, x, y
 
 
 @dataclass(frozen=True)
@@ -198,7 +212,7 @@ class StratifiedJoint:
         if len(set(covs)) != len(covs):
             raise ValidationError(f"duplicate covariate names: {covs}")
         ordered = {}
-        for key in sorted(self.strata):
+        for key in sorted(self.strata, key=_key_order):
             if key.covariates != covs:
                 raise ValidationError(
                     f"stratum {key} does not use covariates {covs}")
@@ -242,7 +256,7 @@ class CountTable:
     def __post_init__(self) -> None:
         covs = tuple(sorted(str(c) for c in self.covariates))
         cleaned = {}
-        for (key, x, y), n in sorted(self.cells.items()):
+        for (key, x, y), n in sorted(self.cells.items(), key=_cell_order):
             if key.covariates != covs:
                 raise ValidationError(f"stratum {key} does not use covariates {covs}")
             if x not in (0, 1) or y not in (0, 1):
@@ -315,6 +329,8 @@ def load_counts(source: Source) -> CountTable:
     if any(not name for name in cov_names):
         raise ParseError(f"line {header_line}: empty covariate column name")
 
+    # One key per distinct tuple of levels, shared by that stratum's rows.
+    keys: dict[tuple[str, ...], StratumKey] = {}
     rows: list[tuple[StratumKey, int, int, int]] = []
     for lineno, fields in kept[1:]:
         if len(fields) != len(header):
@@ -334,7 +350,10 @@ def load_counts(source: Source) -> CountTable:
         if n < 0:
             raise ParseError(
                 f"line {lineno}: count must be a nonnegative integer, got {raw_count!r}")
-        key = StratumKey(tuple((name, fields[i]) for name, i in cov_idx))
+        levels = tuple(fields[i] for _, i in cov_idx)
+        key = keys.get(levels)
+        if key is None:
+            key = keys[levels] = StratumKey(tuple(zip(cov_names, levels)))
         rows.append((key, xy["x"], xy["y"], n))
     if not rows:
         raise ParseError("no data rows")
@@ -342,12 +361,18 @@ def load_counts(source: Source) -> CountTable:
 
 
 def render_counts(counts: CountTable) -> str:
-    """Serialize a count table back to the CSV schema (inverse of load)."""
-    lines = [",".join(counts.covariates + ("x", "y", "count"))]
+    """Serialize a count table back to the CSV schema (inverse of load).
+
+    Levels that contain a comma or a quote are quoted, so they load back
+    unchanged.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(counts.covariates + ("x", "y", "count"))
     for key, x, y, n in counts.rows():
         levels = tuple(key.level(c) for c in counts.covariates)
-        lines.append(",".join(levels + (str(x), str(y), str(n))))
-    return "\n".join(lines) + "\n"
+        writer.writerow(levels + (x, y, n))
+    return out.getvalue()
 
 
 def to_probabilities(counts: CountTable, smoothing: str = "none") -> StratifiedJoint:
@@ -450,7 +475,7 @@ class ExperimentalQuantities:
         if self.provenance not in (PROVENANCE_MEASURED, PROVENANCE_ADJUSTED):
             raise ValidationError(f"unknown provenance {self.provenance!r}")
         cleaned = {}
-        for key in sorted(self.per_stratum):
+        for key in sorted(self.per_stratum, key=_key_order):
             cleaned[key] = tuple(self._checked(p, key) for p in self.per_stratum[key])
         marg = tuple(self._checked(p, None) for p in self.marginal)
         if len(marg) != 2 or any(len(pair) != 2 for pair in cleaned.values()):

@@ -20,14 +20,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateScenarioError, ParseError, ValidationError
 from .identify import pn_point, pns_point
-from .model import CountTable, StratifiedJoint, StratumKey, StratumTable
+from .model import (
+    CountTable,
+    StratifiedJoint,
+    StratumKey,
+    StratumTable,
+    _read_text,
+)
 
 _SUM_TOL = 1e-9
 _MAX_DISCARD_RATE = 0.10
@@ -150,15 +155,8 @@ def scenario_from_dict(data: Mapping) -> Scenario:
 
 
 def load_scenario(source: Source) -> Scenario:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {source}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(_read_text(source))
     except json.JSONDecodeError as exc:
         raise ParseError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)

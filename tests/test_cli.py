@@ -1,8 +1,12 @@
+import gc
 import json
+import re
 
+import numpy as np
 import pytest
 
 import pcause as pc
+from pcause import cli
 from pcause.cli import run
 from pcause.model import experimental_to_dict
 
@@ -252,3 +256,122 @@ class TestSmoothing:
         assert run(["identify", "--data", str(data),
                     "--smoothing", "add-half"]) == 0
         capsys.readouterr()
+
+
+def _write_signed_csv(tmp_path, k=60):
+    """k strata of 20 exposed and 20 unexposed subjects whose risk
+    difference is negative in about half of them; returns the path and
+    each level's exposed-minus-unexposed event count."""
+    rng = np.random.default_rng(12)
+    lines, diffs = ["g,x,y,count"], {}
+    for i in range(k):
+        a, b = rng.choice(np.arange(1, 20), size=2, replace=False).tolist()
+        level = f"{i:02d}"
+        diffs[level] = a - b
+        lines += [f"{level},1,1,{a}", f"{level},1,0,{20 - a}",
+                  f"{level},0,1,{b}", f"{level},0,0,{20 - b}"]
+    path = tmp_path / "signed.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path, diffs
+
+
+class TestIdentifyFlags:
+    def test_marks_follow_the_sign_of_each_risk_difference(self, tmp_path,
+                                                           capsys):
+        data, diffs = _write_signed_csv(tmp_path)
+        negative = [level for level, d in diffs.items() if d < 0]
+        assert 20 < len(negative) < 40
+        report_path = tmp_path / "report.json"
+        assert run(["identify", "--data", str(data),
+                    "--json", str(report_path)]) == 0
+        out = capsys.readouterr().out
+        marked = {}
+        for m in re.finditer(r"risk difference g=(\d+): (\S+)(  \[negative\])?$",
+                             out, re.M):
+            marked[m.group(1)] = (float(m.group(2)), m.group(3) is not None)
+        assert sorted(marked) == sorted(diffs)
+        for level, (rd, flagged) in marked.items():
+            assert rd == pytest.approx(diffs[level] / 20, abs=1e-3)
+            assert flagged == (diffs[level] < 0)
+        assert f"({len(negative)} of {len(diffs)} strata flagged)" in out
+
+        mono = json.loads(report_path.read_text())["estimates"]["monotonicity"]
+        assert mono["flagged"] == [{"g": level} for level in negative]
+        assert [(e["stratum"]["g"], e["value"] < 0)
+                for e in mono["risk_differences"]] == \
+            [(level, d < 0) for level, d in diffs.items()]
+
+
+class TestInputErrors:
+    """Bad input ends in one line on stderr and exit 1 or 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--data"],
+        ["bounds", *DATA, "--experimental"],
+        ["simulate", "--n", "100", "--reps", "2", "--seed", "1", "--scenario"],
+    ])
+    def test_undecodable_input_file(self, argv, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("stage,x,y,count\n\u00e9,1,1,3\n".encode("latin-1"))
+        assert run([*argv, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot decode")
+        assert err.count("\n") == 1
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run(["simulate", "--setting", "1", "--n", "100",
+                    "--reps", "2", "--seed", "-1"]) == 2
+        assert "--seed: must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.001", "x"])
+    def test_verify_tol_out_of_range(self, tol, capsys):
+        assert run(["verify", *DATA, "--tol", tol]) == 2
+        assert "--tol: must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_verify_tol_zero_accepted(self, capsys):
+        assert run(["verify", *DATA, "--tol", "0"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.05", "nan"])
+    def test_select_alpha_out_of_range(self, alpha, tmp_path, capsys):
+        data = _write_two_covariate_csv(tmp_path)
+        assert run(["select", "--data", str(data), "--s", "s", "--t", "t",
+                    "--alpha", alpha]) == 2
+        assert "--alpha: must be a number strictly between 0 and 1" in \
+            capsys.readouterr().err
+
+
+class TestCollectorThreshold:
+    """run() raises the generation-0 threshold only while it runs."""
+
+    CUSTOM = (1234, 11, 12)
+
+    @pytest.fixture(autouse=True)
+    def custom_threshold(self):
+        saved = gc.get_threshold()
+        gc.set_threshold(*self.CUSTOM)
+        yield
+        gc.set_threshold(*saved)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["bounds", *DATA], 0),
+        (["bounds", "--data", "/nonexistent/counts.csv"], 1),
+        (["bounds", "--frobnicate"], 2),
+    ])
+    def test_restored_on_every_exit(self, argv, code, capsys):
+        assert run(argv) == code
+        capsys.readouterr()
+        assert gc.get_threshold() == self.CUSTOM
+
+    def test_raised_during_run_and_restored_after_exception(self, monkeypatch):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.get_threshold())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_bounds", handler)
+        with pytest.raises(RuntimeError, match="boom"):
+            run(["bounds", *DATA])
+        assert seen == [(cli._GC_THRESHOLD0, 11, 12)]
+        assert gc.get_threshold() == self.CUSTOM

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import pcause as pc
+from pcause import covselect
 from pcause.covselect import EXPOSURE_CI, OUTCOME_CI
 
 TOL = 1e-12
@@ -201,3 +208,38 @@ class TestValidation:
         rng = np.random.default_rng(50)
         with pytest.raises(pc.ValidationError):
             pc.random_ci_joint(rng, s_name="c", t_name="c")
+
+
+class TestPValue:
+    """ci_check's p-value is the chi-square survival function of G."""
+
+    def _p_value(self, monkeypatch, statistic, df):
+        monkeypatch.setattr(covselect, "_count_test",
+                            lambda joint, relation, n: (statistic, df))
+        joint = pc.random_ci_joint(np.random.default_rng(60))
+        verdict = pc.ci_check(joint, pc.CIRelation(OUTCOME_CI, "s", "t"),
+                              mode="count-test", n=100)
+        return verdict.p_value
+
+    def test_matches_chi2_sf(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        for df in rng.integers(1, 200, size=50):
+            statistic = float(rng.exponential(df))
+            assert self._p_value(monkeypatch, statistic, int(df)) == \
+                float(chi2.sf(statistic, df))
+        for statistic in (0.0, 1e-300, float("inf")):
+            assert self._p_value(monkeypatch, statistic, 3) == \
+                float(chi2.sf(statistic, 3))
+
+    def test_rounding_below_zero_reads_as_zero(self, monkeypatch):
+        # G is a sum of n ln(...) terms; on data that satisfy the premise
+        # exactly it can round to a tiny negative number.
+        assert self._p_value(monkeypatch, -1e-12, 4) == 1.0 == chi2.sf(-1e-12, 4)
+
+    def test_cli_import_skips_scipy_stats(self):
+        src = str(Path(pc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, pcause.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"

@@ -144,6 +144,32 @@ class TestLoadCounts:
             assert t.weight == pytest.approx(u.weight, abs=TOL)
 
 
+    def test_render_quotes_levels_with_commas(self):
+        key = pc.StratumKey.of(site='a,b', arm='say "hi"')
+        counts = pc.CountTable.from_rows(
+            [(key, 1, 1, 3), (key, 0, 0, 4)], covariates=("site", "arm"))
+        text = pc.render_counts(counts)
+        assert text.splitlines()[1] == '"say ""hi""","a,b",0,0,4'
+        assert pc.load_counts(io.StringIO(text)) == counts
+
+    def test_render_plain_levels_unquoted(self):
+        text = "s,t,x,y,count\n1,2,0,0,4\n1,2,1,1,3\n"
+        assert pc.render_counts(pc.load_counts(io.StringIO(text))) == text
+
+    def test_rows_of_a_stratum_share_one_key(self):
+        text = "t,s,x,y,count\n2,1,1,1,3\n2,1,1,0,1\n2,1,0,1,2\n2,1,0,0,5\n"
+        keys = [key for key, *_ in pc.load_counts(io.StringIO(text)).rows()]
+        assert len(keys) == 4
+        assert all(key is keys[0] for key in keys)
+        assert keys[0] == pc.StratumKey.of(s="1", t="2")
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"s,x,y,count\n\xe9,1,1,3\n")
+        with pytest.raises(pc.ParseError, match="cannot decode"):
+            pc.load_counts(path)
+
+
 class TestCountTable:
     def test_from_rows_sums(self):
         key = pc.StratumKey.of(s="1")
@@ -352,3 +378,40 @@ class TestJsonMirrors:
         bad.write_text("{not json")
         with pytest.raises(pc.ParseError):
             pc.load_experimental(bad, cancer_joint)
+
+
+class TestStratumOrder:
+    """Strata come out in StratumKey order: levels compare as strings."""
+
+    LEVELS = ("2", "10", "1")
+    SORTED = ["1", "10", "2"]
+
+    def test_count_table(self):
+        rows = [(pc.StratumKey.of(g=g), x, 1, 1)
+                for g in self.LEVELS for x in (1, 0)]
+        counts = pc.CountTable.from_rows(rows, covariates=("g",))
+        assert [(key.level("g"), x) for key, x, _, _ in counts.rows()] == \
+            [(g, x) for g in self.SORTED for x in (0, 1)]
+
+    def test_joint_and_experimental(self):
+        table = pc.StratumTable(0.25, 0.25, 0.25, 0.25, weight=1 / 3)
+        strata = {pc.StratumKey.of(g=g): table for g in self.LEVELS}
+        joint = pc.StratifiedJoint(strata=strata, covariates=("g",))
+        assert [key.level("g") for key in joint.keys()] == self.SORTED
+        experimental = pc.ExperimentalQuantities(
+            per_stratum={pc.StratumKey.of(g=g): (0.5, 0.5) for g in self.LEVELS},
+            marginal=(0.5, 0.5), provenance="measured-experimental")
+        assert [key.level("g") for key in experimental.per_stratum] == \
+            self.SORTED
+
+    def test_multi_covariate_order_matches_key_comparison(self):
+        keys = [pc.StratumKey.of(s=s, t=t)
+                for s in ("b", "a,b", "a", "10") for t in ("2", "1")]
+        table = pc.StratumTable(0.25, 0.25, 0.25, 0.25, weight=1 / 8)
+        joint = pc.StratifiedJoint(strata=dict.fromkeys(keys, table),
+                                   covariates=("t", "s"))
+        assert list(joint.keys()) == sorted(keys)
+        experimental = pc.ExperimentalQuantities(
+            per_stratum=dict.fromkeys(keys, (0.5, 0.5)), marginal=(0.5, 0.5),
+            provenance="measured-experimental")
+        assert list(experimental.per_stratum) == sorted(keys)
