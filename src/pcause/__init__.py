@@ -67,7 +67,6 @@ from .model import (
     validate_compatibility,
 )
 from .oracle import (
-    ResponseTypeDist,
     VerificationReport,
     feasible_extrema,
     verify_bounds,
@@ -99,7 +98,6 @@ __all__ = [
     "PositivityError",
     "ReplicationResult",
     "ReplicationStudy",
-    "ResponseTypeDist",
     "Scenario",
     "SelectionReport",
     "StratifiedJoint",

@@ -43,9 +43,12 @@ method here) apply the conditional formulas to the pooled table with the
 marginal interventional pair; the stratified interval always nests inside
 them.
 
-Each interval records which candidate term produced each endpoint in every
-stratum (:class:`TermChoice`), with ties resolved toward the earlier term
-in the documented order.
+Conditional, stratified and Tian-Pearl intervals share one term function,
+which returns a stratum's candidate terms (and, for PN and PS, the
+denominator) in tie-break order; each interval differs only in how it
+combines them.  Each interval records which candidate term produced each
+endpoint in every stratum (:class:`TermChoice`), with ties resolved toward
+the earlier term in the documented order.
 """
 
 from __future__ import annotations
@@ -135,38 +138,49 @@ def _swap_pair(pair: tuple[float, float]) -> tuple[float, float]:
     return (1.0 - pair[1], 1.0 - pair[0])
 
 
-def _necessity_terms(table: StratumTable, pair: tuple[float, float],
-                     ) -> tuple[float, tuple[float, float], tuple[float, float]]:
-    """Numerators of the PN candidate terms for one stratum.
+def _framed(quantity: str, table: StratumTable, pair: tuple[float, float],
+            ) -> tuple[StratumTable, tuple[float, float]]:
+    """The frame in which the quantity's terms are written: PS is PN on the
+    swapped table, and PN and PNS keep the table as given."""
+    if quantity == "PS":
+        return table.swap(), _swap_pair(pair)
+    return table, pair
 
-    Returns (cell, lower numerators, upper numerators) where cell is
-    P(x,y|s); dividing a selected numerator by the cell gives the
-    conditional bound, while the stratified bound weight-sums numerators
-    before dividing by P(x,y).  The selection by size is unaffected by
-    the positive division, so both paths pick identical terms.
+
+def _terms(quantity: str, table: StratumTable, pair: tuple[float, float],
+           ) -> tuple[float | None, tuple[float, ...], tuple[float, ...]]:
+    """Candidate terms of one stratum, in tie-break order, for a table and
+    pair already in the quantity's frame (see :func:`_framed`).
+
+    Returns (denominator, lower terms, upper terms).  For PN and PS the
+    denominator is P(x,y|s) of the frame and the terms are numerators: the
+    conditional box divides the selected ones by it, while the stratified
+    bound weight-sums them before dividing by the weighted denominators.
+    The selection by size is unaffected by the positive division, so both
+    paths pick identical terms.  PNS terms need no denominator (None).
     """
-    p_noevent_do_unexposed = 1.0 - pair[1]
-    cell = table.p_exposed_event
-    excess = p_noevent_do_unexposed - table.p_noevent
-    margin = p_noevent_do_unexposed - table.p_unexposed_noevent
-    return cell, (0.0, excess), (cell, margin)
-
-
-def _joint_benefit_terms(table: StratumTable, pair: tuple[float, float],
-                         ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Candidate values for the PNS bounds in one stratum (no denominator)."""
     do_exposed, do_unexposed = pair
     p_noevent_do_unexposed = 1.0 - do_unexposed
-    lows = (0.0,
-            do_exposed - table.p_event,
-            p_noevent_do_unexposed - table.p_noevent,
-            do_exposed - do_unexposed)
-    ups = (do_exposed,
-           p_noevent_do_unexposed,
-           table.p_exposed_event + table.p_unexposed_noevent,
-           do_exposed - do_unexposed
-           + table.p_unexposed_event + table.p_exposed_noevent)
-    return lows, ups
+    if quantity == "PNS":
+        lows = (0.0,
+                do_exposed - table.p_event,
+                p_noevent_do_unexposed - table.p_noevent,
+                do_exposed - do_unexposed)
+        ups = (do_exposed,
+               p_noevent_do_unexposed,
+               table.p_exposed_event + table.p_unexposed_noevent,
+               do_exposed - do_unexposed
+               + table.p_unexposed_event + table.p_exposed_noevent)
+        return None, lows, ups
+    cell = table.p_exposed_event
+    return (cell, (0.0, p_noevent_do_unexposed - table.p_noevent),
+            (cell, p_noevent_do_unexposed - table.p_unexposed_noevent))
+
+
+def _choice(quantity: str, key: StratumKey, li: int, ui: int) -> TermChoice:
+    if quantity == "PNS":
+        return TermChoice(key, PNS_LOWER_TERMS[li], PNS_UPPER_TERMS[ui])
+    return TermChoice(key, PN_LOWER_TERMS[li], PN_UPPER_TERMS[ui])
 
 
 def _require_compatible_stratum(table: StratumTable, pair: tuple[float, float],
@@ -191,36 +205,44 @@ def _finish(lower: float, upper: float, quantity: str, method: str,
                     attainment=choices)
 
 
-def _necessity_box(table: StratumTable, pair: tuple[float, float], *,
-                   quantity: str, method: str, key: StratumKey,
-                   clamp: bool, validate: bool) -> Interval:
+_POSITIVE_FRAME = {"PN": "exposed cases", "PS": "unexposed non-cases"}
+
+
+def _box(quantity: str, method: str, table: StratumTable,
+         pair: tuple[float, float], key: StratumKey, *, clamp: bool,
+         validate: bool, where: str) -> Interval:
+    """The sharp interval of one table and pair: a stratum's conditional
+    box (also the stratified interval of a one-stratum joint), or the
+    Tian-Pearl interval of the pooled table."""
+    table, pair = _framed(quantity, table, pair)
     if validate:
         _require_compatible_stratum(table, pair, key)
-    cell, lows, ups = _necessity_terms(table, pair)
-    if cell <= 0.0:
-        frame = ("exposed cases" if quantity == "PN"
-                 else "unexposed non-cases")
-        raise PositivityError(
-            f"{quantity} undefined in stratum {key}: no probability mass on {frame}")
+    denom, lows, ups = _terms(quantity, table, pair)
     li, ui = _argmax(lows), _argmin(ups)
-    lower = 0.0 if li == 0 else lows[1] / cell
-    upper = 1.0 if ui == 0 else ups[1] / cell
-    choice = TermChoice(key, PN_LOWER_TERMS[li], PN_UPPER_TERMS[ui])
-    return _finish(lower, upper, quantity, method, (choice,), clamp,
-                   where=f" in stratum {key}")
+    lower, upper = lows[li], ups[ui]
+    if denom is not None:
+        if denom <= 0.0:
+            raise PositivityError(
+                f"{quantity} undefined in stratum {key}: no probability mass "
+                f"on {_POSITIVE_FRAME[quantity]}")
+        # 0.0 / denom and denom / denom are exactly 0 and 1
+        lower, upper = lower / denom, upper / denom
+    return _finish(lower, upper, quantity, method,
+                   (_choice(quantity, key, li, ui),), clamp, where)
 
 
-def _pooled_key() -> StratumKey:
-    return StratumKey(())
+def _conditional(quantity: str, table: StratumTable, pair: tuple[float, float],
+                 key: StratumKey | None, clamp: bool, validate: bool) -> Interval:
+    key = key if key is not None else StratumKey(())
+    return _box(quantity, "conditional", table, pair, key, clamp=clamp,
+                validate=validate, where=f" in stratum {key}")
 
 
 def pn_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
                             key: StratumKey | None = None, clamp: bool = False,
                             validate: bool = True) -> Interval:
     """Sharp bounds on PN(s) = P(y'_x' | x, y, s) for a single stratum."""
-    return _necessity_box(table, pair, quantity="PN", method="conditional",
-                          key=key if key is not None else _pooled_key(),
-                          clamp=clamp, validate=validate)
+    return _conditional("PN", table, pair, key, clamp, validate)
 
 
 def ps_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
@@ -230,24 +252,14 @@ def ps_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
 
     Computed exactly as PN on the swapped table; see the module docstring.
     """
-    return _necessity_box(table.swap(), _swap_pair(pair), quantity="PS",
-                          method="conditional",
-                          key=key if key is not None else _pooled_key(),
-                          clamp=clamp, validate=validate)
+    return _conditional("PS", table, pair, key, clamp, validate)
 
 
 def pns_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
                              key: StratumKey | None = None, clamp: bool = False,
                              validate: bool = True) -> Interval:
     """Sharp bounds on PNS(s) = P(y_x, y'_x' | s) for a single stratum."""
-    key = key if key is not None else _pooled_key()
-    if validate:
-        _require_compatible_stratum(table, pair, key)
-    lows, ups = _joint_benefit_terms(table, pair)
-    li, ui = _argmax(lows), _argmin(ups)
-    choice = TermChoice(key, PNS_LOWER_TERMS[li], PNS_UPPER_TERMS[ui])
-    return _finish(lows[li], ups[ui], "PNS", "conditional", (choice,), clamp,
-                   where=f" in stratum {key}")
+    return _conditional("PNS", table, pair, key, clamp, validate)
 
 
 def stratified_interval(quantity: str, joint: StratifiedJoint,
@@ -270,47 +282,30 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
 
     if joint.n_strata == 1:
         # With one stratum the weight is semantically 1 even if the stored
-        # float drifted, so reuse the conditional computation verbatim.
+        # float drifted, so the interval is the stratum's conditional box.
         key, t = next(joint.items())
-        pair = experimental.pair(key)
-        box = {
-            "PN": pn_interval_conditional,
-            "PS": ps_interval_conditional,
-            "PNS": pns_interval_conditional,
-        }[quantity](t, pair, key=key, clamp=clamp, validate=False)
-        return Interval(lower=box.lower, upper=box.upper, quantity=quantity,
-                        method="stratified", attainment=box.attainment)
+        return _box(quantity, "stratified", t, experimental.pair(key), key,
+                    clamp=clamp, validate=False, where=f" in stratum {key}")
 
     lower_acc = 0.0
     upper_acc = 0.0
     denom = 0.0
     choices = []
     for key, t in joint.items():
-        pair = experimental.pair(key)
-        if quantity == "PNS":
-            lows, ups = _joint_benefit_terms(t, pair)
-            li, ui = _argmax(lows), _argmin(ups)
-            lower_acc += lows[li] * t.weight
-            upper_acc += ups[ui] * t.weight
-            choices.append(TermChoice(key, PNS_LOWER_TERMS[li], PNS_UPPER_TERMS[ui]))
-        else:
-            if quantity == "PN":
-                tt, pp = t, pair
-            else:
-                tt, pp = t.swap(), _swap_pair(pair)
-            cell, lows, ups = _necessity_terms(tt, pp)
-            li, ui = _argmax(lows), _argmin(ups)
+        cell, lows, ups = _terms(quantity,
+                                 *_framed(quantity, t, experimental.pair(key)))
+        li, ui = _argmax(lows), _argmin(ups)
+        if cell is not None:
             denom += cell * t.weight
-            lower_acc += lows[li] * t.weight
-            upper_acc += ups[ui] * t.weight
-            choices.append(TermChoice(key, PN_LOWER_TERMS[li], PN_UPPER_TERMS[ui]))
+        lower_acc += lows[li] * t.weight
+        upper_acc += ups[ui] * t.weight
+        choices.append(_choice(quantity, key, li, ui))
 
-    if quantity == "PNS":
-        lower, upper = lower_acc, upper_acc
-    else:
+    lower, upper = lower_acc, upper_acc
+    if quantity != "PNS":
         if denom <= 0.0:
-            frame = "exposed cases" if quantity == "PN" else "unexposed non-cases"
-            raise PositivityError(f"{quantity} undefined: no {frame} overall")
+            raise PositivityError(
+                f"{quantity} undefined: no {_POSITIVE_FRAME[quantity]} overall")
         lower, upper = lower_acc / denom, upper_acc / denom
     return _finish(lower, upper, quantity, "stratified", tuple(choices), clamp,
                    where="")
@@ -325,19 +320,7 @@ def tian_pearl_interval(quantity: str, table: StratumTable,
     """
     if quantity not in QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    key = _pooled_key()
-    if quantity == "PN":
-        return _necessity_box(table, marginal, quantity="PN",
-                              method="tian-pearl", key=key, clamp=clamp,
-                              validate=validate)
-    if quantity == "PS":
-        return _necessity_box(table.swap(), _swap_pair(marginal), quantity="PS",
-                              method="tian-pearl", key=key, clamp=clamp,
-                              validate=validate)
-    if validate:
-        _require_compatible_stratum(table, marginal, key)
-    lows, ups = _joint_benefit_terms(table, marginal)
-    li, ui = _argmax(lows), _argmin(ups)
-    choice = TermChoice(key, PNS_LOWER_TERMS[li], PNS_UPPER_TERMS[ui])
-    return _finish(lows[li], ups[ui], "PNS", "tian-pearl", (choice,), clamp,
-                   where="")
+    key = StratumKey(())
+    return _box(quantity, "tian-pearl", table, marginal, key, clamp=clamp,
+                validate=validate,
+                where="" if quantity == "PNS" else f" in stratum {key}")

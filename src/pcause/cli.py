@@ -9,9 +9,10 @@ Five subcommands cover the library surface:
 * ``simulate``  replication study on a built-in or custom scenario
 * ``verify``    check the closed-form boxes against the response-type search
 
-Exit codes: 0 success, 1 analysis error, 2 usage error.  ``--json PATH``
-writes a machine-readable report with a fixed schema; unused sections are
-null, and reruns on identical inputs produce byte-identical files.
+Exit codes: 0 success, 1 analysis error or a failed verification, 2 usage
+error.  ``--json PATH`` writes a machine-readable report with a fixed
+schema; unused sections are null, and reruns on identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class AnalysisReport:
     verification: dict | None = None
     simulation: dict | None = None
     warnings: tuple[str, ...] = ()
+    # exit 1 with this message once the report is written
+    failure: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -374,6 +377,9 @@ def _cmd_verify(args) -> AnalysisReport:
         metadata=_metadata("verify"),
         input=_input_json(args, joint, experimental),
         verification=verification,
+        failure=None if report.passed else (
+            f"verification failed: {len(report.failures)} of "
+            f"{len(report.entries)} boxes differ by more than {report.tol:g}"),
     )
 
 
@@ -498,6 +504,8 @@ def _run(argv: Sequence[str] | None) -> int:
                 Path(args.json).write_text(payload)
             except OSError as exc:
                 raise PcauseError(f"cannot write report to {args.json}: {exc}")
+        if report.failure is not None:
+            raise PcauseError(report.failure)
     except PcauseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -364,15 +364,53 @@ def render_counts(counts: CountTable) -> str:
     """Serialize a count table back to the CSV schema (inverse of load).
 
     Levels that contain a comma or a quote are quoted, so they load back
-    unchanged.
+    unchanged, and so is a first field that starts with ``#``, which would
+    otherwise load back as a comment.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(counts.covariates + ("x", "y", "count"))
+
+    def write(row: tuple) -> None:
+        if str(row[0]).lstrip().startswith("#"):
+            out.write('"' + row[0].replace('"', '""') + '",')
+            row = row[1:]
+        writer.writerow(row)
+
+    write(counts.covariates + ("x", "y", "count"))
     for key, x, y, n in counts.rows():
-        levels = tuple(key.level(c) for c in counts.covariates)
-        writer.writerow(levels + (x, y, n))
+        write(tuple(key.level(c) for c in counts.covariates) + (x, y, n))
     return out.getvalue()
+
+
+# Slot order of a stratum's four cells, as in StratumTable.
+_CELLS = ((EXPOSED, EVENT), (EXPOSED, NOEVENT), (UNEXPOSED, EVENT),
+          (UNEXPOSED, NOEVENT))
+
+
+def _cell_slot(x: int, y: int) -> int:
+    return _CELLS.index((x, y))
+
+
+def _joint_from_cells(cells: Iterable[tuple[StratumKey, Sequence[float]]],
+                     total: float, covariates: Sequence[str],
+                     total_n: int | None) -> StratifiedJoint:
+    """A joint from each stratum's four cell masses, in slot order.
+
+    Each stratum's cells are divided by their sum, and the sum by ``total``
+    to give the stratum weight.
+    """
+    strata = {}
+    for key, quad in cells:
+        st_total = sum(quad)
+        strata[key] = StratumTable(
+            p_exposed_event=quad[0] / st_total,
+            p_exposed_noevent=quad[1] / st_total,
+            p_unexposed_event=quad[2] / st_total,
+            p_unexposed_noevent=quad[3] / st_total,
+            weight=st_total / total,
+        )
+    return StratifiedJoint(strata=strata, covariates=tuple(covariates),
+                           total_n=total_n)
 
 
 def to_probabilities(counts: CountTable, smoothing: str = "none") -> StratifiedJoint:
@@ -389,38 +427,20 @@ def to_probabilities(counts: CountTable, smoothing: str = "none") -> StratifiedJ
     if raw_total <= 0:
         raise PositivityError("count table is empty")
 
-    by_stratum: dict[StratumKey, dict[tuple[int, int], int]] = {}
-    for key, x, y, n in counts.rows():
-        by_stratum.setdefault(key, {})[(x, y)] = n
-
     add = 0.5 if smoothing == "add-half" else 0.0
-    raw_tables: dict[StratumKey, tuple[float, float, float, float]] = {}
+    quads: dict[StratumKey, list[float]] = {}
+    for key, x, y, n in counts.rows():
+        quads.setdefault(key, [add] * 4)[_cell_slot(x, y)] += n
+
     grand = 0.0
-    for key, cells in by_stratum.items():
-        quad = []
-        for x, y in ((EXPOSED, EVENT), (EXPOSED, NOEVENT),
-                     (UNEXPOSED, EVENT), (UNEXPOSED, NOEVENT)):
-            c = cells.get((x, y), 0) + add
+    for key, quad in quads.items():
+        for (x, y), c in zip(_CELLS, quad):
             if c <= 0.0:
                 raise PositivityError(
                     f"stratum {key}: empty cell (x={x}, y={y}); "
                     "use add-half smoothing or pool strata")
-            quad.append(c)
-        raw_tables[key] = tuple(quad)
         grand += sum(quad)
-
-    strata = {}
-    for key, quad in raw_tables.items():
-        st_total = sum(quad)
-        strata[key] = StratumTable(
-            p_exposed_event=quad[0] / st_total,
-            p_exposed_noevent=quad[1] / st_total,
-            p_unexposed_event=quad[2] / st_total,
-            p_unexposed_noevent=quad[3] / st_total,
-            weight=st_total / grand,
-        )
-    return StratifiedJoint(strata=strata, covariates=counts.covariates,
-                           total_n=raw_total)
+    return _joint_from_cells(quads.items(), grand, counts.covariates, raw_total)
 
 
 def collapse(joint: StratifiedJoint, keep: Sequence[str]) -> StratifiedJoint:
@@ -579,46 +599,6 @@ def validate_compatibility(joint: StratifiedJoint,
         for name, excess in stratum_violations(t, experimental.pair(key), tol):
             violations.append(Violation(stratum=key, constraint=name, amount=excess))
     return CompatibilityReport(violations=tuple(violations), tol=tol)
-
-
-def joint_to_dict(joint: StratifiedJoint) -> dict:
-    """JSON-ready mirror of a :class:`StratifiedJoint`."""
-    strata = []
-    for key, t in joint.items():
-        strata.append({
-            "levels": {name: value for name, value in key.labels},
-            "weight": t.weight,
-            "cells": {
-                "exposed_event": t.p_exposed_event,
-                "exposed_noevent": t.p_exposed_noevent,
-                "unexposed_event": t.p_unexposed_event,
-                "unexposed_noevent": t.p_unexposed_noevent,
-            },
-        })
-    return {"covariates": list(joint.covariates),
-            "total_n": joint.total_n,
-            "strata": strata}
-
-
-def joint_from_dict(data: Mapping) -> StratifiedJoint:
-    try:
-        covariates = tuple(data["covariates"])
-        strata = {}
-        for entry in data["strata"]:
-            key = StratumKey(tuple((n, str(v)) for n, v in entry["levels"].items()))
-            cells = entry["cells"]
-            strata[key] = StratumTable(
-                p_exposed_event=float(cells["exposed_event"]),
-                p_exposed_noevent=float(cells["exposed_noevent"]),
-                p_unexposed_event=float(cells["unexposed_event"]),
-                p_unexposed_noevent=float(cells["unexposed_noevent"]),
-                weight=float(entry["weight"]),
-            )
-        total_n = data.get("total_n")
-        return StratifiedJoint(strata=strata, covariates=covariates,
-                               total_n=None if total_n is None else int(total_n))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed stratified joint: {exc}") from exc
 
 
 def experimental_to_dict(experimental: ExperimentalQuantities) -> dict:

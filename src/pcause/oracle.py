@@ -48,26 +48,6 @@ RESPONSE_TYPES = ("always", "helped", "hurt", "never")
 _MASS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ResponseTypeDist:
-    """Type masses for both arms of one stratum; a witness distribution."""
-
-    exposed: tuple[float, float, float, float]
-    unexposed: tuple[float, float, float, float]
-    p_exposed: float
-
-    def __post_init__(self) -> None:
-        for arm in (self.exposed, self.unexposed):
-            if len(arm) != 4:
-                raise ValidationError("each arm needs four type masses")
-            if min(arm) < -_MASS_TOL:
-                raise ValidationError(f"negative type mass in {arm}")
-            if abs(sum(arm) - 1.0) > 1e-6:
-                raise ValidationError(f"type masses {arm} do not sum to 1")
-        if not (0.0 < self.p_exposed < 1.0):
-            raise ValidationError("arm probability must lie inside (0, 1)")
-
-
 def _clip01(v: float) -> float:
     return min(1.0, max(0.0, v))
 
@@ -117,25 +97,6 @@ def _arm_masses(fixed_y: float, fixed_cross: float,
         raise RuntimeError(
             "response-type mass went negative; feasibility screening is broken")
     return always, helped, hurt, never
-
-
-def dist_at(table: StratumTable, pair: tuple[float, float], a: float, b: float,
-            *, tol: float = 1e-3) -> ResponseTypeDist:
-    """The witness distribution with always-masses (a, b) in the two arms."""
-    alpha, beta, gamma, delta, p_x, _ = _arm_parameters(table, pair, tol)
-    ranges = (("a", a, max(0.0, alpha + beta - 1.0), min(alpha, beta)),
-              ("b", b, max(0.0, gamma + delta - 1.0), min(gamma, delta)))
-    for name, free, lo, hi in ranges:
-        if not (lo - _MASS_TOL <= free <= hi + _MASS_TOL):
-            raise ValidationError(
-                f"always-mass {name}={free!r} outside [{lo:.6g}, {hi:.6g}]")
-    ex = _arm_masses(alpha, beta, np.array([a]))
-    un = _arm_masses(gamma, delta, np.array([b]))
-    return ResponseTypeDist(
-        exposed=tuple(float(m[0]) for m in ex),
-        unexposed=tuple(float(m[0]) for m in un),
-        p_exposed=p_x,
-    )
 
 
 def feasible_extrema(table: StratumTable, pair: tuple[float, float],
@@ -231,16 +192,13 @@ def verify_bounds(joint: StratifiedJoint,
                   tol: float = 2e-3,
                   resolution: float = 1e-3) -> VerificationReport:
     """Compare every conditional box against the type-distribution search."""
-    closed_forms = {
-        "PN": lambda t, pair, key: bounds.pn_interval_conditional(t, pair, key=key),
-        "PS": lambda t, pair, key: bounds.ps_interval_conditional(t, pair, key=key),
-        "PNS": lambda t, pair, key: bounds.pns_interval_conditional(t, pair, key=key),
-    }
     entries = []
     for key, table in joint.items():
         pair = experimental.pair(key)
-        for quantity in bounds.QUANTITIES:
-            closed = closed_forms[quantity](table, pair, key)
+        for quantity, conditional in (("PN", bounds.pn_interval_conditional),
+                                      ("PS", bounds.ps_interval_conditional),
+                                      ("PNS", bounds.pns_interval_conditional)):
+            closed = conditional(table, pair, key=key)
             searched = feasible_extrema(table, pair, quantity,
                                         resolution=resolution)
             entries.append(VerificationEntry(stratum=key, quantity=quantity,

@@ -30,7 +30,8 @@ from .model import (
     CountTable,
     StratifiedJoint,
     StratumKey,
-    StratumTable,
+    _cell_slot,
+    _joint_from_cells,
     _read_text,
 )
 
@@ -102,23 +103,11 @@ class Scenario:
                          n: int | None = None) -> StratifiedJoint:
         """The exact joint this scenario induces under a stratifier."""
         strat = tuple(stratifier)
-        acc: dict[StratumKey, list[float]] = {}
-        for (x, s, t, y), p in self.outcome_cells():
-            full = StratumKey(((self.s_name, s), (self.t_name, t)))
-            key = full.project(strat)
-            cells = acc.setdefault(key, [0.0, 0.0, 0.0, 0.0])
-            cells[_cell_slot(x, y)] += p
-        strata = {}
-        for key, quad in acc.items():
-            w = sum(quad)
-            strata[key] = StratumTable(
-                p_exposed_event=quad[0] / w,
-                p_exposed_noevent=quad[1] / w,
-                p_unexposed_event=quad[2] / w,
-                p_unexposed_noevent=quad[3] / w,
-                weight=w,
-            )
-        return StratifiedJoint(strata=strata, covariates=strat, total_n=n)
+        keys, positions = _stratifier_layout(self, strat)
+        probs = [p for _, p in self.outcome_cells()]
+        sums = np.bincount(positions, weights=probs, minlength=4 * len(keys))
+        return _joint_from_cells(zip(keys, sums.reshape(-1, 4).tolist()), 1.0,
+                                 strat, n)
 
     def to_dict(self) -> dict:
         return {
@@ -131,12 +120,6 @@ class Scenario:
                                      for (x, s), p in
                                      self.outcome_conditionals.items()],
         }
-
-
-def _cell_slot(x: int, y: int) -> int:
-    if x == 1:
-        return 0 if y == 1 else 1
-    return 2 if y == 1 else 3
 
 
 def scenario_from_dict(data: Mapping) -> Scenario:
@@ -262,23 +245,6 @@ def _stratifier_layout(scenario: Scenario, stratifier: tuple[str, ...],
     return tuple(keys), positions
 
 
-def _joint_from_layout(keys: tuple[StratumKey, ...], sums: np.ndarray,
-                       stratifier: tuple[str, ...], n: int) -> StratifiedJoint:
-    # Same arithmetic as model.to_probabilities with no smoothing.
-    strata = {}
-    for j, key in enumerate(keys):
-        quad = sums[4 * j:4 * j + 4]
-        st_total = quad.sum()
-        strata[key] = StratumTable(
-            p_exposed_event=quad[0] / st_total,
-            p_exposed_noevent=quad[1] / st_total,
-            p_unexposed_event=quad[2] / st_total,
-            p_unexposed_noevent=quad[3] / st_total,
-            weight=float(st_total) / n,
-        )
-    return StratifiedJoint(strata=strata, covariates=stratifier, total_n=n)
-
-
 def replicate_study(scenario: Scenario, n: int, reps: int, seed: int, *,
                     stratifiers: Sequence[Sequence[str]] | None = None,
                     ) -> ReplicationStudy:
@@ -341,7 +307,8 @@ def replicate_study(scenario: Scenario, n: int, reps: int, seed: int, *,
 
         for strat in strat_list:
             keys, sums = per_strat_sums[strat]
-            joint = _joint_from_layout(keys, sums, strat, n)
+            joint = _joint_from_cells(zip(keys, sums.reshape(-1, 4).tolist()),
+                                      n, strat, n)
             pn = pn_point(joint)
             pns = pns_point(joint)
             values[("PN", strat)].append(pn.value)

@@ -1,11 +1,19 @@
 """Shared fixtures and random-instance generators."""
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import pcause as pc
+
+# hypothesis caches the constants it reads from the source under its home
+# directory, .hypothesis/ in the working directory by default; keep that
+# cache out of the checkout (the directory is removed at exit)
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="pcause-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 DATA_DIR = Path(__file__).parent / "data"
 CANCER_CSV = DATA_DIR / "breast_cancer.csv"

@@ -10,7 +10,7 @@ from pcause import cli
 from pcause.cli import run
 from pcause.model import experimental_to_dict
 
-from conftest import CANCER_CSV
+from conftest import CANCER_CSV, DATA_DIR
 
 DATA = ["--data", str(CANCER_CSV)]
 
@@ -163,6 +163,26 @@ class TestIdentifyCommand:
         assert payload["warnings"]
 
 
+class TestGoldenReports:
+    """The --json reports on the survival fixture, pinned to the float.
+
+    Both subcommands use only Python float arithmetic, so the reports do not
+    depend on the platform.  The data path is replaced by a placeholder.
+    """
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["bounds", "--quantity", "all"], "breast_cancer_bounds.json"),
+        (["identify"], "breast_cancer_identify.json"),
+    ])
+    def test_report_matches_golden(self, argv, golden, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert run([argv[0], *DATA, *argv[1:], "--json", str(report_path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(report_path.read_text())
+        payload["input"]["data"] = "<data>"
+        assert payload == json.loads((DATA_DIR / golden).read_text())
+
+
 class TestSelectCommand:
     def test_two_covariate_analysis(self, tmp_path, capsys):
         data = _write_two_covariate_csv(tmp_path)
@@ -237,6 +257,20 @@ class TestVerifyCommand:
         assert payload["verification"]["passed"] is True
         assert payload["verification"]["max_discrepancy"] < 1e-9
         assert len(payload["verification"]["entries"]) == 9
+
+    def test_fail_writes_report_then_exits_one(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert run(["verify", *DATA, "--tol", "0",
+                    "--json", str(report_path)]) == 1
+        captured = capsys.readouterr()
+        assert "(tolerance 0): FAIL" in captured.out
+        assert re.fullmatch(r"error: verification failed: [1-9] of 9 boxes "
+                            r"differ by more than 0\n", captured.err)
+        payload = json.loads(report_path.read_text())
+        assert payload["verification"]["passed"] is False
+        assert list(payload) == ["metadata", "input", "intervals", "estimates",
+                                 "selection", "verification", "simulation",
+                                 "warnings"]
 
 
 class TestSmoothing:
@@ -329,8 +363,11 @@ class TestInputErrors:
         assert "--tol: must be a finite number >= 0" in capsys.readouterr().err
 
     def test_verify_tol_zero_accepted(self, capsys):
-        assert run(["verify", *DATA, "--tol", "0"]) == 0
-        capsys.readouterr()
+        # accepted as a value; float noise then fails the check, so exit 1
+        assert run(["verify", *DATA, "--tol", "0"]) == 1
+        captured = capsys.readouterr()
+        assert ": FAIL" in captured.out
+        assert "usage:" not in captured.err
 
     @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.05", "nan"])
     def test_select_alpha_out_of_range(self, alpha, tmp_path, capsys):

@@ -7,8 +7,6 @@ import pcause as pc
 from pcause.model import (
     experimental_from_dict,
     experimental_to_dict,
-    joint_from_dict,
-    joint_to_dict,
     stratum_violations,
 )
 
@@ -150,6 +148,25 @@ class TestLoadCounts:
             [(key, 1, 1, 3), (key, 0, 0, 4)], covariates=("site", "arm"))
         text = pc.render_counts(counts)
         assert text.splitlines()[1] == '"say ""hi""","a,b",0,0,4'
+        assert pc.load_counts(io.StringIO(text)) == counts
+
+    def test_render_quotes_leading_hash_level(self):
+        one, two = pc.StratumKey.of(g="#1"), pc.StratumKey.of(g="2")
+        counts = pc.CountTable.from_rows(
+            [(one, 1, 1, 1), (one, 0, 0, 3), (two, 1, 1, 2), (two, 0, 0, 2)],
+            covariates=("g",))
+        text = pc.render_counts(counts)
+        assert text.splitlines()[1] == '"#1",0,0,3'
+        again = pc.load_counts(io.StringIO(text))
+        assert again == counts
+        assert again.total == 8
+
+    def test_render_quotes_leading_hash_covariate(self):
+        key = pc.StratumKey.of(**{"#g": "a", "h": "b"})
+        counts = pc.CountTable.from_rows([(key, 1, 1, 3)],
+                                         covariates=("#g", "h"))
+        text = pc.render_counts(counts)
+        assert text.splitlines()[0] == '"#g",h,x,y,count'
         assert pc.load_counts(io.StringIO(text)) == counts
 
     def test_render_plain_levels_unquoted(self):
@@ -348,20 +365,6 @@ class TestCompatibility:
 
 
 class TestJsonMirrors:
-    def test_joint_round_trip(self, cancer_joint):
-        data = joint_to_dict(cancer_joint)
-        again = joint_from_dict(json.loads(json.dumps(data)))
-        assert again.covariates == cancer_joint.covariates
-        assert again.total_n == cancer_joint.total_n
-        for key, t in cancer_joint.items():
-            u = again.strata[key]
-            assert u.p_exposed_event == t.p_exposed_event
-            assert u.weight == t.weight
-
-    def test_joint_from_dict_errors(self):
-        with pytest.raises(pc.ParseError):
-            joint_from_dict({"covariates": ["s"]})
-
     def test_experimental_round_trip(self, cancer_joint, cancer_experimental):
         data = experimental_to_dict(cancer_experimental)
         again = experimental_from_dict(data, cancer_joint)

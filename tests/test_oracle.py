@@ -4,7 +4,7 @@ import pytest
 import pcause as pc
 import pcause.bounds
 from pcause.model import stratum_violations
-from pcause.oracle import dist_at, feasible_extrema
+from pcause.oracle import feasible_extrema
 
 from conftest import random_instance, random_monotone_stratum, random_pair, \
     random_stratum
@@ -109,52 +109,6 @@ class TestFeasibilityEquivalence:
         assert stratum_violations(PROBE_TABLE, pair, 1e-3) == []
         iv = feasible_extrema(PROBE_TABLE, pair, "PN")
         assert 0.0 <= iv.lower <= iv.upper
-
-
-class TestWitnessDistributions:
-    def test_witness_reproduces_observables(self):
-        rng = np.random.default_rng(3305)
-        for _ in range(20):
-            t = random_stratum(rng)
-            pair = random_pair(rng, t)
-            alpha = t.risk_exposed
-            beta = (pair[1] - t.p_unexposed_event) / t.p_exposed
-            gamma = (pair[0] - t.p_exposed_event) / t.p_unexposed
-            delta = t.risk_unexposed
-            a = min(alpha, beta)
-            b = min(gamma, delta)
-            w = dist_at(t, pair, a, b)
-            assert w.p_exposed == pytest.approx(t.p_exposed, abs=TOL)
-            # always + helped reproduces the observational risk in each arm
-            assert w.exposed[0] + w.exposed[1] == pytest.approx(alpha, abs=TOL)
-            assert w.unexposed[0] + w.unexposed[2] == pytest.approx(delta,
-                                                                    abs=TOL)
-            # always + hurt reproduces the cross-arm interventional risk
-            assert w.exposed[0] + w.exposed[2] == pytest.approx(beta, abs=TOL)
-            assert w.unexposed[0] + w.unexposed[1] == pytest.approx(gamma,
-                                                                    abs=TOL)
-
-    def test_out_of_range_mass_rejected(self):
-        t = PROBE_TABLE
-        pair = (0.45, 0.35)
-        with pytest.raises(pc.ValidationError, match="always-mass a"):
-            dist_at(t, pair, 0.99, 0.1)
-        with pytest.raises(pc.ValidationError, match="always-mass b"):
-            dist_at(t, pair, 0.3, 0.99)
-
-    def test_dist_validation(self):
-        with pytest.raises(pc.ValidationError, match="negative"):
-            pc.ResponseTypeDist(exposed=(-0.2, 0.4, 0.4, 0.4),
-                                unexposed=(0.25, 0.25, 0.25, 0.25),
-                                p_exposed=0.5)
-        with pytest.raises(pc.ValidationError, match="sum to 1"):
-            pc.ResponseTypeDist(exposed=(0.1, 0.1, 0.1, 0.1),
-                                unexposed=(0.25, 0.25, 0.25, 0.25),
-                                p_exposed=0.5)
-        with pytest.raises(pc.ValidationError, match="arm probability"):
-            pc.ResponseTypeDist(exposed=(0.25, 0.25, 0.25, 0.25),
-                                unexposed=(0.25, 0.25, 0.25, 0.25),
-                                p_exposed=1.0)
 
 
 class TestArguments:
