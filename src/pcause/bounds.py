@@ -214,9 +214,9 @@ def _box(quantity: str, method: str, table: StratumTable,
     """The sharp interval of one table and pair: a stratum's conditional
     box (also the stratified interval of a one-stratum joint), or the
     Tian-Pearl interval of the pooled table."""
-    table, pair = _framed(quantity, table, pair)
     if validate:
         _require_compatible_stratum(table, pair, key)
+    table, pair = _framed(quantity, table, pair)
     denom, lows, ups = _terms(quantity, table, pair)
     li, ui = _argmax(lows), _argmin(ups)
     lower, upper = lows[li], ups[ui]

@@ -347,8 +347,7 @@ def _cmd_simulate(args) -> AnalysisReport:
 def _cmd_verify(args) -> AnalysisReport:
     joint = _load_table(args)
     experimental = _load_experimental(args, joint)
-    report = verify_bounds(joint, experimental, tol=args.tol,
-                           resolution=args.resolution)
+    report = verify_bounds(joint, experimental, tol=args.tol)
 
     _print_data_line(joint)
     status = "PASS" if report.passed else "FAIL"
@@ -362,7 +361,6 @@ def _cmd_verify(args) -> AnalysisReport:
 
     verification = {
         "tol": report.tol,
-        "resolution": report.resolution,
         "max_discrepancy": report.max_discrepancy,
         "passed": report.passed,
         "entries": [{
@@ -471,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check closed-form boxes against direct search")
     v.add_argument("--data", required=True, help="counts CSV")
     v.add_argument("--experimental", metavar="JSON")
-    v.add_argument("--resolution", type=float, default=1e-3,
-                   help="sweep step for the free parameters")
     v.add_argument("--tol", type=_tolerance, default=2e-3,
                    help="largest acceptable discrepancy (finite, >= 0)")
     _add_common(v)

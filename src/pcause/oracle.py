@@ -15,12 +15,10 @@ interventional pair fixes, for the exposed arm,
     q_always + q_hurt   = (P(y_x' | s) - P(x', y | s)) / P(x | s)
 
 and the mirror-image equations for the unexposed arm, leaving exactly one
-free parameter per arm (the always-mass).  Sweeping both parameters over
-their feasible intervals and evaluating PN, PS and PNS directly from the
-type masses traces every attainable value.  The functionals are linear in
-the free parameters, so the interval endpoints (always included in the
-sweep) attain the exact extremes; interior grid points serve as a
-consistency check that nothing inside beats them.
+free parameter per arm (the always-mass).  PN, PS and PNS, evaluated
+directly from the type masses, are linear in each arm's free parameter, so
+their extremes over all matching distributions sit at the two ends of its
+feasible interval; evaluating both ends of both arms is exact.
 
 This search shares no formulas with :mod:`pcause.bounds`, which is the
 point: :func:`verify_bounds` compares the two routes per stratum and
@@ -30,8 +28,6 @@ quantity, and reports any discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import bounds
 from .errors import IncompatibilityError, PositivityError, ValidationError
@@ -43,9 +39,8 @@ from .model import (
     stratum_violations,
 )
 
-RESPONSE_TYPES = ("always", "helped", "hurt", "never")
-
 _MASS_TOL = 1e-9
+_SCREEN_TOL = 1e-3  # how far a pair may sit outside its compatibility range
 
 
 def _clip01(v: float) -> float:
@@ -53,16 +48,16 @@ def _clip01(v: float) -> float:
 
 
 def _arm_parameters(table: StratumTable, pair: tuple[float, float],
-                    tol: float) -> tuple[float, float, float, float, float, float]:
+                    ) -> tuple[float, float, float, float, float, float]:
     """(alpha, beta, gamma, delta, p_x, p_x') for the two matching systems.
 
     alpha and delta are the observational risks; beta and gamma are the
     cross-arm interventional conditionals P(y_x' | x, s) and P(y_x | x', s)
     recovered from the stratum pair.  Infeasible inputs (beta or gamma
-    outside [0, 1] beyond ``tol``) raise IncompatibilityError; the same
-    four inequalities back :func:`pcause.model.validate_compatibility`.
+    outside [0, 1] beyond ``_SCREEN_TOL``) raise IncompatibilityError; the
+    same four inequalities back :func:`pcause.model.validate_compatibility`.
     """
-    violations = stratum_violations(table, pair, tol)
+    violations = stratum_violations(table, pair, _SCREEN_TOL)
     if violations:
         detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
         raise IncompatibilityError(
@@ -77,43 +72,32 @@ def _arm_parameters(table: StratumTable, pair: tuple[float, float],
     return alpha, beta, gamma, delta, p_x, p_xp
 
 
-def _grid(lo: float, hi: float, resolution: float) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
-    steps = int(np.ceil((hi - lo) / resolution)) + 1
-    return np.linspace(lo, hi, steps)
-
-
 def _arm_masses(fixed_y: float, fixed_cross: float,
-                free: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Type masses (always, helped, hurt, never) along a grid of the
+                free: float) -> tuple[float, float, float, float]:
+    """Type masses (always, helped, hurt, never) at one value of the
     always-mass, given the two matching constraints of one arm."""
     always = free
     helped = fixed_y - free
     hurt = fixed_cross - free
     never = 1.0 - fixed_y - fixed_cross + free
-    stacked = np.concatenate([always, helped, hurt, never])
-    if stacked.min() < -_MASS_TOL:
+    if min(always, helped, hurt, never) < -_MASS_TOL:
         raise RuntimeError(
             "response-type mass went negative; feasibility screening is broken")
     return always, helped, hurt, never
 
 
 def feasible_extrema(table: StratumTable, pair: tuple[float, float],
-                     quantity: str, resolution: float = 1e-3, *,
-                     no_prevention: bool = False,
-                     tol: float = 1e-3) -> bounds.Interval:
+                     quantity: str, *,
+                     no_prevention: bool = False) -> bounds.Interval:
     """Extremes of one quantity over all matching type distributions.
 
     With ``no_prevention`` the hurt mass is pinned to zero in both arms,
-    which collapses the sweep to a single distribution (or fails when none
-    without prevention fits the inputs).
+    which leaves a single distribution (or fails when none without
+    prevention fits the inputs).
     """
     if quantity not in bounds.QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    if not (0.0 < resolution <= 0.1):
-        raise ValidationError(f"resolution {resolution!r} outside (0, 0.1]")
-    alpha, beta, gamma, delta, p_x, p_xp = _arm_parameters(table, pair, tol)
+    alpha, beta, gamma, delta, p_x, p_xp = _arm_parameters(table, pair)
 
     a_hi = min(alpha, beta)
     a_lo = min(max(0.0, alpha + beta - 1.0), a_hi)
@@ -122,35 +106,36 @@ def feasible_extrema(table: StratumTable, pair: tuple[float, float],
 
     if no_prevention:
         # zero hurt mass forces the always-mass to the cross-arm constraint
-        if beta > alpha + tol or delta > gamma + tol:
+        if beta > alpha + _SCREEN_TOL or delta > gamma + _SCREEN_TOL:
             raise IncompatibilityError(
                 "no distribution without prevention matches the inputs")
-        a_pts = np.array([min(beta, a_hi)])
-        b_pts = np.array([min(delta, b_hi)])
+        a_pts = (min(beta, a_hi),)
+        b_pts = (min(delta, b_hi),)
     else:
-        a_pts = _grid(a_lo, a_hi, resolution)
-        b_pts = _grid(b_lo, b_hi, resolution)
+        a_pts = (a_lo, a_hi)
+        b_pts = (b_lo, b_hi)
 
-    _, helped_x, _, _ = _arm_masses(alpha, beta, a_pts)
-    _, helped_xp, _, never_xp = _arm_masses(gamma, delta, b_pts)
+    masses_x = [_arm_masses(alpha, beta, a) for a in a_pts]
+    masses_xp = [_arm_masses(gamma, delta, b) for b in b_pts]
 
     if quantity == "PN":
         if table.p_exposed_event <= 0.0:
             raise PositivityError("PN undefined: no exposed cases in stratum")
-        values = helped_x / alpha
-        lower, upper = float(values.min()), float(values.max())
+        values = [helped / alpha for _, helped, _, _ in masses_x]
+        lower, upper = min(values), max(values)
     elif quantity == "PS":
         if table.p_unexposed_noevent <= 0.0:
             raise PositivityError("PS undefined: no unexposed non-cases in stratum")
-        values = helped_xp / (helped_xp + never_xp)
-        lower, upper = float(values.min()), float(values.max())
+        values = [helped / (helped + never)
+                  for _, helped, _, never in masses_xp]
+        lower, upper = min(values), max(values)
     else:
-        # separable in the two free parameters, so the grid minimum of the
-        # sum is the sum of the per-arm minima (and likewise the maximum)
-        contrib_x = p_x * helped_x
-        contrib_xp = p_xp * helped_xp
-        lower = float(contrib_x.min() + contrib_xp.min())
-        upper = float(contrib_x.max() + contrib_xp.max())
+        # separable in the two free parameters, so the minimum of the sum
+        # is the sum of the per-arm minima (and likewise the maximum)
+        contrib_x = [p_x * helped for _, helped, _, _ in masses_x]
+        contrib_xp = [p_xp * helped for _, helped, _, _ in masses_xp]
+        lower = min(contrib_x) + min(contrib_xp)
+        upper = max(contrib_x) + max(contrib_xp)
     return bounds.Interval(lower=lower, upper=upper, quantity=quantity,
                            method="oracle")
 
@@ -172,7 +157,6 @@ class VerificationEntry:
 class VerificationReport:
     entries: tuple[VerificationEntry, ...]
     tol: float
-    resolution: float
 
     @property
     def max_discrepancy(self) -> float:
@@ -189,8 +173,7 @@ class VerificationReport:
 
 def verify_bounds(joint: StratifiedJoint,
                   experimental: ExperimentalQuantities, *,
-                  tol: float = 2e-3,
-                  resolution: float = 1e-3) -> VerificationReport:
+                  tol: float = 2e-3) -> VerificationReport:
     """Compare every conditional box against the type-distribution search."""
     entries = []
     for key, table in joint.items():
@@ -199,9 +182,7 @@ def verify_bounds(joint: StratifiedJoint,
                                       ("PS", bounds.ps_interval_conditional),
                                       ("PNS", bounds.pns_interval_conditional)):
             closed = conditional(table, pair, key=key)
-            searched = feasible_extrema(table, pair, quantity,
-                                        resolution=resolution)
+            searched = feasible_extrema(table, pair, quantity)
             entries.append(VerificationEntry(stratum=key, quantity=quantity,
                                              closed=closed, searched=searched))
-    return VerificationReport(entries=tuple(entries), tol=tol,
-                              resolution=resolution)
+    return VerificationReport(entries=tuple(entries), tol=tol)

@@ -48,6 +48,7 @@ class TestExitCodes:
         assert run([]) == 2
         assert run(["simulate", "--setting", "1", "--scenario", "x.json",
                     "--n", "100", "--reps", "2", "--seed", "1"]) == 2
+        assert run(["verify", *DATA, "--resolution", "0.01"]) == 2
         capsys.readouterr()
 
     def test_help_and_version_exit_zero(self, capsys):
@@ -166,13 +167,15 @@ class TestIdentifyCommand:
 class TestGoldenReports:
     """The --json reports on the survival fixture, pinned to the float.
 
-    Both subcommands use only Python float arithmetic, so the reports do not
-    depend on the platform.  The data path is replaced by a placeholder.
+    The three subcommands use only Python float arithmetic, so the reports
+    do not depend on the platform.  The data path is replaced by a
+    placeholder.
     """
 
     @pytest.mark.parametrize("argv, golden", [
         (["bounds", "--quantity", "all"], "breast_cancer_bounds.json"),
         (["identify"], "breast_cancer_identify.json"),
+        (["verify"], "breast_cancer_verify.json"),
     ])
     def test_report_matches_golden(self, argv, golden, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -254,6 +257,8 @@ class TestVerifyCommand:
         assert "checked 9 boxes in 3 strata" in out
         assert out.rstrip().endswith("PASS")
         payload = json.loads(report_path.read_text())
+        assert list(payload["verification"]) == [
+            "tol", "max_discrepancy", "passed", "entries"]
         assert payload["verification"]["passed"] is True
         assert payload["verification"]["max_discrepancy"] < 1e-9
         assert len(payload["verification"]["entries"]) == 9

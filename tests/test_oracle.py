@@ -47,20 +47,45 @@ class TestClosedFormsAgree:
             for quantity, box in boxes.items():
                 closed = box(t, pair)
                 searched = feasible_extrema(t, pair, quantity)
-                assert searched.lower == pytest.approx(closed.lower, abs=2e-3)
-                assert searched.upper == pytest.approx(closed.upper, abs=2e-3)
+                assert searched.lower == pytest.approx(closed.lower, abs=TOL)
+                assert searched.upper == pytest.approx(closed.upper, abs=TOL)
 
-    def test_endpoints_not_grid_artifacts(self):
-        # the extremes sit at the ends of the free range, so even a very
-        # coarse sweep reproduces them exactly
+    def test_dense_sweep_stays_inside_the_ends(self):
+        # every quantity is linear in each arm's always-mass, so a dense
+        # sweep reaches the two ends the oracle evaluates and goes no further
         rng = np.random.default_rng(3302)
         for _ in range(10):
             t = random_stratum(rng)
             pair = random_pair(rng, t)
-            fine = feasible_extrema(t, pair, "PNS", resolution=1e-3)
-            coarse = feasible_extrema(t, pair, "PNS", resolution=0.1)
-            assert coarse.lower == pytest.approx(fine.lower, abs=TOL)
-            assert coarse.upper == pytest.approx(fine.upper, abs=TOL)
+            swept = _dense_sweep(t, pair)
+            for quantity, values in swept.items():
+                searched = feasible_extrema(t, pair, quantity)
+                assert values.min() == pytest.approx(searched.lower, abs=1e-12)
+                assert values.max() == pytest.approx(searched.upper, abs=1e-12)
+
+
+def _dense_sweep(table, pair, points=1001):
+    """PN, PS and PNS at ``points`` always-mass values per arm, with the
+    other type masses taken from the arm's two matching equations:
+    always + helped = P(y_x | arm, s) and always + hurt = P(y_x' | arm, s)."""
+    arms = []
+    for y_x, y_xp in (
+            (table.risk_exposed,
+             (pair[1] - table.p_unexposed_event) / table.p_exposed),
+            ((pair[0] - table.p_exposed_event) / table.p_unexposed,
+             table.risk_unexposed)):
+        always = np.linspace(max(0.0, y_x + y_xp - 1.0), min(y_x, y_xp),
+                             points)
+        helped, hurt = y_x - always, y_xp - always
+        never = 1.0 - y_x - y_xp + always
+        assert min(m.min() for m in (always, helped, hurt, never)) > -1e-12
+        arms.append((helped, never))
+    (helped_x, _), (helped_xp, never_xp) = arms
+    pns = (table.p_exposed * helped_x)[:, None] + \
+        (table.p_unexposed * helped_xp)[None, :]
+    return {"PN": helped_x / table.risk_exposed,
+            "PS": helped_xp / (helped_xp + never_xp),
+            "PNS": pns.ravel()}
 
 
 class TestNoPrevention:
@@ -93,8 +118,12 @@ class TestFeasibilityEquivalence:
     def test_outside_box_rejected_by_both_routes(self, pair, name):
         violations = stratum_violations(PROBE_TABLE, pair, 1e-3)
         assert [v for v, _excess in violations] == [name]
-        with pytest.raises(pc.IncompatibilityError, match=name):
+        with pytest.raises(pc.IncompatibilityError, match=rf"\b{name} by"):
             feasible_extrema(PROBE_TABLE, pair, "PNS")
+        for box in (pc.pn_interval_conditional, pc.ps_interval_conditional,
+                    pc.pns_interval_conditional):
+            with pytest.raises(pc.IncompatibilityError, match=rf"\b{name} by"):
+                box(PROBE_TABLE, pair)
 
     def test_inside_box_accepted_by_both_routes(self):
         rng = np.random.default_rng(3304)
@@ -116,10 +145,6 @@ class TestArguments:
         pair = (0.45, 0.35)
         with pytest.raises(pc.ValidationError, match="quantity"):
             feasible_extrema(PROBE_TABLE, pair, "PM")
-        for resolution in (0.0, -0.1, 0.2):
-            with pytest.raises(pc.ValidationError, match="resolution"):
-                feasible_extrema(PROBE_TABLE, pair, "PN",
-                                 resolution=resolution)
 
 
 class TestVerification:

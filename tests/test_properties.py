@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pcause as pc
 from pcause.bounds import _swap_pair
+from pcause.oracle import feasible_extrema
 
 QUANTITIES = ("PN", "PS", "PNS")
 CONDITIONAL = {"PN": pc.pn_interval_conditional,
@@ -99,6 +100,19 @@ def test_one_stratum_reduces_to_its_conditional_box(draw):
         box = CONDITIONAL[quantity](table, experimental.pair(key), key=key)
         assert strat.method == "stratified"
         assert _same(strat, box)
+
+
+@repeatable
+@given(stratum)
+def test_oracle_matches_each_conditional_box(draw):
+    cells, _, u, v = draw
+    table = _table(cells, 1.0)
+    pair = _pair(table, u, v)
+    for quantity in QUANTITIES:
+        box = CONDITIONAL[quantity](table, pair)
+        searched = feasible_extrema(table, pair, quantity)
+        assert searched.lower == pytest.approx(box.lower, abs=1e-12)
+        assert searched.upper == pytest.approx(box.upper, abs=1e-12)
 
 
 @repeatable
