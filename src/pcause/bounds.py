@@ -43,6 +43,11 @@ method here) apply the conditional formulas to the pooled table with the
 marginal interventional pair; the stratified interval always nests inside
 them.
 
+Every interval screens each stratum's pair with
+:func:`pcause.model.compatible_pair`, which rejects a pair farther than
+``COMPAT_TOL`` outside its compatibility range and moves a nearer one onto
+it; endpoints are then clipped into [0, 1], which removes only float drift.
+
 Conditional, stratified and Tian-Pearl intervals share one term function,
 which returns a stratum's candidate terms (and, for PN and PS, the
 denominator) in tie-break order; each interval differs only in how it
@@ -62,7 +67,8 @@ from .model import (
     StratifiedJoint,
     StratumKey,
     StratumTable,
-    stratum_violations,
+    clip_pair,
+    compatible_pair,
     validate_compatibility,
 )
 
@@ -80,7 +86,6 @@ PNS_UPPER_TERMS = ("treated_event", "untreated_nonevent", "concordant_cells",
                    "discordant_margin")
 
 _INVERT_TOL = 1e-9
-_COMPAT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -183,20 +188,11 @@ def _choice(quantity: str, key: StratumKey, li: int, ui: int) -> TermChoice:
     return TermChoice(key, PN_LOWER_TERMS[li], PN_UPPER_TERMS[ui])
 
 
-def _require_compatible_stratum(table: StratumTable, pair: tuple[float, float],
-                                key: StratumKey) -> None:
-    violations = stratum_violations(table, pair, _COMPAT_TOL)
-    if violations:
-        detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
-        raise IncompatibilityError(
-            f"stratum {key}: experimental pair conflicts with joint cells ({detail})")
-
-
 def _finish(lower: float, upper: float, quantity: str, method: str,
-            choices: tuple[TermChoice, ...], clamp: bool, where: str) -> Interval:
-    if clamp:
-        lower = min(1.0, max(0.0, lower))
-        upper = min(1.0, max(0.0, upper))
+            choices: tuple[TermChoice, ...], where: str) -> Interval:
+    # every pair sits on its range, so only float drift leaves [0, 1]
+    lower = min(1.0, max(0.0, lower))
+    upper = min(1.0, max(0.0, upper))
     if lower > upper + _INVERT_TOL:
         raise IncompatibilityError(
             f"{quantity} bounds invert{where}: lower {lower:.6g} > upper {upper:.6g}; "
@@ -209,14 +205,12 @@ _POSITIVE_FRAME = {"PN": "exposed cases", "PS": "unexposed non-cases"}
 
 
 def _box(quantity: str, method: str, table: StratumTable,
-         pair: tuple[float, float], key: StratumKey, *, clamp: bool,
-         validate: bool, where: str) -> Interval:
+         pair: tuple[float, float], key: StratumKey) -> Interval:
     """The sharp interval of one table and pair: a stratum's conditional
     box (also the stratified interval of a one-stratum joint), or the
     Tian-Pearl interval of the pooled table."""
-    if validate:
-        _require_compatible_stratum(table, pair, key)
-    table, pair = _framed(quantity, table, pair)
+    where = f"stratum {key}"
+    table, pair = _framed(quantity, table, compatible_pair(table, pair, where))
     denom, lows, ups = _terms(quantity, table, pair)
     li, ui = _argmax(lows), _argmin(ups)
     lower, upper = lows[li], ups[ui]
@@ -228,43 +222,38 @@ def _box(quantity: str, method: str, table: StratumTable,
         # 0.0 / denom and denom / denom are exactly 0 and 1
         lower, upper = lower / denom, upper / denom
     return _finish(lower, upper, quantity, method,
-                   (_choice(quantity, key, li, ui),), clamp, where)
+                   (_choice(quantity, key, li, ui),), f" in {where}")
 
 
 def _conditional(quantity: str, table: StratumTable, pair: tuple[float, float],
-                 key: StratumKey | None, clamp: bool, validate: bool) -> Interval:
+                 key: StratumKey | None) -> Interval:
     key = key if key is not None else StratumKey(())
-    return _box(quantity, "conditional", table, pair, key, clamp=clamp,
-                validate=validate, where=f" in stratum {key}")
+    return _box(quantity, "conditional", table, pair, key)
 
 
 def pn_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
-                            key: StratumKey | None = None, clamp: bool = False,
-                            validate: bool = True) -> Interval:
+                            key: StratumKey | None = None) -> Interval:
     """Sharp bounds on PN(s) = P(y'_x' | x, y, s) for a single stratum."""
-    return _conditional("PN", table, pair, key, clamp, validate)
+    return _conditional("PN", table, pair, key)
 
 
 def ps_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
-                            key: StratumKey | None = None, clamp: bool = False,
-                            validate: bool = True) -> Interval:
+                            key: StratumKey | None = None) -> Interval:
     """Sharp bounds on PS(s) = P(y_x | x', y', s) for a single stratum.
 
     Computed exactly as PN on the swapped table; see the module docstring.
     """
-    return _conditional("PS", table, pair, key, clamp, validate)
+    return _conditional("PS", table, pair, key)
 
 
 def pns_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
-                             key: StratumKey | None = None, clamp: bool = False,
-                             validate: bool = True) -> Interval:
+                             key: StratumKey | None = None) -> Interval:
     """Sharp bounds on PNS(s) = P(y_x, y'_x' | s) for a single stratum."""
-    return _conditional("PNS", table, pair, key, clamp, validate)
+    return _conditional("PNS", table, pair, key)
 
 
 def stratified_interval(quantity: str, joint: StratifiedJoint,
-                        experimental: ExperimentalQuantities, *,
-                        clamp: bool = False, validate: bool = True) -> Interval:
+                        experimental: ExperimentalQuantities) -> Interval:
     """Covariate-adjusted bounds that recombine per-stratum extremes.
 
     Always at least as tight as the unstratified bounds on the same data;
@@ -272,28 +261,26 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
     """
     if quantity not in QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    if validate:
-        report = validate_compatibility(joint, experimental, tol=_COMPAT_TOL)
-        if not report.compatible:
-            worst = max(report.violations, key=lambda v: v.amount)
-            raise IncompatibilityError(
-                f"{len(report.violations)} consistency violation(s); worst: "
-                f"stratum {worst.stratum} {worst.constraint} by {worst.amount:.3g}")
+    report = validate_compatibility(joint, experimental)
+    if not report.compatible:
+        worst = max(report.violations, key=lambda v: v.amount)
+        raise IncompatibilityError(
+            f"{len(report.violations)} consistency violation(s); worst: "
+            f"stratum {worst.stratum} {worst.constraint} by {worst.amount:.3g}")
 
     if joint.n_strata == 1:
         # With one stratum the weight is semantically 1 even if the stored
         # float drifted, so the interval is the stratum's conditional box.
         key, t = next(joint.items())
-        return _box(quantity, "stratified", t, experimental.pair(key), key,
-                    clamp=clamp, validate=False, where=f" in stratum {key}")
+        return _box(quantity, "stratified", t, experimental.pair(key), key)
 
     lower_acc = 0.0
     upper_acc = 0.0
     denom = 0.0
     choices = []
     for key, t in joint.items():
-        cell, lows, ups = _terms(quantity,
-                                 *_framed(quantity, t, experimental.pair(key)))
+        pair = clip_pair(t, experimental.pair(key))
+        cell, lows, ups = _terms(quantity, *_framed(quantity, t, pair))
         li, ui = _argmax(lows), _argmin(ups)
         if cell is not None:
             denom += cell * t.weight
@@ -307,20 +294,16 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
             raise PositivityError(
                 f"{quantity} undefined: no {_POSITIVE_FRAME[quantity]} overall")
         lower, upper = lower_acc / denom, upper_acc / denom
-    return _finish(lower, upper, quantity, "stratified", tuple(choices), clamp,
+    return _finish(lower, upper, quantity, "stratified", tuple(choices),
                    where="")
 
 
 def tian_pearl_interval(quantity: str, table: StratumTable,
-                        marginal: tuple[float, float], *, clamp: bool = False,
-                        validate: bool = True) -> Interval:
+                        marginal: tuple[float, float]) -> Interval:
     """Classical unstratified bounds from the pooled table and the marginal
     interventional pair.  Same formulas as the conditional boxes, applied
     once to the whole population.
     """
     if quantity not in QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    key = StratumKey(())
-    return _box(quantity, "tian-pearl", table, marginal, key, clamp=clamp,
-                validate=validate,
-                where="" if quantity == "PNS" else f" in stratum {key}")
+    return _box(quantity, "tian-pearl", table, marginal, StratumKey(()))

@@ -185,16 +185,14 @@ def _cmd_bounds(args) -> AnalysisReport:
     _print_data_line(joint)
     print(f"experimental input: {experimental.provenance}")
     for quantity in quantities:
-        strat = stratified_interval(quantity, joint, experimental,
-                                    clamp=args.clamp)
-        pooled_iv = tian_pearl_interval(quantity, pooled, experimental.marginal,
-                                        clamp=args.clamp)
+        strat = stratified_interval(quantity, joint, experimental)
+        pooled_iv = tian_pearl_interval(quantity, pooled, experimental.marginal)
         intervals.extend([strat, pooled_iv])
         print(f"{quantity:<4} stratified  [{strat.lower:.3f}, {strat.upper:.3f}]")
         print(f"{quantity:<4} tian-pearl  [{pooled_iv.lower:.3f}, {pooled_iv.upper:.3f}]")
         for key, table in joint.items():
             box = _CONDITIONAL_BOXES[quantity](table, experimental.pair(key),
-                                               key=key, clamp=args.clamp)
+                                               key=key)
             intervals.append(box)
             print(f"     {key}  [{box.lower:.3f}, {box.upper:.3f}]")
 
@@ -427,9 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "from the data")
     b.add_argument("--quantity", choices=["PN", "PS", "PNS", "all"],
                    default="all")
-    b.add_argument("--clamp", action="store_true",
-                   help="clip bounds into [0, 1] instead of failing on "
-                        "float drift")
     _add_common(b)
     b.set_defaults(handler=_cmd_bounds)
 

@@ -32,7 +32,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import ParseError, PositivityError, ValidationError
+from .errors import IncompatibilityError, ParseError, PositivityError, ValidationError
 
 EXPOSED = 1
 UNEXPOSED = 0
@@ -43,6 +43,8 @@ PROVENANCE_MEASURED = "measured-experimental"
 PROVENANCE_ADJUSTED = "sita-adjusted"
 
 _SUM_TOL = 1e-9
+# How far a pair may sit outside its compatibility range; see compatible_pair.
+COMPAT_TOL = 1e-3
 
 Source = Union[str, Path, IO[str]]
 
@@ -177,11 +179,6 @@ class StratumTable:
             raise PositivityError("no unexposed mass in stratum")
         return self.p_unexposed_event / self.p_unexposed
 
-    @property
-    def strictly_positive(self) -> bool:
-        return min(self.p_exposed_event, self.p_exposed_noevent,
-                   self.p_unexposed_event, self.p_unexposed_noevent) > 0.0
-
     def swap(self) -> "StratumTable":
         """Relabel both exposure and outcome: cell (x, y) becomes (x', y').
 
@@ -234,10 +231,6 @@ class StratifiedJoint:
     @property
     def n_strata(self) -> int:
         return len(self.strata)
-
-    def marginal_cell(self, x: int, y: int) -> float:
-        """P(x, y) marginalized over strata."""
-        return sum(t.cell(x, y) * t.weight for t in self.strata.values())
 
     def only(self) -> StratumTable:
         """The single table of a one-stratum joint (typically pooled data)."""
@@ -555,7 +548,6 @@ class Violation:
 @dataclass(frozen=True)
 class CompatibilityReport:
     violations: tuple[Violation, ...]
-    tol: float
 
     @property
     def compatible(self) -> bool:
@@ -584,10 +576,30 @@ def stratum_violations(table: StratumTable, pair: tuple[float, float],
     return [(name, excess) for name, excess in checks if excess > tol]
 
 
+def clip_pair(table: StratumTable, pair: tuple[float, float]) -> tuple[float, float]:
+    """The pair moved onto its range; a pair inside comes back unchanged."""
+    return (min(1.0 - table.p_exposed_noevent, max(table.p_exposed_event, pair[0])),
+            min(1.0 - table.p_unexposed_noevent, max(table.p_unexposed_event, pair[1])))
+
+
+def compatible_pair(table: StratumTable, pair: tuple[float, float],
+                    where: str) -> tuple[float, float]:
+    """Raise :class:`IncompatibilityError` naming every inequality the pair
+    breaks by more than ``COMPAT_TOL``; otherwise return it clipped onto
+    its range."""
+    outside = stratum_violations(table, pair, 0.0)
+    violations = [(name, amount) for name, amount in outside if amount > COMPAT_TOL]
+    if violations:
+        detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
+        raise IncompatibilityError(
+            f"{where}: experimental pair conflicts with joint cells ({detail})")
+    return clip_pair(table, pair) if outside else pair
+
+
 def validate_compatibility(joint: StratifiedJoint,
                            experimental: ExperimentalQuantities,
-                           tol: float = 1e-3) -> CompatibilityReport:
-    """Check every stratum's consistency inequalities.
+                           ) -> CompatibilityReport:
+    """Check every stratum's consistency inequalities within ``COMPAT_TOL``.
 
     Raises :class:`ValidationError` when the stratum sets differ; returns a
     report listing violations (empty means compatible).
@@ -596,9 +608,10 @@ def validate_compatibility(joint: StratifiedJoint,
         raise ValidationError("experimental strata do not match the joint's strata")
     violations = []
     for key, t in joint.items():
-        for name, excess in stratum_violations(t, experimental.pair(key), tol):
+        for name, excess in stratum_violations(t, experimental.pair(key),
+                                               COMPAT_TOL):
             violations.append(Violation(stratum=key, constraint=name, amount=excess))
-    return CompatibilityReport(violations=tuple(violations), tol=tol)
+    return CompatibilityReport(violations=tuple(violations))
 
 
 def experimental_to_dict(experimental: ExperimentalQuantities) -> dict:

@@ -32,15 +32,15 @@ from dataclasses import dataclass
 from . import bounds
 from .errors import IncompatibilityError, PositivityError, ValidationError
 from .model import (
+    COMPAT_TOL,
     ExperimentalQuantities,
     StratifiedJoint,
     StratumKey,
     StratumTable,
-    stratum_violations,
+    compatible_pair,
 )
 
 _MASS_TOL = 1e-9
-_SCREEN_TOL = 1e-3  # how far a pair may sit outside its compatibility range
 
 
 def _clip01(v: float) -> float:
@@ -53,15 +53,11 @@ def _arm_parameters(table: StratumTable, pair: tuple[float, float],
 
     alpha and delta are the observational risks; beta and gamma are the
     cross-arm interventional conditionals P(y_x' | x, s) and P(y_x | x', s)
-    recovered from the stratum pair.  Infeasible inputs (beta or gamma
-    outside [0, 1] beyond ``_SCREEN_TOL``) raise IncompatibilityError; the
-    same four inequalities back :func:`pcause.model.validate_compatibility`.
+    recovered from the stratum pair.  Pairs that the bounds' screen
+    (:func:`pcause.model.compatible_pair`) rejects raise IncompatibilityError;
+    beta and gamma are then clipped into [0, 1] here, not by the screen.
     """
-    violations = stratum_violations(table, pair, _SCREEN_TOL)
-    if violations:
-        detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
-        raise IncompatibilityError(
-            f"no response-type distribution matches the inputs ({detail})")
+    compatible_pair(table, pair, "response-type search")
     p_x, p_xp = table.p_exposed, table.p_unexposed
     if p_x <= 0.0 or p_xp <= 0.0:
         raise PositivityError("both exposure arms need positive probability")
@@ -106,7 +102,7 @@ def feasible_extrema(table: StratumTable, pair: tuple[float, float],
 
     if no_prevention:
         # zero hurt mass forces the always-mass to the cross-arm constraint
-        if beta > alpha + _SCREEN_TOL or delta > gamma + _SCREEN_TOL:
+        if beta > alpha + COMPAT_TOL or delta > gamma + COMPAT_TOL:
             raise IncompatibilityError(
                 "no distribution without prevention matches the inputs")
         a_pts = (min(beta, a_hi),)

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateScenarioError, ParseError, ValidationError
 from .identify import pn_point, pns_point
 from .model import (
+    _SUM_TOL,
     CountTable,
+    Source,
     StratifiedJoint,
     StratumKey,
     _cell_slot,
@@ -35,11 +37,8 @@ from .model import (
     _read_text,
 )
 
-_SUM_TOL = 1e-9
 _MAX_DISCARD_RATE = 0.10
 _MAX_ATTEMPTS_PER_REP = 50
-
-Source = Union[str, IO[str]]
 
 
 @dataclass(frozen=True)
@@ -324,10 +323,8 @@ def replicate_study(scenario: Scenario, n: int, reps: int, seed: int, *,
 
     results = []
     for strat in strat_list:
-        pop = {
-            "PN": pn_point(scenario.population_joint(strat, n)).avar,
-            "PNS": pns_point(scenario.population_joint(strat, n)).avar,
-        }
+        population = scenario.population_joint(strat, n)
+        pop = {"PN": pn_point(population).avar, "PNS": pns_point(population).avar}
         for quantity in ("PN", "PNS"):
             vals = values[(quantity, strat)]
             results.append(ReplicationResult(

@@ -95,5 +95,6 @@ def random_monotone_stratum(rng: np.random.Generator) -> pc.StratumTable:
             p_unexposed_noevent=(1.0 - p_x) * (1.0 - risk_lo),
             weight=1.0,
         )
-        if table.strictly_positive:
+        if min(table.p_exposed_event, table.p_exposed_noevent,
+               table.p_unexposed_event, table.p_unexposed_noevent) > 0.0:
             return table

@@ -3,6 +3,7 @@ import pytest
 
 import pcause as pc
 from pcause.bounds import TermChoice, _swap_pair
+from pcause.oracle import feasible_extrema
 
 from conftest import random_instance, random_pair, random_stratum
 
@@ -110,7 +111,8 @@ class TestStratifiedGolden:
         assert iv.upper == pytest.approx(num_hi / denom, abs=TOL)
         # the shared denominator is the marginal cell
         assert denom == pytest.approx(
-            cancer_joint.marginal_cell(1, 1), abs=TOL)
+            sum(t.cell(1, 1) * t.weight for _, t in cancer_joint.items()),
+            abs=TOL)
 
 
 class TestTianPearlGolden:
@@ -285,20 +287,40 @@ class TestIncompatibility:
         with pytest.raises(pc.IncompatibilityError, match="unexposed-upper"):
             pc.pn_interval_conditional(t, pair)
 
-    def test_unvalidated_inversion_still_caught(self):
-        t, pair = self._bad_inputs()
-        with pytest.raises(pc.IncompatibilityError, match="invert"):
-            pc.pn_interval_conditional(t, pair, validate=False)
-
-    def test_clamp_does_not_mask_validation(self):
-        t, pair = self._bad_inputs()
-        with pytest.raises(pc.IncompatibilityError):
-            pc.pn_interval_conditional(t, pair, clamp=True)
-
     def test_clamp_clips_range_drift(self):
-        t, pair = self._bad_inputs()
-        iv = pc.pn_interval_conditional(t, pair, validate=False, clamp=True)
-        assert (iv.lower, iv.upper) == (0.0, 0.0)
+        # Both pairs sit 5e-4 outside their range, within the screen's
+        # tolerance, so they are accepted and moved onto the range.
+        t = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=1.0)
+        low_unexposed, high_exposed = (0.45, 0.0995), (0.7005, 0.35)
+        pn = pc.pn_interval_conditional(t, low_unexposed)
+        assert (pn.lower, pn.upper) == (1.0, 1.0)
+        for quantity, box, pair in (
+                ("PS", pc.ps_interval_conditional, high_exposed),
+                ("PNS", pc.pns_interval_conditional, low_unexposed),
+                ("PNS", pc.pns_interval_conditional, high_exposed)):
+            iv = box(t, pair)
+            searched = feasible_extrema(t, pair, quantity)
+            assert iv.lower == pytest.approx(searched.lower, abs=TOL)
+            assert iv.upper == pytest.approx(searched.upper, abs=TOL)
+
+    def test_stratified_moves_accepted_pairs_onto_their_range(self):
+        t = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=0.5)
+        a, b = pc.StratumKey.of(g=1), pc.StratumKey.of(g=2)
+        joint = pc.StratifiedJoint({a: t, b: t}, covariates=("g",))
+
+        def endpoints(pair):
+            experimental = pc.ExperimentalQuantities.from_per_stratum(
+                joint, {a: pair, b: (0.45, 0.35)},
+                provenance="measured-experimental")
+            return [(iv.lower, iv.upper) for iv in (
+                pc.stratified_interval(q, joint, experimental)
+                for q in ("PN", "PS", "PNS"))]
+
+        # 5e-4 below P(x',y|s) and 5e-4 above 1 - P(x,y'|s)
+        assert endpoints((0.45, 0.0995)) == endpoints(
+            (0.45, t.p_unexposed_event))
+        assert endpoints((0.7005, 0.35)) == endpoints(
+            (1.0 - t.p_exposed_noevent, 0.35))
 
     def test_stratified_names_worst_stratum(self, cancer_joint):
         pairs = {key: (t.risk_exposed, t.risk_unexposed)
@@ -314,12 +336,12 @@ class TestPositivity:
     def test_pn_needs_exposed_cases(self):
         t = pc.StratumTable(0.0, 0.5, 0.2, 0.3, weight=1.0)
         with pytest.raises(pc.PositivityError, match="exposed cases"):
-            pc.pn_interval_conditional(t, (0.0, 0.4), validate=False)
+            pc.pn_interval_conditional(t, (0.0, 0.4))
 
     def test_ps_needs_unexposed_noncases(self):
         t = pc.StratumTable(0.2, 0.3, 0.5, 0.0, weight=1.0)
         with pytest.raises(pc.PositivityError, match="unexposed non-cases"):
-            pc.ps_interval_conditional(t, (0.4, 1.0), validate=False)
+            pc.ps_interval_conditional(t, (0.4, 1.0))
 
 
 class TestIntervalType:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import re
@@ -49,6 +50,7 @@ class TestExitCodes:
         assert run(["simulate", "--setting", "1", "--scenario", "x.json",
                     "--n", "100", "--reps", "2", "--seed", "1"]) == 2
         assert run(["verify", *DATA, "--resolution", "0.01"]) == 2
+        assert run(["bounds", *DATA, "--clamp"]) == 2
         capsys.readouterr()
 
     def test_help_and_version_exit_zero(self, capsys):
@@ -116,10 +118,6 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert "PS   stratified" in out
         assert "PN " not in out
-
-    def test_clamp_accepted(self, capsys):
-        assert run(["bounds", *DATA, "--clamp"]) == 0
-        capsys.readouterr()
 
     def test_measured_experimental_file(self, tmp_path, capsys,
                                         cancer_experimental):
@@ -278,6 +276,31 @@ class TestVerifyCommand:
                                  "warnings"]
 
 
+class TestNearEdgePair:
+    """A measured pair 5e-4 below its range (P(y_x'|s) >= P(x',y|s) = 0.1)
+    is within the screen's tolerance, so it is accepted and moved onto the
+    range."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        data = tmp_path / "one.csv"
+        data.write_text("g,x,y,count\n1,1,1,2\n1,1,0,3\n1,0,1,1\n1,0,0,4\n")
+        measured = tmp_path / "measured.json"
+        measured.write_text(json.dumps({"strata": [
+            {"levels": {"g": "1"}, "p_event_do_exposed": 0.45,
+             "p_event_do_unexposed": 0.0995}]}))
+        return ["--data", str(data), "--experimental", str(measured)]
+
+    def test_bounds(self, argv, capsys):
+        assert run(["bounds", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "PN   stratified  [1.000, 1.000]" in out
+
+    def test_verify(self, argv, capsys):
+        assert run(["verify", *argv]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("PASS")
+
+
 class TestSmoothing:
     def test_zero_arm_needs_smoothing(self, tmp_path, capsys):
         data = _write_zero_arm_csv(tmp_path)
@@ -417,3 +440,29 @@ class TestCollectorThreshold:
             run(["bounds", *DATA])
         assert seen == [(cli._GC_THRESHOLD0, 11, 12)]
         assert gc.get_threshold() == self.CUSTOM
+
+
+def _readme_synopses():
+    """Each subcommand's fenced ``pcause <cmd> ...`` synopsis in the README,
+    continuation lines joined."""
+    text = (DATA_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+    synopses = {}
+    for block in re.findall(r"```\n(pcause .*?)```", text, flags=re.S):
+        line = block.replace("\\\n", " ")
+        synopses[line.split()[1]] = line
+    return synopses
+
+
+class TestReadmeSynopses:
+    def test_options_match_the_parser(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        synopses = _readme_synopses()
+        assert set(synopses) == set(subparsers.choices)
+        for command, sub in subparsers.choices.items():
+            accepted = {opt for action in sub._actions
+                        for opt in action.option_strings if opt.startswith("--")}
+            shown = set(re.findall(r"--[a-z][a-z-]*", synopses[command]))
+            assert shown <= accepted, command
+            assert accepted - {"--json", "--help"} <= shown, command

@@ -3,7 +3,9 @@
 The examples come from ``hypothesis`` in derandomized mode, so every run
 draws the same ones, and no example database is written.  Strata have
 compatible interventional pairs, including pairs on the edge of the
-compatibility range and raw cell masses down to 1e-3 of the largest.
+compatibility range and raw cell masses down to 1e-3 of the largest; the
+oracle check also draws pairs up to 0.9e-3 outside the range, which the
+screen accepts and moves onto it.
 These add to the seeded checks in ``test_bounds.py``; they do not replace
 them.
 """
@@ -29,6 +31,8 @@ mass = st.floats(min_value=1e-3, max_value=1.0)
 position = st.floats(min_value=0.0, max_value=1.0)
 stratum = st.tuples(st.lists(mass, min_size=4, max_size=4), mass,
                     position, position)
+# how far past the range a pair is pushed: within the screen's 1e-3
+drift = st.floats(min_value=-0.9e-3, max_value=0.9e-3)
 
 
 def _table(cells, weight):
@@ -36,10 +40,11 @@ def _table(cells, weight):
     return pc.StratumTable(*(c / total for c in cells), weight=weight)
 
 
-def _pair(table, u, v):
-    """P(x,y|s) <= P(y_x|s) <= 1 - P(x,y'|s), and likewise for x'."""
-    return (table.p_exposed_event + u * table.p_unexposed,
-            table.p_unexposed_event + v * table.p_exposed)
+def _pair(table, u, v, du=0.0, dv=0.0):
+    """P(x,y|s) <= P(y_x|s) <= 1 - P(x,y'|s), and likewise for x'; at an
+    edge (u or v 0 or 1) a drift of the right sign leaves the range."""
+    return (min(1.0, max(0.0, table.p_exposed_event + u * table.p_unexposed + du)),
+            min(1.0, max(0.0, table.p_unexposed_event + v * table.p_exposed + dv)))
 
 
 def _instance(draws):
@@ -103,11 +108,11 @@ def test_one_stratum_reduces_to_its_conditional_box(draw):
 
 
 @repeatable
-@given(stratum)
-def test_oracle_matches_each_conditional_box(draw):
+@given(stratum, drift, drift)
+def test_oracle_matches_each_conditional_box(draw, du, dv):
     cells, _, u, v = draw
     table = _table(cells, 1.0)
-    pair = _pair(table, u, v)
+    pair = _pair(table, u, v, du, dv)
     for quantity in QUANTITIES:
         box = CONDITIONAL[quantity](table, pair)
         searched = feasible_extrema(table, pair, quantity)
