@@ -9,7 +9,7 @@ observational risks when assignment is ignorable), this package computes
   adjusted, and pooled;
 * point estimates with asymptotic variances when exposure never prevents
   the event, plus diagnostics for that assumption;
-* variance-based comparisons of candidate stratifiers backed by two
+* variance-based comparisons of candidate covariate sets backed by two
   conditional independence premises;
 * sampling experiments that confront the variance formulas with
   replication spread;
@@ -34,7 +34,6 @@ from .covselect import (
     SelectionReport,
     ci_check,
     compare_covariate_sets,
-    random_ci_joint,
 )
 from .errors import (
     DegenerateScenarioError,
@@ -78,7 +77,6 @@ from .simulate import (
     builtin_scenarios,
     load_scenario,
     replicate_study,
-    sample_dataset,
 )
 
 __all__ = [
@@ -121,10 +119,8 @@ __all__ = [
     "pns_interval_conditional",
     "pns_point",
     "ps_interval_conditional",
-    "random_ci_joint",
     "render_counts",
     "replicate_study",
-    "sample_dataset",
     "stratified_interval",
     "tian_pearl_interval",
     "to_probabilities",

@@ -189,11 +189,12 @@ def _choice(quantity: str, key: StratumKey, li: int, ui: int) -> TermChoice:
 
 
 def _finish(lower: float, upper: float, quantity: str, method: str,
-            choices: tuple[TermChoice, ...], where: str) -> Interval:
+            choices: tuple[TermChoice, ...], key: StratumKey | None) -> Interval:
     # every pair sits on its range, so only float drift leaves [0, 1]
     lower = min(1.0, max(0.0, lower))
     upper = min(1.0, max(0.0, upper))
     if lower > upper + _INVERT_TOL:
+        where = f" in stratum {key}" if key is not None else ""
         raise IncompatibilityError(
             f"{quantity} bounds invert{where}: lower {lower:.6g} > upper {upper:.6g}; "
             "observational and experimental inputs conflict")
@@ -209,8 +210,7 @@ def _box(quantity: str, method: str, table: StratumTable,
     """The sharp interval of one table and pair: a stratum's conditional
     box (also the stratified interval of a one-stratum joint), or the
     Tian-Pearl interval of the pooled table."""
-    where = f"stratum {key}"
-    table, pair = _framed(quantity, table, compatible_pair(table, pair, where))
+    table, pair = _framed(quantity, table, compatible_pair(table, pair, key))
     denom, lows, ups = _terms(quantity, table, pair)
     li, ui = _argmax(lows), _argmin(ups)
     lower, upper = lows[li], ups[ui]
@@ -222,7 +222,7 @@ def _box(quantity: str, method: str, table: StratumTable,
         # 0.0 / denom and denom / denom are exactly 0 and 1
         lower, upper = lower / denom, upper / denom
     return _finish(lower, upper, quantity, method,
-                   (_choice(quantity, key, li, ui),), f" in {where}")
+                   (_choice(quantity, key, li, ui),), key)
 
 
 def _conditional(quantity: str, table: StratumTable, pair: tuple[float, float],
@@ -295,7 +295,7 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
                 f"{quantity} undefined: no {_POSITIVE_FRAME[quantity]} overall")
         lower, upper = lower_acc / denom, upper_acc / denom
     return _finish(lower, upper, quantity, "stratified", tuple(choices),
-                   where="")
+                   key=None)
 
 
 def tian_pearl_interval(quantity: str, table: StratumTable,

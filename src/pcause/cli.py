@@ -5,7 +5,7 @@ Five subcommands cover the library surface:
 * ``bounds``    interval bounds from a counts CSV (stratified, pooled and
                 per-stratum)
 * ``identify``  point estimates assuming exposure never prevents the event
-* ``select``    compare candidate stratifiers by asymptotic variance
+* ``select``    compare candidate covariate sets by asymptotic variance
 * ``simulate``  replication study on a built-in or custom scenario
 * ``verify``    check the closed-form boxes against the response-type search
 
@@ -37,7 +37,7 @@ from .bounds import (
 )
 from .covselect import CIVerdict, compare_covariate_sets
 from .errors import PcauseError
-from .identify import Estimate, monotonicity_diagnostic, pn_point, pns_point
+from .identify import Estimate, monotonicity_diagnostic
 from .model import (
     StratumKey,
     adjusted_experimental,
@@ -140,8 +140,7 @@ def _load_table(args, stratifier: Sequence[str] | None = None):
     counts = load_counts(args.data)
     if stratifier is not None:
         counts = counts.collapse(stratifier)
-    joint = to_probabilities(counts, smoothing=args.smoothing)
-    return joint
+    return to_probabilities(counts, smoothing=args.smoothing)
 
 
 def _load_experimental(args, joint):
@@ -206,16 +205,14 @@ def _cmd_bounds(args) -> AnalysisReport:
 def _parse_stratifier(raw: str | None) -> tuple[str, ...] | None:
     if raw is None:
         return None
-    names = tuple(part.strip() for part in raw.split(",") if part.strip())
-    return names
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 def _cmd_identify(args) -> AnalysisReport:
     joint = _load_table(args, stratifier=_parse_stratifier(args.stratifier))
     experimental = adjusted_experimental(joint)
-    pn = pn_point(joint)
-    pns = pns_point(joint)
     diag = monotonicity_diagnostic(joint, experimental)
+    pn, pns = diag.pn, diag.pns
 
     _print_data_line(joint)
     for est in (pn, pns):
@@ -394,6 +391,10 @@ def _checked(convert, accept, expected: str):
 
 
 _seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+# numpy's multinomial draw takes the sample size as a C long
+_sample_size = _checked(int, lambda v: 1 <= v <= 2**63 - 1,
+                        "an integer from 1 to 2**63 - 1")
+_replications = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
                       "a finite number >= 0")
 _level = _checked(float, lambda v: 0.0 < v < 1.0,
@@ -452,9 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--setting", type=int, choices=[1, 2, 3, 4],
                        help="built-in scenario number")
     which.add_argument("--scenario", metavar="JSON", help="scenario file")
-    m.add_argument("--n", type=int, required=True, help="sample size per draw")
-    m.add_argument("--reps", type=int, required=True,
-                   help="number of replications")
+    m.add_argument("--n", type=_sample_size, required=True,
+                   help="sample size per draw (1 to 2**63 - 1)")
+    m.add_argument("--reps", type=_replications, required=True,
+                   help="number of replications (at least 2)")
     m.add_argument("--seed", type=_seed, required=True,
                    help="stream seed (a nonnegative integer)")
     _add_common(m, smoothing=False)

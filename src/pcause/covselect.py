@@ -1,6 +1,6 @@
 """Choosing which covariates to stratify on.
 
-With two candidate stratifiers s and t available, the point estimators of
+With two candidate covariates s and t available, the point estimators of
 :mod:`pcause.identify` stay consistent under any of {s}, {t}, {s, t} as
 long as assignment is ignorable given the chosen set, but their precision
 differs.  Two conditional independence premises order the asymptotic
@@ -19,20 +19,22 @@ a likelihood-ratio (G) test against the implied counts of a finite sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.special import chdtrc
 
 from .errors import MissingSampleSizeError, ValidationError
 from .identify import Estimate, pn_point, pns_point
-from .model import StratifiedJoint, StratumKey, StratumTable, collapse
+from .model import StratifiedJoint, collapse
 
 OUTCOME_CI = "y-indep-t-given-xs"
 EXPOSURE_CI = "x-indep-s-given-t"
 MODES = ("exact-probability", "count-test")
 
 _AVAR_SLACK = 1e-12
+# Largest conditional difference the exact check accepts as independence.
+EXACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,14 @@ def _count_test(joint: StratifiedJoint, relation: CIRelation,
 
 
 def ci_check(joint: StratifiedJoint, relation: CIRelation,
-             mode: str = "exact-probability", *, tol: float = 1e-9,
-             alpha: float = 0.05, n: int | None = None) -> CIVerdict:
+             mode: str = "exact-probability", *,
+             alpha: float = 0.05) -> CIVerdict:
     """Test one premise on a joint stratified by exactly {s, t}.
 
-    ``exact-probability`` compares the relevant conditionals cell by cell
-    (suitable when the joint is a known distribution; widen ``tol`` for
-    empirical frequencies).  ``count-test`` runs a G test on the counts
-    implied by the joint at its sample size.
+    ``exact-probability`` compares the relevant conditionals cell by cell,
+    within ``EXACT_TOL``; it suits a known distribution, not empirical
+    frequencies.  ``count-test`` runs a G test on the counts implied by the
+    joint at its ``total_n``.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
@@ -158,13 +160,12 @@ def ci_check(joint: StratifiedJoint, relation: CIRelation,
 
     if mode == "exact-probability":
         dev = _exact_deviation(joint, relation)
-        return CIVerdict(relation=relation, mode=mode, holds=dev <= tol,
-                         threshold=tol, max_deviation=dev)
+        return CIVerdict(relation=relation, mode=mode, holds=dev <= EXACT_TOL,
+                         threshold=EXACT_TOL, max_deviation=dev)
 
-    n_eff = n if n is not None else joint.total_n
-    if n_eff is None:
+    if joint.total_n is None:
         raise MissingSampleSizeError("the count-test mode needs a sample size")
-    statistic, df = _count_test(joint, relation, n_eff)
+    statistic, df = _count_test(joint, relation, joint.total_n)
     # chdtrc is the chi-square survival function without importing
     # scipy.stats.  The clamp keeps a slightly negative G from rounding (where
     # chi2.sf gives 1.0) out of chdtrc's domain (where it gives NaN).
@@ -211,37 +212,36 @@ class SelectionReport:
 
 
 def compare_covariate_sets(joint: StratifiedJoint, s: str, t: str, *,
-                           n: int | None = None,
                            mode: str = "exact-probability",
-                           tol: float = 1e-9,
                            alpha: float = 0.05) -> SelectionReport:
     """Estimate PN and PNS under {s}, {t} and {s, t} and compare precision.
 
-    A stratifier is recommended only when both premises hold, in which
-    case the predicted orderings make the comparison trustworthy.
+    The a.var comparison needs the joint's ``total_n``.  A stratifier is
+    recommended only when both premises hold, in which case the predicted
+    orderings make the comparison trustworthy.
     """
     if s == t:
         raise ValidationError("the two candidate covariates must differ")
     _require_pair(joint, s, t)
-    n_eff = n if n is not None else joint.total_n
+    if joint.total_n is None:
+        raise MissingSampleSizeError(
+            "comparing asymptotic variances needs a sample size")
 
-    stratifiers = ((s,), (t,), tuple(sorted((s, t))))
     candidates = []
     by_strat: dict[tuple[str, ...], CandidateSummary] = {}
-    for strat in stratifiers:
+    for strat in ((s,), (t,), tuple(sorted((s, t)))):
         sub = collapse(joint, strat)
         summary = CandidateSummary(
             stratifier=strat,
-            pn=pn_point(sub, n=n_eff),
-            pns=pns_point(sub, n=n_eff),
+            pn=pn_point(sub),
+            pns=pns_point(sub),
         )
         candidates.append(summary)
         by_strat[strat] = summary
 
-    outcome = ci_check(joint, CIRelation(OUTCOME_CI, s, t), mode,
-                       tol=tol, alpha=alpha, n=n_eff)
+    outcome = ci_check(joint, CIRelation(OUTCOME_CI, s, t), mode, alpha=alpha)
     exposure = ci_check(joint, CIRelation(EXPOSURE_CI, s, t), mode,
-                        tol=tol, alpha=alpha, n=n_eff)
+                        alpha=alpha)
 
     both = tuple(sorted((s, t)))
     orderings = []
@@ -279,39 +279,3 @@ def compare_covariate_sets(joint: StratifiedJoint, s: str, t: str, *,
                            recommendation=recommendation,
                            note=note)
 
-
-def _simplex(rng: np.random.Generator, k: int) -> np.ndarray:
-    v = rng.uniform(0.2, 0.8, size=k)
-    return v / v.sum()
-
-
-def random_ci_joint(rng: np.random.Generator, *, s_name: str = "s",
-                    t_name: str = "t", s_levels: int = 2,
-                    t_levels: int = 2) -> StratifiedJoint:
-    """A random joint over {s, t} satisfying both premises by construction.
-
-    Exposure depends on covariates only through t, the outcome only
-    through (x, s).  Cells are kept away from zero so variance formulas
-    stay well conditioned.
-    """
-    if s_name == t_name:
-        raise ValidationError("covariate names must differ")
-    t_probs = _simplex(rng, t_levels)
-    s_given_t = [_simplex(rng, s_levels) for _ in range(t_levels)]
-    x_given_t = rng.uniform(0.2, 0.8, size=t_levels)
-    y_given_xs = {(x, si): float(rng.uniform(0.05, 0.95))
-                  for si in range(s_levels) for x in (1, 0)}
-
-    strata = {}
-    for ti in range(t_levels):
-        for si in range(s_levels):
-            px = float(x_given_t[ti])
-            key = StratumKey(((s_name, str(si + 1)), (t_name, str(ti + 1))))
-            strata[key] = StratumTable(
-                p_exposed_event=px * y_given_xs[(1, si)],
-                p_exposed_noevent=px * (1.0 - y_given_xs[(1, si)]),
-                p_unexposed_event=(1.0 - px) * y_given_xs[(0, si)],
-                p_unexposed_noevent=(1.0 - px) * (1.0 - y_given_xs[(0, si)]),
-                weight=float(t_probs[ti] * s_given_t[ti][si]),
-            )
-    return StratifiedJoint(strata=strata, covariates=(s_name, t_name))

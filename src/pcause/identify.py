@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import Interval, stratified_interval
-from .errors import MissingSampleSizeError, PositivityError
+from .errors import PositivityError
 from .model import (
     ExperimentalQuantities,
     StratifiedJoint,
@@ -61,17 +61,6 @@ class Estimate:
         return math.sqrt(self.avar)
 
 
-def _effective_n(joint: StratifiedJoint, n: int | None, with_avar: bool,
-                 quantity: str) -> int | None:
-    if n is None:
-        n = joint.total_n
-    if with_avar and n is None:
-        raise MissingSampleSizeError(
-            f"a sample size is needed for the {quantity} variance; pass n= or "
-            "build the joint from counts")
-    return n
-
-
 def _arm_masses(key: StratumKey, t) -> tuple[float, float]:
     p_x = t.p_exposed * t.weight
     p_xp = t.p_unexposed * t.weight
@@ -81,9 +70,9 @@ def _arm_masses(key: StratumKey, t) -> tuple[float, float]:
     return p_x, p_xp
 
 
-def pn_point(joint: StratifiedJoint, *, n: int | None = None,
-             with_avar: bool = True) -> Estimate:
-    """Plug-in PN under the no-prevention assumption, with its a.var."""
+def pn_point(joint: StratifiedJoint) -> Estimate:
+    """Plug-in PN under the no-prevention assumption, with its a.var at the
+    joint's ``total_n`` (None when the joint records no sample size)."""
     denom = 0.0
     numer = 0.0
     for key, t in joint.items():
@@ -94,43 +83,43 @@ def pn_point(joint: StratifiedJoint, *, n: int | None = None,
         raise PositivityError("PN undefined: no exposed cases overall")
     value = numer / denom
 
-    n_eff = _effective_n(joint, n, with_avar, "PN")
+    n = joint.total_n
     avar = None
-    if with_avar:
+    if n is not None:
         base = 0.0
         for key, t in joint.items():
             p_x, p_xp = _arm_masses(key, t)
             rx, rxp = t.risk_exposed, t.risk_unexposed
             base += ((1.0 - value) ** 2 * rx * (1.0 - rx) / p_x
                      + rxp * (1.0 - rxp) / p_xp) * (p_x / denom) ** 2
-        avar = base / n_eff
+        avar = base / n
 
     warnings = () if 0.0 <= value <= 1.0 else (OUTSIDE_UNIT_WARNING,)
-    return Estimate(value=value, avar=avar, n=n_eff, quantity="PN",
+    return Estimate(value=value, avar=avar, n=n, quantity="PN",
                     covariates=joint.covariates, warnings=warnings)
 
 
-def pns_point(joint: StratifiedJoint, *, n: int | None = None,
-              with_avar: bool = True) -> Estimate:
-    """Plug-in PNS under the no-prevention assumption, with its a.var."""
+def pns_point(joint: StratifiedJoint) -> Estimate:
+    """Plug-in PNS under the no-prevention assumption, with its a.var at the
+    joint's ``total_n`` (None when the joint records no sample size)."""
     value = 0.0
     for key, t in joint.items():
         _arm_masses(key, t)
         value += (t.risk_exposed - t.risk_unexposed) * t.weight
 
-    n_eff = _effective_n(joint, n, with_avar, "PNS")
+    n = joint.total_n
     avar = None
-    if with_avar:
+    if n is not None:
         base = 0.0
         for key, t in joint.items():
             p_x, p_xp = _arm_masses(key, t)
             rx, rxp = t.risk_exposed, t.risk_unexposed
             base += (rx * (1.0 - rx) / p_x
                      + rxp * (1.0 - rxp) / p_xp) * t.weight ** 2
-        avar = base / n_eff
+        avar = base / n
 
     warnings = () if 0.0 <= value <= 1.0 else (OUTSIDE_UNIT_WARNING,)
-    return Estimate(value=value, avar=avar, n=n_eff, quantity="PNS",
+    return Estimate(value=value, avar=avar, n=n, quantity="PNS",
                     covariates=joint.covariates, warnings=warnings)
 
 
@@ -170,8 +159,8 @@ def monotonicity_diagnostic(joint: StratifiedJoint,
         if rd < -_RD_TOL:
             flagged.append(key)
 
-    pn = pn_point(joint, with_avar=False)
-    pns = pns_point(joint, with_avar=False)
+    pn = pn_point(joint)
+    pns = pns_point(joint)
     pn_iv = stratified_interval("PN", joint, experimental)
     pns_iv = stratified_interval("PNS", joint, experimental)
     return MonotonicityReport(

@@ -43,6 +43,8 @@ PROVENANCE_MEASURED = "measured-experimental"
 PROVENANCE_ADJUSTED = "sita-adjusted"
 
 _SUM_TOL = 1e-9
+# The least integer that float() rounds to infinity (it raises OverflowError).
+_FLOAT_LIMIT = 2**1024 - 2**970
 # How far a pair may sit outside its compatibility range; see compatible_pair.
 COMPAT_TOL = 1e-3
 
@@ -412,13 +414,22 @@ def to_probabilities(counts: CountTable, smoothing: str = "none") -> StratifiedJ
     ``smoothing="add-half"`` adds 0.5 to every cell of every stratum before
     normalizing, which keeps degenerate strata usable.  With ``"none"``, a
     zero cell raises :class:`PositivityError` naming the stratum.  In both
-    modes ``total_n`` records the raw (unsmoothed) total count.
+    modes ``total_n`` records the raw (unsmoothed) total count; a total
+    beyond the float range raises :class:`ValidationError`.
     """
     if smoothing not in ("none", "add-half"):
         raise ValidationError(f"unknown smoothing {smoothing!r}")
     raw_total = counts.total
     if raw_total <= 0:
         raise PositivityError("count table is empty")
+    if raw_total >= _FLOAT_LIMIT:
+        # name the stratum at which the running total leaves the float range
+        running = 0
+        for key, _x, _y, n in counts.rows():
+            running += n
+            if running >= _FLOAT_LIMIT:
+                raise ValidationError(f"stratum {key}: counts too large for "
+                                      "floating point (their total exceeds 1.8e308)")
 
     add = 0.5 if smoothing == "add-half" else 0.0
     quads: dict[StratumKey, list[float]] = {}
@@ -583,14 +594,16 @@ def clip_pair(table: StratumTable, pair: tuple[float, float]) -> tuple[float, fl
 
 
 def compatible_pair(table: StratumTable, pair: tuple[float, float],
-                    where: str) -> tuple[float, float]:
+                    where: StratumKey | str) -> tuple[float, float]:
     """Raise :class:`IncompatibilityError` naming every inequality the pair
     breaks by more than ``COMPAT_TOL``; otherwise return it clipped onto
-    its range."""
+    its range.  ``where`` opens the message: a key reads "stratum KEY"."""
     outside = stratum_violations(table, pair, 0.0)
     violations = [(name, amount) for name, amount in outside if amount > COMPAT_TOL]
     if violations:
         detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
+        if isinstance(where, StratumKey):
+            where = f"stratum {where}"
         raise IncompatibilityError(
             f"{where}: experimental pair conflicts with joint cells ({detail})")
     return clip_pair(table, pair) if outside else pair
@@ -612,17 +625,6 @@ def validate_compatibility(joint: StratifiedJoint,
                                                COMPAT_TOL):
             violations.append(Violation(stratum=key, constraint=name, amount=excess))
     return CompatibilityReport(violations=tuple(violations))
-
-
-def experimental_to_dict(experimental: ExperimentalQuantities) -> dict:
-    strata = []
-    for key, (do_x, do_xp) in experimental.per_stratum.items():
-        strata.append({
-            "levels": {name: value for name, value in key.labels},
-            "p_event_do_exposed": do_x,
-            "p_event_do_unexposed": do_xp,
-        })
-    return {"provenance": experimental.provenance, "strata": strata}
 
 
 def experimental_from_dict(data: Mapping,

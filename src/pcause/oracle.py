@@ -122,8 +122,15 @@ def feasible_extrema(table: StratumTable, pair: tuple[float, float],
     elif quantity == "PS":
         if table.p_unexposed_noevent <= 0.0:
             raise PositivityError("PS undefined: no unexposed non-cases in stratum")
-        values = [helped / (helped + never)
-                  for _, helped, _, never in masses_xp]
+        ends = [(helped, helped + never) for _, helped, _, never in masses_xp]
+        if min(mass for _, mass in ends) <= 0.0:
+            # helped + never = P(y'|x') is below the resolution of an
+            # always-mass near 1: take it from the cell, and let its helped
+            # part range over what the matching equations allow
+            mass = table.p_unexposed_noevent / p_xp
+            hi = min(gamma, mass)
+            ends = [(min(max(0.0, gamma - (1.0 - mass)), hi), mass), (hi, mass)]
+        values = [helped / mass for helped, mass in ends]
         lower, upper = min(values), max(values)
     else:
         # separable in the two free parameters, so the minimum of the sum

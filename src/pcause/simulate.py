@@ -4,16 +4,16 @@ A :class:`Scenario` is a population over a binary exposure and two
 covariates: cell probabilities P(x, s, t) plus outcome conditionals
 P(y | x, s).  Because the outcome ignores t given (x, s) and four built-in
 scenarios make exposure depend on covariates only through t, the premises
-of :mod:`pcause.covselect` hold by construction and different stratifiers
-estimate the same quantities at different precision.
+of :mod:`pcause.covselect` hold by construction and different covariate
+sets estimate the same quantities at different precision.
 
 :func:`replicate_study` draws many datasets of size n, computes the PN and
 PNS point estimates under each stratifier, and compares the spread of the
 estimates across replications with the asymptotic variance formulas.
-Replications that produce an empty cell under any requested stratifier are
-discarded and redrawn with a fresh substream; the study records how often
-that happened and refuses to summarize when more than a tenth of all draws
-were degenerate.
+Replications that produce an empty cell under any stratifier are discarded
+and redrawn with a fresh substream; the study records how often that
+happened and refuses to summarize when more than a tenth of all draws were
+degenerate.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import DegenerateScenarioError, ParseError, ValidationError
 from .identify import pn_point, pns_point
 from .model import (
     _SUM_TOL,
-    CountTable,
     Source,
     StratifiedJoint,
     StratumKey,
@@ -176,30 +175,6 @@ def builtin_scenarios() -> tuple[Scenario, ...]:
                  for name, cells in designs.items())
 
 
-def _sample_cells(scenario: Scenario, n: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    order = scenario.outcome_cells()
-    probs = np.array([p for _, p in order])
-    return rng.multinomial(n, probs)
-
-
-def sample_dataset(scenario: Scenario, n: int, seed: int) -> CountTable:
-    """One multinomial draw of n subjects, as a count table over {s, t}.
-
-    Identical (scenario, n, seed) triples produce identical tables.
-    """
-    if n < 1:
-        raise ValidationError(f"sample size must be positive, got {n!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = _sample_cells(scenario, n, rng)
-    rows = []
-    for ((x, s, t, y), _p), c in zip(scenario.outcome_cells(), counts):
-        key = StratumKey(((scenario.s_name, s), (scenario.t_name, t)))
-        rows.append((key, x, y, int(c)))
-    return CountTable.from_rows(rows, covariates=(scenario.s_name,
-                                                  scenario.t_name))
-
-
 @dataclass(frozen=True)
 class ReplicationResult:
     """Variance summary for one (quantity, stratifier) combination."""
@@ -244,39 +219,32 @@ def _stratifier_layout(scenario: Scenario, stratifier: tuple[str, ...],
     return tuple(keys), positions
 
 
-def replicate_study(scenario: Scenario, n: int, reps: int, seed: int, *,
-                    stratifiers: Sequence[Sequence[str]] | None = None,
-                    ) -> ReplicationStudy:
-    """Empirical versus asymptotic variance over many replications.
+def replicate_study(scenario: Scenario, n: int, reps: int,
+                    seed: int) -> ReplicationStudy:
+    """Empirical versus asymptotic variance over many replications, with
+    each of {s}, {t} and {s, t} as the stratifier.
 
     Each replication r draws from a substream keyed by (seed, r, attempt);
-    a draw with an empty (stratum, x, y) cell under any requested
-    stratifier is discarded and the attempt counter advanced, so the
-    surviving datasets are reproducible regardless of how many redraws
-    other replications needed.
+    a draw with an empty (stratum, x, y) cell under any of the three is
+    discarded and the attempt counter advanced, so the surviving datasets
+    are reproducible regardless of how many redraws other replications
+    needed.
     """
     if reps < 2:
         raise ValidationError("need at least two replications for a variance")
     if n < 1:
         raise ValidationError(f"sample size must be positive, got {n!r}")
-    if stratifiers is None:
-        stratifiers = ((scenario.s_name,), (scenario.t_name,),
-                       (scenario.s_name, scenario.t_name))
-    strat_list = [tuple(sorted(strat)) for strat in stratifiers]
-    if len(set(strat_list)) != len(strat_list):
-        raise ValidationError("duplicate stratifiers")
+    strat_list = [(scenario.s_name,), (scenario.t_name,),
+                  tuple(sorted((scenario.s_name, scenario.t_name)))]
 
     layouts = {strat: _stratifier_layout(scenario, strat)
                for strat in strat_list}
-    n_cells = len(scenario.outcome_cells())
     probs = np.array([p for _, p in scenario.outcome_cells()])
 
-    values: dict[tuple[str, tuple[str, ...]], list[float]] = {}
-    avars: dict[tuple[str, tuple[str, ...]], list[float]] = {}
-    for strat in strat_list:
-        for quantity in ("PN", "PNS"):
-            values[(quantity, strat)] = []
-            avars[(quantity, strat)] = []
+    combos = [(quantity, strat) for strat in strat_list
+              for quantity in ("PN", "PNS")]
+    values = {c: [] for c in combos}
+    avars = {c: [] for c in combos}
 
     discarded = 0
     attempts = 0

@@ -98,3 +98,75 @@ def random_monotone_stratum(rng: np.random.Generator) -> pc.StratumTable:
         if min(table.p_exposed_event, table.p_exposed_noevent,
                table.p_unexposed_event, table.p_unexposed_noevent) > 0.0:
             return table
+
+
+def _simplex(rng: np.random.Generator, k: int) -> np.ndarray:
+    v = rng.uniform(0.2, 0.8, size=k)
+    return v / v.sum()
+
+
+def random_ci_joint(rng: np.random.Generator, *, s_name: str = "s",
+                    t_name: str = "t", s_levels: int = 2,
+                    t_levels: int = 2) -> pc.StratifiedJoint:
+    """A random joint over {s, t} satisfying both premises by construction.
+
+    Exposure depends on covariates only through t, the outcome only
+    through (x, s).  Cells are kept away from zero so variance formulas
+    stay well conditioned.
+    """
+    if s_name == t_name:
+        raise pc.ValidationError("covariate names must differ")
+    t_probs = _simplex(rng, t_levels)
+    s_given_t = [_simplex(rng, s_levels) for _ in range(t_levels)]
+    x_given_t = rng.uniform(0.2, 0.8, size=t_levels)
+    y_given_xs = {(x, si): float(rng.uniform(0.05, 0.95))
+                  for si in range(s_levels) for x in (1, 0)}
+
+    strata = {}
+    for ti in range(t_levels):
+        for si in range(s_levels):
+            px = float(x_given_t[ti])
+            key = pc.StratumKey(((s_name, str(si + 1)), (t_name, str(ti + 1))))
+            strata[key] = pc.StratumTable(
+                p_exposed_event=px * y_given_xs[(1, si)],
+                p_exposed_noevent=px * (1.0 - y_given_xs[(1, si)]),
+                p_unexposed_event=(1.0 - px) * y_given_xs[(0, si)],
+                p_unexposed_noevent=(1.0 - px) * (1.0 - y_given_xs[(0, si)]),
+                weight=float(t_probs[ti] * s_given_t[ti][si]),
+            )
+    return pc.StratifiedJoint(strata=strata, covariates=(s_name, t_name))
+
+
+def _sample_cells(scenario: pc.Scenario, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    order = scenario.outcome_cells()
+    probs = np.array([p for _, p in order])
+    return rng.multinomial(n, probs)
+
+
+def sample_dataset(scenario: pc.Scenario, n: int, seed: int) -> pc.CountTable:
+    """One multinomial draw of n subjects, as a count table over {s, t}.
+
+    Identical (scenario, n, seed) triples produce identical tables.
+    """
+    if n < 1:
+        raise pc.ValidationError(f"sample size must be positive, got {n!r}")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = _sample_cells(scenario, n, rng)
+    rows = []
+    for ((x, s, t, y), _p), c in zip(scenario.outcome_cells(), counts):
+        key = pc.StratumKey(((scenario.s_name, s), (scenario.t_name, t)))
+        rows.append((key, x, y, int(c)))
+    return pc.CountTable.from_rows(rows, covariates=(scenario.s_name,
+                                                     scenario.t_name))
+
+
+def experimental_to_dict(experimental: pc.ExperimentalQuantities) -> dict:
+    strata = []
+    for key, (do_x, do_xp) in experimental.per_stratum.items():
+        strata.append({
+            "levels": {name: value for name, value in key.labels},
+            "p_event_do_exposed": do_x,
+            "p_event_do_unexposed": do_xp,
+        })
+    return {"provenance": experimental.provenance, "strata": strata}

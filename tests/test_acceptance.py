@@ -6,6 +6,7 @@ a failing run still reports every criterion it reached.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ import pcause.bounds
 from pcause.cli import run
 from pcause.oracle import feasible_extrema
 
-from conftest import random_instance, random_monotone_stratum, random_pair, \
-    random_stratum
+from conftest import random_ci_joint, random_instance, \
+    random_monotone_stratum, random_pair, random_stratum
 
 # reference asymptotic variances: setting -> quantity -> n -> (S, T, {S,T})
 AVAR_TABLE = {
@@ -187,9 +188,9 @@ def test_criterion_5_variance_orderings():
                     bad += 1
     rng = np.random.default_rng(505)
     for _ in range(100):
-        joint = pc.random_ci_joint(rng)
+        joint = replace(random_ci_joint(rng), total_n=1000)
         for point in (pc.pn_point, pc.pns_point):
-            a = {strat: point(pc.collapse(joint, strat), n=1000).avar
+            a = {strat: point(pc.collapse(joint, strat)).avar
                  for strat in STRATIFIERS}
             checked += 1
             if not (a[("s",)] <= a[("s", "t")] + slack
@@ -320,8 +321,8 @@ def test_criterion_8_no_prevention_collapse():
         joint = pc.StratifiedJoint(strata={key: t}, covariates=("g",))
         pn_iv = feasible_extrema(t, pair, "PN", no_prevention=True)
         pns_iv = feasible_extrema(t, pair, "PNS", no_prevention=True)
-        pn = pc.pn_point(joint, with_avar=False).value
-        pns = pc.pns_point(joint, with_avar=False).value
+        pn = pc.pn_point(joint).value
+        pns = pc.pns_point(joint).value
         worst = max(worst, pn_iv.width, pns_iv.width,
                     abs(pn_iv.lower - pn), abs(pns_iv.lower - pns))
     ok = worst <= 2e-3

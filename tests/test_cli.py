@@ -9,9 +9,8 @@ import pytest
 import pcause as pc
 from pcause import cli
 from pcause.cli import run
-from pcause.model import experimental_to_dict
 
-from conftest import CANCER_CSV, DATA_DIR
+from conftest import CANCER_CSV, DATA_DIR, experimental_to_dict, sample_dataset
 
 DATA = ["--data", str(CANCER_CSV)]
 
@@ -27,7 +26,7 @@ def _write_zero_arm_csv(tmp_path):
 def _write_two_covariate_csv(tmp_path):
     scenario = next(sc for sc in pc.builtin_scenarios()
                     if sc.name == "setting-2")
-    counts = pc.sample_dataset(scenario, 2000, seed=3)
+    counts = sample_dataset(scenario, 2000, seed=3)
     path = tmp_path / "two_cov.csv"
     path.write_text(pc.render_counts(counts))
     return path
@@ -384,6 +383,65 @@ class TestInputErrors:
         assert run(["simulate", "--setting", "1", "--n", "100",
                     "--reps", "2", "--seed", "-1"]) == 2
         assert "--seed: must be a nonnegative integer" in capsys.readouterr().err
+
+    # huge values are checked by the parser, so no draw ever runs at them
+    @pytest.mark.parametrize("n", ["0", "-5", "9223372036854775808",
+                                   "10000000000000000000000", "1.5", "x"])
+    def test_simulate_sample_size_out_of_range(self, n, capsys):
+        assert run(["simulate", "--setting", "1", "--n", n, "--reps", "2",
+                    "--seed", "1"]) == 2
+        assert "--n: must be an integer from 1 to 2**63 - 1" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["1", "0", "-3", "2.5"])
+    def test_simulate_reps_out_of_range(self, reps, capsys):
+        assert run(["simulate", "--setting", "1", "--n", "100", "--reps", reps,
+                    "--seed", "1"]) == 2
+        assert "--reps: must be an integer >= 2" in capsys.readouterr().err
+
+    def test_simulate_range_ends_accepted_by_the_parser(self):
+        args = cli.build_parser().parse_args(
+            ["simulate", "--setting", "1", "--n", str(2**63 - 1),
+             "--reps", "2", "--seed", "1"])
+        assert args.n == 2**63 - 1 and args.reps == 2
+        args = cli.build_parser().parse_args(
+            ["simulate", "--setting", "1", "--n", "1", "--reps", "2",
+             "--seed", "1"])
+        assert args.n == 1
+
+    @pytest.mark.parametrize("command", ["bounds", "identify", "verify"])
+    @pytest.mark.parametrize("cells", [
+        # one count of 309 digits
+        ("2" + "0" * 308, "3", "4", "5"),
+        # two counts that fit a float but whose sum does not
+        (str(10**308), str(10**308), "4", "5"),
+    ])
+    def test_counts_too_large_for_a_float(self, command, cells, tmp_path,
+                                          capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("g,x,y,count\n" + "".join(
+            f"1,{x},{y},{c}\n" for (x, y), c in
+            zip(((1, 1), (1, 0), (0, 1), (0, 0)), cells)))
+        assert run([command, "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: stratum g=1: counts too large for floating "
+                       "point (their total exceeds 1.8e308)\n")
+
+    def test_verify_with_an_unexposed_risk_that_rounds_to_one(self, tmp_path,
+                                                              capsys):
+        # P(y|x') = 1e17 / (1e17 + 4) rounds to 1.0, while P(x',y') > 0
+        data = tmp_path / "edge.csv"
+        data.write_text("g,x,y,count\n1,1,1,100000000000000000\n1,1,0,3\n"
+                        "1,0,1,100000000000000000\n1,0,0,4\n")
+        report = tmp_path / "report.json"
+        assert run(["verify", "--data", str(data), "--json", str(report)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.rstrip().endswith("PASS")
+        assert captured.err == ""
+        entries = json.loads(report.read_text())["verification"]["entries"]
+        ps = next(e for e in entries if e["quantity"] == "PS")
+        assert (ps["searched"]["lower"], ps["searched"]["upper"]) == (0.0, 1.0)
+        assert (ps["closed"]["lower"], ps["closed"]["upper"]) == (0.0, 1.0)
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.001", "x"])
     def test_verify_tol_out_of_range(self, tol, capsys):

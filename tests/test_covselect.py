@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from scipy.stats import chi2
 import pcause as pc
 from pcause import covselect
 from pcause.covselect import EXPOSURE_CI, OUTCOME_CI
+
+from conftest import random_ci_joint
 
 TOL = 1e-12
 
@@ -80,10 +83,10 @@ class TestExactCheck:
 class TestCountTest:
     def test_clean_joint_passes_with_expected_df(self):
         rng = np.random.default_rng(41)
-        joint = pc.random_ci_joint(rng)
+        joint = replace(random_ci_joint(rng), total_n=5000)
         for kind, df in ((EXPOSURE_CI, 2), (OUTCOME_CI, 4)):
             verdict = pc.ci_check(joint, pc.CIRelation(kind, "s", "t"),
-                                  mode="count-test", n=5000)
+                                  mode="count-test")
             assert verdict.holds
             assert verdict.df == df
             assert verdict.statistic == pytest.approx(0.0, abs=1e-6)
@@ -92,23 +95,24 @@ class TestCountTest:
     def test_violations_fail_at_scale(self):
         for joint, kind in ((_broken_outcome_joint(), OUTCOME_CI),
                             (_broken_exposure_joint(), EXPOSURE_CI)):
-            verdict = pc.ci_check(joint, pc.CIRelation(kind, "s", "t"),
-                                  mode="count-test", n=100000)
+            verdict = pc.ci_check(replace(joint, total_n=100000),
+                                  pc.CIRelation(kind, "s", "t"),
+                                  mode="count-test")
             assert not verdict.holds
             assert verdict.p_value < 1e-6
 
     def test_degenerate_df_means_vacuous_pass(self):
         rng = np.random.default_rng(42)
-        joint = pc.random_ci_joint(rng, s_levels=1)
+        joint = replace(random_ci_joint(rng, s_levels=1), total_n=1000)
         verdict = pc.ci_check(joint, pc.CIRelation(EXPOSURE_CI, "s", "t"),
-                              mode="count-test", n=1000)
+                              mode="count-test")
         assert verdict.df == 0
         assert verdict.p_value == 1.0
         assert verdict.holds
 
     def test_sample_size_required(self):
         rng = np.random.default_rng(43)
-        joint = pc.random_ci_joint(rng)
+        joint = random_ci_joint(rng)
         with pytest.raises(pc.MissingSampleSizeError):
             pc.ci_check(joint, pc.CIRelation(EXPOSURE_CI, "s", "t"),
                         mode="count-test")
@@ -118,8 +122,8 @@ class TestVarianceOrdering:
     def test_random_clean_joints(self):
         rng = np.random.default_rng(44)
         for _ in range(20):
-            joint = pc.random_ci_joint(rng)
-            report = pc.compare_covariate_sets(joint, "s", "t", n=1000)
+            joint = replace(random_ci_joint(rng), total_n=1000)
+            report = pc.compare_covariate_sets(joint, "s", "t")
             assert all(v.holds for v in report.premises)
             for verdict in report.orderings:
                 assert verdict.guaranteed
@@ -153,16 +157,16 @@ class TestSelectionReport:
     def test_settings_recommend_s(self, name):
         scenario = next(sc for sc in pc.builtin_scenarios()
                         if sc.name == name)
-        joint = scenario.population_joint(("s", "t"))
-        report = pc.compare_covariate_sets(joint, "s", "t", n=1000)
+        joint = scenario.population_joint(("s", "t"), n=1000)
+        report = pc.compare_covariate_sets(joint, "s", "t")
         assert report.recommendation == ("s",)
         assert "minimizes" in report.note
         assert len(report.candidates) == 3
         assert len(report.orderings) == 4
 
     def test_no_recommendation_without_premises(self):
-        report = pc.compare_covariate_sets(_broken_outcome_joint(), "s", "t",
-                                           n=1000)
+        joint = replace(_broken_outcome_joint(), total_n=1000)
+        report = pc.compare_covariate_sets(joint, "s", "t")
         assert report.recommendation is None
         assert "not established" in report.note
         # orderings are still reported, just not guaranteed
@@ -170,7 +174,7 @@ class TestSelectionReport:
 
     def test_sample_size_needed_for_avars(self):
         rng = np.random.default_rng(46)
-        joint = pc.random_ci_joint(rng)
+        joint = random_ci_joint(rng)
         with pytest.raises(pc.MissingSampleSizeError):
             pc.compare_covariate_sets(joint, "s", "t")
 
@@ -184,30 +188,30 @@ class TestValidation:
 
     def test_unknown_mode(self):
         rng = np.random.default_rng(47)
-        joint = pc.random_ci_joint(rng)
+        joint = random_ci_joint(rng)
         with pytest.raises(pc.ValidationError):
             pc.ci_check(joint, pc.CIRelation(OUTCOME_CI, "s", "t"),
                         mode="bootstrap")
 
     def test_same_candidate_twice(self):
         rng = np.random.default_rng(48)
-        joint = pc.random_ci_joint(rng)
+        joint = random_ci_joint(rng)
         with pytest.raises(pc.ValidationError, match="must differ"):
-            pc.compare_covariate_sets(joint, "s", "s", n=100)
+            pc.compare_covariate_sets(replace(joint, total_n=100), "s", "s")
 
     def test_covariate_mismatch(self):
         rng = np.random.default_rng(49)
-        joint = pc.random_ci_joint(rng)
+        joint = random_ci_joint(rng)
         collapsed = pc.collapse(joint, ("s",))
         with pytest.raises(pc.ValidationError, match="stratified by"):
             pc.ci_check(collapsed, pc.CIRelation(OUTCOME_CI, "s", "t"))
         with pytest.raises(pc.ValidationError):
-            pc.compare_covariate_sets(joint, "s", "u", n=100)
+            pc.compare_covariate_sets(replace(joint, total_n=100), "s", "u")
 
     def test_random_joint_name_clash(self):
         rng = np.random.default_rng(50)
         with pytest.raises(pc.ValidationError):
-            pc.random_ci_joint(rng, s_name="c", t_name="c")
+            random_ci_joint(rng, s_name="c", t_name="c")
 
 
 class TestPValue:
@@ -216,9 +220,10 @@ class TestPValue:
     def _p_value(self, monkeypatch, statistic, df):
         monkeypatch.setattr(covselect, "_count_test",
                             lambda joint, relation, n: (statistic, df))
-        joint = pc.random_ci_joint(np.random.default_rng(60))
+        joint = replace(random_ci_joint(np.random.default_rng(60)),
+                        total_n=100)
         verdict = pc.ci_check(joint, pc.CIRelation(OUTCOME_CI, "s", "t"),
-                              mode="count-test", n=100)
+                              mode="count-test")
         return verdict.p_value
 
     def test_matches_chi2_sf(self, monkeypatch):

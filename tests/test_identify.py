@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,9 +48,9 @@ class TestPointEstimates:
 
     def test_in_range_estimate_has_no_warning(self):
         rng = np.random.default_rng(901)
-        joint = _monotone_joint(rng)
-        pn = pc.pn_point(joint, n=500)
-        pns = pc.pns_point(joint, n=500)
+        joint = replace(_monotone_joint(rng), total_n=500)
+        pn = pc.pn_point(joint)
+        pns = pc.pns_point(joint)
         assert pn.warnings == () and pns.warnings == ()
         assert 0.0 <= pn.value <= 1.0
         assert 0.0 <= pns.value <= 1.0
@@ -59,8 +60,8 @@ class TestPointEstimates:
         t = pc.StratumTable(0.25, 0.25, 0.10, 0.40, weight=1.0)
         joint = pc.StratifiedJoint(
             strata={pc.StratumKey.of(g="1"): t}, covariates=("g",))
-        assert pc.pn_point(joint, with_avar=False).value == pytest.approx(0.6, abs=TOL)
-        assert pc.pns_point(joint, with_avar=False).value == pytest.approx(0.3, abs=TOL)
+        assert pc.pn_point(joint).value == pytest.approx(0.6, abs=TOL)
+        assert pc.pns_point(joint).value == pytest.approx(0.3, abs=TOL)
 
     def test_estimand_matches_direct_formula(self, cancer_joint):
         # PNS sums risk differences over strata; PN reweights them by the
@@ -73,9 +74,9 @@ class TestPointEstimates:
             pns += rd * t.weight
             pn_num += rd * t.p_exposed * t.weight
             pxy += t.p_exposed_event * t.weight
-        assert pc.pns_point(cancer_joint, with_avar=False).value == \
+        assert pc.pns_point(cancer_joint).value == \
             pytest.approx(pns, abs=TOL)
-        assert pc.pn_point(cancer_joint, with_avar=False).value == \
+        assert pc.pn_point(cancer_joint).value == \
             pytest.approx(pn_num / pxy, abs=TOL)
 
 
@@ -88,8 +89,9 @@ class TestAsymptoticVariance:
             pc.StratumKey.of(s="2"): pc.StratumTable(0.06, 0.14, 0.32, 0.48,
                                                      weight=0.5),
         }
-        joint = pc.StratifiedJoint(strata=strata, covariates=("s",))
-        est = pc.pns_point(joint, n=1000)
+        joint = pc.StratifiedJoint(strata=strata, covariates=("s",),
+                                   total_n=1000)
+        est = pc.pns_point(joint)
         base = 0.0
         for _, t in joint.items():
             rx, rxp = t.risk_exposed, t.risk_unexposed
@@ -104,30 +106,25 @@ class TestAsymptoticVariance:
         rng = np.random.default_rng(902)
         joint = _monotone_joint(rng)
         for point in (pc.pn_point, pc.pns_point):
-            a500 = point(joint, n=500).avar
-            a1000 = point(joint, n=1000).avar
+            a500 = point(replace(joint, total_n=500)).avar
+            a1000 = point(replace(joint, total_n=1000)).avar
             assert a500 == pytest.approx(2.0 * a1000, rel=1e-12)
 
     def test_missing_sample_size(self):
         rng = np.random.default_rng(903)
         joint = _monotone_joint(rng)  # synthetic joints carry no total_n
-        with pytest.raises(pc.MissingSampleSizeError):
-            pc.pn_point(joint)
-        with pytest.raises(pc.MissingSampleSizeError):
-            pc.pns_point(joint)
-        assert pc.pn_point(joint, with_avar=False).avar is None
-
-    def test_explicit_n_overrides_total(self, cancer_joint):
-        est = pc.pns_point(cancer_joint, n=384)
-        assert est.n == 384
-        assert est.avar == pytest.approx(
-            pc.pns_point(cancer_joint).avar * 192 / 384, rel=1e-12)
+        for point in (pc.pn_point, pc.pns_point):
+            est = point(joint)
+            assert est.avar is None
+            assert est.n is None
+            assert est.se is None
 
     def test_degenerate_population_has_zero_variance(self):
         t = pc.StratumTable(0.3, 0.0, 0.0, 0.7, weight=1.0)
         joint = pc.StratifiedJoint(
-            strata={pc.StratumKey.of(g="1"): t}, covariates=("g",))
-        est = pc.pns_point(joint, n=100)
+            strata={pc.StratumKey.of(g="1"): t}, covariates=("g",),
+            total_n=100)
+        est = pc.pns_point(joint)
         assert est.value == pytest.approx(1.0, abs=TOL)
         assert est.avar == 0.0
 
@@ -140,7 +137,7 @@ class TestAsymptoticVariance:
         }
         joint = pc.StratifiedJoint(strata=strata, covariates=("g",))
         with pytest.raises(pc.PositivityError, match="g=2"):
-            pc.pn_point(joint, with_avar=False)
+            pc.pn_point(joint)
 
 
 class TestStratifierInvariance:
@@ -151,8 +148,8 @@ class TestStratifierInvariance:
         values = {}
         for stratifier in (("s",), ("t",), ("s", "t")):
             joint = scenario.population_joint(stratifier, n=1000)
-            values[stratifier] = (pc.pn_point(joint, with_avar=False).value,
-                                  pc.pns_point(joint, with_avar=False).value)
+            values[stratifier] = (pc.pn_point(joint).value,
+                                  pc.pns_point(joint).value)
         assert values[("s",)] == pytest.approx(values[("t",)], abs=TOL)
         assert values[("s",)] == pytest.approx(values[("s", "t")], abs=TOL)
         assert values[("s",)][0] == pytest.approx(-0.17482517482517487, abs=1e-9)
@@ -163,8 +160,8 @@ class TestStratifierInvariance:
         avars = {}
         for stratifier in (("s",), ("t",), ("s", "t")):
             joint = scenario.population_joint(stratifier, n=1000)
-            avars[stratifier] = (pc.pn_point(joint, n=1000).avar,
-                                 pc.pns_point(joint, n=1000).avar)
+            avars[stratifier] = (pc.pn_point(joint).avar,
+                                 pc.pns_point(joint).avar)
         assert avars[("s",)][0] == pytest.approx(0.0034, abs=1e-4)
         assert avars[("s",)][1] == pytest.approx(0.0009, abs=1e-4)
         for i in (0, 1):

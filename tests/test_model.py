@@ -4,13 +4,9 @@ import json
 import pytest
 
 import pcause as pc
-from pcause.model import (
-    experimental_from_dict,
-    experimental_to_dict,
-    stratum_violations,
-)
+from pcause.model import experimental_from_dict, stratum_violations
 
-from conftest import CANCER_CSV
+from conftest import CANCER_CSV, experimental_to_dict
 
 TOL = 1e-12
 

@@ -101,9 +101,9 @@ class TestNoPrevention:
             assert pn.lower == pn.upper
             assert pns.lower == pns.upper
             assert pn.lower == pytest.approx(
-                pc.pn_point(joint, with_avar=False).value, abs=TOL)
+                pc.pn_point(joint).value, abs=TOL)
             assert pns.lower == pytest.approx(
-                pc.pns_point(joint, with_avar=False).value, abs=TOL)
+                pc.pns_point(joint).value, abs=TOL)
 
     def test_prevention_required_cases_rejected(self):
         # exposed risk below unexposed risk forces a positive hurt mass

@@ -1,0 +1,31 @@
+"""The documented public surface: the package exports and the README's
+library example."""
+
+import contextlib
+import io
+import re
+
+import pcause as pc
+
+from conftest import CANCER_CSV, DATA_DIR
+
+
+def test_every_exported_name_resolves():
+    for name in pc.__all__:
+        assert getattr(pc, name) is not None, name
+
+
+def test_readme_library_example_runs_on_the_fixture():
+    text = (DATA_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+    library = text.split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, flags=re.S).group(1)
+    assert '"counts.csv"' in code
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code.replace('"counts.csv"', repr(str(CANCER_CSV))), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2
+    # the stratified PN interval and the point estimate, with its standard
+    # error at the fixture's 192 subjects
+    assert lines[0].startswith("0.0 0.7788018433179723 (TermChoice(")
+    assert lines[1].startswith("-0.6869850579528003 0.40496030498249935 (")

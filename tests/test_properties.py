@@ -8,13 +8,22 @@ oracle check also draws pairs up to 0.9e-3 outside the range, which the
 screen accepts and moves onto it.
 These add to the seeded checks in ``test_bounds.py``; they do not replace
 them.
+
+The later properties work on count tables and the command line: the CSV
+round-trip, reports that ignore row order, bounds that ignore a common
+scale of the counts, and ``run()`` ending in an exit code whatever its
+arguments and input bytes.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
 from pcause.bounds import _swap_pair
+from pcause.cli import run
 from pcause.oracle import feasible_extrema
 
 QUANTITIES = ("PN", "PS", "PNS")
@@ -144,3 +153,148 @@ def test_splitting_a_stratum_changes_nothing(instance, which):
         b = pc.stratified_interval(quantity, split, split_experimental)
         assert b.lower == pytest.approx(a.lower, abs=1e-12)
         assert b.upper == pytest.approx(a.upper, abs=1e-12)
+
+
+# Count tables: up to two covariates whose names and levels are any text that
+# survives the CSV's whitespace stripping and line splitting.
+_text = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")),
+                max_size=6).filter(lambda s: s == s.strip())
+_names = st.lists(_text.filter(lambda s: s and s not in ("x", "y", "count")),
+                  max_size=2, unique=True)
+
+
+@st.composite
+def count_tables(draw, min_count=0, max_count=10**12):
+    names = draw(_names)
+    levels = draw(st.lists(st.tuples(*[_text for _ in names]), min_size=1,
+                           max_size=4, unique=True))
+    count = st.integers(min_value=min_count, max_value=max_count)
+    rows = [(pc.StratumKey(tuple(zip(names, lv))), x, y, draw(count))
+            for lv in levels for x in (1, 0) for y in (1, 0)]
+    return pc.CountTable.from_rows(rows, covariates=names)
+
+
+@repeatable
+@given(count_tables())
+def test_render_then_load_gives_the_same_counts(counts):
+    again = pc.load_counts(io.StringIO(pc.render_counts(counts)))
+    assert again.covariates == counts.covariates
+    assert again.cells == counts.cells
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@repeatable
+@given(count_tables(min_count=1, max_count=10**6), st.randoms())
+def test_bounds_report_ignores_row_order(workdir, counts, random):
+    data, report = workdir / "rows.csv", workdir / "rows.json"
+    header, *rows = pc.render_counts(counts).splitlines(keepends=True)
+    results = []
+    for _ in range(2):
+        data.write_text(header + "".join(rows), encoding="utf-8")
+        results.append((_run(["bounds", "--data", str(data),
+                              "--json", str(report)]), report.read_bytes()))
+        random.shuffle(rows)
+    assert results[0][0][0] == 0
+    assert results[0] == results[1]
+
+
+@repeatable
+@given(count_tables(min_count=1, max_count=10**6),
+       st.integers(min_value=2, max_value=10**6))
+def test_scaling_every_count_leaves_the_bounds(counts, scale):
+    scaled = pc.CountTable.from_rows(
+        ((key, x, y, n * scale) for key, x, y, n in counts.rows()),
+        covariates=counts.covariates)
+    intervals = []
+    for table in (counts, scaled):
+        joint = pc.to_probabilities(table)
+        experimental = pc.adjusted_experimental(joint)
+        pooled = pc.collapse(joint, ()).only()
+        intervals.append([
+            iv for quantity in QUANTITIES for iv in (
+                pc.stratified_interval(quantity, joint, experimental),
+                pc.tian_pearl_interval(quantity, pooled, experimental.marginal))])
+    for a, b in zip(*intervals):
+        assert b.lower == pytest.approx(a.lower, abs=1e-12)
+        assert b.upper == pytest.approx(a.upper, abs=1e-12)
+
+
+# Arguments and file contents for run(): each subcommand with its required
+# options plus at most one option drawn from a shared vocabulary, and a
+# counts file whose strata are mostly complete, with odd counts and junk
+# lines mixed in.  --n and --reps only take small values, so a draw stays
+# quick.
+_REQUIRED = {
+    "bounds": ["--data", "FILE"],
+    "identify": ["--data", "FILE"],
+    "select": ["--data", "FILE", "--s", "g", "--t", "s"],
+    "verify": ["--data", "FILE"],
+    "simulate": ["--setting", "1", "--n", "200", "--reps", "2", "--seed", "1"],
+}
+_OPTIONS = ("--experimental", "--quantity", "--smoothing", "--stratifier",
+            "--alpha", "--tol", "--n", "--reps", "--seed", "--json")
+_VALUES = ("FILE", "PS", "add-half", "g", "s", "g,s", "0", "1", "2", "-1",
+           "0.05", "nan", "inf", "x", "")
+_extras = st.one_of(st.just([]), st.tuples(st.sampled_from(_OPTIONS),
+                                           st.sampled_from(_VALUES)).map(list))
+_ODD_COUNTS = ("0", "-1", "1.5", "", "x", "07", "100000000000000000",
+               "1" + "0" * 308, "2" + "0" * 308)
+_count = st.one_of(*[st.integers(1, 50).map(str)] * 9,
+                   st.sampled_from(_ODD_COUNTS))
+_junk = st.lists(st.sampled_from(("g", "x", "1", "0", "", '"', "#", "é", "a,b")),
+                 max_size=5).map(",".join)
+
+
+@st.composite
+def _counts_file(draw):
+    header = draw(st.sampled_from(("g,s,x,y,count", "g,x,y,count",
+                                   "x,y,count", "count,y,x,s,g", "g,x,y")))
+    names = header.split(",")
+    lines = [header]
+    for level in range(1, draw(st.integers(1, 3)) + 1):
+        for x, y in ((1, 1), (1, 0), (0, 1), (0, 0)):
+            row = {"g": str(level), "s": str(level % 2), "x": str(x),
+                   "y": str(y), "count": draw(_count)}
+            lines.append(",".join(row[name] for name in names))
+    lines += draw(st.lists(_junk, max_size=2))
+    rows = draw(st.permutations(lines[1:]))
+    return "\n".join([header, *rows]).encode()
+
+
+@repeatable
+@given(st.sampled_from(tuple(_REQUIRED)),
+       _extras,
+       st.one_of(_counts_file(), _counts_file(), st.binary(max_size=64)))
+@example("bounds", [],
+         b"g,x,y,count\n1,1,1,2" + b"0" * 308 + b"\n1,1,0,3\n1,0,1,4\n1,0,0,5")
+@example("identify", [],
+         b"g,x,y,count\n1,1,1,1" + b"0" * 308 + b"\n1,1,0,1" + b"0" * 308
+         + b"\n1,0,1,4\n1,0,0,5")
+@example("verify", [],
+         b"g,x,y,count\n1,1,1,100000000000000000\n1,1,0,3\n"
+         b"1,0,1,100000000000000000\n1,0,0,4")
+@example("simulate", ["--n", "1" + "0" * 22], b"")
+def test_run_always_ends_in_an_exit_code(workdir, command, tokens, content):
+    path = workdir / "input"
+    path.write_bytes(content)
+    argv = [command] + [str(path) if t == "FILE" else t
+                        for t in _REQUIRED[command] + tokens]
+    # --json writes into the work directory, never into the checkout
+    argv = [str(workdir / "report.json") if prev == "--json" else t
+            for prev, t in zip([None] + argv, argv)]
+    code, _out, err = _run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,6 +5,8 @@ import pytest
 
 import pcause as pc
 
+from conftest import sample_dataset
+
 TOL = 1e-12
 
 FLAT_CONDITIONALS = {(1, "1"): 0.5, (1, "2"): 0.5, (0, "1"): 0.5, (0, "2"): 0.5}
@@ -99,9 +101,9 @@ class TestScenarioValidation:
 class TestSampling:
     def test_deterministic_and_complete(self):
         sc = _scenario("setting-2")
-        a = pc.sample_dataset(sc, 500, seed=11)
-        b = pc.sample_dataset(sc, 500, seed=11)
-        c = pc.sample_dataset(sc, 500, seed=12)
+        a = sample_dataset(sc, 500, seed=11)
+        b = sample_dataset(sc, 500, seed=11)
+        c = sample_dataset(sc, 500, seed=12)
         assert list(a.rows()) == list(b.rows())
         assert list(a.rows()) != list(c.rows())
         assert a.total == 500
@@ -109,7 +111,7 @@ class TestSampling:
 
     def test_frequencies_track_population(self):
         sc = _scenario("setting-1")
-        counts = pc.sample_dataset(sc, 200000, seed=5)
+        counts = sample_dataset(sc, 200000, seed=5)
         joint = pc.to_probabilities(counts)
         pop = sc.population_joint(("s", "t"))
         for key, t in pop.items():
@@ -120,7 +122,7 @@ class TestSampling:
 
     def test_sample_size_validated(self):
         with pytest.raises(pc.ValidationError, match="positive"):
-            pc.sample_dataset(_scenario("setting-1"), 0, seed=1)
+            sample_dataset(_scenario("setting-1"), 0, seed=1)
 
 
 class TestReplicationStudy:
@@ -150,19 +152,9 @@ class TestReplicationStudy:
         for r in study.results:
             assert r.mean_avar == pytest.approx(r.population_avar, rel=0.10)
 
-    def test_stratifier_subset_and_ordering(self):
-        study = pc.replicate_study(_scenario("setting-2"), n=400, reps=3,
-                                   seed=2, stratifiers=(("t", "s"),))
-        assert [r.stratifier for r in study.results] == [("s", "t"), ("s", "t")]
-
     def test_minimum_replications(self):
         with pytest.raises(pc.ValidationError, match="at least two"):
             pc.replicate_study(_scenario("setting-1"), n=100, reps=1, seed=1)
-
-    def test_duplicate_stratifiers_rejected(self):
-        with pytest.raises(pc.ValidationError, match="duplicate"):
-            pc.replicate_study(_scenario("setting-1"), n=100, reps=2, seed=1,
-                               stratifiers=(("s",), ("s",)))
 
     def test_redraws_are_counted(self):
         study = pc.replicate_study(_sparse_scenario(), n=210, reps=20, seed=4)
