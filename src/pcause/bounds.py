@@ -59,7 +59,6 @@ the earlier term in the documented order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import IncompatibilityError, PositivityError, ValidationError
 from .model import (
@@ -118,24 +117,8 @@ class Interval:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, value: float, tol: float = _INVERT_TOL) -> bool:
-        return self.lower - tol <= value <= self.upper + tol
-
-
-def _argmax(values: Sequence[float]) -> int:
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
-
-
-def _argmin(values: Sequence[float]) -> int:
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] < values[best]:
-            best = i
-    return best
+    def contains(self, value: float) -> bool:
+        return self.lower - _INVERT_TOL <= value <= self.upper + _INVERT_TOL
 
 
 def _swap_pair(pair: tuple[float, float]) -> tuple[float, float]:
@@ -206,13 +189,15 @@ _POSITIVE_FRAME = {"PN": "exposed cases", "PS": "unexposed non-cases"}
 
 
 def _box(quantity: str, method: str, table: StratumTable,
-         pair: tuple[float, float], key: StratumKey) -> Interval:
+         pair: tuple[float, float], key: StratumKey | None = None) -> Interval:
     """The sharp interval of one table and pair: a stratum's conditional
     box (also the stratified interval of a one-stratum joint), or the
-    Tian-Pearl interval of the pooled table."""
+    Tian-Pearl interval of the pooled table (``key`` None)."""
+    key = key if key is not None else StratumKey(())
     table, pair = _framed(quantity, table, compatible_pair(table, pair, key))
     denom, lows, ups = _terms(quantity, table, pair)
-    li, ui = _argmax(lows), _argmin(ups)
+    # index() finds the first extreme: ties go to the earlier term
+    li, ui = lows.index(max(lows)), ups.index(min(ups))
     lower, upper = lows[li], ups[ui]
     if denom is not None:
         if denom <= 0.0:
@@ -225,16 +210,10 @@ def _box(quantity: str, method: str, table: StratumTable,
                    (_choice(quantity, key, li, ui),), key)
 
 
-def _conditional(quantity: str, table: StratumTable, pair: tuple[float, float],
-                 key: StratumKey | None) -> Interval:
-    key = key if key is not None else StratumKey(())
-    return _box(quantity, "conditional", table, pair, key)
-
-
 def pn_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
                             key: StratumKey | None = None) -> Interval:
     """Sharp bounds on PN(s) = P(y'_x' | x, y, s) for a single stratum."""
-    return _conditional("PN", table, pair, key)
+    return _box("PN", "conditional", table, pair, key)
 
 
 def ps_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
@@ -243,13 +222,13 @@ def ps_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
 
     Computed exactly as PN on the swapped table; see the module docstring.
     """
-    return _conditional("PS", table, pair, key)
+    return _box("PS", "conditional", table, pair, key)
 
 
 def pns_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
                              key: StratumKey | None = None) -> Interval:
     """Sharp bounds on PNS(s) = P(y_x, y'_x' | s) for a single stratum."""
-    return _conditional("PNS", table, pair, key)
+    return _box("PNS", "conditional", table, pair, key)
 
 
 def stratified_interval(quantity: str, joint: StratifiedJoint,
@@ -281,7 +260,7 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
     for key, t in joint.items():
         pair = clip_pair(t, experimental.pair(key))
         cell, lows, ups = _terms(quantity, *_framed(quantity, t, pair))
-        li, ui = _argmax(lows), _argmin(ups)
+        li, ui = lows.index(max(lows)), ups.index(min(ups))
         if cell is not None:
             denom += cell * t.weight
         lower_acc += lows[li] * t.weight
@@ -306,4 +285,4 @@ def tian_pearl_interval(quantity: str, table: StratumTable,
     """
     if quantity not in QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    return _box(quantity, "tian-pearl", table, marginal, StratumKey(()))
+    return _box(quantity, "tian-pearl", table, marginal)

@@ -22,7 +22,6 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -62,36 +61,22 @@ _CONDITIONAL_BOXES = {
 }
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Fixed-schema result of one CLI invocation."""
-
-    metadata: dict
-    input: dict
-    intervals: list | None = None
-    estimates: dict | None = None
-    selection: dict | None = None
-    verification: dict | None = None
-    simulation: dict | None = None
-    warnings: tuple[str, ...] = ()
-    # exit 1 with this message once the report is written
-    failure: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "metadata": self.metadata,
-            "input": self.input,
-            "intervals": self.intervals,
-            "estimates": self.estimates,
-            "selection": self.selection,
-            "verification": self.verification,
-            "simulation": self.simulation,
-            "warnings": list(self.warnings),
-        }
-
-
-def _metadata(command: str) -> dict:
-    return {"tool": "pcause", "version": __version__, "command": command}
+def _report(command: str, input: dict, *, intervals: list | None = None,
+            estimates: dict | None = None, selection: dict | None = None,
+            verification: dict | None = None, simulation: dict | None = None,
+            warnings: Sequence[str] = ()) -> dict:
+    """The fixed-schema report of one invocation; unused sections are null."""
+    return {
+        "metadata": {"tool": "pcause", "version": __version__,
+                     "command": command},
+        "input": input,
+        "intervals": intervals,
+        "estimates": estimates,
+        "selection": selection,
+        "verification": verification,
+        "simulation": simulation,
+        "warnings": list(warnings),
+    }
 
 
 def _key_json(key: StratumKey) -> dict:
@@ -174,7 +159,7 @@ def _print_data_line(joint) -> None:
     print(f"n = {joint.total_n} subjects in {_strata_phrase(joint.n_strata)} by {by}")
 
 
-def _cmd_bounds(args) -> AnalysisReport:
+def _cmd_bounds(args) -> tuple[dict, str | None]:
     joint = _load_table(args)
     experimental = _load_experimental(args, joint)
     quantities = ("PN", "PS", "PNS") if args.quantity == "all" else (args.quantity,)
@@ -195,11 +180,8 @@ def _cmd_bounds(args) -> AnalysisReport:
             intervals.append(box)
             print(f"     {key}  [{box.lower:.3f}, {box.upper:.3f}]")
 
-    return AnalysisReport(
-        metadata=_metadata("bounds"),
-        input=_input_json(args, joint, experimental),
-        intervals=[_interval_json(iv) for iv in intervals],
-    )
+    return _report("bounds", _input_json(args, joint, experimental),
+                   intervals=[_interval_json(iv) for iv in intervals]), None
 
 
 def _parse_stratifier(raw: str | None) -> tuple[str, ...] | None:
@@ -208,7 +190,7 @@ def _parse_stratifier(raw: str | None) -> tuple[str, ...] | None:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _cmd_identify(args) -> AnalysisReport:
+def _cmd_identify(args) -> tuple[dict, str | None]:
     joint = _load_table(args, stratifier=_parse_stratifier(args.stratifier))
     experimental = adjusted_experimental(joint)
     diag = monotonicity_diagnostic(joint, experimental)
@@ -239,17 +221,13 @@ def _cmd_identify(args) -> AnalysisReport:
             "plausible": diag.plausible,
         },
     }
-    return AnalysisReport(
-        metadata=_metadata("identify"),
-        input=_input_json(args, joint, experimental),
-        intervals=[_interval_json(diag.pn_interval),
-                   _interval_json(diag.pns_interval)],
-        estimates=estimates,
-        warnings=warnings,
-    )
+    return _report("identify", _input_json(args, joint, experimental),
+                   intervals=[_interval_json(diag.pn_interval),
+                              _interval_json(diag.pns_interval)],
+                   estimates=estimates, warnings=warnings), None
 
 
-def _cmd_select(args) -> AnalysisReport:
+def _cmd_select(args) -> tuple[dict, str | None]:
     joint = _load_table(args)
     report = compare_covariate_sets(joint, args.s, args.t, mode="count-test",
                                     alpha=args.alpha)
@@ -289,14 +267,11 @@ def _cmd_select(args) -> AnalysisReport:
                            if report.recommendation is not None else None),
         "note": report.note,
     }
-    return AnalysisReport(
-        metadata=_metadata("select"),
-        input=_input_json(args, joint),
-        selection=selection,
-    )
+    return _report("select", _input_json(args, joint),
+                   selection=selection), None
 
 
-def _cmd_simulate(args) -> AnalysisReport:
+def _cmd_simulate(args) -> tuple[dict, str | None]:
     if args.setting is not None:
         scenario = builtin_scenarios()[args.setting - 1]
         source = "builtin"
@@ -331,15 +306,12 @@ def _cmd_simulate(args) -> AnalysisReport:
             "population_avar": r.population_avar,
         } for r in study.results],
     }
-    return AnalysisReport(
-        metadata=_metadata("simulate"),
-        input={"scenario": study.scenario, "source": source, "n": study.n,
-               "reps": study.reps, "seed": study.seed},
-        simulation=simulation,
-    )
+    inputs = {"scenario": study.scenario, "source": source, "n": study.n,
+              "reps": study.reps, "seed": study.seed}
+    return _report("simulate", inputs, simulation=simulation), None
 
 
-def _cmd_verify(args) -> AnalysisReport:
+def _cmd_verify(args) -> tuple[dict, str | None]:
     joint = _load_table(args)
     experimental = _load_experimental(args, joint)
     report = verify_bounds(joint, experimental, tol=args.tol)
@@ -366,14 +338,11 @@ def _cmd_verify(args) -> AnalysisReport:
             "discrepancy": e.discrepancy,
         } for e in report.entries],
     }
-    return AnalysisReport(
-        metadata=_metadata("verify"),
-        input=_input_json(args, joint, experimental),
-        verification=verification,
-        failure=None if report.passed else (
-            f"verification failed: {len(report.failures)} of "
-            f"{len(report.entries)} boxes differ by more than {report.tol:g}"),
-    )
+    failure = None if report.passed else (
+        f"verification failed: {len(report.failures)} of "
+        f"{len(report.entries)} boxes differ by more than {report.tol:g}")
+    return _report("verify", _input_json(args, joint, experimental),
+                   verification=verification), failure
 
 
 def _checked(convert, accept, expected: str):
@@ -490,15 +459,15 @@ def _run(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        report = args.handler(args)
+        report, failure = args.handler(args)
         if getattr(args, "json", None):
-            payload = json.dumps(report.to_dict(), indent=2) + "\n"
+            payload = json.dumps(report, indent=2) + "\n"
             try:
                 Path(args.json).write_text(payload)
             except OSError as exc:
                 raise PcauseError(f"cannot write report to {args.json}: {exc}")
-        if report.failure is not None:
-            raise PcauseError(report.failure)
+        if failure is not None:
+            raise PcauseError(failure)
     except PcauseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ a likelihood-ratio (G) test against the implied counts of a finite sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -88,13 +89,6 @@ def _exact_deviation(joint: StratifiedJoint, relation: CIRelation) -> float:
     return dev
 
 
-def _level_maps(joint: StratifiedJoint, s: str, t: str,
-                ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    s_levels = sorted({key.level(s) for key in joint.keys()})
-    t_levels = sorted({key.level(t) for key in joint.keys()})
-    return tuple(s_levels), tuple(t_levels)
-
-
 def _g_statistic(observed: Mapping, row_margin: Mapping, col_margin: Mapping,
                  total: Mapping) -> float:
     """2 * sum n * ln(n * n_block / (n_row * n_col)) over nonzero cells.
@@ -114,7 +108,8 @@ def _g_statistic(observed: Mapping, row_margin: Mapping, col_margin: Mapping,
 def _count_test(joint: StratifiedJoint, relation: CIRelation,
                 n: int) -> tuple[float, int]:
     s, t = relation.s, relation.t
-    s_levels, t_levels = _level_maps(joint, s, t)
+    n_s = len({key.level(s) for key in joint.keys()})
+    n_t = len({key.level(t) for key in joint.keys()})
 
     observed: dict = {}
     if relation.kind == EXPOSURE_CI:
@@ -123,7 +118,7 @@ def _count_test(joint: StratifiedJoint, relation: CIRelation,
             block, row = key.level(t), key.level(s)
             observed[(block, row, 1)] = table.p_exposed * table.weight * n
             observed[(block, row, 0)] = table.p_unexposed * table.weight * n
-        df = len(t_levels) * (len(s_levels) - 1) * (2 - 1)
+        df = n_t * (n_s - 1) * (2 - 1)
     else:
         # blocks are (x, s) pairs, rows are t levels, columns are outcome
         for key, table in joint.items():
@@ -132,7 +127,7 @@ def _count_test(joint: StratifiedJoint, relation: CIRelation,
                 for y in (1, 0):
                     block = (x, key.level(s))
                     observed[(block, row, y)] = table.cell(x, y) * table.weight * n
-        df = 2 * len(s_levels) * (2 - 1) * (len(t_levels) - 1)
+        df = 2 * n_s * (2 - 1) * (n_t - 1)
 
     row_margin: dict = {}
     col_margin: dict = {}
@@ -141,7 +136,12 @@ def _count_test(joint: StratifiedJoint, relation: CIRelation,
         row_margin[(block, row)] = row_margin.get((block, row), 0.0) + count
         col_margin[(block, col)] = col_margin.get((block, col), 0.0) + count
         total[block] = total.get(block, 0.0) + count
-    return _g_statistic(observed, row_margin, col_margin, total), df
+    g = _g_statistic(observed, row_margin, col_margin, total)
+    if not math.isfinite(g):
+        # products of counts near 1e308 overflow
+        raise ValidationError(f"premise {relation.kind}: G statistic is {g}; "
+                              "counts too large for floating point")
+    return g, df
 
 
 def ci_check(joint: StratifiedJoint, relation: CIRelation,

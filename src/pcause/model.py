@@ -62,6 +62,13 @@ def _read_text(source: Source) -> str:
         raise ParseError(f"cannot decode {source}: {exc}") from exc
 
 
+def _read_json(source: Source, what: str):
+    try:
+        return json.loads(_read_text(source))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} file is not valid JSON: {exc}") from exc
+
+
 @dataclass(frozen=True, order=True)
 class StratumKey:
     """Identifies one covariate stratum.
@@ -509,8 +516,8 @@ class ExperimentalQuantities:
 
     @staticmethod
     def _checked(p: float, key: StratumKey | None) -> float:
-        where = f"stratum {key}" if key is not None else "marginal"
         if not (-_SUM_TOL <= p <= 1.0 + _SUM_TOL):
+            where = f"stratum {key}" if key is not None else "marginal"
             raise ValidationError(f"{where}: probability {p!r} outside [0, 1]")
         return min(1.0, max(0.0, p))
 
@@ -627,9 +634,9 @@ def validate_compatibility(joint: StratifiedJoint,
     return CompatibilityReport(violations=tuple(violations))
 
 
-def experimental_from_dict(data: Mapping,
-                           joint: StratifiedJoint) -> ExperimentalQuantities:
+def load_experimental(source: Source, joint: StratifiedJoint) -> ExperimentalQuantities:
     """Parse experimental pairs; the marginal comes from the joint's weights."""
+    data = _read_json(source, "experimental")
     try:
         per = {}
         for entry in data["strata"]:
@@ -640,11 +647,3 @@ def experimental_from_dict(data: Mapping,
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed experimental data: {exc}") from exc
     return ExperimentalQuantities.from_per_stratum(joint, per, provenance)
-
-
-def load_experimental(source: Source, joint: StratifiedJoint) -> ExperimentalQuantities:
-    try:
-        data = json.loads(_read_text(source))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"experimental file is not valid JSON: {exc}") from exc
-    return experimental_from_dict(data, joint)

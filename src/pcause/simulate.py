@@ -18,7 +18,6 @@ degenerate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -33,7 +32,7 @@ from .model import (
     StratumKey,
     _cell_slot,
     _joint_from_cells,
-    _read_text,
+    _read_json,
 )
 
 _MAX_DISCARD_RATE = 0.10
@@ -80,14 +79,6 @@ class Scenario:
         object.__setattr__(self, "cells", cleaned)
         object.__setattr__(self, "outcome_conditionals", conds)
 
-    @property
-    def s_levels(self) -> tuple[str, ...]:
-        return tuple(sorted({s for (_x, s, _t) in self.cells}))
-
-    @property
-    def t_levels(self) -> tuple[str, ...]:
-        return tuple(sorted({t for (_x, _s, t) in self.cells}))
-
     def outcome_cells(self) -> tuple[tuple[tuple[int, str, str, int], float], ...]:
         """The sampling distribution over (x, s, t, y), in a fixed order."""
         out = []
@@ -120,7 +111,8 @@ class Scenario:
         }
 
 
-def scenario_from_dict(data: Mapping) -> Scenario:
+def load_scenario(source: Source) -> Scenario:
+    data = _read_json(source, "scenario")
     try:
         cells = {(int(e["x"]), str(e["s"]), str(e["t"])): float(e["p"])
                  for e in data["cells"]}
@@ -133,14 +125,6 @@ def scenario_from_dict(data: Mapping) -> Scenario:
                         t_name=str(data.get("t_name", "t")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed scenario: {exc}") from exc
-
-
-def load_scenario(source: Source) -> Scenario:
-    try:
-        data = json.loads(_read_text(source))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario file is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)
 
 
 def builtin_scenarios() -> tuple[Scenario, ...]:
@@ -254,17 +238,11 @@ def replicate_study(scenario: Scenario, n: int, reps: int,
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(r, attempt)))
             counts = rng.multinomial(n, probs)
-            per_strat_sums = {}
-            ok = True
-            for strat in strat_list:
-                keys, positions = layouts[strat]
-                sums = np.bincount(positions, weights=counts,
-                                   minlength=4 * len(keys))
-                if sums.min() <= 0.0:
-                    ok = False
-                    break
-                per_strat_sums[strat] = (keys, sums)
-            if ok:
+            # each {s} or {t} cell is a sum of {s, t} cells, so a draw has
+            # an empty cell under some stratifier iff it has one under {s, t}
+            keys, positions = layouts[strat_list[-1]]
+            if np.bincount(positions, weights=counts,
+                           minlength=4 * len(keys)).min() > 0.0:
                 break
             discarded += 1
         else:
@@ -273,7 +251,8 @@ def replicate_study(scenario: Scenario, n: int, reps: int,
                 f"had empty cells at n={n}; the scenario is too sparse")
 
         for strat in strat_list:
-            keys, sums = per_strat_sums[strat]
+            keys, positions = layouts[strat]
+            sums = np.bincount(positions, weights=counts, minlength=4 * len(keys))
             joint = _joint_from_cells(zip(keys, sums.reshape(-1, 4).tolist()),
                                       n, strat, n)
             pn = pn_point(joint)

@@ -170,3 +170,40 @@ def experimental_to_dict(experimental: pc.ExperimentalQuantities) -> dict:
             "p_event_do_unexposed": do_xp,
         })
     return {"provenance": experimental.provenance, "strata": strata}
+
+
+# Each stratum's share of the event a quantity conditions on, before
+# dividing by its total: P(s)P(x,y|s) for PN, P(s)P(x',y'|s) for PS, P(s)
+# for PNS (which conditions on nothing, so its shares are not divided).
+_SHARE = {"PN": lambda t: t.weight * t.p_exposed_event,
+          "PS": lambda t: t.weight * t.p_unexposed_noevent,
+          "PNS": lambda t: t.weight}
+
+
+def assert_intervals_certified(joint: pc.StratifiedJoint,
+                               experimental: pc.ExperimentalQuantities,
+                               tol: float = 1e-12) -> None:
+    """Rebuild the stratified and Tian-Pearl intervals from the response-type
+    search, which shares no formula with the closed forms, and compare.
+
+    A stratified endpoint is the share-weighted sum of the strata's searched
+    extremes; the Tian-Pearl interval is the search on the pooled table with
+    the marginal pair.
+    """
+    pooled = pc.collapse(joint, ()).only()
+    for quantity, share in _SHARE.items():
+        weights = {key: share(t) for key, t in joint.items()}
+        total = 1.0 if quantity == "PNS" else sum(weights.values())
+        lower = upper = 0.0
+        for key, t in joint.items():
+            searched = pc.feasible_extrema(t, experimental.pair(key), quantity)
+            lower += weights[key] / total * searched.lower
+            upper += weights[key] / total * searched.upper
+        strat = pc.stratified_interval(quantity, joint, experimental)
+        assert strat.lower == pytest.approx(lower, abs=tol)
+        assert strat.upper == pytest.approx(upper, abs=tol)
+
+        tp = pc.tian_pearl_interval(quantity, pooled, experimental.marginal)
+        searched = pc.feasible_extrema(pooled, experimental.marginal, quantity)
+        assert tp.lower == pytest.approx(searched.lower, abs=tol)
+        assert tp.upper == pytest.approx(searched.upper, abs=tol)

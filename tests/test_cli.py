@@ -1,5 +1,6 @@
 import argparse
 import gc
+import itertools
 import json
 import re
 
@@ -442,6 +443,22 @@ class TestInputErrors:
         ps = next(e for e in entries if e["quantity"] == "PS")
         assert (ps["searched"]["lower"], ps["searched"]["upper"]) == (0.0, 1.0)
         assert (ps["closed"]["lower"], ps["closed"]["upper"]) == (0.0, 1.0)
+
+    def test_select_g_statistic_overflow(self, tmp_path, capsys):
+        # counts of 1e306 to 6e306 fit a float, but G multiplies them
+        data = tmp_path / "huge.csv"
+        data.write_text("s,t,x,y,count\n" + "".join(
+            f"{s},{t},{x},{y},{(i % 6 + 1) * 10**306}\n" for i, (s, t, x, y) in
+            enumerate(itertools.product((1, 2), (1, 2), (1, 0), (1, 0)))))
+        report = tmp_path / "report.json"
+        assert run(["select", "--data", str(data), "--s", "s", "--t", "t",
+                    "--json", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: premise y-indep-t-given-xs: G "
+                                "statistic is nan; counts too large for "
+                                "floating point\n")
+        assert not report.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.001", "x"])
     def test_verify_tol_out_of_range(self, tol, capsys):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import pcause as pc
-from pcause.model import experimental_from_dict, stratum_violations
+from pcause.model import stratum_violations
 
 from conftest import CANCER_CSV, experimental_to_dict
 
@@ -320,6 +320,17 @@ class TestExperimental:
             pc.ExperimentalQuantities(per_stratum={}, marginal=(1.5, 0.5),
                                       provenance="measured-experimental")
 
+    def test_range_errors_name_the_stratum_or_marginal(self):
+        with pytest.raises(pc.ValidationError) as exc:
+            pc.ExperimentalQuantities(
+                per_stratum={pc.StratumKey.of(g=1, h="a"): (0.5, 1.25)},
+                marginal=(0.5, 0.5), provenance="measured-experimental")
+        assert str(exc.value) == "stratum g=1,h=a: probability 1.25 outside [0, 1]"
+        with pytest.raises(pc.ValidationError) as exc:
+            pc.ExperimentalQuantities(per_stratum={}, marginal=(0.5, -0.25),
+                                      provenance="measured-experimental")
+        assert str(exc.value) == "marginal: probability -0.25 outside [0, 1]"
+
     def test_missing_pair(self, cancer_experimental):
         with pytest.raises(pc.ValidationError):
             cancer_experimental.pair(pc.StratumKey.of(stage="9"))
@@ -362,7 +373,7 @@ class TestCompatibility:
 class TestJsonMirrors:
     def test_experimental_round_trip(self, cancer_joint, cancer_experimental):
         data = experimental_to_dict(cancer_experimental)
-        again = experimental_from_dict(data, cancer_joint)
+        again = pc.load_experimental(io.StringIO(json.dumps(data)), cancer_joint)
         assert again.per_stratum == cancer_experimental.per_stratum
         assert again.provenance == "sita-adjusted"
 

@@ -6,8 +6,8 @@ import pcause.bounds
 from pcause.model import stratum_violations
 from pcause.oracle import feasible_extrema
 
-from conftest import random_instance, random_monotone_stratum, random_pair, \
-    random_stratum
+from conftest import assert_intervals_certified, random_instance, \
+    random_monotone_stratum, random_pair, random_stratum
 
 TOL = 1e-9
 
@@ -138,6 +138,30 @@ class TestFeasibilityEquivalence:
         assert stratum_violations(PROBE_TABLE, pair, 1e-3) == []
         iv = feasible_extrema(PROBE_TABLE, pair, "PN")
         assert 0.0 <= iv.lower <= iv.upper
+
+
+class TestIntervalsCertified:
+    """The stratified and Tian-Pearl intervals against the search."""
+
+    def test_survival_fixture(self, cancer_joint, cancer_experimental):
+        assert_intervals_certified(cancer_joint, cancer_experimental)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(3304)
+        for n_strata in (1, 2, 3, 5):
+            assert_intervals_certified(*random_instance(rng, n_strata))
+
+    def test_six_by_six_grid(self):
+        rng = np.random.default_rng(3305)
+        rows = [(pc.StratumKey.of(s=i, t=j), x, y, int(rng.integers(1, 400)))
+                for i in range(6) for j in range(6)
+                for x in (1, 0) for y in (1, 0)]
+        joint = pc.to_probabilities(pc.CountTable.from_rows(rows, ("s", "t")))
+        measured = pc.ExperimentalQuantities.from_per_stratum(
+            joint, {key: random_pair(rng, t) for key, t in joint.items()},
+            provenance="measured-experimental")
+        for experimental in (pc.adjusted_experimental(joint), measured):
+            assert_intervals_certified(joint, experimental)
 
 
 class TestArguments:

@@ -16,6 +16,7 @@ arguments and input bytes.
 """
 
 import io
+import itertools
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -25,6 +26,8 @@ import pcause as pc
 from pcause.bounds import _swap_pair
 from pcause.cli import run
 from pcause.oracle import feasible_extrema
+
+from conftest import assert_intervals_certified
 
 QUANTITIES = ("PN", "PS", "PNS")
 CONDITIONAL = {"PN": pc.pn_interval_conditional,
@@ -89,6 +92,12 @@ def test_stratified_nests_inside_tian_pearl(instance):
         tp = pc.tian_pearl_interval(quantity, pooled, experimental.marginal)
         assert tp.lower - 1e-9 <= strat.lower
         assert strat.upper <= tp.upper + 1e-9
+
+
+@repeatable
+@given(instances)
+def test_search_certifies_stratified_and_tian_pearl(instance):
+    assert_intervals_certified(*instance)
 
 
 @repeatable
@@ -255,6 +264,11 @@ _count = st.one_of(*[st.integers(1, 50).map(str)] * 9,
 _junk = st.lists(st.sampled_from(("g", "x", "1", "0", "", '"', "#", "é", "a,b")),
                  max_size=5).map(",".join)
 
+# a 2x2 g/s table of counts 1e306 to 6e306, whose G statistic overflows
+_HUGE_COUNTS = "g,s,x,y,count" + "".join(
+    f"\n{g},{s},{x},{y},{(i % 6 + 1) * 10**306}" for i, (g, s, x, y) in
+    enumerate(itertools.product((1, 2), (1, 2), (1, 0), (1, 0))))
+
 
 @st.composite
 def _counts_file(draw):
@@ -285,6 +299,7 @@ def _counts_file(draw):
          b"g,x,y,count\n1,1,1,100000000000000000\n1,1,0,3\n"
          b"1,0,1,100000000000000000\n1,0,0,4")
 @example("simulate", ["--n", "1" + "0" * 22], b"")
+@example("select", [], _HUGE_COUNTS.encode())
 def test_run_always_ends_in_an_exit_code(workdir, command, tokens, content):
     path = workdir / "input"
     path.write_bytes(content)

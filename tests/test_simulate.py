@@ -31,7 +31,8 @@ class TestBuiltinScenarios:
             "setting-1", "setting-2", "setting-3", "setting-4"]
         for sc in scenarios:
             assert sum(sc.cells.values()) == pytest.approx(1.0, abs=1e-9)
-            assert sc.s_levels == ("1", "2") and sc.t_levels == ("1", "2")
+            assert {(s, t) for _x, s, t in sc.cells} == {
+                ("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")}
             assert sc.outcome_conditionals[(1, "1")] == 0.7
             assert sc.outcome_conditionals[(0, "2")] == 0.4
 
