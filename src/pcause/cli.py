@@ -22,6 +22,7 @@ import gc
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -59,6 +60,109 @@ _CONDITIONAL_BOXES = {
     "PS": ps_interval_conditional,
     "PNS": pns_interval_conditional,
 }
+
+# json's spellings of the floats whose repr is not JSON
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Unsupported(Exception):
+    """A value the report writer leaves to json's own encoder."""
+
+
+class _ReportEncoder(json.JSONEncoder):
+    """``json.JSONEncoder`` that writes indented text in one recursive walk.
+
+    With an indent, CPython's ``json`` falls back to its pure-Python encoder,
+    one generator per container; a 10^4-stratum report holds about 10^6
+    values.  This walk writes the same text for the exact builtin types
+    (dict with str keys, list, str, float, int, bool, None).  The text in
+    front of each dict member (separator, newline, indent, key and colon) is
+    built once per key, depth and first-or-later position, and each string's
+    encoding once per value, so a member costs two list appends and repeated
+    pieces share one object.  Any other value, such as a float subclass, a
+    tuple or a non-str key, and any option the walk does not implement, goes
+    to ``json``'s own encoder, so the text or the error is json's.
+    """
+
+    def iterencode(self, o, _one_shot=False):
+        if (self.indent is None or self.sort_keys or not self.ensure_ascii
+                or not self.allow_nan):
+            return super().iterencode(o, _one_shot)
+        indent = (self.indent if isinstance(self.indent, str)
+                  else " " * self.indent)
+        item_sep, key_sep = self.item_separator, self.key_separator
+        encode_str, float_repr, int_repr = (encode_basestring_ascii,
+                                            float.__repr__, int.__repr__)
+        chunks: list[str] = []
+        append = chunks.append
+        strings: dict[str, str] = {}
+        # levels[d] serves the members at depth d: newline and indent, the
+        # first and later list item prefixes, the first and later dict member
+        # prefixes by key, and the closers of the dict or list at depth d - 1
+        levels: list = [None]
+
+        def walk(o, depth):
+            t = type(o)
+            if t is str:
+                text = strings.get(o)
+                if text is None:
+                    text = strings[o] = encode_str(o)
+                append(text)
+            elif t is float:
+                text = float_repr(o)
+                append(_NONFINITE.get(text, text))
+            elif t is int:
+                append(int_repr(o))
+            elif o is None:
+                append("null")
+            elif o is True:
+                append("true")
+            elif o is False:
+                append("false")
+            elif t is dict or t is list:
+                if not o:
+                    append("{}" if t is dict else "[]")
+                    return
+                depth += 1
+                if depth == len(levels):
+                    newline = "\n" + indent * depth
+                    outer = "\n" + indent * (depth - 1)
+                    levels.append((newline, "[" + newline, item_sep + newline,
+                                   {}, {}, outer + "}", outer + "]"))
+                level = levels[depth]
+                if t is dict:
+                    firsts = prefixes = level[3]
+                    for key, value in o.items():
+                        prefix = prefixes.get(key)
+                        if prefix is None:
+                            if type(key) is not str:
+                                raise _Unsupported
+                            prefix = prefixes[key] = (
+                                ("{" if prefixes is firsts else item_sep)
+                                + level[0] + encode_str(key) + key_sep)
+                        append(prefix)
+                        prefixes = level[4]
+                        walk(value, depth)
+                    append(level[5])
+                else:
+                    prefix = level[1]
+                    for value in o:
+                        append(prefix)
+                        prefix = level[2]
+                        walk(value, depth)
+                    append(level[6])
+            else:
+                raise _Unsupported
+
+        try:
+            walk(o, 0)
+        except (_Unsupported, RecursionError):
+            # RecursionError: a cycle or a very deep tree, where json raises
+            # its own error
+            return super().iterencode(o, _one_shot)
+        finally:
+            del walk  # the closure refers to itself; free the chunks at once
+        return chunks
 
 
 def _report(command: str, input: dict, *, intervals: list | None = None,
@@ -461,7 +565,7 @@ def _run(argv: Sequence[str] | None) -> int:
     try:
         report, failure = args.handler(args)
         if getattr(args, "json", None):
-            payload = json.dumps(report, indent=2) + "\n"
+            payload = json.dumps(report, indent=2, cls=_ReportEncoder) + "\n"
             try:
                 Path(args.json).write_text(payload)
             except OSError as exc:
@@ -476,3 +580,7 @@ def _run(argv: Sequence[str] | None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

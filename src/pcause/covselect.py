@@ -102,7 +102,7 @@ def _g_statistic(observed: Mapping, row_margin: Mapping, col_margin: Mapping,
             continue
         g += n * np.log(n * total[block] / (row_margin[(block, row)]
                                             * col_margin[(block, col)]))
-    return 2.0 * g
+    return float(2.0 * g)
 
 
 def _count_test(joint: StratifiedJoint, relation: CIRelation,

@@ -92,6 +92,15 @@ class TestCountTest:
             assert verdict.statistic == pytest.approx(0.0, abs=1e-6)
             assert verdict.p_value == pytest.approx(1.0, abs=1e-6)
 
+    def test_statistic_is_a_builtin_float(self):
+        # a numpy scalar here would reach the select report
+        joint = replace(_broken_outcome_joint(), total_n=1000)
+        for kind in (EXPOSURE_CI, OUTCOME_CI):
+            verdict = pc.ci_check(joint, pc.CIRelation(kind, "s", "t"),
+                                  mode="count-test")
+            assert type(verdict.statistic) is float
+            assert type(verdict.p_value) is float
+
     def test_violations_fail_at_scale(self):
         for joint, kind in ((_broken_outcome_joint(), OUTCOME_CI),
                             (_broken_exposure_joint(), EXPOSURE_CI)):
