@@ -305,9 +305,11 @@ def load_counts(source: Source) -> CountTable:
     Errors name the offending line number as it appears in the file,
     comments and blank lines included.
     """
-    text = _read_text(source)
+    # Lines end at \n, \r\n or \r only, as for the csv module; str.splitlines
+    # would also split at \x1c-\x1e, \x85, \u2028 and others inside a level.
+    lines = _read_text(source).replace("\r\n", "\n").replace("\r", "\n")
     kept: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -13,7 +13,10 @@ estimates across replications with the asymptotic variance formulas.
 Replications that produce an empty cell under any stratifier are discarded
 and redrawn with a fresh substream; the study records how often that
 happened and refuses to summarize when more than a tenth of all draws were
-degenerate.
+degenerate.  The kept draws are scored in one batch per stratifier, through
+the array function behind :func:`~pcause.identify.pn_point` and
+:func:`~pcause.identify.pns_point`, with the floats those give one dataset
+at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateScenarioError, ParseError, ValidationError
-from .identify import pn_point, pns_point
+from .identify import _no_prevention, pn_point, pns_point
 from .model import (
     _SUM_TOL,
     Source,
@@ -32,6 +35,7 @@ from .model import (
     StratumKey,
     _cell_slot,
     _joint_from_cells,
+    _key_order,
     _read_json,
 )
 
@@ -189,18 +193,30 @@ class ReplicationStudy:
 
 def _stratifier_layout(scenario: Scenario, stratifier: tuple[str, ...],
                        ) -> tuple[tuple[StratumKey, ...], np.ndarray]:
-    """Map each sampling cell index to a (stratum, table slot) position."""
-    keys: list[StratumKey] = []
-    index: dict[StratumKey, int] = {}
-    positions = np.empty(len(scenario.outcome_cells()), dtype=np.int64)
-    for i, ((x, s, t, y), _p) in enumerate(scenario.outcome_cells()):
-        full = StratumKey(((scenario.s_name, s), (scenario.t_name, t)))
-        key = full.project(stratifier)
-        if key not in index:
-            index[key] = len(keys)
-            keys.append(key)
-        positions[i] = index[key] * 4 + _cell_slot(x, y)
-    return tuple(keys), positions
+    """The strata in joint order, and each sampling cell's (stratum, table
+    slot) position."""
+    cells = scenario.outcome_cells()
+    projected = [StratumKey(((scenario.s_name, s), (scenario.t_name, t)))
+                 .project(stratifier) for (_x, s, t, _y), _p in cells]
+    keys = tuple(sorted(set(projected), key=_key_order))
+    index = {key: i for i, key in enumerate(keys)}
+    positions = np.array([index[key] * 4 + _cell_slot(x, y)
+                          for key, ((x, _s, _t, y), _p) in zip(projected, cells)],
+                         dtype=np.int64)
+    return keys, positions
+
+
+def _replicate_tables(draws: np.ndarray, keys: tuple[StratumKey, ...],
+                      positions: np.ndarray, n: int,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each draw's (K, 4) cells and (K,) weights under one stratifier,
+    normalised as :func:`~pcause.model._joint_from_cells` does."""
+    sums = np.zeros((len(draws), 4 * len(keys)))
+    for cell, position in enumerate(positions):
+        sums[:, position] += draws[:, cell]
+    quads = sums.reshape(len(draws), len(keys), 4)
+    totals = ((quads[..., 0] + quads[..., 1]) + quads[..., 2]) + quads[..., 3]
+    return quads / totals[..., None], totals / n
 
 
 def replicate_study(scenario: Scenario, n: int, reps: int,
@@ -212,7 +228,8 @@ def replicate_study(scenario: Scenario, n: int, reps: int,
     a draw with an empty (stratum, x, y) cell under any of the three is
     discarded and the attempt counter advanced, so the surviving datasets
     are reproducible regardless of how many redraws other replications
-    needed.
+    needed.  Once all draws are in, each stratifier's replications are
+    scored together as one (reps, K, 4) array of cells.
     """
     if reps < 2:
         raise ValidationError("need at least two replications for a variance")
@@ -225,11 +242,7 @@ def replicate_study(scenario: Scenario, n: int, reps: int,
                for strat in strat_list}
     probs = np.array([p for _, p in scenario.outcome_cells()])
 
-    combos = [(quantity, strat) for strat in strat_list
-              for quantity in ("PN", "PNS")]
-    values = {c: [] for c in combos}
-    avars = {c: [] for c in combos}
-
+    draws = np.empty((reps, len(probs)), dtype=np.int64)
     discarded = 0
     attempts = 0
     for r in range(reps):
@@ -249,18 +262,7 @@ def replicate_study(scenario: Scenario, n: int, reps: int,
             raise DegenerateScenarioError(
                 f"replication {r}: {_MAX_ATTEMPTS_PER_REP} consecutive draws "
                 f"had empty cells at n={n}; the scenario is too sparse")
-
-        for strat in strat_list:
-            keys, positions = layouts[strat]
-            sums = np.bincount(positions, weights=counts, minlength=4 * len(keys))
-            joint = _joint_from_cells(zip(keys, sums.reshape(-1, 4).tolist()),
-                                      n, strat, n)
-            pn = pn_point(joint)
-            pns = pns_point(joint)
-            values[("PN", strat)].append(pn.value)
-            avars[("PN", strat)].append(pn.avar)
-            values[("PNS", strat)].append(pns.value)
-            avars[("PNS", strat)].append(pns.avar)
+        draws[r] = counts
 
     if discarded / attempts > _MAX_DISCARD_RATE:
         raise DegenerateScenarioError(
@@ -270,18 +272,19 @@ def replicate_study(scenario: Scenario, n: int, reps: int,
 
     results = []
     for strat in strat_list:
+        keys, positions = layouts[strat]
+        cells, weights = _replicate_tables(draws, keys, positions, n)
         population = scenario.population_joint(strat, n)
-        pop = {"PN": pn_point(population).avar, "PNS": pns_point(population).avar}
-        for quantity in ("PN", "PNS"):
-            vals = values[(quantity, strat)]
+        for quantity, point in (("PN", pn_point), ("PNS", pns_point)):
+            values, avars = _no_prevention(quantity, cells, weights, n, keys)
             results.append(ReplicationResult(
                 quantity=quantity,
                 stratifier=strat,
                 n=n,
                 reps=reps,
-                empirical_var=float(np.var(vals, ddof=1)),
-                mean_avar=float(np.mean(avars[(quantity, strat)])),
-                population_avar=pop[quantity],
+                empirical_var=float(np.var(values, ddof=1)),
+                mean_avar=float(np.mean(avars)),
+                population_avar=point(population).avar,
             ))
     return ReplicationStudy(scenario=scenario.name, n=n, reps=reps, seed=seed,
                             results=tuple(results), discarded=discarded,

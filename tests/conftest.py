@@ -8,6 +8,13 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import pcause as pc
+from pcause.identify import OUTSIDE_UNIT_WARNING
+from pcause.model import _joint_from_cells
+from pcause.simulate import (
+    _MAX_ATTEMPTS_PER_REP,
+    _MAX_DISCARD_RATE,
+    _stratifier_layout,
+)
 
 # hypothesis caches the constants it reads from the source under its home
 # directory, .hypothesis/ in the working directory by default; keep that
@@ -207,3 +214,140 @@ def assert_intervals_certified(joint: pc.StratifiedJoint,
         searched = pc.feasible_extrema(pooled, experimental.marginal, quantity)
         assert tp.lower == pytest.approx(searched.lower, abs=tol)
         assert tp.upper == pytest.approx(searched.upper, abs=tol)
+
+
+# The scalar point estimators and replication loop as they were before
+# scoring moved to identify._no_prevention: one stratum, one replication at
+# a time in Python floats.  The array kernel must give the same floats.
+
+def _reference_arm_masses(key: pc.StratumKey, t) -> tuple[float, float]:
+    p_x = t.p_exposed * t.weight
+    p_xp = t.p_unexposed * t.weight
+    if p_x <= 0.0 or p_xp <= 0.0:
+        raise pc.PositivityError(
+            f"stratum {key}: both exposure arms need positive probability")
+    return p_x, p_xp
+
+
+def reference_pn_point(joint: pc.StratifiedJoint) -> pc.Estimate:
+    denom = 0.0
+    numer = 0.0
+    for key, t in joint.items():
+        _reference_arm_masses(key, t)
+        denom += t.p_exposed_event * t.weight
+        numer += ((1.0 - t.risk_unexposed) - t.p_noevent) * t.weight
+    if denom <= 0.0:
+        raise pc.PositivityError("PN undefined: no exposed cases overall")
+    value = numer / denom
+
+    n = joint.total_n
+    avar = None
+    if n is not None:
+        base = 0.0
+        for key, t in joint.items():
+            p_x, p_xp = _reference_arm_masses(key, t)
+            rx, rxp = t.risk_exposed, t.risk_unexposed
+            base += ((1.0 - value) ** 2 * rx * (1.0 - rx) / p_x
+                     + rxp * (1.0 - rxp) / p_xp) * (p_x / denom) ** 2
+        avar = base / n
+
+    warnings = () if 0.0 <= value <= 1.0 else (OUTSIDE_UNIT_WARNING,)
+    return pc.Estimate(value=value, avar=avar, n=n, quantity="PN",
+                       covariates=joint.covariates, warnings=warnings)
+
+
+def reference_pns_point(joint: pc.StratifiedJoint) -> pc.Estimate:
+    value = 0.0
+    for key, t in joint.items():
+        _reference_arm_masses(key, t)
+        value += (t.risk_exposed - t.risk_unexposed) * t.weight
+
+    n = joint.total_n
+    avar = None
+    if n is not None:
+        base = 0.0
+        for key, t in joint.items():
+            p_x, p_xp = _reference_arm_masses(key, t)
+            rx, rxp = t.risk_exposed, t.risk_unexposed
+            base += (rx * (1.0 - rx) / p_x
+                     + rxp * (1.0 - rxp) / p_xp) * t.weight ** 2
+        avar = base / n
+
+    warnings = () if 0.0 <= value <= 1.0 else (OUTSIDE_UNIT_WARNING,)
+    return pc.Estimate(value=value, avar=avar, n=n, quantity="PNS",
+                       covariates=joint.covariates, warnings=warnings)
+
+
+def reference_replicate_study(scenario: pc.Scenario, n: int, reps: int,
+                              seed: int) -> pc.ReplicationStudy:
+    if reps < 2:
+        raise pc.ValidationError("need at least two replications for a variance")
+    if n < 1:
+        raise pc.ValidationError(f"sample size must be positive, got {n!r}")
+    strat_list = [(scenario.s_name,), (scenario.t_name,),
+                  tuple(sorted((scenario.s_name, scenario.t_name)))]
+
+    layouts = {strat: _stratifier_layout(scenario, strat)
+               for strat in strat_list}
+    probs = np.array([p for _, p in scenario.outcome_cells()])
+
+    combos = [(quantity, strat) for strat in strat_list
+              for quantity in ("PN", "PNS")]
+    values = {c: [] for c in combos}
+    avars = {c: [] for c in combos}
+
+    discarded = 0
+    attempts = 0
+    for r in range(reps):
+        for attempt in range(_MAX_ATTEMPTS_PER_REP):
+            attempts += 1
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(r, attempt)))
+            counts = rng.multinomial(n, probs)
+            keys, positions = layouts[strat_list[-1]]
+            if np.bincount(positions, weights=counts,
+                           minlength=4 * len(keys)).min() > 0.0:
+                break
+            discarded += 1
+        else:
+            raise pc.DegenerateScenarioError(
+                f"replication {r}: {_MAX_ATTEMPTS_PER_REP} consecutive draws "
+                f"had empty cells at n={n}; the scenario is too sparse")
+
+        for strat in strat_list:
+            keys, positions = layouts[strat]
+            sums = np.bincount(positions, weights=counts, minlength=4 * len(keys))
+            joint = _joint_from_cells(zip(keys, sums.reshape(-1, 4).tolist()),
+                                      n, strat, n)
+            pn = reference_pn_point(joint)
+            pns = reference_pns_point(joint)
+            values[("PN", strat)].append(pn.value)
+            avars[("PN", strat)].append(pn.avar)
+            values[("PNS", strat)].append(pns.value)
+            avars[("PNS", strat)].append(pns.avar)
+
+    if discarded / attempts > _MAX_DISCARD_RATE:
+        raise pc.DegenerateScenarioError(
+            f"{discarded} of {attempts} draws had empty cells "
+            f"(rate {discarded / attempts:.1%} exceeds {_MAX_DISCARD_RATE:.0%}); "
+            f"increase n or merge strata")
+
+    results = []
+    for strat in strat_list:
+        population = scenario.population_joint(strat, n)
+        pop = {"PN": reference_pn_point(population).avar,
+               "PNS": reference_pns_point(population).avar}
+        for quantity in ("PN", "PNS"):
+            vals = values[(quantity, strat)]
+            results.append(pc.ReplicationResult(
+                quantity=quantity,
+                stratifier=strat,
+                n=n,
+                reps=reps,
+                empirical_var=float(np.var(vals, ddof=1)),
+                mean_avar=float(np.mean(avars[(quantity, strat)])),
+                population_avar=pop[quantity],
+            ))
+    return pc.ReplicationStudy(scenario=scenario.name, n=n, reps=reps,
+                               seed=seed, results=tuple(results),
+                               discarded=discarded, attempts=attempts)

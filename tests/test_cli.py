@@ -176,27 +176,33 @@ class TestIdentifyCommand:
 
 
 class TestGoldenReports:
-    """The --json reports on the survival fixture, pinned byte for byte.
+    """The --json reports on the survival fixture and of one simulation,
+    pinned byte for byte.
 
-    The three subcommands use only Python float arithmetic, so the reports
-    do not depend on the platform.  The written text is compared, so key
-    order, indentation and float spelling are pinned too; the data path is
-    replaced by a placeholder.
+    The table reports use Python floats and numpy's ``+ - * /``, which are
+    correctly rounded, so they do not depend on the platform; the simulation
+    also depends on numpy's Generator streams.  The written text is
+    compared, so key order, indentation and float spelling are pinned too;
+    the data path is replaced by a placeholder.  The simulation redraws 17
+    of its 517 samples.
     """
 
     @pytest.mark.parametrize("argv, golden", [
-        (["bounds", "--quantity", "all"], "breast_cancer_bounds.json"),
-        (["identify"], "breast_cancer_identify.json"),
-        (["verify"], "breast_cancer_verify.json"),
+        (["bounds", *DATA, "--quantity", "all"], "breast_cancer_bounds.json"),
+        (["identify", *DATA], "breast_cancer_identify.json"),
+        (["verify", *DATA], "breast_cancer_verify.json"),
+        (["simulate", "--setting", "4", "--n", "200", "--reps", "500",
+          "--seed", "7"], "simulate_setting4.json"),
     ])
     def test_report_matches_golden(self, argv, golden, tmp_path, capsys):
         report_path = tmp_path / "report.json"
-        assert run([argv[0], *DATA, *argv[1:], "--json", str(report_path)]) == 0
+        assert run([*argv, "--json", str(report_path)]) == 0
         capsys.readouterr()
         text = report_path.read_text()
-        data = f'"data": {json.dumps(str(CANCER_CSV))},'
-        assert text.count(data) == 1
-        text = text.replace(data, '"data": "<data>",')
+        if "--data" in argv:
+            data = f'"data": {json.dumps(str(CANCER_CSV))},'
+            assert text.count(data) == 1
+            text = text.replace(data, '"data": "<data>",')
         assert text == (DATA_DIR / golden).read_text()
 
 

@@ -3,11 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
 from pcause.identify import OUTSIDE_UNIT_WARNING
 
-from conftest import random_monotone_stratum
+from conftest import (
+    random_monotone_stratum,
+    random_stratum,
+    reference_pn_point,
+    reference_pns_point,
+)
 
 TOL = 1e-12
 
@@ -138,6 +144,78 @@ class TestAsymptoticVariance:
         joint = pc.StratifiedJoint(strata=strata, covariates=("g",))
         with pytest.raises(pc.PositivityError, match="g=2"):
             pc.pn_point(joint)
+
+
+# Raw stratum masses down to 1e-3 of the largest; one cell in eight is
+# empty, so that arms or all exposed cases can vanish.
+_mass = st.floats(min_value=1e-3, max_value=1.0)
+_cell = st.one_of([_mass] * 7 + [st.just(0.0)])
+_raw_strata = st.lists(
+    st.tuples(st.lists(_cell, min_size=4, max_size=4).filter(any), _mass),
+    min_size=1, max_size=6)
+
+
+def _raw_joint(strata, total_n):
+    total = sum(w for _, w in strata)
+    tables = {pc.StratumKey.of(g=str(i)):
+              pc.StratumTable(*(c / sum(cells) for c in cells),
+                              weight=w / total)
+              for i, (cells, w) in enumerate(strata)}
+    return pc.StratifiedJoint(strata=tables, covariates=("g",),
+                              total_n=total_n)
+
+
+def _outcome(point, joint):
+    try:
+        return repr(point(joint))
+    except pc.PositivityError as exc:
+        return f"PositivityError: {exc}"
+
+
+# Joints on which a square taken as x * x instead of Python's x ** 2 moves
+# the last digit of the a.var: PN's through (1 - PN) ** 2, PNS's through a
+# stratum weight ** 2.
+_PN_SQUARE = [([0.456, 0.75, 0.727, 0.066], 0.9926900812678664),
+              ([0.068, 0.562, 0.909, 0.53], 0.8283032044818356)]
+_PNS_SQUARE = [([0.514, 0.47, 0.444, 0.152], 0.27894293615552185),
+               ([0.45, 0.072, 0.675, 0.244], 0.29098470889494615)]
+
+
+class TestArrayKernel:
+    """pn_point and pns_point score through one array function; its floats,
+    warnings and errors are those of the scalar loops in conftest."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(_raw_strata, st.integers(min_value=1, max_value=10**9) | st.none())
+    @example(_PN_SQUARE, 1000)
+    @example(_PNS_SQUARE, 1000)
+    @example([([0.0, 0.5, 0.5, 0.5], 0.5), ([0.0, 0.2, 0.3, 0.4], 0.5)], 10)
+    @example([([0.5, 0.5, 0.5, 0.5], 0.5), ([0.5, 0.5, 0.0, 0.0], 0.5)], 10)
+    def test_matches_the_scalar_loops(self, strata, total_n):
+        joint = _raw_joint(strata, total_n)
+        assert _outcome(pc.pn_point, joint) == \
+            _outcome(reference_pn_point, joint)
+        assert _outcome(pc.pns_point, joint) == \
+            _outcome(reference_pns_point, joint)
+
+    def test_many_strata_add_in_order(self):
+        # enough strata that a pairwise sum (np.sum) and the left-to-right
+        # loop give different last digits
+        rng = np.random.default_rng(904)
+        weights = rng.dirichlet(np.ones(2000)).tolist()
+        joint = pc.StratifiedJoint(
+            strata={pc.StratumKey.of(g=f"{i:04d}"): random_stratum(rng, w)
+                    for i, w in enumerate(weights)},
+            covariates=("g",), total_n=10**6)
+        assert repr(pc.pn_point(joint)) == repr(reference_pn_point(joint))
+        assert repr(pc.pns_point(joint)) == repr(reference_pns_point(joint))
+
+    def test_pinned_joints_square_where_pow_and_multiply_differ(self):
+        v = reference_pn_point(_raw_joint(_PN_SQUARE, 1000)).value
+        assert (1.0 - v) ** 2 != (1.0 - v) * (1.0 - v)
+        weights = [t.weight for _, t in _raw_joint(_PNS_SQUARE, 1000).items()]
+        assert any(w ** 2 != w * w for w in weights)
 
 
 class TestStratifierInvariance:

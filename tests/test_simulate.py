@@ -5,7 +5,7 @@ import pytest
 
 import pcause as pc
 
-from conftest import sample_dataset
+from conftest import reference_replicate_study, sample_dataset
 
 TOL = 1e-12
 
@@ -168,6 +168,16 @@ class TestReplicationStudy:
     def test_excessive_discard_rate_raises(self):
         with pytest.raises(pc.DegenerateScenarioError, match="exceeds"):
             pc.replicate_study(_sparse_scenario(), n=210, reps=20, seed=8)
+
+    @pytest.mark.parametrize("name, n", [
+        ("setting-1", 1000), ("setting-2", 1000), ("setting-3", 1000),
+        ("setting-4", 1000), ("setting-4", 200)])
+    def test_batch_scoring_matches_the_loop(self, name, n):
+        # setting 4 at n=200 redraws, so the kept draws are not the first
+        study = pc.replicate_study(_scenario(name), n=n, reps=50, seed=7)
+        assert study == reference_replicate_study(_scenario(name), n=n,
+                                                  reps=50, seed=7)
+        assert (study.discarded > 0) == (n == 200)
 
     def test_hopeless_scenario_hits_attempt_cap(self):
         cells = {(1, "1", "1"): 0.488, (1, "2", "1"): 0.002,

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 49 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 51 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -10,7 +10,10 @@ directory:
   with inputs generated into WORKDIR by this tree's ``perfbench/workloads.py``;
 * ``bounds``, ``identify``, ``select``, ``verify`` and ``verify --tol 0`` on
   the cancer fixture, each with and without ``--smoothing add-half``;
-* ``simulate --setting 1..4 --n 1000 --reps 5000 --seed 7``.
+* ``simulate --setting 1..4 --n 1000 --reps 5000 --seed 7``;
+* ``simulate --setting 4 --n 200 --reps 2000 --seed 7``, which redraws many
+  samples, and ``simulate --setting 1 --n 120 --reps 200 --seed 7``, which
+  redraws too many and exits 1.
 
 It prints one line per job: the exit code, a SHA-256 over the exit code,
 stdout, stderr and the ``--json`` report, and the argv.  Reports record the
@@ -45,6 +48,10 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
                   ("verify", "--data", FIXTURE, "--tol", "0", *smoothing)]
     argvs += [("simulate", "--setting", str(setting), "--n", "1000",
                "--reps", "5000", "--seed", "7") for setting in (1, 2, 3, 4)]
+    argvs += [("simulate", "--setting", "4", "--n", "200", "--reps", "2000",
+               "--seed", "7"),
+              ("simulate", "--setting", "1", "--n", "120", "--reps", "200",
+               "--seed", "7")]
     return argvs
 
 
