@@ -59,6 +59,9 @@ the earlier term in the documented order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import IncompatibilityError, PositivityError, ValidationError
 from .model import (
@@ -66,7 +69,8 @@ from .model import (
     StratifiedJoint,
     StratumKey,
     StratumTable,
-    clip_pair,
+    _clip_pairs,
+    _running_sum,
     compatible_pair,
     validate_compatibility,
 )
@@ -121,24 +125,43 @@ class Interval:
         return self.lower - _INVERT_TOL <= value <= self.upper + _INVERT_TOL
 
 
+class _Columns(NamedTuple):
+    """A joint's cell columns, named as :class:`StratumTable`'s fields, so
+    that the term function reads every stratum at once."""
+
+    p_exposed_event: np.ndarray
+    p_exposed_noevent: np.ndarray
+    p_unexposed_event: np.ndarray
+    p_unexposed_noevent: np.ndarray
+
+    def swap(self) -> "_Columns":
+        """:meth:`StratumTable.swap` of every stratum."""
+        return _Columns(self.p_unexposed_noevent, self.p_unexposed_event,
+                        self.p_exposed_noevent, self.p_exposed_event)
+
+
 def _swap_pair(pair: tuple[float, float]) -> tuple[float, float]:
     # Under the exposure/outcome relabeling, P(y_x|s) maps to 1 - P(y_x'|s).
     return (1.0 - pair[1], 1.0 - pair[0])
 
 
-def _framed(quantity: str, table: StratumTable, pair: tuple[float, float],
-            ) -> tuple[StratumTable, tuple[float, float]]:
+def _framed(quantity: str, table: StratumTable | _Columns,
+            pair: tuple[float, float],
+            ) -> tuple[StratumTable | _Columns, tuple[float, float]]:
     """The frame in which the quantity's terms are written: PS is PN on the
-    swapped table, and PN and PNS keep the table as given."""
+    swapped table, and PN and PNS keep the table as given.  ``table`` and
+    ``pair`` may also be a joint's columns and the columns of its pairs."""
     if quantity == "PS":
         return table.swap(), _swap_pair(pair)
     return table, pair
 
 
-def _terms(quantity: str, table: StratumTable, pair: tuple[float, float],
+def _terms(quantity: str, table: StratumTable | _Columns,
+           pair: tuple[float, float],
            ) -> tuple[float | None, tuple[float, ...], tuple[float, ...]]:
     """Candidate terms of one stratum, in tie-break order, for a table and
-    pair already in the quantity's frame (see :func:`_framed`).
+    pair already in the quantity's frame (see :func:`_framed`).  Given
+    every stratum's columns and pair columns, each term is a column.
 
     Returns (denominator, lower terms, upper terms).  For PN and PS the
     denominator is P(x,y|s) of the frame and the terms are numerators: the
@@ -149,10 +172,11 @@ def _terms(quantity: str, table: StratumTable, pair: tuple[float, float],
     """
     do_exposed, do_unexposed = pair
     p_noevent_do_unexposed = 1.0 - do_unexposed
+    p_noevent = table.p_exposed_noevent + table.p_unexposed_noevent
     if quantity == "PNS":
         lows = (0.0,
-                do_exposed - table.p_event,
-                p_noevent_do_unexposed - table.p_noevent,
+                do_exposed - (table.p_exposed_event + table.p_unexposed_event),
+                p_noevent_do_unexposed - p_noevent,
                 do_exposed - do_unexposed)
         ups = (do_exposed,
                p_noevent_do_unexposed,
@@ -161,8 +185,16 @@ def _terms(quantity: str, table: StratumTable, pair: tuple[float, float],
                + table.p_unexposed_event + table.p_exposed_noevent)
         return None, lows, ups
     cell = table.p_exposed_event
-    return (cell, (0.0, p_noevent_do_unexposed - table.p_noevent),
+    return (cell, (0.0, p_noevent_do_unexposed - p_noevent),
             (cell, p_noevent_do_unexposed - table.p_unexposed_noevent))
+
+
+def _rows(terms: tuple, n_strata: int) -> np.ndarray:
+    """Terms as rows of one (terms, strata) array; constants repeat."""
+    rows = np.empty((len(terms), n_strata))
+    for row, term in zip(rows, terms):
+        row[:] = term
+    return rows
 
 
 def _choice(quantity: str, key: StratumKey, li: int, ui: int) -> TermChoice:
@@ -253,28 +285,26 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
         key, t = next(joint.items())
         return _box(quantity, "stratified", t, experimental.pair(key), key)
 
-    lower_acc = 0.0
-    upper_acc = 0.0
-    denom = 0.0
-    choices = []
-    for key, t in joint.items():
-        pair = clip_pair(t, experimental.pair(key))
-        cell, lows, ups = _terms(quantity, *_framed(quantity, t, pair))
-        li, ui = lows.index(max(lows)), ups.index(min(ups))
-        if cell is not None:
-            denom += cell * t.weight
-        lower_acc += lows[li] * t.weight
-        upper_acc += ups[ui] * t.weight
-        choices.append(_choice(quantity, key, li, ui))
+    keys = joint.keys()
+    pairs = _clip_pairs(joint.cells, experimental.pairs)
+    cell, lows, ups = _terms(quantity, *_framed(
+        quantity, _Columns(*joint.cells.T), (pairs[:, 0], pairs[:, 1])))
+    lows, ups = _rows(lows, len(keys)), _rows(ups, len(keys))
+    # argmax and argmin find the first extreme: ties go to the earlier term
+    li, ui = lows.argmax(axis=0), ups.argmin(axis=0)
+    strata = np.arange(len(keys))
+    lower = float(_running_sum(lows[li, strata] * joint.weights))
+    upper = float(_running_sum(ups[ui, strata] * joint.weights))
+    choices = tuple(_choice(quantity, key, i, j)
+                    for key, i, j in zip(keys, li.tolist(), ui.tolist()))
 
-    lower, upper = lower_acc, upper_acc
-    if quantity != "PNS":
+    if cell is not None:
+        denom = float(_running_sum(cell * joint.weights))
         if denom <= 0.0:
             raise PositivityError(
                 f"{quantity} undefined: no {_POSITIVE_FRAME[quantity]} overall")
-        lower, upper = lower_acc / denom, upper_acc / denom
-    return _finish(lower, upper, quantity, "stratified", tuple(choices),
-                   key=None)
+        lower, upper = lower / denom, upper / denom
+    return _finish(lower, upper, quantity, "stratified", choices, key=None)
 
 
 def tian_pearl_interval(quantity: str, table: StratumTable,

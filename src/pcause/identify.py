@@ -38,6 +38,7 @@ from .model import (
     ExperimentalQuantities,
     StratifiedJoint,
     StratumKey,
+    _running_sum,
 )
 
 _RD_TOL = 1e-12
@@ -72,12 +73,6 @@ def _square(a: np.ndarray) -> np.ndarray:
     # (AVX-512 SVML on x86-64, numpy 2.4) differs on about 54,000.
     return np.fromiter(map(pow, a.ravel().tolist(), repeat(2)), float,
                        a.size).reshape(a.shape)
-
-
-def _running_sum(a: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, as a Python loop adds them; np.sum adds
-    pairwise and moves last digits."""
-    return np.add.accumulate(a, axis=1)[:, -1]
 
 
 def _no_prevention(quantity: str, cells: np.ndarray, weights: np.ndarray,
@@ -126,12 +121,8 @@ def _no_prevention(quantity: str, cells: np.ndarray, weights: np.ndarray,
 
 
 def _point(quantity: str, joint: StratifiedJoint) -> Estimate:
-    tables = [t for _, t in joint.items()]
-    cells = np.array([[[t.p_exposed_event, t.p_exposed_noevent,
-                        t.p_unexposed_event, t.p_unexposed_noevent]
-                       for t in tables]])
-    weights = np.array([[t.weight for t in tables]])
-    value, avar = _no_prevention(quantity, cells, weights, joint.total_n,
+    value, avar = _no_prevention(quantity, joint.cells[None],
+                                 joint.weights[None], joint.total_n,
                                  joint.keys())
     value = value.item()
     warnings = () if 0.0 <= value <= 1.0 else (OUTSIDE_UNIT_WARNING,)

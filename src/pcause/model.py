@@ -11,9 +11,11 @@ then ``x``, ``y`` and ``count``::
     ...
 
 Lines starting with ``#`` and blank lines are ignored.  Duplicate cells are
-summed.  Counts convert to a :class:`StratifiedJoint`, which stores within
-each stratum the four joint cell probabilities P(x, y | s) and the stratum
-weight P(s).
+summed.  Whitespace around a field is dropped, and a level must keep one
+spelling throughout.  Counts convert to a :class:`StratifiedJoint`, which
+stores within each stratum the four joint cell probabilities P(x, y | s)
+and the stratum weight P(s), as a table per stratum and as arrays over all
+strata, which the stratified computations read.
 
 Experimental knowledge enters as :class:`ExperimentalQuantities`: the pair
 (P(y_x | s), P(y_x' | s)) per stratum, where y_x denotes the outcome under
@@ -27,10 +29,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import IncompatibilityError, ParseError, PositivityError, ValidationError
 
@@ -88,6 +93,14 @@ class StratumKey:
             raise ValidationError(f"duplicate covariate in stratum key: {names}")
 
     @classmethod
+    def _canonical(cls, labels: tuple[tuple[str, str], ...]) -> "StratumKey":
+        """A key from labels already in canonical order, with distinct
+        names, as a stratum of a checked table or joint has them."""
+        key = object.__new__(cls)
+        object.__setattr__(key, "labels", labels)
+        return key
+
+    @classmethod
     def of(cls, **levels: object) -> "StratumKey":
         return cls(tuple((name, str(value)) for name, value in levels.items()))
 
@@ -113,6 +126,17 @@ class StratumKey:
         if not self.labels:
             return "(pooled)"
         return ",".join(f"{name}={value}" for name, value in self.labels)
+
+
+# Slot order of a stratum's four cells, as in StratumTable, and the slots
+# in (x, y) order.
+_CELLS = ((EXPOSED, EVENT), (EXPOSED, NOEVENT), (UNEXPOSED, EVENT),
+          (UNEXPOSED, NOEVENT))
+_ROW_SLOTS = (3, 2, 1, 0)
+
+
+def _cell_slot(x: int, y: int) -> int:
+    return _CELLS.index((x, y))
 
 
 # Sort keys that order strata as StratumKey's generated comparisons do,
@@ -205,11 +229,18 @@ class StratumTable:
 
 @dataclass(frozen=True)
 class StratifiedJoint:
-    """A collection of stratum tables whose weights partition unity."""
+    """A collection of stratum tables whose weights partition unity.
+
+    Beside the ``strata`` mapping, ``cells`` holds each stratum's P(x, y | s)
+    as a (K, 4) array in slot order (as :class:`StratumTable`'s fields) and
+    ``weights`` each P(s) as a (K,) array, both in key order.
+    """
 
     strata: Mapping[StratumKey, StratumTable]
     covariates: tuple[str, ...]
     total_n: int | None = None
+    cells: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.strata:
@@ -223,13 +254,42 @@ class StratifiedJoint:
                 raise ValidationError(
                     f"stratum {key} does not use covariates {covs}")
             ordered[key] = self.strata[key]
-        total = sum(t.weight for t in ordered.values())
+        tables = ordered.values()
+        self._finish(ordered, covs,
+                     np.array([[t.p_exposed_event, t.p_exposed_noevent,
+                                t.p_unexposed_event, t.p_unexposed_noevent]
+                               for t in tables], dtype=float),
+                     [t.weight for t in tables])
+
+    @classmethod
+    def _of(cls, keys: Sequence[StratumKey], cells: np.ndarray,
+            weights: np.ndarray, covariates: Sequence[str],
+            total_n: int | None) -> "StratifiedJoint":
+        """A joint from its arrays, with ``keys`` in key order and each
+        using exactly ``covariates``; the tables are built from the rows."""
+        weights = weights.tolist()
+        strata = dict(zip(keys, map(StratumTable, *cells.T.tolist(), weights)))
+        covs = tuple(sorted(str(c) for c in covariates))
+        if len(set(covs)) != len(covs):
+            raise ValidationError(f"duplicate covariate names: {covs}")
+        joint = object.__new__(cls)
+        object.__setattr__(joint, "total_n", total_n)
+        joint._finish(strata, covs, cells, weights)
+        return joint
+
+    def _finish(self, strata: dict[StratumKey, StratumTable],
+                covariates: tuple[str, ...], cells: np.ndarray,
+                weights: list[float]) -> None:
+        total = sum(weights)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(f"stratum weights sum to {total!r}, not 1")
         if self.total_n is not None and self.total_n <= 0:
             raise ValidationError(f"total_n must be positive, got {self.total_n!r}")
-        object.__setattr__(self, "strata", ordered)
-        object.__setattr__(self, "covariates", covs)
+        weights = np.array(weights, dtype=float)
+        cells.flags.writeable = weights.flags.writeable = False
+        for name, value in (("strata", strata), ("covariates", covariates),
+                            ("cells", cells), ("weights", weights)):
+            object.__setattr__(self, name, value)
 
     def items(self) -> Iterator[tuple[StratumKey, StratumTable]]:
         return iter(self.strata.items())
@@ -248,26 +308,51 @@ class StratifiedJoint:
         return next(iter(self.strata.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CountTable:
-    """Integer cell counts keyed by (stratum, x, y)."""
+    """Integer cell counts keyed by (stratum, x, y).
 
-    cells: Mapping[tuple[StratumKey, int, int], int]
+    Stored as the distinct strata in key order, each with a quad of counts
+    in the order of :class:`StratumTable`'s cells, where None marks a cell
+    that no row named.
+    ``cells`` and :meth:`rows` present the same counts in (stratum, x, y)
+    order.
+    """
+
     covariates: tuple[str, ...]
+    _keys: tuple[StratumKey, ...]
+    _quads: tuple[tuple[int | None, ...], ...]
+    _total: int = field(compare=False)
 
-    def __post_init__(self) -> None:
-        covs = tuple(sorted(str(c) for c in self.covariates))
-        cleaned = {}
-        for (key, x, y), n in sorted(self.cells.items(), key=_cell_order):
+    def __init__(self, cells: Mapping[tuple[StratumKey, int, int], int],
+                 covariates: Sequence[str]) -> None:
+        covs = tuple(sorted(str(c) for c in covariates))
+        quads: dict[StratumKey, list[int | None]] = {}
+        for (key, x, y), n in sorted(cells.items(), key=_cell_order):
             if key.covariates != covs:
                 raise ValidationError(f"stratum {key} does not use covariates {covs}")
             if x not in (0, 1) or y not in (0, 1):
                 raise ValidationError(f"cell ({key}, x={x!r}, y={y!r}) not binary")
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise ValidationError(f"count {n!r} is not a nonnegative integer")
-            cleaned[(key, x, y)] = n
-        object.__setattr__(self, "cells", cleaned)
-        object.__setattr__(self, "covariates", covs)
+            quads.setdefault(key, [None] * 4)[_cell_slot(x, y)] = n
+        self._set(covs, tuple(quads), list(quads.values()),
+                  sum(cells.values()))
+
+    @classmethod
+    def _of(cls, covariates: tuple[str, ...], keys: tuple[StratumKey, ...],
+            quads: list[list[int | None]], total: int) -> "CountTable":
+        """A table from checked parts: sorted covariates, keys in key order."""
+        table = object.__new__(cls)
+        table._set(covariates, keys, quads, total)
+        return table
+
+    def _set(self, covariates: tuple[str, ...], keys: tuple[StratumKey, ...],
+             quads: list[list[int | None]], total: int) -> None:
+        object.__setattr__(self, "covariates", covariates)
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_quads", tuple(map(tuple, quads)))
+        object.__setattr__(self, "_total", total)
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[StratumKey, int, int, int]],
@@ -280,12 +365,22 @@ class CountTable:
         return cls(cells=cells, covariates=tuple(covariates))
 
     @property
+    def cells(self) -> dict[tuple[StratumKey, int, int], int]:
+        """A new dict of the counts by (stratum, x, y), in that order."""
+        return {(key, x, y): n for key, x, y, n in self.rows()}
+
+    @property
     def total(self) -> int:
-        return sum(self.cells.values())
+        return self._total
 
     def rows(self) -> Iterator[tuple[StratumKey, int, int, int]]:
-        for (key, x, y), n in self.cells.items():
-            yield key, x, y, n
+        for key, quad in zip(self._keys, self._quads):
+            for slot in _ROW_SLOTS:
+                if quad[slot] is not None:
+                    yield key, *_CELLS[slot], quad[slot]
+
+    def __repr__(self) -> str:
+        return f"CountTable(cells={self.cells!r}, covariates={self.covariates!r})"
 
     def collapse(self, keep: Sequence[str]) -> "CountTable":
         """Sum counts over the covariates not in ``keep``.  Exact."""
@@ -299,6 +394,17 @@ class CountTable:
         )
 
 
+# A data row's (x, y) fields as written, when they need no stripping.
+_SLOTS = {("1", "1"): 0, ("1", "0"): 1, ("0", "1"): 2, ("0", "0"): 3}
+
+
+def _levels_getter(positions: list[int]) -> Callable[[Sequence], tuple]:
+    """A function giving the tuple of a sequence's items at ``positions``."""
+    if len(positions) == 1:
+        return lambda fields: (fields[positions[0]],)
+    return itemgetter(*positions) if positions else lambda fields: ()
+
+
 def load_counts(source: Source) -> CountTable:
     """Parse the counts CSV described in the module docstring.
 
@@ -307,61 +413,106 @@ def load_counts(source: Source) -> CountTable:
     """
     # Lines end at \n, \r\n or \r only, as for the csv module; str.splitlines
     # would also split at \x1c-\x1e, \x85, \u2028 and others inside a level.
-    lines = _read_text(source).replace("\r\n", "\n").replace("\r", "\n")
-    kept: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(lines.split("\n"), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = next(csv.reader([raw]))
-        kept.append((lineno, [f.strip() for f in fields]))
+    text = _read_text(source).replace("\r\n", "\n").replace("\r", "\n")
+    kept = [(lineno, line)
+            for lineno, line in enumerate(text.split("\n"), start=1)
+            if line.strip()[:1] not in ("", "#")]
     if not kept:
         raise ParseError("no header row found")
+    linenos, lines = zip(*kept)
+    # Each line is one record.  A quote can open a field that the csv
+    # module would continue onto the next line, so quoted text is read
+    # line by line.
+    if '"' in text:
+        records = (next(csv.reader([line])) for line in lines)
+    else:
+        records = csv.reader(lines)
+    numbered = zip(linenos, records)
 
-    header_line, header = kept[0]
+    header_line, header = next(numbered)
+    header = [f.strip() for f in header]
     for required in ("x", "y", "count"):
         if header.count(required) != 1:
             raise ParseError(
                 f"line {header_line}: header must contain {required!r} exactly once")
-    special = {"x": header.index("x"), "y": header.index("y"),
-               "count": header.index("count")}
-    cov_idx = [(name, i) for i, name in enumerate(header)
-               if i not in special.values()]
-    cov_names = [name for name, _ in cov_idx]
+    ix, iy, icount = header.index("x"), header.index("y"), header.index("count")
+    cov_idx = sorted((name, i) for i, name in enumerate(header)
+                     if i not in (ix, iy, icount))
+    cov_names = tuple(name for name, _ in cov_idx)
     if len(set(cov_names)) != len(cov_names):
         raise ParseError(f"line {header_line}: duplicate covariate columns")
     if any(not name for name in cov_names):
         raise ParseError(f"line {header_line}: empty covariate column name")
 
-    # One key per distinct tuple of levels, shared by that stratum's rows.
-    keys: dict[tuple[str, ...], StratumKey] = {}
-    rows: list[tuple[StratumKey, int, int, int]] = []
-    for lineno, fields in kept[1:]:
-        if len(fields) != len(header):
+    # Rows are summed into one quad per distinct tuple of levels as written
+    # (in covariate order).  Each covariate's spellings are stripped once,
+    # when first seen; two that strip to one level are an error, not a merge.
+    levels_of = _levels_getter([i for _, i in cov_idx])
+    quads: dict[tuple[str, ...], list[int | None]] = {}
+    level_of: list[dict[str, str]] = [{} for _ in cov_names]
+    spelled: list[dict[str, tuple[str, int]]] = [{} for _ in cov_names]
+    total = 0
+    width = len(header)
+    for lineno, fields in numbered:
+        if len(fields) != width:
             raise ParseError(
-                f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
-        xy = {}
-        for name in ("x", "y"):
-            value = fields[special[name]]
-            if value not in ("0", "1"):
-                raise ParseError(f"line {lineno}: {name} must be 0 or 1, got {value!r}")
-            xy[name] = int(value)
-        raw_count = fields[special["count"]]
+                f"line {lineno}: expected {width} fields, got {len(fields)}")
+        slot = _SLOTS.get((fields[ix], fields[iy]))
+        if slot is None:
+            slot = _row_slot(lineno, fields[ix].strip(), fields[iy].strip())
+        # int() ignores the whitespace that strip() removes
         try:
-            n = int(raw_count)
+            n = int(fields[icount])
         except ValueError:
             n = -1
         if n < 0:
-            raise ParseError(
-                f"line {lineno}: count must be a nonnegative integer, got {raw_count!r}")
-        levels = tuple(fields[i] for _, i in cov_idx)
-        key = keys.get(levels)
-        if key is None:
-            key = keys[levels] = StratumKey(tuple(zip(cov_names, levels)))
-        rows.append((key, xy["x"], xy["y"], n))
-    if not rows:
+            raise ParseError(f"line {lineno}: count must be a nonnegative "
+                             f"integer, got {fields[icount].strip()!r}")
+        written = levels_of(fields)
+        quad = quads.get(written)
+        if quad is None:
+            quad = quads[written] = [None, None, None, None]
+            for args in zip(cov_names, written, level_of, spelled):
+                _add_spelling(lineno, *args)
+        had = quad[slot]
+        quad[slot] = n if had is None else had + n
+        total += n
+    if not quads:
         raise ParseError("no data rows")
-    return CountTable.from_rows(rows, covariates=cov_names)
+
+    # One key per distinct tuple of levels, in key order.
+    if any(level != spelling for levels in level_of
+           for spelling, level in levels.items()):
+        quads = {tuple(map(dict.__getitem__, level_of, written)): quad
+                 for written, quad in quads.items()}
+    strata = sorted(quads.items(), key=itemgetter(0))
+    keys = tuple(StratumKey._canonical(tuple(zip(cov_names, levels)))
+                 for levels, _ in strata)
+    return CountTable._of(cov_names, keys, [quad for _, quad in strata],
+                          total)
+
+
+def _row_slot(lineno: int, x: str, y: str) -> int:
+    for name, value in (("x", x), ("y", y)):
+        if value not in ("0", "1"):
+            raise ParseError(f"line {lineno}: {name} must be 0 or 1, got {value!r}")
+    return _SLOTS[(x, y)]
+
+
+def _add_spelling(lineno: int, name: str, spelling: str,
+                  level_of: dict[str, str],
+                  spelled: dict[str, tuple[str, int]]) -> None:
+    """Record a covariate's spelling of a level, as written on ``lineno``;
+    raise :class:`ParseError` if an earlier line spells the level otherwise."""
+    if spelling in level_of:
+        return
+    level = level_of[spelling] = spelling.strip()
+    first, line = spelled.setdefault(level, (spelling, lineno))
+    if first != spelling:
+        raise ParseError(
+            f"line {lineno}: covariate {name!r} level {spelling!r} reads as "
+            f"{level!r}, which line {line} writes {first!r}; write each level "
+            "one way")
 
 
 def render_counts(counts: CountTable) -> str:
@@ -386,35 +537,26 @@ def render_counts(counts: CountTable) -> str:
     return out.getvalue()
 
 
-# Slot order of a stratum's four cells, as in StratumTable.
-_CELLS = ((EXPOSED, EVENT), (EXPOSED, NOEVENT), (UNEXPOSED, EVENT),
-          (UNEXPOSED, NOEVENT))
+def _running_sum(a: np.ndarray) -> np.ndarray:
+    """Sums along the last axis added left to right from 0.0, as a Python
+    loop adds them; np.sum adds pairwise and moves last digits."""
+    return np.add.accumulate(a, axis=-1)[..., -1] + 0.0
 
 
-def _cell_slot(x: int, y: int) -> int:
-    return _CELLS.index((x, y))
+def _normalised(quads: np.ndarray, total) -> tuple[np.ndarray, np.ndarray]:
+    """Cells and weights from cell masses (..., K, 4) in slot order: each
+    stratum's cells divided by their sum, and the sum by ``total``."""
+    sums = ((quads[..., 0] + quads[..., 1]) + quads[..., 2]) + quads[..., 3]
+    return quads / sums[..., None], sums / total
 
 
-def _joint_from_cells(cells: Iterable[tuple[StratumKey, Sequence[float]]],
-                     total: float, covariates: Sequence[str],
-                     total_n: int | None) -> StratifiedJoint:
-    """A joint from each stratum's four cell masses, in slot order.
-
-    Each stratum's cells are divided by their sum, and the sum by ``total``
-    to give the stratum weight.
-    """
-    strata = {}
-    for key, quad in cells:
-        st_total = sum(quad)
-        strata[key] = StratumTable(
-            p_exposed_event=quad[0] / st_total,
-            p_exposed_noevent=quad[1] / st_total,
-            p_unexposed_event=quad[2] / st_total,
-            p_unexposed_noevent=quad[3] / st_total,
-            weight=st_total / total,
-        )
-    return StratifiedJoint(strata=strata, covariates=tuple(covariates),
-                           total_n=total_n)
+def _joint_from_cells(keys: Sequence[StratumKey], quads: np.ndarray,
+                      total: float, covariates: Sequence[str],
+                      total_n: int | None) -> StratifiedJoint:
+    """A joint from each stratum's four cell masses, ``quads`` (K, 4) in
+    slot order, with ``keys`` in key order; see :func:`_normalised`."""
+    cells, weights = _normalised(quads, total)
+    return StratifiedJoint._of(keys, cells, weights, covariates, total_n)
 
 
 def to_probabilities(counts: CountTable, smoothing: str = "none") -> StratifiedJoint:
@@ -440,20 +582,21 @@ def to_probabilities(counts: CountTable, smoothing: str = "none") -> StratifiedJ
                 raise ValidationError(f"stratum {key}: counts too large for "
                                       "floating point (their total exceeds 1.8e308)")
 
-    add = 0.5 if smoothing == "add-half" else 0.0
-    quads: dict[StratumKey, list[float]] = {}
-    for key, x, y, n in counts.rows():
-        quads.setdefault(key, [add] * 4)[_cell_slot(x, y)] += n
-
-    grand = 0.0
-    for key, quad in quads.items():
-        for (x, y), c in zip(_CELLS, quad):
-            if c <= 0.0:
-                raise PositivityError(
-                    f"stratum {key}: empty cell (x={x}, y={y}); "
-                    "use add-half smoothing or pool strata")
-        grand += sum(quad)
-    return _joint_from_cells(quads.items(), grand, counts.covariates, raw_total)
+    # each count becomes the nearest float, as float(n) does; a missing
+    # cell (None, read as NaN) counts zero
+    quads = np.array(counts._quads, dtype=float)
+    quads[np.isnan(quads)] = 0.0
+    quads += 0.5 if smoothing == "add-half" else 0.0
+    empty = quads <= 0.0
+    if empty.any():
+        stratum, slot = divmod(int(empty.argmax()), 4)
+        x, y = _CELLS[slot]
+        raise PositivityError(
+            f"stratum {counts._keys[stratum]}: empty cell (x={x}, y={y}); "
+            "use add-half smoothing or pool strata")
+    cells, sums = _normalised(quads, 1.0)
+    return StratifiedJoint._of(counts._keys, cells, sums / _running_sum(sums),
+                               counts.covariates, raw_total)
 
 
 def collapse(joint: StratifiedJoint, keep: Sequence[str]) -> StratifiedJoint:
@@ -467,27 +610,24 @@ def collapse(joint: StratifiedJoint, keep: Sequence[str]) -> StratifiedJoint:
     if unknown:
         raise ValidationError(f"unknown covariate(s) {sorted(unknown)}")
 
-    acc: dict[StratumKey, list[float]] = {}
-    for key, t in joint.items():
-        sub = key.project(keep_t)
-        cells = acc.setdefault(sub, [0.0, 0.0, 0.0, 0.0, 0.0])
-        cells[0] += t.p_exposed_event * t.weight
-        cells[1] += t.p_exposed_noevent * t.weight
-        cells[2] += t.p_unexposed_event * t.weight
-        cells[3] += t.p_unexposed_noevent * t.weight
-        cells[4] += t.weight
+    # each stratum's group is its labels restricted to keep_t, as
+    # StratumKey.project gives them, numbered in key order
+    project = _levels_getter([i for i, name in enumerate(joint.covariates)
+                              if name in keep_t])
+    groups: dict[tuple, int] = {}
+    index = np.fromiter((groups.setdefault(project(key.labels), len(groups))
+                         for key in joint.strata), np.intp, joint.n_strata)
+    # np.add.at adds each group's strata in key order, as a Python loop would
+    masses = np.zeros((len(groups), 4))
+    np.add.at(masses, index, joint.cells * joint.weights[:, None])
+    weights = np.zeros(len(groups))
+    np.add.at(weights, index, joint.weights)
 
-    strata = {}
-    for key, (ee, en, ue, un, w) in acc.items():
-        strata[key] = StratumTable(
-            p_exposed_event=ee / w,
-            p_exposed_noevent=en / w,
-            p_unexposed_event=ue / w,
-            p_unexposed_noevent=un / w,
-            weight=w,
-        )
-    return StratifiedJoint(strata=strata, covariates=keep_t,
-                           total_n=joint.total_n)
+    labels = list(groups)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    keys = [StratumKey._canonical(labels[g]) for g in order]
+    return StratifiedJoint._of(keys, masses[order] / weights[order, None],
+                               weights[order], keep_t, joint.total_n)
 
 
 @dataclass(frozen=True)
@@ -537,6 +677,14 @@ class ExperimentalQuantities:
                    marginal=(do_exposed, do_unexposed),
                    provenance=provenance)
 
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The per-stratum pairs as a (K, 2) array, in key order."""
+        pairs = np.array(list(self.per_stratum.values()), dtype=float)
+        pairs = pairs.reshape(-1, 2)
+        pairs.flags.writeable = False
+        return pairs
+
     def pair(self, key: StratumKey) -> tuple[float, float]:
         try:
             return self.per_stratum[key]
@@ -548,14 +696,18 @@ def adjusted_experimental(joint: StratifiedJoint) -> ExperimentalQuantities:
     """Experimental pairs from observational risks, assuming assignment is
     strongly ignorable given the stratifying covariates:
     P(y_x | s) = P(y | x, s) and P(y_x' | s) = P(y | x', s)."""
-    per = {}
-    for key, t in joint.items():
-        if t.p_exposed <= 0.0 or t.p_unexposed <= 0.0:
-            raise PositivityError(
-                f"stratum {key}: both exposure arms need positive probability")
-        per[key] = (t.risk_exposed, t.risk_unexposed)
-    return ExperimentalQuantities.from_per_stratum(
-        joint, per, provenance=PROVENANCE_ADJUSTED)
+    # arms: P(x|s) and P(x'|s); risks: P(y|x,s) and P(y|x',s)
+    arms = joint.cells[:, 0::2] + joint.cells[:, 1::2]
+    empty = (arms <= 0.0).any(axis=1)
+    keys = joint.keys()
+    if empty.any():
+        raise PositivityError(f"stratum {keys[int(empty.argmax())]}: both "
+                              "exposure arms need positive probability")
+    risks = joint.cells[:, 0::2] / arms
+    return ExperimentalQuantities(
+        per_stratum=dict(zip(keys, map(tuple, risks.tolist()))),
+        marginal=tuple(_running_sum(risks.T * joint.weights).tolist()),
+        provenance=PROVENANCE_ADJUSTED)
 
 
 @dataclass(frozen=True)
@@ -596,10 +748,26 @@ def stratum_violations(table: StratumTable, pair: tuple[float, float],
     return [(name, excess) for name, excess in checks if excess > tol]
 
 
+# stratum_violations' checks, in order.  In a joint's (K, 4) cells the
+# columns 0::2 hold P(x,y|s) and P(x',y|s), the least of each pair's
+# range, and 1 minus the columns 1::2 its greatest.
+_CONSTRAINTS = ("exposed-lower", "exposed-upper", "unexposed-lower",
+                "unexposed-upper")
+
+
 def clip_pair(table: StratumTable, pair: tuple[float, float]) -> tuple[float, float]:
     """The pair moved onto its range; a pair inside comes back unchanged."""
     return (min(1.0 - table.p_exposed_noevent, max(table.p_exposed_event, pair[0])),
             min(1.0 - table.p_unexposed_noevent, max(table.p_unexposed_event, pair[1])))
+
+
+def _clip_pairs(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """:func:`clip_pair` for each stratum of a joint's cells and (K, 2)
+    pairs.  Python's min and max keep their first argument on a tie, which
+    np.minimum and np.maximum do not for 0.0 and -0.0."""
+    least, greatest = cells[:, 0::2], 1.0 - cells[:, 1::2]
+    raised = np.where(pairs > least, pairs, least)
+    return np.where(raised < greatest, raised, greatest)
 
 
 def compatible_pair(table: StratumTable, pair: tuple[float, float],
@@ -626,14 +794,18 @@ def validate_compatibility(joint: StratifiedJoint,
     Raises :class:`ValidationError` when the stratum sets differ; returns a
     report listing violations (empty means compatible).
     """
-    if set(experimental.per_stratum) != set(joint.keys()):
+    # both key sequences are sorted, so they are equal iff the sets are
+    keys = joint.keys()
+    if tuple(experimental.per_stratum) != keys:
         raise ValidationError("experimental strata do not match the joint's strata")
-    violations = []
-    for key, t in joint.items():
-        for name, excess in stratum_violations(t, experimental.pair(key),
-                                               COMPAT_TOL):
-            violations.append(Violation(stratum=key, constraint=name, amount=excess))
-    return CompatibilityReport(violations=tuple(violations))
+    pairs = experimental.pairs
+    excess = np.empty((len(keys), 4))
+    excess[:, 0::2] = joint.cells[:, 0::2] - pairs
+    excess[:, 1::2] = pairs - (1.0 - joint.cells[:, 1::2])
+    return CompatibilityReport(violations=tuple(
+        Violation(stratum=keys[k], constraint=_CONSTRAINTS[c],
+                  amount=excess[k, c].item())
+        for k, c in zip(*np.nonzero(excess > COMPAT_TOL))))
 
 
 def load_experimental(source: Source, joint: StratifiedJoint) -> ExperimentalQuantities:

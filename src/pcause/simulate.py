@@ -36,6 +36,7 @@ from .model import (
     _cell_slot,
     _joint_from_cells,
     _key_order,
+    _normalised,
     _read_json,
 )
 
@@ -99,8 +100,7 @@ class Scenario:
         keys, positions = _stratifier_layout(self, strat)
         probs = [p for _, p in self.outcome_cells()]
         sums = np.bincount(positions, weights=probs, minlength=4 * len(keys))
-        return _joint_from_cells(zip(keys, sums.reshape(-1, 4).tolist()), 1.0,
-                                 strat, n)
+        return _joint_from_cells(keys, sums.reshape(-1, 4), 1.0, strat, n)
 
     def to_dict(self) -> dict:
         return {
@@ -214,9 +214,7 @@ def _replicate_tables(draws: np.ndarray, keys: tuple[StratumKey, ...],
     sums = np.zeros((len(draws), 4 * len(keys)))
     for cell, position in enumerate(positions):
         sums[:, position] += draws[:, cell]
-    quads = sums.reshape(len(draws), len(keys), 4)
-    totals = ((quads[..., 0] + quads[..., 1]) + quads[..., 2]) + quads[..., 3]
-    return quads / totals[..., None], totals / n
+    return _normalised(sums.reshape(len(draws), len(keys), 4), n)
 
 
 def replicate_study(scenario: Scenario, n: int, reps: int,

@@ -1,5 +1,6 @@
 """Shared fixtures and random-instance generators."""
 
+import csv
 import tempfile
 from pathlib import Path
 
@@ -8,8 +9,22 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import pcause as pc
+from pcause.bounds import (
+    _POSITIVE_FRAME,
+    _box,
+    _choice,
+    _finish,
+    _swap_pair,
+)
 from pcause.identify import OUTSIDE_UNIT_WARNING
-from pcause.model import _joint_from_cells
+from pcause.model import (
+    _CELLS,
+    _FLOAT_LIMIT,
+    COMPAT_TOL,
+    _cell_slot,
+    _read_text,
+    clip_pair,
+)
 from pcause.simulate import (
     _MAX_ATTEMPTS_PER_REP,
     _MAX_DISCARD_RATE,
@@ -67,8 +82,13 @@ def random_pair(rng: np.random.Generator,
 
 def random_joint(rng: np.random.Generator, n_strata: int = 3,
                  covariate: str = "g") -> pc.StratifiedJoint:
+    # The floor is 0.05 up to 10 strata, as it always was, then falls as
+    # 5 / n_strata**2, so that many strata clear it at the first draws.  A
+    # floor at a fixed share of the mean weight (such as 0.5 / n_strata)
+    # never would: each weight falls below half its mean with probability
+    # 0.19.
     weights = rng.dirichlet(np.full(n_strata, 3.0))
-    while weights.min() < 0.05:
+    while weights.min() < min(0.05, 5.0 / n_strata ** 2):
         weights = rng.dirichlet(np.full(n_strata, 3.0))
     strata = {
         pc.StratumKey(((covariate, str(i + 1)),)):
@@ -317,8 +337,8 @@ def reference_replicate_study(scenario: pc.Scenario, n: int, reps: int,
         for strat in strat_list:
             keys, positions = layouts[strat]
             sums = np.bincount(positions, weights=counts, minlength=4 * len(keys))
-            joint = _joint_from_cells(zip(keys, sums.reshape(-1, 4).tolist()),
-                                      n, strat, n)
+            joint = reference_joint_from_cells(
+                zip(keys, sums.reshape(-1, 4).tolist()), n, strat, n)
             pn = reference_pn_point(joint)
             pns = reference_pns_point(joint)
             values[("PN", strat)].append(pn.value)
@@ -351,3 +371,237 @@ def reference_replicate_study(scenario: pc.Scenario, n: int, reps: int,
     return pc.ReplicationStudy(scenario=scenario.name, n=n, reps=reps,
                                seed=seed, results=tuple(results),
                                discarded=discarded, attempts=attempts)
+
+
+# The table layer as it was before it moved to arrays: the counts parse one
+# line at a time, and the conversion to probabilities, collapse and the
+# stratified bounds run one stratum at a time in Python floats.  The array
+# code must give the same floats, attainments and errors.
+
+def reference_load_counts(source) -> pc.CountTable:
+    lines = _read_text(source).replace("\r\n", "\n").replace("\r", "\n")
+    kept: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(lines.split("\n"), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = next(csv.reader([raw]))
+        kept.append((lineno, [f.strip() for f in fields]))
+    if not kept:
+        raise pc.ParseError("no header row found")
+
+    header_line, header = kept[0]
+    for required in ("x", "y", "count"):
+        if header.count(required) != 1:
+            raise pc.ParseError(
+                f"line {header_line}: header must contain {required!r} exactly once")
+    special = {"x": header.index("x"), "y": header.index("y"),
+               "count": header.index("count")}
+    cov_idx = [(name, i) for i, name in enumerate(header)
+               if i not in special.values()]
+    cov_names = [name for name, _ in cov_idx]
+    if len(set(cov_names)) != len(cov_names):
+        raise pc.ParseError(f"line {header_line}: duplicate covariate columns")
+    if any(not name for name in cov_names):
+        raise pc.ParseError(f"line {header_line}: empty covariate column name")
+
+    keys: dict[tuple[str, ...], pc.StratumKey] = {}
+    rows: list[tuple[pc.StratumKey, int, int, int]] = []
+    for lineno, fields in kept[1:]:
+        if len(fields) != len(header):
+            raise pc.ParseError(
+                f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+        xy = {}
+        for name in ("x", "y"):
+            value = fields[special[name]]
+            if value not in ("0", "1"):
+                raise pc.ParseError(
+                    f"line {lineno}: {name} must be 0 or 1, got {value!r}")
+            xy[name] = int(value)
+        raw_count = fields[special["count"]]
+        try:
+            n = int(raw_count)
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise pc.ParseError(
+                f"line {lineno}: count must be a nonnegative integer, got {raw_count!r}")
+        levels = tuple(fields[i] for _, i in cov_idx)
+        key = keys.get(levels)
+        if key is None:
+            key = keys[levels] = pc.StratumKey(tuple(zip(cov_names, levels)))
+        rows.append((key, xy["x"], xy["y"], n))
+    if not rows:
+        raise pc.ParseError("no data rows")
+    return pc.CountTable.from_rows(rows, covariates=cov_names)
+
+
+def reference_joint_from_cells(cells, total, covariates, total_n):
+    strata = {}
+    for key, quad in cells:
+        st_total = sum(quad)
+        strata[key] = pc.StratumTable(
+            p_exposed_event=quad[0] / st_total,
+            p_exposed_noevent=quad[1] / st_total,
+            p_unexposed_event=quad[2] / st_total,
+            p_unexposed_noevent=quad[3] / st_total,
+            weight=st_total / total,
+        )
+    return pc.StratifiedJoint(strata=strata, covariates=tuple(covariates),
+                              total_n=total_n)
+
+
+def reference_to_probabilities(counts: pc.CountTable,
+                               smoothing: str = "none") -> pc.StratifiedJoint:
+    if smoothing not in ("none", "add-half"):
+        raise pc.ValidationError(f"unknown smoothing {smoothing!r}")
+    raw_total = counts.total
+    if raw_total <= 0:
+        raise pc.PositivityError("count table is empty")
+    if raw_total >= _FLOAT_LIMIT:
+        running = 0
+        for key, _x, _y, n in counts.rows():
+            running += n
+            if running >= _FLOAT_LIMIT:
+                raise pc.ValidationError(
+                    f"stratum {key}: counts too large for "
+                    "floating point (their total exceeds 1.8e308)")
+
+    add = 0.5 if smoothing == "add-half" else 0.0
+    quads: dict[pc.StratumKey, list[float]] = {}
+    for key, x, y, n in counts.rows():
+        quads.setdefault(key, [add] * 4)[_cell_slot(x, y)] += n
+
+    grand = 0.0
+    for key, quad in quads.items():
+        for (x, y), c in zip(_CELLS, quad):
+            if c <= 0.0:
+                raise pc.PositivityError(
+                    f"stratum {key}: empty cell (x={x}, y={y}); "
+                    "use add-half smoothing or pool strata")
+        grand += sum(quad)
+    return reference_joint_from_cells(quads.items(), grand, counts.covariates,
+                                      raw_total)
+
+
+def reference_collapse(joint: pc.StratifiedJoint, keep) -> pc.StratifiedJoint:
+    keep_t = tuple(keep)
+    unknown = set(keep_t) - set(joint.covariates)
+    if unknown:
+        raise pc.ValidationError(f"unknown covariate(s) {sorted(unknown)}")
+
+    acc: dict[pc.StratumKey, list[float]] = {}
+    for key, t in joint.items():
+        sub = key.project(keep_t)
+        cells = acc.setdefault(sub, [0.0, 0.0, 0.0, 0.0, 0.0])
+        cells[0] += t.p_exposed_event * t.weight
+        cells[1] += t.p_exposed_noevent * t.weight
+        cells[2] += t.p_unexposed_event * t.weight
+        cells[3] += t.p_unexposed_noevent * t.weight
+        cells[4] += t.weight
+
+    strata = {}
+    for key, (ee, en, ue, un, w) in acc.items():
+        strata[key] = pc.StratumTable(
+            p_exposed_event=ee / w,
+            p_exposed_noevent=en / w,
+            p_unexposed_event=ue / w,
+            p_unexposed_noevent=un / w,
+            weight=w,
+        )
+    return pc.StratifiedJoint(strata=strata, covariates=keep_t,
+                              total_n=joint.total_n)
+
+
+def reference_adjusted_experimental(joint: pc.StratifiedJoint,
+                                    ) -> pc.ExperimentalQuantities:
+    per = {}
+    for key, t in joint.items():
+        if t.p_exposed <= 0.0 or t.p_unexposed <= 0.0:
+            raise pc.PositivityError(
+                f"stratum {key}: both exposure arms need positive probability")
+        per[key] = (t.risk_exposed, t.risk_unexposed)
+    return pc.ExperimentalQuantities.from_per_stratum(
+        joint, per, provenance="sita-adjusted")
+
+
+def _reference_violations(table, pair, tol):
+    do_exposed, do_unexposed = pair
+    checks = (
+        ("exposed-lower", table.p_exposed_event - do_exposed),
+        ("exposed-upper", do_exposed - (1.0 - table.p_exposed_noevent)),
+        ("unexposed-lower", table.p_unexposed_event - do_unexposed),
+        ("unexposed-upper", do_unexposed - (1.0 - table.p_unexposed_noevent)),
+    )
+    return [(name, excess) for name, excess in checks if excess > tol]
+
+
+def reference_validate_compatibility(joint, experimental):
+    if set(experimental.per_stratum) != set(joint.keys()):
+        raise pc.ValidationError(
+            "experimental strata do not match the joint's strata")
+    violations = []
+    for key, t in joint.items():
+        for name, excess in _reference_violations(t, experimental.pair(key),
+                                                  COMPAT_TOL):
+            violations.append((key, name, excess))
+    return violations
+
+
+def _reference_terms(quantity, table, pair):
+    do_exposed, do_unexposed = pair
+    p_noevent_do_unexposed = 1.0 - do_unexposed
+    if quantity == "PNS":
+        lows = (0.0,
+                do_exposed - table.p_event,
+                p_noevent_do_unexposed - table.p_noevent,
+                do_exposed - do_unexposed)
+        ups = (do_exposed,
+               p_noevent_do_unexposed,
+               table.p_exposed_event + table.p_unexposed_noevent,
+               do_exposed - do_unexposed
+               + table.p_unexposed_event + table.p_exposed_noevent)
+        return None, lows, ups
+    cell = table.p_exposed_event
+    return (cell, (0.0, p_noevent_do_unexposed - table.p_noevent),
+            (cell, p_noevent_do_unexposed - table.p_unexposed_noevent))
+
+
+def reference_stratified_interval(quantity, joint, experimental):
+    if quantity not in ("PN", "PS", "PNS"):
+        raise pc.ValidationError(f"unknown quantity {quantity!r}")
+    violations = reference_validate_compatibility(joint, experimental)
+    if violations:
+        worst = max(violations, key=lambda v: v[2])
+        raise pc.IncompatibilityError(
+            f"{len(violations)} consistency violation(s); worst: "
+            f"stratum {worst[0]} {worst[1]} by {worst[2]:.3g}")
+
+    if joint.n_strata == 1:
+        key, t = next(joint.items())
+        return _box(quantity, "stratified", t, experimental.pair(key), key)
+
+    lower_acc = 0.0
+    upper_acc = 0.0
+    denom = 0.0
+    choices = []
+    for key, t in joint.items():
+        pair = clip_pair(t, experimental.pair(key))
+        if quantity == "PS":
+            t, pair = t.swap(), _swap_pair(pair)
+        cell, lows, ups = _reference_terms(quantity, t, pair)
+        li, ui = lows.index(max(lows)), ups.index(min(ups))
+        if cell is not None:
+            denom += cell * t.weight
+        lower_acc += lows[li] * t.weight
+        upper_acc += ups[ui] * t.weight
+        choices.append(_choice(quantity, key, li, ui))
+
+    lower, upper = lower_acc, upper_acc
+    if quantity != "PNS":
+        if denom <= 0.0:
+            raise pc.PositivityError(
+                f"{quantity} undefined: no {_POSITIVE_FRAME[quantity]} overall")
+        lower, upper = lower_acc / denom, upper_acc / denom
+    return _finish(lower, upper, quantity, "stratified", tuple(choices),
+                   key=None)

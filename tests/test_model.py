@@ -120,6 +120,24 @@ class TestLoadCounts:
         with pytest.raises(pc.ParseError, match="line 5"):
             pc.load_counts(io.StringIO(text))
 
+    @pytest.mark.parametrize("text,message", [
+        ("s,x,y,count\na,1,1,3\n a,1,0,4\n",
+         "line 3: covariate 's' level ' a' reads as 'a', which line 2 writes 'a'"),
+        ("s,t,x,y,count\n1,\x85,1,1,3\n1,2,0,0,1\n1,,1,0,4\n",
+         "line 4: covariate 't' level '' reads as '', which line 2 writes '\\x85'"),
+    ])
+    def test_two_spellings_of_a_level_are_an_error(self, text, message):
+        # both strip to one level; merging them would hide a typo
+        with pytest.raises(pc.ParseError) as info:
+            pc.load_counts(io.StringIO(text))
+        assert str(info.value).startswith(message)
+
+    def test_one_padded_spelling_is_not_an_error(self):
+        text = "s,x,y,count\n a ,1,1,3\n a ,1,0,4\n"
+        counts = pc.load_counts(io.StringIO(text))
+        assert counts.cells == {(pc.StratumKey.of(s="a"), 1, 0): 4,
+                                (pc.StratumKey.of(s="a"), 1, 1): 3}
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(pc.ParseError, match="cannot read"):
             pc.load_counts(tmp_path / "nope.csv")

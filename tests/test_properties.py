@@ -308,6 +308,7 @@ def _counts_file(draw):
          b"1,0,1,100000000000000000\n1,0,0,4")
 @example("simulate", ["--n", "1" + "0" * 22], b"")
 @example("select", [], _HUGE_COUNTS.encode())
+@example("bounds", [], b"g,x,y,count\n1,1,1,3\n 1,1,0,4\n1,0,1,2\n1,0,0,5")
 def test_run_always_ends_in_an_exit_code(workdir, command, tokens, content):
     path = workdir / "input"
     path.write_bytes(content)

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 51 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 64 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -13,7 +13,13 @@ directory:
 * ``simulate --setting 1..4 --n 1000 --reps 5000 --seed 7``;
 * ``simulate --setting 4 --n 200 --reps 2000 --seed 7``, which redraws many
   samples, and ``simulate --setting 1 --n 120 --reps 200 --seed 7``, which
-  redraws too many and exits 1.
+  redraws too many and exits 1;
+* 13 runs on counts files that this script writes into WORKDIR to exercise
+  the CSV reader: CRLF and lone-CR line endings with comments and blank
+  lines, duplicate cells on lines apart, quoted levels holding ``,``, ``"``
+  or a leading ``#`` with spaces around fields, a three-covariate table
+  under ``identify --stratifier``, a zero cell with and without
+  ``--smoothing add-half``, and a 309-digit count (exit 1).
 
 It prints one line per job: the exit code, a SHA-256 over the exit code,
 stdout, stderr and the ``--json`` report, and the argv.  Reports record the
@@ -31,6 +37,55 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 FIXTURE = "tests/data/breast_cancer.csv"
+
+
+# counts files for the CSV reader, by name: (text, argument lists after
+# ``--data FILE``).  Each level keeps one spelling, so no two rows differ
+# only in whitespace around a level.
+_INGEST = {
+    "line-endings": (
+        "# counts with mixed line endings\r\ns,x,y,count\r\n\r\n"
+        "1,1,1,12\r1,1,0,8\n1,0,1,5\r\n# stratum 2\r2,1,1,7\n\n"
+        "2,1,0,9\r2,0,1,3\r\n2,0,0,11\n1,0,0,14",
+        [("bounds",), ("identify",)]),
+    "duplicates": (
+        "s,t,x,y,count\n1,1,1,1,4\n1,2,1,1,6\n2,1,0,0,5\n1,1,1,0,7\n"
+        "1,1,0,1,2\n1,1,0,0,9\n1,2,1,0,3\n1,2,0,1,5\n1,2,0,0,8\n"
+        "2,1,1,1,3\n2,1,1,0,6\n2,1,0,1,4\n2,2,1,1,8\n2,2,1,0,2\n"
+        "2,2,0,1,5\n2,2,0,0,7\n1,1,1,1,3\n2,1,0,0,2\n1,2,0,0,1\n",
+        [("bounds",), ("select", "--s", "s", "--t", "t")]),
+    "quoted": (
+        'site,x,y,count\n"a,b", 1 ,1, 9\n"a,b", 1 ,0, 4\n"a,b", 0 ,1, 3\n'
+        '"a,b", 0 ,0, 8\n"say ""hi""",1, 1 ,6\n"say ""hi""",1, 0 ,6\n'
+        '"say ""hi""",0, 1 ,2\n"say ""hi""",0, 0 ,9\n"#3",1,1,5 \n'
+        '"#3",1,0,2 \n"#3",0,1,4 \n"#3",0,0,4 \n',
+        [("bounds",), ("verify",)]),
+    "three-covariates": (
+        "a,b,c,x,y,count\n" + "".join(
+            f"{a},{b},{c},{x},{y},{3 + (7 * a + 5 * b + 3 * c + 2 * x + y) % 9}\n"
+            for a in (1, 2) for b in (1, 2, 3) for c in (1, 2)
+            for x in (1, 0) for y in (1, 0)),
+        [("identify", "--stratifier", "a,b"), ("identify", "--stratifier", "c"),
+         ("identify", "--stratifier", "b, a, c"), ("bounds",)]),
+    "zero-cell": (
+        "s,x,y,count\n1,1,1,5\n1,1,0,3\n1,0,1,0\n1,0,0,6\n"
+        "2,1,1,4\n2,1,0,4\n2,0,1,2\n2,0,0,7\n",
+        [("bounds",), ("bounds", "--smoothing", "add-half")]),
+    "huge-count": (
+        f"s,x,y,count\n1,1,1,{'9' * 309}\n1,1,0,3\n1,0,1,2\n1,0,0,6\n",
+        [("bounds",)]),
+}
+
+
+def ingest_jobs(workdir: Path) -> list[tuple[str, ...]]:
+    """Write the counts files of ``_INGEST`` and list their runs."""
+    argvs = []
+    for name, (text, runs) in _INGEST.items():
+        path = workdir / f"ingest-{name}.csv"
+        path.write_bytes(text.encode())
+        for command, *rest in runs:
+            argvs.append((command, "--data", str(path), *rest))
+    return argvs
 
 
 def jobs(workdir: Path) -> list[tuple[str, ...]]:
@@ -52,7 +107,7 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
                "--seed", "7"),
               ("simulate", "--setting", "1", "--n", "120", "--reps", "200",
                "--seed", "7")]
-    return argvs
+    return argvs + ingest_jobs(workdir)
 
 
 def main(argv: list[str]) -> None:
