@@ -59,7 +59,6 @@ the earlier term in the documented order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +68,7 @@ from .model import (
     StratifiedJoint,
     StratumKey,
     StratumTable,
+    _Columns,
     _clip_pairs,
     _running_sum,
     compatible_pair,
@@ -123,21 +123,6 @@ class Interval:
 
     def contains(self, value: float) -> bool:
         return self.lower - _INVERT_TOL <= value <= self.upper + _INVERT_TOL
-
-
-class _Columns(NamedTuple):
-    """A joint's cell columns, named as :class:`StratumTable`'s fields, so
-    that the term function reads every stratum at once."""
-
-    p_exposed_event: np.ndarray
-    p_exposed_noevent: np.ndarray
-    p_unexposed_event: np.ndarray
-    p_unexposed_noevent: np.ndarray
-
-    def swap(self) -> "_Columns":
-        """:meth:`StratumTable.swap` of every stratum."""
-        return _Columns(self.p_unexposed_noevent, self.p_unexposed_event,
-                        self.p_exposed_noevent, self.p_exposed_event)
 
 
 def _swap_pair(pair: tuple[float, float]) -> tuple[float, float]:

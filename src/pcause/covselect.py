@@ -27,7 +27,7 @@ from scipy.special import chdtrc
 
 from .errors import MissingSampleSizeError, ValidationError
 from .identify import Estimate, pn_point, pns_point
-from .model import StratifiedJoint, collapse
+from .model import StratifiedJoint, _groups, collapse
 
 OUTCOME_CI = "y-indep-t-given-xs"
 EXPOSURE_CI = "x-indep-s-given-t"
@@ -72,20 +72,17 @@ def _require_pair(joint: StratifiedJoint, s: str, t: str) -> None:
 
 
 def _exact_deviation(joint: StratifiedJoint, relation: CIRelation) -> float:
-    s, t = relation.s, relation.t
-    if relation.kind == EXPOSURE_CI:
-        coarse = collapse(joint, (t,))
-        dev = 0.0
-        for key, table in joint.items():
-            ref = coarse.strata[key.project((t,))]
-            dev = max(dev, abs(table.p_exposed - ref.p_exposed))
-        return dev
-    coarse = collapse(joint, (s,))
+    exposure = relation.kind == EXPOSURE_CI
+    keep = (relation.t,) if exposure else (relation.s,)
+    index, _, _ = _groups(joint.keys(), joint.covariates, keep)
+    coarse = list(collapse(joint, keep).strata.values())
     dev = 0.0
-    for key, table in joint.items():
-        ref = coarse.strata[key.project((s,))]
-        dev = max(dev, abs(table.risk_exposed - ref.risk_exposed))
-        dev = max(dev, abs(table.risk_unexposed - ref.risk_unexposed))
+    for table, ref in zip(joint.strata.values(), (coarse[g] for g in index)):
+        if exposure:
+            dev = max(dev, abs(table.p_exposed - ref.p_exposed))
+        else:
+            dev = max(dev, abs(table.risk_exposed - ref.risk_exposed),
+                      abs(table.risk_unexposed - ref.risk_unexposed))
     return dev
 
 

@@ -30,10 +30,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -227,6 +226,21 @@ class StratumTable:
         )
 
 
+class _Columns(NamedTuple):
+    """A joint's cell columns, named as :class:`StratumTable`'s fields, so
+    that a function written for one table reads every stratum at once."""
+
+    p_exposed_event: np.ndarray
+    p_exposed_noevent: np.ndarray
+    p_unexposed_event: np.ndarray
+    p_unexposed_noevent: np.ndarray
+
+    def swap(self) -> "_Columns":
+        """:meth:`StratumTable.swap` of every stratum."""
+        return _Columns(self.p_unexposed_noevent, self.p_unexposed_event,
+                        self.p_exposed_noevent, self.p_exposed_event)
+
+
 @dataclass(frozen=True)
 class StratifiedJoint:
     """A collection of stratum tables whose weights partition unity.
@@ -266,15 +280,13 @@ class StratifiedJoint:
             weights: np.ndarray, covariates: Sequence[str],
             total_n: int | None) -> "StratifiedJoint":
         """A joint from its arrays, with ``keys`` in key order and each
-        using exactly ``covariates``; the tables are built from the rows."""
+        using exactly ``covariates``, which are distinct and sorted; the
+        tables are built from the rows."""
         weights = weights.tolist()
         strata = dict(zip(keys, map(StratumTable, *cells.T.tolist(), weights)))
-        covs = tuple(sorted(str(c) for c in covariates))
-        if len(set(covs)) != len(covs):
-            raise ValidationError(f"duplicate covariate names: {covs}")
         joint = object.__new__(cls)
         object.__setattr__(joint, "total_n", total_n)
-        joint._finish(strata, covs, cells, weights)
+        joint._finish(strata, tuple(covariates), cells, weights)
         return joint
 
     def _finish(self, strata: dict[StratumKey, StratumTable],
@@ -384,14 +396,14 @@ class CountTable:
 
     def collapse(self, keep: Sequence[str]) -> "CountTable":
         """Sum counts over the covariates not in ``keep``.  Exact."""
-        keep_t = tuple(keep)
-        unknown = set(keep_t) - set(self.covariates)
-        if unknown:
-            raise ValidationError(f"unknown covariate(s) {sorted(unknown)}")
-        return CountTable.from_rows(
-            ((key.project(keep_t), x, y, n) for key, x, y, n in self.rows()),
-            covariates=keep_t,
-        )
+        index, keys, covs = _groups(self._keys, self.covariates, keep)
+        quads: list[list[int | None]] = [[None] * 4 for _ in keys]
+        for group, quad in zip(index.tolist(), self._quads):
+            into = quads[group]
+            for slot, n in enumerate(quad):
+                if n is not None:
+                    into[slot] = n if into[slot] is None else into[slot] + n
+        return CountTable._of(covs, keys, quads, self._total)
 
 
 # A data row's (x, y) fields as written, when they need no stripping.
@@ -403,6 +415,27 @@ def _levels_getter(positions: list[int]) -> Callable[[Sequence], tuple]:
     if len(positions) == 1:
         return lambda fields: (fields[positions[0]],)
     return itemgetter(*positions) if positions else lambda fields: ()
+
+
+def _groups(keys: Sequence[StratumKey], covariates: tuple[str, ...],
+            keep: Sequence[str]) -> tuple[np.ndarray, tuple, tuple[str, ...]]:
+    """Each stratum's group, numbered in key order, the group keys and the
+    kept covariates, sorted.  A group is a stratum's labels restricted to
+    ``keep``, as :meth:`StratumKey.project` gives them."""
+    covs = tuple(sorted(str(c) for c in keep))
+    unknown = set(covs) - set(covariates)
+    if unknown:
+        raise ValidationError(f"unknown covariate(s) {sorted(unknown)}")
+    if len(set(covs)) != len(covs):
+        raise ValidationError(f"duplicate covariate names: {covs}")
+    project = _levels_getter([i for i, name in enumerate(covariates)
+                              if name in covs])
+    # number the groups as first seen (one hash per stratum), then in order
+    seen: dict[tuple, int] = {}
+    index = [seen.setdefault(project(key.labels), len(seen)) for key in keys]
+    labels = sorted(seen)
+    return (np.argsort([seen[label] for label in labels])[index],
+            tuple(map(StratumKey._canonical, labels)), covs)
 
 
 def load_counts(source: Source) -> CountTable:
@@ -419,6 +452,14 @@ def load_counts(source: Source) -> CountTable:
             if line.strip()[:1] not in ("", "#")]
     if not kept:
         raise ParseError("no header row found")
+    # the csv module rejects a field over its size limit: name its line
+    limit = csv.field_size_limit()
+    for lineno, line in kept:
+        if len(line) > limit:
+            try:
+                next(csv.reader([line]))
+            except csv.Error as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
     linenos, lines = zip(*kept)
     # Each line is one record.  A quote can open a field that the csv
     # module would continue onto the next line, so quoted text is read
@@ -550,15 +591,6 @@ def _normalised(quads: np.ndarray, total) -> tuple[np.ndarray, np.ndarray]:
     return quads / sums[..., None], sums / total
 
 
-def _joint_from_cells(keys: Sequence[StratumKey], quads: np.ndarray,
-                      total: float, covariates: Sequence[str],
-                      total_n: int | None) -> StratifiedJoint:
-    """A joint from each stratum's four cell masses, ``quads`` (K, 4) in
-    slot order, with ``keys`` in key order; see :func:`_normalised`."""
-    cells, weights = _normalised(quads, total)
-    return StratifiedJoint._of(keys, cells, weights, covariates, total_n)
-
-
 def to_probabilities(counts: CountTable, smoothing: str = "none") -> StratifiedJoint:
     """Convert counts to a :class:`StratifiedJoint` of plug-in frequencies.
 
@@ -605,63 +637,54 @@ def collapse(joint: StratifiedJoint, keep: Sequence[str]) -> StratifiedJoint:
     Cell probabilities recombine as weighted averages, so collapsing to the
     empty set yields the pooled 2x2 table as a single-stratum joint.
     """
-    keep_t = tuple(keep)
-    unknown = set(keep_t) - set(joint.covariates)
-    if unknown:
-        raise ValidationError(f"unknown covariate(s) {sorted(unknown)}")
-
-    # each stratum's group is its labels restricted to keep_t, as
-    # StratumKey.project gives them, numbered in key order
-    project = _levels_getter([i for i, name in enumerate(joint.covariates)
-                              if name in keep_t])
-    groups: dict[tuple, int] = {}
-    index = np.fromiter((groups.setdefault(project(key.labels), len(groups))
-                         for key in joint.strata), np.intp, joint.n_strata)
+    index, keys, covs = _groups(joint.keys(), joint.covariates, keep)
     # np.add.at adds each group's strata in key order, as a Python loop would
-    masses = np.zeros((len(groups), 4))
+    masses = np.zeros((len(keys), 4))
     np.add.at(masses, index, joint.cells * joint.weights[:, None])
-    weights = np.zeros(len(groups))
+    weights = np.zeros(len(keys))
     np.add.at(weights, index, joint.weights)
-
-    labels = list(groups)
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    keys = [StratumKey._canonical(labels[g]) for g in order]
-    return StratifiedJoint._of(keys, masses[order] / weights[order, None],
-                               weights[order], keep_t, joint.total_n)
+    return StratifiedJoint._of(keys, masses / weights[:, None], weights, covs,
+                               joint.total_n)
 
 
 @dataclass(frozen=True)
 class ExperimentalQuantities:
     """Interventional outcome probabilities, per stratum and marginal.
 
-    ``per_stratum`` maps each stratum to (P(y_x | s), P(y_x' | s)); the
-    marginal pair is their weight-average.  ``provenance`` records whether
-    the numbers were measured experimentally or derived from observational
-    risks under ignorable assignment.
+    ``per_stratum`` maps each stratum to (P(y_x | s), P(y_x' | s)), also
+    held as the (K, 2) array ``pairs``, both clipped onto [0, 1] and in key
+    order; the marginal pair is their weight-average.  ``provenance`` records
+    whether the numbers were measured experimentally or derived from
+    observational risks under ignorable assignment.
     """
 
     per_stratum: Mapping[StratumKey, tuple[float, float]]
     marginal: tuple[float, float]
     provenance: str
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in (PROVENANCE_MEASURED, PROVENANCE_ADJUSTED):
             raise ValidationError(f"unknown provenance {self.provenance!r}")
-        cleaned = {}
-        for key in sorted(self.per_stratum, key=_key_order):
-            cleaned[key] = tuple(self._checked(p, key) for p in self.per_stratum[key])
-        marg = tuple(self._checked(p, None) for p in self.marginal)
-        if len(marg) != 2 or any(len(pair) != 2 for pair in cleaned.values()):
+        keys = sorted(self.per_stratum, key=_key_order)
+        rows = [*(self.per_stratum[key] for key in keys), self.marginal]
+        if any(len(row) != 2 for row in rows):
             raise ValidationError("expected (do-exposed, do-unexposed) pairs")
-        object.__setattr__(self, "per_stratum", cleaned)
-        object.__setattr__(self, "marginal", marg)
-
-    @staticmethod
-    def _checked(p: float, key: StratumKey | None) -> float:
-        if not (-_SUM_TOL <= p <= 1.0 + _SUM_TOL):
-            where = f"stratum {key}" if key is not None else "marginal"
-            raise ValidationError(f"{where}: probability {p!r} outside [0, 1]")
-        return min(1.0, max(0.0, p))
+        # no dtype: a value that cannot compare with a float raises TypeError
+        values = np.array(rows)
+        inside = (values >= -_SUM_TOL) & (values <= 1.0 + _SUM_TOL)
+        if not inside.all():
+            k, j = divmod(int(inside.argmin()), 2)
+            where = f"stratum {keys[k]}" if k < len(keys) else "marginal"
+            raise ValidationError(
+                f"{where}: probability {rows[k][j]!r} outside [0, 1]")
+        # min(1.0, max(0.0, p)), where + 0.0 turns -0.0 into 0.0 as max does
+        clipped = np.minimum(np.maximum(values, 0.0), 1.0) + 0.0
+        clipped.flags.writeable = False
+        object.__setattr__(self, "pairs", clipped[:-1])
+        object.__setattr__(self, "marginal", tuple(clipped[-1].tolist()))
+        object.__setattr__(self, "per_stratum",
+                           dict(zip(keys, map(tuple, self.pairs.tolist()))))
 
     @classmethod
     def from_per_stratum(cls, joint: StratifiedJoint,
@@ -671,19 +694,10 @@ class ExperimentalQuantities:
         if set(per_stratum) != set(joint.keys()):
             raise ValidationError(
                 "experimental strata do not match the joint's strata")
-        do_exposed = sum(per_stratum[k][0] * t.weight for k, t in joint.items())
-        do_unexposed = sum(per_stratum[k][1] * t.weight for k, t in joint.items())
+        pairs = np.array([per_stratum[key] for key in joint.keys()])
         return cls(per_stratum=per_stratum,
-                   marginal=(do_exposed, do_unexposed),
+                   marginal=tuple(_running_sum(pairs.T * joint.weights).tolist()),
                    provenance=provenance)
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        """The per-stratum pairs as a (K, 2) array, in key order."""
-        pairs = np.array(list(self.per_stratum.values()), dtype=float)
-        pairs = pairs.reshape(-1, 2)
-        pairs.flags.writeable = False
-        return pairs
 
     def pair(self, key: StratumKey) -> tuple[float, float]:
         try:
@@ -726,6 +740,21 @@ class CompatibilityReport:
         return not self.violations
 
 
+# The four consistency inequalities, in the order _excesses gives them.
+_CONSTRAINTS = ("exposed-lower", "exposed-upper", "unexposed-lower",
+                "unexposed-upper")
+
+
+def _excesses(table: StratumTable | _Columns, pair: tuple) -> tuple:
+    """How far the pair lies past each inequality, in ``_CONSTRAINTS`` order;
+    given a joint's :class:`_Columns` and pair columns, each is a column."""
+    do_exposed, do_unexposed = pair
+    return (table.p_exposed_event - do_exposed,
+            do_exposed - (1.0 - table.p_exposed_noevent),
+            table.p_unexposed_event - do_unexposed,
+            do_unexposed - (1.0 - table.p_unexposed_noevent))
+
+
 def stratum_violations(table: StratumTable, pair: tuple[float, float],
                        tol: float) -> list[tuple[str, float]]:
     """Consistency checks linking one stratum's joint cells to its
@@ -738,21 +767,9 @@ def stratum_violations(table: StratumTable, pair: tuple[float, float],
     Returns (constraint name, excess) for each inequality violated by more
     than ``tol``.
     """
-    do_exposed, do_unexposed = pair
-    checks = (
-        ("exposed-lower", table.p_exposed_event - do_exposed),
-        ("exposed-upper", do_exposed - (1.0 - table.p_exposed_noevent)),
-        ("unexposed-lower", table.p_unexposed_event - do_unexposed),
-        ("unexposed-upper", do_unexposed - (1.0 - table.p_unexposed_noevent)),
-    )
-    return [(name, excess) for name, excess in checks if excess > tol]
-
-
-# stratum_violations' checks, in order.  In a joint's (K, 4) cells the
-# columns 0::2 hold P(x,y|s) and P(x',y|s), the least of each pair's
-# range, and 1 minus the columns 1::2 its greatest.
-_CONSTRAINTS = ("exposed-lower", "exposed-upper", "unexposed-lower",
-                "unexposed-upper")
+    return [(name, excess)
+            for name, excess in zip(_CONSTRAINTS, _excesses(table, pair))
+            if excess > tol]
 
 
 def clip_pair(table: StratumTable, pair: tuple[float, float]) -> tuple[float, float]:
@@ -798,10 +815,8 @@ def validate_compatibility(joint: StratifiedJoint,
     keys = joint.keys()
     if tuple(experimental.per_stratum) != keys:
         raise ValidationError("experimental strata do not match the joint's strata")
-    pairs = experimental.pairs
-    excess = np.empty((len(keys), 4))
-    excess[:, 0::2] = joint.cells[:, 0::2] - pairs
-    excess[:, 1::2] = pairs - (1.0 - joint.cells[:, 1::2])
+    excess = np.stack(_excesses(_Columns(*joint.cells.T),
+                                experimental.pairs.T), axis=1)
     return CompatibilityReport(violations=tuple(
         Violation(stratum=keys[k], constraint=_CONSTRAINTS[c],
                   amount=excess[k, c].item())

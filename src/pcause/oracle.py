@@ -27,7 +27,8 @@ quantity, and reports any discrepancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import bounds
 from .errors import IncompatibilityError, PositivityError, ValidationError
@@ -149,11 +150,12 @@ class VerificationEntry:
     quantity: str
     closed: bounds.Interval
     searched: bounds.Interval
+    discrepancy: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def discrepancy(self) -> float:
-        return max(abs(self.closed.lower - self.searched.lower),
-                   abs(self.closed.upper - self.searched.upper))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "discrepancy", max(
+            abs(self.closed.lower - self.searched.lower),
+            abs(self.closed.upper - self.searched.upper)))
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ class VerificationReport:
     def max_discrepancy(self) -> float:
         return max(e.discrepancy for e in self.entries)
 
-    @property
+    @cached_property
     def failures(self) -> tuple[VerificationEntry, ...]:
         return tuple(e for e in self.entries if e.discrepancy > self.tol)
 

@@ -34,8 +34,7 @@ from .model import (
     StratifiedJoint,
     StratumKey,
     _cell_slot,
-    _joint_from_cells,
-    _key_order,
+    _groups,
     _normalised,
     _read_json,
 )
@@ -96,11 +95,12 @@ class Scenario:
     def population_joint(self, stratifier: Sequence[str],
                          n: int | None = None) -> StratifiedJoint:
         """The exact joint this scenario induces under a stratifier."""
-        strat = tuple(stratifier)
+        strat = tuple(sorted(stratifier))
         keys, positions = _stratifier_layout(self, strat)
         probs = [p for _, p in self.outcome_cells()]
         sums = np.bincount(positions, weights=probs, minlength=4 * len(keys))
-        return _joint_from_cells(keys, sums.reshape(-1, 4), 1.0, strat, n)
+        cells, weights = _normalised(sums.reshape(-1, 4), 1.0)
+        return StratifiedJoint._of(keys, cells, weights, strat, n)
 
     def to_dict(self) -> dict:
         return {
@@ -196,21 +196,20 @@ def _stratifier_layout(scenario: Scenario, stratifier: tuple[str, ...],
     """The strata in joint order, and each sampling cell's (stratum, table
     slot) position."""
     cells = scenario.outcome_cells()
-    projected = [StratumKey(((scenario.s_name, s), (scenario.t_name, t)))
-                 .project(stratifier) for (_x, s, t, _y), _p in cells]
-    keys = tuple(sorted(set(projected), key=_key_order))
-    index = {key: i for i, key in enumerate(keys)}
-    positions = np.array([index[key] * 4 + _cell_slot(x, y)
-                          for key, ((x, _s, _t, y), _p) in zip(projected, cells)],
-                         dtype=np.int64)
+    index, keys, _ = _groups(
+        [StratumKey(((scenario.s_name, s), (scenario.t_name, t)))
+         for (_x, s, t, _y), _p in cells],
+        tuple(sorted((scenario.s_name, scenario.t_name))), stratifier)
+    positions = np.array([group * 4 + _cell_slot(x, y)
+                          for group, ((x, _s, _t, y), _p) in zip(index, cells)])
     return keys, positions
 
 
 def _replicate_tables(draws: np.ndarray, keys: tuple[StratumKey, ...],
                       positions: np.ndarray, n: int,
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Each draw's (K, 4) cells and (K,) weights under one stratifier,
-    normalised as :func:`~pcause.model._joint_from_cells` does."""
+    """Each draw's (K, 4) cells and (K,) weights under one stratifier, as
+    :func:`~pcause.model._normalised` gives them from the counts and n."""
     sums = np.zeros((len(draws), 4 * len(keys)))
     for cell, position in enumerate(positions):
         sums[:, position] += draws[:, cell]

@@ -521,8 +521,66 @@ def reference_adjusted_experimental(joint: pc.StratifiedJoint,
             raise pc.PositivityError(
                 f"stratum {key}: both exposure arms need positive probability")
         per[key] = (t.risk_exposed, t.risk_unexposed)
-    return pc.ExperimentalQuantities.from_per_stratum(
-        joint, per, provenance="sita-adjusted")
+    return reference_from_per_stratum(joint, per, provenance="sita-adjusted")
+
+
+# The count collapse and the experimental constructor as they were before
+# both collapses shared one grouping and the pairs one array check: one row
+# or one value at a time.
+
+def reference_count_collapse(counts: pc.CountTable, keep) -> pc.CountTable:
+    keep_t = tuple(keep)
+    unknown = set(keep_t) - set(counts.covariates)
+    if unknown:
+        raise pc.ValidationError(f"unknown covariate(s) {sorted(unknown)}")
+    return pc.CountTable.from_rows(
+        ((key.project(keep_t), x, y, n) for key, x, y, n in counts.rows()),
+        covariates=keep_t,
+    )
+
+
+def _reference_checked(p, key):
+    if not (-1e-9 <= p <= 1.0 + 1e-9):
+        where = f"stratum {key}" if key is not None else "marginal"
+        raise pc.ValidationError(f"{where}: probability {p!r} outside [0, 1]")
+    return min(1.0, max(0.0, p))
+
+
+def reference_experimental(per_stratum, marginal,
+                           provenance: str) -> pc.ExperimentalQuantities:
+    """The object the old constructor built, made without running the
+    current one."""
+    if provenance not in ("measured-experimental", "sita-adjusted"):
+        raise pc.ValidationError(f"unknown provenance {provenance!r}")
+    cleaned = {}
+    for key in sorted(per_stratum):
+        cleaned[key] = tuple(_reference_checked(p, key)
+                             for p in per_stratum[key])
+    marg = tuple(_reference_checked(p, None) for p in marginal)
+    if len(marg) != 2 or any(len(pair) != 2 for pair in cleaned.values()):
+        raise pc.ValidationError("expected (do-exposed, do-unexposed) pairs")
+    pairs = np.array(list(cleaned.values()), dtype=float).reshape(-1, 2)
+    pairs.flags.writeable = False
+    built = object.__new__(pc.ExperimentalQuantities)
+    for name, value in (("per_stratum", cleaned), ("marginal", marg),
+                        ("provenance", provenance), ("pairs", pairs)):
+        object.__setattr__(built, name, value)
+    return built
+
+
+def reference_from_per_stratum(joint: pc.StratifiedJoint, per_stratum,
+                               provenance: str) -> pc.ExperimentalQuantities:
+    if set(per_stratum) != set(joint.keys()):
+        raise pc.ValidationError(
+            "experimental strata do not match the joint's strata")
+    # The builtin sum, as it adds floats before Python 3.12: left to right.
+    # (From 3.12 on, sum() of floats is compensated.)
+    do_exposed = do_unexposed = 0
+    for key, t in joint.items():
+        do_exposed += per_stratum[key][0] * t.weight
+        do_unexposed += per_stratum[key][1] * t.weight
+    return reference_experimental(per_stratum, (do_exposed, do_unexposed),
+                                  provenance)
 
 
 def _reference_violations(table, pair, tol):

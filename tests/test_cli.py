@@ -507,6 +507,23 @@ class TestInputErrors:
         assert err == ("error: stratum g=1: counts too large for floating "
                        "point (their total exceeds 1.8e308)\n")
 
+    # a field one character over the csv module's limit, unquoted and
+    # quoted, after a comment line that the line number counts
+    @pytest.mark.parametrize("level", ["a" * 131_073,
+                                       '"' + "a" * 131_073 + '"'],
+                             ids=["unquoted", "quoted"])
+    def test_field_over_the_csv_size_limit(self, level, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text(f"# wide level\ns,x,y,count\n{level},1,1,3\n")
+        assert run(["bounds", "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3: field larger than field limit (131072)\n")
+
+    def test_repeated_stratifier_name(self, capsys):
+        assert run(["identify", *DATA, "--stratifier", "stage,stage"]) == 1
+        assert capsys.readouterr().err == (
+            "error: duplicate covariate names: ('stage', 'stage')\n")
+
     def test_verify_with_an_unexposed_risk_that_rounds_to_one(self, tmp_path,
                                                               capsys):
         # P(y|x') = 1e17 / (1e17 + 4) rounds to 1.0, while P(x',y') > 0

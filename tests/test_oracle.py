@@ -4,7 +4,7 @@ import pytest
 import pcause as pc
 import pcause.bounds
 from pcause.model import stratum_violations
-from pcause.oracle import feasible_extrema
+from pcause.oracle import VerificationEntry, feasible_extrema
 
 from conftest import assert_intervals_certified, random_instance, \
     random_monotone_stratum, random_pair, random_stratum
@@ -196,3 +196,19 @@ class TestVerification:
         assert {e.quantity for e in report.failures} == {"PN"}
         assert len(report.failures) == 3
         assert report.max_discrepancy == pytest.approx(0.05, abs=1e-9)
+
+    def test_entries_compare_and_print_by_their_intervals(self, cancer_joint,
+                                                         cancer_experimental):
+        # the discrepancy is worked out once per entry, as a field that
+        # neither repr nor == reads
+        entry = pc.verify_bounds(cancer_joint, cancer_experimental).entries[0]
+        assert entry.discrepancy == max(
+            abs(entry.closed.lower - entry.searched.lower),
+            abs(entry.closed.upper - entry.searched.upper))
+        assert repr(entry) == (
+            f"VerificationEntry(stratum={entry.stratum!r}, quantity="
+            f"{entry.quantity!r}, closed={entry.closed!r}, "
+            f"searched={entry.searched!r})")
+        again = VerificationEntry(entry.stratum, entry.quantity,
+                                  entry.closed, entry.searched)
+        assert again == entry and again.discrepancy == entry.discrepancy

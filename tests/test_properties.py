@@ -309,6 +309,8 @@ def _counts_file(draw):
 @example("simulate", ["--n", "1" + "0" * 22], b"")
 @example("select", [], _HUGE_COUNTS.encode())
 @example("bounds", [], b"g,x,y,count\n1,1,1,3\n 1,1,0,4\n1,0,1,2\n1,0,0,5")
+# a level one character longer than the csv module reads
+@example("bounds", [], b"g,x,y,count\n" + b"a" * 131_073 + b",1,1,3\n")
 def test_run_always_ends_in_an_exit_code(workdir, command, tokens, content):
     path = workdir / "input"
     path.write_bytes(content)

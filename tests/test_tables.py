@@ -2,15 +2,18 @@
 
 ``load_counts`` parses in one pass, and ``to_probabilities``, ``collapse``,
 ``adjusted_experimental``, ``validate_compatibility`` and
-``stratified_interval`` read a joint's cell and weight arrays.  The
-``reference_*`` functions in ``conftest`` are those functions as they were,
-one line or one stratum at a time; here the two must agree on the repr of
-every endpoint, attainment, cell and weight, and on the text of every
-error.  The examples come from ``hypothesis`` in derandomized mode.
+``stratified_interval`` read a joint's cell and weight arrays.  Both
+collapses share one grouping, and ``ExperimentalQuantities`` checks and
+clips its pairs as one array.  The ``reference_*`` functions in
+``conftest`` are those functions as they were, one line, one stratum or one
+value at a time; here the two must agree on the repr of every endpoint,
+attainment, cell, weight, count and pair, and on the text of every error.
+The examples come from ``hypothesis`` in derandomized mode.
 """
 
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ from conftest import (
     random_stratum,
     reference_adjusted_experimental,
     reference_collapse,
+    reference_count_collapse,
+    reference_experimental,
+    reference_from_per_stratum,
     reference_load_counts,
     reference_stratified_interval,
     reference_to_probabilities,
@@ -48,6 +54,9 @@ def _outcome(function, *args):
             [t.p_exposed_event, t.p_exposed_noevent, t.p_unexposed_event,
              t.p_unexposed_noevent] for t in tables]
         assert result.weights.tolist() == [t.weight for t in tables]
+    if isinstance(result, pc.ExperimentalQuantities):
+        assert not result.pairs.flags.writeable
+        return repr(result), repr(result.pairs.tolist())
     return repr(result)
 
 
@@ -66,10 +75,36 @@ def assert_same_tables(joint, experimental):
         reference_validate_compatibility, joint, experimental)
     assert _outcome(pc.adjusted_experimental, joint) == _outcome(
         reference_adjusted_experimental, joint)
-    for n_keep in range(len(joint.covariates) + 1):
-        for keep in itertools.permutations(joint.covariates, n_keep):
-            assert _outcome(pc.collapse, joint, keep) == _outcome(
-                reference_collapse, joint, keep)
+    per, provenance = experimental.per_stratum, experimental.provenance
+    assert _outcome(pc.ExperimentalQuantities.from_per_stratum, joint, per,
+                    provenance) == _outcome(reference_from_per_stratum,
+                                            joint, per, provenance)
+    for keep in _keeps(joint.covariates):
+        assert _outcome(pc.collapse, joint, keep) == _outcome(
+            reference_collapse, joint, keep)
+
+
+def _keeps(covariates):
+    """Every ordering of every subset of the covariates, each also with its
+    first name repeated, and one unknown name."""
+    for n_keep in range(len(covariates) + 1):
+        for keep in itertools.permutations(covariates, n_keep):
+            yield keep
+            yield keep + keep[:1]
+    yield covariates + ("zz",)
+
+
+def assert_same_counts(counts):
+    """The count collapse agrees with its row loop for every ``keep``, and
+    rejects a repeated name, which the row loop let through."""
+    for keep in _keeps(counts.covariates):
+        if len(set(keep)) < len(keep):
+            with pytest.raises(pc.ValidationError,
+                               match=r"^duplicate covariate names: \("):
+                counts.collapse(keep)
+        else:
+            assert _outcome(counts.collapse, keep) == _outcome(
+                reference_count_collapse, counts, keep)
 
 
 # Joints over covariates g and h.  Raw cell masses run down to 1e-3 of the
@@ -145,6 +180,7 @@ def test_two_thousand_strata():
     for smoothing in ("none", "add-half"):
         assert _outcome(pc.to_probabilities, counts, smoothing) == \
             _outcome(reference_to_probabilities, counts, smoothing)
+    assert_same_counts(counts)
 
 
 def test_random_joint_draws_many_strata():
@@ -230,3 +266,100 @@ def test_respelled_levels_are_an_error_the_old_loop_merged(text):
     assert len({key for key, *_ in merged.rows()}) == 1
     with pytest.raises(pc.ParseError, match="line 3: covariate 's'"):
         pc.load_counts(io.StringIO(text))
+
+
+# Count tables over up to three covariates, with missing cells and counts
+# past 64 bits.
+_cell = st.sampled_from(((1, 1), (1, 0), (0, 1), (0, 0)))
+_counts = st.one_of(st.integers(0, 50), st.integers(2**64, 2**70))
+
+
+@st.composite
+def count_tables(draw):
+    names = draw(st.sampled_from(((), ("g",), ("h", "g"), ("k", "g", "h"))))
+    strata = draw(st.lists(st.tuples(*[st.sampled_from("12a") for _ in names]),
+                           max_size=8, unique=True))
+    cells = {}
+    for levels in strata:
+        key = pc.StratumKey(tuple(zip(names, levels)))
+        for x, y in draw(st.lists(_cell, min_size=1, max_size=4, unique=True)):
+            cells[key, x, y] = draw(_counts)
+    return pc.CountTable(cells=cells, covariates=names)
+
+
+@repeatable
+@given(count_tables())
+# an empty table, which the row loop collapsed onto a repeated name
+@example(pc.CountTable(cells={}, covariates=("g",)))
+def test_count_collapse_matches_the_row_loop(counts):
+    assert_same_counts(counts)
+
+
+# Probabilities on and just past the ends of [0, 1], NaN, ints and a bool.
+_probability = st.one_of(
+    [st.floats(min_value=0.0, max_value=1.0)] * 4
+    + [st.sampled_from((-0.0, 0.0, 1.0, 1 + 1e-10, -1e-10, 1e-9, -1e-9,
+                        1 + 1e-9, -2e-9, 1.25, float("nan"), 0, 1, 2, -1,
+                        True))])
+
+
+@repeatable
+@given(st.lists(st.tuples(_probability, _probability), min_size=1,
+                max_size=5),
+       st.tuples(_probability, _probability),
+       st.permutations(range(5)),
+       st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=5,
+                max_size=5))
+@example([(-0.0, 1 + 1e-10), (-1e-10, 1)], (0, -0.0), [1, 0, 2, 3, 4],
+         [1.0] * 5)
+def test_experimental_pairs_match_the_value_loop(pairs, marginal, order,
+                                                 weights):
+    keys = [pc.StratumKey.of(g=i) for i in range(len(pairs))]
+    # the pairs arrive out of key order
+    per = {keys[i]: pairs[i] for i in order if i < len(pairs)}
+    for provenance in ("measured-experimental", "unknown"):
+        assert _outcome(pc.ExperimentalQuantities, per, marginal,
+                        provenance) == _outcome(reference_experimental, per,
+                                                marginal, provenance)
+    total = sum(weights[:len(keys)])
+    joint = pc.StratifiedJoint(
+        strata={key: pc.StratumTable(0.25, 0.25, 0.25, 0.25, weight=w / total)
+                for key, w in zip(keys, weights)}, covariates=("g",))
+    assert _outcome(pc.ExperimentalQuantities.from_per_stratum, joint, per,
+                    "measured-experimental") == _outcome(
+        reference_from_per_stratum, joint, per, "measured-experimental")
+
+
+@pytest.mark.parametrize("per, marginal", [
+    ({"1": (0.5,)}, (0.5, 0.5)),
+    ({"1": (0.5, 0.5, 0.5)}, (0.5, 0.5)),
+    ({"1": (0.5, 0.5)}, (0.5, 0.5, 0.5)),
+])
+def test_experimental_pairs_of_the_wrong_length(per, marginal):
+    per = {pc.StratumKey.of(g=g): pair for g, pair in per.items()}
+    outcome = _outcome(pc.ExperimentalQuantities, per, marginal,
+                       "measured-experimental")
+    assert outcome == _outcome(reference_experimental, per, marginal,
+                               "measured-experimental")
+    assert outcome == ("ValidationError: expected (do-exposed, do-unexposed) "
+                       "pairs")
+    # a value out of range in a pair of the wrong length: the length error
+    # comes first, where the old loop checked every value before any length
+    per[pc.StratumKey.of(g="2")] = (2.0,)
+    assert _outcome(pc.ExperimentalQuantities, per, marginal,
+                    "measured-experimental") == outcome
+
+
+def test_marginal_adds_left_to_right():
+    # Each product is exact and only the sum rounds: left to right it gives
+    # 0.6769999999999999, math.fsum (and a compensated sum) 0.677.
+    strata = {pc.StratumKey.of(g=g): pc.StratumTable(0.25, 0.25, 0.25, 0.25,
+                                                     weight=w)
+              for g, w in (("1", 0.5), ("2", 0.25), ("3", 0.25))}
+    joint = pc.StratifiedJoint(strata=strata, covariates=("g",))
+    per = dict(zip(joint.keys(), ((0.899, 0.5), (0.622, 0.5), (0.288, 0.5))))
+    products = [per[key][0] * t.weight for key, t in joint.items()]
+    assert math.fsum(products) == 0.677
+    experimental = pc.ExperimentalQuantities.from_per_stratum(
+        joint, per, "measured-experimental")
+    assert experimental.marginal == (0.6769999999999999, 0.5)

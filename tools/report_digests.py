@@ -2,18 +2,25 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 64 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 82 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
 * every timed job of the three benchmark workloads at seed 1, full size,
   with inputs generated into WORKDIR by this tree's ``perfbench/workloads.py``;
+* ``identify --stratifier s`` and ``--stratifier t`` on the strata-wide
+  table, which collapse its counts;
 * ``bounds``, ``identify``, ``select``, ``verify`` and ``verify --tol 0`` on
   the cancer fixture, each with and without ``--smoothing add-half``;
 * ``simulate --setting 1..4 --n 1000 --reps 5000 --seed 7``;
 * ``simulate --setting 4 --n 200 --reps 2000 --seed 7``, which redraws many
   samples, and ``simulate --setting 1 --n 120 --reps 200 --seed 7``, which
   redraws too many and exits 1;
+* ``bounds`` and ``verify`` on the cancer fixture with each of 8 measured-pair
+  files that this script writes into WORKDIR: a pair at ``1 + 1e-10`` (clipped
+  onto [0, 1]), a pair at ``-0.0``, a pair at 1.25, a missing stratum, an
+  unknown provenance, a non-numeric pair, and a pair outside its
+  compatibility range by more than the 1e-3 tolerance and one inside it;
 * 13 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader: CRLF and lone-CR line endings with comments and blank
   lines, duplicate cells on lines apart, quoted levels holding ``,``, ``"``
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -77,6 +85,41 @@ _INGEST = {
 }
 
 
+# measured-pair files for the fixture, by name: each stratum's pair as
+# (P(y_x|s), P(y_x'|s)), and the provenance.  Stage 2's cell P(x, y) is
+# 17/96, the least P(y_x|s) it allows.
+_PAIRS = {"1": (0.15, 0.3), "2": (0.3, 0.4), "3": (0.5, 0.6)}
+_MEASURED = {
+    "clipped-high": ({**_PAIRS, "3": (0.5, 1 + 1e-10)},
+                     "measured-experimental"),
+    "negative-zero": ({**_PAIRS, "1": (0.15, -0.0)}, "measured-experimental"),
+    "out-of-range": ({**_PAIRS, "2": (1.25, 0.4)}, "measured-experimental"),
+    "missing-stratum": ({"1": _PAIRS["1"], "2": _PAIRS["2"]},
+                        "measured-experimental"),
+    "unknown-provenance": (_PAIRS, "guessed"),
+    "non-numeric": ({**_PAIRS, "2": ("high", 0.4)}, "measured-experimental"),
+    "incompatible": ({**_PAIRS, "2": (17 / 96 - 2e-3, 0.4)},
+                     "measured-experimental"),
+    "inside-tolerance": ({**_PAIRS, "2": (17 / 96 - 5e-4, 0.4)},
+                         "measured-experimental"),
+}
+
+
+def measured_jobs(workdir: Path) -> list[tuple[str, ...]]:
+    """Write the pair files of ``_MEASURED`` and list a bounds and a verify
+    run of the fixture with each."""
+    argvs = []
+    for name, (pairs, provenance) in _MEASURED.items():
+        path = workdir / f"measured-{name}.json"
+        path.write_text(json.dumps({"provenance": provenance, "strata": [
+            {"levels": {"stage": stage}, "p_event_do_exposed": do_x,
+             "p_event_do_unexposed": do_xp}
+            for stage, (do_x, do_xp) in pairs.items()]}))
+        argvs += [(command, "--data", FIXTURE, "--experimental", str(path))
+                  for command in ("bounds", "verify")]
+    return argvs
+
+
 def ingest_jobs(workdir: Path) -> list[tuple[str, ...]]:
     """Write the counts files of ``_INGEST`` and list their runs."""
     argvs = []
@@ -94,6 +137,8 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
 
     argvs = [job.argv for make in WORKLOADS.values()
              for job in make(1, workdir).jobs]
+    argvs += [("identify", "--data", str(workdir / "strata.csv"),
+               "--stratifier", name) for name in ("s", "t")]
     for smoothing in ((), ("--smoothing", "add-half")):
         argvs += [("bounds", "--data", FIXTURE, *smoothing),
                   ("identify", "--data", FIXTURE, *smoothing),
@@ -107,7 +152,7 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
                "--seed", "7"),
               ("simulate", "--setting", "1", "--n", "120", "--reps", "200",
                "--seed", "7")]
-    return argvs + ingest_jobs(workdir)
+    return argvs + measured_jobs(workdir) + ingest_jobs(workdir)
 
 
 def main(argv: list[str]) -> None:
