@@ -43,35 +43,53 @@ method here) apply the conditional formulas to the pooled table with the
 marginal interventional pair; the stratified interval always nests inside
 them.
 
-Every interval screens each stratum's pair with
-:func:`pcause.model.compatible_pair`, which rejects a pair farther than
-``COMPAT_TOL`` outside its compatibility range and moves a nearer one onto
-it; endpoints are then clipped into [0, 1], which removes only float drift.
+Every interval screens each stratum's pair against the four compatibility
+inequalities of :func:`pcause.model.stratum_violations`, computed for all
+strata at once: a pair farther than ``COMPAT_TOL`` outside its range is
+rejected, and a nearer one is moved onto it; endpoints are then clipped into
+[0, 1], which removes only float drift.
 
 Conditional, stratified and Tian-Pearl intervals share one term function,
-which returns a stratum's candidate terms (and, for PN and PS, the
-denominator) in tie-break order; each interval differs only in how it
-combines them.  Each interval records which candidate term produced each
-endpoint in every stratum (:class:`TermChoice`), with ties resolved toward
-the earlier term in the documented order.
+which returns every stratum's candidate terms (and, for PN and PS, the
+denominator) in tie-break order as arrays over the strata; each interval
+differs only in how it combines them.  :func:`conditional_boxes` gives every
+stratum's conditional box from one pass over those arrays, and the
+one-stratum functions (``pn_interval_conditional`` and its PS and PNS
+siblings, :func:`tian_pearl_interval`, and :func:`stratified_interval` of a
+one-stratum joint) are the same pass over one row.  A failing stratum
+raises the error that a loop over the strata in key order would meet first.
+Each interval records which candidate term produced each endpoint in every
+stratum (:class:`TermChoice`), with ties resolved toward the earlier term in
+the documented order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import IncompatibilityError, PositivityError, ValidationError
+from .errors import (
+    IncompatibilityError,
+    PcauseError,
+    PositivityError,
+    ValidationError,
+)
 from .model import (
+    COMPAT_TOL,
     ExperimentalQuantities,
     StratifiedJoint,
     StratumKey,
     StratumTable,
     _Columns,
+    _clip,
     _clip_pairs,
+    _conflict,
+    _excess_columns,
+    _no_pair,
     _running_sum,
-    compatible_pair,
+    _stratum_pairs,
     validate_compatibility,
 )
 
@@ -130,23 +148,11 @@ def _swap_pair(pair: tuple[float, float]) -> tuple[float, float]:
     return (1.0 - pair[1], 1.0 - pair[0])
 
 
-def _framed(quantity: str, table: StratumTable | _Columns,
-            pair: tuple[float, float],
-            ) -> tuple[StratumTable | _Columns, tuple[float, float]]:
-    """The frame in which the quantity's terms are written: PS is PN on the
-    swapped table, and PN and PNS keep the table as given.  ``table`` and
-    ``pair`` may also be a joint's columns and the columns of its pairs."""
-    if quantity == "PS":
-        return table.swap(), _swap_pair(pair)
-    return table, pair
-
-
-def _terms(quantity: str, table: StratumTable | _Columns,
-           pair: tuple[float, float],
-           ) -> tuple[float | None, tuple[float, ...], tuple[float, ...]]:
-    """Candidate terms of one stratum, in tie-break order, for a table and
-    pair already in the quantity's frame (see :func:`_framed`).  Given
-    every stratum's columns and pair columns, each term is a column.
+def _terms(quantity: str, table: _Columns, pair: tuple[np.ndarray, np.ndarray],
+           ) -> tuple[np.ndarray | None, tuple, tuple]:
+    """Candidate terms of every stratum, in tie-break order, for cell and
+    pair columns already in the quantity's frame (see :func:`_chosen`);
+    each term is a column or a constant.
 
     Returns (denominator, lower terms, upper terms).  For PN and PS the
     denominator is P(x,y|s) of the frame and the terms are numerators: the
@@ -182,55 +188,132 @@ def _rows(terms: tuple, n_strata: int) -> np.ndarray:
     return rows
 
 
-def _choice(quantity: str, key: StratumKey, li: int, ui: int) -> TermChoice:
-    if quantity == "PNS":
-        return TermChoice(key, PNS_LOWER_TERMS[li], PNS_UPPER_TERMS[ui])
-    return TermChoice(key, PN_LOWER_TERMS[li], PN_UPPER_TERMS[ui])
+def _chosen(quantity: str, cells: np.ndarray, pairs: np.ndarray,
+            ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray,
+                       np.ndarray, np.ndarray]:
+    """Each stratum's frame denominator (None for PNS), greatest lower and
+    least upper candidate term, and the two terms' indices, from (K, 4)
+    cells and (K, 2) pairs.  PS is PN on the swapped table with the pair
+    swapped (see the module docstring); argmax and argmin find the first
+    extreme, so ties go to the earlier term."""
+    table = _Columns(*cells.T)
+    pair = (pairs[:, 0], pairs[:, 1])
+    if quantity == "PS":
+        table, pair = table.swap(), _swap_pair(pair)
+    denom, lows, ups = _terms(quantity, table, pair)
+    lows, ups = _rows(lows, len(cells)), _rows(ups, len(cells))
+    li, ui = lows.argmax(axis=0), ups.argmin(axis=0)
+    strata = np.arange(len(cells))
+    return denom, lows[li, strata], ups[ui, strata], li, ui
 
 
-def _finish(lower: float, upper: float, quantity: str, method: str,
-            choices: tuple[TermChoice, ...], key: StratumKey | None) -> Interval:
-    # every pair sits on its range, so only float drift leaves [0, 1]
-    lower = min(1.0, max(0.0, lower))
-    upper = min(1.0, max(0.0, upper))
-    if lower > upper + _INVERT_TOL:
-        where = f" in stratum {key}" if key is not None else ""
-        raise IncompatibilityError(
-            f"{quantity} bounds invert{where}: lower {lower:.6g} > upper {upper:.6g}; "
-            "observational and experimental inputs conflict")
-    return Interval(lower=lower, upper=upper, quantity=quantity, method=method,
-                    attainment=choices)
+def _choices(quantity: str, keys: Sequence[StratumKey], li: np.ndarray,
+             ui: np.ndarray) -> Iterator[TermChoice]:
+    lower, upper = ((PNS_LOWER_TERMS, PNS_UPPER_TERMS) if quantity == "PNS"
+                    else (PN_LOWER_TERMS, PN_UPPER_TERMS))
+    return map(TermChoice, keys, map(lower.__getitem__, li.tolist()),
+               map(upper.__getitem__, ui.tolist()))
+
+
+def _inverted(quantity: str, lower: float, upper: float,
+              key: StratumKey | None) -> IncompatibilityError:
+    where = f" in stratum {key}" if key is not None else ""
+    return IncompatibilityError(
+        f"{quantity} bounds invert{where}: lower {lower:.6g} > upper {upper:.6g}; "
+        "observational and experimental inputs conflict")
 
 
 _POSITIVE_FRAME = {"PN": "exposed cases", "PS": "unexposed non-cases"}
 
 
-def _box(quantity: str, method: str, table: StratumTable,
-         pair: tuple[float, float], key: StratumKey | None = None) -> Interval:
-    """The sharp interval of one table and pair: a stratum's conditional
-    box (also the stratified interval of a one-stratum joint), or the
-    Tian-Pearl interval of the pooled table (``key`` None)."""
+def _box_rows(quantities: Sequence[str], method: str, cells: np.ndarray,
+              pairs: np.ndarray, keys: Sequence[StratumKey],
+              ) -> list[tuple[int, list[Interval] | PcauseError]]:
+    """For each quantity, the sharp interval of each (K, 4) cell row and
+    (K, 2) pair, in order: the strata's conditional boxes, the stratified
+    interval of a one-stratum joint, or the Tian-Pearl interval of the
+    pooled table.  The pairs are screened once for all the quantities.
+
+    A row fails when its pair lies farther than ``COMPAT_TOL`` outside its
+    range, when its frame has no mass to divide by, or when its box
+    inverts, in that order of precedence.  Each quantity gets (K, the K
+    intervals) when no row fails, and otherwise (n, the error) of the first
+    row n that fails, so that a caller running several routes can raise the
+    error a row-by-row loop would meet first.
+    """
+    excess = _excess_columns(cells, pairs)
+    conflict = (excess > COMPAT_TOL).any(axis=1)
+    # the clip leaves a pair inside its range as it is
+    pairs = _clip_pairs(cells, pairs)
+    results = []
+    for quantity in quantities:
+        denom, lower, upper, li, ui = _chosen(quantity, cells, pairs)
+        empty = np.zeros(len(cells), dtype=bool)
+        if denom is not None:
+            empty = denom <= 0.0
+            # 0.0 / denom and denom / denom are exactly 0 and 1
+            denom = np.where(empty, 1.0, denom)
+            lower, upper = lower / denom, upper / denom
+        # every pair sits on its range, so only float drift leaves [0, 1]
+        lower, upper = _clip(lower, 0.0, 1.0), _clip(upper, 0.0, 1.0)
+        failed = conflict | empty | (lower > upper + _INVERT_TOL)
+        if not failed.any():
+            results.append((len(cells), [
+                Interval(lo, up, quantity, method, (choice,))
+                for lo, up, choice in zip(lower.tolist(), upper.tolist(),
+                                          _choices(quantity, keys, li, ui))]))
+            continue
+        n = int(failed.argmax())
+        if conflict[n]:
+            error = _conflict(excess[n].tolist(), keys[n])
+        elif empty[n]:
+            error = PositivityError(
+                f"{quantity} undefined in stratum {keys[n]}: no probability "
+                f"mass on {_POSITIVE_FRAME[quantity]}")
+        else:
+            error = _inverted(quantity, lower[n].item(), upper[n].item(),
+                              keys[n])
+        results.append((n, error))
+    return results
+
+
+def _one_box(quantity: str, method: str, table: StratumTable,
+             pair: tuple[float, float], key: StratumKey | None) -> Interval:
+    cells = np.array([[table.p_exposed_event, table.p_exposed_noevent,
+                       table.p_unexposed_event, table.p_unexposed_noevent]])
     key = key if key is not None else StratumKey(())
-    table, pair = _framed(quantity, table, compatible_pair(table, pair, key))
-    denom, lows, ups = _terms(quantity, table, pair)
-    # index() finds the first extreme: ties go to the earlier term
-    li, ui = lows.index(max(lows)), ups.index(min(ups))
-    lower, upper = lows[li], ups[ui]
-    if denom is not None:
-        if denom <= 0.0:
-            raise PositivityError(
-                f"{quantity} undefined in stratum {key}: no probability mass "
-                f"on {_POSITIVE_FRAME[quantity]}")
-        # 0.0 / denom and denom / denom are exactly 0 and 1
-        lower, upper = lower / denom, upper / denom
-    return _finish(lower, upper, quantity, method,
-                   (_choice(quantity, key, li, ui),), key)
+    (n, out), = _box_rows((quantity,), method, cells,
+                          np.array([pair], dtype=float), (key,))
+    if n == 0:
+        raise out
+    return out[0]
+
+
+def conditional_boxes(quantity: str, joint: StratifiedJoint,
+                      experimental: ExperimentalQuantities) -> list[Interval]:
+    """Every stratum's conditional box, in key order, from one array pass.
+
+    Raises the error of the first stratum, in key order, that has no
+    experimental pair or fails the screen, positivity or inversion check,
+    as a loop over the per-stratum functions below would.
+    """
+    if quantity not in QUANTITIES:
+        raise ValidationError(f"unknown quantity {quantity!r}")
+    pairs = _stratum_pairs(joint, experimental)
+    keys = joint.keys()
+    (n, out), = _box_rows((quantity,), "conditional", joint.cells[:len(pairs)],
+                          pairs, keys)
+    if n < len(pairs):
+        raise out
+    if len(pairs) < len(keys):
+        raise _no_pair(keys[len(pairs)])
+    return out
 
 
 def pn_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
                             key: StratumKey | None = None) -> Interval:
     """Sharp bounds on PN(s) = P(y'_x' | x, y, s) for a single stratum."""
-    return _box("PN", "conditional", table, pair, key)
+    return _one_box("PN", "conditional", table, pair, key)
 
 
 def ps_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
@@ -239,13 +322,13 @@ def ps_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
 
     Computed exactly as PN on the swapped table; see the module docstring.
     """
-    return _box("PS", "conditional", table, pair, key)
+    return _one_box("PS", "conditional", table, pair, key)
 
 
 def pns_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
                              key: StratumKey | None = None) -> Interval:
     """Sharp bounds on PNS(s) = P(y_x, y'_x' | s) for a single stratum."""
-    return _box("PNS", "conditional", table, pair, key)
+    return _one_box("PNS", "conditional", table, pair, key)
 
 
 def stratified_interval(quantity: str, joint: StratifiedJoint,
@@ -267,29 +350,26 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
     if joint.n_strata == 1:
         # With one stratum the weight is semantically 1 even if the stored
         # float drifted, so the interval is the stratum's conditional box.
-        key, t = next(joint.items())
-        return _box(quantity, "stratified", t, experimental.pair(key), key)
+        key, table = next(joint.items())
+        return _one_box(quantity, "stratified", table, experimental.pair(key),
+                        key)
 
-    keys = joint.keys()
     pairs = _clip_pairs(joint.cells, experimental.pairs)
-    cell, lows, ups = _terms(quantity, *_framed(
-        quantity, _Columns(*joint.cells.T), (pairs[:, 0], pairs[:, 1])))
-    lows, ups = _rows(lows, len(keys)), _rows(ups, len(keys))
-    # argmax and argmin find the first extreme: ties go to the earlier term
-    li, ui = lows.argmax(axis=0), ups.argmin(axis=0)
-    strata = np.arange(len(keys))
-    lower = float(_running_sum(lows[li, strata] * joint.weights))
-    upper = float(_running_sum(ups[ui, strata] * joint.weights))
-    choices = tuple(_choice(quantity, key, i, j)
-                    for key, i, j in zip(keys, li.tolist(), ui.tolist()))
-
+    cell, lows, ups, li, ui = _chosen(quantity, joint.cells, pairs)
+    lower = float(_running_sum(lows * joint.weights))
+    upper = float(_running_sum(ups * joint.weights))
     if cell is not None:
         denom = float(_running_sum(cell * joint.weights))
         if denom <= 0.0:
             raise PositivityError(
                 f"{quantity} undefined: no {_POSITIVE_FRAME[quantity]} overall")
         lower, upper = lower / denom, upper / denom
-    return _finish(lower, upper, quantity, "stratified", choices, key=None)
+    # every pair sits on its range, so only float drift leaves [0, 1]
+    lower, upper = float(_clip(lower, 0.0, 1.0)), float(_clip(upper, 0.0, 1.0))
+    if lower > upper + _INVERT_TOL:
+        raise _inverted(quantity, lower, upper, None)
+    return Interval(lower, upper, quantity, "stratified",
+                    tuple(_choices(quantity, joint.keys(), li, ui)))
 
 
 def tian_pearl_interval(quantity: str, table: StratumTable,
@@ -300,4 +380,4 @@ def tian_pearl_interval(quantity: str, table: StratumTable,
     """
     if quantity not in QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    return _box(quantity, "tian-pearl", table, marginal)
+    return _one_box(quantity, "tian-pearl", table, marginal, None)

@@ -29,9 +29,7 @@ from typing import Sequence
 from . import __version__
 from .bounds import (
     Interval,
-    pn_interval_conditional,
-    pns_interval_conditional,
-    ps_interval_conditional,
+    conditional_boxes,
     stratified_interval,
     tian_pearl_interval,
 )
@@ -54,12 +52,6 @@ from .simulate import builtin_scenarios, load_scenario, replicate_study
 # until the report is written; at the default threshold (700) the cycle
 # collector sweeps them about a thousand times per 10^4-stratum run.
 _GC_THRESHOLD0 = 100_000
-
-_CONDITIONAL_BOXES = {
-    "PN": pn_interval_conditional,
-    "PS": ps_interval_conditional,
-    "PNS": pns_interval_conditional,
-}
 
 # json's spellings of the floats whose repr is not JSON
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -278,10 +270,9 @@ def _cmd_bounds(args) -> tuple[dict, str | None]:
         intervals.extend([strat, pooled_iv])
         print(f"{quantity:<4} stratified  [{strat.lower:.3f}, {strat.upper:.3f}]")
         print(f"{quantity:<4} tian-pearl  [{pooled_iv.lower:.3f}, {pooled_iv.upper:.3f}]")
-        for key, table in joint.items():
-            box = _CONDITIONAL_BOXES[quantity](table, experimental.pair(key),
-                                               key=key)
-            intervals.append(box)
+        boxes = conditional_boxes(quantity, joint, experimental)
+        intervals.extend(boxes)
+        for key, box in zip(joint.keys(), boxes):
             print(f"     {key}  [{box.lower:.3f}, {box.upper:.3f}]")
 
     return _report("bounds", _input_json(args, joint, experimental),

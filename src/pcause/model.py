@@ -45,6 +45,7 @@ NOEVENT = 0
 
 PROVENANCE_MEASURED = "measured-experimental"
 PROVENANCE_ADJUSTED = "sita-adjusted"
+_MISMATCH = "experimental strata do not match the joint's strata"
 
 _SUM_TOL = 1e-9
 # The least integer that float() rounds to infinity (it raises OverflowError).
@@ -678,8 +679,7 @@ class ExperimentalQuantities:
             where = f"stratum {keys[k]}" if k < len(keys) else "marginal"
             raise ValidationError(
                 f"{where}: probability {rows[k][j]!r} outside [0, 1]")
-        # min(1.0, max(0.0, p)), where + 0.0 turns -0.0 into 0.0 as max does
-        clipped = np.minimum(np.maximum(values, 0.0), 1.0) + 0.0
+        clipped = _clip(values, 0.0, 1.0)
         clipped.flags.writeable = False
         object.__setattr__(self, "pairs", clipped[:-1])
         object.__setattr__(self, "marginal", tuple(clipped[-1].tolist()))
@@ -692,18 +692,29 @@ class ExperimentalQuantities:
                          provenance: str) -> "ExperimentalQuantities":
         """Build with the marginal pair computed from the joint's weights."""
         if set(per_stratum) != set(joint.keys()):
-            raise ValidationError(
-                "experimental strata do not match the joint's strata")
-        pairs = np.array([per_stratum[key] for key in joint.keys()])
-        return cls(per_stratum=per_stratum,
-                   marginal=tuple(_running_sum(pairs.T * joint.weights).tolist()),
+            raise ValidationError(_MISMATCH)
+        return cls._weighted(joint, [per_stratum[key] for key in joint.keys()],
+                             provenance)
+
+    @classmethod
+    def _weighted(cls, joint: StratifiedJoint, pairs: list,
+                  provenance: str) -> "ExperimentalQuantities":
+        """From each stratum's pair in the joint's key order, with their
+        weight-average as the marginal pair."""
+        return cls(per_stratum=dict(zip(joint.keys(), pairs)),
+                   marginal=tuple(_running_sum(np.array(pairs).T
+                                               * joint.weights).tolist()),
                    provenance=provenance)
 
     def pair(self, key: StratumKey) -> tuple[float, float]:
         try:
             return self.per_stratum[key]
         except KeyError:
-            raise ValidationError(f"no experimental pair for stratum {key}") from None
+            raise _no_pair(key) from None
+
+
+def _no_pair(key: StratumKey) -> ValidationError:
+    return ValidationError(f"no experimental pair for stratum {key}")
 
 
 def adjusted_experimental(joint: StratifiedJoint) -> ExperimentalQuantities:
@@ -772,35 +783,40 @@ def stratum_violations(table: StratumTable, pair: tuple[float, float],
             if excess > tol]
 
 
-def clip_pair(table: StratumTable, pair: tuple[float, float]) -> tuple[float, float]:
-    """The pair moved onto its range; a pair inside comes back unchanged."""
-    return (min(1.0 - table.p_exposed_noevent, max(table.p_exposed_event, pair[0])),
-            min(1.0 - table.p_unexposed_noevent, max(table.p_unexposed_event, pair[1])))
+def _excess_columns(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """:func:`_excesses` of each stratum of (K, 4) cells and (K, 2) pairs,
+    as a (K, 4) array."""
+    return np.array(_excesses(_Columns(*cells.T), pairs.T)).T
+
+
+def _clip(values, low, high):
+    """Each value moved into [low, high]; + 0.0 turns a -0.0 into 0.0, as
+    min(1.0, max(0.0, v)) does."""
+    return np.minimum(np.maximum(values, low), high) + 0.0
 
 
 def _clip_pairs(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """:func:`clip_pair` for each stratum of a joint's cells and (K, 2)
-    pairs.  Python's min and max keep their first argument on a tie, which
-    np.minimum and np.maximum do not for 0.0 and -0.0."""
-    least, greatest = cells[:, 0::2], 1.0 - cells[:, 1::2]
-    raised = np.where(pairs > least, pairs, least)
-    return np.where(raised < greatest, raised, greatest)
+    """Each of the (K, 2) pairs moved onto its stratum's range,
+    [P(x,y|s), 1 - P(x,y'|s)] and likewise for x'; a pair inside comes back
+    unchanged."""
+    return _clip(pairs, cells[:, 0::2], 1.0 - cells[:, 1::2])
 
 
-def compatible_pair(table: StratumTable, pair: tuple[float, float],
-                    where: StratumKey | str) -> tuple[float, float]:
-    """Raise :class:`IncompatibilityError` naming every inequality the pair
-    breaks by more than ``COMPAT_TOL``; otherwise return it clipped onto
-    its range.  ``where`` opens the message: a key reads "stratum KEY"."""
-    outside = stratum_violations(table, pair, 0.0)
-    violations = [(name, amount) for name, amount in outside if amount > COMPAT_TOL]
-    if violations:
-        detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
-        if isinstance(where, StratumKey):
-            where = f"stratum {where}"
-        raise IncompatibilityError(
-            f"{where}: experimental pair conflicts with joint cells ({detail})")
-    return clip_pair(table, pair) if outside else pair
+def _conflict(excesses: Sequence[float], where: StratumKey | str,
+              ) -> IncompatibilityError | None:
+    """The error for a pair whose excesses, in ``_CONSTRAINTS`` order,
+    break an inequality by more than ``COMPAT_TOL``, naming every one it
+    breaks; None when there is none.  ``where`` opens the message: a key
+    reads "stratum KEY"."""
+    violations = [(name, amount) for name, amount in zip(_CONSTRAINTS, excesses)
+                  if amount > COMPAT_TOL]
+    if not violations:
+        return None
+    detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
+    if isinstance(where, StratumKey):
+        where = f"stratum {where}"
+    return IncompatibilityError(
+        f"{where}: experimental pair conflicts with joint cells ({detail})")
 
 
 def validate_compatibility(joint: StratifiedJoint,
@@ -814,25 +830,56 @@ def validate_compatibility(joint: StratifiedJoint,
     # both key sequences are sorted, so they are equal iff the sets are
     keys = joint.keys()
     if tuple(experimental.per_stratum) != keys:
-        raise ValidationError("experimental strata do not match the joint's strata")
-    excess = np.stack(_excesses(_Columns(*joint.cells.T),
-                                experimental.pairs.T), axis=1)
+        raise ValidationError(_MISMATCH)
+    excess = _excess_columns(joint.cells, experimental.pairs)
     return CompatibilityReport(violations=tuple(
         Violation(stratum=keys[k], constraint=_CONSTRAINTS[c],
                   amount=excess[k, c].item())
         for k, c in zip(*np.nonzero(excess > COMPAT_TOL))))
 
 
+def _stratum_pairs(joint: StratifiedJoint,
+                   experimental: ExperimentalQuantities) -> np.ndarray:
+    """The pairs of the joint's strata in key order, as an (n, 2) array, up
+    to the first stratum without one (all K when every stratum has one)."""
+    keys = joint.keys()
+    per = experimental.per_stratum
+    if tuple(per) == keys:
+        return experimental.pairs
+    pairs = []
+    for key in keys:
+        if key not in per:
+            break
+        pairs.append(per[key])
+    return np.array(pairs, dtype=float).reshape(-1, 2)
+
+
 def load_experimental(source: Source, joint: StratifiedJoint) -> ExperimentalQuantities:
-    """Parse experimental pairs; the marginal comes from the joint's weights."""
+    """Parse experimental pairs; the marginal comes from the joint's weights.
+    A stratum listed twice takes its last entry."""
     data = _read_json(source, "experimental")
+    keys = joint.keys()
+    index = {key.labels: k for k, key in enumerate(keys)}
+    pairs: list[tuple[float, float] | None] = [None] * len(keys)
+    unknown = False
     try:
-        per = {}
         for entry in data["strata"]:
-            key = StratumKey(tuple((n, str(v)) for n, v in entry["levels"].items()))
-            per[key] = (float(entry["p_event_do_exposed"]),
-                        float(entry["p_event_do_unexposed"]))
+            # the labels of StratumKey(levels): JSON names are already text
+            labels = tuple(sorted((name, str(value))
+                                  for name, value in entry["levels"].items()))
+            pair = (float(entry["p_event_do_exposed"]),
+                    float(entry["p_event_do_unexposed"]))
+            k = index.get(labels)
+            if k is None:
+                unknown = True
+            else:
+                pairs[k] = pair
         provenance = data.get("provenance", PROVENANCE_MEASURED)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            AttributeError) as exc:
+        # OverflowError: an integer too large for a float; AttributeError:
+        # levels that are not a JSON object
         raise ParseError(f"malformed experimental data: {exc}") from exc
-    return ExperimentalQuantities.from_per_stratum(joint, per, provenance)
+    if unknown or None in pairs:
+        raise ValidationError(_MISMATCH)
+    return ExperimentalQuantities._weighted(joint, pairs, provenance)

@@ -22,13 +22,22 @@ feasible interval; evaluating both ends of both arms is exact.
 
 This search shares no formulas with :mod:`pcause.bounds`, which is the
 point: :func:`verify_bounds` compares the two routes per stratum and
-quantity, and reports any discrepancy.
+quantity, and reports any discrepancy.  It runs the search for every
+stratum at once, as arrays over the strata that keep the search's own
+arithmetic, next to one pass of the closed forms over the same strata;
+:func:`feasible_extrema` is the same search over one table.  Pairs pass the
+same compatibility screen as the bounds (the four inequalities of
+:func:`pcause.model.stratum_violations`), but are not moved onto their
+range: the recovered conditionals are clipped into [0, 1] instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 from . import bounds
 from .errors import IncompatibilityError, PositivityError, ValidationError
@@ -38,49 +47,141 @@ from .model import (
     StratifiedJoint,
     StratumKey,
     StratumTable,
-    compatible_pair,
+    _Columns,
+    _clip,
+    _conflict,
+    _excess_columns,
+    _no_pair,
+    _stratum_pairs,
 )
 
 _MASS_TOL = 1e-9
 
 
-def _clip01(v: float) -> float:
-    return min(1.0, max(0.0, v))
+def _positive(values: np.ndarray) -> np.ndarray:
+    """The values, with 1.0 standing in where a stratum has none to divide
+    by; such a stratum fails, so what it divides to is never used."""
+    return np.where(values > 0.0, values, 1.0)
 
 
-def _arm_parameters(table: StratumTable, pair: tuple[float, float],
-                    ) -> tuple[float, float, float, float, float, float]:
-    """(alpha, beta, gamma, delta, p_x, p_x') for the two matching systems.
+def _arm_masses(fixed_y: np.ndarray, fixed_cross: np.ndarray,
+                points: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The helped and never masses at each row of (P, K) values of the
+    always-mass, given the two matching constraints of one arm, and which
+    strata have a type mass (always, helped, hurt or never) below zero at
+    any of them."""
+    helped = fixed_y - points
+    hurt = fixed_cross - points
+    never = 1.0 - fixed_y - fixed_cross + points
+    negative = ((points < -_MASS_TOL) | (helped < -_MASS_TOL)
+                | (hurt < -_MASS_TOL) | (never < -_MASS_TOL)).any(axis=0)
+    return helped, never, negative
 
-    alpha and delta are the observational risks; beta and gamma are the
-    cross-arm interventional conditionals P(y_x' | x, s) and P(y_x | x', s)
-    recovered from the stratum pair.  Pairs that the bounds' screen
-    (:func:`pcause.model.compatible_pair`) rejects raise IncompatibilityError;
-    beta and gamma are then clipped into [0, 1] here, not by the screen.
+
+def _searched_rows(quantities: Sequence[str], cells: np.ndarray,
+                   pairs: np.ndarray, no_prevention: bool,
+                   ) -> list[tuple[int, list[bounds.Interval] | Exception]]:
+    """For each quantity, the search for each (K, 4) cell row and (K, 2)
+    pair, in order.  The arms are solved once for all the quantities.
+
+    Each quantity gets (K, the K intervals) when no row fails, and
+    otherwise (n, the error) of the first row n that fails, as
+    :func:`pcause.bounds._box_rows` does.  A row fails, in this order of
+    precedence, when its pair conflicts with its cells, when an exposure arm
+    is empty, when no distribution without prevention fits (with
+    ``no_prevention``), when a type mass goes negative, or when the quantity
+    conditions on an empty cell.
     """
-    compatible_pair(table, pair, "response-type search")
-    p_x, p_xp = table.p_exposed, table.p_unexposed
-    if p_x <= 0.0 or p_xp <= 0.0:
-        raise PositivityError("both exposure arms need positive probability")
-    alpha = table.risk_exposed
-    delta = table.risk_unexposed
-    beta = _clip01((pair[1] - table.p_unexposed_event) / p_x)
-    gamma = _clip01((pair[0] - table.p_exposed_event) / p_xp)
-    return alpha, beta, gamma, delta, p_x, p_xp
+    table = _Columns(*cells.T)
+    do_exposed, do_unexposed = pairs.T
+    excess = _excess_columns(cells, pairs)
+    conflict = (excess > COMPAT_TOL).any(axis=1)
+    p_x = table.p_exposed_event + table.p_exposed_noevent
+    p_xp = table.p_unexposed_event + table.p_unexposed_noevent
+    empty_arm = (p_x <= 0.0) | (p_xp <= 0.0)
+    per_x, per_xp = _positive(p_x), _positive(p_xp)
+    # alpha and delta are the observational risks; beta and gamma the
+    # cross-arm interventional conditionals P(y_x' | x, s) and P(y_x | x', s)
+    alpha = table.p_exposed_event / per_x
+    delta = table.p_unexposed_event / per_xp
+    beta = _clip((do_unexposed - table.p_unexposed_event) / per_x, 0.0, 1.0)
+    gamma = _clip((do_exposed - table.p_exposed_event) / per_xp, 0.0, 1.0)
+
+    a_hi = np.minimum(alpha, beta)
+    b_hi = np.minimum(gamma, delta)
+    # each arm's always-mass values to evaluate, as (P, K) rows
+    if no_prevention:
+        # zero hurt mass forces the always-mass to the cross-arm constraint
+        prevented = (beta > alpha + COMPAT_TOL) | (delta > gamma + COMPAT_TOL)
+        a_pts = np.minimum(beta, a_hi)[None]
+        b_pts = np.minimum(delta, b_hi)[None]
+    else:
+        prevented = np.zeros(len(cells), dtype=bool)
+        a_pts = np.stack(
+            [np.minimum(np.maximum(alpha + beta - 1.0, 0.0), a_hi), a_hi])
+        b_pts = np.stack(
+            [np.minimum(np.maximum(gamma + delta - 1.0, 0.0), b_hi), b_hi])
+    helped_x, _, negative_x = _arm_masses(alpha, beta, a_pts)
+    helped_xp, never_xp, negative_xp = _arm_masses(gamma, delta, b_pts)
+    negative = negative_x | negative_xp
+    failed = conflict | empty_arm | prevented | negative
+
+    results = []
+    for quantity in quantities:
+        if quantity == "PN":
+            undefined = table.p_exposed_event <= 0.0
+            values = helped_x / _positive(alpha)
+            lower, upper = values.min(axis=0), values.max(axis=0)
+        elif quantity == "PS":
+            undefined = table.p_unexposed_noevent <= 0.0
+            masses = helped_xp + never_xp
+            values = helped_xp / _positive(masses)
+            # helped + never = P(y'|x') is below the resolution of an
+            # always-mass near 1: take it from the cell, and let its helped
+            # part range over what the matching equations allow
+            resolved = masses.min(axis=0) <= 0.0
+            mass = table.p_unexposed_noevent / per_xp
+            top = np.minimum(gamma, mass)
+            bottom = np.minimum(np.maximum(gamma - (1.0 - mass), 0.0), top)
+            ends = np.stack([bottom, top]) / _positive(mass)
+            lower = np.where(resolved, ends.min(axis=0), values.min(axis=0))
+            upper = np.where(resolved, ends.max(axis=0), values.max(axis=0))
+        else:
+            undefined = np.zeros(len(cells), dtype=bool)
+            # separable in the two free parameters, so the minimum of the
+            # sum is the sum of the per-arm minima (and likewise the maximum)
+            contrib_x, contrib_xp = p_x * helped_x, p_xp * helped_xp
+            lower = contrib_x.min(axis=0) + contrib_xp.min(axis=0)
+            upper = contrib_x.max(axis=0) + contrib_xp.max(axis=0)
+        fails = failed | undefined
+        if fails.any():
+            n = int(fails.argmax())
+            results.append((n, _failure(quantity, n, excess, conflict,
+                                        empty_arm, prevented, negative)))
+        else:
+            results.append((len(cells), [
+                bounds.Interval(lo, up, quantity, "oracle")
+                for lo, up in zip(lower.tolist(), upper.tolist())]))
+    return results
 
 
-def _arm_masses(fixed_y: float, fixed_cross: float,
-                free: float) -> tuple[float, float, float, float]:
-    """Type masses (always, helped, hurt, never) at one value of the
-    always-mass, given the two matching constraints of one arm."""
-    always = free
-    helped = fixed_y - free
-    hurt = fixed_cross - free
-    never = 1.0 - fixed_y - fixed_cross + free
-    if min(always, helped, hurt, never) < -_MASS_TOL:
-        raise RuntimeError(
+def _failure(quantity: str, n: int, excess: np.ndarray, conflict: np.ndarray,
+             empty_arm: np.ndarray, prevented: np.ndarray,
+             negative: np.ndarray) -> Exception:
+    """The search's error for stratum ``n``, by the precedence above."""
+    if conflict[n]:
+        return _conflict(excess[n].tolist(), "response-type search")
+    if empty_arm[n]:
+        return PositivityError("both exposure arms need positive probability")
+    if prevented[n]:
+        return IncompatibilityError(
+            "no distribution without prevention matches the inputs")
+    if negative[n]:
+        return RuntimeError(
             "response-type mass went negative; feasibility screening is broken")
-    return always, helped, hurt, never
+    frame = "exposed cases" if quantity == "PN" else "unexposed non-cases"
+    return PositivityError(f"{quantity} undefined: no {frame} in stratum")
 
 
 def feasible_extrema(table: StratumTable, pair: tuple[float, float],
@@ -94,54 +195,13 @@ def feasible_extrema(table: StratumTable, pair: tuple[float, float],
     """
     if quantity not in bounds.QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    alpha, beta, gamma, delta, p_x, p_xp = _arm_parameters(table, pair)
-
-    a_hi = min(alpha, beta)
-    a_lo = min(max(0.0, alpha + beta - 1.0), a_hi)
-    b_hi = min(gamma, delta)
-    b_lo = min(max(0.0, gamma + delta - 1.0), b_hi)
-
-    if no_prevention:
-        # zero hurt mass forces the always-mass to the cross-arm constraint
-        if beta > alpha + COMPAT_TOL or delta > gamma + COMPAT_TOL:
-            raise IncompatibilityError(
-                "no distribution without prevention matches the inputs")
-        a_pts = (min(beta, a_hi),)
-        b_pts = (min(delta, b_hi),)
-    else:
-        a_pts = (a_lo, a_hi)
-        b_pts = (b_lo, b_hi)
-
-    masses_x = [_arm_masses(alpha, beta, a) for a in a_pts]
-    masses_xp = [_arm_masses(gamma, delta, b) for b in b_pts]
-
-    if quantity == "PN":
-        if table.p_exposed_event <= 0.0:
-            raise PositivityError("PN undefined: no exposed cases in stratum")
-        values = [helped / alpha for _, helped, _, _ in masses_x]
-        lower, upper = min(values), max(values)
-    elif quantity == "PS":
-        if table.p_unexposed_noevent <= 0.0:
-            raise PositivityError("PS undefined: no unexposed non-cases in stratum")
-        ends = [(helped, helped + never) for _, helped, _, never in masses_xp]
-        if min(mass for _, mass in ends) <= 0.0:
-            # helped + never = P(y'|x') is below the resolution of an
-            # always-mass near 1: take it from the cell, and let its helped
-            # part range over what the matching equations allow
-            mass = table.p_unexposed_noevent / p_xp
-            hi = min(gamma, mass)
-            ends = [(min(max(0.0, gamma - (1.0 - mass)), hi), mass), (hi, mass)]
-        values = [helped / mass for helped, mass in ends]
-        lower, upper = min(values), max(values)
-    else:
-        # separable in the two free parameters, so the minimum of the sum
-        # is the sum of the per-arm minima (and likewise the maximum)
-        contrib_x = [p_x * helped for _, helped, _, _ in masses_x]
-        contrib_xp = [p_xp * helped for _, helped, _, _ in masses_xp]
-        lower = min(contrib_x) + min(contrib_xp)
-        upper = max(contrib_x) + max(contrib_xp)
-    return bounds.Interval(lower=lower, upper=upper, quantity=quantity,
-                           method="oracle")
+    cells = np.array([[table.p_exposed_event, table.p_exposed_noevent,
+                       table.p_unexposed_event, table.p_unexposed_noevent]])
+    (n, out), = _searched_rows((quantity,), cells,
+                               np.array([pair], dtype=float), no_prevention)
+    if n == 0:
+        raise out
+    return out[0]
 
 
 @dataclass(frozen=True)
@@ -163,7 +223,7 @@ class VerificationReport:
     entries: tuple[VerificationEntry, ...]
     tol: float
 
-    @property
+    @cached_property
     def max_discrepancy(self) -> float:
         return max(e.discrepancy for e in self.entries)
 
@@ -179,15 +239,28 @@ class VerificationReport:
 def verify_bounds(joint: StratifiedJoint,
                   experimental: ExperimentalQuantities, *,
                   tol: float = 2e-3) -> VerificationReport:
-    """Compare every conditional box against the type-distribution search."""
-    entries = []
-    for key, table in joint.items():
-        pair = experimental.pair(key)
-        for quantity, conditional in (("PN", bounds.pn_interval_conditional),
-                                      ("PS", bounds.ps_interval_conditional),
-                                      ("PNS", bounds.pns_interval_conditional)):
-            closed = conditional(table, pair, key=key)
-            searched = feasible_extrema(table, pair, quantity)
-            entries.append(VerificationEntry(stratum=key, quantity=quantity,
-                                             closed=closed, searched=searched))
-    return VerificationReport(entries=tuple(entries), tol=tol)
+    """Compare every conditional box against the type-distribution search.
+
+    The closed forms and the search each run once, over all strata and
+    the three quantities; the entries run stratum by stratum, PN, PS then
+    PNS within each.  A failure raises the error that a stratum-by-stratum
+    loop over the two routes would meet first.
+    """
+    pairs = _stratum_pairs(joint, experimental)
+    cells, keys = joint.cells[:len(pairs)], joint.keys()
+    closed = bounds._box_rows(bounds.QUANTITIES, "conditional", cells, pairs,
+                              keys)
+    searched = _searched_rows(bounds.QUANTITIES, cells, pairs, False)
+    # the routes in loop order: PN closed, PN searched, PS closed, ...
+    routes = [route for both in zip(closed, searched) for route in both]
+    # the earliest failing stratum, and within it the earliest route
+    n, out = min(routes, key=lambda route: route[0])
+    if n < len(pairs):
+        raise out
+    if len(pairs) < len(keys):
+        raise _no_pair(keys[len(pairs)])
+    return VerificationReport(entries=tuple(
+        VerificationEntry(key, quantity, closed, searched)
+        for key, *both in zip(keys, *(out for _, out in routes))
+        for quantity, closed, searched in zip(bounds.QUANTITIES, both[0::2],
+                                              both[1::2])), tol=tol)

@@ -127,7 +127,8 @@ def load_scenario(source: Source) -> Scenario:
                         outcome_conditionals=conds,
                         s_name=str(data.get("s_name", "s")),
                         t_name=str(data.get("t_name", "t")))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer too large for a float
         raise ParseError(f"malformed scenario: {exc}") from exc
 
 

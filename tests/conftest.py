@@ -10,10 +10,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import pcause as pc
 from pcause.bounds import (
-    _POSITIVE_FRAME,
-    _box,
-    _choice,
-    _finish,
+    PN_LOWER_TERMS,
+    PN_UPPER_TERMS,
+    PNS_LOWER_TERMS,
+    PNS_UPPER_TERMS,
     _swap_pair,
 )
 from pcause.identify import OUTSIDE_UNIT_WARNING
@@ -21,10 +21,12 @@ from pcause.model import (
     _CELLS,
     _FLOAT_LIMIT,
     COMPAT_TOL,
+    PROVENANCE_MEASURED,
     _cell_slot,
+    _read_json,
     _read_text,
-    clip_pair,
 )
+from pcause.oracle import VerificationEntry, VerificationReport
 from pcause.simulate import (
     _MAX_ATTEMPTS_PER_REP,
     _MAX_DISCARD_RATE,
@@ -637,14 +639,15 @@ def reference_stratified_interval(quantity, joint, experimental):
 
     if joint.n_strata == 1:
         key, t = next(joint.items())
-        return _box(quantity, "stratified", t, experimental.pair(key), key)
+        return _reference_box(quantity, "stratified", t, experimental.pair(key),
+                              key)
 
     lower_acc = 0.0
     upper_acc = 0.0
     denom = 0.0
     choices = []
     for key, t in joint.items():
-        pair = clip_pair(t, experimental.pair(key))
+        pair = _reference_clip_pair(t, experimental.pair(key))
         if quantity == "PS":
             t, pair = t.swap(), _swap_pair(pair)
         cell, lows, ups = _reference_terms(quantity, t, pair)
@@ -653,13 +656,203 @@ def reference_stratified_interval(quantity, joint, experimental):
             denom += cell * t.weight
         lower_acc += lows[li] * t.weight
         upper_acc += ups[ui] * t.weight
-        choices.append(_choice(quantity, key, li, ui))
+        choices.append(_reference_choice(quantity, key, li, ui))
 
     lower, upper = lower_acc, upper_acc
     if quantity != "PNS":
         if denom <= 0.0:
             raise pc.PositivityError(
-                f"{quantity} undefined: no {_POSITIVE_FRAME[quantity]} overall")
+                f"{quantity} undefined: no {_REFERENCE_FRAME[quantity]} overall")
         lower, upper = lower_acc / denom, upper_acc / denom
-    return _finish(lower, upper, quantity, "stratified", tuple(choices),
-                   key=None)
+    return _reference_finish(lower, upper, quantity, "stratified",
+                             tuple(choices), key=None)
+
+
+# The conditional boxes, the response-type search, the verification loop and
+# the measured-pair loader as they were before each ran as one array pass
+# over the strata: one stratum, one table and pair at a time, in Python
+# floats.  The array passes must give the same intervals and, for the first
+# failing stratum, the same error.
+
+def _reference_clip_pair(table, pair):
+    return (min(1.0 - table.p_exposed_noevent,
+                max(table.p_exposed_event, pair[0])),
+            min(1.0 - table.p_unexposed_noevent,
+                max(table.p_unexposed_event, pair[1])))
+
+
+def _reference_compatible_pair(table, pair, where):
+    outside = _reference_violations(table, pair, 0.0)
+    violations = [(name, amount) for name, amount in outside
+                  if amount > COMPAT_TOL]
+    if violations:
+        detail = "; ".join(f"{name} by {amount:.3g}"
+                           for name, amount in violations)
+        if isinstance(where, pc.StratumKey):
+            where = f"stratum {where}"
+        raise pc.IncompatibilityError(
+            f"{where}: experimental pair conflicts with joint cells ({detail})")
+    return _reference_clip_pair(table, pair) if outside else pair
+
+
+_REFERENCE_FRAME = {"PN": "exposed cases", "PS": "unexposed non-cases"}
+
+
+def _reference_choice(quantity, key, li, ui):
+    if quantity == "PNS":
+        return pc.TermChoice(key, PNS_LOWER_TERMS[li], PNS_UPPER_TERMS[ui])
+    return pc.TermChoice(key, PN_LOWER_TERMS[li], PN_UPPER_TERMS[ui])
+
+
+def _reference_finish(lower, upper, quantity, method, choices, key):
+    lower = min(1.0, max(0.0, lower))
+    upper = min(1.0, max(0.0, upper))
+    if lower > upper + 1e-9:
+        where = f" in stratum {key}" if key is not None else ""
+        raise pc.IncompatibilityError(
+            f"{quantity} bounds invert{where}: lower {lower:.6g} > upper "
+            f"{upper:.6g}; observational and experimental inputs conflict")
+    return pc.Interval(lower=lower, upper=upper, quantity=quantity,
+                       method=method, attainment=choices)
+
+
+def _reference_box(quantity, method, table, pair, key=None):
+    key = key if key is not None else pc.StratumKey(())
+    pair = _reference_compatible_pair(table, pair, key)
+    if quantity == "PS":
+        table, pair = table.swap(), _swap_pair(pair)
+    denom, lows, ups = _reference_terms(quantity, table, pair)
+    li, ui = lows.index(max(lows)), ups.index(min(ups))
+    lower, upper = lows[li], ups[ui]
+    if denom is not None:
+        if denom <= 0.0:
+            raise pc.PositivityError(
+                f"{quantity} undefined in stratum {key}: no probability mass "
+                f"on {_REFERENCE_FRAME[quantity]}")
+        lower, upper = lower / denom, upper / denom
+    return _reference_finish(lower, upper, quantity, method,
+                             (_reference_choice(quantity, key, li, ui),), key)
+
+
+def reference_conditional(quantity, table, pair, key=None):
+    """pn_interval_conditional, ps_... or pns_... of one stratum."""
+    return _reference_box(quantity, "conditional", table, pair, key)
+
+
+def reference_tian_pearl_interval(quantity, table, marginal):
+    if quantity not in ("PN", "PS", "PNS"):
+        raise pc.ValidationError(f"unknown quantity {quantity!r}")
+    return _reference_box(quantity, "tian-pearl", table, marginal)
+
+
+def reference_conditional_boxes(quantity, joint, experimental):
+    """The command line's loop over the strata."""
+    return [reference_conditional(quantity, table, experimental.pair(key), key)
+            for key, table in joint.items()]
+
+
+def _reference_clip01(v):
+    return min(1.0, max(0.0, v))
+
+
+def _reference_arm_parameters(table, pair):
+    _reference_compatible_pair(table, pair, "response-type search")
+    p_x, p_xp = table.p_exposed, table.p_unexposed
+    if p_x <= 0.0 or p_xp <= 0.0:
+        raise pc.PositivityError("both exposure arms need positive probability")
+    alpha = table.risk_exposed
+    delta = table.risk_unexposed
+    beta = _reference_clip01((pair[1] - table.p_unexposed_event) / p_x)
+    gamma = _reference_clip01((pair[0] - table.p_exposed_event) / p_xp)
+    return alpha, beta, gamma, delta, p_x, p_xp
+
+
+def _reference_type_masses(fixed_y, fixed_cross, free):
+    always = free
+    helped = fixed_y - free
+    hurt = fixed_cross - free
+    never = 1.0 - fixed_y - fixed_cross + free
+    if min(always, helped, hurt, never) < -1e-9:
+        raise RuntimeError(
+            "response-type mass went negative; feasibility screening is broken")
+    return always, helped, hurt, never
+
+
+def reference_feasible_extrema(table, pair, quantity, *, no_prevention=False):
+    if quantity not in ("PN", "PS", "PNS"):
+        raise pc.ValidationError(f"unknown quantity {quantity!r}")
+    alpha, beta, gamma, delta, p_x, p_xp = _reference_arm_parameters(table,
+                                                                     pair)
+    a_hi = min(alpha, beta)
+    a_lo = min(max(0.0, alpha + beta - 1.0), a_hi)
+    b_hi = min(gamma, delta)
+    b_lo = min(max(0.0, gamma + delta - 1.0), b_hi)
+    if no_prevention:
+        if beta > alpha + COMPAT_TOL or delta > gamma + COMPAT_TOL:
+            raise pc.IncompatibilityError(
+                "no distribution without prevention matches the inputs")
+        a_pts = (min(beta, a_hi),)
+        b_pts = (min(delta, b_hi),)
+    else:
+        a_pts = (a_lo, a_hi)
+        b_pts = (b_lo, b_hi)
+    masses_x = [_reference_type_masses(alpha, beta, a) for a in a_pts]
+    masses_xp = [_reference_type_masses(gamma, delta, b) for b in b_pts]
+
+    if quantity == "PN":
+        if table.p_exposed_event <= 0.0:
+            raise pc.PositivityError("PN undefined: no exposed cases in stratum")
+        values = [helped / alpha for _, helped, _, _ in masses_x]
+        lower, upper = min(values), max(values)
+    elif quantity == "PS":
+        if table.p_unexposed_noevent <= 0.0:
+            raise pc.PositivityError(
+                "PS undefined: no unexposed non-cases in stratum")
+        ends = [(helped, helped + never) for _, helped, _, never in masses_xp]
+        if min(mass for _, mass in ends) <= 0.0:
+            mass = table.p_unexposed_noevent / p_xp
+            hi = min(gamma, mass)
+            ends = [(min(max(0.0, gamma - (1.0 - mass)), hi), mass), (hi, mass)]
+        values = [helped / mass for helped, mass in ends]
+        lower, upper = min(values), max(values)
+    else:
+        contrib_x = [p_x * helped for _, helped, _, _ in masses_x]
+        contrib_xp = [p_xp * helped for _, helped, _, _ in masses_xp]
+        lower = min(contrib_x) + min(contrib_xp)
+        upper = max(contrib_x) + max(contrib_xp)
+    return pc.Interval(lower=lower, upper=upper, quantity=quantity,
+                       method="oracle")
+
+
+def reference_searched_boxes(quantity, joint, experimental, *,
+                             no_prevention=False):
+    return [reference_feasible_extrema(table, experimental.pair(key), quantity,
+                                       no_prevention=no_prevention)
+            for key, table in joint.items()]
+
+
+def reference_verify_bounds(joint, experimental, *, tol=2e-3):
+    entries = []
+    for key, table in joint.items():
+        pair = experimental.pair(key)
+        for quantity in ("PN", "PS", "PNS"):
+            closed = reference_conditional(quantity, table, pair, key)
+            searched = reference_feasible_extrema(table, pair, quantity)
+            entries.append(VerificationEntry(stratum=key, quantity=quantity,
+                                             closed=closed, searched=searched))
+    return VerificationReport(entries=tuple(entries), tol=tol)
+
+
+def reference_load_experimental(source, joint):
+    data = _read_json(source, "experimental")
+    try:
+        per = {}
+        for entry in data["strata"]:
+            key = pc.StratumKey(tuple((n, str(v))
+                                      for n, v in entry["levels"].items()))
+            per[key] = (float(entry["p_event_do_exposed"]),
+                        float(entry["p_event_do_unexposed"]))
+        provenance = data.get("provenance", PROVENANCE_MEASURED)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise pc.ParseError(f"malformed experimental data: {exc}") from exc
+    return reference_from_per_stratum(joint, per, provenance)

@@ -220,15 +220,19 @@ def test_criterion_6_oracle_agreement(cancer_joint, cancer_experimental,
                         abs(closed.upper - searched.upper))
     sharp_ok = worst <= 2e-3
 
-    real = pc.pn_interval_conditional
+    # verify_bounds takes every stratum's closed-form boxes from one array
+    # pass: widen the PN boxes it returns
+    real = pcause.bounds._box_rows
 
-    def widened(table, pair, **kwargs):
-        iv = real(table, pair, **kwargs)
-        return pc.Interval(lower=iv.lower, upper=iv.upper + 0.05,
-                           quantity=iv.quantity, method=iv.method,
-                           attainment=iv.attainment)
+    def widened(quantities, *args):
+        return [(n, [pc.Interval(lower=iv.lower, upper=iv.upper + 0.05,
+                                 quantity=iv.quantity, method=iv.method,
+                                 attainment=iv.attainment) for iv in out]
+                 if quantity == "PN" else out)
+                for quantity, (n, out) in zip(quantities,
+                                              real(quantities, *args))]
 
-    monkeypatch.setattr(pcause.bounds, "pn_interval_conditional", widened)
+    monkeypatch.setattr(pcause.bounds, "_box_rows", widened)
     report = pc.verify_bounds(cancer_joint, cancer_experimental)
     fault_ok = not report.passed and \
         {e.quantity for e in report.failures} == {"PN"}

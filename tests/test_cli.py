@@ -507,6 +507,28 @@ class TestInputErrors:
         assert err == ("error: stratum g=1: counts too large for floating "
                        "point (their total exceeds 1.8e308)\n")
 
+    # an integer literal too large for a float: 1 followed by 400 zeros
+    def test_experimental_integer_too_large_for_a_float(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text('{"strata": [{"levels": {"stage": "1"}, '
+                        '"p_event_do_exposed": 1' + "0" * 400 + ', '
+                        '"p_event_do_unexposed": 0.3}]}')
+        assert run(["bounds", *DATA, "--experimental", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed experimental data: int too large to convert "
+            "to float\n")
+
+    def test_scenario_integer_too_large_for_a_float(self, tmp_path, capsys):
+        scenario = pc.builtin_scenarios()[0].to_dict()
+        scenario["cells"][0]["p"] = 10**400
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert run(["simulate", "--scenario", str(path), "--n", "300",
+                    "--reps", "5", "--seed", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed scenario: int too large to convert to float\n")
+
     # a field one character over the csv module's limit, unquoted and
     # quoted, after a comment line that the line number counts
     @pytest.mark.parametrize("level", ["a" * 131_073,

@@ -311,10 +311,19 @@ def _counts_file(draw):
 @example("bounds", [], b"g,x,y,count\n1,1,1,3\n 1,1,0,4\n1,0,1,2\n1,0,0,5")
 # a level one character longer than the csv module reads
 @example("bounds", [], b"g,x,y,count\n" + b"a" * 131_073 + b",1,1,3\n")
+# measured pairs (the file JSON names) with an integer too large for a float
+@example("bounds", ["--experimental", "JSON"],
+         (b"g,x,y,count\n1,1,1,3\n1,1,0,4\n1,0,1,2\n1,0,0,5",
+          b'{"strata": [{"levels": {"g": "1"}, "p_event_do_exposed": 1'
+          + b"0" * 400 + b', "p_event_do_unexposed": 0.3}]}'))
 def test_run_always_ends_in_an_exit_code(workdir, command, tokens, content):
-    path = workdir / "input"
+    # content is the bytes of the file FILE names, or of FILE and JSON
+    path, second = workdir / "input", workdir / "input.json"
+    if isinstance(content, tuple):
+        content, pairs = content
+        second.write_bytes(pairs)
     path.write_bytes(content)
-    argv = [command] + [str(path) if t == "FILE" else t
+    argv = [command] + [{"FILE": str(path), "JSON": str(second)}.get(t, t)
                         for t in _REQUIRED[command] + tokens]
     # --json writes into the work directory, never into the checkout
     argv = [str(workdir / "report.json") if prev == "--json" else t

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 82 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 86 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -16,17 +16,20 @@ directory:
 * ``simulate --setting 4 --n 200 --reps 2000 --seed 7``, which redraws many
   samples, and ``simulate --setting 1 --n 120 --reps 200 --seed 7``, which
   redraws too many and exits 1;
-* ``bounds`` and ``verify`` on the cancer fixture with each of 8 measured-pair
+* ``bounds`` and ``verify`` on the cancer fixture with each of 9 measured-pair
   files that this script writes into WORKDIR: a pair at ``1 + 1e-10`` (clipped
   onto [0, 1]), a pair at ``-0.0``, a pair at 1.25, a missing stratum, an
-  unknown provenance, a non-numeric pair, and a pair outside its
-  compatibility range by more than the 1e-3 tolerance and one inside it;
-* 13 runs on counts files that this script writes into WORKDIR to exercise
-  the CSV reader: CRLF and lone-CR line endings with comments and blank
-  lines, duplicate cells on lines apart, quoted levels holding ``,``, ``"``
-  or a leading ``#`` with spaces around fields, a three-covariate table
-  under ``identify --stratifier``, a zero cell with and without
-  ``--smoothing add-half``, and a 309-digit count (exit 1).
+  unknown provenance, a non-numeric pair, a pair outside its
+  compatibility range by more than the 1e-3 tolerance and one inside it,
+  and two strata outside their ranges, on different inequalities;
+* 15 runs on counts files that this script writes into WORKDIR to exercise
+  the CSV reader and the bounds: CRLF and lone-CR line endings with comments
+  and blank lines, duplicate cells on lines apart, quoted levels holding
+  ``,``, ``"`` or a leading ``#`` with spaces around fields, a
+  three-covariate table under ``identify --stratifier``, a zero cell with
+  and without ``--smoothing add-half``, a 309-digit count (exit 1), and
+  ``bounds`` and ``verify`` on one stratum of counts 10**17, 3, 10**17 and
+  4, whose PS numerator cancels in floats.
 
 It prints one line per job: the exit code, a SHA-256 over the exit code,
 stdout, stderr and the ``--json`` report, and the argv.  Reports record the
@@ -82,6 +85,10 @@ _INGEST = {
     "huge-count": (
         f"s,x,y,count\n1,1,1,{'9' * 309}\n1,1,0,3\n1,0,1,2\n1,0,0,6\n",
         [("bounds",)]),
+    # risks that round to 1.0, so PS's numerator cancels in floats
+    "cancelling-ps": (
+        f"g,x,y,count\n1,1,1,{10**17}\n1,1,0,3\n1,0,1,{10**17}\n1,0,0,4\n",
+        [("bounds",), ("verify",)]),
 }
 
 
@@ -102,6 +109,11 @@ _MEASURED = {
                      "measured-experimental"),
     "inside-tolerance": ({**_PAIRS, "2": (17 / 96 - 5e-4, 0.4)},
                          "measured-experimental"),
+    # stage 3's P(y_x|s) above its range (at most 23/29) and stage 1's
+    # P(y_x'|s) below it (at least 2/67), listed in that order: verify names
+    # stage 1, the first in key order, and bounds the worse, stage 3
+    "two-conflicts": ({"3": (23 / 29 + 5e-3, 0.6), "1": (0.15, 2 / 67 - 2e-3),
+                       "2": _PAIRS["2"]}, "measured-experimental"),
 }
 
 
