@@ -44,10 +44,11 @@ marginal interventional pair; the stratified interval always nests inside
 them.
 
 Every interval screens each stratum's pair against the four compatibility
-inequalities of :func:`pcause.model.stratum_violations`, computed for all
-strata at once: a pair farther than ``COMPAT_TOL`` outside its range is
+inequalities of :func:`pcause.model.validate_compatibility`, computed for
+all strata at once: a pair farther than ``COMPAT_TOL`` outside its range is
 rejected, and a nearer one is moved onto it; endpoints are then clipped into
-[0, 1], which removes only float drift.
+[0, 1], which removes only float drift.  A joint's pairs must be for exactly
+its strata, and a one-stratum pair must not hold NaN.
 
 Conditional, stratified and Tian-Pearl intervals share one term function,
 which returns every stratum's candidate terms (and, for PN and PS, the
@@ -82,14 +83,13 @@ from .model import (
     StratifiedJoint,
     StratumKey,
     StratumTable,
-    _Columns,
     _clip,
     _clip_pairs,
     _conflict,
     _excess_columns,
-    _no_pair,
+    _matched_pairs,
+    _one_row,
     _running_sum,
-    _stratum_pairs,
     validate_compatibility,
 )
 
@@ -148,7 +148,8 @@ def _swap_pair(pair: tuple[float, float]) -> tuple[float, float]:
     return (1.0 - pair[1], 1.0 - pair[0])
 
 
-def _terms(quantity: str, table: _Columns, pair: tuple[np.ndarray, np.ndarray],
+def _terms(quantity: str, cells: Sequence[np.ndarray],
+           pair: tuple[np.ndarray, np.ndarray],
            ) -> tuple[np.ndarray | None, tuple, tuple]:
     """Candidate terms of every stratum, in tie-break order, for cell and
     pair columns already in the quantity's frame (see :func:`_chosen`);
@@ -161,23 +162,23 @@ def _terms(quantity: str, table: _Columns, pair: tuple[np.ndarray, np.ndarray],
     The selection by size is unaffected by the positive division, so both
     paths pick identical terms.  PNS terms need no denominator (None).
     """
+    exposed_event, exposed_noevent, unexposed_event, unexposed_noevent = cells
     do_exposed, do_unexposed = pair
     p_noevent_do_unexposed = 1.0 - do_unexposed
-    p_noevent = table.p_exposed_noevent + table.p_unexposed_noevent
+    p_noevent = exposed_noevent + unexposed_noevent
     if quantity == "PNS":
         lows = (0.0,
-                do_exposed - (table.p_exposed_event + table.p_unexposed_event),
+                do_exposed - (exposed_event + unexposed_event),
                 p_noevent_do_unexposed - p_noevent,
                 do_exposed - do_unexposed)
         ups = (do_exposed,
                p_noevent_do_unexposed,
-               table.p_exposed_event + table.p_unexposed_noevent,
+               exposed_event + unexposed_noevent,
                do_exposed - do_unexposed
-               + table.p_unexposed_event + table.p_exposed_noevent)
+               + unexposed_event + exposed_noevent)
         return None, lows, ups
-    cell = table.p_exposed_event
-    return (cell, (0.0, p_noevent_do_unexposed - p_noevent),
-            (cell, p_noevent_do_unexposed - table.p_unexposed_noevent))
+    return (exposed_event, (0.0, p_noevent_do_unexposed - p_noevent),
+            (exposed_event, p_noevent_do_unexposed - unexposed_noevent))
 
 
 def _rows(terms: tuple, n_strata: int) -> np.ndarray:
@@ -196,11 +197,12 @@ def _chosen(quantity: str, cells: np.ndarray, pairs: np.ndarray,
     cells and (K, 2) pairs.  PS is PN on the swapped table with the pair
     swapped (see the module docstring); argmax and argmin find the first
     extreme, so ties go to the earlier term."""
-    table = _Columns(*cells.T)
+    columns = cells.T
     pair = (pairs[:, 0], pairs[:, 1])
     if quantity == "PS":
-        table, pair = table.swap(), _swap_pair(pair)
-    denom, lows, ups = _terms(quantity, table, pair)
+        # the swap relabels cell (x, y) as (x', y'): the slot order reversed
+        columns, pair = columns[::-1], _swap_pair(pair)
+    denom, lows, ups = _terms(quantity, columns, pair)
     lows, ups = _rows(lows, len(cells)), _rows(ups, len(cells))
     li, ui = lows.argmax(axis=0), ups.argmin(axis=0)
     strata = np.arange(len(cells))
@@ -277,37 +279,35 @@ def _box_rows(quantities: Sequence[str], method: str, cells: np.ndarray,
     return results
 
 
+def _boxes(quantity: str, method: str, cells: np.ndarray, pairs: np.ndarray,
+           keys: Sequence[StratumKey]) -> list[Interval]:
+    """One quantity's interval of each row, as :func:`_box_rows` gives it;
+    raises the error of the first row that fails."""
+    (n, out), = _box_rows((quantity,), method, cells, pairs, keys)
+    if n < len(cells):
+        raise out
+    return out
+
+
 def _one_box(quantity: str, method: str, table: StratumTable,
              pair: tuple[float, float], key: StratumKey | None) -> Interval:
-    cells = np.array([[table.p_exposed_event, table.p_exposed_noevent,
-                       table.p_unexposed_event, table.p_unexposed_noevent]])
     key = key if key is not None else StratumKey(())
-    (n, out), = _box_rows((quantity,), method, cells,
-                          np.array([pair], dtype=float), (key,))
-    if n == 0:
-        raise out
-    return out[0]
+    return _boxes(quantity, method, *_one_row(table, pair), (key,))[0]
 
 
 def conditional_boxes(quantity: str, joint: StratifiedJoint,
                       experimental: ExperimentalQuantities) -> list[Interval]:
     """Every stratum's conditional box, in key order, from one array pass.
 
-    Raises the error of the first stratum, in key order, that has no
-    experimental pair or fails the screen, positivity or inversion check,
-    as a loop over the per-stratum functions below would.
+    Raises :class:`ValidationError` unless the pairs are for exactly the
+    joint's strata, then the error of the first stratum, in key order, that
+    fails the screen, positivity or inversion check, as a loop over the
+    per-stratum functions below would.
     """
     if quantity not in QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    pairs = _stratum_pairs(joint, experimental)
-    keys = joint.keys()
-    (n, out), = _box_rows((quantity,), "conditional", joint.cells[:len(pairs)],
-                          pairs, keys)
-    if n < len(pairs):
-        raise out
-    if len(pairs) < len(keys):
-        raise _no_pair(keys[len(pairs)])
-    return out
+    return _boxes(quantity, "conditional", joint.cells,
+                  _matched_pairs(joint, experimental), joint.keys())
 
 
 def pn_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
@@ -350,9 +350,8 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
     if joint.n_strata == 1:
         # With one stratum the weight is semantically 1 even if the stored
         # float drifted, so the interval is the stratum's conditional box.
-        key, table = next(joint.items())
-        return _one_box(quantity, "stratified", table, experimental.pair(key),
-                        key)
+        return _boxes(quantity, "stratified", joint.cells, experimental.pairs,
+                      joint.keys())[0]
 
     pairs = _clip_pairs(joint.cells, experimental.pairs)
     cell, lows, ups, li, ui = _chosen(quantity, joint.cells, pairs)

@@ -27,7 +27,7 @@ from scipy.special import chdtrc
 
 from .errors import MissingSampleSizeError, ValidationError
 from .identify import Estimate, pn_point, pns_point
-from .model import StratifiedJoint, _groups, collapse
+from .model import _CELLS, StratifiedJoint, _groups, _risk, collapse
 
 OUTCOME_CI = "y-indep-t-given-xs"
 EXPOSURE_CI = "x-indep-s-given-t"
@@ -75,14 +75,17 @@ def _exact_deviation(joint: StratifiedJoint, relation: CIRelation) -> float:
     exposure = relation.kind == EXPOSURE_CI
     keep = (relation.t,) if exposure else (relation.s,)
     index, _, _ = _groups(joint.keys(), joint.covariates, keep)
-    coarse = list(collapse(joint, keep).strata.values())
+    coarse = collapse(joint, keep).cells.tolist()
     dev = 0.0
-    for table, ref in zip(joint.strata.values(), (coarse[g] for g in index)):
+    for (ee, en, ue, un), (ref_ee, ref_en, ref_ue, ref_un) in zip(
+            joint.cells.tolist(), (coarse[g] for g in index.tolist())):
         if exposure:
-            dev = max(dev, abs(table.p_exposed - ref.p_exposed))
+            dev = max(dev, abs((ee + en) - (ref_ee + ref_en)))
         else:
-            dev = max(dev, abs(table.risk_exposed - ref.risk_exposed),
-                      abs(table.risk_unexposed - ref.risk_unexposed))
+            dev = max(dev, abs(_risk(ee, en, "exposed")
+                               - _risk(ref_ee, ref_en, "exposed")),
+                      abs(_risk(ue, un, "unexposed")
+                          - _risk(ref_ue, ref_un, "unexposed")))
     return dev
 
 
@@ -105,25 +108,25 @@ def _g_statistic(observed: Mapping, row_margin: Mapping, col_margin: Mapping,
 def _count_test(joint: StratifiedJoint, relation: CIRelation,
                 n: int) -> tuple[float, int]:
     s, t = relation.s, relation.t
-    n_s = len({key.level(s) for key in joint.keys()})
-    n_t = len({key.level(t) for key in joint.keys()})
+    keys = joint.keys()
+    n_s = len({key.level(s) for key in keys})
+    n_t = len({key.level(t) for key in keys})
+    strata = zip(keys, joint.cells.tolist(), joint.weights.tolist())
 
     observed: dict = {}
     if relation.kind == EXPOSURE_CI:
         # blocks are t levels, rows are s levels, columns are exposure
-        for key, table in joint.items():
+        for key, (ee, en, ue, un), weight in strata:
             block, row = key.level(t), key.level(s)
-            observed[(block, row, 1)] = table.p_exposed * table.weight * n
-            observed[(block, row, 0)] = table.p_unexposed * table.weight * n
+            observed[(block, row, 1)] = (ee + en) * weight * n
+            observed[(block, row, 0)] = (ue + un) * weight * n
         df = n_t * (n_s - 1) * (2 - 1)
     else:
         # blocks are (x, s) pairs, rows are t levels, columns are outcome
-        for key, table in joint.items():
+        for key, cells, weight in strata:
             row = key.level(t)
-            for x in (1, 0):
-                for y in (1, 0):
-                    block = (x, key.level(s))
-                    observed[(block, row, y)] = table.cell(x, y) * table.weight * n
+            for (x, y), cell in zip(_CELLS, cells):
+                observed[((x, key.level(s)), row, y)] = cell * weight * n
         df = 2 * n_s * (2 - 1) * (n_t - 1)
 
     row_margin: dict = {}

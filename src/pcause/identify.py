@@ -38,6 +38,7 @@ from .model import (
     ExperimentalQuantities,
     StratifiedJoint,
     StratumKey,
+    _matched_pairs,
     _running_sum,
 )
 
@@ -170,22 +171,17 @@ class MonotonicityReport:
 def monotonicity_diagnostic(joint: StratifiedJoint,
                             experimental: ExperimentalQuantities,
                             ) -> MonotonicityReport:
-    rds = []
-    flagged = []
-    for key in joint.keys():
-        do_x, do_xp = experimental.pair(key)
-        rd = do_x - do_xp
-        rds.append((key, rd))
-        if rd < -_RD_TOL:
-            flagged.append(key)
+    pairs = _matched_pairs(joint, experimental)
+    keys = joint.keys()
+    rds = (pairs[:, 0] - pairs[:, 1]).tolist()
 
     pn = pn_point(joint)
     pns = pns_point(joint)
     pn_iv = stratified_interval("PN", joint, experimental)
     pns_iv = stratified_interval("PNS", joint, experimental)
     return MonotonicityReport(
-        risk_differences=tuple(rds),
-        flagged=tuple(flagged),
+        risk_differences=tuple(zip(keys, rds)),
+        flagged=tuple(key for key, rd in zip(keys, rds) if rd < -_RD_TOL),
         pn=pn,
         pns=pns,
         pn_interval=pn_iv,

@@ -14,14 +14,15 @@ Lines starting with ``#`` and blank lines are ignored.  Duplicate cells are
 summed.  Whitespace around a field is dropped, and a level must keep one
 spelling throughout.  Counts convert to a :class:`StratifiedJoint`, which
 stores within each stratum the four joint cell probabilities P(x, y | s)
-and the stratum weight P(s), as a table per stratum and as arrays over all
-strata, which the stratified computations read.
+and the stratum weight P(s), as arrays over all strata.
 
 Experimental knowledge enters as :class:`ExperimentalQuantities`: the pair
 (P(y_x | s), P(y_x' | s)) per stratum, where y_x denotes the outcome under
 an intervention that sets exposure.  When treatment assignment is strongly
 ignorable given the covariates, these equal the observational conditional
-risks; :func:`adjusted_experimental` builds them that way.
+risks; :func:`adjusted_experimental` builds them that way.  Every function
+that takes a joint and its pairs requires pairs for exactly the joint's
+strata.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -50,7 +53,7 @@ _MISMATCH = "experimental strata do not match the joint's strata"
 _SUM_TOL = 1e-9
 # The least integer that float() rounds to infinity (it raises OverflowError).
 _FLOAT_LIMIT = 2**1024 - 2**970
-# How far a pair may sit outside its compatibility range; see compatible_pair.
+# How far a pair may sit outside its compatibility range; see _excess_columns.
 COMPAT_TOL = 1e-3
 
 Source = Union[str, Path, IO[str]]
@@ -201,16 +204,13 @@ class StratumTable:
     @property
     def risk_exposed(self) -> float:
         """P(y | x, s)."""
-        if self.p_exposed <= 0.0:
-            raise PositivityError("no exposed mass in stratum")
-        return self.p_exposed_event / self.p_exposed
+        return _risk(self.p_exposed_event, self.p_exposed_noevent, "exposed")
 
     @property
     def risk_unexposed(self) -> float:
         """P(y | x', s)."""
-        if self.p_unexposed <= 0.0:
-            raise PositivityError("no unexposed mass in stratum")
-        return self.p_unexposed_event / self.p_unexposed
+        return _risk(self.p_unexposed_event, self.p_unexposed_noevent,
+                     "unexposed")
 
     def swap(self) -> "StratumTable":
         """Relabel both exposure and outcome: cell (x, y) becomes (x', y').
@@ -227,98 +227,134 @@ class StratumTable:
         )
 
 
-class _Columns(NamedTuple):
-    """A joint's cell columns, named as :class:`StratumTable`'s fields, so
-    that a function written for one table reads every stratum at once."""
-
-    p_exposed_event: np.ndarray
-    p_exposed_noevent: np.ndarray
-    p_unexposed_event: np.ndarray
-    p_unexposed_noevent: np.ndarray
-
-    def swap(self) -> "_Columns":
-        """:meth:`StratumTable.swap` of every stratum."""
-        return _Columns(self.p_unexposed_noevent, self.p_unexposed_event,
-                        self.p_exposed_noevent, self.p_exposed_event)
+def _risk(event: float, noevent: float, arm: str) -> float:
+    """P(y | arm, s) from the arm's two cells."""
+    if event + noevent <= 0.0:
+        raise PositivityError(f"no {arm} mass in stratum")
+    return event / (event + noevent)
 
 
-@dataclass(frozen=True)
+class _View(Mapping):
+    """A read-only mapping over a dict, which prints as the dict."""
+
+    def __init__(self, data: dict) -> None:
+        self._data = data
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __repr__(self) -> str:
+        return repr(self._data)
+
+
+@dataclass(frozen=True, init=False)
 class StratifiedJoint:
     """A collection of stratum tables whose weights partition unity.
 
-    Beside the ``strata`` mapping, ``cells`` holds each stratum's P(x, y | s)
-    as a (K, 4) array in slot order (as :class:`StratumTable`'s fields) and
-    ``weights`` each P(s) as a (K,) array, both in key order.
+    Stored as arrays in key order: ``cells`` holds each stratum's
+    P(x, y | s) as a (K, 4) array in slot order (as :class:`StratumTable`'s
+    fields) and ``weights`` each P(s) as a (K,) array.  ``strata`` maps each
+    key to its :class:`StratumTable`; it is a read-only view of the arrays,
+    built when first read.
     """
 
+    # a field, so that repr and == read the view, and dataclasses.replace
+    # passes it to the constructor
     strata: Mapping[StratumKey, StratumTable]
     covariates: tuple[str, ...]
-    total_n: int | None = None
+    total_n: int | None
     cells: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: tuple[StratumKey, ...] = field(init=False, repr=False,
+                                          compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.strata:
+    def __init__(self, strata: Mapping[StratumKey, StratumTable],
+                 covariates: Sequence[str], total_n: int | None = None) -> None:
+        if not strata:
             raise ValidationError("a stratified joint needs at least one stratum")
-        covs = tuple(sorted(str(c) for c in self.covariates))
+        covs = tuple(sorted(str(c) for c in covariates))
         if len(set(covs)) != len(covs):
             raise ValidationError(f"duplicate covariate names: {covs}")
-        ordered = {}
-        for key in sorted(self.strata, key=_key_order):
+        keys = tuple(sorted(strata, key=_key_order))
+        for key in keys:
             if key.covariates != covs:
                 raise ValidationError(
                     f"stratum {key} does not use covariates {covs}")
-            ordered[key] = self.strata[key]
-        tables = ordered.values()
-        self._finish(ordered, covs,
-                     np.array([[t.p_exposed_event, t.p_exposed_noevent,
-                                t.p_unexposed_event, t.p_unexposed_noevent]
-                               for t in tables], dtype=float),
-                     [t.weight for t in tables])
+        tables = [strata[key] for key in keys]
+        self._set(keys, np.array([[t.p_exposed_event, t.p_exposed_noevent,
+                                   t.p_unexposed_event, t.p_unexposed_noevent]
+                                  for t in tables], dtype=float),
+                  np.array([t.weight for t in tables], dtype=float), covs,
+                  total_n)
 
     @classmethod
-    def _of(cls, keys: Sequence[StratumKey], cells: np.ndarray,
-            weights: np.ndarray, covariates: Sequence[str],
+    def _of(cls, keys: tuple[StratumKey, ...], cells: np.ndarray,
+            weights: np.ndarray, covariates: tuple[str, ...],
             total_n: int | None) -> "StratifiedJoint":
         """A joint from its arrays, with ``keys`` in key order and each
-        using exactly ``covariates``, which are distinct and sorted; the
-        tables are built from the rows."""
-        weights = weights.tolist()
-        strata = dict(zip(keys, map(StratumTable, *cells.T.tolist(), weights)))
+        using exactly ``covariates``, which are distinct and sorted."""
         joint = object.__new__(cls)
-        object.__setattr__(joint, "total_n", total_n)
-        joint._finish(strata, tuple(covariates), cells, weights)
+        joint._set(keys, cells, weights, covariates, total_n)
         return joint
 
-    def _finish(self, strata: dict[StratumKey, StratumTable],
-                covariates: tuple[str, ...], cells: np.ndarray,
-                weights: list[float]) -> None:
-        total = sum(weights)
+    def _set(self, keys: tuple[StratumKey, ...], cells: np.ndarray,
+             weights: np.ndarray, covariates: tuple[str, ...],
+             total_n: int | None) -> None:
+        """Check the rows as :class:`StratumTable` checks one, raising its
+        error for the first stratum in key order that fails, then the
+        weights' total and ``total_n``; store the arrays read-only."""
+        negative = ~(cells >= 0.0)
+        sums = _running_sum(cells)
+        failed = (negative.any(axis=1) | (np.abs(sums - 1.0) > _SUM_TOL)
+                  | ~((weights > 0.0) & (weights <= 1.0 + _SUM_TOL)))
+        if failed.any():
+            k = int(failed.argmax())
+            if negative[k].any():
+                cell = cells[k, negative[k].argmax()].item()
+                raise ValidationError(f"negative cell probability {cell!r}")
+            if abs(sums[k] - 1.0) > _SUM_TOL:
+                raise ValidationError(
+                    f"cells sum to {sums[k].item()!r}, not 1")
+            raise ValidationError(
+                f"stratum weight {weights[k].item()!r} outside (0, 1]")
+        total = sum(weights.tolist())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(f"stratum weights sum to {total!r}, not 1")
-        if self.total_n is not None and self.total_n <= 0:
-            raise ValidationError(f"total_n must be positive, got {self.total_n!r}")
-        weights = np.array(weights, dtype=float)
+        if total_n is not None and total_n <= 0:
+            raise ValidationError(f"total_n must be positive, got {total_n!r}")
         cells.flags.writeable = weights.flags.writeable = False
-        for name, value in (("strata", strata), ("covariates", covariates),
-                            ("cells", cells), ("weights", weights)):
+        for name, value in (("_keys", keys), ("cells", cells),
+                            ("weights", weights), ("covariates", covariates),
+                            ("total_n", total_n)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def strata(self) -> Mapping[StratumKey, StratumTable]:
+        return _View(dict(zip(self._keys, map(
+            StratumTable, *self.cells.T.tolist(), self.weights.tolist()))))
 
     def items(self) -> Iterator[tuple[StratumKey, StratumTable]]:
         return iter(self.strata.items())
 
     def keys(self) -> tuple[StratumKey, ...]:
-        return tuple(self.strata.keys())
+        return self._keys
 
     @property
     def n_strata(self) -> int:
-        return len(self.strata)
+        return len(self._keys)
 
     def only(self) -> StratumTable:
         """The single table of a one-stratum joint (typically pooled data)."""
-        if len(self.strata) != 1:
-            raise ValidationError(f"expected one stratum, found {len(self.strata)}")
-        return next(iter(self.strata.values()))
+        if len(self._keys) != 1:
+            raise ValidationError(
+                f"expected one stratum, found {len(self._keys)}")
+        return StratumTable(*self.cells[0].tolist(), self.weights[0].item())
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -648,43 +684,31 @@ def collapse(joint: StratifiedJoint, keep: Sequence[str]) -> StratifiedJoint:
                                joint.total_n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExperimentalQuantities:
     """Interventional outcome probabilities, per stratum and marginal.
 
-    ``per_stratum`` maps each stratum to (P(y_x | s), P(y_x' | s)), also
-    held as the (K, 2) array ``pairs``, both clipped onto [0, 1] and in key
-    order; the marginal pair is their weight-average.  ``provenance`` records
-    whether the numbers were measured experimentally or derived from
-    observational risks under ignorable assignment.
+    Stored as ``pairs``, each stratum's (P(y_x | s), P(y_x' | s)) as a
+    (K, 2) array in key order, and the ``marginal`` pair, all clipped onto
+    [0, 1]; built from a joint, the marginal pair is the pairs'
+    weight-average.  ``per_stratum`` maps each stratum to its pair; it is a
+    read-only view of ``pairs``, built when first read.  ``provenance``
+    records whether the numbers were measured experimentally or derived
+    from observational risks under ignorable assignment.
     """
 
     per_stratum: Mapping[StratumKey, tuple[float, float]]
     marginal: tuple[float, float]
     provenance: str
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: tuple[StratumKey, ...] = field(init=False, repr=False,
+                                          compare=False)
 
-    def __post_init__(self) -> None:
-        if self.provenance not in (PROVENANCE_MEASURED, PROVENANCE_ADJUSTED):
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
-        keys = sorted(self.per_stratum, key=_key_order)
-        rows = [*(self.per_stratum[key] for key in keys), self.marginal]
-        if any(len(row) != 2 for row in rows):
-            raise ValidationError("expected (do-exposed, do-unexposed) pairs")
-        # no dtype: a value that cannot compare with a float raises TypeError
-        values = np.array(rows)
-        inside = (values >= -_SUM_TOL) & (values <= 1.0 + _SUM_TOL)
-        if not inside.all():
-            k, j = divmod(int(inside.argmin()), 2)
-            where = f"stratum {keys[k]}" if k < len(keys) else "marginal"
-            raise ValidationError(
-                f"{where}: probability {rows[k][j]!r} outside [0, 1]")
-        clipped = _clip(values, 0.0, 1.0)
-        clipped.flags.writeable = False
-        object.__setattr__(self, "pairs", clipped[:-1])
-        object.__setattr__(self, "marginal", tuple(clipped[-1].tolist()))
-        object.__setattr__(self, "per_stratum",
-                           dict(zip(keys, map(tuple, self.pairs.tolist()))))
+    def __init__(self, per_stratum: Mapping[StratumKey, tuple[float, float]],
+                 marginal: tuple[float, float], provenance: str) -> None:
+        keys = tuple(sorted(per_stratum, key=_key_order))
+        self._set(keys, [*(per_stratum[key] for key in keys), marginal],
+                  provenance)
 
     @classmethod
     def from_per_stratum(cls, joint: StratifiedJoint,
@@ -697,24 +721,62 @@ class ExperimentalQuantities:
                              provenance)
 
     @classmethod
-    def _weighted(cls, joint: StratifiedJoint, pairs: list,
+    def _weighted(cls, joint: StratifiedJoint, pairs: list | np.ndarray,
                   provenance: str) -> "ExperimentalQuantities":
         """From each stratum's pair in the joint's key order, with their
         weight-average as the marginal pair."""
-        return cls(per_stratum=dict(zip(joint.keys(), pairs)),
-                   marginal=tuple(_running_sum(np.array(pairs).T
-                                               * joint.weights).tolist()),
-                   provenance=provenance)
+        built = object.__new__(cls)
+        built._set(joint.keys(), pairs, provenance, joint.weights)
+        return built
+
+    def _set(self, keys: tuple[StratumKey, ...], rows: list | np.ndarray,
+             provenance: str, weights: np.ndarray | None = None) -> None:
+        """Check, clip and store the pairs of ``keys``, in key order, and
+        the marginal pair: the last of ``rows``, or with ``weights`` the
+        weight-average of the pairs."""
+        if provenance not in (PROVENANCE_MEASURED, PROVENANCE_ADJUSTED):
+            raise ValidationError(f"unknown provenance {provenance!r}")
+        if (not isinstance(rows, np.ndarray)
+                and any(len(row) != 2 for row in rows)):
+            raise ValidationError("expected (do-exposed, do-unexposed) pairs")
+        # no dtype: a value that cannot compare with a float raises TypeError
+        values = np.asarray(rows)
+        if weights is not None:
+            values = np.vstack([values, _running_sum(values.T * weights)])
+        inside = (values >= -_SUM_TOL) & (values <= 1.0 + _SUM_TOL)
+        if not inside.all():
+            k, j = divmod(int(inside.argmin()), 2)
+            where = f"stratum {keys[k]}" if k < len(keys) else "marginal"
+            value = rows[k][j] if k < len(rows) else values[k, j].item()
+            raise ValidationError(
+                f"{where}: probability {value!r} outside [0, 1]")
+        clipped = _clip(values, 0.0, 1.0)
+        clipped.flags.writeable = False
+        for name, value in (("_keys", keys), ("pairs", clipped[:-1]),
+                            ("marginal", tuple(clipped[-1].tolist())),
+                            ("provenance", provenance)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def per_stratum(self) -> Mapping[StratumKey, tuple[float, float]]:
+        return _View(dict(zip(self._keys, map(tuple, self.pairs.tolist()))))
 
     def pair(self, key: StratumKey) -> tuple[float, float]:
         try:
             return self.per_stratum[key]
         except KeyError:
-            raise _no_pair(key) from None
+            raise ValidationError(
+                f"no experimental pair for stratum {key}") from None
 
 
-def _no_pair(key: StratumKey) -> ValidationError:
-    return ValidationError(f"no experimental pair for stratum {key}")
+def _matched_pairs(joint: StratifiedJoint,
+                   experimental: ExperimentalQuantities) -> np.ndarray:
+    """The pairs as a (K, 2) array in the joint's key order; raises
+    :class:`ValidationError` unless they are for exactly the joint's
+    strata."""
+    if experimental._keys != joint.keys():
+        raise ValidationError(_MISMATCH)
+    return experimental.pairs
 
 
 def adjusted_experimental(joint: StratifiedJoint) -> ExperimentalQuantities:
@@ -724,15 +786,11 @@ def adjusted_experimental(joint: StratifiedJoint) -> ExperimentalQuantities:
     # arms: P(x|s) and P(x'|s); risks: P(y|x,s) and P(y|x',s)
     arms = joint.cells[:, 0::2] + joint.cells[:, 1::2]
     empty = (arms <= 0.0).any(axis=1)
-    keys = joint.keys()
     if empty.any():
-        raise PositivityError(f"stratum {keys[int(empty.argmax())]}: both "
-                              "exposure arms need positive probability")
-    risks = joint.cells[:, 0::2] / arms
-    return ExperimentalQuantities(
-        per_stratum=dict(zip(keys, map(tuple, risks.tolist()))),
-        marginal=tuple(_running_sum(risks.T * joint.weights).tolist()),
-        provenance=PROVENANCE_ADJUSTED)
+        raise PositivityError(f"stratum {joint.keys()[int(empty.argmax())]}: "
+                              "both exposure arms need positive probability")
+    return ExperimentalQuantities._weighted(
+        joint, joint.cells[:, 0::2] / arms, PROVENANCE_ADJUSTED)
 
 
 @dataclass(frozen=True)
@@ -751,42 +809,38 @@ class CompatibilityReport:
         return not self.violations
 
 
-# The four consistency inequalities, in the order _excesses gives them.
+# The four consistency inequalities, in the order _excess_columns gives them.
 _CONSTRAINTS = ("exposed-lower", "exposed-upper", "unexposed-lower",
                 "unexposed-upper")
 
 
-def _excesses(table: StratumTable | _Columns, pair: tuple) -> tuple:
-    """How far the pair lies past each inequality, in ``_CONSTRAINTS`` order;
-    given a joint's :class:`_Columns` and pair columns, each is a column."""
-    do_exposed, do_unexposed = pair
-    return (table.p_exposed_event - do_exposed,
-            do_exposed - (1.0 - table.p_exposed_noevent),
-            table.p_unexposed_event - do_unexposed,
-            do_unexposed - (1.0 - table.p_unexposed_noevent))
-
-
-def stratum_violations(table: StratumTable, pair: tuple[float, float],
-                       tol: float) -> list[tuple[str, float]]:
-    """Consistency checks linking one stratum's joint cells to its
-    interventional pair.  Any distribution over joint response behaviors
-    must satisfy, within the stratum,
+def _excess_columns(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """How far each stratum's pair lies past each consistency inequality
+    linking it to the stratum's cells, as a (K, 4) array in ``_CONSTRAINTS``
+    order, from (K, 4) cells and (K, 2) pairs.  Any distribution over joint
+    response behaviors must satisfy, within each stratum,
 
         P(x, y) <= P(y_x) <= 1 - P(x, y')
         P(x', y) <= P(y_x') <= 1 - P(x', y')
-
-    Returns (constraint name, excess) for each inequality violated by more
-    than ``tol``.
     """
-    return [(name, excess)
-            for name, excess in zip(_CONSTRAINTS, _excesses(table, pair))
-            if excess > tol]
+    do_exposed, do_unexposed = pairs.T
+    return np.array((cells[:, 0] - do_exposed,
+                     do_exposed - (1.0 - cells[:, 1]),
+                     cells[:, 2] - do_unexposed,
+                     do_unexposed - (1.0 - cells[:, 3]))).T
 
 
-def _excess_columns(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """:func:`_excesses` of each stratum of (K, 4) cells and (K, 2) pairs,
-    as a (K, 4) array."""
-    return np.array(_excesses(_Columns(*cells.T), pairs.T)).T
+def _one_row(table: StratumTable, pair: Sequence[float],
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """One table's cells as a (1, 4) array and its pair as a (1, 2) array,
+    for the one-stratum bounds and search.  A pair holding NaN, which passes
+    no inequality and breaks none, raises :class:`ValidationError`."""
+    pairs = np.array([pair], dtype=float)
+    if np.isnan(pairs).any():
+        raise ValidationError(f"experimental pair {tuple(pair)!r} holds NaN")
+    cells = np.array([[table.p_exposed_event, table.p_exposed_noevent,
+                       table.p_unexposed_event, table.p_unexposed_noevent]])
+    return cells, pairs
 
 
 def _clip(values, low, high):
@@ -827,31 +881,12 @@ def validate_compatibility(joint: StratifiedJoint,
     Raises :class:`ValidationError` when the stratum sets differ; returns a
     report listing violations (empty means compatible).
     """
-    # both key sequences are sorted, so they are equal iff the sets are
+    excess = _excess_columns(joint.cells, _matched_pairs(joint, experimental))
     keys = joint.keys()
-    if tuple(experimental.per_stratum) != keys:
-        raise ValidationError(_MISMATCH)
-    excess = _excess_columns(joint.cells, experimental.pairs)
     return CompatibilityReport(violations=tuple(
         Violation(stratum=keys[k], constraint=_CONSTRAINTS[c],
                   amount=excess[k, c].item())
         for k, c in zip(*np.nonzero(excess > COMPAT_TOL))))
-
-
-def _stratum_pairs(joint: StratifiedJoint,
-                   experimental: ExperimentalQuantities) -> np.ndarray:
-    """The pairs of the joint's strata in key order, as an (n, 2) array, up
-    to the first stratum without one (all K when every stratum has one)."""
-    keys = joint.keys()
-    per = experimental.per_stratum
-    if tuple(per) == keys:
-        return experimental.pairs
-    pairs = []
-    for key in keys:
-        if key not in per:
-            break
-        pairs.append(per[key])
-    return np.array(pairs, dtype=float).reshape(-1, 2)
 
 
 def load_experimental(source: Source, joint: StratifiedJoint) -> ExperimentalQuantities:

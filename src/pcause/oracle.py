@@ -27,7 +27,7 @@ stratum at once, as arrays over the strata that keep the search's own
 arithmetic, next to one pass of the closed forms over the same strata;
 :func:`feasible_extrema` is the same search over one table.  Pairs pass the
 same compatibility screen as the bounds (the four inequalities of
-:func:`pcause.model.stratum_violations`), but are not moved onto their
+:func:`pcause.model.validate_compatibility`), but are not moved onto their
 range: the recovered conditionals are clipped into [0, 1] instead.
 """
 
@@ -47,12 +47,11 @@ from .model import (
     StratifiedJoint,
     StratumKey,
     StratumTable,
-    _Columns,
     _clip,
     _conflict,
     _excess_columns,
-    _no_pair,
-    _stratum_pairs,
+    _matched_pairs,
+    _one_row,
 )
 
 _MASS_TOL = 1e-9
@@ -93,20 +92,21 @@ def _searched_rows(quantities: Sequence[str], cells: np.ndarray,
     ``no_prevention``), when a type mass goes negative, or when the quantity
     conditions on an empty cell.
     """
-    table = _Columns(*cells.T)
+    (exposed_event, exposed_noevent, unexposed_event,
+     unexposed_noevent) = cells.T
     do_exposed, do_unexposed = pairs.T
     excess = _excess_columns(cells, pairs)
     conflict = (excess > COMPAT_TOL).any(axis=1)
-    p_x = table.p_exposed_event + table.p_exposed_noevent
-    p_xp = table.p_unexposed_event + table.p_unexposed_noevent
+    p_x = exposed_event + exposed_noevent
+    p_xp = unexposed_event + unexposed_noevent
     empty_arm = (p_x <= 0.0) | (p_xp <= 0.0)
     per_x, per_xp = _positive(p_x), _positive(p_xp)
     # alpha and delta are the observational risks; beta and gamma the
     # cross-arm interventional conditionals P(y_x' | x, s) and P(y_x | x', s)
-    alpha = table.p_exposed_event / per_x
-    delta = table.p_unexposed_event / per_xp
-    beta = _clip((do_unexposed - table.p_unexposed_event) / per_x, 0.0, 1.0)
-    gamma = _clip((do_exposed - table.p_exposed_event) / per_xp, 0.0, 1.0)
+    alpha = exposed_event / per_x
+    delta = unexposed_event / per_xp
+    beta = _clip((do_unexposed - unexposed_event) / per_x, 0.0, 1.0)
+    gamma = _clip((do_exposed - exposed_event) / per_xp, 0.0, 1.0)
 
     a_hi = np.minimum(alpha, beta)
     b_hi = np.minimum(gamma, delta)
@@ -130,18 +130,18 @@ def _searched_rows(quantities: Sequence[str], cells: np.ndarray,
     results = []
     for quantity in quantities:
         if quantity == "PN":
-            undefined = table.p_exposed_event <= 0.0
+            undefined = exposed_event <= 0.0
             values = helped_x / _positive(alpha)
             lower, upper = values.min(axis=0), values.max(axis=0)
         elif quantity == "PS":
-            undefined = table.p_unexposed_noevent <= 0.0
+            undefined = unexposed_noevent <= 0.0
             masses = helped_xp + never_xp
             values = helped_xp / _positive(masses)
             # helped + never = P(y'|x') is below the resolution of an
             # always-mass near 1: take it from the cell, and let its helped
             # part range over what the matching equations allow
             resolved = masses.min(axis=0) <= 0.0
-            mass = table.p_unexposed_noevent / per_xp
+            mass = unexposed_noevent / per_xp
             top = np.minimum(gamma, mass)
             bottom = np.minimum(np.maximum(gamma - (1.0 - mass), 0.0), top)
             ends = np.stack([bottom, top]) / _positive(mass)
@@ -195,10 +195,8 @@ def feasible_extrema(table: StratumTable, pair: tuple[float, float],
     """
     if quantity not in bounds.QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    cells = np.array([[table.p_exposed_event, table.p_exposed_noevent,
-                       table.p_unexposed_event, table.p_unexposed_noevent]])
-    (n, out), = _searched_rows((quantity,), cells,
-                               np.array([pair], dtype=float), no_prevention)
+    (n, out), = _searched_rows((quantity,), *_one_row(table, pair),
+                               no_prevention)
     if n == 0:
         raise out
     return out[0]
@@ -243,11 +241,12 @@ def verify_bounds(joint: StratifiedJoint,
 
     The closed forms and the search each run once, over all strata and
     the three quantities; the entries run stratum by stratum, PN, PS then
-    PNS within each.  A failure raises the error that a stratum-by-stratum
-    loop over the two routes would meet first.
+    PNS within each.  Pairs that are not for exactly the joint's strata
+    raise :class:`ValidationError`; otherwise a failure raises the error
+    that a stratum-by-stratum loop over the two routes would meet first.
     """
-    pairs = _stratum_pairs(joint, experimental)
-    cells, keys = joint.cells[:len(pairs)], joint.keys()
+    pairs = _matched_pairs(joint, experimental)
+    cells, keys = joint.cells, joint.keys()
     closed = bounds._box_rows(bounds.QUANTITIES, "conditional", cells, pairs,
                               keys)
     searched = _searched_rows(bounds.QUANTITIES, cells, pairs, False)
@@ -255,10 +254,8 @@ def verify_bounds(joint: StratifiedJoint,
     routes = [route for both in zip(closed, searched) for route in both]
     # the earliest failing stratum, and within it the earliest route
     n, out = min(routes, key=lambda route: route[0])
-    if n < len(pairs):
+    if n < len(keys):
         raise out
-    if len(pairs) < len(keys):
-        raise _no_pair(keys[len(pairs)])
     return VerificationReport(entries=tuple(
         VerificationEntry(key, quantity, closed, searched)
         for key, *both in zip(keys, *(out for _, out in routes))

@@ -14,22 +14,30 @@ from pcause.bounds import (
     PN_UPPER_TERMS,
     PNS_LOWER_TERMS,
     PNS_UPPER_TERMS,
+    Interval,
+    TermChoice,
     _swap_pair,
 )
-from pcause.identify import OUTSIDE_UNIT_WARNING
+from pcause.identify import OUTSIDE_UNIT_WARNING, Estimate
 from pcause.model import (
     _CELLS,
     _FLOAT_LIMIT,
     COMPAT_TOL,
     PROVENANCE_MEASURED,
+    CountTable,
     _cell_slot,
     _read_json,
     _read_text,
+    collapse,
+    validate_compatibility,
 )
 from pcause.oracle import VerificationEntry, VerificationReport
 from pcause.simulate import (
     _MAX_ATTEMPTS_PER_REP,
     _MAX_DISCARD_RATE,
+    ReplicationResult,
+    ReplicationStudy,
+    Scenario,
     _stratifier_layout,
 )
 
@@ -166,14 +174,14 @@ def random_ci_joint(rng: np.random.Generator, *, s_name: str = "s",
     return pc.StratifiedJoint(strata=strata, covariates=(s_name, t_name))
 
 
-def _sample_cells(scenario: pc.Scenario, n: int,
+def _sample_cells(scenario: Scenario, n: int,
                   rng: np.random.Generator) -> np.ndarray:
     order = scenario.outcome_cells()
     probs = np.array([p for _, p in order])
     return rng.multinomial(n, probs)
 
 
-def sample_dataset(scenario: pc.Scenario, n: int, seed: int) -> pc.CountTable:
+def sample_dataset(scenario: Scenario, n: int, seed: int) -> CountTable:
     """One multinomial draw of n subjects, as a count table over {s, t}.
 
     Identical (scenario, n, seed) triples produce identical tables.
@@ -186,8 +194,19 @@ def sample_dataset(scenario: pc.Scenario, n: int, seed: int) -> pc.CountTable:
     for ((x, s, t, y), _p), c in zip(scenario.outcome_cells(), counts):
         key = pc.StratumKey(((scenario.s_name, s), (scenario.t_name, t)))
         rows.append((key, x, y, int(c)))
-    return pc.CountTable.from_rows(rows, covariates=(scenario.s_name,
-                                                     scenario.t_name))
+    return CountTable.from_rows(rows, covariates=(scenario.s_name,
+                                                  scenario.t_name))
+
+
+def screen_violations(table: pc.StratumTable,
+                      pair: tuple[float, float]) -> list[tuple[str, float]]:
+    """The compatibility screen of one table and its pair, as (constraint,
+    excess) for each inequality broken by more than ``COMPAT_TOL``."""
+    key = pc.StratumKey(())
+    joint = pc.StratifiedJoint(strata={key: table}, covariates=())
+    report = validate_compatibility(joint, pc.ExperimentalQuantities(
+        {key: pair}, pair, PROVENANCE_MEASURED))
+    return [(v.constraint, v.amount) for v in report.violations]
 
 
 def experimental_to_dict(experimental: pc.ExperimentalQuantities) -> dict:
@@ -219,7 +238,7 @@ def assert_intervals_certified(joint: pc.StratifiedJoint,
     extremes; the Tian-Pearl interval is the search on the pooled table with
     the marginal pair.
     """
-    pooled = pc.collapse(joint, ()).only()
+    pooled = collapse(joint, ()).only()
     for quantity, share in _SHARE.items():
         weights = {key: share(t) for key, t in joint.items()}
         total = 1.0 if quantity == "PNS" else sum(weights.values())
@@ -251,7 +270,7 @@ def _reference_arm_masses(key: pc.StratumKey, t) -> tuple[float, float]:
     return p_x, p_xp
 
 
-def reference_pn_point(joint: pc.StratifiedJoint) -> pc.Estimate:
+def reference_pn_point(joint: pc.StratifiedJoint) -> Estimate:
     denom = 0.0
     numer = 0.0
     for key, t in joint.items():
@@ -274,11 +293,11 @@ def reference_pn_point(joint: pc.StratifiedJoint) -> pc.Estimate:
         avar = base / n
 
     warnings = () if 0.0 <= value <= 1.0 else (OUTSIDE_UNIT_WARNING,)
-    return pc.Estimate(value=value, avar=avar, n=n, quantity="PN",
-                       covariates=joint.covariates, warnings=warnings)
+    return Estimate(value=value, avar=avar, n=n, quantity="PN",
+                    covariates=joint.covariates, warnings=warnings)
 
 
-def reference_pns_point(joint: pc.StratifiedJoint) -> pc.Estimate:
+def reference_pns_point(joint: pc.StratifiedJoint) -> Estimate:
     value = 0.0
     for key, t in joint.items():
         _reference_arm_masses(key, t)
@@ -296,12 +315,12 @@ def reference_pns_point(joint: pc.StratifiedJoint) -> pc.Estimate:
         avar = base / n
 
     warnings = () if 0.0 <= value <= 1.0 else (OUTSIDE_UNIT_WARNING,)
-    return pc.Estimate(value=value, avar=avar, n=n, quantity="PNS",
-                       covariates=joint.covariates, warnings=warnings)
+    return Estimate(value=value, avar=avar, n=n, quantity="PNS",
+                    covariates=joint.covariates, warnings=warnings)
 
 
-def reference_replicate_study(scenario: pc.Scenario, n: int, reps: int,
-                              seed: int) -> pc.ReplicationStudy:
+def reference_replicate_study(scenario: Scenario, n: int, reps: int,
+                              seed: int) -> ReplicationStudy:
     if reps < 2:
         raise pc.ValidationError("need at least two replications for a variance")
     if n < 1:
@@ -361,7 +380,7 @@ def reference_replicate_study(scenario: pc.Scenario, n: int, reps: int,
                "PNS": reference_pns_point(population).avar}
         for quantity in ("PN", "PNS"):
             vals = values[(quantity, strat)]
-            results.append(pc.ReplicationResult(
+            results.append(ReplicationResult(
                 quantity=quantity,
                 stratifier=strat,
                 n=n,
@@ -370,9 +389,9 @@ def reference_replicate_study(scenario: pc.Scenario, n: int, reps: int,
                 mean_avar=float(np.mean(avars[(quantity, strat)])),
                 population_avar=pop[quantity],
             ))
-    return pc.ReplicationStudy(scenario=scenario.name, n=n, reps=reps,
-                               seed=seed, results=tuple(results),
-                               discarded=discarded, attempts=attempts)
+    return ReplicationStudy(scenario=scenario.name, n=n, reps=reps,
+                            seed=seed, results=tuple(results),
+                            discarded=discarded, attempts=attempts)
 
 
 # The table layer as it was before it moved to arrays: the counts parse one
@@ -380,7 +399,7 @@ def reference_replicate_study(scenario: pc.Scenario, n: int, reps: int,
 # stratified bounds run one stratum at a time in Python floats.  The array
 # code must give the same floats, attainments and errors.
 
-def reference_load_counts(source) -> pc.CountTable:
+def reference_load_counts(source) -> CountTable:
     lines = _read_text(source).replace("\r\n", "\n").replace("\r", "\n")
     kept: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(lines.split("\n"), start=1):
@@ -435,7 +454,7 @@ def reference_load_counts(source) -> pc.CountTable:
         rows.append((key, xy["x"], xy["y"], n))
     if not rows:
         raise pc.ParseError("no data rows")
-    return pc.CountTable.from_rows(rows, covariates=cov_names)
+    return CountTable.from_rows(rows, covariates=cov_names)
 
 
 def reference_joint_from_cells(cells, total, covariates, total_n):
@@ -453,7 +472,22 @@ def reference_joint_from_cells(cells, total, covariates, total_n):
                               total_n=total_n)
 
 
-def reference_to_probabilities(counts: pc.CountTable,
+def reference_joint_of(keys, cells, weights, covariates, total_n):
+    """``StratifiedJoint._of`` as it was before the arrays became the stored
+    form: a table built, and so checked, per row in key order, then the
+    weights' total and ``total_n``."""
+    weights = weights.tolist()
+    strata = dict(zip(keys, map(pc.StratumTable, *cells.T.tolist(), weights)))
+    total = sum(weights)
+    if abs(total - 1.0) > 1e-9:
+        raise pc.ValidationError(f"stratum weights sum to {total!r}, not 1")
+    if total_n is not None and total_n <= 0:
+        raise pc.ValidationError(f"total_n must be positive, got {total_n!r}")
+    return pc.StratifiedJoint(strata=strata, covariates=covariates,
+                              total_n=total_n)
+
+
+def reference_to_probabilities(counts: CountTable,
                                smoothing: str = "none") -> pc.StratifiedJoint:
     if smoothing not in ("none", "add-half"):
         raise pc.ValidationError(f"unknown smoothing {smoothing!r}")
@@ -530,12 +564,12 @@ def reference_adjusted_experimental(joint: pc.StratifiedJoint,
 # both collapses shared one grouping and the pairs one array check: one row
 # or one value at a time.
 
-def reference_count_collapse(counts: pc.CountTable, keep) -> pc.CountTable:
+def reference_count_collapse(counts: CountTable, keep) -> CountTable:
     keep_t = tuple(keep)
     unknown = set(keep_t) - set(counts.covariates)
     if unknown:
         raise pc.ValidationError(f"unknown covariate(s) {sorted(unknown)}")
-    return pc.CountTable.from_rows(
+    return CountTable.from_rows(
         ((key.project(keep_t), x, y, n) for key, x, y, n in counts.rows()),
         covariates=keep_t,
     )
@@ -700,8 +734,8 @@ _REFERENCE_FRAME = {"PN": "exposed cases", "PS": "unexposed non-cases"}
 
 def _reference_choice(quantity, key, li, ui):
     if quantity == "PNS":
-        return pc.TermChoice(key, PNS_LOWER_TERMS[li], PNS_UPPER_TERMS[ui])
-    return pc.TermChoice(key, PN_LOWER_TERMS[li], PN_UPPER_TERMS[ui])
+        return TermChoice(key, PNS_LOWER_TERMS[li], PNS_UPPER_TERMS[ui])
+    return TermChoice(key, PN_LOWER_TERMS[li], PN_UPPER_TERMS[ui])
 
 
 def _reference_finish(lower, upper, quantity, method, choices, key):
@@ -712,8 +746,8 @@ def _reference_finish(lower, upper, quantity, method, choices, key):
         raise pc.IncompatibilityError(
             f"{quantity} bounds invert{where}: lower {lower:.6g} > upper "
             f"{upper:.6g}; observational and experimental inputs conflict")
-    return pc.Interval(lower=lower, upper=upper, quantity=quantity,
-                       method=method, attainment=choices)
+    return Interval(lower=lower, upper=upper, quantity=quantity,
+                    method=method, attainment=choices)
 
 
 def _reference_box(quantity, method, table, pair, key=None):
@@ -820,8 +854,8 @@ def reference_feasible_extrema(table, pair, quantity, *, no_prevention=False):
         contrib_xp = [p_xp * helped for _, helped, _, _ in masses_xp]
         lower = min(contrib_x) + min(contrib_xp)
         upper = max(contrib_x) + max(contrib_xp)
-    return pc.Interval(lower=lower, upper=upper, quantity=quantity,
-                       method="oracle")
+    return Interval(lower=lower, upper=upper, quantity=quantity,
+                    method="oracle")
 
 
 def reference_searched_boxes(quantity, joint, experimental, *,

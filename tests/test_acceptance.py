@@ -13,8 +13,12 @@ import pytest
 
 import pcause as pc
 import pcause.bounds
+from pcause.bounds import Interval
 from pcause.cli import run
+from pcause.identify import pns_point
+from pcause.model import collapse
 from pcause.oracle import feasible_extrema
+from pcause.simulate import builtin_scenarios, replicate_study
 
 from conftest import random_ci_joint, random_instance, \
     random_monotone_stratum, random_pair, random_stratum
@@ -76,7 +80,7 @@ def _close(value: float, target: float, tol: float) -> bool:
 def test_criterion_1_stratified_and_pooled_bounds(cancer_joint,
                                                   cancer_experimental):
     t0 = time.perf_counter()
-    pooled = pc.collapse(cancer_joint, ()).only()
+    pooled = collapse(cancer_joint, ()).only()
     got = {
         ("PN", "stratified"): pc.stratified_interval("PN", cancer_joint,
                                                      cancer_experimental),
@@ -115,7 +119,7 @@ def test_criterion_2_sign_structure(cancer_joint, cancer_experimental):
         all(_close(a, b, 1e-3) for a, b in zip(gaps, want_gap))
 
     strat = pc.stratified_interval("PN", cancer_joint, cancer_experimental)
-    pooled = pc.collapse(cancer_joint, ()).only()
+    pooled = collapse(cancer_joint, ()).only()
     tp = pc.tian_pearl_interval("PN", pooled, cancer_experimental.marginal)
     terms = [c.upper for c in strat.attainment]
     # the last stratum flips the exposed risk above the unexposed one, its
@@ -133,12 +137,12 @@ def test_criterion_3_asymptotic_variance_table():
     t0 = time.perf_counter()
     worst = 0.0
     misses = []
-    for scenario in pc.builtin_scenarios():
+    for scenario in builtin_scenarios():
         for strat_i, strat in enumerate(STRATIFIERS):
             for n in (500, 1000, 1500, 2000):
                 joint = scenario.population_joint(strat, n=n)
                 got = {"PN": pc.pn_point(joint).avar,
-                       "PNS": pc.pns_point(joint).avar}
+                       "PNS": pns_point(joint).avar}
                 for quantity in ("PN", "PNS"):
                     target = AVAR_TABLE[scenario.name][quantity][n][strat_i]
                     dev = abs(got[quantity] - target)
@@ -156,8 +160,8 @@ def test_criterion_4_monte_carlo_variances():
     cols = {("s",): 0, ("t",): 1, ("s", "t"): 2}
     worst = 0.0
     misses = []
-    for scenario in pc.builtin_scenarios():
-        study = pc.replicate_study(scenario, n=1000, reps=5000, seed=MC_SEED)
+    for scenario in builtin_scenarios():
+        study = replicate_study(scenario, n=1000, reps=5000, seed=MC_SEED)
         for r in study.results:
             target = MC_VAR_TABLE[scenario.name][r.quantity][cols[r.stratifier]]
             rel = abs(r.empirical_var - target) / target
@@ -175,11 +179,11 @@ def test_criterion_5_variance_orderings():
     slack = 1e-12
     checked = 0
     bad = 0
-    for scenario in pc.builtin_scenarios():
+    for scenario in builtin_scenarios():
         for n in (500, 1000, 1500, 2000):
             joints = {strat: scenario.population_joint(strat, n=n)
                       for strat in STRATIFIERS}
-            for point in (pc.pn_point, pc.pns_point):
+            for point in (pc.pn_point, pns_point):
                 a = {strat: point(joint).avar
                      for strat, joint in joints.items()}
                 checked += 1
@@ -189,8 +193,8 @@ def test_criterion_5_variance_orderings():
     rng = np.random.default_rng(505)
     for _ in range(100):
         joint = replace(random_ci_joint(rng), total_n=1000)
-        for point in (pc.pn_point, pc.pns_point):
-            a = {strat: point(pc.collapse(joint, strat)).avar
+        for point in (pc.pn_point, pns_point):
+            a = {strat: point(collapse(joint, strat)).avar
                  for strat in STRATIFIERS}
             checked += 1
             if not (a[("s",)] <= a[("s", "t")] + slack
@@ -225,9 +229,9 @@ def test_criterion_6_oracle_agreement(cancer_joint, cancer_experimental,
     real = pcause.bounds._box_rows
 
     def widened(quantities, *args):
-        return [(n, [pc.Interval(lower=iv.lower, upper=iv.upper + 0.05,
-                                 quantity=iv.quantity, method=iv.method,
-                                 attainment=iv.attainment) for iv in out]
+        return [(n, [Interval(lower=iv.lower, upper=iv.upper + 0.05,
+                              quantity=iv.quantity, method=iv.method,
+                              attainment=iv.attainment) for iv in out]
                  if quantity == "PN" else out)
                 for quantity, (n, out) in zip(quantities,
                                               real(quantities, *args))]
@@ -266,7 +270,7 @@ def test_criterion_7_reduction_and_nesting():
     for _ in range(500):
         joint, experimental = random_instance(
             rng, n_strata=int(rng.integers(2, 5)))
-        pooled = pc.collapse(joint, ()).only()
+        pooled = collapse(joint, ()).only()
         for quantity in ("PN", "PS", "PNS"):
             inner = pc.stratified_interval(quantity, joint, experimental)
             outer = pc.tian_pearl_interval(quantity, pooled,
@@ -326,7 +330,7 @@ def test_criterion_8_no_prevention_collapse():
         pn_iv = feasible_extrema(t, pair, "PN", no_prevention=True)
         pns_iv = feasible_extrema(t, pair, "PNS", no_prevention=True)
         pn = pc.pn_point(joint).value
-        pns = pc.pns_point(joint).value
+        pns = pns_point(joint).value
         worst = max(worst, pn_iv.width, pns_iv.width,
                     abs(pn_iv.lower - pn), abs(pns_iv.lower - pns))
     ok = worst <= 2e-3

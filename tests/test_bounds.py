@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import pcause as pc
-from pcause.bounds import TermChoice, _swap_pair
+from pcause.bounds import Interval, TermChoice, _swap_pair
+from pcause.model import collapse
 from pcause.oracle import feasible_extrema
 
 from conftest import random_instance, random_pair, random_stratum
@@ -117,7 +118,7 @@ class TestStratifiedGolden:
 
 class TestTianPearlGolden:
     def test_all_quantities(self, cancer_joint, cancer_experimental):
-        pooled = pc.collapse(cancer_joint, ()).only()
+        pooled = collapse(cancer_joint, ()).only()
         marginal = cancer_experimental.marginal
         pn = pc.tian_pearl_interval("PN", pooled, marginal)
         pns = pc.tian_pearl_interval("PNS", pooled, marginal)
@@ -131,7 +132,7 @@ class TestTianPearlGolden:
         assert ps.upper == pytest.approx(0.5817985257985258, abs=1e-9)
 
     def test_stratified_nests_inside(self, cancer_joint, cancer_experimental):
-        pooled = pc.collapse(cancer_joint, ()).only()
+        pooled = collapse(cancer_joint, ()).only()
         for quantity in ("PN", "PS", "PNS"):
             inner = pc.stratified_interval(quantity, cancer_joint,
                                            cancer_experimental)
@@ -198,7 +199,7 @@ class TestNestingProperty:
         rng = np.random.default_rng(2204)
         for _ in range(50):
             joint, experimental = random_instance(rng, n_strata=int(rng.integers(2, 5)))
-            pooled = pc.collapse(joint, ()).only()
+            pooled = collapse(joint, ()).only()
             for quantity in ("PN", "PS", "PNS"):
                 inner = pc.stratified_interval(quantity, joint, experimental)
                 outer = pc.tian_pearl_interval(quantity, pooled,
@@ -347,14 +348,14 @@ class TestPositivity:
 class TestIntervalType:
     def test_invariants(self):
         with pytest.raises(pc.ValidationError):
-            pc.Interval(lower=0.5, upper=0.2, quantity="PN", method="oracle")
+            Interval(lower=0.5, upper=0.2, quantity="PN", method="oracle")
         with pytest.raises(pc.ValidationError):
-            pc.Interval(lower=0.0, upper=1.0, quantity="XX", method="oracle")
+            Interval(lower=0.0, upper=1.0, quantity="XX", method="oracle")
         with pytest.raises(pc.ValidationError):
-            pc.Interval(lower=0.0, upper=1.0, quantity="PN", method="magic")
+            Interval(lower=0.0, upper=1.0, quantity="PN", method="magic")
 
     def test_width_and_contains(self):
-        iv = pc.Interval(lower=0.2, upper=0.5, quantity="PN", method="oracle")
+        iv = Interval(lower=0.2, upper=0.5, quantity="PN", method="oracle")
         assert iv.width == pytest.approx(0.3, abs=TOL)
         assert iv.contains(0.2) and iv.contains(0.5)
         assert not iv.contains(0.6)
@@ -362,6 +363,6 @@ class TestIntervalType:
     def test_unknown_quantity_rejected(self, cancer_joint, cancer_experimental):
         with pytest.raises(pc.ValidationError):
             pc.stratified_interval("PM", cancer_joint, cancer_experimental)
-        pooled = pc.collapse(cancer_joint, ()).only()
+        pooled = collapse(cancer_joint, ()).only()
         with pytest.raises(pc.ValidationError):
             pc.tian_pearl_interval("PM", pooled, cancer_experimental.marginal)

@@ -4,23 +4,33 @@
 array pass, ``verify_bounds`` runs that pass and the response-type search
 (``oracle._searched_rows``) once over all strata and quantities,
 ``load_experimental`` reads its pairs in one pass, and the one-stratum
-functions are one-row calls of the same passes.  The ``reference_*`` functions in ``conftest`` are those
-functions as they were, one table and pair at a time; here the two must
-agree on the repr of every interval and entry, and on the type and text of
-the first error a stratum-by-stratum loop meets.  The examples come from
-``hypothesis`` in derandomized mode.
+functions are one-row calls of the same passes.  The ``reference_*``
+functions in ``conftest`` are those functions as they were, one table and
+pair at a time; here the two must agree on the repr of every interval and
+entry, and on the type and text of the first error a stratum-by-stratum loop
+meets.  Pairs for other strata than the joint's are one error, where the
+loops named the first stratum without a pair or ignored strata the joint
+lacks.  The examples come from ``hypothesis`` in derandomized mode.
 """
 
 import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
 from pcause.bounds import conditional_boxes
-from pcause.model import COMPAT_TOL, _no_pair, _stratum_pairs
-from pcause.oracle import _searched_rows
+from pcause.identify import monotonicity_diagnostic
+from pcause.model import (
+    _MISMATCH,
+    COMPAT_TOL,
+    CountTable,
+    _matched_pairs,
+    load_experimental,
+)
+from pcause.oracle import VerificationReport, _searched_rows
 
 from conftest import (
     random_joint,
@@ -38,6 +48,7 @@ from conftest import (
 QUANTITIES = ("PN", "PS", "PNS")
 ONE_ROW = {"PN": pc.pn_interval_conditional, "PS": pc.ps_interval_conditional,
            "PNS": pc.pns_interval_conditional}
+MISMATCH = f"ValidationError: {_MISMATCH}"
 
 repeatable = settings(derandomize=True, database=None, deadline=None,
                       max_examples=150)
@@ -49,7 +60,7 @@ def _outcome(function, *args, **kwargs):
         result = function(*args, **kwargs)
     except (pc.PcauseError, RuntimeError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    if isinstance(result, pc.VerificationReport):
+    if isinstance(result, VerificationReport):
         return (repr(result), result.max_discrepancy, result.passed,
                 repr(result.failures),
                 [e.discrepancy for e in result.entries])
@@ -59,13 +70,11 @@ def _outcome(function, *args, **kwargs):
 def searched_boxes(quantity, joint, experimental, *, no_prevention):
     """The batched search of every stratum, raising what a loop over
     ``feasible_extrema`` would raise first."""
-    pairs = _stratum_pairs(joint, experimental)
-    (n, out), = _searched_rows((quantity,), joint.cells[:len(pairs)], pairs,
+    (n, out), = _searched_rows((quantity,), joint.cells,
+                               _matched_pairs(joint, experimental),
                                no_prevention)
-    if n < len(pairs):
+    if n < joint.n_strata:
         raise out
-    if len(pairs) < joint.n_strata:
-        raise _no_pair(joint.keys()[len(pairs)])
     return out
 
 
@@ -81,6 +90,18 @@ def assert_same_boxes(joint, experimental):
                          experimental, no_prevention=no_prevention)
     assert _outcome(pc.verify_bounds, joint, experimental) == \
         _outcome(reference_verify_bounds, joint, experimental)
+
+
+def assert_mismatch(joint, experimental):
+    """Pairs for other strata than the joint's: every batched route raises
+    the one mismatch error before it looks at any stratum."""
+    for quantity in QUANTITIES:
+        assert _outcome(conditional_boxes, quantity, joint, experimental) == \
+            MISMATCH
+        for no_prevention in (False, True):
+            assert _outcome(searched_boxes, quantity, joint, experimental,
+                            no_prevention=no_prevention) == MISMATCH
+    assert _outcome(pc.verify_bounds, joint, experimental) == MISMATCH
 
 
 def assert_same_one_row(table, pair, key):
@@ -138,20 +159,22 @@ def _joint(draws, levels):
 def _experimentals(joint, pairs, drop):
     """Measured pairs as drawn; pairs from the risks, where both arms of
     every stratum have mass; the drawn pairs without one stratum; and the
-    drawn pairs with one stratum that the joint lacks."""
+    drawn pairs with one stratum that the joint lacks.  Each comes with
+    whether its strata are the joint's."""
     measured = "measured-experimental"
-    yield pc.ExperimentalQuantities.from_per_stratum(joint, pairs, measured)
+    yield pc.ExperimentalQuantities.from_per_stratum(joint, pairs,
+                                                     measured), True
     try:
-        yield pc.adjusted_experimental(joint)
+        yield pc.adjusted_experimental(joint), True
     except pc.PositivityError:
         pass
     keys = joint.keys()
     missing = {key: pair for key, pair in pairs.items()
                if key != keys[drop % len(keys)]}
     if missing:
-        yield pc.ExperimentalQuantities(missing, (0.5, 0.5), measured)
+        yield pc.ExperimentalQuantities(missing, (0.5, 0.5), measured), False
     extra = {**pairs, pc.StratumKey.of(g="9", h="z"): (0.5, 0.5)}
-    yield pc.ExperimentalQuantities(extra, (0.5, 0.5), measured)
+    yield pc.ExperimentalQuantities(extra, (0.5, 0.5), measured), False
 
 
 _EDGE = [([0.25, 0.25, 0.25, 0.25], 1.0, 0.0, 1.0, 0.0, 0.0),
@@ -187,8 +210,9 @@ _INSIDE = ([0.3, 0.2, 0.1, 0.4], 1.0, 0.5, 0.5, 0.0, 0.0)
          [("1", "a")], 0)
 def test_batched_routes_match_the_stratum_loops(draws, levels, drop):
     joint, pairs = _joint(draws, levels)
-    for experimental in _experimentals(joint, pairs, drop):
-        assert_same_boxes(joint, experimental)
+    for experimental, matched in _experimentals(joint, pairs, drop):
+        (assert_same_boxes if matched else assert_mismatch)(joint,
+                                                            experimental)
     for key, table in joint.items():
         assert_same_one_row(table, pairs[key], key)
     if joint.n_strata == 1:
@@ -202,7 +226,7 @@ def test_batched_routes_match_the_stratum_loops(draws, levels, drop):
 
 
 def test_the_cancelling_ps_table_from_counts():
-    counts = pc.CountTable.from_rows(
+    counts = CountTable.from_rows(
         [(pc.StratumKey.of(g="1"), x, y, n) for (x, y), n in
          zip(((1, 1), (1, 0), (0, 1), (0, 0)), (10**17, 3, 10**17, 4))],
         covariates=("g",))
@@ -222,7 +246,7 @@ def test_two_thousand_strata():
     for experimental in (measured, pc.adjusted_experimental(joint)):
         assert_same_boxes(joint, experimental)
     text = json.dumps(_pairs_file(measured.per_stratum.items()))
-    assert _outcome(pc.load_experimental, io.StringIO(text), joint) == \
+    assert _outcome(load_experimental, io.StringIO(text), joint) == \
         _outcome(reference_load_experimental, io.StringIO(text), joint)
 
 
@@ -230,10 +254,57 @@ def test_max_discrepancy_is_worked_out_once(cancer_joint, cancer_experimental):
     report = pc.verify_bounds(cancer_joint, cancer_experimental)
     assert report.max_discrepancy == max(e.discrepancy for e in report.entries)
     assert "max_discrepancy" in vars(report)
-    again = pc.VerificationReport(report.entries, report.tol)
+    again = VerificationReport(report.entries, report.tol)
     assert again == report and repr(again) == repr(report)
     assert repr(report) == (f"VerificationReport(entries={report.entries!r}, "
                             f"tol={report.tol!r})")
+
+
+# Pairs for the fixture's three stages less stage 3, with a stage 9 more, and
+# with stage 3 relabelled 4.
+_OTHER_STRATA = {"missing": ("1", "2"), "extra": ("1", "2", "3", "9"),
+                 "relabelled": ("1", "2", "4")}
+_JOINT_AND_PAIRS = {
+    "conditional_boxes": lambda j, e: conditional_boxes("PN", j, e),
+    "verify_bounds": pc.verify_bounds,
+    "stratified_interval": lambda j, e: pc.stratified_interval("PN", j, e),
+    "monotonicity_diagnostic": monotonicity_diagnostic,
+}
+
+
+@pytest.mark.parametrize("function", _JOINT_AND_PAIRS)
+@pytest.mark.parametrize("stages", _OTHER_STRATA)
+def test_pairs_for_other_strata_are_one_error(cancer_joint, function,
+                                              stages):
+    experimental = pc.ExperimentalQuantities(
+        {pc.StratumKey.of(stage=s): (0.5, 0.5) for s in _OTHER_STRATA[stages]},
+        (0.5, 0.5), "measured-experimental")
+    assert _outcome(_JOINT_AND_PAIRS[function], cancer_joint,
+                    experimental) == MISMATCH
+
+
+_ONE_ROW_ENTRIES = {
+    **ONE_ROW,
+    "tian-pearl": lambda table, pair: pc.tian_pearl_interval("PN", table,
+                                                             pair),
+    "search": lambda table, pair: pc.feasible_extrema(table, pair, "PN"),
+}
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("entry", _ONE_ROW_ENTRIES)
+def test_a_pair_holding_nan_is_rejected(entry, slot):
+    table = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=1.0)
+    pair = [0.4, 0.3]
+    pair[slot] = float("nan")
+    assert _outcome(_ONE_ROW_ENTRIES[entry], table, tuple(pair)) == (
+        f"ValidationError: experimental pair {tuple(pair)!r} holds NaN")
+    # a pair within COMPAT_TOL outside [0, 1] is moved onto its range
+    edge = pc.StratumTable(0.5, 0.0, 0.0, 0.5, weight=1.0)
+    pair = [1.0, 0.0]
+    pair[slot] += 5e-4 if slot == 0 else -5e-4
+    interval = _ONE_ROW_ENTRIES[entry](edge, tuple(pair))
+    assert 0.0 <= interval.lower <= interval.upper <= 1.0
 
 
 # Measured-pair files: entries for the joint's strata and for strata it
@@ -271,7 +342,7 @@ def test_pair_loader_matches_the_entry_loop(draws, levels, data):
     if listed and data.draw(st.booleans()):
         del text["strata"][-1][data.draw(st.sampled_from(_FIELDS))]
     text = json.dumps(text)
-    assert _outcome(pc.load_experimental, io.StringIO(text), joint) == \
+    assert _outcome(load_experimental, io.StringIO(text), joint) == \
         _outcome(reference_load_experimental, io.StringIO(text), joint)
 
 
@@ -279,6 +350,6 @@ def test_pair_loader_rejects_levels_that_are_not_an_object(cancer_joint):
     text = json.dumps({"strata": [{"levels": ["stage", "1"],
                                    "p_event_do_exposed": 0.2,
                                    "p_event_do_unexposed": 0.3}]})
-    assert _outcome(pc.load_experimental, io.StringIO(text), cancer_joint) == \
+    assert _outcome(load_experimental, io.StringIO(text), cancer_joint) == \
         ("ParseError: malformed experimental data: 'list' object has no "
          "attribute 'items'")

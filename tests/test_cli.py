@@ -14,6 +14,8 @@ import pytest
 import pcause as pc
 from pcause import cli
 from pcause.cli import run
+from pcause.model import render_counts
+from pcause.simulate import Scenario, builtin_scenarios
 
 from conftest import CANCER_CSV, DATA_DIR, experimental_to_dict, sample_dataset
 
@@ -29,11 +31,11 @@ def _write_zero_arm_csv(tmp_path):
 
 
 def _write_two_covariate_csv(tmp_path):
-    scenario = next(sc for sc in pc.builtin_scenarios()
+    scenario = next(sc for sc in builtin_scenarios()
                     if sc.name == "setting-2")
     counts = sample_dataset(scenario, 2000, seed=3)
     path = tmp_path / "two_cov.csv"
-    path.write_text(pc.render_counts(counts))
+    path.write_text(render_counts(counts))
     return path
 
 
@@ -304,7 +306,7 @@ class TestSimulateCommand:
         assert payload["intervals"] is None
 
     def test_scenario_file(self, tmp_path, capsys):
-        scenario = next(sc for sc in pc.builtin_scenarios()
+        scenario = next(sc for sc in builtin_scenarios()
                         if sc.name == "setting-4")
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario.to_dict()))
@@ -313,7 +315,7 @@ class TestSimulateCommand:
         assert "scenario setting-4" in capsys.readouterr().out
 
     def test_degenerate_scenario_fails_cleanly(self, tmp_path, capsys):
-        scenario = pc.Scenario(
+        scenario = Scenario(
             name="hopeless",
             cells={(1, "1", "1"): 0.488, (1, "2", "1"): 0.002,
                    (0, "1", "1"): 0.488, (0, "2", "1"): 0.022},
@@ -520,7 +522,7 @@ class TestInputErrors:
             "to float\n")
 
     def test_scenario_integer_too_large_for_a_float(self, tmp_path, capsys):
-        scenario = pc.builtin_scenarios()[0].to_dict()
+        scenario = builtin_scenarios()[0].to_dict()
         scenario["cells"][0]["p"] = 10**400
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))

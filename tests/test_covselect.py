@@ -11,6 +11,8 @@ from scipy.stats import chi2
 import pcause as pc
 from pcause import covselect
 from pcause.covselect import EXPOSURE_CI, OUTCOME_CI
+from pcause.model import collapse
+from pcause.simulate import builtin_scenarios
 
 from conftest import random_ci_joint
 
@@ -53,7 +55,7 @@ class TestExactCheck:
     @pytest.mark.parametrize("name", ["setting-1", "setting-2", "setting-3",
                                       "setting-4"])
     def test_builtin_settings_satisfy_both(self, name):
-        scenario = next(sc for sc in pc.builtin_scenarios()
+        scenario = next(sc for sc in builtin_scenarios()
                         if sc.name == name)
         joint = scenario.population_joint(("s", "t"))
         for kind in (OUTCOME_CI, EXPOSURE_CI):
@@ -164,7 +166,7 @@ class TestSelectionReport:
     @pytest.mark.parametrize("name", ["setting-1", "setting-2", "setting-3",
                                       "setting-4"])
     def test_settings_recommend_s(self, name):
-        scenario = next(sc for sc in pc.builtin_scenarios()
+        scenario = next(sc for sc in builtin_scenarios()
                         if sc.name == name)
         joint = scenario.population_joint(("s", "t"), n=1000)
         report = pc.compare_covariate_sets(joint, "s", "t")
@@ -211,7 +213,7 @@ class TestValidation:
     def test_covariate_mismatch(self):
         rng = np.random.default_rng(49)
         joint = random_ci_joint(rng)
-        collapsed = pc.collapse(joint, ("s",))
+        collapsed = collapse(joint, ("s",))
         with pytest.raises(pc.ValidationError, match="stratified by"):
             pc.ci_check(collapsed, pc.CIRelation(OUTCOME_CI, "s", "t"))
         with pytest.raises(pc.ValidationError):

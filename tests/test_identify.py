@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
-from pcause.identify import OUTSIDE_UNIT_WARNING
+from pcause.identify import (
+    OUTSIDE_UNIT_WARNING,
+    monotonicity_diagnostic,
+    pns_point,
+)
+from pcause.simulate import builtin_scenarios
 
 from conftest import (
     random_monotone_stratum,
@@ -18,7 +23,7 @@ from conftest import (
 TOL = 1e-12
 
 def _scenario(name):
-    return next(sc for sc in pc.builtin_scenarios() if sc.name == name)
+    return next(sc for sc in builtin_scenarios() if sc.name == name)
 
 
 FLAGGED_RISK_DIFFERENCES = {
@@ -44,7 +49,7 @@ def _monotone_joint(rng, n_strata=3):
 class TestPointEstimates:
     def test_survival_fixture_values(self, cancer_joint):
         pn = pc.pn_point(cancer_joint)
-        pns = pc.pns_point(cancer_joint)
+        pns = pns_point(cancer_joint)
         assert pn.value == pytest.approx(-0.6869850579528003, abs=1e-9)
         assert pns.value == pytest.approx(-0.15495611276861276, abs=1e-9)
         assert pn.quantity == "PN" and pns.quantity == "PNS"
@@ -56,7 +61,7 @@ class TestPointEstimates:
         rng = np.random.default_rng(901)
         joint = replace(_monotone_joint(rng), total_n=500)
         pn = pc.pn_point(joint)
-        pns = pc.pns_point(joint)
+        pns = pns_point(joint)
         assert pn.warnings == () and pns.warnings == ()
         assert 0.0 <= pn.value <= 1.0
         assert 0.0 <= pns.value <= 1.0
@@ -67,7 +72,7 @@ class TestPointEstimates:
         joint = pc.StratifiedJoint(
             strata={pc.StratumKey.of(g="1"): t}, covariates=("g",))
         assert pc.pn_point(joint).value == pytest.approx(0.6, abs=TOL)
-        assert pc.pns_point(joint).value == pytest.approx(0.3, abs=TOL)
+        assert pns_point(joint).value == pytest.approx(0.3, abs=TOL)
 
     def test_estimand_matches_direct_formula(self, cancer_joint):
         # PNS sums risk differences over strata; PN reweights them by the
@@ -80,7 +85,7 @@ class TestPointEstimates:
             pns += rd * t.weight
             pn_num += rd * t.p_exposed * t.weight
             pxy += t.p_exposed_event * t.weight
-        assert pc.pns_point(cancer_joint).value == \
+        assert pns_point(cancer_joint).value == \
             pytest.approx(pns, abs=TOL)
         assert pc.pn_point(cancer_joint).value == \
             pytest.approx(pn_num / pxy, abs=TOL)
@@ -97,7 +102,7 @@ class TestAsymptoticVariance:
         }
         joint = pc.StratifiedJoint(strata=strata, covariates=("s",),
                                    total_n=1000)
-        est = pc.pns_point(joint)
+        est = pns_point(joint)
         base = 0.0
         for _, t in joint.items():
             rx, rxp = t.risk_exposed, t.risk_unexposed
@@ -111,7 +116,7 @@ class TestAsymptoticVariance:
     def test_exact_inverse_n_scaling(self):
         rng = np.random.default_rng(902)
         joint = _monotone_joint(rng)
-        for point in (pc.pn_point, pc.pns_point):
+        for point in (pc.pn_point, pns_point):
             a500 = point(replace(joint, total_n=500)).avar
             a1000 = point(replace(joint, total_n=1000)).avar
             assert a500 == pytest.approx(2.0 * a1000, rel=1e-12)
@@ -119,7 +124,7 @@ class TestAsymptoticVariance:
     def test_missing_sample_size(self):
         rng = np.random.default_rng(903)
         joint = _monotone_joint(rng)  # synthetic joints carry no total_n
-        for point in (pc.pn_point, pc.pns_point):
+        for point in (pc.pn_point, pns_point):
             est = point(joint)
             assert est.avar is None
             assert est.n is None
@@ -130,7 +135,7 @@ class TestAsymptoticVariance:
         joint = pc.StratifiedJoint(
             strata={pc.StratumKey.of(g="1"): t}, covariates=("g",),
             total_n=100)
-        est = pc.pns_point(joint)
+        est = pns_point(joint)
         assert est.value == pytest.approx(1.0, abs=TOL)
         assert est.avar == 0.0
 
@@ -196,7 +201,7 @@ class TestArrayKernel:
         joint = _raw_joint(strata, total_n)
         assert _outcome(pc.pn_point, joint) == \
             _outcome(reference_pn_point, joint)
-        assert _outcome(pc.pns_point, joint) == \
+        assert _outcome(pns_point, joint) == \
             _outcome(reference_pns_point, joint)
 
     def test_many_strata_add_in_order(self):
@@ -209,7 +214,7 @@ class TestArrayKernel:
                     for i, w in enumerate(weights)},
             covariates=("g",), total_n=10**6)
         assert repr(pc.pn_point(joint)) == repr(reference_pn_point(joint))
-        assert repr(pc.pns_point(joint)) == repr(reference_pns_point(joint))
+        assert repr(pns_point(joint)) == repr(reference_pns_point(joint))
 
     def test_pinned_joints_square_where_pow_and_multiply_differ(self):
         v = reference_pn_point(_raw_joint(_PN_SQUARE, 1000)).value
@@ -227,7 +232,7 @@ class TestStratifierInvariance:
         for stratifier in (("s",), ("t",), ("s", "t")):
             joint = scenario.population_joint(stratifier, n=1000)
             values[stratifier] = (pc.pn_point(joint).value,
-                                  pc.pns_point(joint).value)
+                                  pns_point(joint).value)
         assert values[("s",)] == pytest.approx(values[("t",)], abs=TOL)
         assert values[("s",)] == pytest.approx(values[("s", "t")], abs=TOL)
         assert values[("s",)][0] == pytest.approx(-0.17482517482517487, abs=1e-9)
@@ -239,7 +244,7 @@ class TestStratifierInvariance:
         for stratifier in (("s",), ("t",), ("s", "t")):
             joint = scenario.population_joint(stratifier, n=1000)
             avars[stratifier] = (pc.pn_point(joint).avar,
-                                 pc.pns_point(joint).avar)
+                                 pns_point(joint).avar)
         assert avars[("s",)][0] == pytest.approx(0.0034, abs=1e-4)
         assert avars[("s",)][1] == pytest.approx(0.0009, abs=1e-4)
         for i in (0, 1):
@@ -250,7 +255,7 @@ class TestStratifierInvariance:
 class TestMonotonicityDiagnostic:
     def test_survival_fixture_flags_everything(self, cancer_joint,
                                                cancer_experimental):
-        report = pc.monotonicity_diagnostic(cancer_joint, cancer_experimental)
+        report = monotonicity_diagnostic(cancer_joint, cancer_experimental)
         assert len(report.risk_differences) == 3
         for key, rd in report.risk_differences:
             level = key.level("stage")
@@ -262,7 +267,7 @@ class TestMonotonicityDiagnostic:
 
     def test_interval_consistency_checked(self, cancer_joint,
                                           cancer_experimental):
-        report = pc.monotonicity_diagnostic(cancer_joint, cancer_experimental)
+        report = monotonicity_diagnostic(cancer_joint, cancer_experimental)
         assert report.pn_interval.method == "stratified"
         assert not report.pn_interval.contains(report.pn.value)
         assert not report.pns_interval.contains(report.pns.value)
@@ -274,7 +279,7 @@ class TestMonotonicityDiagnostic:
         exp = pc.ExperimentalQuantities.from_per_stratum(
             joint, {pc.StratumKey.of(g="1"): (0.5, 0.2)},
             provenance="measured-experimental")
-        report = pc.monotonicity_diagnostic(joint, exp)
+        report = monotonicity_diagnostic(joint, exp)
         assert report.flagged == ()
         assert report.pn.value == pytest.approx(0.6, abs=TOL)
         assert report.pn_consistent and report.pns_consistent

@@ -4,9 +4,15 @@ import json
 import pytest
 
 import pcause as pc
-from pcause.model import stratum_violations
+from pcause.model import (
+    CountTable,
+    collapse,
+    load_experimental,
+    render_counts,
+    validate_compatibility,
+)
 
-from conftest import CANCER_CSV, experimental_to_dict
+from conftest import CANCER_CSV, experimental_to_dict, screen_violations
 
 TOL = 1e-12
 
@@ -143,7 +149,7 @@ class TestLoadCounts:
             pc.load_counts(tmp_path / "nope.csv")
 
     def test_render_round_trip(self, cancer_counts):
-        text = pc.render_counts(cancer_counts)
+        text = render_counts(cancer_counts)
         again = pc.load_counts(io.StringIO(text))
         assert again == cancer_counts
         j1 = pc.to_probabilities(cancer_counts)
@@ -156,18 +162,18 @@ class TestLoadCounts:
 
     def test_render_quotes_levels_with_commas(self):
         key = pc.StratumKey.of(site='a,b', arm='say "hi"')
-        counts = pc.CountTable.from_rows(
+        counts = CountTable.from_rows(
             [(key, 1, 1, 3), (key, 0, 0, 4)], covariates=("site", "arm"))
-        text = pc.render_counts(counts)
+        text = render_counts(counts)
         assert text.splitlines()[1] == '"say ""hi""","a,b",0,0,4'
         assert pc.load_counts(io.StringIO(text)) == counts
 
     def test_render_quotes_leading_hash_level(self):
         one, two = pc.StratumKey.of(g="#1"), pc.StratumKey.of(g="2")
-        counts = pc.CountTable.from_rows(
+        counts = CountTable.from_rows(
             [(one, 1, 1, 1), (one, 0, 0, 3), (two, 1, 1, 2), (two, 0, 0, 2)],
             covariates=("g",))
-        text = pc.render_counts(counts)
+        text = render_counts(counts)
         assert text.splitlines()[1] == '"#1",0,0,3'
         again = pc.load_counts(io.StringIO(text))
         assert again == counts
@@ -175,15 +181,15 @@ class TestLoadCounts:
 
     def test_render_quotes_leading_hash_covariate(self):
         key = pc.StratumKey.of(**{"#g": "a", "h": "b"})
-        counts = pc.CountTable.from_rows([(key, 1, 1, 3)],
-                                         covariates=("#g", "h"))
-        text = pc.render_counts(counts)
+        counts = CountTable.from_rows([(key, 1, 1, 3)],
+                                      covariates=("#g", "h"))
+        text = render_counts(counts)
         assert text.splitlines()[0] == '"#g",h,x,y,count'
         assert pc.load_counts(io.StringIO(text)) == counts
 
     def test_render_plain_levels_unquoted(self):
         text = "s,t,x,y,count\n1,2,0,0,4\n1,2,1,1,3\n"
-        assert pc.render_counts(pc.load_counts(io.StringIO(text))) == text
+        assert render_counts(pc.load_counts(io.StringIO(text))) == text
 
     def test_rows_of_a_stratum_share_one_key(self):
         text = "t,s,x,y,count\n2,1,1,1,3\n2,1,1,0,1\n2,1,0,1,2\n2,1,0,0,5\n"
@@ -202,26 +208,26 @@ class TestLoadCounts:
 class TestCountTable:
     def test_from_rows_sums(self):
         key = pc.StratumKey.of(s="1")
-        counts = pc.CountTable.from_rows(
+        counts = CountTable.from_rows(
             [(key, 1, 1, 2), (key, 1, 1, 3), (key, 0, 0, 1)], covariates=("s",))
         assert counts.cells[(key, 1, 1)] == 5
 
     def test_invalid_cells(self):
         key = pc.StratumKey.of(s="1")
         with pytest.raises(pc.ValidationError):
-            pc.CountTable(cells={(key, 2, 1): 1}, covariates=("s",))
+            CountTable(cells={(key, 2, 1): 1}, covariates=("s",))
         with pytest.raises(pc.ValidationError):
-            pc.CountTable(cells={(key, 1, 1): -1}, covariates=("s",))
+            CountTable(cells={(key, 1, 1): -1}, covariates=("s",))
         with pytest.raises(pc.ValidationError):
-            pc.CountTable(cells={(key, 1, 1): 1.5}, covariates=("s",))
+            CountTable(cells={(key, 1, 1): 1.5}, covariates=("s",))
         with pytest.raises(pc.ValidationError):
-            pc.CountTable(cells={(key, 1, 1): 1}, covariates=("t",))
+            CountTable(cells={(key, 1, 1): 1}, covariates=("t",))
 
     def test_collapse_is_integer_exact(self):
         rows = [(pc.StratumKey.of(s=s, t=t), x, y, n)
                 for (s, t, x, y, n) in [("1", "1", 1, 1, 3), ("1", "2", 1, 1, 4),
                                         ("1", "1", 0, 0, 5), ("1", "2", 0, 0, 6)]]
-        counts = pc.CountTable.from_rows(rows, covariates=("s", "t"))
+        counts = CountTable.from_rows(rows, covariates=("s", "t"))
         merged = counts.collapse(("s",))
         assert merged.cells[(pc.StratumKey.of(s="1"), 1, 1)] == 7
         assert merged.cells[(pc.StratumKey.of(s="1"), 0, 0)] == 11
@@ -261,14 +267,14 @@ class TestToProbabilities:
 
     def test_empty_table(self):
         key = pc.StratumKey.of(s="1")
-        counts = pc.CountTable(cells={(key, 1, 1): 0}, covariates=("s",))
+        counts = CountTable(cells={(key, 1, 1): 0}, covariates=("s",))
         with pytest.raises(pc.PositivityError):
             pc.to_probabilities(counts)
 
 
 class TestCollapse:
     def test_pooled_matches_marginal_cells(self, cancer_joint):
-        pooled = pc.collapse(cancer_joint, ()).only()
+        pooled = collapse(cancer_joint, ()).only()
         for x in (1, 0):
             for y in (1, 0):
                 marginal = sum(t.cell(x, y) * t.weight
@@ -277,7 +283,7 @@ class TestCollapse:
         assert pooled.weight == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_collapse(self, cancer_joint):
-        same = pc.collapse(cancer_joint, ("stage",))
+        same = collapse(cancer_joint, ("stage",))
         for key, t in cancer_joint.items():
             u = same.strata[key]
             assert u.p_exposed_event == pytest.approx(t.p_exposed_event, abs=TOL)
@@ -285,7 +291,7 @@ class TestCollapse:
 
     def test_unknown_covariate(self, cancer_joint):
         with pytest.raises(pc.ValidationError):
-            pc.collapse(cancer_joint, ("grade",))
+            collapse(cancer_joint, ("grade",))
 
 
 class TestStratifiedJoint:
@@ -356,7 +362,7 @@ class TestExperimental:
 
 class TestCompatibility:
     def test_adjusted_is_compatible(self, cancer_joint, cancer_experimental):
-        report = pc.validate_compatibility(cancer_joint, cancer_experimental)
+        report = validate_compatibility(cancer_joint, cancer_experimental)
         assert report.compatible
         assert report.violations == ()
 
@@ -368,30 +374,30 @@ class TestCompatibility:
         pairs[bad_key] = (pairs[bad_key][0], 0.0)
         experimental = pc.ExperimentalQuantities.from_per_stratum(
             cancer_joint, pairs, provenance="measured-experimental")
-        report = pc.validate_compatibility(cancer_joint, experimental)
+        report = validate_compatibility(cancer_joint, experimental)
         assert not report.compatible
         assert any(v.stratum == bad_key and v.constraint == "unexposed-lower"
                    and v.amount > 0.1 for v in report.violations)
 
     def test_stratum_mismatch_raises(self, cancer_joint, cancer_experimental):
-        other = pc.collapse(cancer_joint, ())
+        other = collapse(cancer_joint, ())
         with pytest.raises(pc.ValidationError):
-            pc.validate_compatibility(other, cancer_experimental)
+            validate_compatibility(other, cancer_experimental)
 
-    def test_stratum_violations_tolerance(self):
+    def test_screen_tolerance(self):
         t = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=1.0)
         pair = (t.risk_exposed, t.risk_unexposed)
-        assert stratum_violations(t, pair, 1e-3) == []
-        # a breach below tol is forgiven, one above is reported
-        assert stratum_violations(t, (pair[0], 0.0995), 1e-3) == []
-        found = stratum_violations(t, (pair[0], 0.05), 1e-3)
+        assert screen_violations(t, pair) == []
+        # a breach below COMPAT_TOL (1e-3) is forgiven, one above is reported
+        assert screen_violations(t, (pair[0], 0.0995)) == []
+        found = screen_violations(t, (pair[0], 0.05))
         assert [name for name, _ in found] == ["unexposed-lower"]
 
 
 class TestJsonMirrors:
     def test_experimental_round_trip(self, cancer_joint, cancer_experimental):
         data = experimental_to_dict(cancer_experimental)
-        again = pc.load_experimental(io.StringIO(json.dumps(data)), cancer_joint)
+        again = load_experimental(io.StringIO(json.dumps(data)), cancer_joint)
         assert again.per_stratum == cancer_experimental.per_stratum
         assert again.provenance == "sita-adjusted"
 
@@ -399,12 +405,12 @@ class TestJsonMirrors:
                                     cancer_experimental):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(experimental_to_dict(cancer_experimental)))
-        again = pc.load_experimental(path, cancer_joint)
+        again = load_experimental(path, cancer_joint)
         assert again.per_stratum == cancer_experimental.per_stratum
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(pc.ParseError):
-            pc.load_experimental(bad, cancer_joint)
+            load_experimental(bad, cancer_joint)
 
 
 class TestStratumOrder:
@@ -416,7 +422,7 @@ class TestStratumOrder:
     def test_count_table(self):
         rows = [(pc.StratumKey.of(g=g), x, 1, 1)
                 for g in self.LEVELS for x in (1, 0)]
-        counts = pc.CountTable.from_rows(rows, covariates=("g",))
+        counts = CountTable.from_rows(rows, covariates=("g",))
         assert [(key.level("g"), x) for key, x, _, _ in counts.rows()] == \
             [(g, x) for g in self.SORTED for x in (0, 1)]
 

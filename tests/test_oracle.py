@@ -3,11 +3,13 @@ import pytest
 
 import pcause as pc
 import pcause.bounds
-from pcause.model import stratum_violations
+from pcause.bounds import Interval
+from pcause.identify import pns_point
+from pcause.model import CountTable
 from pcause.oracle import VerificationEntry, feasible_extrema
 
 from conftest import assert_intervals_certified, random_instance, \
-    random_monotone_stratum, random_pair, random_stratum
+    random_monotone_stratum, random_pair, random_stratum, screen_violations
 
 TOL = 1e-9
 
@@ -103,7 +105,7 @@ class TestNoPrevention:
             assert pn.lower == pytest.approx(
                 pc.pn_point(joint).value, abs=TOL)
             assert pns.lower == pytest.approx(
-                pc.pns_point(joint).value, abs=TOL)
+                pns_point(joint).value, abs=TOL)
 
     def test_prevention_required_cases_rejected(self):
         # exposed risk below unexposed risk forces a positive hurt mass
@@ -116,7 +118,7 @@ class TestNoPrevention:
 class TestFeasibilityEquivalence:
     @pytest.mark.parametrize("pair,name", OUTSIDE_PAIRS)
     def test_outside_box_rejected_by_both_routes(self, pair, name):
-        violations = stratum_violations(PROBE_TABLE, pair, 1e-3)
+        violations = screen_violations(PROBE_TABLE, pair)
         assert [v for v, _excess in violations] == [name]
         with pytest.raises(pc.IncompatibilityError, match=rf"\b{name} by"):
             feasible_extrema(PROBE_TABLE, pair, "PNS")
@@ -130,12 +132,12 @@ class TestFeasibilityEquivalence:
         for _ in range(25):
             t = random_stratum(rng)
             pair = random_pair(rng, t)
-            assert stratum_violations(t, pair, 1e-3) == []
+            assert screen_violations(t, pair) == []
             feasible_extrema(t, pair, "PNS")  # must not raise
 
     def test_boundary_pair_accepted(self):
         pair = (0.7, 0.6)  # both coordinates exactly on the box edge
-        assert stratum_violations(PROBE_TABLE, pair, 1e-3) == []
+        assert screen_violations(PROBE_TABLE, pair) == []
         iv = feasible_extrema(PROBE_TABLE, pair, "PN")
         assert 0.0 <= iv.lower <= iv.upper
 
@@ -156,7 +158,7 @@ class TestIntervalsCertified:
         rows = [(pc.StratumKey.of(s=i, t=j), x, y, int(rng.integers(1, 400)))
                 for i in range(6) for j in range(6)
                 for x in (1, 0) for y in (1, 0)]
-        joint = pc.to_probabilities(pc.CountTable.from_rows(rows, ("s", "t")))
+        joint = pc.to_probabilities(CountTable.from_rows(rows, ("s", "t")))
         measured = pc.ExperimentalQuantities.from_per_stratum(
             joint, {key: random_pair(rng, t) for key, t in joint.items()},
             provenance="measured-experimental")
@@ -187,9 +189,9 @@ class TestVerification:
         real = pcause.bounds._box_rows
 
         def widened(quantities, *args):
-            return [(n, [pc.Interval(lower=iv.lower, upper=iv.upper + 0.05,
-                                     quantity=iv.quantity, method=iv.method,
-                                     attainment=iv.attainment) for iv in out]
+            return [(n, [Interval(lower=iv.lower, upper=iv.upper + 0.05,
+                                  quantity=iv.quantity, method=iv.method,
+                                  attainment=iv.attainment) for iv in out]
                      if quantity == "PN" else out)
                     for quantity, (n, out) in zip(quantities,
                                                   real(quantities, *args))]

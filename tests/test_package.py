@@ -15,6 +15,27 @@ def test_every_exported_name_resolves():
         assert getattr(pc, name) is not None, name
 
 
+def test_exports_are_the_documented_surface():
+    # the functions the README's Library section names, the types their
+    # arguments take, and the error classes; the rest is imported from its
+    # module
+    assert pc.__all__ == [
+        "CIRelation", "DegenerateScenarioError", "ExperimentalQuantities",
+        "IncompatibilityError", "MissingSampleSizeError", "ParseError",
+        "PcauseError", "PositivityError", "StratifiedJoint", "StratumKey",
+        "StratumTable", "ValidationError", "adjusted_experimental",
+        "ci_check", "compare_covariate_sets", "feasible_extrema",
+        "load_counts", "pn_interval_conditional", "pn_point",
+        "pns_interval_conditional", "ps_interval_conditional",
+        "stratified_interval", "tian_pearl_interval", "to_probabilities",
+        "verify_bounds"]
+    library = (DATA_DIR.parent.parent / "README.md").read_text(
+        encoding="utf-8").split("## Library", 1)[1].split("\n## ", 1)[0]
+    for name in pc.__all__:
+        if name[0].islower():
+            assert name in library, name
+
+
 def test_readme_library_example_runs_on_the_fixture():
     text = (DATA_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
     library = text.split("## Library", 1)[1]

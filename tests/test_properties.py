@@ -27,6 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 import pcause as pc
 from pcause.bounds import _swap_pair
 from pcause.cli import _ReportEncoder, run
+from pcause.model import CountTable, collapse, render_counts
 from pcause.oracle import feasible_extrema
 
 from conftest import assert_intervals_certified
@@ -88,7 +89,7 @@ def _same(a, b):
 @given(instances)
 def test_stratified_nests_inside_tian_pearl(instance):
     joint, experimental = instance
-    pooled = pc.collapse(joint, ()).only()
+    pooled = collapse(joint, ()).only()
     for quantity in QUANTITIES:
         strat = pc.stratified_interval(quantity, joint, experimental)
         tp = pc.tian_pearl_interval(quantity, pooled, experimental.marginal)
@@ -185,16 +186,16 @@ def count_tables(draw, min_count=0, max_count=10**12):
     count = st.integers(min_value=min_count, max_value=max_count)
     rows = [(pc.StratumKey(tuple(zip(names, lv))), x, y, draw(count))
             for lv in levels for x in (1, 0) for y in (1, 0)]
-    return pc.CountTable.from_rows(rows, covariates=names)
+    return CountTable.from_rows(rows, covariates=names)
 
 
 @repeatable
 @given(count_tables())
-@example(pc.CountTable.from_rows(
+@example(CountTable.from_rows(
     [(pc.StratumKey((("g", "a\x85b"),)), x, y, 1)
      for x in (1, 0) for y in (1, 0)], covariates=("g",)))
 def test_render_then_load_gives_the_same_counts(counts):
-    again = pc.load_counts(io.StringIO(pc.render_counts(counts)))
+    again = pc.load_counts(io.StringIO(render_counts(counts)))
     assert again.covariates == counts.covariates
     assert again.cells == counts.cells
 
@@ -215,7 +216,7 @@ def _run(argv):
 @given(count_tables(min_count=1, max_count=10**6), st.randoms())
 def test_bounds_report_ignores_row_order(workdir, counts, random):
     data, report = workdir / "rows.csv", workdir / "rows.json"
-    header, *rows = io.StringIO(pc.render_counts(counts), newline="\n")
+    header, *rows = io.StringIO(render_counts(counts), newline="\n")
     results = []
     for _ in range(2):
         data.write_text(header + "".join(rows), encoding="utf-8")
@@ -230,14 +231,14 @@ def test_bounds_report_ignores_row_order(workdir, counts, random):
 @given(count_tables(min_count=1, max_count=10**6),
        st.integers(min_value=2, max_value=10**6))
 def test_scaling_every_count_leaves_the_bounds(counts, scale):
-    scaled = pc.CountTable.from_rows(
+    scaled = CountTable.from_rows(
         ((key, x, y, n * scale) for key, x, y, n in counts.rows()),
         covariates=counts.covariates)
     intervals = []
     for table in (counts, scaled):
         joint = pc.to_probabilities(table)
         experimental = pc.adjusted_experimental(joint)
-        pooled = pc.collapse(joint, ()).only()
+        pooled = collapse(joint, ()).only()
         intervals.append([
             iv for quantity in QUANTITIES for iv in (
                 pc.stratified_interval(quantity, joint, experimental),

@@ -4,6 +4,13 @@ import json
 import pytest
 
 import pcause as pc
+from pcause.model import collapse
+from pcause.simulate import (
+    Scenario,
+    builtin_scenarios,
+    load_scenario,
+    replicate_study,
+)
 
 from conftest import reference_replicate_study, sample_dataset
 
@@ -13,20 +20,20 @@ FLAT_CONDITIONALS = {(1, "1"): 0.5, (1, "2"): 0.5, (0, "1"): 0.5, (0, "2"): 0.5}
 
 
 def _scenario(name):
-    return next(sc for sc in pc.builtin_scenarios() if sc.name == name)
+    return next(sc for sc in builtin_scenarios() if sc.name == name)
 
 
 def _sparse_scenario():
     # stratum s=2 is thin enough that small samples sometimes miss a cell
     cells = {(1, "1", "1"): 0.40, (1, "2", "1"): 0.035,
              (0, "1", "1"): 0.49, (0, "2", "1"): 0.075}
-    return pc.Scenario(name="sparse", cells=cells,
-                       outcome_conditionals=FLAT_CONDITIONALS)
+    return Scenario(name="sparse", cells=cells,
+                    outcome_conditionals=FLAT_CONDITIONALS)
 
 
 class TestBuiltinScenarios:
     def test_catalog(self):
-        scenarios = pc.builtin_scenarios()
+        scenarios = builtin_scenarios()
         assert [sc.name for sc in scenarios] == [
             "setting-1", "setting-2", "setting-3", "setting-4"]
         for sc in scenarios:
@@ -47,9 +54,9 @@ class TestBuiltinScenarios:
         assert joint.covariates == ("s", "t")
 
     def test_projection_commutes_with_collapse(self):
-        for sc in pc.builtin_scenarios():
+        for sc in builtin_scenarios():
             direct = sc.population_joint(("s",))
-            via_full = pc.collapse(sc.population_joint(("s", "t")), ("s",))
+            via_full = collapse(sc.population_joint(("s", "t")), ("s",))
             assert direct.total_n is None
             for key, t in direct.items():
                 u = via_full.strata[key]
@@ -63,40 +70,40 @@ class TestBuiltinScenarios:
 class TestScenarioValidation:
     def test_nonpositive_cell(self):
         with pytest.raises(pc.ValidationError, match="positive probability"):
-            pc.Scenario(name="bad",
-                        cells={(1, "1", "1"): 0.0, (0, "1", "1"): 1.0},
-                        outcome_conditionals=FLAT_CONDITIONALS)
+            Scenario(name="bad",
+                     cells={(1, "1", "1"): 0.0, (0, "1", "1"): 1.0},
+                     outcome_conditionals=FLAT_CONDITIONALS)
 
     def test_cells_must_sum_to_one(self):
         with pytest.raises(pc.ValidationError, match="sum to"):
-            pc.Scenario(name="bad",
-                        cells={(1, "1", "1"): 0.5, (0, "1", "1"): 0.4},
-                        outcome_conditionals=FLAT_CONDITIONALS)
+            Scenario(name="bad",
+                     cells={(1, "1", "1"): 0.5, (0, "1", "1"): 0.4},
+                     outcome_conditionals=FLAT_CONDITIONALS)
 
     def test_boundary_conditional(self):
         with pytest.raises(pc.ValidationError, match="strictly inside"):
-            pc.Scenario(name="bad",
-                        cells={(1, "1", "1"): 0.5, (0, "1", "1"): 0.5},
-                        outcome_conditionals={(1, "1"): 1.0, (0, "1"): 0.5})
+            Scenario(name="bad",
+                     cells={(1, "1", "1"): 0.5, (0, "1", "1"): 0.5},
+                     outcome_conditionals={(1, "1"): 1.0, (0, "1"): 0.5})
 
     def test_missing_conditional(self):
         with pytest.raises(pc.ValidationError, match="missing outcome"):
-            pc.Scenario(name="bad",
-                        cells={(1, "1", "1"): 0.5, (0, "2", "1"): 0.5},
-                        outcome_conditionals={(1, "1"): 0.5, (0, "1"): 0.5})
+            Scenario(name="bad",
+                     cells={(1, "1", "1"): 0.5, (0, "2", "1"): 0.5},
+                     outcome_conditionals={(1, "1"): 0.5, (0, "1"): 0.5})
 
     def test_covariate_names_must_differ(self):
         with pytest.raises(pc.ValidationError, match="must differ"):
-            pc.Scenario(name="bad",
-                        cells={(1, "1", "1"): 0.5, (0, "1", "1"): 0.5},
-                        outcome_conditionals={(1, "1"): 0.5, (0, "1"): 0.5},
-                        s_name="c", t_name="c")
+            Scenario(name="bad",
+                     cells={(1, "1", "1"): 0.5, (0, "1", "1"): 0.5},
+                     outcome_conditionals={(1, "1"): 0.5, (0, "1"): 0.5},
+                     s_name="c", t_name="c")
 
     def test_bad_exposure_level(self):
         with pytest.raises(pc.ValidationError, match="exposure level"):
-            pc.Scenario(name="bad",
-                        cells={(2, "1", "1"): 0.5, (0, "1", "1"): 0.5},
-                        outcome_conditionals=FLAT_CONDITIONALS)
+            Scenario(name="bad",
+                     cells={(2, "1", "1"): 0.5, (0, "1", "1"): 0.5},
+                     outcome_conditionals=FLAT_CONDITIONALS)
 
 
 class TestSampling:
@@ -129,16 +136,16 @@ class TestSampling:
 class TestReplicationStudy:
     def test_deterministic(self):
         sc = _scenario("setting-1")
-        a = pc.replicate_study(sc, n=400, reps=10, seed=7)
-        b = pc.replicate_study(sc, n=400, reps=10, seed=7)
+        a = replicate_study(sc, n=400, reps=10, seed=7)
+        b = replicate_study(sc, n=400, reps=10, seed=7)
         assert a == b
         assert a.scenario == "setting-1"
         assert a.attempts == 10 and a.discarded == 0
         assert a.discard_rate == 0.0
 
     def test_result_grid(self):
-        study = pc.replicate_study(_scenario("setting-3"), n=400, reps=5,
-                                   seed=1)
+        study = replicate_study(_scenario("setting-3"), n=400, reps=5,
+                                seed=1)
         combos = {(r.quantity, r.stratifier) for r in study.results}
         assert combos == {(q, s) for q in ("PN", "PNS")
                           for s in (("s",), ("t",), ("s", "t"))}
@@ -148,33 +155,33 @@ class TestReplicationStudy:
             assert r.mean_avar > 0.0 and r.population_avar > 0.0
 
     def test_variances_line_up_at_scale(self):
-        study = pc.replicate_study(_scenario("setting-1"), n=1000, reps=60,
-                                   seed=19)
+        study = replicate_study(_scenario("setting-1"), n=1000, reps=60,
+                                seed=19)
         for r in study.results:
             assert r.mean_avar == pytest.approx(r.population_avar, rel=0.10)
 
     def test_minimum_replications(self):
         with pytest.raises(pc.ValidationError, match="at least two"):
-            pc.replicate_study(_scenario("setting-1"), n=100, reps=1, seed=1)
+            replicate_study(_scenario("setting-1"), n=100, reps=1, seed=1)
 
     def test_redraws_are_counted(self):
-        study = pc.replicate_study(_sparse_scenario(), n=210, reps=20, seed=4)
+        study = replicate_study(_sparse_scenario(), n=210, reps=20, seed=4)
         assert study.discarded == 1
         assert study.attempts == 21
         assert study.discard_rate == pytest.approx(1 / 21, abs=TOL)
-        again = pc.replicate_study(_sparse_scenario(), n=210, reps=20, seed=4)
+        again = replicate_study(_sparse_scenario(), n=210, reps=20, seed=4)
         assert study == again
 
     def test_excessive_discard_rate_raises(self):
         with pytest.raises(pc.DegenerateScenarioError, match="exceeds"):
-            pc.replicate_study(_sparse_scenario(), n=210, reps=20, seed=8)
+            replicate_study(_sparse_scenario(), n=210, reps=20, seed=8)
 
     @pytest.mark.parametrize("name, n", [
         ("setting-1", 1000), ("setting-2", 1000), ("setting-3", 1000),
         ("setting-4", 1000), ("setting-4", 200)])
     def test_batch_scoring_matches_the_loop(self, name, n):
         # setting 4 at n=200 redraws, so the kept draws are not the first
-        study = pc.replicate_study(_scenario(name), n=n, reps=50, seed=7)
+        study = replicate_study(_scenario(name), n=n, reps=50, seed=7)
         assert study == reference_replicate_study(_scenario(name), n=n,
                                                   reps=50, seed=7)
         assert (study.discarded > 0) == (n == 200)
@@ -182,16 +189,16 @@ class TestReplicationStudy:
     def test_hopeless_scenario_hits_attempt_cap(self):
         cells = {(1, "1", "1"): 0.488, (1, "2", "1"): 0.002,
                  (0, "1", "1"): 0.488, (0, "2", "1"): 0.022}
-        sc = pc.Scenario(name="hopeless", cells=cells,
-                         outcome_conditionals=FLAT_CONDITIONALS)
+        sc = Scenario(name="hopeless", cells=cells,
+                      outcome_conditionals=FLAT_CONDITIONALS)
         with pytest.raises(pc.DegenerateScenarioError, match="too sparse"):
-            pc.replicate_study(sc, n=30, reps=5, seed=1)
+            replicate_study(sc, n=30, reps=5, seed=1)
 
 
 class TestScenarioSerialization:
     def test_round_trip(self):
         sc = _scenario("setting-4")
-        clone = pc.load_scenario(io.StringIO(json.dumps(sc.to_dict())))
+        clone = load_scenario(io.StringIO(json.dumps(sc.to_dict())))
         assert clone.name == sc.name
         assert clone.cells == sc.cells
         assert clone.outcome_conditionals == sc.outcome_conditionals
@@ -201,17 +208,17 @@ class TestScenarioSerialization:
         sc = _sparse_scenario()
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(sc.to_dict()))
-        clone = pc.load_scenario(str(path))
+        clone = load_scenario(str(path))
         assert clone.cells == sc.cells
 
     def test_missing_file(self):
         with pytest.raises(pc.ParseError, match="cannot read"):
-            pc.load_scenario("/nonexistent/scenario.json")
+            load_scenario("/nonexistent/scenario.json")
 
     def test_invalid_json(self):
         with pytest.raises(pc.ParseError, match="not valid JSON"):
-            pc.load_scenario(io.StringIO("{broken"))
+            load_scenario(io.StringIO("{broken"))
 
     def test_malformed_payload(self):
         with pytest.raises(pc.ParseError, match="malformed scenario"):
-            pc.load_scenario(io.StringIO(json.dumps({"cells": [{"x": 1}]})))
+            load_scenario(io.StringIO(json.dumps({"cells": [{"x": 1}]})))

@@ -4,22 +4,35 @@
 ``adjusted_experimental``, ``validate_compatibility`` and
 ``stratified_interval`` read a joint's cell and weight arrays.  Both
 collapses share one grouping, and ``ExperimentalQuantities`` checks and
-clips its pairs as one array.  The ``reference_*`` functions in
-``conftest`` are those functions as they were, one line, one stratum or one
-value at a time; here the two must agree on the repr of every endpoint,
-attainment, cell, weight, count and pair, and on the text of every error.
-The examples come from ``hypothesis`` in derandomized mode.
+clips its pairs as one array.  The arrays are what a joint and its pairs
+store: the per-stratum tables and pairs are views built from them.  The
+``reference_*`` functions in ``conftest`` are those functions as they were,
+one line, one stratum or one value at a time; here the two must agree on
+the repr of every endpoint, attainment, cell, weight, count and pair, and
+on the text of every error.  The examples come from ``hypothesis`` in
+derandomized mode.
 """
 
 import io
 import itertools
+import json
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
+from pcause.cli import run
+from pcause.model import (
+    CountTable,
+    collapse,
+    load_experimental,
+    render_counts,
+    validate_compatibility,
+)
 
 from conftest import (
     random_joint,
@@ -30,6 +43,7 @@ from conftest import (
     reference_count_collapse,
     reference_experimental,
     reference_from_per_stratum,
+    reference_joint_of,
     reference_load_counts,
     reference_stratified_interval,
     reference_to_probabilities,
@@ -61,7 +75,7 @@ def _outcome(function, *args):
 
 
 def _violations(joint, experimental):
-    report = pc.validate_compatibility(joint, experimental)
+    report = validate_compatibility(joint, experimental)
     return [(v.stratum, v.constraint, v.amount) for v in report.violations]
 
 
@@ -80,7 +94,7 @@ def assert_same_tables(joint, experimental):
                     provenance) == _outcome(reference_from_per_stratum,
                                             joint, per, provenance)
     for keep in _keeps(joint.covariates):
-        assert _outcome(pc.collapse, joint, keep) == _outcome(
+        assert _outcome(collapse, joint, keep) == _outcome(
             reference_collapse, joint, keep)
 
 
@@ -173,7 +187,7 @@ def test_two_thousand_strata():
     assert_same_tables(joint, pc.ExperimentalQuantities.from_per_stratum(
         joint, pairs, provenance="measured-experimental"))
 
-    counts = pc.CountTable.from_rows(
+    counts = CountTable.from_rows(
         ((key, x, y, int(rng.integers(1, 10**6)))
          for key in joint.keys() for x in (1, 0) for y in (1, 0)),
         covariates=("g", "h"))
@@ -284,13 +298,13 @@ def count_tables(draw):
         key = pc.StratumKey(tuple(zip(names, levels)))
         for x, y in draw(st.lists(_cell, min_size=1, max_size=4, unique=True)):
             cells[key, x, y] = draw(_counts)
-    return pc.CountTable(cells=cells, covariates=names)
+    return CountTable(cells=cells, covariates=names)
 
 
 @repeatable
 @given(count_tables())
 # an empty table, which the row loop collapsed onto a repeated name
-@example(pc.CountTable(cells={}, covariates=("g",)))
+@example(CountTable(cells={}, covariates=("g",)))
 def test_count_collapse_matches_the_row_loop(counts):
     assert_same_counts(counts)
 
@@ -363,3 +377,135 @@ def test_marginal_adds_left_to_right():
     experimental = pc.ExperimentalQuantities.from_per_stratum(
         joint, per, "measured-experimental")
     assert experimental.marginal == (0.6769999999999999, 0.5)
+
+
+# Rows for a joint's arrays: cells and weights that sum to one, and now and
+# then one or two rows that a table rejects, a weight total off by more than
+# 1e-9 or a total_n that is not positive.
+_FAULTS = ("negative", "nan", "sum", "zero-weight", "heavy", "total")
+
+
+def _faulty(cells, weights, k, fault):
+    if fault == "negative":
+        cells[k, 2] = -0.1
+    elif fault == "nan":
+        cells[k, 1] = math.nan
+    elif fault == "sum":
+        cells[k] *= 1.0 + 2e-9
+    elif fault == "zero-weight":
+        weights[k] = 0.0
+    elif fault == "heavy":
+        weights[k] = 1.0 + 2e-9
+    else:
+        weights *= 1.0 + 2e-9
+
+
+@st.composite
+def stored_rows(draw):
+    k = draw(st.integers(1, 6))
+    masses = np.array(draw(st.lists(
+        st.lists(st.one_of(st.floats(1e-3, 1.0), st.just(0.0)), min_size=4,
+                 max_size=4).filter(any), min_size=k, max_size=k)))
+    cells = masses / masses.sum(axis=1)[:, None]
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k,
+                                     max_size=k)))
+    weights /= weights.sum()
+    for row, fault in draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                              st.sampled_from(_FAULTS)),
+                                    max_size=2)):
+        _faulty(cells, weights, row, fault)
+    keys = tuple(pc.StratumKey.of(g=str(i)) for i in range(k))
+    return keys, cells, weights, draw(st.sampled_from((None, 1000, 1, 0)))
+
+
+def _mapped(keys, cells, weights, total_n):
+    """The joint through the mapping constructor, from checked tables."""
+    tables = map(pc.StratumTable, *cells.T.tolist(), weights.tolist())
+    return pc.StratifiedJoint(strata=dict(zip(keys, tables)),
+                              covariates=("g",), total_n=total_n)
+
+
+@repeatable
+@given(stored_rows())
+def test_both_constructors_store_the_same_joint(rows):
+    keys, cells, weights, total_n = rows
+    outcome = _outcome(pc.StratifiedJoint._of, keys, cells, weights, ("g",),
+                       total_n)
+    assert outcome == _outcome(reference_joint_of, keys, cells, weights,
+                               ("g",), total_n)
+    if outcome.startswith("ValidationError"):
+        return
+    joint = pc.StratifiedJoint._of(keys, cells, weights, ("g",), total_n)
+    mapped = _mapped(keys, cells, weights, total_n)
+    assert joint == mapped and repr(joint) == repr(mapped)
+    assert joint.strata == mapped.strata
+    assert repr(dict(joint.strata)) == repr(dict(mapped.strata))
+    # the view, once built, pickles with the joint
+    assert pickle.loads(pickle.dumps(joint)) == joint
+    for n in (None, 7):
+        again = replace(joint, total_n=n)
+        assert again == replace(mapped, total_n=n) and again.total_n == n
+        assert repr(again) == repr(replace(mapped, total_n=n))
+
+
+@pytest.mark.parametrize("fault, text", [
+    ("negative", "negative cell probability -0.1"),
+    ("nan", "negative cell probability nan"),
+    ("sum", "cells sum to "),
+    ("zero-weight", "stratum weight 0.0 outside (0, 1]"),
+    ("heavy", "stratum weight 1.000000002 outside (0, 1]"),
+    ("total", "stratum weights sum to "),
+])
+def test_bad_rows_raise_what_their_tables_raised(fault, text):
+    keys = tuple(pc.StratumKey.of(g=g) for g in "123")
+    cells = np.array([[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4],
+                      [0.4, 0.3, 0.2, 0.1]])
+    weights = np.array([0.5, 0.25, 0.25])
+    _faulty(cells, weights, 1, fault)
+    # a later row that fails first in the check order must not speak first
+    cells[2, 0] = -1.0
+    outcome = _outcome(pc.StratifiedJoint._of, keys, cells, weights, ("g",),
+                       None)
+    assert outcome == _outcome(reference_joint_of, keys, cells, weights,
+                               ("g",), None)
+    if fault == "total":
+        # every row passes its own check, so the table at 3 speaks first
+        text = "negative cell probability -1.0"
+    assert outcome.startswith("ValidationError: " + text)
+
+
+def test_two_thousand_strata_build_no_tables(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(1313)
+    rows = [(pc.StratumKey.of(g=str(i % 40), h=str(i // 40)), x, y,
+             int(rng.integers(1, 500)))
+            for i in range(2000) for x in (1, 0) for y in (1, 0)]
+    data = tmp_path / "counts.csv"
+    data.write_text(render_counts(CountTable.from_rows(rows, ("g", "h"))))
+    joint = pc.to_probabilities(pc.load_counts(data))
+    # measured pairs halfway along each stratum's range
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"strata": [
+        {"levels": dict(key.labels),
+         "p_event_do_exposed": c[0] + 0.5 * (c[2] + c[3]),
+         "p_event_do_unexposed": c[2] + 0.5 * (c[0] + c[1])}
+        for key, c in zip(joint.keys(), joint.cells.tolist())]}))
+
+    built = []
+    check = pc.StratumTable.__post_init__
+    monkeypatch.setattr(pc.StratumTable, "__post_init__",
+                        lambda table: (built.append(table), check(table))[1])
+    joint = pc.to_probabilities(pc.load_counts(data))
+    pooled = collapse(joint, ())
+    collapse(joint, ("g",))
+    pc.adjusted_experimental(joint)
+    load_experimental(pairs, joint)
+    assert built == []
+    assert run(["verify", "--data", str(data)]) == 0
+    assert built == []
+    assert run(["bounds", "--data", str(data), "--experimental",
+                str(pairs)]) == 0
+    # one table for any number of strata: the pooled table that
+    # tian_pearl_interval takes
+    table, = built
+    assert table == pooled.only()
+    capsys.readouterr()

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 86 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 91 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -22,14 +22,17 @@ directory:
   unknown provenance, a non-numeric pair, a pair outside its
   compatibility range by more than the 1e-3 tolerance and one inside it,
   and two strata outside their ranges, on different inequalities;
-* 15 runs on counts files that this script writes into WORKDIR to exercise
+* 20 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader and the bounds: CRLF and lone-CR line endings with comments
   and blank lines, duplicate cells on lines apart, quoted levels holding
   ``,``, ``"`` or a leading ``#`` with spaces around fields, a
   three-covariate table under ``identify --stratifier``, a zero cell with
-  and without ``--smoothing add-half``, a 309-digit count (exit 1), and
+  and without ``--smoothing add-half``, a 309-digit count (exit 1),
   ``bounds`` and ``verify`` on one stratum of counts 10**17, 3, 10**17 and
-  4, whose PS numerator cancels in floats.
+  4, whose PS numerator cancels in floats, ``select`` (with and without
+  ``--smoothing add-half``), ``identify --stratifier s`` and ``bounds`` on
+  an s x t grid with one stratum absent and one zero cell, and ``select``
+  on counts of 1e306 to 6e306, whose G statistic overflows (exit 1).
 
 It prints one line per job: the exit code, a SHA-256 over the exit code,
 stdout, stderr and the ``--json`` report, and the argv.  Reports record the
@@ -89,6 +92,25 @@ _INGEST = {
     "cancelling-ps": (
         f"g,x,y,count\n1,1,1,{10**17}\n1,1,0,3\n1,0,1,{10**17}\n1,0,0,4\n",
         [("bounds",), ("verify",)]),
+    # a 3 x 3 grid without stratum s=3, t=3 and with one zero cell
+    "ragged": (
+        "s,t,x,y,count\n" + "".join(
+            f"{s},{t},{x},{y},{n}\n"
+            for s in (1, 2, 3) for t in (1, 2, 3) if (s, t) != (3, 3)
+            for x in (1, 0) for y in (1, 0)
+            for n in [0 if (s, t, x, y) == (1, 2, 0, 1)
+                      else 2 + (5 * s + 3 * t + 2 * x + y) % 7]),
+        [("select", "--s", "s", "--t", "t"),
+         ("select", "--s", "s", "--t", "t", "--smoothing", "add-half"),
+         ("identify", "--stratifier", "s", "--smoothing", "add-half"),
+         ("bounds", "--smoothing", "add-half")]),
+    # counts of 1e306 to 6e306 fit a float, but G multiplies them
+    "g-overflow": (
+        "s,t,x,y,count\n" + "".join(
+            f"{s},{t},{x},{y},{(i % 6 + 1) * 10**306}\n" for i, (s, t, x, y)
+            in enumerate((s, t, x, y) for s in (1, 2) for t in (1, 2)
+                         for x in (1, 0) for y in (1, 0))),
+        [("select", "--s", "s", "--t", "t")]),
 }
 
 
