@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.special import chdtrc
 
-from .errors import MissingSampleSizeError, ValidationError
+from .errors import MissingSampleSizeError, PositivityError, ValidationError
 from .identify import Estimate, pn_point, pns_point
-from .model import _CELLS, StratifiedJoint, _groups, _risk, collapse
+from .model import StratifiedJoint, _groups, _running_sum, collapse
 
 OUTCOME_CI = "y-indep-t-given-xs"
 EXPOSURE_CI = "x-indep-s-given-t"
@@ -75,70 +74,56 @@ def _exact_deviation(joint: StratifiedJoint, relation: CIRelation) -> float:
     exposure = relation.kind == EXPOSURE_CI
     keep = (relation.t,) if exposure else (relation.s,)
     index, _, _ = _groups(joint.keys(), joint.covariates, keep)
-    coarse = collapse(joint, keep).cells.tolist()
-    dev = 0.0
-    for (ee, en, ue, un), (ref_ee, ref_en, ref_ue, ref_un) in zip(
-            joint.cells.tolist(), (coarse[g] for g in index.tolist())):
-        if exposure:
-            dev = max(dev, abs((ee + en) - (ref_ee + ref_en)))
-        else:
-            dev = max(dev, abs(_risk(ee, en, "exposed")
-                               - _risk(ref_ee, ref_en, "exposed")),
-                      abs(_risk(ue, un, "unexposed")
-                          - _risk(ref_ue, ref_un, "unexposed")))
-    return dev
-
-
-def _g_statistic(observed: Mapping, row_margin: Mapping, col_margin: Mapping,
-                 total: Mapping) -> float:
-    """2 * sum n * ln(n * n_block / (n_row * n_col)) over nonzero cells.
-
-    Keys of ``observed`` are (block, row, col); the margins are indexed by
-    (block, row), (block, col) and block.
-    """
-    g = 0.0
-    for (block, row, col), n in observed.items():
-        if n <= 0.0:
-            continue
-        g += n * np.log(n * total[block] / (row_margin[(block, row)]
-                                            * col_margin[(block, col)]))
-    return float(2.0 * g)
+    # (K, 4, 2): each stratum's cells beside its group's
+    pair = np.stack([joint.cells, collapse(joint, keep).cells[index]], axis=-1)
+    # (K, 2, 2): arm mass, exposed then unexposed, of the stratum and group
+    arms = pair[:, 0::2] + pair[:, 1::2]
+    if exposure:
+        gaps = arms[:, 0, 0] - arms[:, 0, 1]
+    else:
+        empty = arms <= 0.0
+        if empty.any():
+            arm = ("exposed", "unexposed")[int(empty.argmax()) // 2 % 2]
+            raise PositivityError(f"no {arm} mass in stratum")
+        risks = pair[:, 0::2] / arms
+        gaps = risks[..., 0] - risks[..., 1]
+    return np.abs(gaps).max().item()
 
 
 def _count_test(joint: StratifiedJoint, relation: CIRelation,
                 n: int) -> tuple[float, int]:
-    s, t = relation.s, relation.t
-    keys = joint.keys()
-    n_s = len({key.level(s) for key in keys})
-    n_t = len({key.level(t) for key in keys})
-    strata = zip(keys, joint.cells.tolist(), joint.weights.tolist())
-
-    observed: dict = {}
+    keys, covs = joint.keys(), joint.covariates
+    s_index, s_levels, _ = _groups(keys, covs, (relation.s,))
+    t_index, t_levels, _ = _groups(keys, covs, (relation.t,))
+    cells, weights = joint.cells, joint.weights[:, None]
     if relation.kind == EXPOSURE_CI:
-        # blocks are t levels, rows are s levels, columns are exposure
-        for key, (ee, en, ue, un), weight in strata:
-            block, row = key.level(t), key.level(s)
-            observed[(block, row, 1)] = (ee + en) * weight * n
-            observed[(block, row, 0)] = (ue + un) * weight * n
-        df = n_t * (n_s - 1) * (2 - 1)
+        # blocks are t levels; each stratum is one row, its (exposed,
+        # unexposed) counts
+        rows = (cells[:, 0::2] + cells[:, 1::2]) * weights * n
+        blocks = t_index
+        n_blocks = len(t_levels)
+        df = n_blocks * (len(s_levels) - 1) * (2 - 1)
     else:
-        # blocks are (x, s) pairs, rows are t levels, columns are outcome
-        for key, cells, weight in strata:
-            row = key.level(t)
-            for (x, y), cell in zip(_CELLS, cells):
-                observed[((x, key.level(s)), row, y)] = cell * weight * n
-        df = 2 * n_s * (2 - 1) * (n_t - 1)
+        # blocks are (x, s) pairs; each stratum is two rows of (event,
+        # no-event) counts, one for x and one for x'
+        rows = (cells * weights * n).reshape(-1, 2)
+        blocks = (2 * s_index[:, None] + np.arange(2)).ravel()
+        n_blocks = 2 * len(s_levels)
+        df = n_blocks * (2 - 1) * (len(t_levels) - 1)
 
-    row_margin: dict = {}
-    col_margin: dict = {}
-    total: dict = {}
-    for (block, row, col), count in observed.items():
-        row_margin[(block, row)] = row_margin.get((block, row), 0.0) + count
-        col_margin[(block, col)] = col_margin.get((block, col), 0.0) + count
-        total[block] = total.get(block, 0.0) + count
-    g = _g_statistic(observed, row_margin, col_margin, total)
+    # G = 2 * sum n * ln(n * n_block / (n_row * n_col)) over positive
+    # counts; every sum adds in stratum order, as a Python loop would
+    row_sums = 0.0 + rows[:, 0] + rows[:, 1]
+    col_sums = np.stack([np.bincount(blocks, rows[:, col], n_blocks)
+                         for col in (0, 1)], axis=-1)[blocks]
+    totals = np.bincount(blocks.repeat(2), rows.ravel(), n_blocks)[blocks]
+    # zero counts take the log of 0 but are dropped; counts near 1e308
+    # overflow to inf, and inf / inf is nan
+    with np.errstate(all="ignore"):
+        terms = rows * np.log(rows * totals[:, None]
+                              / (row_sums[:, None] * col_sums))
+        g = float(2.0 * _running_sum(np.append(0.0, terms[rows > 0.0])))
     if not math.isfinite(g):
-        # products of counts near 1e308 overflow
         raise ValidationError(f"premise {relation.kind}: G statistic is {g}; "
                               "counts too large for floating point")
     return g, df

@@ -63,7 +63,7 @@ def _read_text(source: Source) -> str:
     try:
         if hasattr(source, "read"):
             return source.read()
-        return Path(source).read_text(encoding="utf-8")
+        return Path(source).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -264,8 +264,8 @@ class StratifiedJoint:
     built when first read.
     """
 
-    # a field, so that repr and == read the view, and dataclasses.replace
-    # passes it to the constructor
+    # a field, so that repr reads the view and dataclasses.replace passes
+    # it to the constructor
     strata: Mapping[StratumKey, StratumTable]
     covariates: tuple[str, ...]
     total_n: int | None
@@ -338,6 +338,16 @@ class StratifiedJoint:
     def strata(self) -> Mapping[StratumKey, StratumTable]:
         return _View(dict(zip(self._keys, map(
             StratumTable, *self.cells.T.tolist(), self.weights.tolist()))))
+
+    def __eq__(self, other: object) -> bool:
+        # equal strata views are equal keys with equal arrays
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._keys == other._keys
+                and self.covariates == other.covariates
+                and self.total_n == other.total_n
+                and np.array_equal(self.cells, other.cells)
+                and np.array_equal(self.weights, other.weights))
 
     def items(self) -> Iterator[tuple[StratumKey, StratumTable]]:
         return iter(self.strata.items())
@@ -760,6 +770,15 @@ class ExperimentalQuantities:
     @cached_property
     def per_stratum(self) -> Mapping[StratumKey, tuple[float, float]]:
         return _View(dict(zip(self._keys, map(tuple, self.pairs.tolist()))))
+
+    def __eq__(self, other: object) -> bool:
+        # equal per_stratum views are equal keys with equal pairs
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._keys == other._keys
+                and np.array_equal(self.pairs, other.pairs)
+                and self.marginal == other.marginal
+                and self.provenance == other.provenance)
 
     def pair(self, key: StratumKey) -> tuple[float, float]:
         try:

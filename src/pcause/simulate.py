@@ -115,12 +115,20 @@ class Scenario:
         }
 
 
+def _exposure(value: object) -> int:
+    """An exposure level read as an int; a float must be integral."""
+    x = int(value)
+    if isinstance(value, float) and x != value:
+        raise ValueError(f"exposure level {value!r} is not an integer")
+    return x
+
+
 def load_scenario(source: Source) -> Scenario:
     data = _read_json(source, "scenario")
     try:
-        cells = {(int(e["x"]), str(e["s"]), str(e["t"])): float(e["p"])
+        cells = {(_exposure(e["x"]), str(e["s"]), str(e["t"])): float(e["p"])
                  for e in data["cells"]}
-        conds = {(int(e["x"]), str(e["s"])): float(e["p"])
+        conds = {(_exposure(e["x"]), str(e["s"])): float(e["p"])
                  for e in data["outcome_conditionals"]}
         return Scenario(name=str(data.get("name", "scenario")),
                         cells=cells,

@@ -1,6 +1,7 @@
 """Shared fixtures and random-instance generators."""
 
 import csv
+import math
 import tempfile
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from pcause.bounds import (
     TermChoice,
     _swap_pair,
 )
+from pcause.covselect import EXPOSURE_CI
 from pcause.identify import OUTSIDE_UNIT_WARNING, Estimate
 from pcause.model import (
     _CELLS,
@@ -26,8 +28,10 @@ from pcause.model import (
     PROVENANCE_MEASURED,
     CountTable,
     _cell_slot,
+    _groups,
     _read_json,
     _read_text,
+    _risk,
     collapse,
     validate_compatibility,
 )
@@ -890,3 +894,78 @@ def reference_load_experimental(source, joint):
     except (KeyError, TypeError, ValueError) as exc:
         raise pc.ParseError(f"malformed experimental data: {exc}") from exc
     return reference_from_per_stratum(joint, per, provenance)
+
+
+# The premise tests as they were before they read the joint's arrays: the
+# exact check one stratum at a time, and the G test over dicts of counts and
+# margins keyed by the strata's levels.
+
+def reference_exact_deviation(joint: pc.StratifiedJoint, relation) -> float:
+    exposure = relation.kind == EXPOSURE_CI
+    keep = (relation.t,) if exposure else (relation.s,)
+    index, _, _ = _groups(joint.keys(), joint.covariates, keep)
+    coarse = collapse(joint, keep).cells.tolist()
+    dev = 0.0
+    for (ee, en, ue, un), (ref_ee, ref_en, ref_ue, ref_un) in zip(
+            joint.cells.tolist(), (coarse[g] for g in index.tolist())):
+        if exposure:
+            dev = max(dev, abs((ee + en) - (ref_ee + ref_en)))
+        else:
+            dev = max(dev, abs(_risk(ee, en, "exposed")
+                               - _risk(ref_ee, ref_en, "exposed")),
+                      abs(_risk(ue, un, "unexposed")
+                          - _risk(ref_ue, ref_un, "unexposed")))
+    return dev
+
+
+def reference_g_statistic(observed, row_margin, col_margin, total) -> float:
+    """2 * sum n * ln(n * n_block / (n_row * n_col)) over nonzero cells.
+
+    Keys of ``observed`` are (block, row, col); the margins are indexed by
+    (block, row), (block, col) and block.
+    """
+    g = 0.0
+    for (block, row, col), n in observed.items():
+        if n <= 0.0:
+            continue
+        g += n * np.log(n * total[block] / (row_margin[(block, row)]
+                                            * col_margin[(block, col)]))
+    return float(2.0 * g)
+
+
+def reference_count_test(joint: pc.StratifiedJoint, relation,
+                         n: int) -> tuple[float, int]:
+    s, t = relation.s, relation.t
+    keys = joint.keys()
+    n_s = len({key.level(s) for key in keys})
+    n_t = len({key.level(t) for key in keys})
+    strata = zip(keys, joint.cells.tolist(), joint.weights.tolist())
+
+    observed: dict = {}
+    if relation.kind == EXPOSURE_CI:
+        # blocks are t levels, rows are s levels, columns are exposure
+        for key, (ee, en, ue, un), weight in strata:
+            block, row = key.level(t), key.level(s)
+            observed[(block, row, 1)] = (ee + en) * weight * n
+            observed[(block, row, 0)] = (ue + un) * weight * n
+        df = n_t * (n_s - 1) * (2 - 1)
+    else:
+        # blocks are (x, s) pairs, rows are t levels, columns are outcome
+        for key, cells, weight in strata:
+            row = key.level(t)
+            for (x, y), cell in zip(_CELLS, cells):
+                observed[((x, key.level(s)), row, y)] = cell * weight * n
+        df = 2 * n_s * (2 - 1) * (n_t - 1)
+
+    row_margin: dict = {}
+    col_margin: dict = {}
+    total: dict = {}
+    for (block, row, col), count in observed.items():
+        row_margin[(block, row)] = row_margin.get((block, row), 0.0) + count
+        col_margin[(block, col)] = col_margin.get((block, col), 0.0) + count
+        total[block] = total.get(block, 0.0) + count
+    g = reference_g_statistic(observed, row_margin, col_margin, total)
+    if not math.isfinite(g):
+        raise pc.ValidationError(f"premise {relation.kind}: G statistic is {g}; "
+                                 "counts too large for floating point")
+    return g, df

@@ -601,6 +601,79 @@ class TestInputErrors:
             capsys.readouterr().err
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as without it."""
+
+    @staticmethod
+    def _same_with_and_without(path, text, argv, capsys):
+        outcomes = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(mark + text.encode())
+            outcomes.append((run(argv), capsys.readouterr()))
+        assert outcomes[0][0] == 0
+        assert outcomes[1] == outcomes[0]
+
+    def test_counts_with_covariates(self, tmp_path, capsys):
+        # the mark before the header, not before a comment line
+        path = tmp_path / "counts.csv"
+        lines = CANCER_CSV.read_text().splitlines(keepends=True)
+        self._same_with_and_without(
+            path, "".join(line for line in lines if not line.startswith("#")),
+            ["identify", "--data", str(path), "--stratifier", "stage"], capsys)
+
+    def test_counts_without_covariates(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        self._same_with_and_without(
+            path, "x,y,count\n1,1,12\n1,0,8\n0,1,5\n0,0,14\n",
+            ["bounds", "--data", str(path)], capsys)
+
+    def test_experimental_pairs(self, tmp_path, capsys, cancer_experimental):
+        path = tmp_path / "pairs.json"
+        self._same_with_and_without(
+            path, json.dumps(experimental_to_dict(cancer_experimental)),
+            ["bounds", *DATA, "--experimental", str(path)], capsys)
+
+    def test_scenario(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        self._same_with_and_without(
+            path, json.dumps(builtin_scenarios()[3].to_dict()),
+            ["simulate", "--scenario", str(path), "--n", "300", "--reps", "5",
+             "--seed", "2"], capsys)
+
+
+class TestScenarioExposure:
+    """A scenario's exposure levels must be integers, however spelled."""
+
+    ARGV = ["--n", "300", "--reps", "5", "--seed", "2"]
+
+    @pytest.mark.parametrize("entries", ["cells", "outcome_conditionals"])
+    @pytest.mark.parametrize("x", [0.5, 1.5, -0.25])
+    def test_fraction_is_malformed(self, entries, x, tmp_path, capsys):
+        scenario = builtin_scenarios()[3].to_dict()
+        scenario[entries][0]["x"] = x
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert run(["simulate", "--scenario", str(path), *self.ARGV]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: malformed scenario: exposure level "
+                                f"{x!r} is not an integer\n")
+
+    @pytest.mark.parametrize("spelling", [1, 1.0, "1"])
+    def test_integral_spellings_load(self, spelling, tmp_path, capsys):
+        scenario = builtin_scenarios()[3].to_dict()
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert run(["simulate", "--scenario", str(path), *self.ARGV]) == 0
+        want = capsys.readouterr()
+        for entry in scenario["cells"] + scenario["outcome_conditionals"]:
+            if entry["x"] == 1:
+                entry["x"] = spelling
+        path.write_text(json.dumps(scenario))
+        assert run(["simulate", "--scenario", str(path), *self.ARGV]) == 0
+        assert capsys.readouterr() == want
+
+
 class TestCollectorThreshold:
     """run() raises the generation-0 threshold only while it runs."""
 

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 import pcause as pc
@@ -14,7 +16,11 @@ from pcause.covselect import EXPOSURE_CI, OUTCOME_CI
 from pcause.model import collapse
 from pcause.simulate import builtin_scenarios
 
-from conftest import random_ci_joint
+from conftest import (
+    random_ci_joint,
+    reference_count_test,
+    reference_exact_deviation,
+)
 
 TOL = 1e-12
 
@@ -259,3 +265,62 @@ class TestPValue:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
+
+
+# Joints over a ragged grid of (s, t) levels, any stratum of which may be
+# absent, so that one covariate sometimes has a single level (df 0).  A third
+# of the raw cell masses are zero: zero counts for the G test, and now and
+# then an empty arm for the exact check.  The sample size runs from 1 to
+# 6e306, where G's products overflow and it is nan.
+_mass = st.one_of(st.floats(min_value=1e-3, max_value=1.0),
+                  st.floats(min_value=1e-3, max_value=1.0), st.just(0.0))
+_stratum = st.tuples(st.lists(_mass, min_size=4, max_size=4).filter(any),
+                     st.floats(min_value=1e-3, max_value=1.0))
+_grid = st.lists(st.tuples(st.sampled_from("123"), st.sampled_from("12")),
+                 min_size=1, max_size=6, unique=True)
+_sample_size = st.one_of(st.integers(1, 10**6), st.integers(1, 10**6),
+                         st.sampled_from((10**306, 6 * 10**306)))
+
+
+def _outcome(function, *args):
+    """The repr of what ``function`` returns, or its error's type and text."""
+    try:
+        return repr(function(*args))
+    except pc.PcauseError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(_stratum, min_size=6, max_size=6), _grid,
+       st.sampled_from((("s", "t"), ("b", "a"))), st.booleans(), _sample_size)
+# one s level: the exposure premise has df 0
+@example([([0.2, 0.3, 0.1, 0.4], 0.5)] * 6, [("1", "1"), ("1", "2")],
+         ("s", "t"), False, 100)
+# roles swapped on names that sort opposite to them
+@example([([0.2, 0.3, 0.1, 0.4], 0.5), ([0.1, 0.1, 0.4, 0.4], 0.2)] * 3,
+         [("1", "1"), ("2", "1"), ("2", "2"), ("3", "2")], ("b", "a"), True,
+         500)
+# an empty unexposed arm, and a zero count
+@example([([0.2, 0.3, 0.0, 0.0], 0.5), ([0.1, 0.0, 0.4, 0.4], 0.2)] * 3,
+         [("1", "1"), ("1", "2"), ("2", "1")], ("s", "t"), False, 50)
+# counts near 1e306: G is nan
+@example([([0.2, 0.3, 0.1, 0.4], 0.5)] * 6,
+         [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")], ("s", "t"), False,
+         10**306)
+def test_premise_tests_match_the_dict_loops(draws, grid, names, swap, n):
+    strata = {pc.StratumKey.of(**{names[0]: u, names[1]: v}): (cells, w)
+              for (cells, w), (u, v) in zip(draws, grid)}
+    total_weight = sum(w for _, w in strata.values())
+    joint = pc.StratifiedJoint(strata={
+        key: pc.StratumTable(*(c / sum(cells) for c in cells),
+                             weight=w / total_weight)
+        for key, (cells, w) in strata.items()}, covariates=names)
+    s, t = names[::-1] if swap else names
+    for kind in (OUTCOME_CI, EXPOSURE_CI):
+        relation = pc.CIRelation(kind, s, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(covselect._count_test, joint, relation, n) == \
+                _outcome(reference_count_test, joint, relation, n)
+            assert _outcome(covselect._exact_deviation, joint, relation) == \
+                _outcome(reference_exact_deviation, joint, relation)

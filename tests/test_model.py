@@ -1,6 +1,8 @@
 import io
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import pcause as pc
@@ -312,6 +314,92 @@ class TestStratifiedJoint:
     def test_only_requires_single_stratum(self, cancer_joint):
         with pytest.raises(pc.ValidationError):
             cancer_joint.only()
+
+
+def _nudged(table, toward):
+    """The table with its first cell moved one unit in the last place
+    toward ``toward``."""
+    return replace(table, p_exposed_event=np.nextafter(
+        table.p_exposed_event, toward).item())
+
+
+class TestEquality:
+    """== compares the stored arrays, not the views, and says what
+    comparing the views said."""
+
+    @staticmethod
+    def _tables(name="g", n=2000):
+        rng = np.random.default_rng(2000)
+        weights = rng.dirichlet(np.ones(n))
+        tables = {}
+        for i, w in enumerate(weights.tolist()):
+            c = rng.dirichlet(np.ones(4)).tolist()
+            tables[pc.StratumKey.of(**{name: str(i)})] = pc.StratumTable(
+                *c[:3], 1.0 - c[0] - c[1] - c[2], weight=w)
+        return tables
+
+    def _joint_variants(self):
+        tables = self._tables()
+        first, last = list(tables)[0], list(tables)[-1]
+        renamed = dict(tables)
+        renamed[pc.StratumKey.of(g="x")] = renamed.pop(last)
+        return {
+            "equal": (tables, ("g",), 10),
+            "one ulp up": ({**tables, first: _nudged(tables[first], 1.0)},
+                           ("g",), 10),
+            "one ulp down": ({**tables, last: _nudged(tables[last], 0.0)},
+                             ("g",), 10),
+            "total_n": (tables, ("g",), 11),
+            "no total_n": (tables, ("g",), None),
+            "covariates": (self._tables("h"), ("h",), 10),
+            "key": (renamed, ("g",), 10),
+        }
+
+    @pytest.mark.parametrize("variant", ["equal", "one ulp up", "one ulp down",
+                                         "total_n", "no total_n",
+                                         "covariates", "key"])
+    def test_joints(self, variant):
+        a = pc.StratifiedJoint(self._tables(), ("g",), 10)
+        b = pc.StratifiedJoint(*self._joint_variants()[variant])
+        same = a == b
+        assert "strata" not in vars(a) and "strata" not in vars(b)
+        assert same is (variant == "equal")
+        assert (b == a) is same and (a != b) is not same
+        assert same == ((a.strata, a.covariates, a.total_n)
+                        == (b.strata, b.covariates, b.total_n))
+
+    @pytest.mark.parametrize("variant", ["equal", "one ulp", "key",
+                                         "marginal", "provenance"])
+    def test_pairs(self, variant):
+        keys = list(self._tables())
+        pairs = dict(zip(keys, np.random.default_rng(3).uniform(
+            size=(len(keys), 2)).tolist()))
+        args = [pairs, (0.5, 0.25), "measured-experimental"]
+        a = pc.ExperimentalQuantities(*args)
+        if variant == "one ulp":
+            do_x, do_xp = pairs[keys[7]]
+            args[0] = {**pairs, keys[7]: (do_x, np.nextafter(do_xp, 0.0))}
+        elif variant == "key":
+            args[0] = {**pairs, pc.StratumKey.of(g="x"): pairs[keys[-1]]}
+            del args[0][keys[-1]]
+        elif variant == "marginal":
+            args[1] = (0.5, np.nextafter(0.25, 1.0))
+        elif variant == "provenance":
+            args[2] = "sita-adjusted"
+        b = pc.ExperimentalQuantities(*args)
+        same = a == b
+        assert "per_stratum" not in vars(a) and "per_stratum" not in vars(b)
+        assert same is (variant == "equal")
+        assert (b == a) is same and (a != b) is not same
+        assert same == ((a.per_stratum, a.marginal, a.provenance)
+                        == (b.per_stratum, b.marginal, b.provenance))
+
+    def test_other_types(self, cancer_joint, cancer_experimental):
+        for value in (cancer_joint, cancer_experimental):
+            assert value.__eq__(object()) is NotImplemented
+            assert value != "text" and not value == 1
+        assert cancer_joint.__eq__(cancer_experimental) is NotImplemented
+        assert cancer_experimental.__eq__(cancer_joint) is NotImplemented
 
 
 class TestExperimental:

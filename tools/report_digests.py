@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 91 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 96 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -22,7 +22,7 @@ directory:
   unknown provenance, a non-numeric pair, a pair outside its
   compatibility range by more than the 1e-3 tolerance and one inside it,
   and two strata outside their ranges, on different inequalities;
-* 20 runs on counts files that this script writes into WORKDIR to exercise
+* 25 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader and the bounds: CRLF and lone-CR line endings with comments
   and blank lines, duplicate cells on lines apart, quoted levels holding
   ``,``, ``"`` or a leading ``#`` with spaces around fields, a
@@ -31,8 +31,11 @@ directory:
   ``bounds`` and ``verify`` on one stratum of counts 10**17, 3, 10**17 and
   4, whose PS numerator cancels in floats, ``select`` (with and without
   ``--smoothing add-half``), ``identify --stratifier s`` and ``bounds`` on
-  an s x t grid with one stratum absent and one zero cell, and ``select``
-  on counts of 1e306 to 6e306, whose G statistic overflows (exit 1).
+  an s x t grid with one stratum absent and one zero cell, ``select``
+  with the roles ``--s s --t t`` and swapped on a 2 x 3 grid and on a grid
+  whose ``s`` has one level (df 0), ``select --s b --t a`` on covariates
+  named ``b`` and ``a``, and ``select`` on counts of 1e306 to 6e306, whose
+  G statistic overflows (exit 1).
 
 It prints one line per job: the exit code, a SHA-256 over the exit code,
 stdout, stderr and the ``--json`` report, and the argv.  Reports record the
@@ -104,6 +107,24 @@ _INGEST = {
          ("select", "--s", "s", "--t", "t", "--smoothing", "add-half"),
          ("identify", "--stratifier", "s", "--smoothing", "add-half"),
          ("bounds", "--smoothing", "add-half")]),
+    # a 2 x 3 grid, so that swapping the roles changes both premises' df
+    "small-grid": (
+        "s,t,x,y,count\n" + "".join(
+            f"{s},{t},{x},{y},{2 + (3 * s + 5 * t + 4 * x + y) % 8}\n"
+            for s in (1, 2) for t in (1, 2, 3) for x in (1, 0) for y in (1, 0)),
+        [("select", "--s", "s", "--t", "t"), ("select", "--s", "t", "--t", "s")]),
+    # s has one level: the premise whose rows or blocks it sets has df 0
+    "one-level": (
+        "s,t,x,y,count\n" + "".join(
+            f"1,{t},{x},{y},{3 + (2 * t + 3 * x + y) % 5}\n"
+            for t in (1, 2, 3) for x in (1, 0) for y in (1, 0)),
+        [("select", "--s", "s", "--t", "t"), ("select", "--s", "t", "--t", "s")]),
+    # covariate names that sort opposite to their roles
+    "named-b-a": (
+        "b,a,x,y,count\n" + "".join(
+            f"{b},{a},{x},{y},{2 + (5 * b + 2 * a + 3 * x + y) % 7}\n"
+            for b in (1, 2, 3) for a in (1, 2) for x in (1, 0) for y in (1, 0)),
+        [("select", "--s", "b", "--t", "a")]),
     # counts of 1e306 to 6e306 fit a float, but G multiplies them
     "g-overflow": (
         "s,t,x,y,count\n" + "".join(
