@@ -53,10 +53,12 @@ its strata, and a one-stratum pair must not hold NaN.
 Conditional, stratified and Tian-Pearl intervals share one term function,
 which returns every stratum's candidate terms (and, for PN and PS, the
 denominator) in tie-break order as arrays over the strata; each interval
-differs only in how it combines them.  :func:`conditional_boxes` gives every
-stratum's conditional box from one pass over those arrays, and the
-one-stratum functions (``pn_interval_conditional`` and its PS and PNS
-siblings, :func:`tian_pearl_interval`, and :func:`stratified_interval` of a
+differs only in how it combines them.  One pass over those arrays gives
+every stratum's box as arrays of endpoints and attaining-term indices, from
+which the command line writes its report; :func:`conditional_boxes` builds
+its intervals from that pass, and the one-stratum functions
+(``pn_interval_conditional`` and its PS and PNS siblings,
+:func:`tian_pearl_interval`, and :func:`stratified_interval` of a
 one-stratum joint) are the same pass over one row.  A failing stratum
 raises the error that a loop over the strata in key order would meet first.
 Each interval records which candidate term produced each endpoint in every
@@ -67,7 +69,7 @@ the documented order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +107,10 @@ PNS_LOWER_TERMS = ("zero", "treated_excess", "untreated_excess",
                    "risk_difference")
 PNS_UPPER_TERMS = ("treated_event", "untreated_nonevent", "concordant_cells",
                    "discordant_margin")
+# each quantity's lower and upper term names, by term index
+_TERM_NAMES = {"PN": (PN_LOWER_TERMS, PN_UPPER_TERMS),
+              "PS": (PN_LOWER_TERMS, PN_UPPER_TERMS),
+              "PNS": (PNS_LOWER_TERMS, PNS_UPPER_TERMS)}
 
 _INVERT_TOL = 1e-9
 
@@ -211,8 +217,7 @@ def _chosen(quantity: str, cells: np.ndarray, pairs: np.ndarray,
 
 def _choices(quantity: str, keys: Sequence[StratumKey], li: np.ndarray,
              ui: np.ndarray) -> Iterator[TermChoice]:
-    lower, upper = ((PNS_LOWER_TERMS, PNS_UPPER_TERMS) if quantity == "PNS"
-                    else (PN_LOWER_TERMS, PN_UPPER_TERMS))
+    lower, upper = _TERM_NAMES[quantity]
     return map(TermChoice, keys, map(lower.__getitem__, li.tolist()),
                map(upper.__getitem__, ui.tolist()))
 
@@ -228,20 +233,30 @@ def _inverted(quantity: str, lower: float, upper: float,
 _POSITIVE_FRAME = {"PN": "exposed cases", "PS": "unexposed non-cases"}
 
 
-def _box_rows(quantities: Sequence[str], method: str, cells: np.ndarray,
+class _Boxes(NamedTuple):
+    """Each stratum's box as (K,) arrays: the endpoints and the indices of
+    the terms that attain them in the quantity's term names."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    lower_term: np.ndarray
+    upper_term: np.ndarray
+
+
+def _box_rows(quantities: Sequence[str], cells: np.ndarray,
               pairs: np.ndarray, keys: Sequence[StratumKey],
-              ) -> list[tuple[int, list[Interval] | PcauseError]]:
-    """For each quantity, the sharp interval of each (K, 4) cell row and
-    (K, 2) pair, in order: the strata's conditional boxes, the stratified
-    interval of a one-stratum joint, or the Tian-Pearl interval of the
-    pooled table.  The pairs are screened once for all the quantities.
+              ) -> list[tuple[int, _Boxes | PcauseError]]:
+    """For each quantity, the sharp box of each (K, 4) cell row and (K, 2)
+    pair, in order: the strata's conditional boxes, the stratified interval
+    of a one-stratum joint, or the Tian-Pearl interval of the pooled table.
+    The pairs are screened once for all the quantities.
 
     A row fails when its pair lies farther than ``COMPAT_TOL`` outside its
     range, when its frame has no mass to divide by, or when its box
-    inverts, in that order of precedence.  Each quantity gets (K, the K
-    intervals) when no row fails, and otherwise (n, the error) of the first
-    row n that fails, so that a caller running several routes can raise the
-    error a row-by-row loop would meet first.
+    inverts, in that order of precedence.  Each quantity gets (K, the boxes)
+    when no row fails, and otherwise (n, the error) of the first row n that
+    fails, so that a caller running several routes can raise the error a
+    row-by-row loop would meet first.
     """
     excess = _excess_columns(cells, pairs)
     conflict = (excess > COMPAT_TOL).any(axis=1)
@@ -260,10 +275,7 @@ def _box_rows(quantities: Sequence[str], method: str, cells: np.ndarray,
         lower, upper = _clip(lower, 0.0, 1.0), _clip(upper, 0.0, 1.0)
         failed = conflict | empty | (lower > upper + _INVERT_TOL)
         if not failed.any():
-            results.append((len(cells), [
-                Interval(lo, up, quantity, method, (choice,))
-                for lo, up, choice in zip(lower.tolist(), upper.tolist(),
-                                          _choices(quantity, keys, li, ui))]))
+            results.append((len(cells), _Boxes(lower, upper, li, ui)))
             continue
         n = int(failed.argmax())
         if conflict[n]:
@@ -279,20 +291,40 @@ def _box_rows(quantities: Sequence[str], method: str, cells: np.ndarray,
     return results
 
 
-def _boxes(quantity: str, method: str, cells: np.ndarray, pairs: np.ndarray,
-           keys: Sequence[StratumKey]) -> list[Interval]:
-    """One quantity's interval of each row, as :func:`_box_rows` gives it;
+def _boxes(quantity: str, cells: np.ndarray, pairs: np.ndarray,
+           keys: Sequence[StratumKey]) -> _Boxes:
+    """One quantity's box of each row, as :func:`_box_rows` gives it;
     raises the error of the first row that fails."""
-    (n, out), = _box_rows((quantity,), method, cells, pairs, keys)
+    (n, out), = _box_rows((quantity,), cells, pairs, keys)
     if n < len(cells):
         raise out
     return out
 
 
+def _intervals(quantity: str, method: str, keys: Sequence[StratumKey],
+               boxes: _Boxes) -> list[Interval]:
+    """The boxes as intervals, each attained in its own stratum."""
+    return [Interval(lo, up, quantity, method, (choice,))
+            for lo, up, choice in zip(
+                boxes.lower.tolist(), boxes.upper.tolist(),
+                _choices(quantity, keys, boxes.lower_term, boxes.upper_term))]
+
+
 def _one_box(quantity: str, method: str, table: StratumTable,
              pair: tuple[float, float], key: StratumKey | None) -> Interval:
-    key = key if key is not None else StratumKey(())
-    return _boxes(quantity, method, *_one_row(table, pair), (key,))[0]
+    keys = (key if key is not None else StratumKey(()),)
+    return _intervals(quantity, method, keys,
+                      _boxes(quantity, *_one_row(table, pair), keys))[0]
+
+
+def _conditional_rows(quantity: str, joint: StratifiedJoint,
+                      experimental: ExperimentalQuantities) -> _Boxes:
+    """Every stratum's conditional box as arrays, in key order; raises as
+    :func:`conditional_boxes` does."""
+    if quantity not in QUANTITIES:
+        raise ValidationError(f"unknown quantity {quantity!r}")
+    return _boxes(quantity, joint.cells, _matched_pairs(joint, experimental),
+                  joint.keys())
 
 
 def conditional_boxes(quantity: str, joint: StratifiedJoint,
@@ -304,10 +336,8 @@ def conditional_boxes(quantity: str, joint: StratifiedJoint,
     fails the screen, positivity or inversion check, as a loop over the
     per-stratum functions below would.
     """
-    if quantity not in QUANTITIES:
-        raise ValidationError(f"unknown quantity {quantity!r}")
-    return _boxes(quantity, "conditional", joint.cells,
-                  _matched_pairs(joint, experimental), joint.keys())
+    return _intervals(quantity, "conditional", joint.keys(),
+                      _conditional_rows(quantity, joint, experimental))
 
 
 def pn_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
@@ -350,8 +380,9 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
     if joint.n_strata == 1:
         # With one stratum the weight is semantically 1 even if the stored
         # float drifted, so the interval is the stratum's conditional box.
-        return _boxes(quantity, "stratified", joint.cells, experimental.pairs,
-                      joint.keys())[0]
+        keys = joint.keys()
+        return _intervals(quantity, "stratified", keys, _boxes(
+            quantity, joint.cells, experimental.pairs, keys))[0]
 
     pairs = _clip_pairs(joint.cells, experimental.pairs)
     cell, lows, ups, li, ui = _chosen(quantity, joint.cells, pairs)

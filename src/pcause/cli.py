@@ -12,7 +12,8 @@ Five subcommands cover the library surface:
 Exit codes: 0 success, 1 analysis error or a failed verification, 2 usage
 error.  ``--json PATH`` writes a machine-readable report with a fixed
 schema; unused sections are null, and reruns on identical inputs produce
-byte-identical files.
+byte-identical files.  The per-stratum sections are streamed to the file a
+block of strata at a time, and a write that fails leaves no partial report.
 """
 
 from __future__ import annotations
@@ -21,15 +22,23 @@ import argparse
 import gc
 import json
 import math
+import os
+import stat
 import sys
+from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import Sequence
+from functools import lru_cache
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .bounds import (
+    QUANTITIES,
+    _TERM_NAMES,
     Interval,
-    conditional_boxes,
+    TermChoice,
+    _Boxes,
+    _conditional_rows,
     stratified_interval,
     tian_pearl_interval,
 )
@@ -37,6 +46,7 @@ from .covselect import CIVerdict, compare_covariate_sets
 from .errors import PcauseError
 from .identify import Estimate, monotonicity_diagnostic
 from .model import (
+    StratifiedJoint,
     StratumKey,
     adjusted_experimental,
     collapse,
@@ -44,7 +54,7 @@ from .model import (
     load_experimental,
     to_probabilities,
 )
-from .oracle import verify_bounds
+from .oracle import VerificationReport, verify_bounds
 from .simulate import builtin_scenarios, load_scenario, replicate_study
 
 # Generation-0 collection threshold for the length of one invocation.  A
@@ -55,6 +65,11 @@ _GC_THRESHOLD0 = 100_000
 
 # json's spellings of the floats whose repr is not JSON
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Stands in the report for a per-stratum section, which is streamed to the
+# file.  The walk writes it, by identity, as "\x00<depth>\x00": ASCII-escaped
+# JSON text holds no raw NUL, so the text splits there.
+_SECTION = "<streamed section>"
 
 
 class _Unsupported(Exception):
@@ -73,7 +88,8 @@ class _ReportEncoder(json.JSONEncoder):
     encoding once per value, so a member costs two list appends and repeated
     pieces share one object.  Any other value, such as a float subclass, a
     tuple or a non-str key, and any option the walk does not implement, goes
-    to ``json``'s own encoder, so the text or the error is json's.
+    to ``json``'s own encoder, so the text or the error is json's.  The
+    walk writes ``_SECTION`` as a marker with its depth (see above).
     """
 
     def iterencode(self, o, _one_shot=False):
@@ -96,6 +112,9 @@ class _ReportEncoder(json.JSONEncoder):
         def walk(o, depth):
             t = type(o)
             if t is str:
+                if o is _SECTION:
+                    append(f"\x00{depth}\x00")
+                    return
                 text = strings.get(o)
                 if text is None:
                     text = strings[o] = encode_str(o)
@@ -157,7 +176,7 @@ class _ReportEncoder(json.JSONEncoder):
         return chunks
 
 
-def _report(command: str, input: dict, *, intervals: list | None = None,
+def _report(command: str, input: dict, *, intervals: str | None = None,
             estimates: dict | None = None, selection: dict | None = None,
             verification: dict | None = None, simulation: dict | None = None,
             warnings: Sequence[str] = ()) -> dict:
@@ -175,20 +194,253 @@ def _report(command: str, input: dict, *, intervals: list | None = None,
     }
 
 
-def _key_json(key: StratumKey) -> dict:
-    return {name: value for name, value in key.labels}
+# The per-stratum sections of a report are written from templates: the text
+# json.dumps(..., indent=2) gives one row of a section, with a %s field for
+# each value, filled in per row and joined a block of strata at a time.
+_INDENT = "  "
+_BLOCK = 1024
+_SLOT = "\x01"
 
 
-def _interval_json(iv: Interval) -> dict:
-    return {
-        "quantity": iv.quantity,
-        "method": iv.method,
-        "lower": iv.lower,
-        "upper": iv.upper,
-        "attainment": [{"stratum": _key_json(c.stratum),
-                        "lower_term": c.lower,
-                        "upper_term": c.upper} for c in iv.attainment],
-    }
+@lru_cache(maxsize=128)
+def _template(kind: str, depth: int, *names: str) -> str:
+    """The row of ``kind`` as a list item at ``depth``, led by its item
+    separator (",", newline and indent), with ``%s`` for each slot."""
+    text = _ReportEncoder(indent=2).encode(_ROWS[kind](*names))
+    text = text.replace("%", "%%").replace(encode_basestring_ascii(_SLOT),
+                                           "%s")
+    newline = "\n" + _INDENT * depth
+    return "," + newline + text.replace("\n", newline)
+
+
+def _interval_row(quantity: str, method: str, attainment) -> dict:
+    return {"quantity": quantity, "method": method, "lower": _SLOT,
+            "upper": _SLOT, "attainment": attainment}
+
+
+_TERM_ROW = {"stratum": _SLOT, "lower_term": _SLOT, "upper_term": _SLOT}
+# each kind's row; every _SLOT becomes a %s field, in document order
+_ROWS: dict[str, Callable[..., object]] = {
+    # an interval up to its attainment list, which is streamed after it
+    "interval": lambda quantity, method: _interval_row(quantity, method,
+                                                       _SLOT),
+    "term": lambda: _TERM_ROW,
+    "box": lambda quantity: _interval_row(quantity, "conditional",
+                                          [_TERM_ROW]),
+    "entry": lambda quantity: {
+        "stratum": _SLOT, "quantity": quantity,
+        "closed": _interval_row(quantity, "conditional", [_TERM_ROW]),
+        "searched": _interval_row(quantity, "oracle", []),
+        "discrepancy": _SLOT},
+    "risk": lambda: {"stratum": _SLOT, "value": _SLOT},
+    "stratum": lambda: _SLOT,
+}
+
+
+def _floats(values: Iterable[float]) -> list[str]:
+    """json's text of each float: its repr, or NaN, Infinity, -Infinity."""
+    texts = list(map(float.__repr__, values))
+    if not _NONFINITE.keys().isdisjoint(texts):
+        texts = [_NONFINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _texts(strings: Iterable[str]) -> list[str]:
+    return list(map(encode_basestring_ascii, strings))
+
+
+@lru_cache(maxsize=128)
+def _layout(names: tuple[str, ...], depth: int) -> str:
+    """The text of a stratum over the covariates ``names`` as a value at
+    ``depth``, with ``%s`` for each level."""
+    if not names:
+        return "{}"
+    newline = "\n" + _INDENT * (depth + 1)
+    return "{" + ",".join(
+        newline + encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+        for name in names) + "\n" + _INDENT * depth + "}"
+
+
+class _Strata:
+    """The ``{"name": "level", ...}`` text of each stratum of a joint,
+    rendered once per depth, and of any other key when asked."""
+
+    def __init__(self, joint: StratifiedJoint) -> None:
+        self.keys, self._names = joint.keys(), joint.covariates
+        self._texts: dict[int, list[str]] = {}
+        self._index: dict[int, int] | None = None
+
+    def at(self, depth: int) -> list[str]:
+        """The text of every stratum, in key order, as a value at depth."""
+        texts = self._texts.get(depth)
+        if texts is None:
+            # every key of a joint names exactly its covariates, in order
+            layout, width = _layout(self._names, depth), len(self._names)
+            levels = iter(_texts([level for key in self.keys
+                                  for _, level in key.labels]))
+            texts = self._texts[depth] = (
+                list(map(layout.__mod__, zip(*[levels] * width))) if width
+                else [layout] * len(self.keys))
+        return texts
+
+    def of(self, keys: Iterable[StratumKey], depth: int) -> list[str]:
+        """The text of each of ``keys`` as a value at depth."""
+        if self._index is None:
+            self._index = {id(key): n for n, key in enumerate(self.keys)}
+        texts, index = self.at(depth), self._index
+        return [texts[n] if (n := index.get(id(key))) is not None
+                else _layout(key.covariates, depth)
+                % tuple(_texts(level for _, level in key.labels))
+                for key in keys]
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    return (slice(a, a + _BLOCK) for a in range(0, n, _BLOCK))
+
+
+def _list(items: Iterable[str], depth: int) -> Iterator[str]:
+    """A list at ``depth`` from its items' text, in pieces that each lead
+    with an item separator."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "["
+    yield first[1:]
+    yield from items
+    yield "\n" + _INDENT * depth + "]"
+
+
+def _interval_items(intervals: Sequence[Interval | tuple[str, _Boxes]],
+                    strata: _Strata, depth: int) -> Iterator[str]:
+    """The items of a list of intervals at ``depth``: each an
+    :class:`Interval`, or (quantity, the conditional boxes of ``strata``)
+    for one item per stratum."""
+    depth += 1
+    for item in intervals:
+        if isinstance(item, Interval):
+            head, tail = _template("interval", depth, item.quantity,
+                                   item.method).rsplit("%s", 1)
+            yield head % tuple(_floats((item.lower, item.upper)))
+            yield from _list(_choice_items(item.attainment, strata, depth + 1),
+                             depth + 1)
+            yield tail % ()
+            continue
+        quantity, boxes = item
+        box = _template("box", depth, quantity)
+        texts = strata.at(depth + 3)
+        lower, upper = map(_texts, _TERM_NAMES[quantity])
+        for block in _blocks(len(texts)):
+            yield "".join(map(box.__mod__, zip(
+                _floats(boxes.lower[block].tolist()),
+                _floats(boxes.upper[block].tolist()), texts[block],
+                map(lower.__getitem__, boxes.lower_term[block].tolist()),
+                map(upper.__getitem__, boxes.upper_term[block].tolist()))))
+
+
+def _choice_items(choices: Sequence[TermChoice], strata: _Strata,
+                  depth: int) -> Iterator[str]:
+    depth += 1
+    term = _template("term", depth)
+    for block in _blocks(len(choices)):
+        keys, lower, upper = zip(*map(_CHOICE, choices[block]))
+        yield "".join(map(term.__mod__, zip(strata.of(keys, depth + 1),
+                                            _texts(lower), _texts(upper))))
+
+
+_CHOICE = attrgetter("stratum", "lower", "upper")
+
+
+def _entry_items(report: VerificationReport, strata: _Strata,
+                 depth: int) -> Iterator[str]:
+    """The items of the verification entries at ``depth``, from the
+    report's arrays."""
+    depth += 1
+    templates = [_template("entry", depth, q) for q in QUANTITIES]
+    outer, inner = strata.at(depth + 1), strata.at(depth + 4)
+    lower, upper = zip(*(map(_texts, _TERM_NAMES[q]) for q in QUANTITIES))
+    for block in _blocks(len(strata.keys)):
+        rows = slice(3 * block.start, 3 * block.stop)
+        closed = _floats(report._closed[rows].ravel().tolist())
+        searched = _floats(report._searched[rows].ravel().tolist())
+        terms = report._terms[rows].T.tolist()
+        yield "".join(map(str.__mod__, cycle(templates), zip(
+            _thrice(outer[block]), closed[0::2], closed[1::2],
+            _thrice(inner[block]),
+            map(list.__getitem__, cycle(lower), terms[0]),
+            map(list.__getitem__, cycle(upper), terms[1]),
+            searched[0::2], searched[1::2],
+            _floats(report.discrepancy[rows].tolist()))))
+
+
+def _thrice(items: Sequence[str]) -> Iterator[str]:
+    return chain.from_iterable(zip(items, items, items))
+
+
+def _risk_items(risks: Sequence[tuple[StratumKey, float]], strata: _Strata,
+                depth: int) -> Iterator[str]:
+    depth += 1
+    risk = _template("risk", depth)
+    for block in _blocks(len(risks)):
+        keys, values = zip(*risks[block])
+        yield "".join(map(risk.__mod__, zip(strata.of(keys, depth + 1),
+                                            _floats(values))))
+
+
+def _stratum_items(keys: Sequence[StratumKey], strata: _Strata,
+                   depth: int) -> Iterator[str]:
+    depth += 1
+    row = _template("stratum", depth)
+    for block in _blocks(len(keys)):
+        yield "".join(map(row.__mod__, strata.of(keys[block], depth)))
+
+
+def _section(items: Callable[..., Iterator[str]], rows,
+             strata: _Strata) -> Callable[[int], Iterator[str]]:
+    """A streamed list section: its text at a depth, in pieces."""
+    return lambda depth: _list(items(rows, strata, depth), depth)
+
+
+def _write_report(path: str, report: dict,
+                  sections: Sequence[Callable[[int], Iterator[str]]]) -> None:
+    """Write the report to ``path``: its small sections as ``json.dumps``
+    gives them and each streamed section at its marker, a block of strata
+    at a time.  A failed write deletes what it wrote, unless ``path`` is not
+    a regular file (a pipe or a terminal)."""
+    parts = json.dumps(report, indent=2, cls=_ReportEncoder).split("\x00")
+    try:
+        out = open(path, "w")
+    except OSError as exc:
+        raise PcauseError(f"cannot write report to {path}: {exc}")
+    opened = os.fstat(out.fileno())
+    try:
+        with out:
+            out.write(parts[0])
+            for section, depth, text in zip(sections, parts[1::2],
+                                            parts[2::2]):
+                for piece in section(int(depth)):
+                    out.write(piece)
+                out.write(text)
+            out.write("\n")
+    except BaseException as exc:
+        if stat.S_ISREG(opened.st_mode):
+            _discard(path, opened)
+        if isinstance(exc, OSError):
+            raise PcauseError(
+                f"cannot write report to {path}: {exc}") from None
+        raise
+
+
+def _discard(path: str, opened: os.stat_result) -> None:
+    """Delete the file at ``path``, through any symlinks, if it is still
+    the one that was opened."""
+    target = os.path.realpath(path)
+    try:
+        if os.path.samestat(os.stat(target), opened):
+            os.unlink(target)
+    except OSError:
+        pass
 
 
 def _estimate_json(est: Estimate) -> dict:
@@ -255,28 +507,35 @@ def _print_data_line(joint) -> None:
     print(f"n = {joint.total_n} subjects in {_strata_phrase(joint.n_strata)} by {by}")
 
 
-def _cmd_bounds(args) -> tuple[dict, str | None]:
+# a handler's report, its streamed sections in document order, and the
+# failure to report after writing it
+_Handled = tuple[dict, list, str | None]
+
+
+def _cmd_bounds(args) -> _Handled:
     joint = _load_table(args)
     experimental = _load_experimental(args, joint)
-    quantities = ("PN", "PS", "PNS") if args.quantity == "all" else (args.quantity,)
+    quantities = QUANTITIES if args.quantity == "all" else (args.quantity,)
 
     pooled = collapse(joint, ()).only()
     intervals = []
+    labels = [f"     {key}  [" for key in joint.keys()]
     _print_data_line(joint)
     print(f"experimental input: {experimental.provenance}")
     for quantity in quantities:
         strat = stratified_interval(quantity, joint, experimental)
         pooled_iv = tian_pearl_interval(quantity, pooled, experimental.marginal)
-        intervals.extend([strat, pooled_iv])
         print(f"{quantity:<4} stratified  [{strat.lower:.3f}, {strat.upper:.3f}]")
         print(f"{quantity:<4} tian-pearl  [{pooled_iv.lower:.3f}, {pooled_iv.upper:.3f}]")
-        boxes = conditional_boxes(quantity, joint, experimental)
-        intervals.extend(boxes)
-        for key, box in zip(joint.keys(), boxes):
-            print(f"     {key}  [{box.lower:.3f}, {box.upper:.3f}]")
+        boxes = _conditional_rows(quantity, joint, experimental)
+        intervals += [strat, pooled_iv, (quantity, boxes)]
+        sys.stdout.write("".join(map("%s%.3f, %.3f]\n".__mod__, zip(
+            labels, boxes.lower.tolist(), boxes.upper.tolist()))))
 
-    return _report("bounds", _input_json(args, joint, experimental),
-                   intervals=[_interval_json(iv) for iv in intervals]), None
+    return (_report("bounds", _input_json(args, joint, experimental),
+                    intervals=_SECTION),
+            [_section(_interval_items, intervals, _Strata(joint))],
+            None)
 
 
 def _parse_stratifier(raw: str | None) -> tuple[str, ...] | None:
@@ -285,7 +544,7 @@ def _parse_stratifier(raw: str | None) -> tuple[str, ...] | None:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _cmd_identify(args) -> tuple[dict, str | None]:
+def _cmd_identify(args) -> _Handled:
     joint = _load_table(args, stratifier=_parse_stratifier(args.stratifier))
     experimental = adjusted_experimental(joint)
     diag = monotonicity_diagnostic(joint, experimental)
@@ -295,9 +554,10 @@ def _cmd_identify(args) -> tuple[dict, str | None]:
     for est in (pn, pns):
         print(f"{est.quantity:<4} {est.value:.3f}  (se {est.se:.3f})")
     flagged = set(diag.flagged)
-    for key, rd in diag.risk_differences:
-        mark = "  [negative]" if key in flagged else ""
-        print(f"  risk difference {key}: {rd:.3f}{mark}")
+    sys.stdout.write("".join([
+        f"  risk difference {key}: {rd:.3f}"
+        f"{'  [negative]' if key in flagged else ''}\n"
+        for key, rd in diag.risk_differences]))
     verdict = "plausible" if diag.plausible else "implausible"
     print(f"no-prevention assumption: {verdict} "
           f"({len(diag.flagged)} of {joint.n_strata} strata flagged)")
@@ -308,21 +568,24 @@ def _cmd_identify(args) -> tuple[dict, str | None]:
     estimates = {
         "points": [_estimate_json(pn), _estimate_json(pns)],
         "monotonicity": {
-            "risk_differences": [{"stratum": _key_json(k), "value": rd}
-                                 for k, rd in diag.risk_differences],
-            "flagged": [_key_json(k) for k in diag.flagged],
+            "risk_differences": _SECTION,
+            "flagged": _SECTION,
             "pn_consistent": diag.pn_consistent,
             "pns_consistent": diag.pns_consistent,
             "plausible": diag.plausible,
         },
     }
-    return _report("identify", _input_json(args, joint, experimental),
-                   intervals=[_interval_json(diag.pn_interval),
-                              _interval_json(diag.pns_interval)],
-                   estimates=estimates, warnings=warnings), None
+    strata = _Strata(joint)
+    return (_report("identify", _input_json(args, joint, experimental),
+                    intervals=_SECTION, estimates=estimates,
+                    warnings=warnings),
+            [_section(_interval_items, [diag.pn_interval, diag.pns_interval],
+                      strata),
+             _section(_risk_items, diag.risk_differences, strata),
+             _section(_stratum_items, diag.flagged, strata)], None)
 
 
-def _cmd_select(args) -> tuple[dict, str | None]:
+def _cmd_select(args) -> _Handled:
     joint = _load_table(args)
     report = compare_covariate_sets(joint, args.s, args.t, mode="count-test",
                                     alpha=args.alpha)
@@ -363,10 +626,10 @@ def _cmd_select(args) -> tuple[dict, str | None]:
         "note": report.note,
     }
     return _report("select", _input_json(args, joint),
-                   selection=selection), None
+                   selection=selection), [], None
 
 
-def _cmd_simulate(args) -> tuple[dict, str | None]:
+def _cmd_simulate(args) -> _Handled:
     if args.setting is not None:
         scenario = builtin_scenarios()[args.setting - 1]
         source = "builtin"
@@ -403,41 +666,38 @@ def _cmd_simulate(args) -> tuple[dict, str | None]:
     }
     inputs = {"scenario": study.scenario, "source": source, "n": study.n,
               "reps": study.reps, "seed": study.seed}
-    return _report("simulate", inputs, simulation=simulation), None
+    return _report("simulate", inputs, simulation=simulation), [], None
 
 
-def _cmd_verify(args) -> tuple[dict, str | None]:
+def _cmd_verify(args) -> _Handled:
     joint = _load_table(args)
     experimental = _load_experimental(args, joint)
     report = verify_bounds(joint, experimental, tol=args.tol)
+    checked = len(report.discrepancy)
 
     _print_data_line(joint)
     status = "PASS" if report.passed else "FAIL"
-    print(f"checked {len(report.entries)} boxes in "
+    print(f"checked {checked} boxes in "
           f"{_strata_phrase(joint.n_strata)}; max discrepancy "
           f"{report.max_discrepancy:.3g} (tolerance {report.tol:g}): {status}")
-    for entry in report.failures:
-        print(f"  mismatch {entry.quantity} in {entry.stratum}: closed "
-              f"[{entry.closed.lower:.6f}, {entry.closed.upper:.6f}] vs "
-              f"searched [{entry.searched.lower:.6f}, {entry.searched.upper:.6f}]")
+    sys.stdout.write("".join([
+        f"  mismatch {entry.quantity} in {entry.stratum}: closed "
+        f"[{entry.closed.lower:.6f}, {entry.closed.upper:.6f}] vs "
+        f"searched [{entry.searched.lower:.6f}, {entry.searched.upper:.6f}]\n"
+        for entry in report.failures]))
 
     verification = {
         "tol": report.tol,
         "max_discrepancy": report.max_discrepancy,
         "passed": report.passed,
-        "entries": [{
-            "stratum": _key_json(e.stratum),
-            "quantity": e.quantity,
-            "closed": _interval_json(e.closed),
-            "searched": _interval_json(e.searched),
-            "discrepancy": e.discrepancy,
-        } for e in report.entries],
+        "entries": _SECTION,
     }
     failure = None if report.passed else (
         f"verification failed: {len(report.failures)} of "
-        f"{len(report.entries)} boxes differ by more than {report.tol:g}")
-    return _report("verify", _input_json(args, joint, experimental),
-                   verification=verification), failure
+        f"{checked} boxes differ by more than {report.tol:g}")
+    return (_report("verify", _input_json(args, joint, experimental),
+                    verification=verification),
+            [_section(_entry_items, report, _Strata(joint))], failure)
 
 
 def _checked(convert, accept, expected: str):
@@ -554,13 +814,9 @@ def _run(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        report, failure = args.handler(args)
+        report, sections, failure = args.handler(args)
         if getattr(args, "json", None):
-            payload = json.dumps(report, indent=2, cls=_ReportEncoder) + "\n"
-            try:
-                Path(args.json).write_text(payload)
-            except OSError as exc:
-                raise PcauseError(f"cannot write report to {args.json}: {exc}")
+            _write_report(args.json, report, sections)
         if failure is not None:
             raise PcauseError(failure)
     except PcauseError as exc:

@@ -83,8 +83,10 @@ def _exact_deviation(joint: StratifiedJoint, relation: CIRelation) -> float:
     else:
         empty = arms <= 0.0
         if empty.any():
-            arm = ("exposed", "unexposed")[int(empty.argmax()) // 2 % 2]
-            raise PositivityError(f"no {arm} mass in stratum")
+            stratum, arm = divmod(int(empty.argmax()) // 2, 2)
+            raise PositivityError(
+                f"no {('exposed', 'unexposed')[arm]} mass in stratum "
+                f"{joint.keys()[stratum]}")
         risks = pair[:, 0::2] / arms
         gaps = risks[..., 0] - risks[..., 1]
     return np.abs(gaps).max().item()

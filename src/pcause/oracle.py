@@ -80,12 +80,13 @@ def _arm_masses(fixed_y: np.ndarray, fixed_cross: np.ndarray,
 
 def _searched_rows(quantities: Sequence[str], cells: np.ndarray,
                    pairs: np.ndarray, no_prevention: bool,
-                   ) -> list[tuple[int, list[bounds.Interval] | Exception]]:
+                   ) -> list[tuple[int, tuple[np.ndarray, np.ndarray]
+                                   | Exception]]:
     """For each quantity, the search for each (K, 4) cell row and (K, 2)
     pair, in order.  The arms are solved once for all the quantities.
 
-    Each quantity gets (K, the K intervals) when no row fails, and
-    otherwise (n, the error) of the first row n that fails, as
+    Each quantity gets (K, the (K,) lower and upper extremes) when no row
+    fails, and otherwise (n, the error) of the first row n that fails, as
     :func:`pcause.bounds._box_rows` does.  A row fails, in this order of
     precedence, when its pair conflicts with its cells, when an exposure arm
     is empty, when no distribution without prevention fits (with
@@ -160,9 +161,7 @@ def _searched_rows(quantities: Sequence[str], cells: np.ndarray,
             results.append((n, _failure(quantity, n, excess, conflict,
                                         empty_arm, prevented, negative)))
         else:
-            results.append((len(cells), [
-                bounds.Interval(lo, up, quantity, "oracle")
-                for lo, up in zip(lower.tolist(), upper.tolist())]))
+            results.append((len(cells), (lower, upper)))
     return results
 
 
@@ -199,7 +198,8 @@ def feasible_extrema(table: StratumTable, pair: tuple[float, float],
                                no_prevention)
     if n == 0:
         raise out
-    return out[0]
+    lower, upper = out
+    return bounds.Interval(lower.item(), upper.item(), quantity, "oracle")
 
 
 @dataclass(frozen=True)
@@ -216,22 +216,97 @@ class VerificationEntry:
             abs(self.closed.upper - self.searched.upper)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VerificationReport:
+    """Both routes' box of every stratum and quantity, and how far apart
+    they are.
+
+    :func:`verify_bounds` stores the boxes as arrays of entries, stratum by
+    stratum and PN, PS then PNS within each: each route's (N, 2) lower and
+    upper endpoints and the closed form's (N, 2) attaining term indices.
+    ``discrepancy`` (each entry's larger endpoint gap), ``max_discrepancy``,
+    ``failures`` and ``passed`` are worked out from the arrays, and
+    ``entries`` is built when first read.  A report made from entries keeps
+    them and works out the same from their discrepancies.
+    """
+
+    # a field, so that repr and == read the entries
     entries: tuple[VerificationEntry, ...]
     tol: float
+    discrepancy: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: tuple[StratumKey, ...] = field(init=False, repr=False,
+                                          compare=False)
+    _closed: np.ndarray = field(init=False, repr=False, compare=False)
+    _terms: np.ndarray = field(init=False, repr=False, compare=False)
+    _searched: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __init__(self, entries: Sequence[VerificationEntry],
+                 tol: float) -> None:
+        entries = tuple(entries)
+        self._set(tol, np.array([e.discrepancy for e in entries], dtype=float),
+                  None, None, None, None)
+        object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _of(cls, keys: tuple[StratumKey, ...], closed: Sequence[bounds._Boxes],
+            searched: Sequence[tuple[np.ndarray, np.ndarray]],
+            tol: float) -> "VerificationReport":
+        """A report from each quantity's closed-form boxes and searched
+        extremes over the strata ``keys``, in the order of
+        ``bounds.QUANTITIES``."""
+        def entry_major(rows):
+            # (quantity, column, stratum) -> (stratum and quantity, column)
+            return np.array(rows).transpose(2, 0, 1).reshape(-1, 2)
+
+        closed_ends = entry_major([b[:2] for b in closed])
+        searched_ends = entry_major(searched)
+        report = object.__new__(cls)
+        report._set(tol, np.maximum(*np.abs(closed_ends - searched_ends).T),
+                    keys, closed_ends, entry_major([b[2:] for b in closed]),
+                    searched_ends)
+        return report
+
+    def _set(self, tol, discrepancy, keys, closed, terms, searched) -> None:
+        for name, value in (("tol", tol), ("discrepancy", discrepancy),
+                            ("_keys", keys), ("_closed", closed),
+                            ("_terms", terms), ("_searched", searched)):
+            object.__setattr__(self, name, value)
+
+    def _entries(self, index: Sequence[int]) -> tuple[VerificationEntry, ...]:
+        """The entries at ``index``, from the arrays."""
+        if self._keys is None:
+            return tuple(self.entries[i] for i in index)
+        quantities = bounds.QUANTITIES
+        entries = []
+        for i, (cl, cu), (li, ui), (sl, su) in zip(
+                index, self._closed[index].tolist(),
+                self._terms[index].tolist(), self._searched[index].tolist()):
+            key, quantity = self._keys[i // 3], quantities[i % 3]
+            lower, upper = bounds._TERM_NAMES[quantity]
+            entries.append(VerificationEntry(
+                key, quantity,
+                bounds.Interval(cl, cu, quantity, "conditional",
+                                (bounds.TermChoice(key, lower[li],
+                                                   upper[ui]),)),
+                bounds.Interval(sl, su, quantity, "oracle")))
+        return tuple(entries)
+
+    @cached_property
+    def entries(self) -> tuple[VerificationEntry, ...]:
+        return self._entries(range(len(self.discrepancy)))
 
     @cached_property
     def max_discrepancy(self) -> float:
-        return max(e.discrepancy for e in self.entries)
+        return max(self.discrepancy.tolist())
 
     @cached_property
     def failures(self) -> tuple[VerificationEntry, ...]:
-        return tuple(e for e in self.entries if e.discrepancy > self.tol)
+        return self._entries(
+            np.flatnonzero(self.discrepancy > self.tol).tolist())
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not (self.discrepancy > self.tol).any()
 
 
 def verify_bounds(joint: StratifiedJoint,
@@ -247,8 +322,7 @@ def verify_bounds(joint: StratifiedJoint,
     """
     pairs = _matched_pairs(joint, experimental)
     cells, keys = joint.cells, joint.keys()
-    closed = bounds._box_rows(bounds.QUANTITIES, "conditional", cells, pairs,
-                              keys)
+    closed = bounds._box_rows(bounds.QUANTITIES, cells, pairs, keys)
     searched = _searched_rows(bounds.QUANTITIES, cells, pairs, False)
     # the routes in loop order: PN closed, PN searched, PS closed, ...
     routes = [route for both in zip(closed, searched) for route in both]
@@ -256,8 +330,5 @@ def verify_bounds(joint: StratifiedJoint,
     n, out = min(routes, key=lambda route: route[0])
     if n < len(keys):
         raise out
-    return VerificationReport(entries=tuple(
-        VerificationEntry(key, quantity, closed, searched)
-        for key, *both in zip(keys, *(out for _, out in routes))
-        for quantity, closed, searched in zip(bounds.QUANTITIES, both[0::2],
-                                              both[1::2])), tol=tol)
+    return VerificationReport._of(keys, [out for _, out in closed],
+                                  [out for _, out in searched], tol)

@@ -1,7 +1,9 @@
 """Shared fixtures and random-instance generators."""
 
 import csv
+import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import pcause as pc
+from pcause import cli
 from pcause.bounds import (
     PN_LOWER_TERMS,
     PN_UPPER_TERMS,
@@ -18,9 +21,14 @@ from pcause.bounds import (
     Interval,
     TermChoice,
     _swap_pair,
+    conditional_boxes,
 )
 from pcause.covselect import EXPOSURE_CI
-from pcause.identify import OUTSIDE_UNIT_WARNING, Estimate
+from pcause.identify import (
+    OUTSIDE_UNIT_WARNING,
+    Estimate,
+    monotonicity_diagnostic,
+)
 from pcause.model import (
     _CELLS,
     _FLOAT_LIMIT,
@@ -906,15 +914,20 @@ def reference_exact_deviation(joint: pc.StratifiedJoint, relation) -> float:
     index, _, _ = _groups(joint.keys(), joint.covariates, keep)
     coarse = collapse(joint, keep).cells.tolist()
     dev = 0.0
-    for (ee, en, ue, un), (ref_ee, ref_en, ref_ue, ref_un) in zip(
-            joint.cells.tolist(), (coarse[g] for g in index.tolist())):
+    for key, (ee, en, ue, un), (ref_ee, ref_en, ref_ue, ref_un) in zip(
+            joint.keys(), joint.cells.tolist(),
+            (coarse[g] for g in index.tolist())):
         if exposure:
             dev = max(dev, abs((ee + en) - (ref_ee + ref_en)))
-        else:
+            continue
+        try:
             dev = max(dev, abs(_risk(ee, en, "exposed")
                                - _risk(ref_ee, ref_en, "exposed")),
                       abs(_risk(ue, un, "unexposed")
                           - _risk(ref_ue, ref_un, "unexposed")))
+        except pc.PositivityError as exc:
+            # the exact check names the stratum
+            raise pc.PositivityError(f"{exc} {key}") from None
     return dev
 
 
@@ -969,3 +982,146 @@ def reference_count_test(joint: pc.StratifiedJoint, relation,
         raise pc.ValidationError(f"premise {relation.kind}: G statistic is {g}; "
                                  "counts too large for floating point")
     return g, df
+
+
+# The command line's report sections as they were built before the writer
+# streamed them: a dict per interval, entry and stratum, printed one line at
+# a time and encoded with json.dumps(report, indent=2).
+
+def reference_key_json(key: pc.StratumKey) -> dict:
+    return {name: value for name, value in key.labels}
+
+
+def reference_interval_json(iv: Interval) -> dict:
+    return {
+        "quantity": iv.quantity,
+        "method": iv.method,
+        "lower": iv.lower,
+        "upper": iv.upper,
+        "attainment": [{"stratum": reference_key_json(c.stratum),
+                        "lower_term": c.lower,
+                        "upper_term": c.upper} for c in iv.attainment],
+    }
+
+
+def _reference_cmd_bounds(args):
+    joint = cli._load_table(args)
+    experimental = cli._load_experimental(args, joint)
+    quantities = (("PN", "PS", "PNS") if args.quantity == "all"
+                  else (args.quantity,))
+    pooled = collapse(joint, ()).only()
+    intervals = []
+    cli._print_data_line(joint)
+    print(f"experimental input: {experimental.provenance}")
+    for quantity in quantities:
+        strat = pc.stratified_interval(quantity, joint, experimental)
+        pooled_iv = pc.tian_pearl_interval(quantity, pooled,
+                                           experimental.marginal)
+        intervals.extend([strat, pooled_iv])
+        print(f"{quantity:<4} stratified  [{strat.lower:.3f}, {strat.upper:.3f}]")
+        print(f"{quantity:<4} tian-pearl  [{pooled_iv.lower:.3f}, {pooled_iv.upper:.3f}]")
+        boxes = conditional_boxes(quantity, joint, experimental)
+        intervals.extend(boxes)
+        for key, box in zip(joint.keys(), boxes):
+            print(f"     {key}  [{box.lower:.3f}, {box.upper:.3f}]")
+    return cli._report("bounds", cli._input_json(args, joint, experimental),
+                       intervals=[reference_interval_json(iv)
+                                  for iv in intervals]), None
+
+
+def _reference_cmd_identify(args):
+    joint = cli._load_table(args,
+                            stratifier=cli._parse_stratifier(args.stratifier))
+    experimental = pc.adjusted_experimental(joint)
+    diag = monotonicity_diagnostic(joint, experimental)
+    pn, pns = diag.pn, diag.pns
+    cli._print_data_line(joint)
+    for est in (pn, pns):
+        print(f"{est.quantity:<4} {est.value:.3f}  (se {est.se:.3f})")
+    flagged = set(diag.flagged)
+    for key, rd in diag.risk_differences:
+        mark = "  [negative]" if key in flagged else ""
+        print(f"  risk difference {key}: {rd:.3f}{mark}")
+    verdict = "plausible" if diag.plausible else "implausible"
+    print(f"no-prevention assumption: {verdict} "
+          f"({len(diag.flagged)} of {joint.n_strata} strata flagged)")
+    warnings = tuple(dict.fromkeys(pn.warnings + pns.warnings))
+    for w in warnings:
+        print(f"warning: {w}")
+    estimates = {
+        "points": [cli._estimate_json(pn), cli._estimate_json(pns)],
+        "monotonicity": {
+            "risk_differences": [{"stratum": reference_key_json(k),
+                                  "value": rd}
+                                 for k, rd in diag.risk_differences],
+            "flagged": [reference_key_json(k) for k in diag.flagged],
+            "pn_consistent": diag.pn_consistent,
+            "pns_consistent": diag.pns_consistent,
+            "plausible": diag.plausible,
+        },
+    }
+    return cli._report("identify", cli._input_json(args, joint, experimental),
+                       intervals=[reference_interval_json(diag.pn_interval),
+                                  reference_interval_json(diag.pns_interval)],
+                       estimates=estimates, warnings=warnings), None
+
+
+def _reference_cmd_verify(args):
+    joint = cli._load_table(args)
+    experimental = cli._load_experimental(args, joint)
+    report = pc.verify_bounds(joint, experimental, tol=args.tol)
+    entries = report.entries
+    max_discrepancy, failures, passed = reference_verdict(entries, report.tol)
+    cli._print_data_line(joint)
+    status = "PASS" if passed else "FAIL"
+    print(f"checked {len(entries)} boxes in "
+          f"{cli._strata_phrase(joint.n_strata)}; max discrepancy "
+          f"{max_discrepancy:.3g} (tolerance {report.tol:g}): {status}")
+    for entry in failures:
+        print(f"  mismatch {entry.quantity} in {entry.stratum}: closed "
+              f"[{entry.closed.lower:.6f}, {entry.closed.upper:.6f}] vs "
+              f"searched [{entry.searched.lower:.6f}, {entry.searched.upper:.6f}]")
+    verification = {
+        "tol": report.tol,
+        "max_discrepancy": max_discrepancy,
+        "passed": passed,
+        "entries": [{
+            "stratum": reference_key_json(e.stratum),
+            "quantity": e.quantity,
+            "closed": reference_interval_json(e.closed),
+            "searched": reference_interval_json(e.searched),
+            "discrepancy": e.discrepancy,
+        } for e in entries],
+    }
+    failure = None if passed else (
+        f"verification failed: {len(failures)} of "
+        f"{len(entries)} boxes differ by more than {report.tol:g}")
+    return cli._report("verify", cli._input_json(args, joint, experimental),
+                       verification=verification), failure
+
+
+def reference_verdict(entries, tol):
+    """max_discrepancy, failures and passed as the report worked them out
+    from its entries."""
+    failures = tuple(e for e in entries if e.discrepancy > tol)
+    return max(e.discrepancy for e in entries), failures, not failures
+
+
+_REFERENCE_COMMANDS = {"bounds": _reference_cmd_bounds,
+                       "identify": _reference_cmd_identify,
+                       "verify": _reference_cmd_verify}
+
+
+def reference_cli(argv):
+    """What ``bounds``, ``identify`` or ``verify`` printed and the report it
+    wrote, as (exit code, the report's text or None); stdout and stderr go
+    to sys.stdout and sys.stderr."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        report, failure = _REFERENCE_COMMANDS[args.command](args)
+    except pc.PcauseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1, None
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+    return (0 if failure is None else 1), json.dumps(report, indent=2) + "\n"

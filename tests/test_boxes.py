@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
-from pcause.bounds import conditional_boxes
+from pcause.bounds import Interval, conditional_boxes
 from pcause.identify import monotonicity_diagnostic
 from pcause.model import (
     _MISMATCH,
@@ -75,7 +75,8 @@ def searched_boxes(quantity, joint, experimental, *, no_prevention):
                                no_prevention)
     if n < joint.n_strata:
         raise out
-    return out
+    return [Interval(lo, up, quantity, "oracle")
+            for lo, up in zip(*(ends.tolist() for ends in out))]
 
 
 def assert_same_boxes(joint, experimental):

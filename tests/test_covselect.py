@@ -324,3 +324,25 @@ def test_premise_tests_match_the_dict_loops(draws, grid, names, swap, n):
                 _outcome(reference_count_test, joint, relation, n)
             assert _outcome(covselect._exact_deviation, joint, relation) == \
                 _outcome(reference_exact_deviation, joint, relation)
+
+
+@pytest.mark.parametrize("arm,cells", [
+    ("exposed", (0.0, 0.0, 0.4, 0.6)),
+    ("unexposed", (0.3, 0.7, 0.0, 0.0)),
+])
+def test_exact_check_names_the_stratum_with_an_empty_arm(arm, cells):
+    # s=2,t=1 sorts after s=1,t=2, so the error names the first stratum in
+    # key order with an empty arm, not the first one listed
+    good = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=0.25)
+    empty = pc.StratumTable(*cells, weight=0.25)
+    joint = pc.StratifiedJoint(strata={
+        _key("1", "1"): good, _key("2", "1"): empty, _key("1", "2"): empty,
+        _key("2", "2"): good}, covariates=("s", "t"))
+    relation = pc.CIRelation(OUTCOME_CI, "s", "t")
+    message = f"no {arm} mass in stratum s=1,t=2"
+    with pytest.raises(pc.PositivityError) as raised:
+        pc.ci_check(joint, relation, mode="exact-probability")
+    assert str(raised.value) == message
+    with pytest.raises(pc.PositivityError) as raised:
+        reference_exact_deviation(joint, relation)
+    assert str(raised.value) == message

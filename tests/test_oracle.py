@@ -3,7 +3,6 @@ import pytest
 
 import pcause as pc
 import pcause.bounds
-from pcause.bounds import Interval
 from pcause.identify import pns_point
 from pcause.model import CountTable
 from pcause.oracle import VerificationEntry, feasible_extrema
@@ -185,13 +184,11 @@ class TestVerification:
     def test_injected_fault_detected(self, cancer_joint, cancer_experimental,
                                      monkeypatch):
         # verify_bounds takes every stratum's closed-form boxes from one
-        # array pass: widen the PN boxes it returns
+        # array pass: widen the upper ends of the PN boxes it returns
         real = pcause.bounds._box_rows
 
         def widened(quantities, *args):
-            return [(n, [Interval(lower=iv.lower, upper=iv.upper + 0.05,
-                                  quantity=iv.quantity, method=iv.method,
-                                  attainment=iv.attainment) for iv in out]
+            return [(n, out._replace(upper=out.upper + 0.05)
                      if quantity == "PN" else out)
                     for quantity, (n, out) in zip(quantities,
                                                   real(quantities, *args))]

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 96 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 105 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -10,8 +10,9 @@ directory:
   with inputs generated into WORKDIR by this tree's ``perfbench/workloads.py``;
 * ``identify --stratifier s`` and ``--stratifier t`` on the strata-wide
   table, which collapse its counts;
-* ``bounds``, ``identify``, ``select``, ``verify`` and ``verify --tol 0`` on
-  the cancer fixture, each with and without ``--smoothing add-half``;
+* ``bounds``, ``bounds --quantity PS``, ``identify``, ``select``, ``verify``
+  and ``verify --tol 0`` on the cancer fixture, each with and without
+  ``--smoothing add-half``;
 * ``simulate --setting 1..4 --n 1000 --reps 5000 --seed 7``;
 * ``simulate --setting 4 --n 200 --reps 2000 --seed 7``, which redraws many
   samples, and ``simulate --setting 1 --n 120 --reps 200 --seed 7``, which
@@ -22,7 +23,7 @@ directory:
   unknown provenance, a non-numeric pair, a pair outside its
   compatibility range by more than the 1e-3 tolerance and one inside it,
   and two strata outside their ranges, on different inequalities;
-* 25 runs on counts files that this script writes into WORKDIR to exercise
+* 32 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader and the bounds: CRLF and lone-CR line endings with comments
   and blank lines, duplicate cells on lines apart, quoted levels holding
   ``,``, ``"`` or a leading ``#`` with spaces around fields, a
@@ -34,8 +35,12 @@ directory:
   an s x t grid with one stratum absent and one zero cell, ``select``
   with the roles ``--s s --t t`` and swapped on a 2 x 3 grid and on a grid
   whose ``s`` has one level (df 0), ``select --s b --t a`` on covariates
-  named ``b`` and ``a``, and ``select`` on counts of 1e306 to 6e306, whose
-  G statistic overflows (exit 1).
+  named ``b`` and ``a``, ``bounds``, ``verify`` and ``identify`` on levels
+  ``\u00e9`` and ``\U0001f600`` (outside ASCII, and outside the basic
+  multilingual plane) and on a table without covariates, ``verify --tol 0``
+  on a 6 x 6 grid (a failing verify with many mismatch lines), and
+  ``select`` on counts of 1e306 to 6e306, whose G statistic overflows
+  (exit 1).
 
 It prints one line per job: the exit code, a SHA-256 over the exit code,
 stdout, stderr and the ``--json`` report, and the argv.  Reports record the
@@ -125,6 +130,26 @@ _INGEST = {
             f"{b},{a},{x},{y},{2 + (5 * b + 2 * a + 3 * x + y) % 7}\n"
             for b in (1, 2, 3) for a in (1, 2) for x in (1, 0) for y in (1, 0)),
         [("select", "--s", "b", "--t", "a")]),
+    # levels outside ASCII, one of them outside the basic multilingual
+    # plane: the report writes them as \u00e9 and the pair \ud83d\ude00
+    "non-ascii": (
+        "site,x,y,count\n" + "".join(
+            f"{site},{x},{y},{3 + (4 * i + 2 * x + y) % 7}\n"
+            for i, site in enumerate(("\u00e9", "\U0001f600", "a\u00e9\U0001f600"))
+            for x in (1, 0) for y in (1, 0)),
+        [("bounds",), ("verify",), ("identify",)]),
+    # no covariates: one stratum, written as {}
+    "no-covariates": (
+        "x,y,count\n1,1,14\n1,0,9\n0,1,6\n0,0,17\n",
+        [("bounds",), ("verify",), ("identify",)]),
+    # a 6 x 6 grid, where verify --tol 0 fails on every box whose two
+    # routes differ in the last place
+    "six-by-six": (
+        "s,t,x,y,count\n" + "".join(
+            f"{s},{t},{x},{y},{2 + (5 * s + 3 * t + 2 * x + y) % 9}\n"
+            for s in range(1, 7) for t in range(1, 7)
+            for x in (1, 0) for y in (1, 0)),
+        [("verify", "--tol", "0")]),
     # counts of 1e306 to 6e306 fit a float, but G multiplies them
     "g-overflow": (
         "s,t,x,y,count\n" + "".join(
@@ -196,6 +221,7 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
                "--stratifier", name) for name in ("s", "t")]
     for smoothing in ((), ("--smoothing", "add-half")):
         argvs += [("bounds", "--data", FIXTURE, *smoothing),
+                  ("bounds", "--data", FIXTURE, "--quantity", "PS", *smoothing),
                   ("identify", "--data", FIXTURE, *smoothing),
                   ("select", "--data", FIXTURE, "--s", "stage", "--t", "t",
                    *smoothing),
