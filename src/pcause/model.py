@@ -10,11 +10,16 @@ then ``x``, ``y`` and ``count``::
     1,0,0,10
     ...
 
-Lines starting with ``#`` and blank lines are ignored.  Duplicate cells are
-summed.  Whitespace around a field is dropped, and a level must keep one
-spelling throughout.  Counts convert to a :class:`StratifiedJoint`, which
-stores within each stratum the four joint cell probabilities P(x, y | s)
-and the stratum weight P(s), as arrays over all strata.
+Lines end at ``\\n``, ``\\r\\n`` or ``\\r``.  A line whose first
+non-whitespace character is ``#`` is a comment, and a line of whitespace
+alone is skipped; error messages number lines counting every line, these
+included.  A field may be quoted, as the csv module writes it, but a quoted
+field ends on its own line, and a field over the csv module's size limit is
+an error naming its line.  Duplicate cells are summed.  Whitespace around a
+field is dropped, and a level must keep one spelling throughout.  Counts
+convert to a :class:`StratifiedJoint`, which stores within each stratum the
+four joint cell probabilities P(x, y | s) and the stratum weight P(s), as
+arrays over all strata.
 
 Experimental knowledge enters as :class:`ExperimentalQuantities`: the pair
 (P(y_x | s), P(y_x' | s)) per stratum, where y_x denotes the outcome under
@@ -33,7 +38,8 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, repeat
+from operator import add, attrgetter, floordiv, itemgetter, mod, mul, ne
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
@@ -485,40 +491,89 @@ def _groups(keys: Sequence[StratumKey], covariates: tuple[str, ...],
             tuple(map(StratumKey._canonical, labels)), covs)
 
 
+# The counts text is read a block of lines at a time: a block runs from its
+# start past this many characters, to the end of that line.
+_BLOCK = 1 << 20
+# One block's records: the kept lines' numbers, each one's count of
+# separators (its fields less one) and all their fields in one list.
+_Records = tuple[Sequence[int], list[int], list[str]]
+
+
 def load_counts(source: Source) -> CountTable:
     """Parse the counts CSV described in the module docstring.
 
     Errors name the offending line number as it appears in the file,
-    comments and blank lines included.
+    comments and blank lines included.  A field over the csv module's size
+    limit is named first, wherever it is; otherwise the earliest faulty line
+    is named.
     """
     # Lines end at \n, \r\n or \r only, as for the csv module; str.splitlines
     # would also split at \x1c-\x1e, \x85, \u2028 and others inside a level.
-    text = _read_text(source).replace("\r\n", "\n").replace("\r", "\n")
-    kept = [(lineno, line)
-            for lineno, line in enumerate(text.split("\n"), start=1)
-            if line.strip()[:1] not in ("", "#")]
-    if not kept:
-        raise ParseError("no header row found")
-    # the csv module rejects a field over its size limit: name its line
-    limit = csv.field_size_limit()
-    for lineno, line in kept:
-        if len(line) > limit:
-            try:
-                next(csv.reader([line]))
-            except csv.Error as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-    linenos, lines = zip(*kept)
-    # Each line is one record.  A quote can open a field that the csv
-    # module would continue onto the next line, so quoted text is read
-    # line by line.
-    if '"' in text:
-        records = (next(csv.reader([line])) for line in lines)
-    else:
-        records = csv.reader(lines)
-    numbered = zip(linenos, records)
+    blocks = _blocks(
+        _read_text(source).replace("\r\n", "\n").replace("\r", "\n"))
+    try:
+        return _summed(blocks)
+    except ParseError:
+        # a later block may still hold a field over the size limit
+        for _ in blocks:
+            pass
+        raise
 
-    header_line, header = next(numbered)
-    header = [f.strip() for f in header]
+
+def _blocks(text: str) -> Iterator[_Records]:
+    """The records of the counts text, a block of lines at a time.
+
+    Blank and comment lines are dropped.  A line's fields are what the csv
+    module reads from it alone, so a quoted field ends on its line; without
+    a quote they lie between its commas.  A field over the csv module's
+    size limit is a :class:`ParseError` naming its line.
+    """
+    limit = csv.field_size_limit()
+    end = len(text) - text.endswith("\n")  # the last line end ends the text
+    start, lineno = 0, 1
+    while start < end:
+        stop = text.find("\n", start + _BLOCK, end)
+        if stop < 0:
+            stop = end
+        block = text[start:stop]
+        lines = block.split("\n")
+        linenos: Sequence[int] = range(lineno, lineno + len(lines))
+        start, lineno = stop + 1, lineno + len(lines)
+        commas = list(map(str.count, lines, repeat(",")))
+        # a line with a comma is not blank, nor, in a block without #, a
+        # comment: most blocks drop no line
+        if "#" in block or 0 in commas:
+            kept = [i for i, line in enumerate(lines)
+                    if line.strip()[:1] not in ("", "#")]
+            if not kept:
+                continue
+            linenos, lines, commas = ([seq[i] for i in kept]
+                                      for seq in (linenos, lines, commas))
+        if max(map(len, lines)) > limit:
+            for number, line in zip(linenos, lines):
+                try:
+                    next(csv.reader([line]))
+                except csv.Error as exc:
+                    raise ParseError(f"line {number}: {exc}") from None
+        if '"' in block:
+            records = [next(csv.reader([line])) for line in lines]
+            separators = [len(fields) - 1 for fields in records]
+            fields = list(chain.from_iterable(records))
+        else:
+            separators = commas
+            fields = ",".join(lines).split(",")
+        yield linenos, separators, fields
+
+
+def _summed(blocks: Iterator[_Records]) -> CountTable:
+    """The count table of the records ``_blocks`` yields, checked and summed
+    a column of a block at a time."""
+    for linenos, separators, fields in blocks:
+        break
+    else:
+        raise ParseError("no header row found")
+    header_line, width = linenos[0], separators[0] + 1
+    header = [f.strip() for f in fields[:width]]
     for required in ("x", "y", "count"):
         if header.count(required) != 1:
             raise ParseError(
@@ -532,75 +587,126 @@ def load_counts(source: Source) -> CountTable:
     if any(not name for name in cov_names):
         raise ParseError(f"line {header_line}: empty covariate column name")
 
-    # Rows are summed into one quad per distinct tuple of levels as written
-    # (in covariate order).  Each covariate's spellings are stripped once,
-    # when first seen; two that strip to one level are an error, not a merge.
-    levels_of = _levels_getter([i for _, i in cov_idx])
-    quads: dict[tuple[str, ...], list[int | None]] = {}
-    level_of: list[dict[str, str]] = [{} for _ in cov_names]
+    # Per covariate: a code for each spelling, numbered in order of first
+    # use, and each level (a stripped spelling) with the spelling and line
+    # that first wrote it, in the same order.  Two spellings of one level
+    # are an error, not a merge.
+    codes: list[dict[str, int]] = [{} for _ in cov_names]
     spelled: list[dict[str, tuple[str, int]]] = [{} for _ in cov_names]
-    total = 0
-    width = len(header)
-    for lineno, fields in numbered:
-        if len(fields) != width:
-            raise ParseError(
-                f"line {lineno}: expected {width} fields, got {len(fields)}")
-        slot = _SLOTS.get((fields[ix], fields[iy]))
-        if slot is None:
-            slot = _row_slot(lineno, fields[ix].strip(), fields[iy].strip())
+    # each data row's spelling codes, cell slot and count
+    row_codes: list[list[int]] = [[] for _ in cov_names]
+    slots: list[int] = []
+    counts: list[int] = []
+    data = (linenos[1:], separators[1:], fields[width:])
+    for linenos, separators, fields in chain([data], blocks):
+        if not linenos:
+            continue
+        # Each screen notes its first faulty row as (row, rank, message);
+        # on one row, width ranks before x/y, count and then spellings.
+        faults = []
+        rows = separators.count(width - 1)
+        if rows < len(separators):
+            rows = next(i for i, n in enumerate(separators) if n != width - 1)
+            faults.append((rows, 0, f"expected {width} fields, "
+                                    f"got {separators[rows] + 1}"))
+            fields = fields[:rows * width]
+        x, y, count = fields[ix::width], fields[iy::width], fields[icount::width]
+        block_slots = list(map(_SLOTS.get, zip(x, y)))
+        if None in block_slots:
+            x, y = list(map(str.strip, x)), list(map(str.strip, y))
+            block_slots = list(map(_SLOTS.get, zip(x, y)))
+            if None in block_slots:
+                row = block_slots.index(None)
+                name, value = ("x", x[row]) if x[row] not in ("0", "1") \
+                    else ("y", y[row])
+                faults.append((row, 1, f"{name} must be 0 or 1, got {value!r}"))
         # int() ignores the whitespace that strip() removes
         try:
-            n = int(fields[icount])
+            block_counts = list(map(int, count))
         except ValueError:
-            n = -1
-        if n < 0:
-            raise ParseError(f"line {lineno}: count must be a nonnegative "
-                             f"integer, got {fields[icount].strip()!r}")
-        written = levels_of(fields)
-        quad = quads.get(written)
-        if quad is None:
-            quad = quads[written] = [None, None, None, None]
-            for args in zip(cov_names, written, level_of, spelled):
-                _add_spelling(lineno, *args)
-        had = quad[slot]
-        quad[slot] = n if had is None else had + n
-        total += n
-    if not quads:
+            block_counts = list(map(_count, count))
+        if block_counts and min(block_counts) < 0:
+            row = next(i for i, n in enumerate(block_counts) if n < 0)
+            faults.append((row, 2, "count must be a nonnegative integer, "
+                                   f"got {count[row].strip()!r}"))
+        columns = [fields[i::width] for _, i in cov_idx]
+        for rank, (name, column, known, levels) in enumerate(
+                zip(cov_names, columns, codes, spelled), start=3):
+            # the block's new spellings, in order of first use, so that
+            # each one's first row lies after the last one's
+            row = 0
+            for spelling in [s for s in dict.fromkeys(column) if s not in known]:
+                row, level = column.index(spelling, row), spelling.strip()
+                written, line = levels.setdefault(level, (spelling, linenos[row]))
+                if written != spelling:
+                    faults.append((row, rank, (
+                        f"covariate {name!r} level {spelling!r} reads as "
+                        f"{level!r}, which line {line} writes {written!r}; "
+                        "write each level one way")))
+                known[spelling] = len(known)
+        if faults:
+            row, _, message = min(faults)
+            raise ParseError(f"line {linenos[row]}: {message}")
+        for known, column, into in zip(codes, columns, row_codes):
+            into += map(known.__getitem__, column)
+        slots += block_slots
+        counts += block_counts
+    if not counts:
         raise ParseError("no data rows")
-
-    # One key per distinct tuple of levels, in key order.
-    if any(level != spelling for levels in level_of
-           for spelling, level in levels.items()):
-        quads = {tuple(map(dict.__getitem__, level_of, written)): quad
-                 for written, quad in quads.items()}
-    strata = sorted(quads.items(), key=itemgetter(0))
-    keys = tuple(StratumKey._canonical(tuple(zip(cov_names, levels)))
-                 for levels, _ in strata)
-    return CountTable._of(cov_names, keys, [quad for _, quad in strata],
-                          total)
+    return _table(cov_names, spelled, row_codes, slots, counts)
 
 
-def _row_slot(lineno: int, x: str, y: str) -> int:
-    for name, value in (("x", x), ("y", y)):
-        if value not in ("0", "1"):
-            raise ParseError(f"line {lineno}: {name} must be 0 or 1, got {value!r}")
-    return _SLOTS[(x, y)]
+def _table(cov_names: tuple[str, ...],
+           spelled: list[dict[str, tuple[str, int]]],
+           row_codes: list[list[int]], slots: list[int],
+           counts: list[int]) -> CountTable:
+    """The count table of the data rows: each row's code per covariate (the
+    position of its level in ``spelled``), cell slot and count.
+
+    A row's cell is numbered by its levels' ranks and then its slot, read
+    in mixed radix, so that cells sort as their strata's keys and then
+    their slots do.
+    """
+    ordered = [sorted(levels) for levels in spelled]
+    strides = [4]
+    for levels in reversed(ordered[1:]):
+        strides.insert(0, strides[0] * len(levels))
+    # each row's first cell of its stratum, then its own cell
+    firsts = [0] * len(counts)
+    for levels, by_code, row_code, stride in zip(ordered, spelled, row_codes,
+                                                 strides):
+        scaled = dict(zip(levels, range(0, stride * len(levels), stride)))
+        code_first = list(map(scaled.__getitem__, by_code))
+        firsts = list(map(add, firsts, map(code_first.__getitem__, row_code)))
+    cells = list(map(add, firsts, slots))
+    # each cell's count, summed exactly
+    sums = dict(zip(cells, counts))
+    if len(sums) < len(cells):
+        # a cell on several rows: add the others' counts to its last row's
+        last = dict(zip(cells, range(len(cells))))
+        for row in compress(range(len(cells)), map(
+                ne, map(last.__getitem__, cells), range(len(cells)))):
+            sums[cells[row]] += counts[row]
+    strata = sorted(set(firsts))
+    # each stratum's levels, read back from its number digit by digit, and
+    # its four cells, None where no row names one
+    labels = [zip(repeat(name), map(levels.__getitem__, map(
+                  mod, map(floordiv, strata, repeat(stride)),
+                  repeat(len(levels)))))
+              for name, levels, stride in zip(cov_names, ordered, strides)]
+    keys = tuple(map(StratumKey._canonical, zip(*labels))) if labels \
+        else (StratumKey(),)
+    quads = list(zip(*[map(sums.get, map(add, strata, repeat(slot)))
+                       for slot in range(4)]))
+    return CountTable._of(cov_names, keys, quads, sum(counts))
 
 
-def _add_spelling(lineno: int, name: str, spelling: str,
-                  level_of: dict[str, str],
-                  spelled: dict[str, tuple[str, int]]) -> None:
-    """Record a covariate's spelling of a level, as written on ``lineno``;
-    raise :class:`ParseError` if an earlier line spells the level otherwise."""
-    if spelling in level_of:
-        return
-    level = level_of[spelling] = spelling.strip()
-    first, line = spelled.setdefault(level, (spelling, lineno))
-    if first != spelling:
-        raise ParseError(
-            f"line {lineno}: covariate {name!r} level {spelling!r} reads as "
-            f"{level!r}, which line {line} writes {first!r}; write each level "
-            "one way")
+def _count(field: str) -> int:
+    """A count field's integer, or -1 if it does not read as one."""
+    try:
+        return int(field)
+    except ValueError:
+        return -1
 
 
 def render_counts(counts: CountTable) -> str:

@@ -19,12 +19,14 @@ import json
 import math
 import pickle
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
+from pcause import model
 from pcause.cli import run
 from pcause.model import (
     CountTable,
@@ -249,6 +251,10 @@ def counts_files(draw):
     return "".join(line + draw(_ending) for line in lines)
 
 
+# block sizes, in characters, that cut a counts file into many blocks
+_SMALL_BLOCKS = (4, 24)
+
+
 def _loaded(load, text):
     counts = load(io.StringIO(text))
     return repr(counts), counts.total, list(counts.rows())
@@ -260,15 +266,106 @@ def _loaded(load, text):
 @example('g,x,y,count\n"#1",1,1,3\n"a,b" , 0,0, 4\n"#1",1,1,2\n')
 # a quote that the csv module would carry onto the next line
 @example('g,x,y,count\n"a,1,1,3\nb",1,1,3\n')
+# In blocks of a few characters: blocks that start with a comment and with
+# a blank line,
+@example("s,x,y,count\n1,1,1,3\n# c\n2,0,0,4\n\n2,1,1,1\n")
+# a block of only comments after the header,
+@example("s,x,y,count\n# a\n# b\n  # c\n1,1,1,3\n1,0,0,4\n")
+# a quoted level only in a later block,
+@example('g,x,y,count\n1,1,1,3\n1,0,0,2\n2,1,1,4\n"a,b",1,1,4\n')
+# and one cell's rows in different blocks.
+@example("s,x,y,count\n1,1,1,3\n2,0,0,4\n2,1,1,6\n1,1,1,5\n")
 def test_parsing_matches_the_line_by_line_loop(text):
     loaded = _outcome(_loaded, pc.load_counts, text)
     assert loaded == _outcome(_loaded, reference_load_counts, text)
+    # the same, with the file cut into many blocks
+    for size in _SMALL_BLOCKS:
+        with patch.object(model, "_BLOCK", size):
+            assert _outcome(_loaded, pc.load_counts, text) == loaded
     if loaded.startswith("ParseError"):
         return
     counts = pc.load_counts(io.StringIO(text))
     for smoothing in ("none", "add-half"):
         assert _outcome(pc.to_probabilities, counts, smoothing) == \
             _outcome(reference_to_probabilities, counts, smoothing)
+
+
+# Lines that each hold one kind of fault.  Line 2 writes level 2 first, so
+# " 2" respells it.
+_LINE_FAULTS = {"width": "{s},1,1,3,9", "xy": "{s},1, 2,3",
+                "count": "{s},0,0, -4", "spelling": " 2, 1,0,3"}
+
+
+def _faulty_file(faults):
+    """A counts file of 43 lines: the header, a comment on line 21, a blank
+    line 22 and data on levels 0-9, except that ``faults`` maps line numbers
+    to the kind of fault each holds."""
+    lines = ["s,x,y,count"]
+    for lineno in range(2, 44):
+        level, (x, y) = lineno % 10, ((1, 1), (1, 0), (0, 1), (0, 0))[lineno % 4]
+        lines.append(_LINE_FAULTS[faults[lineno]].format(s=level)
+                     if lineno in faults
+                     else {21: "# a comment", 22: ""}.get(
+                         lineno, f"{level},{x},{y},{lineno}"))
+    return "\n".join(lines) + "\n"
+
+
+def _error(source, size=None):
+    """The ParseError that loading ``source`` (a text or a path) raises,
+    in blocks of ``size`` characters if given."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    with patch.object(model, "_BLOCK", size or model._BLOCK):
+        with pytest.raises(pc.ParseError) as info:
+            pc.load_counts(source)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("first, second",
+                         itertools.permutations(_LINE_FAULTS, 2))
+def test_the_earlier_of_two_faults_in_different_blocks_is_named(first,
+                                                                 second):
+    text = _faulty_file({5: first, 33: second})
+    alone = _faulty_file({5: first})
+    expected = _error(alone)
+    assert expected.startswith("line 5: ")
+    if first != "spelling":
+        # the line loop merged respellings, so it names the others only
+        assert expected == _outcome(reference_load_counts,
+                                    io.StringIO(alone)).split(": ", 1)[1]
+    # in one block, and in blocks that put the two lines apart
+    for size in (None, *_SMALL_BLOCKS, 40):
+        assert _error(text, size) == expected
+    # the later fault alone is named at its line
+    assert _error(_faulty_file({33: second}), 40).startswith("line 33: ")
+
+
+# In one block, and in blocks of 40 characters (the long line is one).
+@pytest.mark.parametrize("size", [None, 40])
+def test_a_field_over_the_size_limit_is_named_before_an_earlier_fault(size):
+    text = "s,x,y,count\n1,1,1,-5\n" + "".join(
+        f"{i},1,0,{i}\n" for i in range(30)) + "a" * 131_073 + ",0,0,1\n"
+    assert _error(text, size) == \
+        "line 33: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize("size", [None, 40])
+def test_a_long_line_of_short_fields_keeps_the_line_count(size):
+    # 140,002 characters in two fields, each within the size limit
+    text = "s,t,x,y,count\n" + "a" * 70_000 + "," + "b" * 70_000 + \
+        ",1,1,3\n" + "".join(f"{i},1,1,0,{i}\n" for i in range(30)) + \
+        "9,9,0,0,x\n"
+    assert _error(text, size) == \
+        "line 33: count must be a nonnegative integer, got 'x'"
+
+
+def test_an_undecodable_byte_after_the_first_block(tmp_path):
+    data = b"s,x,y,count\n" + b"1,1,1,3\n" * 50 + b"\xe9,0,0,2\n"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as info:
+        data.decode("utf-8-sig")
+    assert _error(path, 40) == f"cannot decode {path}: {info.value}"
 
 
 @pytest.mark.parametrize("text", [

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 105 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 109 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -23,7 +23,7 @@ directory:
   unknown provenance, a non-numeric pair, a pair outside its
   compatibility range by more than the 1e-3 tolerance and one inside it,
   and two strata outside their ranges, on different inequalities;
-* 32 runs on counts files that this script writes into WORKDIR to exercise
+* 36 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader and the bounds: CRLF and lone-CR line endings with comments
   and blank lines, duplicate cells on lines apart, quoted levels holding
   ``,``, ``"`` or a leading ``#`` with spaces around fields, a
@@ -38,9 +38,13 @@ directory:
   named ``b`` and ``a``, ``bounds``, ``verify`` and ``identify`` on levels
   ``\u00e9`` and ``\U0001f600`` (outside ASCII, and outside the basic
   multilingual plane) and on a table without covariates, ``verify --tol 0``
-  on a 6 x 6 grid (a failing verify with many mismatch lines), and
+  on a 6 x 6 grid (a failing verify with many mismatch lines),
   ``select`` on counts of 1e306 to 6e306, whose G statistic overflows
-  (exit 1).
+  (exit 1), and ``bounds``, ``identify`` and ``select`` on a 240 x 100
+  grid read in three blocks, with comments, blank lines, mixed line ends,
+  a quoted level in the last block only and one cell's rows in the first
+  and last blocks, and ``bounds`` on it with a negative count on its last
+  line (exit 1).
 
 It prints one line per job: the exit code, a SHA-256 over the exit code,
 stdout, stderr and the ``--json`` report, and the argv.  Reports record the
@@ -59,6 +63,29 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 FIXTURE = "tests/data/breast_cancer.csv"
+
+
+def _many_blocks(last: str = "") -> str:
+    """A 240 x 100 grid of counts, about 2.4 MB once its line ends are
+    normalised, so that ``load_counts`` reads it in three blocks of about
+    1 MB.  Lines end in turn at CRLF, lone CR and LF, with a comment or a
+    blank line every 300 lines.  The last lines add a stratum whose quoted
+    level holds a comma, a second row of the first cell, and ``last``."""
+    lines = ["s,t,x,y,count"]
+    for s in range(240):
+        for t in range(100):
+            for x in (1, 0):
+                for y in (1, 0):
+                    lines.append(f"site-{s:03},arm-{t:03},{x},{y},"
+                                 f"{3 + (7 * s + 5 * t + 2 * x + y) % 40}")
+                    if len(lines) % 300 == 0:
+                        lines.append(f"# rows to {len(lines)}"
+                                     if len(lines) % 600 else "")
+    lines += [f'"site,240",arm-000,{x},{y},{4 + 2 * x + y}'
+              for x in (1, 0) for y in (1, 0)]
+    lines.append("site-000,arm-000,1,1,5")
+    ends = ("\r\n", "\r", "\n")
+    return "".join(line + ends[i % 3] for i, line in enumerate(lines)) + last
 
 
 # counts files for the CSV reader, by name: (text, argument lists after
@@ -157,6 +184,12 @@ _INGEST = {
             in enumerate((s, t, x, y) for s in (1, 2) for t in (1, 2)
                          for x in (1, 0) for y in (1, 0))),
         [("select", "--s", "s", "--t", "t")]),
+    "many-blocks": (
+        _many_blocks(),
+        [("bounds",), ("identify",), ("select", "--s", "s", "--t", "t")]),
+    # the same with a negative count on its last line (exit 1)
+    "many-blocks-negative": (
+        _many_blocks("site-001,arm-001,0,0,-3\n"), [("bounds",)]),
 }
 
 
