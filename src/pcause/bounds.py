@@ -63,13 +63,16 @@ one-stratum joint) are the same pass over one row.  A failing stratum
 raises the error that a loop over the strata in key order would meet first.
 Each interval records which candidate term produced each endpoint in every
 stratum (:class:`TermChoice`), with ties resolved toward the earlier term in
-the documented order.
+the documented order.  The intervals this module makes keep that record as
+the term indices of each stratum, from which the command line writes its
+report, and build their ``attainment`` of :class:`TermChoice` objects when
+it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,13 +127,47 @@ class TermChoice:
     upper: str
 
 
+class _Attainment:
+    """The ``attainment`` field of :class:`Interval`: the tuple given to the
+    constructor, or, for an interval made by :meth:`Interval._of`, the tuple
+    built from its term indices when the field is first read."""
+
+    def __get__(self, interval, owner=None):
+        if interval is None:
+            return ()  # the field's default
+        state = vars(interval)
+        if "attainment" not in state:
+            keys, lower_terms, upper_terms = interval._terms
+            lower, upper = _TERM_NAMES[interval.quantity]
+            state["attainment"] = tuple(map(
+                TermChoice, keys, map(lower.__getitem__, lower_terms),
+                map(upper.__getitem__, upper_terms)))
+        return state["attainment"]
+
+    def __set__(self, interval, attainment) -> None:
+        vars(interval)["attainment"] = attainment
+
+
 @dataclass(frozen=True)
 class Interval:
     lower: float
     upper: float
     quantity: str
     method: str
-    attainment: tuple[TermChoice, ...] = ()
+    attainment: tuple[TermChoice, ...] = _Attainment()
+
+    @classmethod
+    def _of(cls, lower: float, upper: float, quantity: str, method: str,
+            keys: Sequence[StratumKey], lower_terms: Sequence[int],
+            upper_terms: Sequence[int]) -> "Interval":
+        """An interval attained in the strata ``keys`` by the terms at
+        these indices in the quantity's term names, kept as ``_terms``;
+        its endpoints are already checked."""
+        interval = object.__new__(cls)
+        vars(interval).update(lower=lower, upper=upper, quantity=quantity,
+                              method=method,
+                              _terms=(keys, lower_terms, upper_terms))
+        return interval
 
     def __post_init__(self) -> None:
         if self.quantity not in QUANTITIES:
@@ -215,13 +252,6 @@ def _chosen(quantity: str, cells: np.ndarray, pairs: np.ndarray,
     return denom, lows[li, strata], ups[ui, strata], li, ui
 
 
-def _choices(quantity: str, keys: Sequence[StratumKey], li: np.ndarray,
-             ui: np.ndarray) -> Iterator[TermChoice]:
-    lower, upper = _TERM_NAMES[quantity]
-    return map(TermChoice, keys, map(lower.__getitem__, li.tolist()),
-               map(upper.__getitem__, ui.tolist()))
-
-
 def _inverted(quantity: str, lower: float, upper: float,
               key: StratumKey | None) -> IncompatibilityError:
     where = f" in stratum {key}" if key is not None else ""
@@ -304,10 +334,10 @@ def _boxes(quantity: str, cells: np.ndarray, pairs: np.ndarray,
 def _intervals(quantity: str, method: str, keys: Sequence[StratumKey],
                boxes: _Boxes) -> list[Interval]:
     """The boxes as intervals, each attained in its own stratum."""
-    return [Interval(lo, up, quantity, method, (choice,))
-            for lo, up, choice in zip(
-                boxes.lower.tolist(), boxes.upper.tolist(),
-                _choices(quantity, keys, boxes.lower_term, boxes.upper_term))]
+    return [Interval._of(lo, up, quantity, method, (key,), (li,), (ui,))
+            for lo, up, key, li, ui in zip(
+                boxes.lower.tolist(), boxes.upper.tolist(), keys,
+                boxes.lower_term.tolist(), boxes.upper_term.tolist())]
 
 
 def _one_box(quantity: str, method: str, table: StratumTable,
@@ -398,8 +428,8 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
     lower, upper = float(_clip(lower, 0.0, 1.0)), float(_clip(upper, 0.0, 1.0))
     if lower > upper + _INVERT_TOL:
         raise _inverted(quantity, lower, upper, None)
-    return Interval(lower, upper, quantity, "stratified",
-                    tuple(_choices(quantity, joint.keys(), li, ui)))
+    return Interval._of(lower, upper, quantity, "stratified", joint.keys(),
+                        li.tolist(), ui.tolist())
 
 
 def tian_pearl_interval(quantity: str, table: StratumTable,

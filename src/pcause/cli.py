@@ -28,15 +28,15 @@ import sys
 from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
 from functools import lru_cache
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import __version__
 from .bounds import (
     QUANTITIES,
     _TERM_NAMES,
     Interval,
-    TermChoice,
     _Boxes,
     _conditional_rows,
     stratified_interval,
@@ -237,12 +237,22 @@ _ROWS: dict[str, Callable[..., object]] = {
 }
 
 
-def _floats(values: Iterable[float]) -> list[str]:
-    """json's text of each float: its repr, or NaN, Infinity, -Infinity."""
-    texts = list(map(float.__repr__, values))
-    if not _NONFINITE.keys().isdisjoint(texts):
+def _floats(values: np.ndarray) -> list[str]:
+    """json's text of each float of an array: its repr, or NaN, Infinity,
+    -Infinity.  For a column whose values repeat, :func:`_repeated_floats`
+    gives the same text with fewer reprs."""
+    texts = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
         texts = [_NONFINITE.get(text, text) for text in texts]
     return texts
+
+
+def _repeated_floats(values: np.ndarray) -> list[str]:
+    """:func:`_floats` of a contiguous array, formatting each distinct bit
+    pattern once: 0.0 and -0.0, which compare equal, keep their own text.
+    It costs a sort, so it pays only where many values repeat."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(_floats(bits.view(float)), dtype=object)[index].tolist()
 
 
 def _texts(strings: Iterable[str]) -> list[str]:
@@ -315,15 +325,15 @@ def _list(items: Iterable[str], depth: int) -> Iterator[str]:
 def _interval_items(intervals: Sequence[Interval | tuple[str, _Boxes]],
                     strata: _Strata, depth: int) -> Iterator[str]:
     """The items of a list of intervals at ``depth``: each an
-    :class:`Interval`, or (quantity, the conditional boxes of ``strata``)
-    for one item per stratum."""
+    :class:`Interval` made by :mod:`pcause.bounds`, or (quantity, the
+    conditional boxes of ``strata``) for one item per stratum."""
     depth += 1
     for item in intervals:
         if isinstance(item, Interval):
             head, tail = _template("interval", depth, item.quantity,
                                    item.method).rsplit("%s", 1)
-            yield head % tuple(_floats((item.lower, item.upper)))
-            yield from _list(_choice_items(item.attainment, strata, depth + 1),
+            yield head % tuple(_floats(np.array((item.lower, item.upper))))
+            yield from _list(_attainment_items(item, strata, depth + 1),
                              depth + 1)
             yield tail % ()
             continue
@@ -333,23 +343,28 @@ def _interval_items(intervals: Sequence[Interval | tuple[str, _Boxes]],
         lower, upper = map(_texts, _TERM_NAMES[quantity])
         for block in _blocks(len(texts)):
             yield "".join(map(box.__mod__, zip(
-                _floats(boxes.lower[block].tolist()),
-                _floats(boxes.upper[block].tolist()), texts[block],
+                _floats(boxes.lower[block]), _floats(boxes.upper[block]),
+                texts[block],
                 map(lower.__getitem__, boxes.lower_term[block].tolist()),
                 map(upper.__getitem__, boxes.upper_term[block].tolist()))))
 
 
-def _choice_items(choices: Sequence[TermChoice], strata: _Strata,
-                  depth: int) -> Iterator[str]:
+def _attainment_items(interval: Interval, strata: _Strata,
+                      depth: int) -> Iterator[str]:
+    """The items of an interval's attainment at ``depth``, from the term
+    indices it keeps (see :meth:`pcause.bounds.Interval._of`)."""
     depth += 1
     term = _template("term", depth)
-    for block in _blocks(len(choices)):
-        keys, lower, upper = zip(*map(_CHOICE, choices[block]))
-        yield "".join(map(term.__mod__, zip(strata.of(keys, depth + 1),
-                                            _texts(lower), _texts(upper))))
-
-
-_CHOICE = attrgetter("stratum", "lower", "upper")
+    keys, lower_terms, upper_terms = interval._terms
+    # an interval over many strata keeps the joint's key tuple; a one-row
+    # box (a one-stratum joint's, the pooled table's) keeps its own
+    texts = (strata.at(depth + 1) if keys is strata.keys
+             else strata.of(keys, depth + 1))
+    lower, upper = map(_texts, _TERM_NAMES[interval.quantity])
+    for block in _blocks(len(keys)):
+        yield "".join(map(term.__mod__, zip(
+            texts[block], map(lower.__getitem__, lower_terms[block]),
+            map(upper.__getitem__, upper_terms[block]))))
 
 
 def _entry_items(report: VerificationReport, strata: _Strata,
@@ -362,16 +377,21 @@ def _entry_items(report: VerificationReport, strata: _Strata,
     lower, upper = zip(*(map(_texts, _TERM_NAMES[q]) for q in QUANTITIES))
     for block in _blocks(len(strata.keys)):
         rows = slice(3 * block.start, 3 * block.stop)
-        closed = _floats(report._closed[rows].ravel().tolist())
-        searched = _floats(report._searched[rows].ravel().tolist())
+        discrepancy = report.discrepancy[rows]
+        # both routes' endpoints and the gaps repeat one another's values
+        # (the two routes agree on about a quarter of the boxes), so their
+        # distinct values are formatted once, in one pass
+        n = 2 * len(discrepancy)
+        texts = _repeated_floats(np.concatenate((
+            report._closed[rows].ravel(), report._searched[rows].ravel(),
+            discrepancy)))
         terms = report._terms[rows].T.tolist()
         yield "".join(map(str.__mod__, cycle(templates), zip(
-            _thrice(outer[block]), closed[0::2], closed[1::2],
+            _thrice(outer[block]), texts[0:n:2], texts[1:n:2],
             _thrice(inner[block]),
             map(list.__getitem__, cycle(lower), terms[0]),
             map(list.__getitem__, cycle(upper), terms[1]),
-            searched[0::2], searched[1::2],
-            _floats(report.discrepancy[rows].tolist()))))
+            texts[n:2 * n:2], texts[n + 1:2 * n:2], texts[2 * n:])))
 
 
 def _thrice(items: Sequence[str]) -> Iterator[str]:
@@ -385,7 +405,7 @@ def _risk_items(risks: Sequence[tuple[StratumKey, float]], strata: _Strata,
     for block in _blocks(len(risks)):
         keys, values = zip(*risks[block])
         yield "".join(map(risk.__mod__, zip(strata.of(keys, depth + 1),
-                                            _floats(values))))
+                                            _floats(np.array(values)))))
 
 
 def _stratum_items(keys: Sequence[StratumKey], strata: _Strata,

@@ -492,8 +492,9 @@ def _groups(keys: Sequence[StratumKey], covariates: tuple[str, ...],
 
 
 # The counts text is read a block of lines at a time: a block runs from its
-# start past this many characters, to the end of that line.
-_BLOCK = 1 << 20
+# start past this many characters, to the end of that line.  A block's line
+# and field lists are held at once, and larger blocks are no faster.
+_BLOCK = 1 << 16
 # One block's records: the kept lines' numbers, each one's count of
 # separators (its fields less one) and all their fields in one list.
 _Records = tuple[Sequence[int], list[int], list[str]]

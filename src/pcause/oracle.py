@@ -282,12 +282,10 @@ class VerificationReport:
                 index, self._closed[index].tolist(),
                 self._terms[index].tolist(), self._searched[index].tolist()):
             key, quantity = self._keys[i // 3], quantities[i % 3]
-            lower, upper = bounds._TERM_NAMES[quantity]
             entries.append(VerificationEntry(
                 key, quantity,
-                bounds.Interval(cl, cu, quantity, "conditional",
-                                (bounds.TermChoice(key, lower[li],
-                                                   upper[ui]),)),
+                bounds.Interval._of(cl, cu, quantity, "conditional", (key,),
+                                    (li,), (ui,)),
                 bounds.Interval(sl, su, quantity, "oracle")))
         return tuple(entries)
 

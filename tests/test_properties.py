@@ -18,6 +18,7 @@ arguments and input bytes, and a report writer that gives ``json``'s text.
 import io
 import itertools
 import json
+import operator
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -25,12 +26,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
-from pcause.bounds import _swap_pair
+from pcause.bounds import Interval, _swap_pair
 from pcause.cli import _ReportEncoder, run
 from pcause.model import CountTable, collapse, render_counts
 from pcause.oracle import feasible_extrema
 
-from conftest import assert_intervals_certified
+from conftest import assert_intervals_certified, reference_stratified_interval
 
 QUANTITIES = ("PN", "PS", "PNS")
 CONDITIONAL = {"PN": pc.pn_interval_conditional,
@@ -101,6 +102,33 @@ def test_stratified_nests_inside_tian_pearl(instance):
 @given(instances)
 def test_search_certifies_stratified_and_tian_pearl(instance):
     assert_intervals_certified(*instance)
+
+
+@repeatable
+@given(instances)
+def test_attainment_built_on_first_read_is_the_loop_s(instance):
+    # the stratified interval keeps its term indices and builds its
+    # TermChoice tuple when the field is first read: by hash, ==, repr or
+    # the field itself, whichever comes first
+    joint, experimental = instance
+    first_reads = (lambda interval, _: hash(interval),
+                   lambda interval, _: repr(interval), operator.eq)
+    for quantity, first_read in zip(QUANTITIES, first_reads):
+        interval = pc.stratified_interval(quantity, joint, experimental)
+        expected = reference_stratified_interval(quantity, joint, experimental)
+        assert "attainment" not in vars(interval)
+        first_read(interval, expected)
+        assert "attainment" in vars(interval)
+        assert type(interval.attainment) is tuple
+        assert interval.attainment == expected.attainment
+        assert interval.attainment is interval.attainment
+        assert repr(interval) == repr(expected)
+        assert interval == expected and hash(interval) == hash(expected)
+        made = Interval(interval.lower, interval.upper, quantity,
+                        "stratified", expected.attainment)
+        assert made == interval and interval == made
+        assert hash(made) == hash(interval)
+        assert repr(made) == repr(interval)
 
 
 @repeatable

@@ -11,6 +11,7 @@ library surface that the reports were built from must be what it was.
 
 import errno
 import io
+import math
 import os
 import stat
 import tempfile
@@ -19,11 +20,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
 import pcause.bounds
+import pcause.oracle
 from pcause import cli
 from pcause.bounds import conditional_boxes
 from pcause.model import CountTable, render_counts
@@ -58,6 +61,32 @@ def _widened(real):
                 for quantity, (n, out) in zip(quantities,
                                               real(quantities, *args))]
     return widened
+
+
+_NAN, _INF = math.nan, math.inf
+# each entry's closed and searched (lower, upper), entry by entry: values
+# that repeat within and across entries, 0.0 beside -0.0 (equal, but not
+# the same text), NaN and both infinities; the gaps come out as 0.0, NaN,
+# inf and 0.5
+_ODD_ENDS = (((0.0, 0.5), (-0.0, 0.5)), ((-0.0, 0.0), (0.0, -0.0)),
+             ((_NAN, 0.25), (_NAN, 0.25)), ((-_INF, _INF), (-_INF, _INF)),
+             ((0.25, _INF), (0.25, 0.5)), ((-_INF, 0.5), (0.0, 0.5)),
+             ((0.5, 0.5), (0.5, 0.5)), ((0.0, 1.0), (0.5, 1.0)))
+
+
+def _odd(real, route):
+    """``bounds._box_rows`` (route 0) or ``oracle._searched_rows`` (route 1)
+    with the ends of every box taken from ``_ODD_ENDS``, entry by entry."""
+    def odd(quantities, cells, *args):
+        results = []
+        for q, (n, out) in enumerate(real(quantities, cells, *args)):
+            lower, upper = np.array(
+                [_ODD_ENDS[(3 * k + q) % len(_ODD_ENDS)][route]
+                 for k in range(len(cells))]).T
+            results.append((n, out._replace(lower=lower, upper=upper)
+                            if route == 0 else (lower, upper)))
+        return results
+    return odd
 
 
 def _counts(names, strata):
@@ -148,6 +177,27 @@ def test_blocks_join_into_one_report(tmp_path, monkeypatch):
     for command in ("bounds", "identify", "verify"):
         assert_same_as_reference([command, "--data", str(data)],
                                  tmp_path / "report.json")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("block", [1, 2])
+def test_floats_that_repeat_are_written_as_json_writes_them(
+        block, tmp_path, monkeypatch):
+    # verify formats each distinct bit pattern of a block once, bounds
+    # every value; inf - inf makes the NaN gaps
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    monkeypatch.setattr(pcause.bounds, "_box_rows",
+                        _odd(pcause.bounds._box_rows, 0))
+    monkeypatch.setattr(pcause.oracle, "_searched_rows",
+                        _odd(pcause.oracle._searched_rows, 1))
+    data, report = tmp_path / "grid.csv", tmp_path / "report.json"
+    _write_counts(data, ("s", "t"), _GRID)
+    for source in (DATA, ["--data", str(data)]):
+        assert_same_as_reference(["bounds", *source], report)
+        assert_same_as_reference(["verify", *source], report)
+        text = report.read_text()
+        for word in ("NaN", " Infinity", "-Infinity", " -0.0,", " 0.0,"):
+            assert word in text
 
 
 def _grid():

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 109 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 110 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -40,11 +40,12 @@ directory:
   multilingual plane) and on a table without covariates, ``verify --tol 0``
   on a 6 x 6 grid (a failing verify with many mismatch lines),
   ``select`` on counts of 1e306 to 6e306, whose G statistic overflows
-  (exit 1), and ``bounds``, ``identify`` and ``select`` on a 240 x 100
-  grid read in three blocks, with comments, blank lines, mixed line ends,
-  a quoted level in the last block only and one cell's rows in the first
-  and last blocks, and ``bounds`` on it with a negative count on its last
-  line (exit 1).
+  (exit 1), and ``bounds``, ``identify``, ``select`` and ``verify`` on a
+  240 x 100 grid read in 35 blocks, with comments, blank lines, mixed line
+  ends, a quoted level in the last block only and one cell's rows in the
+  first and last blocks (its 24,001 strata make 24 blocks of the report
+  writer), and ``bounds`` on it with a negative count on its last line
+  (exit 1).
 
 It prints one line per job: the exit code, a SHA-256 over the exit code,
 stdout, stderr and the ``--json`` report, and the argv.  Reports record the
@@ -66,9 +67,9 @@ FIXTURE = "tests/data/breast_cancer.csv"
 
 
 def _many_blocks(last: str = "") -> str:
-    """A 240 x 100 grid of counts, about 2.4 MB once its line ends are
-    normalised, so that ``load_counts`` reads it in three blocks of about
-    1 MB.  Lines end in turn at CRLF, lone CR and LF, with a comment or a
+    """A 240 x 100 grid of counts, about 2.3 MB once its line ends are
+    normalised, so that ``load_counts`` reads it in 35 blocks of about
+    64 KB.  Lines end in turn at CRLF, lone CR and LF, with a comment or a
     blank line every 300 lines.  The last lines add a stratum whose quoted
     level holds a comma, a second row of the first cell, and ``last``."""
     lines = ["s,t,x,y,count"]
@@ -186,7 +187,8 @@ _INGEST = {
         [("select", "--s", "s", "--t", "t")]),
     "many-blocks": (
         _many_blocks(),
-        [("bounds",), ("identify",), ("select", "--s", "s", "--t", "t")]),
+        [("bounds",), ("identify",), ("select", "--s", "s", "--t", "t"),
+         ("verify",)]),
     # the same with a negative count on its last line (exit 1)
     "many-blocks-negative": (
         _many_blocks("site-001,arm-001,0,0,-3\n"), [("bounds",)]),
