@@ -211,9 +211,11 @@ class VerificationEntry:
     discrepancy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "discrepancy", max(
-            abs(self.closed.lower - self.searched.lower),
-            abs(self.closed.upper - self.searched.upper)))
+        lower = abs(self.closed.lower - self.searched.lower)
+        upper = abs(self.closed.upper - self.searched.upper)
+        # NaN on either side is NaN, as np.maximum gives the report's
+        object.__setattr__(self, "discrepancy",
+                           upper if upper != upper else max(lower, upper))
 
 
 @dataclass(frozen=True, init=False)
@@ -295,16 +297,17 @@ class VerificationReport:
 
     @cached_property
     def max_discrepancy(self) -> float:
-        return max(self.discrepancy.tolist())
+        return float(self.discrepancy.max())
 
     @cached_property
     def failures(self) -> tuple[VerificationEntry, ...]:
+        # a NaN discrepancy is not within the tolerance
         return self._entries(
-            np.flatnonzero(self.discrepancy > self.tol).tolist())
+            np.flatnonzero(~(self.discrepancy <= self.tol)).tolist())
 
     @property
     def passed(self) -> bool:
-        return not (self.discrepancy > self.tol).any()
+        return bool((self.discrepancy <= self.tol).all())
 
 
 def verify_bounds(joint: StratifiedJoint,

@@ -1102,9 +1102,12 @@ def _reference_cmd_verify(args):
 
 def reference_verdict(entries, tol):
     """max_discrepancy, failures and passed as the report worked them out
-    from its entries."""
-    failures = tuple(e for e in entries if e.discrepancy > tol)
-    return max(e.discrepancy for e in entries), failures, not failures
+    from its entries: an entry fails unless its discrepancy is within the
+    tolerance, so a NaN one fails, and makes the maximum NaN."""
+    gaps = [e.discrepancy for e in entries]
+    failures = tuple(e for e, gap in zip(entries, gaps) if not gap <= tol)
+    worst = math.nan if any(map(math.isnan, gaps)) else max(gaps)
+    return worst, failures, not failures
 
 
 _REFERENCE_COMMANDS = {"bounds": _reference_cmd_bounds,

@@ -3,12 +3,14 @@ import pytest
 
 import pcause as pc
 import pcause.bounds
+from pcause.cli import run
 from pcause.identify import pns_point
 from pcause.model import CountTable
 from pcause.oracle import VerificationEntry, feasible_extrema
 
-from conftest import assert_intervals_certified, random_instance, \
-    random_monotone_stratum, random_pair, random_stratum, screen_violations
+from conftest import CANCER_CSV, assert_intervals_certified, \
+    random_instance, random_monotone_stratum, random_pair, random_stratum, \
+    screen_violations
 
 TOL = 1e-9
 
@@ -199,6 +201,32 @@ class TestVerification:
         assert {e.quantity for e in report.failures} == {"PN"}
         assert len(report.failures) == 3
         assert report.max_discrepancy == pytest.approx(0.05, abs=1e-9)
+
+    def test_nan_discrepancy_fails(self, cancer_joint, cancer_experimental,
+                                   monkeypatch, capsys):
+        # a route that yields NaN must fail the check, not pass it: put NaN
+        # in the upper end of every PN box
+        real = pcause.bounds._box_rows
+
+        def poisoned(quantities, *args):
+            return [(n, out._replace(upper=np.full_like(out.upper, np.nan))
+                     if quantity == "PN" else out)
+                    for quantity, (n, out) in zip(quantities,
+                                                  real(quantities, *args))]
+
+        monkeypatch.setattr(pcause.bounds, "_box_rows", poisoned)
+        report = pc.verify_bounds(cancer_joint, cancer_experimental)
+        assert not report.passed
+        # NaN is not equal to itself, so the entries compare by stratum
+        assert [(e.stratum, e.quantity) for e in report.failures] == [
+            (key, "PN") for key in cancer_joint.keys()]
+        assert all(np.isnan(e.discrepancy) for e in report.failures)
+        assert np.isnan(report.discrepancy[0::3]).all()
+        assert np.isnan(report.max_discrepancy)
+        assert run(["verify", "--data", str(CANCER_CSV)]) == 1
+        out, err = capsys.readouterr()
+        assert "max discrepancy nan" in out and out.count("mismatch PN") == 3
+        assert "verification failed: 3 of 9 boxes" in err
 
     def test_entries_compare_and_print_by_their_intervals(self, cancer_joint,
                                                          cancer_experimental):

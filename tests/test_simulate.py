@@ -1,12 +1,15 @@
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
 from pcause.model import collapse
 from pcause.simulate import (
     Scenario,
+    _seed_words,
     builtin_scenarios,
     load_scenario,
     replicate_study,
@@ -29,6 +32,20 @@ def _sparse_scenario():
              (0, "1", "1"): 0.49, (0, "2", "1"): 0.075}
     return Scenario(name="sparse", cells=cells,
                     outcome_conditionals=FLAT_CONDITIONALS)
+
+
+def _hopeless_scenario():
+    # stratum s=2 is so thin that some replications never fill it
+    cells = {(1, "1", "1"): 0.488, (1, "2", "1"): 0.002,
+             (0, "1", "1"): 0.488, (0, "2", "1"): 0.022}
+    return Scenario(name="hopeless", cells=cells,
+                    outcome_conditionals=FLAT_CONDITIONALS)
+
+
+def _raised(study, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        study(*args, **kwargs)
+    return type(info.value), str(info.value)
 
 
 class TestBuiltinScenarios:
@@ -176,23 +193,61 @@ class TestReplicationStudy:
         with pytest.raises(pc.DegenerateScenarioError, match="exceeds"):
             replicate_study(_sparse_scenario(), n=210, reps=20, seed=8)
 
-    @pytest.mark.parametrize("name, n", [
-        ("setting-1", 1000), ("setting-2", 1000), ("setting-3", 1000),
-        ("setting-4", 1000), ("setting-4", 200)])
-    def test_batch_scoring_matches_the_loop(self, name, n):
-        # setting 4 at n=200 redraws, so the kept draws are not the first
-        study = replicate_study(_scenario(name), n=n, reps=50, seed=7)
-        assert study == reference_replicate_study(_scenario(name), n=n,
-                                                  reps=50, seed=7)
-        assert (study.discarded > 0) == (n == 200)
+    @pytest.mark.parametrize("name, n, reps, seed", [
+        *(pytest.param(name, n, 50, 7, id=f"{name}-{n}") for name, n in (
+            ("setting-1", 1000), ("setting-2", 1000), ("setting-3", 1000),
+            ("setting-4", 1000), ("setting-4", 200))),
+        # a seed of five 32-bit words
+        pytest.param("setting-2", 1000, 50, 2**128 + 7,
+                     id="setting-2-1000-seed-2**128+7"),
+        pytest.param("sparse", 210, 20, 4, id="sparse-210")])
+    def test_batch_scoring_matches_the_loop(self, name, n, reps, seed):
+        # setting 4 at n=200 and the sparse scenario redraw, so the kept
+        # draws are not the first
+        sc = _sparse_scenario() if name == "sparse" else _scenario(name)
+        study = replicate_study(sc, n=n, reps=reps, seed=seed)
+        assert study == reference_replicate_study(sc, n=n, reps=reps,
+                                                  seed=seed)
+        assert (study.discarded > 0) == (n in (200, 210))
 
     def test_hopeless_scenario_hits_attempt_cap(self):
-        cells = {(1, "1", "1"): 0.488, (1, "2", "1"): 0.002,
-                 (0, "1", "1"): 0.488, (0, "2", "1"): 0.022}
-        sc = Scenario(name="hopeless", cells=cells,
-                      outcome_conditionals=FLAT_CONDITIONALS)
         with pytest.raises(pc.DegenerateScenarioError, match="too sparse"):
-            replicate_study(sc, n=30, reps=5, seed=1)
+            replicate_study(_hopeless_scenario(), n=30, reps=5, seed=1)
+
+    def test_attempt_cap_names_the_loop_s_replication(self):
+        # replications 3 and later exhaust their attempts; the rounds of
+        # draws must name the one the replication-by-replication loop meets
+        args = (_hopeless_scenario(),)
+        kwargs = dict(n=120, reps=40, seed=2)
+        raised = _raised(replicate_study, *args, **kwargs)
+        assert raised == (pc.DegenerateScenarioError,
+                          "replication 3: 50 consecutive draws had empty "
+                          "cells at n=120; the scenario is too sparse")
+        assert raised == _raised(reference_replicate_study, *args, **kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_raises_numpy_s_error(self, seed):
+        args = (_scenario("setting-1"),)
+        kwargs = dict(n=100, reps=3, seed=seed)
+        raised = _raised(replicate_study, *args, **kwargs)
+        assert raised[0] in (ValueError, TypeError)
+        assert raised == _raised(reference_replicate_study, *args, **kwargs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**300))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**128 - 1)
+@example(2**128)
+@example(np.int64(9))
+def test_seed_words_match_numpy(seed):
+    rows = np.array([0, 2**32 - 1])
+    for attempt in (0, 1, 49):
+        expected = [np.random.SeedSequence(seed, spawn_key=(r, attempt))
+                    .generate_state(4, np.uint64) for r in rows.tolist()]
+        assert np.array_equal(_seed_words(seed, rows, attempt), expected)
 
 
 class TestScenarioSerialization:

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 110 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 113 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -17,13 +17,18 @@ directory:
 * ``simulate --setting 4 --n 200 --reps 2000 --seed 7``, which redraws many
   samples, and ``simulate --setting 1 --n 120 --reps 200 --seed 7``, which
   redraws too many and exits 1;
+* ``simulate --setting 2 --n 1000 --reps 500`` with the seeds 2**64 + 5 and
+  2**128 + 7, of three and five 32-bit words;
+* ``simulate --scenario hopeless.json --n 120 --reps 40 --seed 2`` on a
+  scenario that this script writes into WORKDIR, whose replication 3 is the
+  first to use up its 50 attempts (exit 1);
 * ``bounds`` and ``verify`` on the cancer fixture with each of 9 measured-pair
   files that this script writes into WORKDIR: a pair at ``1 + 1e-10`` (clipped
   onto [0, 1]), a pair at ``-0.0``, a pair at 1.25, a missing stratum, an
   unknown provenance, a non-numeric pair, a pair outside its
   compatibility range by more than the 1e-3 tolerance and one inside it,
   and two strata outside their ranges, on different inequalities;
-* 36 runs on counts files that this script writes into WORKDIR to exercise
+* 37 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader and the bounds: CRLF and lone-CR line endings with comments
   and blank lines, duplicate cells on lines apart, quoted levels holding
   ``,``, ``"`` or a leading ``#`` with spaces around fields, a
@@ -246,6 +251,34 @@ def ingest_jobs(workdir: Path) -> list[tuple[str, ...]]:
     return argvs
 
 
+# a scenario whose stratum s=2 is so thin that some replications never
+# fill it
+_HOPELESS = {
+    "name": "hopeless",
+    "cells": [{"x": x, "s": s, "t": "1", "p": p} for x, s, p in (
+        (1, "1", 0.488), (1, "2", 0.002), (0, "1", 0.488), (0, "2", 0.022))],
+    "outcome_conditionals": [{"x": x, "s": s, "p": 0.5}
+                             for x in (1, 0) for s in ("1", "2")],
+}
+
+
+def simulate_jobs(workdir: Path) -> list[tuple[str, ...]]:
+    """Write the scenario ``_HOPELESS`` and list the simulate runs."""
+    path = workdir / "hopeless.json"
+    path.write_text(json.dumps(_HOPELESS))
+    argvs = [("simulate", "--setting", str(setting), "--n", "1000",
+              "--reps", "5000", "--seed", "7") for setting in (1, 2, 3, 4)]
+    argvs += [("simulate", "--setting", "4", "--n", "200", "--reps", "2000",
+               "--seed", "7"),
+              ("simulate", "--setting", "1", "--n", "120", "--reps", "200",
+               "--seed", "7")]
+    argvs += [("simulate", "--setting", "2", "--n", "1000", "--reps", "500",
+               "--seed", str(seed)) for seed in (2**64 + 5, 2**128 + 7)]
+    argvs.append(("simulate", "--scenario", str(path), "--n", "120",
+                  "--reps", "40", "--seed", "2"))
+    return argvs
+
+
 def jobs(workdir: Path) -> list[tuple[str, ...]]:
     sys.path.insert(0, str(HERE / "perfbench"))
     from workloads import WORKLOADS
@@ -262,13 +295,8 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
                    *smoothing),
                   ("verify", "--data", FIXTURE, *smoothing),
                   ("verify", "--data", FIXTURE, "--tol", "0", *smoothing)]
-    argvs += [("simulate", "--setting", str(setting), "--n", "1000",
-               "--reps", "5000", "--seed", "7") for setting in (1, 2, 3, 4)]
-    argvs += [("simulate", "--setting", "4", "--n", "200", "--reps", "2000",
-               "--seed", "7"),
-              ("simulate", "--setting", "1", "--n", "120", "--reps", "200",
-               "--seed", "7")]
-    return argvs + measured_jobs(workdir) + ingest_jobs(workdir)
+    return (argvs + simulate_jobs(workdir) + measured_jobs(workdir)
+            + ingest_jobs(workdir))
 
 
 def main(argv: list[str]) -> None:
