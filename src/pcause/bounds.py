@@ -354,7 +354,7 @@ def _conditional_rows(quantity: str, joint: StratifiedJoint,
     if quantity not in QUANTITIES:
         raise ValidationError(f"unknown quantity {quantity!r}")
     return _boxes(quantity, joint.cells, _matched_pairs(joint, experimental),
-                  joint.keys())
+                  joint._coded)
 
 
 def conditional_boxes(quantity: str, joint: StratifiedJoint,
@@ -366,7 +366,7 @@ def conditional_boxes(quantity: str, joint: StratifiedJoint,
     fails the screen, positivity or inversion check, as a loop over the
     per-stratum functions below would.
     """
-    return _intervals(quantity, "conditional", joint.keys(),
+    return _intervals(quantity, "conditional", joint._coded,
                       _conditional_rows(quantity, joint, experimental))
 
 
@@ -410,7 +410,7 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
     if joint.n_strata == 1:
         # With one stratum the weight is semantically 1 even if the stored
         # float drifted, so the interval is the stratum's conditional box.
-        keys = joint.keys()
+        keys = joint._coded
         return _intervals(quantity, "stratified", keys, _boxes(
             quantity, joint.cells, experimental.pairs, keys))[0]
 
@@ -428,7 +428,7 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
     lower, upper = float(_clip(lower, 0.0, 1.0)), float(_clip(upper, 0.0, 1.0))
     if lower > upper + _INVERT_TOL:
         raise _inverted(quantity, lower, upper, None)
-    return Interval._of(lower, upper, quantity, "stratified", joint.keys(),
+    return Interval._of(lower, upper, quantity, "stratified", joint._coded,
                         li.tolist(), ui.tolist())
 
 

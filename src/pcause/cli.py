@@ -23,9 +23,10 @@ import gc
 import json
 import math
 import os
+import re
 import stat
 import sys
-from itertools import chain, cycle
+from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -44,10 +45,9 @@ from .bounds import (
 )
 from .covselect import CIVerdict, compare_covariate_sets
 from .errors import PcauseError
-from .identify import Estimate, monotonicity_diagnostic
+from .identify import Estimate, MonotonicityReport, monotonicity_diagnostic
 from .model import (
-    StratifiedJoint,
-    StratumKey,
+    _Coded,
     adjusted_experimental,
     collapse,
     load_counts,
@@ -67,113 +67,12 @@ _GC_THRESHOLD0 = 100_000
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # Stands in the report for a per-stratum section, which is streamed to the
-# file.  The walk writes it, by identity, as "\x00<depth>\x00": ASCII-escaped
-# JSON text holds no raw NUL, so the text splits there.
+# file.  json.dumps writes it after the section's key, on a line indented to
+# the section's depth; no other text matches, since every quote inside a
+# JSON string is escaped and these keys hold no other value.
 _SECTION = "<streamed section>"
-
-
-class _Unsupported(Exception):
-    """A value the report writer leaves to json's own encoder."""
-
-
-class _ReportEncoder(json.JSONEncoder):
-    """``json.JSONEncoder`` that writes indented text in one recursive walk.
-
-    With an indent, CPython's ``json`` falls back to its pure-Python encoder,
-    one generator per container; a 10^4-stratum report holds about 10^6
-    values.  This walk writes the same text for the exact builtin types
-    (dict with str keys, list, str, float, int, bool, None).  The text in
-    front of each dict member (separator, newline, indent, key and colon) is
-    built once per key, depth and first-or-later position, and each string's
-    encoding once per value, so a member costs two list appends and repeated
-    pieces share one object.  Any other value, such as a float subclass, a
-    tuple or a non-str key, and any option the walk does not implement, goes
-    to ``json``'s own encoder, so the text or the error is json's.  The
-    walk writes ``_SECTION`` as a marker with its depth (see above).
-    """
-
-    def iterencode(self, o, _one_shot=False):
-        if (self.indent is None or self.sort_keys or not self.ensure_ascii
-                or not self.allow_nan):
-            return super().iterencode(o, _one_shot)
-        indent = (self.indent if isinstance(self.indent, str)
-                  else " " * self.indent)
-        item_sep, key_sep = self.item_separator, self.key_separator
-        encode_str, float_repr, int_repr = (encode_basestring_ascii,
-                                            float.__repr__, int.__repr__)
-        chunks: list[str] = []
-        append = chunks.append
-        strings: dict[str, str] = {}
-        # levels[d] serves the members at depth d: newline and indent, the
-        # first and later list item prefixes, the first and later dict member
-        # prefixes by key, and the closers of the dict or list at depth d - 1
-        levels: list = [None]
-
-        def walk(o, depth):
-            t = type(o)
-            if t is str:
-                if o is _SECTION:
-                    append(f"\x00{depth}\x00")
-                    return
-                text = strings.get(o)
-                if text is None:
-                    text = strings[o] = encode_str(o)
-                append(text)
-            elif t is float:
-                text = float_repr(o)
-                append(_NONFINITE.get(text, text))
-            elif t is int:
-                append(int_repr(o))
-            elif o is None:
-                append("null")
-            elif o is True:
-                append("true")
-            elif o is False:
-                append("false")
-            elif t is dict or t is list:
-                if not o:
-                    append("{}" if t is dict else "[]")
-                    return
-                depth += 1
-                if depth == len(levels):
-                    newline = "\n" + indent * depth
-                    outer = "\n" + indent * (depth - 1)
-                    levels.append((newline, "[" + newline, item_sep + newline,
-                                   {}, {}, outer + "}", outer + "]"))
-                level = levels[depth]
-                if t is dict:
-                    firsts = prefixes = level[3]
-                    for key, value in o.items():
-                        prefix = prefixes.get(key)
-                        if prefix is None:
-                            if type(key) is not str:
-                                raise _Unsupported
-                            prefix = prefixes[key] = (
-                                ("{" if prefixes is firsts else item_sep)
-                                + level[0] + encode_str(key) + key_sep)
-                        append(prefix)
-                        prefixes = level[4]
-                        walk(value, depth)
-                    append(level[5])
-                else:
-                    prefix = level[1]
-                    for value in o:
-                        append(prefix)
-                        prefix = level[2]
-                        walk(value, depth)
-                    append(level[6])
-            else:
-                raise _Unsupported
-
-        try:
-            walk(o, 0)
-        except (_Unsupported, RecursionError):
-            # RecursionError: a cycle or a very deep tree, where json raises
-            # its own error
-            return super().iterencode(o, _one_shot)
-        finally:
-            del walk  # the closure refers to itself; free the chunks at once
-        return chunks
+_MARKER = re.compile(r'\n( *)"(?:entries|flagged|intervals|risk_differences)": '
+                     r'("<streamed section>")')
 
 
 def _report(command: str, input: dict, *, intervals: str | None = None,
@@ -206,7 +105,7 @@ _SLOT = "\x01"
 def _template(kind: str, depth: int, *names: str) -> str:
     """The row of ``kind`` as a list item at ``depth``, led by its item
     separator (",", newline and indent), with ``%s`` for each slot."""
-    text = _ReportEncoder(indent=2).encode(_ROWS[kind](*names))
+    text = json.dumps(_ROWS[kind](*names), indent=2)
     text = text.replace("%", "%%").replace(encode_basestring_ascii(_SLOT),
                                            "%s")
     newline = "\n" + _INDENT * depth
@@ -272,36 +171,24 @@ def _layout(names: tuple[str, ...], depth: int) -> str:
 
 
 class _Strata:
-    """The ``{"name": "level", ...}`` text of each stratum of a joint,
-    rendered once per depth, and of any other key when asked."""
+    """The ``{"name": "level", ...}`` text of each of the strata ``coded``,
+    rendered once per depth from each level's text."""
 
-    def __init__(self, joint: StratifiedJoint) -> None:
-        self.keys, self._names = joint.keys(), joint.covariates
+    def __init__(self, coded: _Coded) -> None:
+        self.coded = coded
         self._texts: dict[int, list[str]] = {}
-        self._index: dict[int, int] | None = None
+        self._levels: list[tuple[str, ...]] | None = None
 
     def at(self, depth: int) -> list[str]:
         """The text of every stratum, in key order, as a value at depth."""
         texts = self._texts.get(depth)
         if texts is None:
-            # every key of a joint names exactly its covariates, in order
-            layout, width = _layout(self._names, depth), len(self._names)
-            levels = iter(_texts([level for key in self.keys
-                                  for _, level in key.labels]))
-            texts = self._texts[depth] = (
-                list(map(layout.__mod__, zip(*[levels] * width))) if width
-                else [layout] * len(self.keys))
+            if self._levels is None:
+                self._levels = self.coded.rows(
+                    lambda name, level: encode_basestring_ascii(level))
+            texts = self._texts[depth] = list(map(
+                _layout(self.coded.covariates, depth).__mod__, self._levels))
         return texts
-
-    def of(self, keys: Iterable[StratumKey], depth: int) -> list[str]:
-        """The text of each of ``keys`` as a value at depth."""
-        if self._index is None:
-            self._index = {id(key): n for n, key in enumerate(self.keys)}
-        texts, index = self.at(depth), self._index
-        return [texts[n] if (n := index.get(id(key))) is not None
-                else _layout(key.covariates, depth)
-                % tuple(_texts(level for _, level in key.labels))
-                for key in keys]
 
 
 def _blocks(n: int) -> Iterator[slice]:
@@ -337,45 +224,60 @@ def _interval_items(intervals: Sequence[Interval | tuple[str, _Boxes]],
                              depth + 1)
             yield tail % ()
             continue
+        # a box row: a piece before each endpoint and the stratum, a tail
         quantity, boxes = item
-        box = _template("box", depth, quantity)
-        texts = strata.at(depth + 3)
-        lower, upper = map(_texts, _TERM_NAMES[quantity])
+        *heads, tail = _template("box", depth, quantity).split("%s", 3)
+        first, second, third = (head % () for head in heads)
+        tails, texts = _tails(tail, quantity), strata.at(depth + 3)
         for block in _blocks(len(texts)):
-            yield "".join(map(box.__mod__, zip(
-                _floats(boxes.lower[block]), _floats(boxes.upper[block]),
-                texts[block],
-                map(lower.__getitem__, boxes.lower_term[block].tolist()),
-                map(upper.__getitem__, boxes.upper_term[block].tolist()))))
+            yield "".join(chain.from_iterable(zip(
+                repeat(first), _floats(boxes.lower[block]), repeat(second),
+                _floats(boxes.upper[block]), repeat(third), texts[block],
+                map(list.__getitem__, map(
+                    tails.__getitem__, boxes.lower_term[block].tolist()),
+                    boxes.upper_term[block].tolist()))))
+
+
+def _tails(tail: str, quantity: str) -> list[list[str]]:
+    """A row's ``tail`` from its lower term on, for each pair of terms."""
+    lower, upper = map(_texts, _TERM_NAMES[quantity])
+    return [[tail % (lo, up) for up in upper] for lo in lower]
 
 
 def _attainment_items(interval: Interval, strata: _Strata,
                       depth: int) -> Iterator[str]:
     """The items of an interval's attainment at ``depth``, from the term
-    indices it keeps (see :meth:`pcause.bounds.Interval._of`)."""
+    indices it keeps (see :meth:`pcause.bounds.Interval._of`): each the
+    row's head, its stratum and the tail of its two terms."""
     depth += 1
-    term = _template("term", depth)
+    head, tail = _template("term", depth).split("%s", 1)
+    head = head % ()
     keys, lower_terms, upper_terms = interval._terms
-    # an interval over many strata keeps the joint's key tuple; a one-row
-    # box (a one-stratum joint's, the pooled table's) keeps its own
-    texts = (strata.at(depth + 1) if keys is strata.keys
-             else strata.of(keys, depth + 1))
-    lower, upper = map(_texts, _TERM_NAMES[interval.quantity])
+    # a stratified interval keeps the joint's strata; a one-row box (the
+    # pooled table's, a one-stratum joint's) keeps its own key
+    texts = (strata if keys is strata.coded
+             else _Strata(_Coded.of(keys))).at(depth + 1)
+    tails = _tails(tail, interval.quantity)
     for block in _blocks(len(keys)):
-        yield "".join(map(term.__mod__, zip(
-            texts[block], map(lower.__getitem__, lower_terms[block]),
-            map(upper.__getitem__, upper_terms[block]))))
+        yield head + head.join(map(str.__add__, texts[block], map(
+            list.__getitem__, map(tails.__getitem__, lower_terms[block]),
+            upper_terms[block])))
 
 
 def _entry_items(report: VerificationReport, strata: _Strata,
                  depth: int) -> Iterator[str]:
     """The items of the verification entries at ``depth``, from the
-    report's arrays."""
+    report's arrays: the pieces of each row's template around its values,
+    its two terms filled in with what lies between them and the next."""
     depth += 1
-    templates = [_template("entry", depth, q) for q in QUANTITIES]
+    pieces = [_template("entry", depth, q).split("%s") for q in QUANTITIES]
+    # only the second piece and the tail name the quantity
+    first, _, third, fourth, *_, eighth, ninth, last = (
+        piece % () for piece in pieces[0])
+    seconds = [piece[1] % () for piece in pieces]
+    tails = [_tails("%s".join(ps[4:7]), q) for ps, q in zip(pieces, QUANTITIES)]
     outer, inner = strata.at(depth + 1), strata.at(depth + 4)
-    lower, upper = zip(*(map(_texts, _TERM_NAMES[q]) for q in QUANTITIES))
-    for block in _blocks(len(strata.keys)):
+    for block in _blocks(len(strata.coded)):
         rows = slice(3 * block.start, 3 * block.stop)
         discrepancy = report.discrepancy[rows]
         # both routes' endpoints and the gaps repeat one another's values
@@ -386,34 +288,37 @@ def _entry_items(report: VerificationReport, strata: _Strata,
             report._closed[rows].ravel(), report._searched[rows].ravel(),
             discrepancy)))
         terms = report._terms[rows].T.tolist()
-        yield "".join(map(str.__mod__, cycle(templates), zip(
-            _thrice(outer[block]), texts[0:n:2], texts[1:n:2],
-            _thrice(inner[block]),
-            map(list.__getitem__, cycle(lower), terms[0]),
-            map(list.__getitem__, cycle(upper), terms[1]),
-            texts[n:2 * n:2], texts[n + 1:2 * n:2], texts[2 * n:])))
+        yield "".join(chain.from_iterable(zip(
+            repeat(first), _thrice(outer[block]), cycle(seconds),
+            texts[0:n:2], repeat(third), texts[1:n:2], repeat(fourth),
+            _thrice(inner[block]), map(list.__getitem__, map(
+                list.__getitem__, cycle(tails), terms[0]), terms[1]),
+            texts[n:2 * n:2], repeat(eighth), texts[n + 1:2 * n:2],
+            repeat(ninth), texts[2 * n:], repeat(last))))
 
 
 def _thrice(items: Sequence[str]) -> Iterator[str]:
     return chain.from_iterable(zip(items, items, items))
 
 
-def _risk_items(risks: Sequence[tuple[StratumKey, float]], strata: _Strata,
+def _risk_items(diag: MonotonicityReport, strata: _Strata,
                 depth: int) -> Iterator[str]:
+    """The items of the risk differences at ``depth``, row by row."""
     depth += 1
-    risk = _template("risk", depth)
-    for block in _blocks(len(risks)):
-        keys, values = zip(*risks[block])
-        yield "".join(map(risk.__mod__, zip(strata.of(keys, depth + 1),
-                                            _floats(np.array(values)))))
+    risk, texts = _template("risk", depth), strata.at(depth + 1)
+    values = _floats(np.array(diag._rds))
+    for block in _blocks(len(values)):
+        yield "".join(map(risk.__mod__, zip(texts[block], values[block])))
 
 
-def _stratum_items(keys: Sequence[StratumKey], strata: _Strata,
+def _stratum_items(diag: MonotonicityReport, strata: _Strata,
                    depth: int) -> Iterator[str]:
+    """The items of the flagged strata at ``depth``, by row."""
     depth += 1
-    row = _template("stratum", depth)
-    for block in _blocks(len(keys)):
-        yield "".join(map(row.__mod__, strata.of(keys[block], depth)))
+    row, texts = _template("stratum", depth), strata.at(depth)
+    for block in _blocks(len(diag._flagged)):
+        yield "".join(map(row.__mod__, map(texts.__getitem__,
+                                           diag._flagged[block])))
 
 
 def _section(items: Callable[..., Iterator[str]], rows,
@@ -428,7 +333,7 @@ def _write_report(path: str, report: dict,
     gives them and each streamed section at its marker, a block of strata
     at a time.  A failed write deletes what it wrote, unless ``path`` is not
     a regular file (a pipe or a terminal)."""
-    parts = json.dumps(report, indent=2, cls=_ReportEncoder).split("\x00")
+    text = json.dumps(report, indent=2)
     try:
         out = open(path, "w")
     except OSError as exc:
@@ -436,13 +341,13 @@ def _write_report(path: str, report: dict,
     opened = os.fstat(out.fileno())
     try:
         with out:
-            out.write(parts[0])
-            for section, depth, text in zip(sections, parts[1::2],
-                                            parts[2::2]):
-                for piece in section(int(depth)):
+            start = 0
+            for section, marker in zip(sections, _MARKER.finditer(text)):
+                out.write(text[start:marker.start(2)])
+                for piece in section(len(marker[1]) // len(_INDENT)):
                     out.write(piece)
-                out.write(text)
-            out.write("\n")
+                start = marker.end(2)
+            out.write(text[start:] + "\n")
     except BaseException as exc:
         if stat.S_ISREG(opened.st_mode):
             _discard(path, opened)
@@ -539,7 +444,7 @@ def _cmd_bounds(args) -> _Handled:
 
     pooled = collapse(joint, ()).only()
     intervals = []
-    labels = [f"     {key}  [" for key in joint.keys()]
+    labels = [f"     {name}  [" for name in joint._coded.names()]
     _print_data_line(joint)
     print(f"experimental input: {experimental.provenance}")
     for quantity in quantities:
@@ -554,7 +459,7 @@ def _cmd_bounds(args) -> _Handled:
 
     return (_report("bounds", _input_json(args, joint, experimental),
                     intervals=_SECTION),
-            [_section(_interval_items, intervals, _Strata(joint))],
+            [_section(_interval_items, intervals, _Strata(joint._coded))],
             None)
 
 
@@ -573,14 +478,14 @@ def _cmd_identify(args) -> _Handled:
     _print_data_line(joint)
     for est in (pn, pns):
         print(f"{est.quantity:<4} {est.value:.3f}  (se {est.se:.3f})")
-    flagged = set(diag.flagged)
-    sys.stdout.write("".join([
-        f"  risk difference {key}: {rd:.3f}"
-        f"{'  [negative]' if key in flagged else ''}\n"
-        for key, rd in diag.risk_differences]))
+    marks = [""] * joint.n_strata
+    for k in diag._flagged:
+        marks[k] = "  [negative]"
+    sys.stdout.write("".join(map("  risk difference %s: %.3f%s\n".__mod__,
+                                 zip(joint._coded.names(), diag._rds, marks))))
     verdict = "plausible" if diag.plausible else "implausible"
     print(f"no-prevention assumption: {verdict} "
-          f"({len(diag.flagged)} of {joint.n_strata} strata flagged)")
+          f"({len(diag._flagged)} of {joint.n_strata} strata flagged)")
     warnings = tuple(dict.fromkeys(pn.warnings + pns.warnings))
     for w in warnings:
         print(f"warning: {w}")
@@ -595,14 +500,14 @@ def _cmd_identify(args) -> _Handled:
             "plausible": diag.plausible,
         },
     }
-    strata = _Strata(joint)
+    strata = _Strata(joint._coded)
     return (_report("identify", _input_json(args, joint, experimental),
                     intervals=_SECTION, estimates=estimates,
                     warnings=warnings),
             [_section(_interval_items, [diag.pn_interval, diag.pns_interval],
                       strata),
-             _section(_risk_items, diag.risk_differences, strata),
-             _section(_stratum_items, diag.flagged, strata)], None)
+             _section(_risk_items, diag, strata),
+             _section(_stratum_items, diag, strata)], None)
 
 
 def _cmd_select(args) -> _Handled:
@@ -717,7 +622,7 @@ def _cmd_verify(args) -> _Handled:
         f"{checked} boxes differ by more than {report.tol:g}")
     return (_report("verify", _input_json(args, joint, experimental),
                     verification=verification),
-            [_section(_entry_items, report, _Strata(joint))], failure)
+            [_section(_entry_items, report, _Strata(joint._coded))], failure)
 
 
 def _checked(convert, accept, expected: str):
@@ -738,7 +643,9 @@ _seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 # numpy's multinomial draw takes the sample size as a C long
 _sample_size = _checked(int, lambda v: 1 <= v <= 2**63 - 1,
                         "an integer from 1 to 2**63 - 1")
-_replications = _checked(int, lambda v: v >= 2, "an integer >= 2")
+# a replication's number is one 32-bit word of its seed
+_replications = _checked(int, lambda v: 2 <= v < 2**32,
+                         "an integer >= 2 and < 2**32")
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
                       "a finite number >= 0")
 _level = _checked(float, lambda v: 0.0 < v < 1.0,
@@ -800,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=_sample_size, required=True,
                    help="sample size per draw (1 to 2**63 - 1)")
     m.add_argument("--reps", type=_replications, required=True,
-                   help="number of replications (at least 2)")
+                   help="number of replications (2 to 2**32 - 1)")
     m.add_argument("--seed", type=_seed, required=True,
                    help="stream seed (a nonnegative integer)")
     _add_common(m, smoothing=False)

@@ -73,7 +73,7 @@ def _require_pair(joint: StratifiedJoint, s: str, t: str) -> None:
 def _exact_deviation(joint: StratifiedJoint, relation: CIRelation) -> float:
     exposure = relation.kind == EXPOSURE_CI
     keep = (relation.t,) if exposure else (relation.s,)
-    index, _, _ = _groups(joint.keys(), joint.covariates, keep)
+    index, _ = _groups(joint._coded, keep)
     # (K, 4, 2): each stratum's cells beside its group's
     pair = np.stack([joint.cells, collapse(joint, keep).cells[index]], axis=-1)
     # (K, 2, 2): arm mass, exposed then unexposed, of the stratum and group
@@ -86,7 +86,7 @@ def _exact_deviation(joint: StratifiedJoint, relation: CIRelation) -> float:
             stratum, arm = divmod(int(empty.argmax()) // 2, 2)
             raise PositivityError(
                 f"no {('exposed', 'unexposed')[arm]} mass in stratum "
-                f"{joint.keys()[stratum]}")
+                f"{joint._coded[stratum]}")
         risks = pair[:, 0::2] / arms
         gaps = risks[..., 0] - risks[..., 1]
     return np.abs(gaps).max().item()
@@ -94,9 +94,8 @@ def _exact_deviation(joint: StratifiedJoint, relation: CIRelation) -> float:
 
 def _count_test(joint: StratifiedJoint, relation: CIRelation,
                 n: int) -> tuple[float, int]:
-    keys, covs = joint.keys(), joint.covariates
-    s_index, s_levels, _ = _groups(keys, covs, (relation.s,))
-    t_index, t_levels, _ = _groups(keys, covs, (relation.t,))
+    s_index, s_levels = _groups(joint._coded, (relation.s,))
+    t_index, t_levels = _groups(joint._coded, (relation.t,))
     cells, weights = joint.cells, joint.weights[:, None]
     if relation.kind == EXPOSURE_CI:
         # blocks are t levels; each stratum is one row, its (exposed,

@@ -26,7 +26,8 @@ evidence systematically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Sequence
 
@@ -124,7 +125,7 @@ def _no_prevention(quantity: str, cells: np.ndarray, weights: np.ndarray,
 def _point(quantity: str, joint: StratifiedJoint) -> Estimate:
     value, avar = _no_prevention(quantity, joint.cells[None],
                                  joint.weights[None], joint.total_n,
-                                 joint.keys())
+                                 joint._coded)
     value = value.item()
     warnings = () if 0.0 <= value <= 1.0 else (OUTSIDE_UNIT_WARNING,)
     return Estimate(value=value, avar=None if avar is None else avar.item(),
@@ -149,43 +150,47 @@ class MonotonicityReport:
     """Evidence for or against the no-prevention assumption.
 
     ``risk_differences`` holds P(y_x|s) - P(y_x'|s) per stratum from the
-    experimental pairs; strata where it is negative are ``flagged``.  The
-    point estimates are also checked against the stratified interval
+    experimental pairs; strata where it is negative are ``flagged``.  Both
+    are built when first read from the joint's strata, the differences in
+    key order (``_rds``) and the rows of the flagged strata (``_flagged``).
+    The point estimates are also checked against the stratified interval
     bounds, which hold without any monotonicity assumption.
     """
 
-    risk_differences: tuple[tuple[StratumKey, float], ...]
-    flagged: tuple[StratumKey, ...]
     pn: Estimate
     pns: Estimate
     pn_interval: Interval
     pns_interval: Interval
     pn_consistent: bool
     pns_consistent: bool
+    _strata: Sequence[StratumKey] = field(repr=False)
+    _rds: tuple[float, ...] = field(repr=False)
+    _flagged: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def risk_differences(self) -> tuple[tuple[StratumKey, float], ...]:
+        return tuple(zip(self._strata, self._rds))
+
+    @cached_property
+    def flagged(self) -> tuple[StratumKey, ...]:
+        return tuple(map(self._strata.__getitem__, self._flagged))
 
     @property
     def plausible(self) -> bool:
-        return not self.flagged and self.pn_consistent and self.pns_consistent
+        return not self._flagged and self.pn_consistent and self.pns_consistent
 
 
 def monotonicity_diagnostic(joint: StratifiedJoint,
                             experimental: ExperimentalQuantities,
                             ) -> MonotonicityReport:
     pairs = _matched_pairs(joint, experimental)
-    keys = joint.keys()
-    rds = (pairs[:, 0] - pairs[:, 1]).tolist()
+    rds = pairs[:, 0] - pairs[:, 1]
 
     pn = pn_point(joint)
     pns = pns_point(joint)
     pn_iv = stratified_interval("PN", joint, experimental)
     pns_iv = stratified_interval("PNS", joint, experimental)
     return MonotonicityReport(
-        risk_differences=tuple(zip(keys, rds)),
-        flagged=tuple(key for key, rd in zip(keys, rds) if rd < -_RD_TOL),
-        pn=pn,
-        pns=pns,
-        pn_interval=pn_iv,
-        pns_interval=pns_iv,
-        pn_consistent=pn_iv.contains(pn.value),
-        pns_consistent=pns_iv.contains(pns.value),
-    )
+        pn, pns, pn_iv, pns_iv, pn_iv.contains(pn.value),
+        pns_iv.contains(pns.value), joint._coded, tuple(rds.tolist()),
+        tuple(np.flatnonzero(rds < -_RD_TOL).tolist()))

@@ -21,6 +21,10 @@ convert to a :class:`StratifiedJoint`, which stores within each stratum the
 four joint cell probabilities P(x, y | s) and the stratum weight P(s), as
 arrays over all strata.
 
+Tables, joints and pairs hold their strata as each covariate's sorted
+levels and each stratum's rank in them (:class:`_Coded`), in key order; a
+stratum's :class:`StratumKey` is built only when a caller reads it.
+
 Experimental knowledge enters as :class:`ExperimentalQuantities`: the pair
 (P(y_x | s), P(y_x' | s)) per stratum, where y_x denotes the outcome under
 an intervention that sets exposure.  When treatment assignment is strongly
@@ -35,11 +39,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, floordiv, itemgetter, mod, mul, ne
+from operator import add, attrgetter, ne
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
@@ -146,6 +151,88 @@ _ROW_SLOTS = (3, 2, 1, 0)
 
 def _cell_slot(x: int, y: int) -> int:
     return _CELLS.index((x, y))
+
+
+class _Coded:
+    """Strata as covariate levels and integer codes.
+
+    ``levels`` holds each covariate's distinct levels as Python sorts them,
+    and row k of the read-only (K, C) array ``codes`` holds stratum k's rank
+    in each.  Rows come in key order, the order of their ranks, and every
+    level is some stratum's, so two are equal exactly when their keys are.
+    As a sequence it gives the strata's keys: all are built on the first
+    iteration or call of :meth:`keys`, or one alone by index.  Pairs built
+    by hand may name strata over other covariates: a stratum's code is -1
+    for a covariate it lacks, and the keys given are kept.
+    """
+
+    __slots__ = ("covariates", "levels", "codes", "_keys")
+
+    def __init__(self, covariates: tuple[str, ...],
+                 levels: tuple[tuple[str, ...], ...], codes: np.ndarray,
+                 keys: tuple[StratumKey, ...] | None = None) -> None:
+        codes.flags.writeable = False
+        self.covariates, self.levels, self.codes = covariates, levels, codes
+        self._keys = keys
+
+    @classmethod
+    def of(cls, keys: tuple[StratumKey, ...],
+           covariates: tuple[str, ...] = ()) -> "_Coded":
+        """The strata of distinct ``keys`` in key order, over the sorted
+        ``covariates``, by default the keys' own."""
+        labels = [dict(key.labels) for key in keys]
+        covariates = covariates or tuple(sorted(set().union(*labels)))
+        columns = [[label.get(name) for label in labels] for name in covariates]
+        levels = tuple(tuple(sorted(set(column) - {None})) for column in columns)
+        ranks = [{**dict(zip(lv, range(len(lv)))), None: -1} for lv in levels]
+        codes = np.array([list(map(rank.__getitem__, column)) for rank, column
+                          in zip(ranks, columns)], dtype=np.intp)
+        return cls(covariates, levels,
+                   codes.reshape(len(covariates), len(keys)).T, keys)
+
+    def rows(self, text: Callable[[str, str], object] = lambda name, level:
+             level) -> list[tuple]:
+        """Each stratum's ``text(name, level)`` for each covariate, made
+        once per level."""
+        if not self.covariates:
+            return [()] * len(self)
+        return list(zip(*[map([text(name, level) for level in levels]
+                              .__getitem__, column) for name, levels, column
+                          in zip(self.covariates, self.levels,
+                                 self.codes.T.tolist())]))
+
+    def keys(self) -> tuple[StratumKey, ...]:
+        if self._keys is None:
+            self._keys = tuple(map(StratumKey._canonical, self.rows(
+                lambda name, level: (name, level))))
+        return self._keys
+
+    def names(self) -> list[str]:
+        """Each stratum's key as ``str`` writes it, without building keys."""
+        return (list(map(",".join, self.rows(lambda n, lv: f"{n}={lv}")))
+                if self.covariates else ["(pooled)"] * len(self))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, k: int) -> StratumKey:
+        if self._keys is not None:
+            return self._keys[k]
+        return StratumKey._canonical(tuple(zip(self.covariates, map(
+            tuple.__getitem__, self.levels, self.codes[k].tolist()))))
+
+    def __iter__(self) -> Iterator[StratumKey]:
+        return iter(self.keys())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not _Coded:
+            return NotImplemented
+        return self is other or (self.covariates == other.covariates
+                                 and self.levels == other.levels
+                                 and np.array_equal(self.codes, other.codes))
+
+    def __hash__(self) -> int:
+        return hash((self.covariates, self.levels, self.codes.tobytes()))
 
 
 # Sort keys that order strata as StratumKey's generated comparisons do,
@@ -265,9 +352,10 @@ class StratifiedJoint:
 
     Stored as arrays in key order: ``cells`` holds each stratum's
     P(x, y | s) as a (K, 4) array in slot order (as :class:`StratumTable`'s
-    fields) and ``weights`` each P(s) as a (K,) array.  ``strata`` maps each
-    key to its :class:`StratumTable`; it is a read-only view of the arrays,
-    built when first read.
+    fields), ``weights`` each P(s) as a (K,) array, and the strata as codes
+    (:class:`_Coded`).  ``strata`` maps each key to its
+    :class:`StratumTable`; it is a read-only view of the arrays, built when
+    first read.
     """
 
     # a field, so that repr reads the view and dataclasses.replace passes
@@ -277,8 +365,7 @@ class StratifiedJoint:
     total_n: int | None
     cells: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
-    _keys: tuple[StratumKey, ...] = field(init=False, repr=False,
-                                          compare=False)
+    _coded: _Coded = field(init=False, repr=False, compare=False)
 
     def __init__(self, strata: Mapping[StratumKey, StratumTable],
                  covariates: Sequence[str], total_n: int | None = None) -> None:
@@ -293,24 +380,21 @@ class StratifiedJoint:
                 raise ValidationError(
                     f"stratum {key} does not use covariates {covs}")
         tables = [strata[key] for key in keys]
-        self._set(keys, np.array([[t.p_exposed_event, t.p_exposed_noevent,
-                                   t.p_unexposed_event, t.p_unexposed_noevent]
-                                  for t in tables], dtype=float),
-                  np.array([t.weight for t in tables], dtype=float), covs,
-                  total_n)
+        self._set(_Coded.of(keys, covs),
+                  np.array([[t.p_exposed_event, t.p_exposed_noevent,
+                             t.p_unexposed_event, t.p_unexposed_noevent]
+                            for t in tables], dtype=float),
+                  np.array([t.weight for t in tables], dtype=float), total_n)
 
     @classmethod
-    def _of(cls, keys: tuple[StratumKey, ...], cells: np.ndarray,
-            weights: np.ndarray, covariates: tuple[str, ...],
+    def _of(cls, coded: _Coded, cells: np.ndarray, weights: np.ndarray,
             total_n: int | None) -> "StratifiedJoint":
-        """A joint from its arrays, with ``keys`` in key order and each
-        using exactly ``covariates``, which are distinct and sorted."""
+        """A joint from its strata's codes and its arrays."""
         joint = object.__new__(cls)
-        joint._set(keys, cells, weights, covariates, total_n)
+        joint._set(coded, cells, weights, total_n)
         return joint
 
-    def _set(self, keys: tuple[StratumKey, ...], cells: np.ndarray,
-             weights: np.ndarray, covariates: tuple[str, ...],
+    def _set(self, coded: _Coded, cells: np.ndarray, weights: np.ndarray,
              total_n: int | None) -> None:
         """Check the rows as :class:`StratumTable` checks one, raising its
         error for the first stratum in key order that fails, then the
@@ -335,22 +419,22 @@ class StratifiedJoint:
         if total_n is not None and total_n <= 0:
             raise ValidationError(f"total_n must be positive, got {total_n!r}")
         cells.flags.writeable = weights.flags.writeable = False
-        for name, value in (("_keys", keys), ("cells", cells),
-                            ("weights", weights), ("covariates", covariates),
+        for name, value in (("_coded", coded), ("cells", cells),
+                            ("weights", weights),
+                            ("covariates", coded.covariates),
                             ("total_n", total_n)):
             object.__setattr__(self, name, value)
 
     @cached_property
     def strata(self) -> Mapping[StratumKey, StratumTable]:
-        return _View(dict(zip(self._keys, map(
+        return _View(dict(zip(self._coded.keys(), map(
             StratumTable, *self.cells.T.tolist(), self.weights.tolist()))))
 
     def __eq__(self, other: object) -> bool:
-        # equal strata views are equal keys with equal arrays
+        # equal strata views are equal strata with equal arrays
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._keys == other._keys
-                and self.covariates == other.covariates
+        return (self._coded == other._coded
                 and self.total_n == other.total_n
                 and np.array_equal(self.cells, other.cells)
                 and np.array_equal(self.weights, other.weights))
@@ -359,17 +443,16 @@ class StratifiedJoint:
         return iter(self.strata.items())
 
     def keys(self) -> tuple[StratumKey, ...]:
-        return self._keys
+        return self._coded.keys()
 
     @property
     def n_strata(self) -> int:
-        return len(self._keys)
+        return len(self._coded)
 
     def only(self) -> StratumTable:
         """The single table of a one-stratum joint (typically pooled data)."""
-        if len(self._keys) != 1:
-            raise ValidationError(
-                f"expected one stratum, found {len(self._keys)}")
+        if self.n_strata != 1:
+            raise ValidationError(f"expected one stratum, found {self.n_strata}")
         return StratumTable(*self.cells[0].tolist(), self.weights[0].item())
 
 
@@ -377,15 +460,15 @@ class StratifiedJoint:
 class CountTable:
     """Integer cell counts keyed by (stratum, x, y).
 
-    Stored as the distinct strata in key order, each with a quad of counts
-    in the order of :class:`StratumTable`'s cells, where None marks a cell
-    that no row named.
+    Stored as the distinct strata in key order, as codes, each with a quad
+    of counts in the order of :class:`StratumTable`'s cells, where None
+    marks a cell that no row named.
     ``cells`` and :meth:`rows` present the same counts in (stratum, x, y)
     order.
     """
 
     covariates: tuple[str, ...]
-    _keys: tuple[StratumKey, ...]
+    _coded: _Coded
     _quads: tuple[tuple[int | None, ...], ...]
     _total: int = field(compare=False)
 
@@ -401,21 +484,21 @@ class CountTable:
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise ValidationError(f"count {n!r} is not a nonnegative integer")
             quads.setdefault(key, [None] * 4)[_cell_slot(x, y)] = n
-        self._set(covs, tuple(quads), list(quads.values()),
+        self._set(_Coded.of(tuple(quads), covs), list(quads.values()),
                   sum(cells.values()))
 
     @classmethod
-    def _of(cls, covariates: tuple[str, ...], keys: tuple[StratumKey, ...],
-            quads: list[list[int | None]], total: int) -> "CountTable":
-        """A table from checked parts: sorted covariates, keys in key order."""
+    def _of(cls, coded: _Coded, quads: list[list[int | None]],
+            total: int) -> "CountTable":
+        """A table from checked parts, its strata's quads in key order."""
         table = object.__new__(cls)
-        table._set(covariates, keys, quads, total)
+        table._set(coded, quads, total)
         return table
 
-    def _set(self, covariates: tuple[str, ...], keys: tuple[StratumKey, ...],
-             quads: list[list[int | None]], total: int) -> None:
-        object.__setattr__(self, "covariates", covariates)
-        object.__setattr__(self, "_keys", keys)
+    def _set(self, coded: _Coded, quads: list[list[int | None]],
+             total: int) -> None:
+        object.__setattr__(self, "covariates", coded.covariates)
+        object.__setattr__(self, "_coded", coded)
         object.__setattr__(self, "_quads", tuple(map(tuple, quads)))
         object.__setattr__(self, "_total", total)
 
@@ -439,7 +522,7 @@ class CountTable:
         return self._total
 
     def rows(self) -> Iterator[tuple[StratumKey, int, int, int]]:
-        for key, quad in zip(self._keys, self._quads):
+        for key, quad in zip(self._coded, self._quads):
             for slot in _ROW_SLOTS:
                 if quad[slot] is not None:
                     yield key, *_CELLS[slot], quad[slot]
@@ -449,46 +532,43 @@ class CountTable:
 
     def collapse(self, keep: Sequence[str]) -> "CountTable":
         """Sum counts over the covariates not in ``keep``.  Exact."""
-        index, keys, covs = _groups(self._keys, self.covariates, keep)
-        quads: list[list[int | None]] = [[None] * 4 for _ in keys]
+        index, groups = _groups(self._coded, keep)
+        quads: list[list[int | None]] = [[None] * 4 for _ in range(len(groups))]
         for group, quad in zip(index.tolist(), self._quads):
             into = quads[group]
             for slot, n in enumerate(quad):
                 if n is not None:
                     into[slot] = n if into[slot] is None else into[slot] + n
-        return CountTable._of(covs, keys, quads, self._total)
+        return CountTable._of(groups, quads, self._total)
 
 
 # A data row's (x, y) fields as written, when they need no stripping.
 _SLOTS = {("1", "1"): 0, ("1", "0"): 1, ("0", "1"): 2, ("0", "0"): 3}
 
 
-def _levels_getter(positions: list[int]) -> Callable[[Sequence], tuple]:
-    """A function giving the tuple of a sequence's items at ``positions``."""
-    if len(positions) == 1:
-        return lambda fields: (fields[positions[0]],)
-    return itemgetter(*positions) if positions else lambda fields: ()
-
-
-def _groups(keys: Sequence[StratumKey], covariates: tuple[str, ...],
-            keep: Sequence[str]) -> tuple[np.ndarray, tuple, tuple[str, ...]]:
-    """Each stratum's group, numbered in key order, the group keys and the
-    kept covariates, sorted.  A group is a stratum's labels restricted to
-    ``keep``, as :meth:`StratumKey.project` gives them."""
+def _groups(coded: _Coded, keep: Sequence[str]) -> tuple[np.ndarray, _Coded]:
+    """Each stratum's group, numbered in key order, and the groups.  A group
+    is a stratum's key restricted to the covariates in ``keep``, as
+    :meth:`StratumKey.project` gives it.  Each kept covariate re-ranks the
+    groups so far, so no number reaches K times its count of levels."""
     covs = tuple(sorted(str(c) for c in keep))
-    unknown = set(covs) - set(covariates)
+    unknown = set(covs) - set(coded.covariates)
     if unknown:
         raise ValidationError(f"unknown covariate(s) {sorted(unknown)}")
     if len(set(covs)) != len(covs):
         raise ValidationError(f"duplicate covariate names: {covs}")
-    project = _levels_getter([i for i, name in enumerate(covariates)
-                              if name in covs])
-    # number the groups as first seen (one hash per stratum), then in order
-    seen: dict[tuple, int] = {}
-    index = [seen.setdefault(project(key.labels), len(seen)) for key in keys]
-    labels = sorted(seen)
-    return (np.argsort([seen[label] for label in labels])[index],
-            tuple(map(StratumKey._canonical, labels)), covs)
+    kept = [coded.covariates.index(name) for name in covs]
+    index, n_groups = np.zeros(len(coded), dtype=np.intp), min(len(coded), 1)
+    for c in kept:
+        ranked, index = np.unique(index * len(coded.levels[c])
+                                  + coded.codes[:, c], return_inverse=True)
+        n_groups = len(ranked)
+    # a stratum of each group gives the group's codes; every kept level is
+    # still some group's
+    member = np.empty(n_groups, dtype=np.intp)
+    member[index] = np.arange(len(coded))
+    return index, _Coded(covs, tuple(coded.levels[c] for c in kept),
+                         coded.codes[member][:, kept])
 
 
 # The counts text is read a block of lines at a time: a block runs from its
@@ -666,9 +746,9 @@ def _table(cov_names: tuple[str, ...],
 
     A row's cell is numbered by its levels' ranks and then its slot, read
     in mixed radix, so that cells sort as their strata's keys and then
-    their slots do.
+    their slots do.  A stratum's codes are the digits of its number.
     """
-    ordered = [sorted(levels) for levels in spelled]
+    ordered = [tuple(sorted(levels)) for levels in spelled]
     strides = [4]
     for levels in reversed(ordered[1:]):
         strides.insert(0, strides[0] * len(levels))
@@ -689,17 +769,18 @@ def _table(cov_names: tuple[str, ...],
                 ne, map(last.__getitem__, cells), range(len(cells)))):
             sums[cells[row]] += counts[row]
     strata = sorted(set(firsts))
-    # each stratum's levels, read back from its number digit by digit, and
-    # its four cells, None where no row names one
-    labels = [zip(repeat(name), map(levels.__getitem__, map(
-                  mod, map(floordiv, strata, repeat(stride)),
-                  repeat(len(levels)))))
-              for name, levels, stride in zip(cov_names, ordered, strides)]
-    keys = tuple(map(StratumKey._canonical, zip(*labels))) if labels \
-        else (StratumKey(),)
+    # the digits in int64 arithmetic where every number fits, else in
+    # Python's
+    sizes = list(map(len, ordered))
+    exact = np.int64 if 4 * math.prod(sizes) <= 2**63 else object
+    codes = (np.array(strata, dtype=exact)[:, None]
+             // np.array(strides[:len(sizes)], dtype=exact)
+             % np.array(sizes, dtype=exact)).astype(np.intp)
+    # each stratum's four cells, None where no row names one
     quads = list(zip(*[map(sums.get, map(add, strata, repeat(slot)))
                        for slot in range(4)]))
-    return CountTable._of(cov_names, keys, quads, sum(counts))
+    return CountTable._of(_Coded(cov_names, tuple(ordered), codes), quads,
+                          sum(counts))
 
 
 def _count(field: str) -> int:
@@ -778,11 +859,11 @@ def to_probabilities(counts: CountTable, smoothing: str = "none") -> StratifiedJ
         stratum, slot = divmod(int(empty.argmax()), 4)
         x, y = _CELLS[slot]
         raise PositivityError(
-            f"stratum {counts._keys[stratum]}: empty cell (x={x}, y={y}); "
+            f"stratum {counts._coded[stratum]}: empty cell (x={x}, y={y}); "
             "use add-half smoothing or pool strata")
     cells, sums = _normalised(quads, 1.0)
-    return StratifiedJoint._of(counts._keys, cells, sums / _running_sum(sums),
-                               counts.covariates, raw_total)
+    return StratifiedJoint._of(counts._coded, cells,
+                               sums / _running_sum(sums), raw_total)
 
 
 def collapse(joint: StratifiedJoint, keep: Sequence[str]) -> StratifiedJoint:
@@ -791,13 +872,13 @@ def collapse(joint: StratifiedJoint, keep: Sequence[str]) -> StratifiedJoint:
     Cell probabilities recombine as weighted averages, so collapsing to the
     empty set yields the pooled 2x2 table as a single-stratum joint.
     """
-    index, keys, covs = _groups(joint.keys(), joint.covariates, keep)
+    index, groups = _groups(joint._coded, keep)
     # np.add.at adds each group's strata in key order, as a Python loop would
-    masses = np.zeros((len(keys), 4))
+    masses = np.zeros((len(groups), 4))
     np.add.at(masses, index, joint.cells * joint.weights[:, None])
-    weights = np.zeros(len(keys))
+    weights = np.zeros(len(groups))
     np.add.at(weights, index, joint.weights)
-    return StratifiedJoint._of(keys, masses / weights[:, None], weights, covs,
+    return StratifiedJoint._of(groups, masses / weights[:, None], weights,
                                joint.total_n)
 
 
@@ -806,7 +887,8 @@ class ExperimentalQuantities:
     """Interventional outcome probabilities, per stratum and marginal.
 
     Stored as ``pairs``, each stratum's (P(y_x | s), P(y_x' | s)) as a
-    (K, 2) array in key order, and the ``marginal`` pair, all clipped onto
+    (K, 2) array in key order, with the strata as codes (:class:`_Coded`),
+    and the ``marginal`` pair, all clipped onto
     [0, 1]; built from a joint, the marginal pair is the pairs'
     weight-average.  ``per_stratum`` maps each stratum to its pair; it is a
     read-only view of ``pairs``, built when first read.  ``provenance``
@@ -818,14 +900,13 @@ class ExperimentalQuantities:
     marginal: tuple[float, float]
     provenance: str
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
-    _keys: tuple[StratumKey, ...] = field(init=False, repr=False,
-                                          compare=False)
+    _coded: _Coded = field(init=False, repr=False, compare=False)
 
     def __init__(self, per_stratum: Mapping[StratumKey, tuple[float, float]],
                  marginal: tuple[float, float], provenance: str) -> None:
         keys = tuple(sorted(per_stratum, key=_key_order))
-        self._set(keys, [*(per_stratum[key] for key in keys), marginal],
-                  provenance)
+        self._set(_Coded.of(keys), [*(per_stratum[key] for key in keys),
+                                    marginal], provenance)
 
     @classmethod
     def from_per_stratum(cls, joint: StratifiedJoint,
@@ -843,14 +924,14 @@ class ExperimentalQuantities:
         """From each stratum's pair in the joint's key order, with their
         weight-average as the marginal pair."""
         built = object.__new__(cls)
-        built._set(joint.keys(), pairs, provenance, joint.weights)
+        built._set(joint._coded, pairs, provenance, joint.weights)
         return built
 
-    def _set(self, keys: tuple[StratumKey, ...], rows: list | np.ndarray,
-             provenance: str, weights: np.ndarray | None = None) -> None:
-        """Check, clip and store the pairs of ``keys``, in key order, and
-        the marginal pair: the last of ``rows``, or with ``weights`` the
-        weight-average of the pairs."""
+    def _set(self, coded: _Coded, rows: list | np.ndarray, provenance: str,
+             weights: np.ndarray | None = None) -> None:
+        """Check, clip and store the pairs of the strata ``coded``, in key
+        order, and the marginal pair: the last of ``rows``, or with
+        ``weights`` the weight-average of the pairs."""
         if provenance not in (PROVENANCE_MEASURED, PROVENANCE_ADJUSTED):
             raise ValidationError(f"unknown provenance {provenance!r}")
         if (not isinstance(rows, np.ndarray)
@@ -863,26 +944,27 @@ class ExperimentalQuantities:
         inside = (values >= -_SUM_TOL) & (values <= 1.0 + _SUM_TOL)
         if not inside.all():
             k, j = divmod(int(inside.argmin()), 2)
-            where = f"stratum {keys[k]}" if k < len(keys) else "marginal"
+            where = f"stratum {coded[k]}" if k < len(coded) else "marginal"
             value = rows[k][j] if k < len(rows) else values[k, j].item()
             raise ValidationError(
                 f"{where}: probability {value!r} outside [0, 1]")
         clipped = _clip(values, 0.0, 1.0)
         clipped.flags.writeable = False
-        for name, value in (("_keys", keys), ("pairs", clipped[:-1]),
+        for name, value in (("_coded", coded), ("pairs", clipped[:-1]),
                             ("marginal", tuple(clipped[-1].tolist())),
                             ("provenance", provenance)):
             object.__setattr__(self, name, value)
 
     @cached_property
     def per_stratum(self) -> Mapping[StratumKey, tuple[float, float]]:
-        return _View(dict(zip(self._keys, map(tuple, self.pairs.tolist()))))
+        return _View(dict(zip(self._coded.keys(),
+                              map(tuple, self.pairs.tolist()))))
 
     def __eq__(self, other: object) -> bool:
-        # equal per_stratum views are equal keys with equal pairs
+        # equal per_stratum views are equal strata with equal pairs
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._keys == other._keys
+        return (self._coded == other._coded
                 and np.array_equal(self.pairs, other.pairs)
                 and self.marginal == other.marginal
                 and self.provenance == other.provenance)
@@ -900,7 +982,7 @@ def _matched_pairs(joint: StratifiedJoint,
     """The pairs as a (K, 2) array in the joint's key order; raises
     :class:`ValidationError` unless they are for exactly the joint's
     strata."""
-    if experimental._keys != joint.keys():
+    if experimental._coded != joint._coded:
         raise ValidationError(_MISMATCH)
     return experimental.pairs
 
@@ -913,7 +995,7 @@ def adjusted_experimental(joint: StratifiedJoint) -> ExperimentalQuantities:
     arms = joint.cells[:, 0::2] + joint.cells[:, 1::2]
     empty = (arms <= 0.0).any(axis=1)
     if empty.any():
-        raise PositivityError(f"stratum {joint.keys()[int(empty.argmax())]}: "
+        raise PositivityError(f"stratum {joint._coded[int(empty.argmax())]}: "
                               "both exposure arms need positive probability")
     return ExperimentalQuantities._weighted(
         joint, joint.cells[:, 0::2] / arms, PROVENANCE_ADJUSTED)
@@ -1008,9 +1090,8 @@ def validate_compatibility(joint: StratifiedJoint,
     report listing violations (empty means compatible).
     """
     excess = _excess_columns(joint.cells, _matched_pairs(joint, experimental))
-    keys = joint.keys()
     return CompatibilityReport(violations=tuple(
-        Violation(stratum=keys[k], constraint=_CONSTRAINTS[c],
+        Violation(stratum=joint._coded[k], constraint=_CONSTRAINTS[c],
                   amount=excess[k, c].item())
         for k, c in zip(*np.nonzero(excess > COMPAT_TOL))))
 
@@ -1019,18 +1100,21 @@ def load_experimental(source: Source, joint: StratifiedJoint) -> ExperimentalQua
     """Parse experimental pairs; the marginal comes from the joint's weights.
     A stratum listed twice takes its last entry."""
     data = _read_json(source, "experimental")
-    keys = joint.keys()
-    index = {key.labels: k for k, key in enumerate(keys)}
-    pairs: list[tuple[float, float] | None] = [None] * len(keys)
+    coded = joint._coded
+    covs, names = coded.covariates, set(coded.covariates)
+    # each stratum's row by its levels, in covariate order
+    index = dict(zip(coded.rows(), range(len(coded))))
+    pairs: list[tuple[float, float] | None] = [None] * len(coded)
     unknown = False
     try:
         for entry in data["strata"]:
-            # the labels of StratumKey(levels): JSON names are already text
-            labels = tuple(sorted((name, str(value))
-                                  for name, value in entry["levels"].items()))
+            levels = entry["levels"]
+            levels.items()  # AttributeError: levels that are not an object
             pair = (float(entry["p_event_do_exposed"]),
                     float(entry["p_event_do_unexposed"]))
-            k = index.get(labels)
+            # JSON names are already text
+            k = (index.get(tuple([str(levels[name]) for name in covs]))
+                 if levels.keys() == names else None)
             if k is None:
                 unknown = True
             else:

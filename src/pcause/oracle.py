@@ -236,8 +236,8 @@ class VerificationReport:
     entries: tuple[VerificationEntry, ...]
     tol: float
     discrepancy: np.ndarray = field(init=False, repr=False, compare=False)
-    _keys: tuple[StratumKey, ...] = field(init=False, repr=False,
-                                          compare=False)
+    _keys: Sequence[StratumKey] | None = field(init=False, repr=False,
+                                               compare=False)
     _closed: np.ndarray = field(init=False, repr=False, compare=False)
     _terms: np.ndarray = field(init=False, repr=False, compare=False)
     _searched: np.ndarray = field(init=False, repr=False, compare=False)
@@ -250,7 +250,7 @@ class VerificationReport:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def _of(cls, keys: tuple[StratumKey, ...], closed: Sequence[bounds._Boxes],
+    def _of(cls, keys: Sequence[StratumKey], closed: Sequence[bounds._Boxes],
             searched: Sequence[tuple[np.ndarray, np.ndarray]],
             tol: float) -> "VerificationReport":
         """A report from each quantity's closed-form boxes and searched
@@ -293,6 +293,7 @@ class VerificationReport:
 
     @cached_property
     def entries(self) -> tuple[VerificationEntry, ...]:
+        self._keys.keys()  # every key at once
         return self._entries(range(len(self.discrepancy)))
 
     @cached_property
@@ -322,7 +323,7 @@ def verify_bounds(joint: StratifiedJoint,
     that a stratum-by-stratum loop over the two routes would meet first.
     """
     pairs = _matched_pairs(joint, experimental)
-    cells, keys = joint.cells, joint.keys()
+    cells, keys = joint.cells, joint._coded
     closed = bounds._box_rows(bounds.QUANTITIES, cells, pairs, keys)
     searched = _searched_rows(bounds.QUANTITIES, cells, pairs, False)
     # the routes in loop order: PN closed, PN searched, PS closed, ...

@@ -39,6 +39,7 @@ from .model import (
     Source,
     StratifiedJoint,
     StratumKey,
+    _Coded,
     _cell_slot,
     _groups,
     _normalised,
@@ -108,11 +109,11 @@ class Scenario:
                          n: int | None = None) -> StratifiedJoint:
         """The exact joint this scenario induces under a stratifier."""
         strat = tuple(sorted(stratifier))
-        keys, positions = _stratifier_layout(self, strat)
+        strata, positions = _stratifier_layout(self, strat)
         probs = [p for _, p in self.outcome_cells()]
-        sums = np.bincount(positions, weights=probs, minlength=4 * len(keys))
+        sums = np.bincount(positions, weights=probs, minlength=4 * len(strata))
         cells, weights = _normalised(sums.reshape(-1, 4), 1.0)
-        return StratifiedJoint._of(keys, cells, weights, strat, n)
+        return StratifiedJoint._of(strata, cells, weights, n)
 
     def to_dict(self) -> dict:
         return {
@@ -213,17 +214,18 @@ class ReplicationStudy:
 
 
 def _stratifier_layout(scenario: Scenario, stratifier: tuple[str, ...],
-                       ) -> tuple[tuple[StratumKey, ...], np.ndarray]:
+                       ) -> tuple[_Coded, np.ndarray]:
     """The strata in joint order, and each sampling cell's (stratum, table
     slot) position."""
     cells = scenario.outcome_cells()
-    index, keys, _ = _groups(
+    # each sampling cell's stratum under {s, t}, in cell order: _groups
+    # takes rows in any order, repeated
+    index, strata = _groups(_Coded.of(
         [StratumKey(((scenario.s_name, s), (scenario.t_name, t)))
-         for (_x, s, t, _y), _p in cells],
-        tuple(sorted((scenario.s_name, scenario.t_name))), stratifier)
+         for (_x, s, t, _y), _p in cells]), stratifier)
     positions = np.array([group * 4 + _cell_slot(x, y)
                           for group, ((x, _s, _t, y), _p) in zip(index, cells)])
-    return keys, positions
+    return strata, positions
 
 
 def _cell_sums(draws: np.ndarray, n_strata: int,
@@ -235,13 +237,13 @@ def _cell_sums(draws: np.ndarray, n_strata: int,
     return sums
 
 
-def _replicate_tables(draws: np.ndarray, keys: tuple[StratumKey, ...],
+def _replicate_tables(draws: np.ndarray, strata: _Coded,
                       positions: np.ndarray, n: int,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Each draw's (K, 4) cells and (K,) weights under one stratifier, as
     :func:`~pcause.model._normalised` gives them from the counts and n."""
-    sums = _cell_sums(draws, len(keys), positions)
-    return _normalised(sums.reshape(len(draws), len(keys), 4), n)
+    sums = _cell_sums(draws, len(strata), positions)
+    return _normalised(sums.reshape(len(draws), len(strata), 4), n)
 
 
 def _word_count(entropy: object) -> int:
@@ -332,6 +334,9 @@ def replicate_study(scenario: Scenario, n: int, reps: int,
     """
     if reps < 2:
         raise ValidationError("need at least two replications for a variance")
+    if reps >= 2**32:
+        # a replication's number is one 32-bit spawn word (_seed_words)
+        raise ValidationError(f"reps must be below 2**32, got {reps!r}")
     if n < 1:
         raise ValidationError(f"sample size must be positive, got {n!r}")
     strat_list = [(scenario.s_name,), (scenario.t_name,),
@@ -343,16 +348,14 @@ def replicate_study(scenario: Scenario, n: int, reps: int,
 
     # each {s} or {t} cell is a sum of {s, t} cells, so a draw has an empty
     # cell under some stratifier iff it has one under {s, t}
-    keys, positions = layouts[strat_list[-1]]
-    # allocated first, so that every replication number fits _seed_words'
-    # one 32-bit spawn word
+    strata, positions = layouts[strat_list[-1]]
     draws = np.empty((reps, len(probs)), dtype=np.int64)
     pending = np.arange(reps)
     attempts = 0
     for attempt in range(_MAX_ATTEMPTS_PER_REP):
         _draw(draws, pending, seed, attempt, n, probs)
         attempts += len(pending)
-        pending = pending[(_cell_sums(draws[pending], len(keys), positions)
+        pending = pending[(_cell_sums(draws[pending], len(strata), positions)
                            <= 0.0).any(axis=1)]
         if not len(pending):
             break
@@ -370,11 +373,12 @@ def replicate_study(scenario: Scenario, n: int, reps: int,
 
     results = []
     for strat in strat_list:
-        keys, positions = layouts[strat]
-        cells, weights = _replicate_tables(draws, keys, positions, n)
+        strata, positions = layouts[strat]
+        cells, weights = _replicate_tables(draws, strata, positions, n)
         population = scenario.population_joint(strat, n)
         for quantity, point in (("PN", pn_point), ("PNS", pns_point)):
-            values, avars = _no_prevention(quantity, cells, weights, n, keys)
+            values, avars = _no_prevention(quantity, cells, weights, n,
+                                           strata)
             results.append(ReplicationResult(
                 quantity=quantity,
                 stratifier=strat,

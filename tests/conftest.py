@@ -35,8 +35,8 @@ from pcause.model import (
     COMPAT_TOL,
     PROVENANCE_MEASURED,
     CountTable,
+    StratumKey,
     _cell_slot,
-    _groups,
     _read_json,
     _read_text,
     _risk,
@@ -904,6 +904,25 @@ def reference_load_experimental(source, joint):
     return reference_from_per_stratum(joint, per, provenance)
 
 
+def reference_groups(keys, covariates, keep):
+    """``model._groups`` as it was before strata became codes: each
+    stratum's group, numbered in key order, the group keys and the kept
+    covariates, from each key's labels restricted to ``keep``."""
+    covs = tuple(sorted(str(c) for c in keep))
+    unknown = set(covs) - set(covariates)
+    if unknown:
+        raise pc.ValidationError(f"unknown covariate(s) {sorted(unknown)}")
+    if len(set(covs)) != len(covs):
+        raise pc.ValidationError(f"duplicate covariate names: {covs}")
+    # number the groups as first seen, then in order
+    seen = {}
+    index = [seen.setdefault(tuple(lv for lv in key.labels if lv[0] in covs),
+                             len(seen)) for key in keys]
+    labels = sorted(seen)
+    return (np.argsort([seen[label] for label in labels])[index],
+            tuple(map(StratumKey, labels)), covs)
+
+
 # The premise tests as they were before they read the joint's arrays: the
 # exact check one stratum at a time, and the G test over dicts of counts and
 # margins keyed by the strata's levels.
@@ -911,7 +930,7 @@ def reference_load_experimental(source, joint):
 def reference_exact_deviation(joint: pc.StratifiedJoint, relation) -> float:
     exposure = relation.kind == EXPOSURE_CI
     keep = (relation.t,) if exposure else (relation.s,)
-    index, _, _ = _groups(joint.keys(), joint.covariates, keep)
+    index, _, _ = reference_groups(joint.keys(), joint.covariates, keep)
     coarse = collapse(joint, keep).cells.tolist()
     dev = 0.0
     for key, (ee, en, ue, un), (ref_ee, ref_en, ref_ue, ref_un) in zip(

@@ -481,11 +481,25 @@ class TestInputErrors:
                     "--seed", "1"]) == 2
         assert "--reps: must be an integer >= 2" in capsys.readouterr().err
 
+    # a replication's number is one 32-bit word of its seed
+    @pytest.mark.parametrize("reps", ["4294967296", "1000000000000000"])
+    def test_simulate_reps_beyond_one_seed_word(self, reps, capsys):
+        assert run(["simulate", "--setting", "1", "--n", "10", "--reps", reps,
+                    "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: pcause simulate")
+        assert err.splitlines()[-1].endswith(
+            f"--reps: must be an integer >= 2 and < 2**32, got '{reps}'")
+
     def test_simulate_range_ends_accepted_by_the_parser(self):
         args = cli.build_parser().parse_args(
             ["simulate", "--setting", "1", "--n", str(2**63 - 1),
              "--reps", "2", "--seed", "1"])
         assert args.n == 2**63 - 1 and args.reps == 2
+        args = cli.build_parser().parse_args(
+            ["simulate", "--setting", "1", "--n", "1",
+             "--reps", str(2**32 - 1), "--seed", "1"])
+        assert args.reps == 2**32 - 1
         args = cli.build_parser().parse_args(
             ["simulate", "--setting", "1", "--n", "1", "--reps", "2",
              "--seed", "1"])

@@ -11,23 +11,21 @@ them.
 
 The later properties work on count tables and the command line: the CSV
 round-trip, reports that ignore row order, bounds that ignore a common
-scale of the counts, ``run()`` ending in an exit code whatever its
-arguments and input bytes, and a report writer that gives ``json``'s text.
+scale of the counts, and ``run()`` ending in an exit code whatever its
+arguments and input bytes.
 """
 
 import io
 import itertools
-import json
 import operator
 from contextlib import redirect_stderr, redirect_stdout
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
 from pcause.bounds import Interval, _swap_pair
-from pcause.cli import _ReportEncoder, run
+from pcause.cli import run
 from pcause.model import CountTable, collapse, render_counts
 from pcause.oracle import feasible_extrema
 
@@ -363,54 +361,3 @@ def test_run_always_ends_in_an_exit_code(workdir, command, tokens, content):
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
 
-
-# Report-shaped trees for the writer: every float json spells its own way
-# (NaN, infinities, -0.0, subnormals, exponent forms), ints past 64 bits,
-# strings and keys with control characters, quotes, backslashes and
-# non-ASCII text, and empty and nested containers.
-_any_text = st.text(st.characters()) | st.sampled_from(
-    ["\"", "\\", "\x00\x1f\x7f", "\t\n", "stage=\u00e9", "\u2028",
-     "\U0001f600"])
-_leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.integers(min_value=-2**80, max_value=2**80), st.floats(),
-    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e-05, 9.854158454851108e-05,
-                     1e16, float("nan"), float("inf"), float("-inf")]),
-    _any_text)
-_trees = st.recursive(
-    _leaves,
-    lambda children: (st.lists(children, max_size=4)
-                      | st.lists(children, max_size=3).map(tuple)
-                      | st.dictionaries(_any_text, children, max_size=4)),
-    max_leaves=30)
-
-
-class _Int(int):
-    pass
-
-
-_cycle: list = []
-_cycle.append(_cycle)
-
-
-def _encoded(tree, cls=None):
-    """The indented text, or the error's type and message."""
-    try:
-        return json.dumps(tree, indent=2, cls=cls)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-@repeatable
-@given(_trees)
-# keys and strings that recur as first and later members at several depths
-@example([{"s": "1", "t": ["1", "10"]}, {"t": "1", "s": {"s": "10"}}])
-# json's own encoder serves these: a numpy float, an int subclass, non-str
-# keys, a type JSON lacks and a cycle
-@example({"stratum": {"s": "1"}, "value": np.float64(0.1)})
-@example([_Int(3), {"n": _Int(-2**70)}])
-@example({"a": [], 1: {}, 2.5: None, True: "x", None: [{}]})
-@example({"bad": {1, 2}})
-@example([1.0, _cycle])
-def test_report_writer_gives_json_text(tree):
-    assert _encoded(tree, _ReportEncoder) == _encoded(tree)

@@ -181,6 +181,14 @@ class TestReplicationStudy:
         with pytest.raises(pc.ValidationError, match="at least two"):
             replicate_study(_scenario("setting-1"), n=100, reps=1, seed=1)
 
+    @pytest.mark.parametrize("reps", [2**32, 10**15])
+    def test_replications_fit_one_spawn_word(self, reps, monkeypatch):
+        # the bound is checked before anything is allocated or drawn
+        monkeypatch.setattr(np, "empty", None)
+        with pytest.raises(pc.ValidationError) as info:
+            replicate_study(_scenario("setting-1"), n=10, reps=reps, seed=1)
+        assert str(info.value) == f"reps must be below 2**32, got {reps}"
+
     def test_redraws_are_counted(self):
         study = replicate_study(_sparse_scenario(), n=210, reps=20, seed=4)
         assert study.discarded == 1

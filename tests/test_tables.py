@@ -30,6 +30,7 @@ from pcause import model
 from pcause.cli import run
 from pcause.model import (
     CountTable,
+    _Coded,
     collapse,
     load_experimental,
     render_counts,
@@ -515,6 +516,12 @@ def stored_rows(draw):
     return keys, cells, weights, draw(st.sampled_from((None, 1000, 1, 0)))
 
 
+def _stored(keys, cells, weights, covariates, total_n):
+    """``StratifiedJoint._of`` over the strata of ``keys``, in key order."""
+    return pc.StratifiedJoint._of(_Coded.of(keys, covariates), cells, weights,
+                                  total_n)
+
+
 def _mapped(keys, cells, weights, total_n):
     """The joint through the mapping constructor, from checked tables."""
     tables = map(pc.StratumTable, *cells.T.tolist(), weights.tolist())
@@ -526,13 +533,12 @@ def _mapped(keys, cells, weights, total_n):
 @given(stored_rows())
 def test_both_constructors_store_the_same_joint(rows):
     keys, cells, weights, total_n = rows
-    outcome = _outcome(pc.StratifiedJoint._of, keys, cells, weights, ("g",),
-                       total_n)
+    outcome = _outcome(_stored, keys, cells, weights, ("g",), total_n)
     assert outcome == _outcome(reference_joint_of, keys, cells, weights,
                                ("g",), total_n)
     if outcome.startswith("ValidationError"):
         return
-    joint = pc.StratifiedJoint._of(keys, cells, weights, ("g",), total_n)
+    joint = _stored(keys, cells, weights, ("g",), total_n)
     mapped = _mapped(keys, cells, weights, total_n)
     assert joint == mapped and repr(joint) == repr(mapped)
     assert joint.strata == mapped.strata
@@ -561,8 +567,7 @@ def test_bad_rows_raise_what_their_tables_raised(fault, text):
     _faulty(cells, weights, 1, fault)
     # a later row that fails first in the check order must not speak first
     cells[2, 0] = -1.0
-    outcome = _outcome(pc.StratifiedJoint._of, keys, cells, weights, ("g",),
-                       None)
+    outcome = _outcome(_stored, keys, cells, weights, ("g",), None)
     assert outcome == _outcome(reference_joint_of, keys, cells, weights,
                                ("g",), None)
     if fault == "total":

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 113 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 117 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -28,7 +28,12 @@ directory:
   unknown provenance, a non-numeric pair, a pair outside its
   compatibility range by more than the 1e-3 tolerance and one inside it,
   and two strata outside their ranges, on different inequalities;
-* 37 runs on counts files that this script writes into WORKDIR to exercise
+* ``bounds --experimental`` on a 3 x 3 grid with two pair files that this
+  script writes into WORKDIR: one listing the strata in reverse key order,
+  with levels as JSON integers and one stratum twice (the last entry
+  counts), and one whose last entry names a covariate the grid lacks
+  (exit 1);
+* 39 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader and the bounds: CRLF and lone-CR line endings with comments
   and blank lines, duplicate cells on lines apart, quoted levels holding
   ``,``, ``"`` or a leading ``#`` with spaces around fields, a
@@ -42,7 +47,9 @@ directory:
   whose ``s`` has one level (df 0), ``select --s b --t a`` on covariates
   named ``b`` and ``a``, ``bounds``, ``verify`` and ``identify`` on levels
   ``\u00e9`` and ``\U0001f600`` (outside ASCII, and outside the basic
-  multilingual plane) and on a table without covariates, ``verify --tol 0``
+  multilingual plane), ``bounds`` and ``verify`` on levels ``a``,
+  ``a\x00``, ``10`` and ``9`` (which sort as strings, and one of which ends
+  in a NUL), and on a table without covariates, ``verify --tol 0``
   on a 6 x 6 grid (a failing verify with many mismatch lines),
   ``select`` on counts of 1e306 to 6e306, whose G statistic overflows
   (exit 1), and ``bounds``, ``identify``, ``select`` and ``verify`` on a
@@ -171,6 +178,13 @@ _INGEST = {
             for i, site in enumerate(("\u00e9", "\U0001f600", "a\u00e9\U0001f600"))
             for x in (1, 0) for y in (1, 0)),
         [("bounds",), ("verify",), ("identify",)]),
+    # levels that sort as strings ("10" < "9"), one ending in a NUL
+    "string-order": (
+        "g,x,y,count\n" + "".join(
+            f"{g},{x},{y},{2 + (3 * i + 2 * x + y) % 7}\n"
+            for i, g in enumerate(("a", "a\x00", "10", "9"))
+            for x in (1, 0) for y in (1, 0)),
+        [("bounds",), ("verify",)]),
     # no covariates: one stratum, written as {}
     "no-covariates": (
         "x,y,count\n1,1,14\n1,0,9\n0,1,6\n0,0,17\n",
@@ -240,6 +254,36 @@ def measured_jobs(workdir: Path) -> list[tuple[str, ...]]:
     return argvs
 
 
+# a 3 x 3 grid and its measured pairs, listed in reverse key order with
+# levels as JSON integers; stratum s=2, t=2 comes twice and the last entry
+# counts.  The second file adds a covariate to its last entry.
+_GRID = "s,t,x,y,count\n" + "".join(
+    f"{s},{t},{x},{y},{3 + (4 * s + 3 * t + 2 * x + y) % 8}\n"
+    for s in (1, 2, 3) for t in (1, 2, 3) for x in (1, 0) for y in (1, 0))
+_GRID_PAIRS = [{"levels": {"s": s, "t": t}, "p_event_do_exposed": 0.5,
+                "p_event_do_unexposed": 0.35 + 0.01 * (3 * s + t)}
+               for s in (3, 2, 1) for t in (3, 2, 1)]
+_GRID_PAIRS.insert(2, {**_GRID_PAIRS[4], "p_event_do_exposed": 0.1})
+_GRID_MEASURED = {
+    "reversed": _GRID_PAIRS,
+    "extra-covariate": _GRID_PAIRS[:-1] + [
+        {**_GRID_PAIRS[-1], "levels": {"s": 1, "t": 1, "u": 1}}],
+}
+
+
+def grid_pair_jobs(workdir: Path) -> list[tuple[str, ...]]:
+    """Write the grid and its pair files and list a bounds run with each."""
+    data = workdir / "pairs-grid.csv"
+    data.write_text(_GRID)
+    argvs = []
+    for name, strata in _GRID_MEASURED.items():
+        path = workdir / f"pairs-{name}.json"
+        path.write_text(json.dumps({"strata": strata}))
+        argvs.append(("bounds", "--data", str(data), "--experimental",
+                      str(path)))
+    return argvs
+
+
 def ingest_jobs(workdir: Path) -> list[tuple[str, ...]]:
     """Write the counts files of ``_INGEST`` and list their runs."""
     argvs = []
@@ -296,7 +340,7 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
                   ("verify", "--data", FIXTURE, *smoothing),
                   ("verify", "--data", FIXTURE, "--tol", "0", *smoothing)]
     return (argvs + simulate_jobs(workdir) + measured_jobs(workdir)
-            + ingest_jobs(workdir))
+            + grid_pair_jobs(workdir) + ingest_jobs(workdir))
 
 
 def main(argv: list[str]) -> None:
