@@ -678,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--quantity", choices=["PN", "PS", "PNS", "all"],
                    default="all")
     _add_common(b)
-    b.set_defaults(handler=_cmd_bounds)
 
     i = sub.add_parser("identify",
                        help="point estimates under the no-prevention assumption")
@@ -686,7 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--stratifier", metavar="NAMES",
                    help="comma-separated covariates to keep (default: all)")
     _add_common(i)
-    i.set_defaults(handler=_cmd_identify)
 
     s = sub.add_parser("select", help="compare candidate stratifiers")
     s.add_argument("--data", required=True, help="counts CSV over two covariates")
@@ -697,7 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=_level, default=0.05,
                    help="significance level for the premise tests")
     _add_common(s)
-    s.set_defaults(handler=_cmd_select)
 
     m = sub.add_parser("simulate", help="replication study on a scenario")
     which = m.add_mutually_exclusive_group(required=True)
@@ -711,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=_seed, required=True,
                    help="stream seed (a nonnegative integer)")
     _add_common(m, smoothing=False)
-    m.set_defaults(handler=_cmd_simulate)
 
     v = sub.add_parser("verify",
                        help="check closed-form boxes against direct search")
@@ -720,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=_tolerance, default=2e-3,
                    help="largest acceptable discrepancy (finite, >= 0)")
     _add_common(v)
-    v.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -734,14 +729,18 @@ def run(argv: Sequence[str] | None = None) -> int:
         gc.set_threshold(*thresholds)
 
 
+# one parser per process, built on the first run; each run looks its
+# handler up by name, so a patched ``_cmd_*`` takes effect
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        report, sections, failure = args.handler(args)
+        report, sections, failure = globals()[f"_cmd_{args.command}"](args)
         if getattr(args, "json", None):
             _write_report(args.json, report, sections)
         if failure is not None:

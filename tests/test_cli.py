@@ -724,6 +724,82 @@ class TestCollectorThreshold:
         assert gc.get_threshold() == self.CUSTOM
 
 
+# argvs that end in argparse's own output: usage errors, help and version
+_PARSER_EXITS = [
+    ["bounds", *DATA, "--frobnicate"],
+    ["bounds"],
+    ["select", "--alpha", "2"],
+    ["simulate", "--setting", "1", "--scenario", "x.json"],
+    ["verify", "--tol", "-1"],
+    ["--help"],
+    ["bounds", "--help"],
+    ["--version"],
+]
+
+
+def _fresh_parse(argv, capsys):
+    """(exit code, stdout, stderr) of a newly built parser on ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    return (0 if exc.value.code in (0, None) else exc.value.code,
+            *capsys.readouterr())
+
+
+class TestParserReuse:
+    """run() parses with one parser per process, built on its first call."""
+
+    def test_later_runs_build_no_parser(self, monkeypatch, capsys):
+        assert run(["bounds", *DATA]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(["bounds", *DATA]) == 0
+        assert run(["bounds", "--frobnicate"]) == 2
+        assert built == []
+        # the count sees a build: the parser and its five subparsers
+        cli.build_parser()
+        assert len(built) == 6
+        capsys.readouterr()
+
+    def test_build_parser_returns_a_new_parser(self, capsys):
+        assert run(["bounds", *DATA]) == 0
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() not in (first, second)
+        subparsers = next(a for a in first._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        subparsers.choices["bounds"].add_argument("--extra")
+        argv = ["bounds", *DATA, "--extra", "1"]
+        assert first.parse_args(argv).extra == "1"
+        capsys.readouterr()
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("unrecognized arguments: --extra 1\n")
+        assert _fresh_parse(argv, capsys) == (2, out, err)
+
+    @pytest.mark.parametrize("argv", _PARSER_EXITS, ids=" ".join)
+    def test_reused_parser_prints_what_a_fresh_one_prints(self, argv,
+                                                         monkeypatch, capsys):
+        cli._parser.cache_clear()
+        printed = {}
+        for columns in (None, "40", "200"):
+            if columns is not None:
+                monkeypatch.setenv("COLUMNS", columns)
+            expected = _fresh_parse(argv, capsys)
+            for _ in range(2):
+                assert (run(argv), *capsys.readouterr()) == expected
+            printed[columns] = expected
+        assert cli._parser.cache_info().misses == 1
+        if "--help" in argv:
+            # the help text wraps to the width at each call
+            assert printed["40"] != printed["200"]
+
+
 def _readme_synopses():
     """Each subcommand's fenced ``pcause <cmd> ...`` synopsis in the README,
     continuation lines joined."""

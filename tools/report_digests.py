@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 117 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 125 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -57,7 +57,14 @@ directory:
   ends, a quoted level in the last block only and one cell's rows in the
   first and last blocks (its 24,001 strata make 24 blocks of the report
   writer), and ``bounds`` on it with a negative count on its last line
-  (exit 1).
+  (exit 1);
+* after all of the above, on the parser those runs have used, eight argvs
+  that end in argparse's own output: the usage errors ``bounds --data
+  FIXTURE --frobnicate``, ``bounds`` without ``--data``, ``select --alpha 2``,
+  ``simulate --setting 1 --scenario x.json`` (options that exclude each
+  other) and ``verify --tol -1`` (exit 2), and ``--help``, ``bounds --help``
+  and ``--version`` (exit 0).  The script sets ``COLUMNS=80`` in its own
+  process, so the wrapped text does not depend on the terminal.
 
 It prints one line per job: the exit code, a SHA-256 over the exit code,
 stdout, stderr and the ``--json`` report, and the argv.  Reports record the
@@ -323,6 +330,15 @@ def simulate_jobs(workdir: Path) -> list[tuple[str, ...]]:
     return argvs
 
 
+# argvs that end in argparse's own output, run last so that they meet the
+# parser the table jobs have used
+_PARSER_EXITS = [("bounds", "--data", FIXTURE, "--frobnicate"), ("bounds",),
+                ("select", "--alpha", "2"),
+                ("simulate", "--setting", "1", "--scenario", "x.json"),
+                ("verify", "--tol", "-1"), ("--help",), ("bounds", "--help"),
+                ("--version",)]
+
+
 def jobs(workdir: Path) -> list[tuple[str, ...]]:
     sys.path.insert(0, str(HERE / "perfbench"))
     from workloads import WORKLOADS
@@ -340,7 +356,7 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
                   ("verify", "--data", FIXTURE, *smoothing),
                   ("verify", "--data", FIXTURE, "--tol", "0", *smoothing)]
     return (argvs + simulate_jobs(workdir) + measured_jobs(workdir)
-            + grid_pair_jobs(workdir) + ingest_jobs(workdir))
+            + grid_pair_jobs(workdir) + ingest_jobs(workdir) + _PARSER_EXITS)
 
 
 def main(argv: list[str]) -> None:
@@ -350,6 +366,8 @@ def main(argv: list[str]) -> None:
     workdir.mkdir(parents=True, exist_ok=True)
     report = workdir / "report.json"
     argvs = jobs(workdir)
+    # argparse wraps usage and help text to the terminal's width
+    os.environ["COLUMNS"] = "80"
     os.chdir(repo)
     sys.path.insert(0, str(repo / "src"))
     import pcause.cli
