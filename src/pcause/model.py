@@ -15,11 +15,13 @@ non-whitespace character is ``#`` is a comment, and a line of whitespace
 alone is skipped; error messages number lines counting every line, these
 included.  A field may be quoted, as the csv module writes it, but a quoted
 field ends on its own line, and a field over the csv module's size limit is
-an error naming its line.  Duplicate cells are summed.  Whitespace around a
-field is dropped, and a level must keep one spelling throughout.  Counts
-convert to a :class:`StratifiedJoint`, which stores within each stratum the
-four joint cell probabilities P(x, y | s) and the stratum weight P(s), as
-arrays over all strata.
+an error naming its line.  Duplicate cells are summed, exactly: a
+:class:`CountTable` stores each stratum's four counts as a row of a (K, 4)
+array, in int64 when the table's total is below 2**63 and as Python ints
+otherwise.  Whitespace around a field is dropped, and a level must keep one
+spelling throughout.  Counts convert to a :class:`StratifiedJoint`, which
+stores within each stratum the four joint cell probabilities P(x, y | s)
+and the stratum weight P(s), as arrays over all strata.
 
 Tables, joints and pairs hold their strata as each covariate's sorted
 levels and each stratum's rank in them (:class:`_Coded`), in key order; a
@@ -39,12 +41,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import add, attrgetter, ne
+from itertools import chain, count
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
@@ -456,21 +457,25 @@ class StratifiedJoint:
         return StratumTable(*self.cells[0].tolist(), self.weights[0].item())
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class CountTable:
     """Integer cell counts keyed by (stratum, x, y).
 
-    Stored as the distinct strata in key order, as codes, each with a quad
-    of counts in the order of :class:`StratumTable`'s cells, where None
-    marks a cell that no row named.
-    ``cells`` and :meth:`rows` present the same counts in (stratum, x, y)
+    Stored as the distinct strata in key order, as codes, with a (K, 4)
+    array of their counts in the order of :class:`StratumTable`'s cells and
+    a (K, 4) boolean array of the cells that some row named; a cell that no
+    row named counts 0.  The counts are int64 when the table's total is
+    below 2**63, which bounds every sum of them, and otherwise Python ints
+    in an object array, so that sums are exact at any size.
+    ``cells`` and :meth:`rows` present the named cells in (stratum, x, y)
     order.
     """
 
     covariates: tuple[str, ...]
     _coded: _Coded
-    _quads: tuple[tuple[int | None, ...], ...]
-    _total: int = field(compare=False)
+    _counts: np.ndarray
+    _named: np.ndarray
+    _total: int
 
     def __init__(self, cells: Mapping[tuple[StratumKey, int, int], int],
                  covariates: Sequence[str]) -> None:
@@ -484,23 +489,41 @@ class CountTable:
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise ValidationError(f"count {n!r} is not a nonnegative integer")
             quads.setdefault(key, [None] * 4)[_cell_slot(x, y)] = n
-        self._set(_Coded.of(tuple(quads), covs), list(quads.values()),
-                  sum(cells.values()))
+        total = sum(cells.values())
+        rows = list(quads.values())
+        self._set(_Coded.of(tuple(quads), covs),
+                  np.array([[n or 0 for n in quad] for quad in rows],
+                           dtype=_exact(total)).reshape(-1, 4),
+                  np.array([[n is not None for n in quad] for quad in rows],
+                           dtype=bool).reshape(-1, 4), total)
 
     @classmethod
-    def _of(cls, coded: _Coded, quads: list[list[int | None]],
+    def _of(cls, coded: _Coded, counts: np.ndarray, named: np.ndarray,
             total: int) -> "CountTable":
-        """A table from checked parts, its strata's quads in key order."""
+        """A table from checked parts: its strata's counts and named cells
+        in key order, in the dtype that ``_exact(total)`` gives."""
         table = object.__new__(cls)
-        table._set(coded, quads, total)
+        table._set(coded, counts, named, total)
         return table
 
-    def _set(self, coded: _Coded, quads: list[list[int | None]],
+    def _set(self, coded: _Coded, counts: np.ndarray, named: np.ndarray,
              total: int) -> None:
-        object.__setattr__(self, "covariates", coded.covariates)
-        object.__setattr__(self, "_coded", coded)
-        object.__setattr__(self, "_quads", tuple(map(tuple, quads)))
-        object.__setattr__(self, "_total", total)
+        counts.flags.writeable = named.flags.writeable = False
+        for name, value in (("covariates", coded.covariates),
+                            ("_coded", coded), ("_counts", counts),
+                            ("_named", named), ("_total", total)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._coded == other._coded
+                and np.array_equal(self._named, other._named)
+                and np.array_equal(self._counts, other._counts))
+
+    def __hash__(self) -> int:
+        # equal tables have equal strata and totals
+        return hash((self._coded, self._total))
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[StratumKey, int, int, int]],
@@ -522,24 +545,31 @@ class CountTable:
         return self._total
 
     def rows(self) -> Iterator[tuple[StratumKey, int, int, int]]:
-        for key, quad in zip(self._coded, self._quads):
+        for key, quad, named in zip(self._coded, self._counts.tolist(),
+                                    self._named.tolist()):
             for slot in _ROW_SLOTS:
-                if quad[slot] is not None:
+                if named[slot]:
                     yield key, *_CELLS[slot], quad[slot]
 
     def __repr__(self) -> str:
         return f"CountTable(cells={self.cells!r}, covariates={self.covariates!r})"
 
     def collapse(self, keep: Sequence[str]) -> "CountTable":
-        """Sum counts over the covariates not in ``keep``.  Exact."""
+        """Sum counts over the covariates not in ``keep``.  Exact: no
+        group's sum passes the total, which the counts' dtype holds."""
         index, groups = _groups(self._coded, keep)
-        quads: list[list[int | None]] = [[None] * 4 for _ in range(len(groups))]
-        for group, quad in zip(index.tolist(), self._quads):
-            into = quads[group]
-            for slot, n in enumerate(quad):
-                if n is not None:
-                    into[slot] = n if into[slot] is None else into[slot] + n
-        return CountTable._of(groups, quads, self._total)
+        counts = np.zeros((len(groups), 4), self._counts.dtype)
+        np.add.at(counts, index, self._counts)
+        named = np.zeros((len(groups), 4), bool)
+        np.logical_or.at(named, index, self._named)
+        return CountTable._of(groups, counts, named, self._total)
+
+
+def _exact(total: int) -> type:
+    """The dtype for counts that sum to ``total``: int64 when the total is
+    below 2**63, since no partial sum of nonnegative counts then passes it,
+    and Python ints otherwise."""
+    return np.int64 if total < 2**63 else object
 
 
 # A data row's (x, y) fields as written, when they need no stripping.
@@ -572,17 +602,41 @@ def _groups(coded: _Coded, keep: Sequence[str]) -> tuple[np.ndarray, _Coded]:
 
 
 # The counts text is read a block of lines at a time: a block runs from its
-# start past this many characters, to the end of that line.  A block's line
-# and field lists are held at once, and larger blocks are no faster.
+# start past this many characters, to the end of that line.  A block's
+# bytes and field offsets are held at once, and larger blocks are no faster.
 _BLOCK = 1 << 16
-# One block's records: the kept lines' numbers, each one's count of
-# separators (its fields less one) and all their fields in one list.
-_Records = tuple[Sequence[int], list[int], list[str]]
+# A block of the counts text: its UTF-8 bytes, with a comma before them and
+# a line end after them, and the number of its first line.
+_Block = tuple[bytes, int]
+# A block's lines that are neither blank nor comments: its bytes, then the
+# fields of its quoted lines; the lines' numbers; each one's count of
+# commas outside quotes; and every field's end offset in the bytes and
+# length, line after line.
+_Lines = tuple[bytes, Sequence[int], np.ndarray, np.ndarray, np.ndarray]
+# The codec between a block's text and its bytes: text from a file-like
+# source may hold lone surrogates, and they pass through as three bytes.
+_UTF8 = ("utf-8", "surrogatepass")
+# The bytes that the array screens look for.
+_COMMA, _NEWLINE, _QUOTE, _HASH, _ZERO = b',\n"#0'
+# A count field of 1 to this many ASCII digits converts as digits in int64.
+_DIGITS = 18
+_POWERS = np.array([10**k for k in range(_DIGITS - 1, -1, -1)], np.int64)
+# The widest and the largest digit of an x, y and count field that converts.
+_WIDEST = np.array([[1], [1], [_DIGITS]], np.int64).view(np.uint64)
+_LARGEST = np.array([[1], [1], [9]], np.uint8)
+# The most 8-byte words of a field's bytes that a block's grid holds, so
+# that it takes at most 8 + 8 * _WORDS bytes a field; longer fields are
+# read as text.
+_WORDS = 3
+# A cell's slot is 3 less this times its (x, y).
+_XY = np.array([2, 1])
 
 
 def load_counts(source: Source) -> CountTable:
     """Parse the counts CSV described in the module docstring.
 
+    The text is read a block of lines at a time, and each block's fields
+    are found, checked and converted as arrays over its UTF-8 bytes.
     Errors name the offending line number as it appears in the file,
     comments and blank lines included.  A field over the csv module's size
     limit is named first, wherever it is; otherwise the earliest faulty line
@@ -590,10 +644,11 @@ def load_counts(source: Source) -> CountTable:
     """
     # Lines end at \n, \r\n or \r only, as for the csv module; str.splitlines
     # would also split at \x1c-\x1e, \x85, \u2028 and others inside a level.
-    blocks = _blocks(
-        _read_text(source).replace("\r\n", "\n").replace("\r", "\n"))
+    text = _read_text(source).replace("\r\n", "\n").replace("\r", "\n")
+    blocks = _blocks(text)
     try:
-        return _summed(blocks)
+        # each data row is a line of the text
+        return _summed(blocks, text.count("\n") + 1)
     except ParseError:
         # a later block may still hold a field over the size limit
         for _ in blocks:
@@ -601,14 +656,15 @@ def load_counts(source: Source) -> CountTable:
         raise
 
 
-def _blocks(text: str) -> Iterator[_Records]:
-    """The records of the counts text, a block of lines at a time.
+def _skipped(line: str) -> bool:
+    """Whether a line is blank or a comment."""
+    return line.strip()[:1] in ("", "#")
 
-    Blank and comment lines are dropped.  A line's fields are what the csv
-    module reads from it alone, so a quoted field ends on its line; without
-    a quote they lie between its commas.  A field over the csv module's
-    size limit is a :class:`ParseError` naming its line.
-    """
+
+def _blocks(text: str) -> Iterator[_Block]:
+    """The counts text a block of lines at a time.  A field over the csv
+    module's size limit, on a line that is neither blank nor a comment, is
+    a :class:`ParseError` naming its line."""
     limit = csv.field_size_limit()
     end = len(text) - text.endswith("\n")  # the last line end ends the text
     start, lineno = 0, 1
@@ -616,45 +672,102 @@ def _blocks(text: str) -> Iterator[_Records]:
         stop = text.find("\n", start + _BLOCK, end)
         if stop < 0:
             stop = end
-        block = text[start:stop]
-        lines = block.split("\n")
-        linenos: Sequence[int] = range(lineno, lineno + len(lines))
-        start, lineno = stop + 1, lineno + len(lines)
-        commas = list(map(str.count, lines, repeat(",")))
-        # a line with a comma is not blank, nor, in a block without #, a
-        # comment: most blocks drop no line
-        if "#" in block or 0 in commas:
-            kept = [i for i, line in enumerate(lines)
-                    if line.strip()[:1] not in ("", "#")]
-            if not kept:
-                continue
-            linenos, lines, commas = ([seq[i] for i in kept]
-                                      for seq in (linenos, lines, commas))
-        if max(map(len, lines)) > limit:
-            for number, line in zip(linenos, lines):
-                try:
-                    next(csv.reader([line]))
-                except csv.Error as exc:
-                    raise ParseError(f"line {number}: {exc}") from None
-        if '"' in block:
-            records = [next(csv.reader([line])) for line in lines]
-            separators = [len(fields) - 1 for fields in records]
-            fields = list(chain.from_iterable(records))
-        else:
-            separators = commas
-            fields = ",".join(lines).split(",")
-        yield linenos, separators, fields
+        data = b"," + text[start:stop].encode(*_UTF8) + b"\n"
+        # only a line of more bytes than the limit can hold such a field
+        if len(data) > limit:
+            for number, line in enumerate(text[start:stop].split("\n"),
+                                          lineno):
+                if len(line) > limit and not _skipped(line):
+                    try:
+                        next(csv.reader([line]))
+                    except csv.Error as exc:
+                        raise ParseError(f"line {number}: {exc}") from None
+        start = stop + 1
+        yield data, lineno
+        lineno += data.count(b"\n")
 
 
-def _summed(blocks: Iterator[_Records]) -> CountTable:
-    """The count table of the records ``_blocks`` yields, checked and summed
-    a column of a block at a time."""
-    for linenos, separators, fields in blocks:
-        break
+def _lines(data: bytes, lineno: int) -> _Lines:
+    """The lines of a block, whose first line is ``lineno``, that are
+    neither blank nor comments.
+
+    A line's fields are what the csv module reads from it alone, so a
+    quoted field ends on its line; without a quote they lie between its
+    commas, which are found as arrays over the block's bytes, and only a
+    line with a quote goes through the csv module.  Offsets count bytes,
+    not characters, so a line is found from its line end.
+    """
+    buf = np.frombuffer(data, np.uint8)
+    # every field ends at a comma or a line end, after the one before it;
+    # the first comma ends none
+    bounds = ((buf == _COMMA) | (buf == _NEWLINE)).nonzero()[0]
+    ends, lengths = bounds[1:], bounds[1:] - bounds[:-1] - 1
+    # each line's last field, as an index into ends
+    lasts = (buf[ends] == _NEWLINE).nonzero()[0]
+    separators = lasts.copy()
+    separators[1:] -= lasts[:-1] + 1
+    linenos: Sequence[int] = range(lineno, lineno + len(lasts))
+
+    def line(i: int) -> str:
+        first = lasts[i] - separators[i]
+        return data[ends[first] - lengths[first]:ends[lasts[i]]].decode(
+            *_UTF8)
+
+    def lines_with(byte: int) -> set[int]:
+        return set(ends[lasts].searchsorted(
+            (buf == byte).nonzero()[0]).tolist())
+
+    # a line with a comma is not blank, nor, without a #, a comment
+    dropped = set()
+    if b"#" in data or not separators.all():
+        maybe = set((separators == 0).nonzero()[0].tolist())
+        if b"#" in data:
+            maybe |= lines_with(_HASH)
+        dropped = {i for i in maybe if _skipped(line(i))}
+    quoted = sorted(lines_with(_QUOTE) - dropped) if b'"' in data else []
+    if dropped or quoted:
+        kept = np.ones(len(lasts), bool)
+        kept[list(dropped)] = False
+        plain = kept.copy()
+        plain[quoted] = False
+        # the quoted lines' fields, as the csv module reads them, follow the
+        # block's bytes, and their offsets go between those of the lines on
+        # either side
+        records = [next(csv.reader([line(i)])) for i in quoted]
+        taken = np.repeat(plain, separators + 1)
+        ends, lengths = ends[taken], lengths[taken]
+        if quoted:
+            pieces = [field.encode(*_UTF8) for record in records
+                      for field in record]
+            sizes = np.array([len(piece) for piece in pieces])
+            at = np.repeat(np.cumsum(np.where(plain, separators + 1, 0)
+                                     )[quoted], list(map(len, records)))
+            ends = np.insert(ends, at, len(data) + np.cumsum(sizes))
+            lengths = np.insert(lengths, at, sizes)
+            data += b"".join(pieces)
+            separators[quoted] = [len(record) - 1 for record in records]
+        linenos = np.arange(lineno, lineno + len(lasts))[kept]
+        separators = separators[kept]
+    return data, linenos, separators, ends, lengths
+
+
+def _summed(blocks: Iterator[_Block], most: int) -> CountTable:
+    """The count table of the blocks of counts text that ``_blocks``
+    yields, each checked and converted as arrays over its bytes, with at
+    most ``most`` data rows.  Only the
+    fields that an array screen does not pass, such as padded, quoted,
+    non-ASCII or long ones, take the scalar conversions (``str.strip``,
+    ``_SLOTS.get`` and ``int``)."""
+    records = (_lines(*block) for block in blocks)
+    # the header is the first line that is neither blank nor a comment
+    for data, linenos, separators, ends, lengths in records:
+        if len(linenos):
+            break
     else:
         raise ParseError("no header row found")
-    header_line, width = linenos[0], separators[0] + 1
-    header = [f.strip() for f in fields[:width]]
+    header_line, width = linenos[0], int(separators[0]) + 1
+    header = [data[e - n:e].decode(*_UTF8).strip() for e, n in zip(
+        ends[:width].tolist(), lengths[:width].tolist())]
     for required in ("x", "y", "count"):
         if header.count(required) != 1:
             raise ParseError(
@@ -667,120 +780,252 @@ def _summed(blocks: Iterator[_Records]) -> CountTable:
         raise ParseError(f"line {header_line}: duplicate covariate columns")
     if any(not name for name in cov_names):
         raise ParseError(f"line {header_line}: empty covariate column name")
+    # the fields that each row is read from: x, y, count, then covariates
+    used = [ix, iy, icount, *(i for _, i in cov_idx)]
+    # a covariate's tag, its number in the high bits of each of its fields'
+    # keys
+    tags = np.array([c << 32 for c in range(len(cov_names))],
+                    np.int64)[:, None]
 
     # Per covariate: a code for each spelling, numbered in order of first
-    # use, and each level (a stripped spelling) with the spelling and line
-    # that first wrote it, in the same order.  Two spellings of one level
-    # are an error, not a merge.
+    # use across all covariates, and each level (a stripped spelling) with
+    # the spelling and line that first wrote it, in the same order.  Two
+    # spellings of one level are an error, not a merge.
+    numbering = count()
     codes: list[dict[str, int]] = [{} for _ in cov_names]
     spelled: list[dict[str, tuple[str, int]]] = [{} for _ in cov_names]
-    # each data row's spelling codes, cell slot and count
-    row_codes: list[list[int]] = [[] for _ in cov_names]
-    slots: list[int] = []
-    counts: list[int] = []
-    data = (linenos[1:], separators[1:], fields[width:])
-    for linenos, separators, fields in chain([data], blocks):
-        if not linenos:
+    # each data row's spelling code per covariate, cell slot and count, in
+    # arrays made once with room for every row, so that a block keeps
+    # nothing of its own and the allocator can reuse or return its buffers
+    row_codes = np.empty((len(cov_names), most), np.intp)
+    slots = np.empty(most, np.intp)
+    counts = np.empty(most, np.int64)
+    filled = 0
+    # the first block's lines after the header, then the other blocks
+    first = (data, linenos[1:], separators[1:], ends[width:], lengths[width:])
+    for data, linenos, separators, ends, lengths in chain([first], records):
+        if not len(linenos):
             continue
         # Each screen notes its first faulty row as (row, rank, message);
         # on one row, width ranks before x/y, count and then spellings.
-        faults = []
-        rows = separators.count(width - 1)
-        if rows < len(separators):
-            rows = next(i for i, n in enumerate(separators) if n != width - 1)
-            faults.append((rows, 0, f"expected {width} fields, "
-                                    f"got {separators[rows] + 1}"))
-            fields = fields[:rows * width]
-        x, y, count = fields[ix::width], fields[iy::width], fields[icount::width]
-        block_slots = list(map(_SLOTS.get, zip(x, y)))
-        if None in block_slots:
-            x, y = list(map(str.strip, x)), list(map(str.strip, y))
-            block_slots = list(map(_SLOTS.get, zip(x, y)))
-            if None in block_slots:
-                row = block_slots.index(None)
-                name, value = ("x", x[row]) if x[row] not in ("0", "1") \
-                    else ("y", y[row])
-                faults.append((row, 1, f"{name} must be 0 or 1, got {value!r}"))
-        # int() ignores the whitespace that strip() removes
-        try:
-            block_counts = list(map(int, count))
-        except ValueError:
-            block_counts = list(map(_count, count))
-        if block_counts and min(block_counts) < 0:
-            row = next(i for i, n in enumerate(block_counts) if n < 0)
-            faults.append((row, 2, "count must be a nonnegative integer, "
-                                   f"got {count[row].strip()!r}"))
-        columns = [fields[i::width] for _, i in cov_idx]
-        for rank, (name, column, known, levels) in enumerate(
-                zip(cov_names, columns, codes, spelled), start=3):
-            # the block's new spellings, in order of first use, so that
-            # each one's first row lies after the last one's
-            row = 0
-            for spelling in [s for s in dict.fromkeys(column) if s not in known]:
-                row, level = column.index(spelling, row), spelling.strip()
-                written, line = levels.setdefault(level, (spelling, linenos[row]))
+        wrong = (separators != width - 1).nonzero()[0][:1].tolist()
+        rows = wrong[0] if wrong else len(linenos)
+        faults = [(rows, 0, f"expected {width} fields, "
+                            f"got {separators[rows] + 1}")] if wrong else []
+        # the used fields of the rows before that, as (field, row) arrays
+        field_ends = ends[:rows * width].reshape(rows, width).T.take(used, 0)
+        field_lengths = lengths[:rows * width].reshape(rows, width).T.take(
+            used, 0)
+        longest = int(field_lengths.max(initial=0))
+        grid = _grid(data, field_ends, field_lengths,
+                     8 * min(-(-longest // 8), _WORDS))
+        block_slots, block_counts, fault = _numbers(
+            data, grid[:, :3 * rows], field_ends[:3], field_lengths[:3])
+        faults += [fault] if fault else []
+        keys, longs = _keys(data, grid[:, 3 * rows:], field_ends[3:],
+                            field_lengths[3:], tags)
+        spellings, firsts, index = _distinct(keys, longs)
+        # the block's new spellings of each covariate in order of first
+        # use, so that each one's first row lies after the last one's
+        new: list[list[tuple[int, str]]] = [[] for _ in cov_names]
+        for first, spelling in zip(firsts, spellings):
+            c, row = divmod(first, rows)
+            if spelling not in codes[c]:
+                new[c].append((row, spelling))
+        for rank, (name, known, levels, news) in enumerate(
+                zip(cov_names, codes, spelled, new), start=3):
+            for row, spelling in sorted(news):
+                level = spelling.strip()
+                written, line = levels.setdefault(level,
+                                                  (spelling, int(linenos[row])))
                 if written != spelling:
                     faults.append((row, rank, (
                         f"covariate {name!r} level {spelling!r} reads as "
                         f"{level!r}, which line {line} writes {written!r}; "
                         "write each level one way")))
-                known[spelling] = len(known)
+                    break
+                known[spelling] = next(numbering)
         if faults:
             row, _, message = min(faults)
             raise ParseError(f"line {linenos[row]}: {message}")
-        for known, column, into in zip(codes, columns, row_codes):
-            into += map(known.__getitem__, column)
-        slots += block_slots
-        counts += block_counts
-    if not counts:
+        taken = slice(filled, filled + rows)
+        row_codes[:, taken] = np.array(
+            [codes[first // rows][spelling]
+             for first, spelling in zip(firsts, spellings)],
+            dtype=np.intp)[index].reshape(len(cov_names), rows)
+        slots[taken] = block_slots
+        if block_counts.dtype == object and counts.dtype != object:
+            counts = counts.astype(object)
+        counts[taken] = block_counts
+        filled += rows
+    if not filled:
         raise ParseError("no data rows")
-    return _table(cov_names, spelled, row_codes, slots, counts)
+    return _table(cov_names, codes, spelled, row_codes[:, :filled],
+                  slots[:filled], counts[:filled])
 
 
-def _table(cov_names: tuple[str, ...],
-           spelled: list[dict[str, tuple[str, int]]],
-           row_codes: list[list[int]], slots: list[int],
-           counts: list[int]) -> CountTable:
-    """The count table of the data rows: each row's code per covariate (the
-    position of its level in ``spelled``), cell slot and count.
+def _grid(data: bytes, ends: np.ndarray, lengths: np.ndarray,
+          size: int) -> np.ndarray:
+    """The last ``size`` bytes of the fields that end at ``ends`` and have
+    ``lengths``, one field a column, right-aligned and padded with ASCII 0,
+    under a first word that the field never reaches and that no screen
+    reads as it stands."""
+    width = 8 + size
+    # column e of windows holds the width bytes before offset e of data
+    windows = np.ndarray((width, len(data) + 1), np.uint8,
+                         bytes(width) + data, strides=(1, 1))
+    grid = windows[:, ends.reshape(-1)]
+    # a byte is padding where its distance from the field's end reaches
+    # the field's length
+    grid[8:][np.arange(size - 1, -1, -1)[:, None]
+             >= lengths.reshape(-1)] = _ZERO
+    return grid
 
-    A row's cell is numbered by its levels' ranks and then its slot, read
-    in mixed radix, so that cells sort as their strata's keys and then
-    their slots do.  A stratum's codes are the digits of its number.
+
+def _numbers(data: bytes, grid: np.ndarray, ends: np.ndarray,
+             lengths: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray, tuple[int, int, str] | None]:
+    """Each row's cell slot and count from its x, y and count fields, whose
+    bytes are the three thirds of ``grid``'s columns and whose ends and
+    lengths are the three rows of ``ends`` and ``lengths``, and the first
+    faulty row's fault as (row, rank, message), or None.  Counts of 2**63
+    or more make the counts Python ints."""
+    # fields of ASCII digits convert as digits: x and y of one digit up to
+    # 1, counts of 1 to _DIGITS digits
+    width = min(len(grid) - 8, _DIGITS)
+    digits = grid[len(grid) - width:] - _ZERO
+    values = (_POWERS[_DIGITS - width:] @ digits).reshape(3, -1)
+    slots, counts = 3 - _XY @ values[:2], values[2]
+    plain = ((lengths - 1).view(np.uint64) < _WIDEST).all(axis=0)
+    over = digits.reshape(width, 3, len(counts)) > _LARGEST
+    if over.any():
+        plain &= ~over.any(axis=(0, 1))
+    large = []
+    for row in [] if plain.all() else (~plain).nonzero()[0].tolist():
+        x, y, count = (data[e - n:e].decode(*_UTF8) for e, n in zip(
+            ends[:, row].tolist(), lengths[:, row].tolist()))
+        x, y = x.strip(), y.strip()
+        slot = _SLOTS.get((x, y))
+        if slot is None:
+            name, value = ("x", x) if x not in ("0", "1") else ("y", y)
+            return slots, counts, (row, 1, f"{name} must be 0 or 1, "
+                                           f"got {value!r}")
+        n = _count(count)
+        if n < 0:
+            return slots, counts, (row, 2, "count must be a nonnegative "
+                                           f"integer, got {count.strip()!r}")
+        slots[row] = slot
+        if n < 2**63:
+            counts[row] = n
+        else:
+            large.append((row, n))
+    if large:
+        counts = counts.astype(object)
+        for row, n in large:
+            counts[row] = n
+    return slots, counts, None
+
+
+def _keys(data: bytes, grid: np.ndarray, ends: np.ndarray,
+          lengths: np.ndarray, tags: np.ndarray,
+          ) -> tuple[np.ndarray, list[str]]:
+    """Each covariate field's key, as a row of words: its length plus its
+    covariate's tag, then its bytes from ``grid``; and the text of each
+    distinct field too long for the grid, whose key holds its number among
+    those texts in place of its bytes."""
+    keys = np.ascontiguousarray(grid.T).view(np.uint64)
+    keys[:, 0] = (lengths + tags).ravel()
+    size = len(grid) - 8
+    if size < 8 * _WORDS:  # the grid holds every field whole
+        return keys, []
+    long = (lengths.ravel() > size).nonzero()[0]
+    texts = [data[e - n:e].decode(*_UTF8) for e, n in zip(
+        ends.ravel()[long].tolist(), lengths.ravel()[long].tolist())]
+    number = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    keys[long, 1:] = 0
+    keys[long, 1] = [number[text] for text in texts]
+    return keys, list(number)
+
+
+def _distinct(keys: np.ndarray, longs: list[str],
+              ) -> tuple[list[str], list[int], np.ndarray]:
+    """The distinct rows of ``keys``, as :func:`_keys` gives them with the
+    text of its long fields in ``longs``: each one's text; the first row of
+    each; and each row's index into them."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    new = _new(ordered)
+    firsts = order[new].tolist()  # lexsort is stable: each one's first row
+    index = np.empty(len(order), np.intp)
+    index[order] = new.cumsum() - 1
+    size, distinct = 8 * keys.shape[1], ordered[new].tobytes()
+    spellings = []
+    for at in range(size, len(distinct) + 1, size):
+        length = int.from_bytes(distinct[at - size:at - size + 4], "little")
+        spellings.append(
+            distinct[at - length:at].decode(*_UTF8) if length <= size - 8
+            else longs[int.from_bytes(distinct[at - size + 8:at - size + 16],
+                                      "little")])
+    return spellings, firsts, index
+
+
+def _new(ordered: np.ndarray) -> np.ndarray:
+    """Whether each row of a sorted 2-D array differs from the row before
+    it; the first row does."""
+    new = np.empty(len(ordered), bool)
+    new[:1] = True
+    (ordered[1:] != ordered[:-1]).any(axis=1, out=new[1:])
+    return new
+
+
+def _table(cov_names: tuple[str, ...], codes: list[dict[str, int]],
+           spelled: list[dict[str, tuple[str, int]]], row_codes: np.ndarray,
+           slots: np.ndarray, counts: np.ndarray) -> CountTable:
+    """The count table of the data rows: each row's code per covariate (as
+    ``codes`` gives it for a spelling of a level in ``spelled``) as a
+    (covariate, row) array, cell slot and count.
+
+    A row's stratum is numbered by its levels' ranks, read in mixed radix,
+    so that strata sort as their keys do; where a number could pass 2**63,
+    the numbers so far are ranked first.  Each row's cell is its stratum's
+    rank and its slot, and the counts are summed per cell, exactly: in
+    int64 when their total is below 2**63, and otherwise in Python ints.
     """
     ordered = [tuple(sorted(levels)) for levels in spelled]
-    strides = [4]
-    for levels in reversed(ordered[1:]):
-        strides.insert(0, strides[0] * len(levels))
-    # each row's first cell of its stratum, then its own cell
-    firsts = [0] * len(counts)
-    for levels, by_code, row_code, stride in zip(ordered, spelled, row_codes,
-                                                 strides):
-        scaled = dict(zip(levels, range(0, stride * len(levels), stride)))
-        code_first = list(map(scaled.__getitem__, by_code))
-        firsts = list(map(add, firsts, map(code_first.__getitem__, row_code)))
-    cells = list(map(add, firsts, slots))
-    # each cell's count, summed exactly
-    sums = dict(zip(cells, counts))
-    if len(sums) < len(cells):
-        # a cell on several rows: add the others' counts to its last row's
-        last = dict(zip(cells, range(len(cells))))
-        for row in compress(range(len(cells)), map(
-                ne, map(last.__getitem__, cells), range(len(cells)))):
-            sums[cells[row]] += counts[row]
-    strata = sorted(set(firsts))
-    # the digits in int64 arithmetic where every number fits, else in
-    # Python's
-    sizes = list(map(len, ordered))
-    exact = np.int64 if 4 * math.prod(sizes) <= 2**63 else object
-    codes = (np.array(strata, dtype=exact)[:, None]
-             // np.array(strides[:len(sizes)], dtype=exact)
-             % np.array(sizes, dtype=exact)).astype(np.intp)
-    # each stratum's four cells, None where no row names one
-    quads = list(zip(*[map(sums.get, map(add, strata, repeat(slot)))
-                       for slot in range(4)]))
-    return CountTable._of(_Coded(cov_names, tuple(ordered), codes), quads,
-                          sum(counts))
+    # each code's rank in its covariate's sorted levels
+    rank_of = [0] * sum(map(len, codes))
+    for levels, known, by_code in zip(ordered, codes, spelled):
+        rank = dict(zip(levels, range(len(levels))))
+        for code, level in zip(known.values(), by_code):
+            rank_of[code] = rank[level]
+    ranks = np.array(rank_of, np.intp)[row_codes]
+    numbers, bound = ((ranks[0], len(ordered[0])) if cov_names
+                      else (np.zeros(len(slots), np.intp), 1))
+    for rank, levels in zip(ranks[1:], ordered[1:]):
+        if bound * len(levels) > 2**63:
+            distinct, numbers = np.unique(numbers, return_inverse=True)
+            bound = len(distinct)
+        numbers = numbers * len(levels) + rank
+        bound *= len(levels)
+    order = numbers.argsort(kind="stable")
+    new = _new(numbers[order, None])
+    members = order[new]  # a row of each stratum, in key order
+    stratum = np.empty(len(order), np.intp)
+    stratum[order] = new.cumsum() - 1
+    cells = stratum * 4 + slots
+    # no partial sum passes the rows times the largest count
+    if counts.dtype != object and int(counts.max()) * len(counts) < 2**63:
+        total = int(counts.sum())
+    else:
+        total = sum(counts.tolist())
+    table = np.zeros(4 * len(members), _exact(total))
+    np.add.at(table, cells, counts if counts.dtype == table.dtype
+              else counts.astype(object))
+    named = np.zeros(len(table), bool)
+    named[cells] = True
+    return CountTable._of(
+        _Coded(cov_names, tuple(ordered), ranks.take(members, axis=1).T),
+        table.reshape(-1, 4), named.reshape(-1, 4), total)
 
 
 def _count(field: str) -> int:
@@ -849,10 +1094,9 @@ def to_probabilities(counts: CountTable, smoothing: str = "none") -> StratifiedJ
                 raise ValidationError(f"stratum {key}: counts too large for "
                                       "floating point (their total exceeds 1.8e308)")
 
-    # each count becomes the nearest float, as float(n) does; a missing
-    # cell (None, read as NaN) counts zero
-    quads = np.array(counts._quads, dtype=float)
-    quads[np.isnan(quads)] = 0.0
+    # each count becomes the nearest float, as float(n) does; a cell that
+    # no row named counts zero
+    quads = counts._counts.astype(float)
     quads += 0.5 if smoothing == "add-half" else 0.0
     empty = quads <= 0.0
     if empty.any():

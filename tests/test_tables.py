@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -276,6 +277,25 @@ def _loaded(load, text):
 @example('g,x,y,count\n1,1,1,3\n1,0,0,2\n2,1,1,4\n"a,b",1,1,4\n')
 # and one cell's rows in different blocks.
 @example("s,x,y,count\n1,1,1,3\n2,0,0,4\n2,1,1,6\n1,1,1,5\n")
+# Counts at the int64 edges: of 18 and 19 digits; of 2**63 - 1, 2**63 and
+# 2**64 + 1;
+@example(f"s,x,y,count\n1,1,1,{10**18 - 1}\n1,1,0,{10**18}\n1,0,1,7\n"
+         "1,0,0,2\n")
+@example(f"s,x,y,count\n1,1,1,{2**63 - 1}\n1,1,0,3\n1,0,1,2\n1,0,0,5\n")
+@example(f"s,x,y,count\n1,1,1,{2**63}\n1,1,0,3\n2,0,1,{2**64 + 1}\n"
+         "2,0,0,5\n")
+# eleven rows on one cell, each within int64 while their sum is not;
+@example("s,x,y,count\n" + "1,1,1,900000000000000000\n" * 11
+         + "1,1,0,1\n1,0,1,1\n1,0,0,1\n")
+# two strata whose total passes 2**63 while every cell fits;
+@example(f"s,x,y,count\n1,1,1,{2**62}\n1,0,0,1\n2,1,1,{2**62}\n2,0,0,1\n")
+# a count in Arabic-Indic digits, which int() reads as 3, and one padded
+# with a no-break space;
+@example("s,x,y,count\n1,1,1,\u0663\n1,1,0,\u00a07\n1,0,1,2\n1,0,0,4\n")
+# and 2**53 + 1, which a float rounds.
+@example(f"s,x,y,count\n1,1,1,{2**53 + 1}\n1,1,0,1\n1,0,1,1\n1,0,0,1\n")
+# A lone surrogate, which text from a file-like source may hold.
+@example("s,x,y,count\n\ud800,1,1,3\n\ud800,0,0,2\na\udfff,1,0,1\n")
 def test_parsing_matches_the_line_by_line_loop(text):
     loaded = _outcome(_loaded, pc.load_counts, text)
     assert loaded == _outcome(_loaded, reference_load_counts, text)
@@ -358,6 +378,61 @@ def test_a_long_line_of_short_fields_keeps_the_line_count(size):
         "9,9,0,0,x\n"
     assert _error(text, size) == \
         "line 33: count must be a nonnegative integer, got 'x'"
+
+
+def test_long_levels_after_many_short_rows_load_in_bounded_memory():
+    # 8,000 short rows, then levels of 100,000 characters in the same
+    # block: two that share their length and their last 99,999 characters,
+    # one of them twice, and a padded spelling of it, which is a fault.
+    long, other = "a" * 100_000, "b" + "a" * 99_999
+    text = "s,t,x,y,count\n" + "0,1,1,1,1\n" * 8_000 + "".join(
+        f"{s},1,{x},0,{n}\n" for s, x, n in
+        [(long, 1, 2), (other, 1, 3), (long, 0, 4), ("c" * 30, 0, 5)])
+    tracemalloc.start()
+    try:
+        loaded = pc.load_counts(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert loaded == reference_load_counts(io.StringIO(text))
+    assert {key.level("s") for key, *_ in loaded.rows()} == \
+        {"0", long, other, "c" * 30}
+    for size in _SMALL_BLOCKS:
+        with patch.object(model, "_BLOCK", size):
+            assert pc.load_counts(io.StringIO(text)) == loaded
+    padded = text + f" {long},1,1,1,1\n"
+    for size in (None, *_SMALL_BLOCKS):
+        assert _error(padded, size).startswith(
+            f"line 8006: covariate 's' level ' {long[:10]}")
+
+
+# Levels of two and four UTF-8 bytes before a bad count on the same line
+# and on the next one, and after it on its line: a line number taken from a
+# byte offset as if it were a character index would be wrong.
+@pytest.mark.parametrize("text, line", [
+    ("g,h,x,y,count\n\u00e9,\U0001f600,1,1,3\n\u00e9,\U0001f600,1,0,-2\n", 3),
+    ("g,h,x,y,count\n\u00e9,\U0001f600,1,1,x\na,b,1,0,4\n", 2),
+    ("g,h,x,y,count\n\u00e9\u00e9,\U0001f600,1,1,3\na,b,1,0,4\n"
+     "\U0001f600,\u00e9,0,0,1.5\n", 4),
+])
+def test_faults_after_multibyte_levels_name_their_lines(text, line):
+    for size in (None, *_SMALL_BLOCKS):
+        assert _error(text, size).startswith(f"line {line}: count must be")
+    assert _outcome(_loaded, reference_load_counts, text).startswith(
+        f"ParseError: line {line}: count must be")
+
+
+def test_counts_are_int64_below_2_63_and_python_ints_from_it():
+    def loaded(*counts):
+        return pc.load_counts(io.StringIO("s,x,y,count\n" + "".join(
+            f"{s},1,1,{n}\n" for s, n in enumerate(counts))))
+
+    assert loaded(2**62, 2**62 - 1)._counts.dtype == np.int64
+    for table in (loaded(2**62, 2**62), loaded(2**63), loaded(10**30)):
+        assert table._counts.dtype == object
+        assert table.total == sum(n for *_, n in table.rows())
+    assert loaded(2**62, 2**62).collapse(()).total == 2**63
 
 
 def test_an_undecodable_byte_after_the_first_block(tmp_path):

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 125 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 127 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -33,7 +33,7 @@ directory:
   with levels as JSON integers and one stratum twice (the last entry
   counts), and one whose last entry names a covariate the grid lacks
   (exit 1);
-* 39 runs on counts files that this script writes into WORKDIR to exercise
+* 41 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader and the bounds: CRLF and lone-CR line endings with comments
   and blank lines, duplicate cells on lines apart, quoted levels holding
   ``,``, ``"`` or a leading ``#`` with spaces around fields, a
@@ -56,8 +56,13 @@ directory:
   240 x 100 grid read in 35 blocks, with comments, blank lines, mixed line
   ends, a quoted level in the last block only and one cell's rows in the
   first and last blocks (its 24,001 strata make 24 blocks of the report
-  writer), and ``bounds`` on it with a negative count on its last line
-  (exit 1);
+  writer), ``bounds`` on it with a negative count on its last line
+  (exit 1), and ``bounds`` and ``identify`` on a file with CRLF line ends
+  whose fields take the reader's scalar conversions: ``x`` and ``y``
+  padded with spaces, counts written as ``+7``, ``1_000``, ``\u0663`` (an
+  Arabic-Indic 3) and with 19 digits, a count of 2**63 (so the total passes
+  2**63), levels ``\u00e9`` and ``\U0001f600``, a quoted level ``a,b`` and
+  a level of 46 characters, longer than the reader's grid holds;
 * after all of the above, on the parser those runs have used, eight argvs
   that end in argparse's own output: the usage errors ``bounds --data
   FIXTURE --frobnicate``, ``bounds`` without ``--data``, ``select --alpha 2``,
@@ -218,6 +223,19 @@ _INGEST = {
     # the same with a negative count on its last line (exit 1)
     "many-blocks-negative": (
         _many_blocks("site-001,arm-001,0,0,-3\n"), [("bounds",)]),
+    # fields that the array screens pass to the scalar conversions: padded
+    # x and y, counts that int() reads but that are not 1 to 18 ASCII
+    # digits, a total past 2**63, levels outside ASCII, a quoted level and
+    # one longer than the reader's grid holds
+    "scalar-fallbacks": (
+        "g,x,y,count\r\n" + "".join(
+            f"{g}, {x} ,{y} ,{n}\r\n" for g, counts in (
+                ("\u00e9", ("+7", "1_000", "\u0663", "1234567890123456789")),
+                ("\U0001f600", (str(2**63), "5", "9", "4")),
+                ('"a,b"', ("12", " 3", "6 ", "1000000000000000001")),
+                ("level-" + "x" * 40, ("3", "4", "5", "6")))
+            for (x, y), n in zip(((1, 1), (1, 0), (0, 1), (0, 0)), counts)),
+        [("bounds",), ("identify",)]),
 }
 
 
