@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import MissingSampleSizeError, PositivityError, ValidationError
 from .identify import Estimate, pn_point, pns_point
@@ -152,10 +151,18 @@ def ci_check(joint: StratifiedJoint, relation: CIRelation,
     if joint.total_n is None:
         raise MissingSampleSizeError("the count-test mode needs a sample size")
     statistic, df = _count_test(joint, relation, joint.total_n)
-    # chdtrc is the chi-square survival function without importing
-    # scipy.stats.  The clamp keeps a slightly negative G from rounding (where
-    # chi2.sf gives 1.0) out of chdtrc's domain (where it gives NaN).
-    p_value = 1.0 if df == 0 else float(chdtrc(df, max(statistic, 0.0)))
+    if df == 0:
+        p_value = 1.0
+    else:
+        # SciPy is imported here, at its only use, because importing
+        # scipy.special costs more than the rest of start-up: `import pcause`
+        # and every subcommand but `select` run without it.  chdtrc is the
+        # chi-square survival function without scipy.stats.  The clamp keeps
+        # a slightly negative G from rounding (where chi2.sf gives 1.0) out
+        # of chdtrc's domain (where it gives NaN).
+        from scipy.special import chdtrc
+
+        p_value = float(chdtrc(df, max(statistic, 0.0)))
     return CIVerdict(relation=relation, mode=mode, holds=p_value >= alpha,
                      threshold=alpha, statistic=statistic, df=df,
                      p_value=p_value)

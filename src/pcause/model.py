@@ -75,7 +75,8 @@ def _read_text(source: Source) -> str:
     try:
         if hasattr(source, "read"):
             return source.read()
-        return Path(source).read_text(encoding="utf-8-sig")
+        with open(source, encoding="utf-8-sig") as handle:
+            return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:

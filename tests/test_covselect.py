@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 import pcause as pc
-from pcause import covselect
+from pcause import cli, covselect
 from pcause.covselect import EXPOSURE_CI, OUTCOME_CI
 from pcause.model import collapse
 from pcause.simulate import builtin_scenarios
@@ -258,13 +259,58 @@ class TestPValue:
         # exactly it can round to a tiny negative number.
         assert self._p_value(monkeypatch, -1e-12, 4) == 1.0 == chi2.sf(-1e-12, 4)
 
-    def test_cli_import_skips_scipy_stats(self):
+    @staticmethod
+    def _fresh(code):
+        """The last line ``code`` prints in a fresh interpreter."""
         src = str(Path(pc.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, pcause.cli; print('scipy.stats' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        return done.stdout.splitlines()[-1]
+
+    def test_cli_import_skips_scipy_stats(self):
+        code = "import sys, pcause.cli; print('scipy.stats' in sys.modules)"
+        assert self._fresh(code) == "False"
+        # SciPy loads at the G test only: neither import, nor the exact
+        # check (which returns before the G test), pulls in any of it
+        scipy = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        for module in ("pcause.cli", "pcause"):
+            assert self._fresh(f"import sys, {module}; {scipy}") == "[]"
+        exact = ("import sys, pcause as pc\n"
+                 "from pcause.simulate import builtin_scenarios\n"
+                 "joint = builtin_scenarios()[1].population_joint(('s', 't'))\n"
+                 "for kind in pc.covselect.OUTCOME_CI, pc.covselect.EXPOSURE_CI:\n"
+                 "    relation = pc.CIRelation(kind, 's', 't')\n"
+                 "    assert pc.ci_check(joint, relation, "
+                 "mode='exact-probability').holds\n" + scipy)
+        assert self._fresh(exact) == "[]"
+
+    @pytest.mark.parametrize("strata, df_positive", [
+        ([(1, 1, (30, 20, 10, 40)), (1, 2, (25, 15, 12, 30)),
+          (2, 1, (18, 22, 9, 35)), (2, 2, (14, 11, 8, 27))], True),
+        # one level of each covariate: both premises have df 0
+        ([(1, 1, (30, 20, 10, 40))], False),
+    ], ids=["df-positive", "df-0"])
+    def test_select_in_a_fresh_interpreter(self, strata, df_positive,
+                                           tmp_path, capsys):
+        # This module imports scipy.stats, so only a fresh interpreter runs
+        # the G test's own import of scipy.special first.
+        data = tmp_path / "counts.csv"
+        data.write_text("s,t,x,y,count\n" + "".join(
+            f"{s},{t},{x},{y},{n}\n" for s, t, counts in strata
+            for (x, y), n in zip(((1, 1), (1, 0), (0, 1), (0, 0)), counts)))
+        argv = ["select", "--data", str(data), "--s", "s", "--t", "t",
+                "--json"]
+        fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+        code = ("import sys, pcause.cli\n"
+                f"status = pcause.cli.run({[*argv, str(fresh)]!r})\n"
+                "print(status, 'scipy.special' in sys.modules)")
+        assert self._fresh(code) == f"0 {df_positive}"
+        assert cli.run([*argv, str(here)]) == 0
+        capsys.readouterr()
+        assert fresh.read_bytes() == here.read_bytes()
+        premises = json.loads(here.read_text())["selection"]["premises"]
+        assert all((p["df"] > 0) is df_positive for p in premises)
 
 
 # Joints over a ragged grid of (s, t) levels, any stratum of which may be
