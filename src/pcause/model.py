@@ -19,7 +19,10 @@ an error naming its line.  Duplicate cells are summed, exactly: a
 :class:`CountTable` stores each stratum's four counts as a row of a (K, 4)
 array, in int64 when the table's total is below 2**63 and as Python ints
 otherwise.  Whitespace around a field is dropped, and a level must keep one
-spelling throughout.  Counts convert to a :class:`StratifiedJoint`, which
+spelling throughout.  A table is made only by :func:`load_counts` and
+:meth:`CountTable.collapse`, so it has at least one stratum and stripped
+levels, and :func:`render_counts` writes text that loads back as the same
+table.  Counts convert to a :class:`StratifiedJoint`, which
 stores within each stratum the four joint cell probabilities P(x, y | s)
 and the stratum weight P(s), as arrays over all strata.
 
@@ -47,7 +50,7 @@ from functools import cached_property
 from itertools import chain, count
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, Union
+from typing import IO, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -123,20 +126,6 @@ class StratumKey:
     @property
     def covariates(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.labels)
-
-    def level(self, name: str) -> str:
-        for covariate, value in self.labels:
-            if covariate == name:
-                return value
-        raise ValidationError(f"covariate {name!r} not in stratum {self}")
-
-    def project(self, keep: Sequence[str]) -> "StratumKey":
-        """Restrict the key to a subset of its covariates."""
-        wanted = set(keep)
-        missing = wanted - set(self.covariates)
-        if missing:
-            raise ValidationError(f"unknown covariate(s) {sorted(missing)} in {self}")
-        return StratumKey(tuple(lv for lv in self.labels if lv[0] in wanted))
 
     def __str__(self) -> str:
         if not self.labels:
@@ -242,11 +231,6 @@ class _Coded:
 _key_order = attrgetter("labels")
 
 
-def _cell_order(item: tuple[tuple[StratumKey, int, int], int]) -> tuple:
-    (key, x, y), _ = item
-    return key.labels, x, y
-
-
 @dataclass(frozen=True)
 class StratumTable:
     """Joint cell probabilities P(x, y | s) for one stratum, plus P(s).
@@ -273,13 +257,6 @@ class StratumTable:
         if not (0.0 < self.weight <= 1.0 + _SUM_TOL):
             raise ValidationError(f"stratum weight {self.weight!r} outside (0, 1]")
 
-    def cell(self, x: int, y: int) -> float:
-        if x == EXPOSED:
-            return self.p_exposed_event if y == EVENT else self.p_exposed_noevent
-        if x == UNEXPOSED:
-            return self.p_unexposed_event if y == EVENT else self.p_unexposed_noevent
-        raise ValidationError(f"exposure level {x!r} not in {{0, 1}}")
-
     @property
     def p_exposed(self) -> float:
         return self.p_exposed_event + self.p_exposed_noevent
@@ -287,14 +264,6 @@ class StratumTable:
     @property
     def p_unexposed(self) -> float:
         return self.p_unexposed_event + self.p_unexposed_noevent
-
-    @property
-    def p_event(self) -> float:
-        return self.p_exposed_event + self.p_unexposed_event
-
-    @property
-    def p_noevent(self) -> float:
-        return self.p_exposed_noevent + self.p_unexposed_noevent
 
     @property
     def risk_exposed(self) -> float:
@@ -306,20 +275,6 @@ class StratumTable:
         """P(y | x', s)."""
         return _risk(self.p_unexposed_event, self.p_unexposed_noevent,
                      "unexposed")
-
-    def swap(self) -> "StratumTable":
-        """Relabel both exposure and outcome: cell (x, y) becomes (x', y').
-
-        The transform that turns sufficiency analysis into necessity
-        analysis on the relabeled table.
-        """
-        return StratumTable(
-            p_exposed_event=self.p_unexposed_noevent,
-            p_exposed_noevent=self.p_unexposed_event,
-            p_unexposed_event=self.p_exposed_noevent,
-            p_unexposed_noevent=self.p_exposed_event,
-            weight=self.weight,
-        )
 
 
 def _risk(event: float, noevent: float, arm: str) -> float:
@@ -460,7 +415,8 @@ class StratifiedJoint:
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class CountTable:
-    """Integer cell counts keyed by (stratum, x, y).
+    """Integer cell counts keyed by (stratum, x, y), as :func:`load_counts`
+    reads them or :meth:`collapse` sums them; nothing else makes one.
 
     Stored as the distinct strata in key order, as codes, with a (K, 4)
     array of their counts in the order of :class:`StratumTable`'s cells and
@@ -468,8 +424,6 @@ class CountTable:
     row named counts 0.  The counts are int64 when the table's total is
     below 2**63, which bounds every sum of them, and otherwise Python ints
     in an object array, so that sums are exact at any size.
-    ``cells`` and :meth:`rows` present the named cells in (stratum, x, y)
-    order.
     """
 
     covariates: tuple[str, ...]
@@ -477,26 +431,6 @@ class CountTable:
     _counts: np.ndarray
     _named: np.ndarray
     _total: int
-
-    def __init__(self, cells: Mapping[tuple[StratumKey, int, int], int],
-                 covariates: Sequence[str]) -> None:
-        covs = tuple(sorted(str(c) for c in covariates))
-        quads: dict[StratumKey, list[int | None]] = {}
-        for (key, x, y), n in sorted(cells.items(), key=_cell_order):
-            if key.covariates != covs:
-                raise ValidationError(f"stratum {key} does not use covariates {covs}")
-            if x not in (0, 1) or y not in (0, 1):
-                raise ValidationError(f"cell ({key}, x={x!r}, y={y!r}) not binary")
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise ValidationError(f"count {n!r} is not a nonnegative integer")
-            quads.setdefault(key, [None] * 4)[_cell_slot(x, y)] = n
-        total = sum(cells.values())
-        rows = list(quads.values())
-        self._set(_Coded.of(tuple(quads), covs),
-                  np.array([[n or 0 for n in quad] for quad in rows],
-                           dtype=_exact(total)).reshape(-1, 4),
-                  np.array([[n is not None for n in quad] for quad in rows],
-                           dtype=bool).reshape(-1, 4), total)
 
     @classmethod
     def _of(cls, coded: _Coded, counts: np.ndarray, named: np.ndarray,
@@ -526,34 +460,17 @@ class CountTable:
         # equal tables have equal strata and totals
         return hash((self._coded, self._total))
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[StratumKey, int, int, int]],
-                  covariates: Sequence[str]) -> "CountTable":
-        """Aggregate (stratum, x, y, count) rows; duplicate cells are summed."""
-        cells: dict[tuple[StratumKey, int, int], int] = {}
-        for key, x, y, n in rows:
-            cell = (key, x, y)
-            cells[cell] = cells.get(cell, 0) + n
-        return cls(cells=cells, covariates=tuple(covariates))
-
-    @property
-    def cells(self) -> dict[tuple[StratumKey, int, int], int]:
-        """A new dict of the counts by (stratum, x, y), in that order."""
-        return {(key, x, y): n for key, x, y, n in self.rows()}
-
     @property
     def total(self) -> int:
         return self._total
 
     def rows(self) -> Iterator[tuple[StratumKey, int, int, int]]:
+        """(stratum, x, y, count) for each named cell, in that order."""
         for key, quad, named in zip(self._coded, self._counts.tolist(),
                                     self._named.tolist()):
             for slot in _ROW_SLOTS:
                 if named[slot]:
                     yield key, *_CELLS[slot], quad[slot]
-
-    def __repr__(self) -> str:
-        return f"CountTable(cells={self.cells!r}, covariates={self.covariates!r})"
 
     def collapse(self, keep: Sequence[str]) -> "CountTable":
         """Sum counts over the covariates not in ``keep``.  Exact: no
@@ -579,9 +496,9 @@ _SLOTS = {("1", "1"): 0, ("1", "0"): 1, ("0", "1"): 2, ("0", "0"): 3}
 
 def _groups(coded: _Coded, keep: Sequence[str]) -> tuple[np.ndarray, _Coded]:
     """Each stratum's group, numbered in key order, and the groups.  A group
-    is a stratum's key restricted to the covariates in ``keep``, as
-    :meth:`StratumKey.project` gives it.  Each kept covariate re-ranks the
-    groups so far, so no number reaches K times its count of levels."""
+    is a stratum's key restricted to the covariates in ``keep``.  Each kept
+    covariate re-ranks the groups so far, so no number reaches K times its
+    count of levels."""
     covs = tuple(sorted(str(c) for c in keep))
     unknown = set(covs) - set(coded.covariates)
     if unknown:
@@ -1054,8 +971,9 @@ def render_counts(counts: CountTable) -> str:
         writer.writerow(row)
 
     write(counts.covariates + ("x", "y", "count"))
+    # a key's labels are in covariate order
     for key, x, y, n in counts.rows():
-        write(tuple(key.level(c) for c in counts.covariates) + (x, y, n))
+        write(tuple(level for _, level in key.labels) + (x, y, n))
     return out.getvalue()
 
 
@@ -1154,16 +1072,6 @@ class ExperimentalQuantities:
                                     marginal], provenance)
 
     @classmethod
-    def from_per_stratum(cls, joint: StratifiedJoint,
-                         per_stratum: Mapping[StratumKey, tuple[float, float]],
-                         provenance: str) -> "ExperimentalQuantities":
-        """Build with the marginal pair computed from the joint's weights."""
-        if set(per_stratum) != set(joint.keys()):
-            raise ValidationError(_MISMATCH)
-        return cls._weighted(joint, [per_stratum[key] for key in joint.keys()],
-                             provenance)
-
-    @classmethod
     def _weighted(cls, joint: StratifiedJoint, pairs: list | np.ndarray,
                   provenance: str) -> "ExperimentalQuantities":
         """From each stratum's pair in the joint's key order, with their
@@ -1213,13 +1121,6 @@ class ExperimentalQuantities:
                 and np.array_equal(self.pairs, other.pairs)
                 and self.marginal == other.marginal
                 and self.provenance == other.provenance)
-
-    def pair(self, key: StratumKey) -> tuple[float, float]:
-        try:
-            return self.per_stratum[key]
-        except KeyError:
-            raise ValidationError(
-                f"no experimental pair for stratum {key}") from None
 
 
 def _matched_pairs(joint: StratifiedJoint,

@@ -208,10 +208,6 @@ class ReplicationStudy:
     discarded: int
     attempts: int
 
-    @property
-    def discard_rate(self) -> float:
-        return self.discarded / self.attempts if self.attempts else 0.0
-
 
 def _stratifier_layout(scenario: Scenario, stratifier: tuple[str, ...],
                        ) -> tuple[_Coded, np.ndarray]:

@@ -37,6 +37,7 @@ from pcause.model import (
     CountTable,
     StratumKey,
     _cell_slot,
+    _Coded,
     _read_json,
     _read_text,
     _risk,
@@ -125,7 +126,7 @@ def random_instance(rng: np.random.Generator, n_strata: int = 3,
     """A random joint plus compatible measured experimental pairs."""
     joint = random_joint(rng, n_strata=n_strata)
     pairs = {key: random_pair(rng, table) for key, table in joint.items()}
-    experimental = pc.ExperimentalQuantities.from_per_stratum(
+    experimental = reference_from_per_stratum(
         joint, pairs, provenance="measured-experimental")
     return joint, experimental
 
@@ -147,6 +148,14 @@ def random_monotone_stratum(rng: np.random.Generator) -> pc.StratumTable:
         if min(table.p_exposed_event, table.p_exposed_noevent,
                table.p_unexposed_event, table.p_unexposed_noevent) > 0.0:
             return table
+
+
+def swapped(table: pc.StratumTable) -> pc.StratumTable:
+    """The table with exposure and outcome both relabelled, cell (x, y) as
+    (x', y'): PS on a table is PN on the swapped one."""
+    return pc.StratumTable(table.p_unexposed_noevent, table.p_unexposed_event,
+                           table.p_exposed_noevent, table.p_exposed_event,
+                           table.weight)
 
 
 def _simplex(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -206,8 +215,8 @@ def sample_dataset(scenario: Scenario, n: int, seed: int) -> CountTable:
     for ((x, s, t, y), _p), c in zip(scenario.outcome_cells(), counts):
         key = pc.StratumKey(((scenario.s_name, s), (scenario.t_name, t)))
         rows.append((key, x, y, int(c)))
-    return CountTable.from_rows(rows, covariates=(scenario.s_name,
-                                                  scenario.t_name))
+    return reference_count_table(rows, covariates=(scenario.s_name,
+                                                   scenario.t_name))
 
 
 def screen_violations(table: pc.StratumTable,
@@ -256,7 +265,8 @@ def assert_intervals_certified(joint: pc.StratifiedJoint,
         total = 1.0 if quantity == "PNS" else sum(weights.values())
         lower = upper = 0.0
         for key, t in joint.items():
-            searched = pc.feasible_extrema(t, experimental.pair(key), quantity)
+            searched = pc.feasible_extrema(t, experimental.per_stratum[key],
+                                           quantity)
             lower += weights[key] / total * searched.lower
             upper += weights[key] / total * searched.upper
         strat = pc.stratified_interval(quantity, joint, experimental)
@@ -288,7 +298,8 @@ def reference_pn_point(joint: pc.StratifiedJoint) -> Estimate:
     for key, t in joint.items():
         _reference_arm_masses(key, t)
         denom += t.p_exposed_event * t.weight
-        numer += ((1.0 - t.risk_unexposed) - t.p_noevent) * t.weight
+        numer += ((1.0 - t.risk_unexposed)
+                  - (t.p_exposed_noevent + t.p_unexposed_noevent)) * t.weight
     if denom <= 0.0:
         raise pc.PositivityError("PN undefined: no exposed cases overall")
     value = numer / denom
@@ -406,6 +417,29 @@ def reference_replicate_study(scenario: Scenario, n: int, reps: int,
                             discarded=discarded, attempts=attempts)
 
 
+def reference_count_table(rows, covariates) -> CountTable:
+    """The count table of (stratum, x, y, count) rows, built without the
+    parser: each cell's counts summed, strata in key order."""
+    quads: dict[pc.StratumKey, list] = {}
+    for key, x, y, n in rows:
+        quad, slot = quads.setdefault(key, [None] * 4), _cell_slot(x, y)
+        quad[slot] = (quad[slot] or 0) + n
+    keys = sorted(quads)
+    total = sum(n or 0 for quad in quads.values() for n in quad)
+    dtype = np.int64 if total < 2**63 else object
+    return CountTable._of(
+        _Coded.of(tuple(keys), tuple(sorted(covariates))),
+        np.array([[n or 0 for n in quads[key]] for key in keys],
+                 dtype).reshape(-1, 4),
+        np.array([[n is not None for n in quads[key]] for key in keys],
+                 bool).reshape(-1, 4), total)
+
+
+def cells_of(counts: CountTable) -> dict:
+    """A table's counts by (stratum, x, y), for its named cells."""
+    return {(key, x, y): n for key, x, y, n in counts.rows()}
+
+
 # The table layer as it was before it moved to arrays: the counts parse one
 # line at a time, and the conversion to probabilities, collapse and the
 # stratified bounds run one stratum at a time in Python floats.  The array
@@ -466,7 +500,7 @@ def reference_load_counts(source) -> CountTable:
         rows.append((key, xy["x"], xy["y"], n))
     if not rows:
         raise pc.ParseError("no data rows")
-    return CountTable.from_rows(rows, covariates=cov_names)
+    return reference_count_table(rows, covariates=cov_names)
 
 
 def reference_joint_from_cells(cells, total, covariates, total_n):
@@ -540,7 +574,7 @@ def reference_collapse(joint: pc.StratifiedJoint, keep) -> pc.StratifiedJoint:
 
     acc: dict[pc.StratumKey, list[float]] = {}
     for key, t in joint.items():
-        sub = key.project(keep_t)
+        sub = pc.StratumKey(tuple(lv for lv in key.labels if lv[0] in keep_t))
         cells = acc.setdefault(sub, [0.0, 0.0, 0.0, 0.0, 0.0])
         cells[0] += t.p_exposed_event * t.weight
         cells[1] += t.p_exposed_noevent * t.weight
@@ -581,8 +615,9 @@ def reference_count_collapse(counts: CountTable, keep) -> CountTable:
     unknown = set(keep_t) - set(counts.covariates)
     if unknown:
         raise pc.ValidationError(f"unknown covariate(s) {sorted(unknown)}")
-    return CountTable.from_rows(
-        ((key.project(keep_t), x, y, n) for key, x, y, n in counts.rows()),
+    return reference_count_table(
+        ((pc.StratumKey(tuple(lv for lv in key.labels if lv[0] in keep_t)),
+          x, y, n) for key, x, y, n in counts.rows()),
         covariates=keep_t,
     )
 
@@ -597,7 +632,7 @@ def _reference_checked(p, key):
 def reference_experimental(per_stratum, marginal,
                            provenance: str) -> pc.ExperimentalQuantities:
     """The object the old constructor built, made without running the
-    current one."""
+    current one; the library takes it wherever it takes pairs."""
     if provenance not in ("measured-experimental", "sita-adjusted"):
         raise pc.ValidationError(f"unknown provenance {provenance!r}")
     cleaned = {}
@@ -611,7 +646,8 @@ def reference_experimental(per_stratum, marginal,
     pairs.flags.writeable = False
     built = object.__new__(pc.ExperimentalQuantities)
     for name, value in (("per_stratum", cleaned), ("marginal", marg),
-                        ("provenance", provenance), ("pairs", pairs)):
+                        ("provenance", provenance), ("pairs", pairs),
+                        ("_coded", _Coded.of(tuple(cleaned)))):
         object.__setattr__(built, name, value)
     return built
 
@@ -648,8 +684,8 @@ def reference_validate_compatibility(joint, experimental):
             "experimental strata do not match the joint's strata")
     violations = []
     for key, t in joint.items():
-        for name, excess in _reference_violations(t, experimental.pair(key),
-                                                  COMPAT_TOL):
+        for name, excess in _reference_violations(
+                t, experimental.per_stratum[key], COMPAT_TOL):
             violations.append((key, name, excess))
     return violations
 
@@ -657,10 +693,11 @@ def reference_validate_compatibility(joint, experimental):
 def _reference_terms(quantity, table, pair):
     do_exposed, do_unexposed = pair
     p_noevent_do_unexposed = 1.0 - do_unexposed
+    p_noevent = table.p_exposed_noevent + table.p_unexposed_noevent
     if quantity == "PNS":
         lows = (0.0,
-                do_exposed - table.p_event,
-                p_noevent_do_unexposed - table.p_noevent,
+                do_exposed - (table.p_exposed_event + table.p_unexposed_event),
+                p_noevent_do_unexposed - p_noevent,
                 do_exposed - do_unexposed)
         ups = (do_exposed,
                p_noevent_do_unexposed,
@@ -669,7 +706,7 @@ def _reference_terms(quantity, table, pair):
                + table.p_unexposed_event + table.p_exposed_noevent)
         return None, lows, ups
     cell = table.p_exposed_event
-    return (cell, (0.0, p_noevent_do_unexposed - table.p_noevent),
+    return (cell, (0.0, p_noevent_do_unexposed - p_noevent),
             (cell, p_noevent_do_unexposed - table.p_unexposed_noevent))
 
 
@@ -685,17 +722,17 @@ def reference_stratified_interval(quantity, joint, experimental):
 
     if joint.n_strata == 1:
         key, t = next(joint.items())
-        return _reference_box(quantity, "stratified", t, experimental.pair(key),
-                              key)
+        return _reference_box(quantity, "stratified", t,
+                              experimental.per_stratum[key], key)
 
     lower_acc = 0.0
     upper_acc = 0.0
     denom = 0.0
     choices = []
     for key, t in joint.items():
-        pair = _reference_clip_pair(t, experimental.pair(key))
+        pair = _reference_clip_pair(t, experimental.per_stratum[key])
         if quantity == "PS":
-            t, pair = t.swap(), _swap_pair(pair)
+            t, pair = swapped(t), _swap_pair(pair)
         cell, lows, ups = _reference_terms(quantity, t, pair)
         li, ui = lows.index(max(lows)), ups.index(min(ups))
         if cell is not None:
@@ -766,7 +803,7 @@ def _reference_box(quantity, method, table, pair, key=None):
     key = key if key is not None else pc.StratumKey(())
     pair = _reference_compatible_pair(table, pair, key)
     if quantity == "PS":
-        table, pair = table.swap(), _swap_pair(pair)
+        table, pair = swapped(table), _swap_pair(pair)
     denom, lows, ups = _reference_terms(quantity, table, pair)
     li, ui = lows.index(max(lows)), ups.index(min(ups))
     lower, upper = lows[li], ups[ui]
@@ -793,7 +830,8 @@ def reference_tian_pearl_interval(quantity, table, marginal):
 
 def reference_conditional_boxes(quantity, joint, experimental):
     """The command line's loop over the strata."""
-    return [reference_conditional(quantity, table, experimental.pair(key), key)
+    return [reference_conditional(quantity, table,
+                                  experimental.per_stratum[key], key)
             for key, table in joint.items()]
 
 
@@ -872,15 +910,15 @@ def reference_feasible_extrema(table, pair, quantity, *, no_prevention=False):
 
 def reference_searched_boxes(quantity, joint, experimental, *,
                              no_prevention=False):
-    return [reference_feasible_extrema(table, experimental.pair(key), quantity,
-                                       no_prevention=no_prevention)
+    return [reference_feasible_extrema(table, experimental.per_stratum[key],
+                                       quantity, no_prevention=no_prevention)
             for key, table in joint.items()]
 
 
 def reference_verify_bounds(joint, experimental, *, tol=2e-3):
     entries = []
     for key, table in joint.items():
-        pair = experimental.pair(key)
+        pair = experimental.per_stratum[key]
         for quantity in ("PN", "PS", "PNS"):
             closed = reference_conditional(quantity, table, pair, key)
             searched = reference_feasible_extrema(table, pair, quantity)
@@ -968,25 +1006,25 @@ def reference_g_statistic(observed, row_margin, col_margin, total) -> float:
 def reference_count_test(joint: pc.StratifiedJoint, relation,
                          n: int) -> tuple[float, int]:
     s, t = relation.s, relation.t
-    keys = joint.keys()
-    n_s = len({key.level(s) for key in keys})
-    n_t = len({key.level(t) for key in keys})
-    strata = zip(keys, joint.cells.tolist(), joint.weights.tolist())
+    levels = [dict(key.labels) for key in joint.keys()]
+    n_s = len({level[s] for level in levels})
+    n_t = len({level[t] for level in levels})
+    strata = zip(levels, joint.cells.tolist(), joint.weights.tolist())
 
     observed: dict = {}
     if relation.kind == EXPOSURE_CI:
         # blocks are t levels, rows are s levels, columns are exposure
-        for key, (ee, en, ue, un), weight in strata:
-            block, row = key.level(t), key.level(s)
+        for level, (ee, en, ue, un), weight in strata:
+            block, row = level[t], level[s]
             observed[(block, row, 1)] = (ee + en) * weight * n
             observed[(block, row, 0)] = (ue + un) * weight * n
         df = n_t * (n_s - 1) * (2 - 1)
     else:
         # blocks are (x, s) pairs, rows are t levels, columns are outcome
-        for key, cells, weight in strata:
-            row = key.level(t)
+        for level, cells, weight in strata:
+            row = level[t]
             for (x, y), cell in zip(_CELLS, cells):
-                observed[((x, key.level(s)), row, y)] = cell * weight * n
+                observed[((x, level[s]), row, y)] = cell * weight * n
         df = 2 * n_s * (2 - 1) * (n_t - 1)
 
     row_margin: dict = {}

@@ -20,7 +20,8 @@ from pcause.oracle import feasible_extrema
 from pcause.simulate import builtin_scenarios, replicate_study
 
 from conftest import random_ci_joint, random_instance, \
-    random_monotone_stratum, random_pair, random_stratum
+    random_monotone_stratum, random_pair, random_stratum, \
+    reference_from_per_stratum, swapped
 
 # reference asymptotic variances: setting -> quantity -> n -> (S, T, {S,T})
 AVAR_TABLE = {
@@ -213,7 +214,7 @@ def test_criterion_6_oracle_agreement(cancer_joint, cancer_experimental,
     rng = np.random.default_rng(606)
     cases = [(t, random_pair(rng, t))
              for t in (random_stratum(rng) for _ in range(200))]
-    cases.extend((table, cancer_experimental.pair(key))
+    cases.extend((table, cancer_experimental.per_stratum[key])
                  for key, table in cancer_joint.items())
     for table, pair in cases:
         for quantity, box in boxes.items():
@@ -253,7 +254,7 @@ def test_criterion_7_reduction_and_nesting():
         pair = random_pair(rng, t)
         key = pc.StratumKey.of(g="1")
         joint = pc.StratifiedJoint(strata={key: t}, covariates=("g",))
-        exp = pc.ExperimentalQuantities.from_per_stratum(
+        exp = reference_from_per_stratum(
             joint, {key: pair}, provenance="measured-experimental")
         for quantity, box in (("PN", pc.pn_interval_conditional),
                               ("PS", pc.ps_interval_conditional),
@@ -281,7 +282,7 @@ def test_criterion_7_reduction_and_nesting():
         t = random_stratum(rng)
         pair = random_pair(rng, t)
         ps = pc.ps_interval_conditional(t, pair)
-        pn = pc.pn_interval_conditional(t.swap(),
+        pn = pc.pn_interval_conditional(swapped(t),
                                         (1.0 - pair[1], 1.0 - pair[0]))
         if ps.lower != pn.lower or ps.upper != pn.upper:
             swap_bad += 1
@@ -298,10 +299,10 @@ def test_criterion_7_reduction_and_nesting():
                     pc.StratumKey.of(g="2a"): half,
                     pc.StratumKey.of(g="2b"): half},
             covariates=("g",))
-        split_exp = pc.ExperimentalQuantities.from_per_stratum(
-            split, {pc.StratumKey.of(g="1"): experimental.pair(k1),
-                    pc.StratumKey.of(g="2a"): experimental.pair(k2),
-                    pc.StratumKey.of(g="2b"): experimental.pair(k2)},
+        split_exp = reference_from_per_stratum(
+            split, {pc.StratumKey.of(g="1"): experimental.per_stratum[k1],
+                    pc.StratumKey.of(g="2a"): experimental.per_stratum[k2],
+                    pc.StratumKey.of(g="2b"): experimental.per_stratum[k2]},
             provenance="measured-experimental")
         for quantity in ("PN", "PS", "PNS"):
             a = pc.stratified_interval(quantity, joint, experimental)

@@ -6,7 +6,13 @@ from pcause.bounds import Interval, TermChoice, _swap_pair
 from pcause.model import collapse
 from pcause.oracle import feasible_extrema
 
-from conftest import random_instance, random_pair, random_stratum
+from conftest import (
+    random_instance,
+    random_pair,
+    random_stratum,
+    reference_from_per_stratum,
+    swapped,
+)
 
 TOL = 1e-12
 
@@ -17,9 +23,10 @@ S3 = pc.StratumKey.of(stage="3")
 
 def _pn_term(table, pair, label, side):
     p_noevent_do_unexposed = 1.0 - pair[1]
+    p_noevent = table.p_exposed_noevent + table.p_unexposed_noevent
     if side == "lower":
         return {"zero": 0.0,
-                "excess": p_noevent_do_unexposed - table.p_noevent}[label]
+                "excess": p_noevent_do_unexposed - p_noevent}[label]
     return {"cell": table.p_exposed_event,
             "margin": p_noevent_do_unexposed - table.p_unexposed_noevent}[label]
 
@@ -27,10 +34,12 @@ def _pn_term(table, pair, label, side):
 def _pns_term(table, pair, label, side):
     do_x, do_xp = pair
     p_noevent_do_unexposed = 1.0 - do_xp
+    p_event = table.p_exposed_event + table.p_unexposed_event
+    p_noevent = table.p_exposed_noevent + table.p_unexposed_noevent
     if side == "lower":
         return {"zero": 0.0,
-                "treated_excess": do_x - table.p_event,
-                "untreated_excess": p_noevent_do_unexposed - table.p_noevent,
+                "treated_excess": do_x - p_event,
+                "untreated_excess": p_noevent_do_unexposed - p_noevent,
                 "risk_difference": do_x - do_xp}[label]
     return {"treated_event": do_x,
             "untreated_nonevent": p_noevent_do_unexposed,
@@ -45,8 +54,8 @@ class TestConditionalGolden:
     def test_pn_boxes(self, cancer_joint, cancer_experimental):
         want = {S1: (0.0, 1.0), S2: (0.0, 1.0), S3: (0.0, 5 / 21)}
         for key, t in cancer_joint.items():
-            iv = pc.pn_interval_conditional(t, cancer_experimental.pair(key),
-                                            key=key)
+            iv = pc.pn_interval_conditional(
+                t, cancer_experimental.per_stratum[key], key=key)
             assert iv.quantity == "PN" and iv.method == "conditional"
             assert iv.lower == pytest.approx(want[key][0], abs=TOL)
             assert iv.upper == pytest.approx(want[key][1], abs=TOL)
@@ -54,16 +63,16 @@ class TestConditionalGolden:
     def test_pns_boxes(self, cancer_joint, cancer_experimental):
         want = {S1: (0.0, 1 / 11), S2: (0.0, 17 / 74), S3: (0.0, 1 / 7)}
         for key, t in cancer_joint.items():
-            iv = pc.pns_interval_conditional(t, cancer_experimental.pair(key),
-                                             key=key)
+            iv = pc.pns_interval_conditional(
+                t, cancer_experimental.per_stratum[key], key=key)
             assert iv.lower == pytest.approx(want[key][0], abs=TOL)
             assert iv.upper == pytest.approx(want[key][1], abs=TOL)
 
     def test_ps_boxes(self, cancer_joint, cancer_experimental):
         want = {S1: (0.0, 6 / 55), S2: (0.0, 187 / 481), S3: (0.0, 1.0)}
         for key, t in cancer_joint.items():
-            iv = pc.ps_interval_conditional(t, cancer_experimental.pair(key),
-                                            key=key)
+            iv = pc.ps_interval_conditional(
+                t, cancer_experimental.per_stratum[key], key=key)
             assert iv.lower == pytest.approx(want[key][0], abs=TOL)
             assert iv.upper == pytest.approx(want[key][1], abs=TOL)
 
@@ -71,8 +80,8 @@ class TestConditionalGolden:
         want = {S1: "treated_event", S2: "treated_event",
                 S3: "untreated_nonevent"}
         for key, t in cancer_joint.items():
-            iv = pc.pns_interval_conditional(t, cancer_experimental.pair(key),
-                                             key=key)
+            iv = pc.pns_interval_conditional(
+                t, cancer_experimental.per_stratum[key], key=key)
             (choice,) = iv.attainment
             assert choice.stratum == key
             assert choice.upper == want[key]
@@ -102,9 +111,10 @@ class TestStratifiedGolden:
         # the per-stratum min sits inside the weighted sum, not outside it
         num_lo = num_hi = denom = 0.0
         for key, t in cancer_joint.items():
-            do_x, do_xp = cancer_experimental.pair(key)
+            do_x, do_xp = cancer_experimental.per_stratum[key]
             pnx = 1.0 - do_xp
-            num_lo += max(0.0, pnx - t.p_noevent) * t.weight
+            p_noevent = t.p_exposed_noevent + t.p_unexposed_noevent
+            num_lo += max(0.0, pnx - p_noevent) * t.weight
             num_hi += min(t.p_exposed_event, pnx - t.p_unexposed_noevent) * t.weight
             denom += t.p_exposed_event * t.weight
         iv = pc.stratified_interval("PN", cancer_joint, cancer_experimental)
@@ -112,7 +122,7 @@ class TestStratifiedGolden:
         assert iv.upper == pytest.approx(num_hi / denom, abs=TOL)
         # the shared denominator is the marginal cell
         assert denom == pytest.approx(
-            sum(t.cell(1, 1) * t.weight for _, t in cancer_joint.items()),
+            sum(t.p_exposed_event * t.weight for _, t in cancer_joint.items()),
             abs=TOL)
 
 
@@ -149,7 +159,7 @@ class TestSwapSymmetry:
             t = random_stratum(rng)
             pair = random_pair(rng, t)
             ps = pc.ps_interval_conditional(t, pair)
-            pn = pc.pn_interval_conditional(t.swap(), _swap_pair(pair))
+            pn = pc.pn_interval_conditional(swapped(t), _swap_pair(pair))
             assert ps.lower == pn.lower
             assert ps.upper == pn.upper
             assert [(c.lower, c.upper) for c in ps.attainment] == \
@@ -159,15 +169,15 @@ class TestSwapSymmetry:
         rng = np.random.default_rng(2202)
         for _ in range(20):
             joint, experimental = random_instance(rng)
-            swapped = pc.StratifiedJoint(
-                strata={k: t.swap() for k, t in joint.items()},
+            sw_joint = pc.StratifiedJoint(
+                strata={k: swapped(t) for k, t in joint.items()},
                 covariates=joint.covariates)
-            sw_pairs = {k: _swap_pair(experimental.pair(k))
+            sw_pairs = {k: _swap_pair(experimental.per_stratum[k])
                         for k in joint.keys()}
-            sw_exp = pc.ExperimentalQuantities.from_per_stratum(
-                swapped, sw_pairs, provenance="measured-experimental")
+            sw_exp = reference_from_per_stratum(
+                sw_joint, sw_pairs, provenance="measured-experimental")
             ps = pc.stratified_interval("PS", joint, experimental)
-            pn = pc.stratified_interval("PN", swapped, sw_exp)
+            pn = pc.stratified_interval("PN", sw_joint, sw_exp)
             assert ps.lower == pn.lower
             assert ps.upper == pn.upper
 
@@ -184,7 +194,7 @@ class TestSingleStratumReduction:
                 for quantity, box in (("PN", pc.pn_interval_conditional),
                                       ("PS", pc.ps_interval_conditional),
                                       ("PNS", pc.pns_interval_conditional)):
-                    exp = pc.ExperimentalQuantities.from_per_stratum(
+                    exp = reference_from_per_stratum(
                         joint, {key: pair}, provenance="measured-experimental")
                     strat = pc.stratified_interval(quantity, joint, exp)
                     cond = box(t, pair, key=key)
@@ -222,9 +232,10 @@ class TestDuplicationStability:
             split = pc.StratifiedJoint(
                 strata={pc.StratumKey.of(g="1"): t1, k2a: half, k2b: half},
                 covariates=("g",))
-            pairs = {pc.StratumKey.of(g="1"): experimental.pair(k1),
-                     k2a: experimental.pair(k2), k2b: experimental.pair(k2)}
-            split_exp = pc.ExperimentalQuantities.from_per_stratum(
+            pairs = {pc.StratumKey.of(g="1"): experimental.per_stratum[k1],
+                     k2a: experimental.per_stratum[k2],
+                     k2b: experimental.per_stratum[k2]}
+            split_exp = reference_from_per_stratum(
                 split, pairs, provenance="measured-experimental")
             for quantity in ("PN", "PS", "PNS"):
                 a = pc.stratified_interval(quantity, joint, experimental)
@@ -243,20 +254,24 @@ class TestAttainmentFaithful:
             iv = pc.stratified_interval("PN", joint, experimental)
             denom = sum(t.p_exposed_event * t.weight for _, t in joint.items())
             lo = sum(_pn_term(joint.strata[c.stratum],
-                              experimental.pair(c.stratum), c.lower, "lower")
+                              experimental.per_stratum[c.stratum],
+                              c.lower, "lower")
                      * joint.strata[c.stratum].weight for c in iv.attainment)
             hi = sum(_pn_term(joint.strata[c.stratum],
-                              experimental.pair(c.stratum), c.upper, "upper")
+                              experimental.per_stratum[c.stratum],
+                              c.upper, "upper")
                      * joint.strata[c.stratum].weight for c in iv.attainment)
             assert iv.lower == pytest.approx(lo / denom, abs=TOL)
             assert iv.upper == pytest.approx(hi / denom, abs=TOL)
 
             iv = pc.stratified_interval("PNS", joint, experimental)
             lo = sum(_pns_term(joint.strata[c.stratum],
-                               experimental.pair(c.stratum), c.lower, "lower")
+                               experimental.per_stratum[c.stratum],
+                               c.lower, "lower")
                      * joint.strata[c.stratum].weight for c in iv.attainment)
             hi = sum(_pns_term(joint.strata[c.stratum],
-                               experimental.pair(c.stratum), c.upper, "upper")
+                               experimental.per_stratum[c.stratum],
+                               c.upper, "upper")
                      * joint.strata[c.stratum].weight for c in iv.attainment)
             assert iv.lower == pytest.approx(lo, abs=TOL)
             assert iv.upper == pytest.approx(hi, abs=TOL)
@@ -310,7 +325,7 @@ class TestIncompatibility:
         joint = pc.StratifiedJoint({a: t, b: t}, covariates=("g",))
 
         def endpoints(pair):
-            experimental = pc.ExperimentalQuantities.from_per_stratum(
+            experimental = reference_from_per_stratum(
                 joint, {a: pair, b: (0.45, 0.35)},
                 provenance="measured-experimental")
             return [(iv.lower, iv.upper) for iv in (
@@ -327,7 +342,7 @@ class TestIncompatibility:
         pairs = {key: (t.risk_exposed, t.risk_unexposed)
                  for key, t in cancer_joint.items()}
         pairs[S2] = (pairs[S2][0], 0.99)
-        bad = pc.ExperimentalQuantities.from_per_stratum(
+        bad = reference_from_per_stratum(
             cancer_joint, pairs, provenance="measured-experimental")
         with pytest.raises(pc.IncompatibilityError, match="stage=2"):
             pc.stratified_interval("PN", cancer_joint, bad)

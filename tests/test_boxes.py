@@ -26,7 +26,6 @@ from pcause.identify import monotonicity_diagnostic
 from pcause.model import (
     _MISMATCH,
     COMPAT_TOL,
-    CountTable,
     _matched_pairs,
     load_experimental,
 )
@@ -37,7 +36,9 @@ from conftest import (
     random_pair,
     reference_conditional,
     reference_conditional_boxes,
+    reference_count_table,
     reference_feasible_extrema,
+    reference_from_per_stratum,
     reference_load_experimental,
     reference_searched_boxes,
     reference_stratified_interval,
@@ -163,8 +164,7 @@ def _experimentals(joint, pairs, drop):
     drawn pairs with one stratum that the joint lacks.  Each comes with
     whether its strata are the joint's."""
     measured = "measured-experimental"
-    yield pc.ExperimentalQuantities.from_per_stratum(joint, pairs,
-                                                     measured), True
+    yield reference_from_per_stratum(joint, pairs, measured), True
     try:
         yield pc.adjusted_experimental(joint), True
     except pc.PositivityError:
@@ -218,7 +218,7 @@ def test_batched_routes_match_the_stratum_loops(draws, levels, drop):
         assert_same_one_row(table, pairs[key], key)
     if joint.n_strata == 1:
         # the one-stratum stratified interval is the stratum's box
-        experimental = pc.ExperimentalQuantities.from_per_stratum(
+        experimental = reference_from_per_stratum(
             joint, pairs, "measured-experimental")
         for quantity in QUANTITIES:
             assert _outcome(pc.stratified_interval, quantity, joint,
@@ -227,7 +227,7 @@ def test_batched_routes_match_the_stratum_loops(draws, levels, drop):
 
 
 def test_the_cancelling_ps_table_from_counts():
-    counts = CountTable.from_rows(
+    counts = reference_count_table(
         [(pc.StratumKey.of(g="1"), x, y, n) for (x, y), n in
          zip(((1, 1), (1, 0), (0, 1), (0, 0)), (10**17, 3, 10**17, 4))],
         covariates=("g",))
@@ -235,13 +235,13 @@ def test_the_cancelling_ps_table_from_counts():
     experimental = pc.adjusted_experimental(joint)
     assert_same_boxes(joint, experimental)
     (key, table), = joint.items()
-    assert_same_one_row(table, experimental.pair(key), key)
+    assert_same_one_row(table, experimental.per_stratum[key], key)
 
 
 def test_two_thousand_strata():
     rng = np.random.default_rng(1212)
     joint = random_joint(rng, 2000)
-    measured = pc.ExperimentalQuantities.from_per_stratum(
+    measured = reference_from_per_stratum(
         joint, {key: random_pair(rng, t) for key, t in joint.items()},
         provenance="measured-experimental")
     for experimental in (measured, pc.adjusted_experimental(joint)):

@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 import pcause as pc
 from pcause.cli import run
 from pcause.model import (
-    CountTable,
     StratumKey,
     _Coded,
     _groups,
@@ -27,7 +26,7 @@ from pcause.model import (
     render_counts,
 )
 
-from conftest import reference_groups
+from conftest import reference_count_table, reference_groups
 
 repeatable = settings(derandomize=True, database=None, deadline=None,
                       max_examples=150)
@@ -51,12 +50,12 @@ def _tables(draw):
     keys = [StratumKey(tuple(zip(names, levels))) for levels in strata]
     rows = [(key, x, y, 1 + (3 * k + 2 * x + y) % 5)
             for k, key in enumerate(keys) for x in (1, 0) for y in (1, 0)]
-    return CountTable.from_rows(rows, names), keys
+    return reference_count_table(rows, names), keys
 
 
 @repeatable
 @given(_tables())
-@example((CountTable.from_rows(
+@example((reference_count_table(
     [(StratumKey.of(g=g), 1, 1, 2) for g in ("9", "10", "a\x00", "a")],
     ("g",)), [StratumKey.of(g=g) for g in ("9", "10", "a\x00", "a")]))
 def test_code_order_is_key_order(tmp_path_factory, drawn):
@@ -88,7 +87,7 @@ def test_strata_numbered_past_int64(tmp_path):
     names = tuple(f"c{i:02}" for i in range(64))
     keys = [StratumKey(tuple(zip(names, ("ab"[k >> i & 1] for i in range(64)))))
             for k in (2**64 - 1, 5, 0, 2**63 + 1)]
-    table = CountTable.from_rows(
+    table = reference_count_table(
         [(key, x, 1, n + x) for n, key in enumerate(keys) for x in (1, 0)],
         names)
     path = tmp_path / "wide.csv"
@@ -150,7 +149,7 @@ def _built_keys(monkeypatch, tmp_path, size):
     pairs = tmp_path / f"pairs-{size}.json"
     joint = pc.to_probabilities(load_counts(data))
     pairs.write_text(json.dumps({"strata": [
-        {"levels": {"s": key.level("s"), "t": key.level("t")},
+        {"levels": dict(key.labels),
          "p_event_do_exposed": c[0] + 0.5 * (c[2] + c[3]),
          "p_event_do_unexposed": c[2] + 0.5 * (c[0] + c[1])}
         for key, c in zip(joint.keys(), joint.cells.tolist())]}))

@@ -16,6 +16,7 @@ from pcause.simulate import builtin_scenarios
 from conftest import (
     random_monotone_stratum,
     random_stratum,
+    reference_from_per_stratum,
     reference_pn_point,
     reference_pns_point,
 )
@@ -258,7 +259,7 @@ class TestMonotonicityDiagnostic:
         report = monotonicity_diagnostic(cancer_joint, cancer_experimental)
         assert len(report.risk_differences) == 3
         for key, rd in report.risk_differences:
-            level = key.level("stage")
+            level = dict(key.labels)["stage"]
             assert rd == pytest.approx(FLAGGED_RISK_DIFFERENCES[level], abs=1e-6)
         assert set(report.flagged) == set(cancer_joint.keys())
         assert report.pn.value == pytest.approx(-0.6869850579528003, abs=1e-9)
@@ -276,7 +277,7 @@ class TestMonotonicityDiagnostic:
         t = pc.StratumTable(0.25, 0.25, 0.10, 0.40, weight=1.0)
         joint = pc.StratifiedJoint(
             strata={pc.StratumKey.of(g="1"): t}, covariates=("g",))
-        exp = pc.ExperimentalQuantities.from_per_stratum(
+        exp = reference_from_per_stratum(
             joint, {pc.StratumKey.of(g="1"): (0.5, 0.2)},
             provenance="measured-experimental")
         report = monotonicity_diagnostic(joint, exp)

@@ -7,14 +7,19 @@ import pytest
 
 import pcause as pc
 from pcause.model import (
-    CountTable,
     collapse,
     load_experimental,
     render_counts,
     validate_compatibility,
 )
 
-from conftest import CANCER_CSV, experimental_to_dict, screen_violations
+from conftest import (
+    cells_of,
+    experimental_to_dict,
+    reference_count_table,
+    reference_from_per_stratum,
+    screen_violations,
+)
 
 TOL = 1e-12
 
@@ -28,18 +33,11 @@ class TestStratumKey:
 
     def test_levels_coerced_to_str(self):
         key = pc.StratumKey.of(stage=3)
-        assert key.level("stage") == "3"
+        assert dict(key.labels)["stage"] == "3"
 
     def test_duplicate_covariate_rejected(self):
         with pytest.raises(pc.ValidationError):
             pc.StratumKey((("s", "1"), ("s", "2")))
-
-    def test_project(self):
-        key = pc.StratumKey.of(s="1", t="2")
-        assert key.project(("t",)) == pc.StratumKey.of(t="2")
-        assert key.project(()) == pc.StratumKey(())
-        with pytest.raises(pc.ValidationError):
-            key.project(("nope",))
 
     def test_str(self):
         assert str(pc.StratumKey.of(stage="1")) == "stage=1"
@@ -48,7 +46,7 @@ class TestStratumKey:
     def test_keys_sort(self):
         keys = [pc.StratumKey.of(s="3"), pc.StratumKey.of(s="1"),
                 pc.StratumKey.of(s="2")]
-        assert [k.level("s") for k in sorted(keys)] == ["1", "2", "3"]
+        assert [dict(k.labels)["s"] for k in sorted(keys)] == ["1", "2", "3"]
 
 
 class TestStratumTable:
@@ -56,12 +54,8 @@ class TestStratumTable:
         t = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=0.5)
         assert t.p_exposed == pytest.approx(0.5, abs=TOL)
         assert t.p_unexposed == pytest.approx(0.5, abs=TOL)
-        assert t.p_event == pytest.approx(0.3, abs=TOL)
-        assert t.p_noevent == pytest.approx(0.7, abs=TOL)
         assert t.risk_exposed == pytest.approx(0.4, abs=TOL)
         assert t.risk_unexposed == pytest.approx(0.2, abs=TOL)
-        assert t.cell(1, 1) == 0.2
-        assert t.cell(0, 0) == 0.4
 
     def test_zero_cells_allowed_at_type_level(self):
         t = pc.StratumTable(0.3, 0.0, 0.0, 0.7, weight=1.0)
@@ -83,20 +77,14 @@ class TestStratumTable:
         with pytest.raises(pc.ValidationError):
             pc.StratumTable(0.25, 0.25, 0.25, 0.25, weight=1.5)
 
-    def test_swap_is_involution(self):
-        t = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=0.5)
-        s = t.swap()
-        assert s.p_exposed_event == t.p_unexposed_noevent
-        assert s.p_exposed_noevent == t.p_unexposed_event
-        assert s.swap() == t
-
 
 class TestLoadCounts:
     def test_fixture(self, cancer_counts):
         assert cancer_counts.total == 192
         assert cancer_counts.covariates == ("stage",)
         assert len({key for key, *_ in cancer_counts.rows()}) == 3
-        assert cancer_counts.cells[(pc.StratumKey.of(stage="3"), 0, 1)] == 12
+        stage_3 = pc.StratumKey.of(stage="3")
+        assert cells_of(cancer_counts)[(stage_3, 0, 1)] == 12
 
     def test_comments_and_blanks_skipped(self):
         text = "# heading\n\nstage,x,y,count\n# inline\n1,1,1,3\n1,1,0,1\n"
@@ -106,7 +94,7 @@ class TestLoadCounts:
     def test_duplicate_cells_summed(self):
         text = "s,x,y,count\n1,1,1,3\n1,1,1,4\n1,0,0,2\n"
         counts = pc.load_counts(io.StringIO(text))
-        assert counts.cells[(pc.StratumKey.of(s="1"), 1, 1)] == 7
+        assert cells_of(counts)[(pc.StratumKey.of(s="1"), 1, 1)] == 7
         assert counts.total == 9
 
     @pytest.mark.parametrize("text,fragment", [
@@ -143,8 +131,8 @@ class TestLoadCounts:
     def test_one_padded_spelling_is_not_an_error(self):
         text = "s,x,y,count\n a ,1,1,3\n a ,1,0,4\n"
         counts = pc.load_counts(io.StringIO(text))
-        assert counts.cells == {(pc.StratumKey.of(s="a"), 1, 0): 4,
-                                (pc.StratumKey.of(s="a"), 1, 1): 3}
+        assert cells_of(counts) == {(pc.StratumKey.of(s="a"), 1, 0): 4,
+                                    (pc.StratumKey.of(s="a"), 1, 1): 3}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(pc.ParseError, match="cannot read"):
@@ -164,7 +152,7 @@ class TestLoadCounts:
 
     def test_render_quotes_levels_with_commas(self):
         key = pc.StratumKey.of(site='a,b', arm='say "hi"')
-        counts = CountTable.from_rows(
+        counts = reference_count_table(
             [(key, 1, 1, 3), (key, 0, 0, 4)], covariates=("site", "arm"))
         text = render_counts(counts)
         assert text.splitlines()[1] == '"say ""hi""","a,b",0,0,4'
@@ -172,7 +160,7 @@ class TestLoadCounts:
 
     def test_render_quotes_leading_hash_level(self):
         one, two = pc.StratumKey.of(g="#1"), pc.StratumKey.of(g="2")
-        counts = CountTable.from_rows(
+        counts = reference_count_table(
             [(one, 1, 1, 1), (one, 0, 0, 3), (two, 1, 1, 2), (two, 0, 0, 2)],
             covariates=("g",))
         text = render_counts(counts)
@@ -183,8 +171,8 @@ class TestLoadCounts:
 
     def test_render_quotes_leading_hash_covariate(self):
         key = pc.StratumKey.of(**{"#g": "a", "h": "b"})
-        counts = CountTable.from_rows([(key, 1, 1, 3)],
-                                      covariates=("#g", "h"))
+        counts = reference_count_table([(key, 1, 1, 3)],
+                                       covariates=("#g", "h"))
         text = render_counts(counts)
         assert text.splitlines()[0] == '"#g",h,x,y,count'
         assert pc.load_counts(io.StringIO(text)) == counts
@@ -208,31 +196,14 @@ class TestLoadCounts:
 
 
 class TestCountTable:
-    def test_from_rows_sums(self):
-        key = pc.StratumKey.of(s="1")
-        counts = CountTable.from_rows(
-            [(key, 1, 1, 2), (key, 1, 1, 3), (key, 0, 0, 1)], covariates=("s",))
-        assert counts.cells[(key, 1, 1)] == 5
-
-    def test_invalid_cells(self):
-        key = pc.StratumKey.of(s="1")
-        with pytest.raises(pc.ValidationError):
-            CountTable(cells={(key, 2, 1): 1}, covariates=("s",))
-        with pytest.raises(pc.ValidationError):
-            CountTable(cells={(key, 1, 1): -1}, covariates=("s",))
-        with pytest.raises(pc.ValidationError):
-            CountTable(cells={(key, 1, 1): 1.5}, covariates=("s",))
-        with pytest.raises(pc.ValidationError):
-            CountTable(cells={(key, 1, 1): 1}, covariates=("t",))
-
     def test_collapse_is_integer_exact(self):
         rows = [(pc.StratumKey.of(s=s, t=t), x, y, n)
                 for (s, t, x, y, n) in [("1", "1", 1, 1, 3), ("1", "2", 1, 1, 4),
                                         ("1", "1", 0, 0, 5), ("1", "2", 0, 0, 6)]]
-        counts = CountTable.from_rows(rows, covariates=("s", "t"))
+        counts = reference_count_table(rows, covariates=("s", "t"))
         merged = counts.collapse(("s",))
-        assert merged.cells[(pc.StratumKey.of(s="1"), 1, 1)] == 7
-        assert merged.cells[(pc.StratumKey.of(s="1"), 0, 0)] == 11
+        assert cells_of(merged)[(pc.StratumKey.of(s="1"), 1, 1)] == 7
+        assert cells_of(merged)[(pc.StratumKey.of(s="1"), 0, 0)] == 11
         with pytest.raises(pc.ValidationError):
             counts.collapse(("bogus",))
 
@@ -268,8 +239,7 @@ class TestToProbabilities:
             pc.to_probabilities(cancer_counts, smoothing="laplace")
 
     def test_empty_table(self):
-        key = pc.StratumKey.of(s="1")
-        counts = CountTable(cells={(key, 1, 1): 0}, covariates=("s",))
+        counts = pc.load_counts(io.StringIO("s,x,y,count\n1,1,1,0\n"))
         with pytest.raises(pc.PositivityError):
             pc.to_probabilities(counts)
 
@@ -277,11 +247,11 @@ class TestToProbabilities:
 class TestCollapse:
     def test_pooled_matches_marginal_cells(self, cancer_joint):
         pooled = collapse(cancer_joint, ()).only()
-        for x in (1, 0):
-            for y in (1, 0):
-                marginal = sum(t.cell(x, y) * t.weight
-                               for _, t in cancer_joint.items())
-                assert pooled.cell(x, y) == pytest.approx(marginal, abs=TOL)
+        for cell in ("p_exposed_event", "p_exposed_noevent",
+                     "p_unexposed_event", "p_unexposed_noevent"):
+            marginal = sum(getattr(t, cell) * t.weight
+                           for _, t in cancer_joint.items())
+            assert getattr(pooled, cell) == pytest.approx(marginal, abs=TOL)
         assert pooled.weight == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_collapse(self, cancer_joint):
@@ -406,23 +376,24 @@ class TestExperimental:
     def test_adjusted_matches_risks(self, cancer_joint, cancer_experimental):
         assert cancer_experimental.provenance == "sita-adjusted"
         for key, t in cancer_joint.items():
-            do_x, do_xp = cancer_experimental.pair(key)
+            do_x, do_xp = cancer_experimental.per_stratum[key]
             assert do_x == pytest.approx(t.risk_exposed, abs=TOL)
             assert do_xp == pytest.approx(t.risk_unexposed, abs=TOL)
 
     def test_marginal_is_weight_average(self, cancer_joint, cancer_experimental):
-        want_x = sum(cancer_experimental.pair(k)[0] * t.weight
+        want_x = sum(cancer_experimental.per_stratum[k][0] * t.weight
                      for k, t in cancer_joint.items())
-        want_xp = sum(cancer_experimental.pair(k)[1] * t.weight
+        want_xp = sum(cancer_experimental.per_stratum[k][1] * t.weight
                       for k, t in cancer_joint.items())
         assert cancer_experimental.marginal[0] == pytest.approx(want_x, abs=1e-9)
         assert cancer_experimental.marginal[1] == pytest.approx(want_xp, abs=1e-9)
 
     def test_mismatched_strata_rejected(self, cancer_joint):
+        text = json.dumps({"strata": [{"levels": {"stage": "1"},
+                                       "p_event_do_exposed": 0.5,
+                                       "p_event_do_unexposed": 0.5}]})
         with pytest.raises(pc.ValidationError):
-            pc.ExperimentalQuantities.from_per_stratum(
-                cancer_joint, {pc.StratumKey.of(stage="1"): (0.5, 0.5)},
-                provenance="measured-experimental")
+            load_experimental(io.StringIO(text), cancer_joint)
 
     def test_bad_provenance_and_range(self):
         with pytest.raises(pc.ValidationError):
@@ -443,10 +414,6 @@ class TestExperimental:
                                       provenance="measured-experimental")
         assert str(exc.value) == "marginal: probability -0.25 outside [0, 1]"
 
-    def test_missing_pair(self, cancer_experimental):
-        with pytest.raises(pc.ValidationError):
-            cancer_experimental.pair(pc.StratumKey.of(stage="9"))
-
 
 class TestCompatibility:
     def test_adjusted_is_compatible(self, cancer_joint, cancer_experimental):
@@ -460,7 +427,7 @@ class TestCompatibility:
         bad_key = pc.StratumKey.of(stage="3")
         # drive P(y_x'|s) below the cell P(x', y|s) it must dominate
         pairs[bad_key] = (pairs[bad_key][0], 0.0)
-        experimental = pc.ExperimentalQuantities.from_per_stratum(
+        experimental = reference_from_per_stratum(
             cancer_joint, pairs, provenance="measured-experimental")
         report = validate_compatibility(cancer_joint, experimental)
         assert not report.compatible
@@ -508,21 +475,21 @@ class TestStratumOrder:
     SORTED = ["1", "10", "2"]
 
     def test_count_table(self):
-        rows = [(pc.StratumKey.of(g=g), x, 1, 1)
-                for g in self.LEVELS for x in (1, 0)]
-        counts = CountTable.from_rows(rows, covariates=("g",))
-        assert [(key.level("g"), x) for key, x, _, _ in counts.rows()] == \
+        counts = pc.load_counts(io.StringIO("g,x,y,count\n" + "".join(
+            f"{g},{x},1,1\n" for g in self.LEVELS for x in (1, 0))))
+        assert [(dict(key.labels)["g"], x)
+                for key, x, _, _ in counts.rows()] == \
             [(g, x) for g in self.SORTED for x in (0, 1)]
 
     def test_joint_and_experimental(self):
         table = pc.StratumTable(0.25, 0.25, 0.25, 0.25, weight=1 / 3)
         strata = {pc.StratumKey.of(g=g): table for g in self.LEVELS}
         joint = pc.StratifiedJoint(strata=strata, covariates=("g",))
-        assert [key.level("g") for key in joint.keys()] == self.SORTED
+        assert [dict(key.labels)["g"] for key in joint.keys()] == self.SORTED
         experimental = pc.ExperimentalQuantities(
             per_stratum={pc.StratumKey.of(g=g): (0.5, 0.5) for g in self.LEVELS},
             marginal=(0.5, 0.5), provenance="measured-experimental")
-        assert [key.level("g") for key in experimental.per_stratum] == \
+        assert [dict(key.labels)["g"] for key in experimental.per_stratum] == \
             self.SORTED
 
     def test_multi_covariate_order_matches_key_comparison(self):

@@ -5,12 +5,11 @@ import pcause as pc
 import pcause.bounds
 from pcause.cli import run
 from pcause.identify import pns_point
-from pcause.model import CountTable
 from pcause.oracle import VerificationEntry, feasible_extrema
 
 from conftest import CANCER_CSV, assert_intervals_certified, \
     random_instance, random_monotone_stratum, random_pair, random_stratum, \
-    screen_violations
+    reference_count_table, reference_from_per_stratum, screen_violations
 
 TOL = 1e-9
 
@@ -31,7 +30,7 @@ class TestClosedFormsAgree:
                  "PS": pc.ps_interval_conditional,
                  "PNS": pc.pns_interval_conditional}
         for key, table in cancer_joint.items():
-            pair = cancer_experimental.pair(key)
+            pair = cancer_experimental.per_stratum[key]
             for quantity, box in boxes.items():
                 closed = box(table, pair, key=key)
                 searched = feasible_extrema(table, pair, quantity)
@@ -159,8 +158,8 @@ class TestIntervalsCertified:
         rows = [(pc.StratumKey.of(s=i, t=j), x, y, int(rng.integers(1, 400)))
                 for i in range(6) for j in range(6)
                 for x in (1, 0) for y in (1, 0)]
-        joint = pc.to_probabilities(CountTable.from_rows(rows, ("s", "t")))
-        measured = pc.ExperimentalQuantities.from_per_stratum(
+        joint = pc.to_probabilities(reference_count_table(rows, ("s", "t")))
+        measured = reference_from_per_stratum(
             joint, {key: random_pair(rng, t) for key, t in joint.items()},
             provenance="measured-experimental")
         for experimental in (pc.adjusted_experimental(joint), measured):

@@ -1,11 +1,13 @@
-"""The documented public surface: the package exports and the README's
-library example."""
+"""The documented public surface: the package exports, the data types'
+attributes and the README's library example."""
 
 import contextlib
 import io
 import re
 
 import pcause as pc
+from pcause.model import collapse
+from pcause.simulate import ReplicationStudy
 
 from conftest import CANCER_CSV, DATA_DIR
 
@@ -50,3 +52,34 @@ def test_readme_library_example_runs_on_the_fixture():
     # error at the fixture's 192 subjects
     assert lines[0].startswith("0.0 0.7788018433179723 (TermChoice(")
     assert lines[1].startswith("-0.6869850579528003 0.40496030498249935 (")
+
+
+# Each data type's public attributes.  The command line and the README use
+# these; adding one is a change to the documented surface.
+SURFACE = {
+    "CountTable": {"collapse", "covariates", "rows", "total"},
+    "StratumKey": {"covariates", "labels", "of"},
+    "StratumTable": {"p_exposed", "p_exposed_event", "p_exposed_noevent",
+                     "p_unexposed", "p_unexposed_event",
+                     "p_unexposed_noevent", "risk_exposed", "risk_unexposed",
+                     "weight"},
+    "StratifiedJoint": {"cells", "covariates", "items", "keys", "n_strata",
+                        "only", "strata", "total_n", "weights"},
+    "ExperimentalQuantities": {"marginal", "pairs", "per_stratum",
+                               "provenance"},
+    "ReplicationStudy": {"attempts", "discarded", "n", "reps", "results",
+                         "scenario", "seed"},
+}
+
+
+def test_data_types_have_exactly_the_documented_attributes(
+        cancer_counts, cancer_joint, cancer_experimental):
+    study = ReplicationStudy(scenario="setting-1", n=10, reps=2, seed=0,
+                             results=(), discarded=0, attempts=2)
+    values = (cancer_counts, pc.StratumKey.of(stage="1"),
+              collapse(cancer_joint, ()).only(), cancer_joint,
+              cancer_experimental, study)
+    assert {type(value).__name__ for value in values} == set(SURFACE)
+    for value in values:
+        public = {name for name in dir(value) if not name.startswith("_")}
+        assert public == SURFACE[type(value).__name__], type(value).__name__

@@ -26,10 +26,17 @@ from hypothesis import example, given, settings, strategies as st
 import pcause as pc
 from pcause.bounds import Interval, _swap_pair
 from pcause.cli import run
-from pcause.model import CountTable, collapse, render_counts
+from pcause.model import collapse, render_counts
 from pcause.oracle import feasible_extrema
 
-from conftest import assert_intervals_certified, reference_stratified_interval
+from conftest import (
+    assert_intervals_certified,
+    cells_of,
+    reference_count_table,
+    reference_from_per_stratum,
+    reference_stratified_interval,
+    swapped,
+)
 
 QUANTITIES = ("PN", "PS", "PNS")
 CONDITIONAL = {"PN": pc.pn_interval_conditional,
@@ -73,7 +80,7 @@ def _instance(draws):
 
 def _measured(strata, pairs):
     joint = pc.StratifiedJoint(strata=strata, covariates=("g",))
-    return joint, pc.ExperimentalQuantities.from_per_stratum(
+    return joint, reference_from_per_stratum(
         joint, pairs, provenance="measured-experimental")
 
 
@@ -136,7 +143,7 @@ def test_ps_is_pn_on_the_swapped_table(draw):
     table = _table(cells, 1.0)
     pair = _pair(table, u, v)
     ps = pc.ps_interval_conditional(table, pair)
-    pn = pc.pn_interval_conditional(table.swap(), _swap_pair(pair))
+    pn = pc.pn_interval_conditional(swapped(table), _swap_pair(pair))
     assert (ps.lower, ps.upper, ps.attainment) == \
         (pn.lower, pn.upper, pn.attainment)
 
@@ -149,7 +156,8 @@ def test_one_stratum_reduces_to_its_conditional_box(draw):
     (key, table), = joint.items()
     for quantity in QUANTITIES:
         strat = pc.stratified_interval(quantity, joint, experimental)
-        box = CONDITIONAL[quantity](table, experimental.pair(key), key=key)
+        box = CONDITIONAL[quantity](table, experimental.per_stratum[key],
+                                    key=key)
         assert strat.method == "stratified"
         assert _same(strat, box)
 
@@ -176,15 +184,15 @@ def test_splitting_a_stratum_changes_nothing(instance, which):
     strata, pairs = {}, {}
     for key, table in joint.items():
         if key != split_key:
-            strata[key], pairs[key] = table, experimental.pair(key)
+            strata[key], pairs[key] = table, experimental.per_stratum[key]
             continue
         half = pc.StratumTable(table.p_exposed_event, table.p_exposed_noevent,
                                table.p_unexposed_event,
                                table.p_unexposed_noevent,
                                weight=table.weight / 2.0)
         for part in ("a", "b"):
-            piece = pc.StratumKey.of(g=f"{key.level('g')}{part}")
-            strata[piece], pairs[piece] = half, experimental.pair(key)
+            piece = pc.StratumKey.of(g=f"{dict(key.labels)['g']}{part}")
+            strata[piece], pairs[piece] = half, experimental.per_stratum[key]
     split, split_experimental = _measured(strata, pairs)
     for quantity in QUANTITIES:
         a = pc.stratified_interval(quantity, joint, experimental)
@@ -212,18 +220,28 @@ def count_tables(draw, min_count=0, max_count=10**12):
     count = st.integers(min_value=min_count, max_value=max_count)
     rows = [(pc.StratumKey(tuple(zip(names, lv))), x, y, draw(count))
             for lv in levels for x in (1, 0) for y in (1, 0)]
-    return CountTable.from_rows(rows, covariates=names)
+    return reference_count_table(rows, covariates=names)
 
 
 @repeatable
 @given(count_tables())
-@example(CountTable.from_rows(
+@example(reference_count_table(
     [(pc.StratumKey((("g", "a\x85b"),)), x, y, 1)
      for x in (1, 0) for y in (1, 0)], covariates=("g",)))
 def test_render_then_load_gives_the_same_counts(counts):
     again = pc.load_counts(io.StringIO(render_counts(counts)))
     assert again.covariates == counts.covariates
-    assert again.cells == counts.cells
+    assert cells_of(again) == cells_of(counts)
+
+
+@repeatable
+@given(count_tables(), st.data())
+def test_render_then_load_gives_the_same_collapsed_counts(counts, data):
+    # collapse re-ranks the kept covariates' codes
+    keep = data.draw(st.lists(st.sampled_from(counts.covariates), unique=True)
+                     if counts.covariates else st.just([]))
+    collapsed = counts.collapse(keep)
+    assert pc.load_counts(io.StringIO(render_counts(collapsed))) == collapsed
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +275,7 @@ def test_bounds_report_ignores_row_order(workdir, counts, random):
 @given(count_tables(min_count=1, max_count=10**6),
        st.integers(min_value=2, max_value=10**6))
 def test_scaling_every_count_leaves_the_bounds(counts, scale):
-    scaled = CountTable.from_rows(
+    scaled = reference_count_table(
         ((key, x, y, n * scale) for key, x, y, n in counts.rows()),
         covariates=counts.covariates)
     intervals = []

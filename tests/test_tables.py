@@ -31,6 +31,7 @@ from pcause import model
 from pcause.cli import run
 from pcause.model import (
     CountTable,
+    ExperimentalQuantities,
     _Coded,
     collapse,
     load_experimental,
@@ -45,6 +46,7 @@ from conftest import (
     reference_adjusted_experimental,
     reference_collapse,
     reference_count_collapse,
+    reference_count_table,
     reference_experimental,
     reference_from_per_stratum,
     reference_joint_of,
@@ -75,6 +77,8 @@ def _outcome(function, *args):
     if isinstance(result, pc.ExperimentalQuantities):
         assert not result.pairs.flags.writeable
         return repr(result), repr(result.pairs.tolist())
+    if isinstance(result, CountTable):
+        return repr((result.covariates, list(result.rows())))
     return repr(result)
 
 
@@ -94,9 +98,9 @@ def assert_same_tables(joint, experimental):
     assert _outcome(pc.adjusted_experimental, joint) == _outcome(
         reference_adjusted_experimental, joint)
     per, provenance = experimental.per_stratum, experimental.provenance
-    assert _outcome(pc.ExperimentalQuantities.from_per_stratum, joint, per,
-                    provenance) == _outcome(reference_from_per_stratum,
-                                            joint, per, provenance)
+    assert _outcome(ExperimentalQuantities._weighted, joint,
+                    [per[key] for key in joint.keys()], provenance) == \
+        _outcome(reference_from_per_stratum, joint, per, provenance)
     for keep in _keeps(joint.covariates):
         assert _outcome(collapse, joint, keep) == _outcome(
             reference_collapse, joint, keep)
@@ -158,7 +162,7 @@ def _joint(draws, levels, total_n=None):
                          + v * table.p_exposed + dv)))
     joint = pc.StratifiedJoint(strata=strata, covariates=("g", "h"),
                                total_n=total_n)
-    return joint, pc.ExperimentalQuantities.from_per_stratum(
+    return joint, reference_from_per_stratum(
         joint, pairs, provenance="measured-experimental")
 
 
@@ -188,10 +192,10 @@ def test_two_thousand_strata():
     joint = pc.StratifiedJoint(strata=strata, covariates=("g", "h"),
                                total_n=10**6)
     pairs = {key: random_pair(rng, t) for key, t in joint.items()}
-    assert_same_tables(joint, pc.ExperimentalQuantities.from_per_stratum(
+    assert_same_tables(joint, reference_from_per_stratum(
         joint, pairs, provenance="measured-experimental"))
 
-    counts = CountTable.from_rows(
+    counts = reference_count_table(
         ((key, x, y, int(rng.integers(1, 10**6)))
          for key in joint.keys() for x in (1, 0) for y in (1, 0)),
         covariates=("g", "h"))
@@ -259,7 +263,7 @@ _SMALL_BLOCKS = (4, 24)
 
 def _loaded(load, text):
     counts = load(io.StringIO(text))
-    return repr(counts), counts.total, list(counts.rows())
+    return counts.covariates, counts.total, list(counts.rows())
 
 
 @repeatable
@@ -396,7 +400,7 @@ def test_long_levels_after_many_short_rows_load_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert loaded == reference_load_counts(io.StringIO(text))
-    assert {key.level("s") for key, *_ in loaded.rows()} == \
+    assert {dict(key.labels)["s"] for key, *_ in loaded.rows()} == \
         {"0", long, other, "c" * 30}
     for size in _SMALL_BLOCKS:
         with patch.object(model, "_BLOCK", size):
@@ -465,19 +469,17 @@ _counts = st.one_of(st.integers(0, 50), st.integers(2**64, 2**70))
 def count_tables(draw):
     names = draw(st.sampled_from(((), ("g",), ("h", "g"), ("k", "g", "h"))))
     strata = draw(st.lists(st.tuples(*[st.sampled_from("12a") for _ in names]),
-                           max_size=8, unique=True))
-    cells = {}
+                           min_size=1, max_size=8, unique=True))
+    rows = []
     for levels in strata:
         key = pc.StratumKey(tuple(zip(names, levels)))
         for x, y in draw(st.lists(_cell, min_size=1, max_size=4, unique=True)):
-            cells[key, x, y] = draw(_counts)
-    return CountTable(cells=cells, covariates=names)
+            rows.append((key, x, y, draw(_counts)))
+    return reference_count_table(rows, names)
 
 
 @repeatable
 @given(count_tables())
-# an empty table, which the row loop collapsed onto a repeated name
-@example(CountTable(cells={}, covariates=("g",)))
 def test_count_collapse_matches_the_row_loop(counts):
     assert_same_counts(counts)
 
@@ -512,7 +514,8 @@ def test_experimental_pairs_match_the_value_loop(pairs, marginal, order,
     joint = pc.StratifiedJoint(
         strata={key: pc.StratumTable(0.25, 0.25, 0.25, 0.25, weight=w / total)
                 for key, w in zip(keys, weights)}, covariates=("g",))
-    assert _outcome(pc.ExperimentalQuantities.from_per_stratum, joint, per,
+    assert _outcome(ExperimentalQuantities._weighted, joint,
+                    [per[key] for key in joint.keys()],
                     "measured-experimental") == _outcome(
         reference_from_per_stratum, joint, per, "measured-experimental")
 
@@ -547,8 +550,10 @@ def test_marginal_adds_left_to_right():
     per = dict(zip(joint.keys(), ((0.899, 0.5), (0.622, 0.5), (0.288, 0.5))))
     products = [per[key][0] * t.weight for key, t in joint.items()]
     assert math.fsum(products) == 0.677
-    experimental = pc.ExperimentalQuantities.from_per_stratum(
-        joint, per, "measured-experimental")
+    text = json.dumps({"strata": [
+        {"levels": dict(key.labels), "p_event_do_exposed": do_x,
+         "p_event_do_unexposed": do_xp} for key, (do_x, do_xp) in per.items()]})
+    experimental = load_experimental(io.StringIO(text), joint)
     assert experimental.marginal == (0.6769999999999999, 0.5)
 
 
@@ -657,7 +662,7 @@ def test_two_thousand_strata_build_no_tables(tmp_path, monkeypatch, capsys):
              int(rng.integers(1, 500)))
             for i in range(2000) for x in (1, 0) for y in (1, 0)]
     data = tmp_path / "counts.csv"
-    data.write_text(render_counts(CountTable.from_rows(rows, ("g", "h"))))
+    data.write_text(render_counts(reference_count_table(rows, ("g", "h"))))
     joint = pc.to_probabilities(pc.load_counts(data))
     # measured pairs halfway along each stratum's range
     pairs = tmp_path / "pairs.json"

@@ -29,13 +29,14 @@ import pcause.bounds
 import pcause.oracle
 from pcause import cli
 from pcause.bounds import conditional_boxes
-from pcause.model import CountTable, render_counts
+from pcause.model import render_counts
 from pcause.oracle import VerificationReport
 
 from conftest import (
     CANCER_CSV,
     reference_cli,
     reference_conditional_boxes,
+    reference_count_table,
     reference_verdict,
     reference_verify_bounds,
 )
@@ -91,7 +92,7 @@ def _odd(real, route):
 
 def _counts(names, strata):
     """The count table of strata given as (levels, counts in cell order)."""
-    return CountTable.from_rows(
+    return reference_count_table(
         [(pc.StratumKey(tuple(zip(names, levels))), x, y, n)
          for levels, quad in strata for (x, y), n in zip(_CELL_ORDER, quad)],
         names)
