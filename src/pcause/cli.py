@@ -26,6 +26,7 @@ import os
 import re
 import stat
 import sys
+from dataclasses import asdict
 from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
 from functools import lru_cache
@@ -43,7 +44,7 @@ from .bounds import (
     stratified_interval,
     tian_pearl_interval,
 )
-from .covselect import CIVerdict, compare_covariate_sets
+from .covselect import compare_covariate_sets
 from .errors import PcauseError
 from .identify import Estimate, MonotonicityReport, monotonicity_diagnostic
 from .model import (
@@ -380,20 +381,6 @@ def _estimate_json(est: Estimate) -> dict:
     }
 
 
-def _verdict_json(v: CIVerdict) -> dict:
-    return {
-        "relation": {"kind": v.relation.kind, "s": v.relation.s,
-                     "t": v.relation.t},
-        "mode": v.mode,
-        "holds": v.holds,
-        "threshold": v.threshold,
-        "max_deviation": v.max_deviation,
-        "statistic": v.statistic,
-        "df": v.df,
-        "p_value": v.p_value,
-    }
-
-
 def _load_table(args, stratifier: Sequence[str] | None = None):
     counts = load_counts(args.data)
     if stratifier is not None:
@@ -536,7 +523,7 @@ def _cmd_select(args) -> _Handled:
                         "pn": _estimate_json(c.pn),
                         "pns": _estimate_json(c.pns)}
                        for c in report.candidates],
-        "premises": [_verdict_json(v) for v in report.premises],
+        "premises": [asdict(v) for v in report.premises],
         "orderings": [{
             "quantity": o.quantity,
             "lhs": list(o.lhs),

@@ -31,12 +31,13 @@ levels and each stratum's rank in them (:class:`_Coded`), in key order; a
 stratum's :class:`StratumKey` is built only when a caller reads it.
 
 Experimental knowledge enters as :class:`ExperimentalQuantities`: the pair
-(P(y_x | s), P(y_x' | s)) per stratum, where y_x denotes the outcome under
-an intervention that sets exposure.  When treatment assignment is strongly
-ignorable given the covariates, these equal the observational conditional
-risks; :func:`adjusted_experimental` builds them that way.  Every function
-that takes a joint and its pairs requires pairs for exactly the joint's
-strata.
+(P(y_x | s), P(y_x' | s)) for each stratum of a joint, where y_x denotes
+the outcome under an intervention that sets exposure, and the marginal
+pair, their weight-average.  :func:`load_experimental` reads measured
+pairs.  When treatment assignment is strongly ignorable given the
+covariates, the pairs equal the observational conditional risks;
+:func:`adjusted_experimental` builds them that way.  Every function that
+takes a joint and its pairs requires pairs for exactly the joint's strata.
 """
 
 from __future__ import annotations
@@ -149,37 +150,37 @@ class _Coded:
 
     ``levels`` holds each covariate's distinct levels as Python sorts them,
     and row k of the read-only (K, C) array ``codes`` holds stratum k's rank
-    in each.  Rows come in key order, the order of their ranks, and every
-    level is some stratum's, so two are equal exactly when their keys are.
-    As a sequence it gives the strata's keys: all are built on the first
-    iteration or call of :meth:`keys`, or one alone by index.  Pairs built
-    by hand may name strata over other covariates: a stratum's code is -1
-    for a covariate it lacks, and the keys given are kept.
+    in each.  A table, joint or pairs keep their strata in key order, the
+    order of their ranks, and every level is some stratum's, so two are
+    equal exactly when their keys are; the rows that :func:`_groups` takes
+    may come in any order and may repeat.  As a sequence it gives the
+    strata's keys: all are built on the first iteration or call of
+    :meth:`keys`, and kept, or one alone by index.
     """
 
     __slots__ = ("covariates", "levels", "codes", "_keys")
 
     def __init__(self, covariates: tuple[str, ...],
-                 levels: tuple[tuple[str, ...], ...], codes: np.ndarray,
-                 keys: tuple[StratumKey, ...] | None = None) -> None:
+                 levels: tuple[tuple[str, ...], ...],
+                 codes: np.ndarray) -> None:
         codes.flags.writeable = False
         self.covariates, self.levels, self.codes = covariates, levels, codes
-        self._keys = keys
+        self._keys = None
 
     @classmethod
-    def of(cls, keys: tuple[StratumKey, ...],
+    def of(cls, keys: Sequence[StratumKey],
            covariates: tuple[str, ...] = ()) -> "_Coded":
-        """The strata of distinct ``keys`` in key order, over the sorted
-        ``covariates``, by default the keys' own."""
+        """The strata of ``keys``, in their order, over the sorted
+        ``covariates``, by default the keys' own, which every key has."""
         labels = [dict(key.labels) for key in keys]
         covariates = covariates or tuple(sorted(set().union(*labels)))
-        columns = [[label.get(name) for label in labels] for name in covariates]
-        levels = tuple(tuple(sorted(set(column) - {None})) for column in columns)
-        ranks = [{**dict(zip(lv, range(len(lv)))), None: -1} for lv in levels]
-        codes = np.array([list(map(rank.__getitem__, column)) for rank, column
-                          in zip(ranks, columns)], dtype=np.intp)
+        columns = [[label[name] for label in labels] for name in covariates]
+        levels = tuple(tuple(sorted(set(column))) for column in columns)
+        codes = np.array([list(map(dict(zip(lv, range(len(lv)))).__getitem__,
+                                   column))
+                          for lv, column in zip(levels, columns)], np.intp)
         return cls(covariates, levels,
-                   codes.reshape(len(covariates), len(keys)).T, keys)
+                   codes.reshape(len(covariates), len(keys)).T)
 
     def rows(self, text: Callable[[str, str], object] = lambda name, level:
              level) -> list[tuple]:
@@ -432,6 +433,9 @@ class CountTable:
     _named: np.ndarray
     _total: int
 
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("a CountTable comes from load_counts or collapse")
+
     @classmethod
     def _of(cls, coded: _Coded, counts: np.ndarray, named: np.ndarray,
             total: int) -> "CountTable":
@@ -494,11 +498,22 @@ def _exact(total: int) -> type:
 _SLOTS = {("1", "1"): 0, ("1", "0"): 1, ("0", "1"): 2, ("0", "0"): 3}
 
 
+def _new(ordered: np.ndarray) -> np.ndarray:
+    """Whether each row of a sorted 2-D array differs from the row before
+    it; the first row does."""
+    new = np.empty(len(ordered), bool)
+    new[:1] = True
+    (ordered[1:] != ordered[:-1]).any(axis=1, out=new[1:])
+    return new
+
+
 def _groups(coded: _Coded, keep: Sequence[str]) -> tuple[np.ndarray, _Coded]:
-    """Each stratum's group, numbered in key order, and the groups.  A group
-    is a stratum's key restricted to the covariates in ``keep``.  Each kept
-    covariate re-ranks the groups so far, so no number reaches K times its
-    count of levels."""
+    """Each row's group, numbered in key order, and the groups.  A group is
+    a stratum's key restricted to the covariates in ``keep``; the rows may
+    come in any order and may repeat.  A row's kept codes, read in mixed
+    radix, number its group so that groups sort as their keys do (where a
+    number could pass 2**63, the numbers so far are ranked first), and one
+    stable sort ranks the numbers."""
     covs = tuple(sorted(str(c) for c in keep))
     unknown = set(covs) - set(coded.covariates)
     if unknown:
@@ -506,17 +521,21 @@ def _groups(coded: _Coded, keep: Sequence[str]) -> tuple[np.ndarray, _Coded]:
     if len(set(covs)) != len(covs):
         raise ValidationError(f"duplicate covariate names: {covs}")
     kept = [coded.covariates.index(name) for name in covs]
-    index, n_groups = np.zeros(len(coded), dtype=np.intp), min(len(coded), 1)
+    numbers, bound = np.zeros(len(coded), np.intp), 1
     for c in kept:
-        ranked, index = np.unique(index * len(coded.levels[c])
-                                  + coded.codes[:, c], return_inverse=True)
-        n_groups = len(ranked)
-    # a stratum of each group gives the group's codes; every kept level is
-    # still some group's
-    member = np.empty(n_groups, dtype=np.intp)
-    member[index] = np.arange(len(coded))
+        size = len(coded.levels[c])
+        if bound * size > 2**63:
+            distinct, numbers = np.unique(numbers, return_inverse=True)
+            bound = len(distinct)
+        numbers = numbers * size + coded.codes[:, c]
+        bound *= size
+    order = numbers.argsort(kind="stable")
+    new = _new(numbers[order, None])
+    index = np.empty(len(order), np.intp)
+    index[order] = new.cumsum() - 1
+    # a row of each group, in key order, gives the group's codes
     return index, _Coded(covs, tuple(coded.levels[c] for c in kept),
-                         coded.codes[member][:, kept])
+                         coded.codes[order[new]][:, kept])
 
 
 # The counts text is read a block of lines at a time: a block runs from its
@@ -887,26 +906,14 @@ def _distinct(keys: np.ndarray, longs: list[str],
     return spellings, firsts, index
 
 
-def _new(ordered: np.ndarray) -> np.ndarray:
-    """Whether each row of a sorted 2-D array differs from the row before
-    it; the first row does."""
-    new = np.empty(len(ordered), bool)
-    new[:1] = True
-    (ordered[1:] != ordered[:-1]).any(axis=1, out=new[1:])
-    return new
-
-
 def _table(cov_names: tuple[str, ...], codes: list[dict[str, int]],
            spelled: list[dict[str, tuple[str, int]]], row_codes: np.ndarray,
            slots: np.ndarray, counts: np.ndarray) -> CountTable:
     """The count table of the data rows: each row's code per covariate (as
     ``codes`` gives it for a spelling of a level in ``spelled``) as a
-    (covariate, row) array, cell slot and count.
-
-    A row's stratum is numbered by its levels' ranks, read in mixed radix,
-    so that strata sort as their keys do; where a number could pass 2**63,
-    the numbers so far are ranked first.  Each row's cell is its stratum's
-    rank and its slot, and the counts are summed per cell, exactly: in
+    (covariate, row) array, cell slot and count.  A row's stratum is its
+    group under every covariate (:func:`_groups` over the rows' ranks in
+    the sorted levels), and the counts are summed per cell, exactly: in
     int64 when their total is below 2**63, and otherwise in Python ints.
     """
     ordered = [tuple(sorted(levels)) for levels in spelled]
@@ -917,33 +924,21 @@ def _table(cov_names: tuple[str, ...], codes: list[dict[str, int]],
         for code, level in zip(known.values(), by_code):
             rank_of[code] = rank[level]
     ranks = np.array(rank_of, np.intp)[row_codes]
-    numbers, bound = ((ranks[0], len(ordered[0])) if cov_names
-                      else (np.zeros(len(slots), np.intp), 1))
-    for rank, levels in zip(ranks[1:], ordered[1:]):
-        if bound * len(levels) > 2**63:
-            distinct, numbers = np.unique(numbers, return_inverse=True)
-            bound = len(distinct)
-        numbers = numbers * len(levels) + rank
-        bound *= len(levels)
-    order = numbers.argsort(kind="stable")
-    new = _new(numbers[order, None])
-    members = order[new]  # a row of each stratum, in key order
-    stratum = np.empty(len(order), np.intp)
-    stratum[order] = new.cumsum() - 1
+    stratum, coded = _groups(_Coded(cov_names, tuple(ordered), ranks.T),
+                             cov_names)
     cells = stratum * 4 + slots
     # no partial sum passes the rows times the largest count
     if counts.dtype != object and int(counts.max()) * len(counts) < 2**63:
         total = int(counts.sum())
     else:
         total = sum(counts.tolist())
-    table = np.zeros(4 * len(members), _exact(total))
+    table = np.zeros(4 * len(coded), _exact(total))
     np.add.at(table, cells, counts if counts.dtype == table.dtype
               else counts.astype(object))
     named = np.zeros(len(table), bool)
     named[cells] = True
-    return CountTable._of(
-        _Coded(cov_names, tuple(ordered), ranks.take(members, axis=1).T),
-        table.reshape(-1, 4), named.reshape(-1, 4), total)
+    return CountTable._of(coded, table.reshape(-1, 4), named.reshape(-1, 4),
+                          total)
 
 
 def _count(field: str) -> int:
@@ -1047,66 +1042,50 @@ def collapse(joint: StratifiedJoint, keep: Sequence[str]) -> StratifiedJoint:
 
 @dataclass(frozen=True, init=False)
 class ExperimentalQuantities:
-    """Interventional outcome probabilities, per stratum and marginal.
+    """Interventional outcome probabilities for a joint's strata, made only
+    by :func:`load_experimental` and :func:`adjusted_experimental`.
 
     Stored as ``pairs``, each stratum's (P(y_x | s), P(y_x' | s)) as a
-    (K, 2) array in key order, with the strata as codes (:class:`_Coded`),
-    and the ``marginal`` pair, all clipped onto
-    [0, 1]; built from a joint, the marginal pair is the pairs'
-    weight-average.  ``per_stratum`` maps each stratum to its pair; it is a
-    read-only view of ``pairs``, built when first read.  ``provenance``
-    records whether the numbers were measured experimentally or derived
-    from observational risks under ignorable assignment.
+    (K, 2) array in the joint's key order, with the joint's strata, and the
+    ``marginal`` pair, the pairs' weight-average, all clipped onto [0, 1].
+    ``provenance`` records whether the numbers were measured experimentally
+    or derived from observational risks under ignorable assignment.
     """
 
+    # each stratum's pair, a read-only view of ``pairs`` built on first read
     per_stratum: Mapping[StratumKey, tuple[float, float]]
     marginal: tuple[float, float]
     provenance: str
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
     _coded: _Coded = field(init=False, repr=False, compare=False)
 
-    def __init__(self, per_stratum: Mapping[StratumKey, tuple[float, float]],
-                 marginal: tuple[float, float], provenance: str) -> None:
-        keys = tuple(sorted(per_stratum, key=_key_order))
-        self._set(_Coded.of(keys), [*(per_stratum[key] for key in keys),
-                                    marginal], provenance)
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("made by load_experimental or adjusted_experimental")
 
     @classmethod
     def _weighted(cls, joint: StratifiedJoint, pairs: list | np.ndarray,
                   provenance: str) -> "ExperimentalQuantities":
-        """From each stratum's pair in the joint's key order, with their
-        weight-average as the marginal pair."""
-        built = object.__new__(cls)
-        built._set(joint._coded, pairs, provenance, joint.weights)
-        return built
-
-    def _set(self, coded: _Coded, rows: list | np.ndarray, provenance: str,
-             weights: np.ndarray | None = None) -> None:
-        """Check, clip and store the pairs of the strata ``coded``, in key
-        order, and the marginal pair: the last of ``rows``, or with
-        ``weights`` the weight-average of the pairs."""
+        """Check, clip and store each stratum's pair, in the joint's key
+        order, with their weight-average as the marginal pair."""
         if provenance not in (PROVENANCE_MEASURED, PROVENANCE_ADJUSTED):
             raise ValidationError(f"unknown provenance {provenance!r}")
-        if (not isinstance(rows, np.ndarray)
-                and any(len(row) != 2 for row in rows)):
-            raise ValidationError("expected (do-exposed, do-unexposed) pairs")
-        # no dtype: a value that cannot compare with a float raises TypeError
-        values = np.asarray(rows)
-        if weights is not None:
-            values = np.vstack([values, _running_sum(values.T * weights)])
+        values = np.vstack([pairs, _running_sum(np.transpose(pairs)
+                                                * joint.weights)])
         inside = (values >= -_SUM_TOL) & (values <= 1.0 + _SUM_TOL)
         if not inside.all():
             k, j = divmod(int(inside.argmin()), 2)
-            where = f"stratum {coded[k]}" if k < len(coded) else "marginal"
-            value = rows[k][j] if k < len(rows) else values[k, j].item()
-            raise ValidationError(
-                f"{where}: probability {value!r} outside [0, 1]")
+            where = (f"stratum {joint._coded[k]}" if k < joint.n_strata
+                     else "marginal")
+            raise ValidationError(f"{where}: probability "
+                                  f"{values[k, j].item()!r} outside [0, 1]")
         clipped = _clip(values, 0.0, 1.0)
         clipped.flags.writeable = False
-        for name, value in (("_coded", coded), ("pairs", clipped[:-1]),
+        built = object.__new__(cls)
+        for name, value in (("_coded", joint._coded), ("pairs", clipped[:-1]),
                             ("marginal", tuple(clipped[-1].tolist())),
                             ("provenance", provenance)):
-            object.__setattr__(self, name, value)
+            object.__setattr__(built, name, value)
+        return built
 
     @cached_property
     def per_stratum(self) -> Mapping[StratumKey, tuple[float, float]]:

@@ -225,8 +225,8 @@ def screen_violations(table: pc.StratumTable,
     excess) for each inequality broken by more than ``COMPAT_TOL``."""
     key = pc.StratumKey(())
     joint = pc.StratifiedJoint(strata={key: table}, covariates=())
-    report = validate_compatibility(joint, pc.ExperimentalQuantities(
-        {key: pair}, pair, PROVENANCE_MEASURED))
+    report = validate_compatibility(joint, reference_from_per_stratum(
+        joint, {key: pair}, PROVENANCE_MEASURED))
     return [(v.constraint, v.amount) for v in report.violations]
 
 
@@ -631,8 +631,10 @@ def _reference_checked(p, key):
 
 def reference_experimental(per_stratum, marginal,
                            provenance: str) -> pc.ExperimentalQuantities:
-    """The object the old constructor built, made without running the
-    current one; the library takes it wherever it takes pairs."""
+    """Pairs for any strata and marginal, as the deleted hand-built
+    constructor made them, without the library's builder; the library takes
+    them wherever it takes pairs, which lets tests pass pairs for strata
+    that do not match a joint."""
     if provenance not in ("measured-experimental", "sita-adjusted"):
         raise pc.ValidationError(f"unknown provenance {provenance!r}")
     cleaned = {}

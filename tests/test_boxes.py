@@ -37,6 +37,7 @@ from conftest import (
     reference_conditional,
     reference_conditional_boxes,
     reference_count_table,
+    reference_experimental,
     reference_feasible_extrema,
     reference_from_per_stratum,
     reference_load_experimental,
@@ -173,9 +174,9 @@ def _experimentals(joint, pairs, drop):
     missing = {key: pair for key, pair in pairs.items()
                if key != keys[drop % len(keys)]}
     if missing:
-        yield pc.ExperimentalQuantities(missing, (0.5, 0.5), measured), False
+        yield reference_experimental(missing, (0.5, 0.5), measured), False
     extra = {**pairs, pc.StratumKey.of(g="9", h="z"): (0.5, 0.5)}
-    yield pc.ExperimentalQuantities(extra, (0.5, 0.5), measured), False
+    yield reference_experimental(extra, (0.5, 0.5), measured), False
 
 
 _EDGE = [([0.25, 0.25, 0.25, 0.25], 1.0, 0.0, 1.0, 0.0, 0.0),
@@ -277,7 +278,7 @@ _JOINT_AND_PAIRS = {
 @pytest.mark.parametrize("stages", _OTHER_STRATA)
 def test_pairs_for_other_strata_are_one_error(cancer_joint, function,
                                               stages):
-    experimental = pc.ExperimentalQuantities(
+    experimental = reference_experimental(
         {pc.StratumKey.of(stage=s): (0.5, 0.5) for s in _OTHER_STRATA[stages]},
         (0.5, 0.5), "measured-experimental")
     assert _outcome(_JOINT_AND_PAIRS[function], cancer_joint,

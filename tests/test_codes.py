@@ -82,8 +82,8 @@ def test_code_order_is_key_order(tmp_path_factory, drawn):
 
 
 def test_strata_numbered_past_int64(tmp_path):
-    # 64 covariates of two levels number the cells past 2**63, where the
-    # digits come from Python's integers
+    # 64 covariates of two levels number the strata past 2**63, where
+    # _groups ranks the numbers so far before it reads the next covariate
     names = tuple(f"c{i:02}" for i in range(64))
     keys = [StratumKey(tuple(zip(names, ("ab"[k >> i & 1] for i in range(64)))))
             for k in (2**64 - 1, 5, 0, 2**63 + 1)]
@@ -96,6 +96,16 @@ def test_strata_numbered_past_int64(tmp_path):
     assert loaded == table and loaded._coded.keys() == tuple(sorted(keys))
     _, pooled = _groups(loaded._coded, ())
     assert pooled.keys() == (StratumKey(),)
+    # the rows repeated and out of order, as the parser passes them
+    coded = loaded._coded
+    rows = [2, 0, 3, 1, 0, 2, 2]
+    for keep in (names, names[1:], names[::3]):
+        index, groups = _groups(
+            _Coded(names, coded.levels, coded.codes[rows]), keep)
+        want_index, want_keys, _ = reference_groups(
+            [coded[k] for k in rows], names, keep)
+        assert index.tolist() == want_index.tolist()
+        assert groups.keys() == want_keys
 
 
 @repeatable
@@ -113,6 +123,26 @@ def test_groups_number_as_the_label_tuples_did(drawn):
             assert groups.covariates == want_covs
 
 
+@repeatable
+@given(_tables(), st.data())
+def test_groups_take_rows_in_any_order_repeated(drawn, data):
+    # _table passes every data row, _stratifier_layout every sampling cell
+    table, _ = drawn
+    coded, covs = table._coded, table.covariates
+    rows = data.draw(st.permutations([
+        k for k in range(len(coded))
+        for _ in range(data.draw(st.integers(1, 4)))]))
+    shuffled = _Coded(covs, coded.levels, coded.codes[rows])
+    for size in range(len(covs) + 1):
+        for keep in combinations(covs, size):
+            index, groups = _groups(shuffled, keep)
+            want_index, want_keys, want_covs = reference_groups(
+                [coded[k] for k in rows], covs, keep)
+            assert index.tolist() == want_index.tolist()
+            assert groups.keys() == want_keys
+            assert groups.covariates == want_covs
+
+
 def test_groups_check_the_kept_covariates():
     coded = pc.load_counts("tests/data/breast_cancer.csv")._coded
     for keep in (("stage", "stage"), ("grade",)):
@@ -121,18 +151,6 @@ def test_groups_check_the_kept_covariates():
         with pytest.raises(pc.ValidationError) as want:
             reference_groups(coded.keys(), coded.covariates, keep)
         assert str(got.value) == str(want.value)
-
-
-def test_pairs_over_other_covariates_keep_their_keys():
-    keys = {StratumKey.of(g="1"): (0.5, 0.5),
-            StratumKey.of(g="1", h="2"): (0.25, 0.5)}
-    experimental = pc.ExperimentalQuantities(keys, (0.5, 0.5),
-                                             "measured-experimental")
-    assert list(experimental.per_stratum) == sorted(keys)
-    assert experimental._coded.codes.tolist() == [[0, -1], [0, 0]]
-    joint = pc.to_probabilities(load_counts("tests/data/breast_cancer.csv"))
-    with pytest.raises(pc.ValidationError, match="do not match"):
-        pc.verify_bounds(joint, experimental)
 
 
 def _grid(path, size):

@@ -341,22 +341,22 @@ class TestEquality:
     @pytest.mark.parametrize("variant", ["equal", "one ulp", "key",
                                          "marginal", "provenance"])
     def test_pairs(self, variant):
-        keys = list(self._tables())
-        pairs = dict(zip(keys, np.random.default_rng(3).uniform(
-            size=(len(keys), 2)).tolist()))
-        args = [pairs, (0.5, 0.25), "measured-experimental"]
-        a = pc.ExperimentalQuantities(*args)
+        joint = pc.StratifiedJoint(self._tables(), ("g",), 10)
+        pairs = np.random.default_rng(3).uniform(size=(joint.n_strata, 2))
+        args = [joint, pairs, "measured-experimental"]
+        a = pc.ExperimentalQuantities._weighted(*args)
         if variant == "one ulp":
-            do_x, do_xp = pairs[keys[7]]
-            args[0] = {**pairs, keys[7]: (do_x, np.nextafter(do_xp, 0.0))}
+            args[1] = pairs.copy()
+            args[1][7, 1] = np.nextafter(pairs[7, 1], 0.0)
         elif variant == "key":
-            args[0] = {**pairs, pc.StratumKey.of(g="x"): pairs[keys[-1]]}
-            del args[0][keys[-1]]
+            args[0] = pc.StratifiedJoint(*self._joint_variants()["key"])
         elif variant == "marginal":
-            args[1] = (0.5, np.nextafter(0.25, 1.0))
+            # the same strata and pairs under the weights reversed
+            args[0] = pc.StratifiedJoint._of(joint._coded, joint.cells,
+                                             joint.weights[::-1].copy(), 10)
         elif variant == "provenance":
             args[2] = "sita-adjusted"
-        b = pc.ExperimentalQuantities(*args)
+        b = pc.ExperimentalQuantities._weighted(*args)
         same = a == b
         assert "per_stratum" not in vars(a) and "per_stratum" not in vars(b)
         assert same is (variant == "equal")
@@ -395,24 +395,41 @@ class TestExperimental:
         with pytest.raises(pc.ValidationError):
             load_experimental(io.StringIO(text), cancer_joint)
 
-    def test_bad_provenance_and_range(self):
-        with pytest.raises(pc.ValidationError):
-            pc.ExperimentalQuantities(per_stratum={}, marginal=(0.5, 0.5),
-                                      provenance="guessed")
-        with pytest.raises(pc.ValidationError):
-            pc.ExperimentalQuantities(per_stratum={}, marginal=(1.5, 0.5),
-                                      provenance="measured-experimental")
+    @staticmethod
+    def _pairs(pairs, provenance="measured-experimental"):
+        """A pairs file's text: each (levels, P(y_x|s), P(y_x'|s))."""
+        return io.StringIO(json.dumps({"provenance": provenance, "strata": [
+            {"levels": levels, "p_event_do_exposed": do_x,
+             "p_event_do_unexposed": do_xp} for levels, do_x, do_xp in pairs]}))
+
+    def test_bad_provenance_and_range(self, cancer_joint):
+        stages = [({"stage": s}, 0.5, 0.5) for s in ("1", "2", "3")]
+        with pytest.raises(pc.ValidationError) as exc:
+            load_experimental(self._pairs(stages, "guessed"), cancer_joint)
+        assert str(exc.value) == "unknown provenance 'guessed'"
+        stages[1] = ({"stage": "2"}, 1.5, 0.5)
+        with pytest.raises(pc.ValidationError) as exc:
+            load_experimental(self._pairs(stages), cancer_joint)
+        assert str(exc.value) == "stratum stage=2: probability 1.5 outside [0, 1]"
 
     def test_range_errors_name_the_stratum_or_marginal(self):
+        table = pc.StratumTable(0.25, 0.25, 0.25, 0.25, weight=1.0)
+        key = pc.StratumKey.of(g=1, h="a")
+        joint = pc.StratifiedJoint({key: table}, ("g", "h"))
         with pytest.raises(pc.ValidationError) as exc:
-            pc.ExperimentalQuantities(
-                per_stratum={pc.StratumKey.of(g=1, h="a"): (0.5, 1.25)},
-                marginal=(0.5, 0.5), provenance="measured-experimental")
+            load_experimental(self._pairs([(dict(key.labels), 0.5, 1.25)]),
+                              joint)
         assert str(exc.value) == "stratum g=1,h=a: probability 1.25 outside [0, 1]"
+        # a pair at the top of the range, under a weight just past 1 that
+        # the joint accepts, averages to a marginal past it
+        joint = pc.StratifiedJoint({key: replace(table, weight=1 + 5e-10)},
+                                   ("g", "h"))
         with pytest.raises(pc.ValidationError) as exc:
-            pc.ExperimentalQuantities(per_stratum={}, marginal=(0.5, -0.25),
-                                      provenance="measured-experimental")
-        assert str(exc.value) == "marginal: probability -0.25 outside [0, 1]"
+            load_experimental(self._pairs([(dict(key.labels), 0.5,
+                                            1 + 1e-9)]), joint)
+        marginal = (1 + 1e-9) * (1 + 5e-10)
+        assert str(exc.value) == \
+            f"marginal: probability {marginal!r} outside [0, 1]"
 
 
 class TestCompatibility:
@@ -486,9 +503,10 @@ class TestStratumOrder:
         strata = {pc.StratumKey.of(g=g): table for g in self.LEVELS}
         joint = pc.StratifiedJoint(strata=strata, covariates=("g",))
         assert [dict(key.labels)["g"] for key in joint.keys()] == self.SORTED
-        experimental = pc.ExperimentalQuantities(
-            per_stratum={pc.StratumKey.of(g=g): (0.5, 0.5) for g in self.LEVELS},
-            marginal=(0.5, 0.5), provenance="measured-experimental")
+        text = json.dumps({"strata": [
+            {"levels": {"g": g}, "p_event_do_exposed": 0.5,
+             "p_event_do_unexposed": 0.5} for g in self.LEVELS]})
+        experimental = load_experimental(io.StringIO(text), joint)
         assert [dict(key.labels)["g"] for key in experimental.per_stratum] == \
             self.SORTED
 
@@ -499,7 +517,5 @@ class TestStratumOrder:
         joint = pc.StratifiedJoint(strata=dict.fromkeys(keys, table),
                                    covariates=("t", "s"))
         assert list(joint.keys()) == sorted(keys)
-        experimental = pc.ExperimentalQuantities(
-            per_stratum=dict.fromkeys(keys, (0.5, 0.5)), marginal=(0.5, 0.5),
-            provenance="measured-experimental")
+        experimental = pc.adjusted_experimental(joint)
         assert list(experimental.per_stratum) == sorted(keys)

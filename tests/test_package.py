@@ -5,8 +5,10 @@ import contextlib
 import io
 import re
 
+import pytest
+
 import pcause as pc
-from pcause.model import collapse
+from pcause.model import CountTable, collapse
 from pcause.simulate import ReplicationStudy
 
 from conftest import CANCER_CSV, DATA_DIR
@@ -54,8 +56,9 @@ def test_readme_library_example_runs_on_the_fixture():
     assert lines[1].startswith("-0.6869850579528003 0.40496030498249935 (")
 
 
-# Each data type's public attributes.  The command line and the README use
-# these; adding one is a change to the documented surface.
+# Each data type's public attributes.  The command line, the README or the
+# tests' reference implementations use these; adding one is a change to the
+# documented surface.
 SURFACE = {
     "CountTable": {"collapse", "covariates", "rows", "total"},
     "StratumKey": {"covariates", "labels", "of"},
@@ -83,3 +86,13 @@ def test_data_types_have_exactly_the_documented_attributes(
     for value in values:
         public = {name for name in dir(value) if not name.startswith("_")}
         assert public == SURFACE[type(value).__name__], type(value).__name__
+
+
+def test_tables_and_pairs_come_only_from_their_builders():
+    for cls, builders in ((CountTable, "load_counts or collapse"),
+                          (pc.ExperimentalQuantities,
+                           "load_experimental or adjusted_experimental")):
+        for args, kwargs in (((), {}), (({},), {}),
+                             ((), {"per_stratum": {}, "cells": {}})):
+            with pytest.raises(TypeError, match=builders):
+                cls(*args, **kwargs)

@@ -47,10 +47,10 @@ from conftest import (
     reference_collapse,
     reference_count_collapse,
     reference_count_table,
-    reference_experimental,
     reference_from_per_stratum,
     reference_joint_of,
     reference_load_counts,
+    reference_load_experimental,
     reference_stratified_interval,
     reference_to_probabilities,
     reference_validate_compatibility,
@@ -495,49 +495,24 @@ _probability = st.one_of(
 @repeatable
 @given(st.lists(st.tuples(_probability, _probability), min_size=1,
                 max_size=5),
-       st.tuples(_probability, _probability),
        st.permutations(range(5)),
        st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=5,
                 max_size=5))
-@example([(-0.0, 1 + 1e-10), (-1e-10, 1)], (0, -0.0), [1, 0, 2, 3, 4],
-         [1.0] * 5)
-def test_experimental_pairs_match_the_value_loop(pairs, marginal, order,
-                                                 weights):
+@example([(-0.0, 1 + 1e-10), (-1e-10, 1)], [1, 0, 2, 3, 4], [1.0] * 5)
+def test_experimental_pairs_match_the_value_loop(pairs, order, weights):
     keys = [pc.StratumKey.of(g=i) for i in range(len(pairs))]
-    # the pairs arrive out of key order
-    per = {keys[i]: pairs[i] for i in order if i < len(pairs)}
-    for provenance in ("measured-experimental", "unknown"):
-        assert _outcome(pc.ExperimentalQuantities, per, marginal,
-                        provenance) == _outcome(reference_experimental, per,
-                                                marginal, provenance)
     total = sum(weights[:len(keys)])
     joint = pc.StratifiedJoint(
         strata={key: pc.StratumTable(0.25, 0.25, 0.25, 0.25, weight=w / total)
                 for key, w in zip(keys, weights)}, covariates=("g",))
-    assert _outcome(ExperimentalQuantities._weighted, joint,
-                    [per[key] for key in joint.keys()],
-                    "measured-experimental") == _outcome(
-        reference_from_per_stratum, joint, per, "measured-experimental")
-
-
-@pytest.mark.parametrize("per, marginal", [
-    ({"1": (0.5,)}, (0.5, 0.5)),
-    ({"1": (0.5, 0.5, 0.5)}, (0.5, 0.5)),
-    ({"1": (0.5, 0.5)}, (0.5, 0.5, 0.5)),
-])
-def test_experimental_pairs_of_the_wrong_length(per, marginal):
-    per = {pc.StratumKey.of(g=g): pair for g, pair in per.items()}
-    outcome = _outcome(pc.ExperimentalQuantities, per, marginal,
-                       "measured-experimental")
-    assert outcome == _outcome(reference_experimental, per, marginal,
-                               "measured-experimental")
-    assert outcome == ("ValidationError: expected (do-exposed, do-unexposed) "
-                       "pairs")
-    # a value out of range in a pair of the wrong length: the length error
-    # comes first, where the old loop checked every value before any length
-    per[pc.StratumKey.of(g="2")] = (2.0,)
-    assert _outcome(pc.ExperimentalQuantities, per, marginal,
-                    "measured-experimental") == outcome
+    for provenance in ("measured-experimental", "unknown"):
+        # the pairs arrive out of key order
+        text = json.dumps({"provenance": provenance, "strata": [
+            {"levels": {"g": i}, "p_event_do_exposed": pairs[i][0],
+             "p_event_do_unexposed": pairs[i][1]}
+            for i in order if i < len(pairs)]})
+        assert _outcome(load_experimental, io.StringIO(text), joint) == \
+            _outcome(reference_load_experimental, io.StringIO(text), joint)
 
 
 def test_marginal_adds_left_to_right():
