@@ -9,7 +9,8 @@ Five subcommands cover the library surface:
 * ``simulate``  replication study on a built-in or custom scenario
 * ``verify``    check the closed-form boxes against the response-type search
 
-Exit codes: 0 success, 1 analysis error or a failed verification, 2 usage
+Exit codes: 0 success, 1 analysis error, a failed verification or a closed
+stdout (a ``--json`` report may already be written in full), 2 usage
 error.  ``--json PATH`` writes a machine-readable report with a fixed
 schema; unused sections are null, and reruns on identical inputs produce
 byte-identical files.  The per-stratum sections are streamed to the file a
@@ -739,7 +740,15 @@ def _run(argv: Sequence[str] | None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a buffered pipe fails here
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

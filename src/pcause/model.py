@@ -223,9 +223,6 @@ class _Coded:
                                  and self.levels == other.levels
                                  and np.array_equal(self.codes, other.codes))
 
-    def __hash__(self) -> int:
-        return hash((self.covariates, self.levels, self.codes.tobytes()))
-
 
 # Sort keys that order strata as StratumKey's generated comparisons do,
 # without a dataclass __lt__/__eq__ call per comparison.
@@ -459,10 +456,6 @@ class CountTable:
         return (self._coded == other._coded
                 and np.array_equal(self._named, other._named)
                 and np.array_equal(self._counts, other._counts))
-
-    def __hash__(self) -> int:
-        # equal tables have equal strata and totals
-        return hash((self._coded, self._total))
 
     @property
     def total(self) -> int:
@@ -1190,15 +1183,12 @@ def _clip_pairs(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 def _conflict(excesses: Sequence[float], where: StratumKey | str,
-              ) -> IncompatibilityError | None:
+              ) -> IncompatibilityError:
     """The error for a pair whose excesses, in ``_CONSTRAINTS`` order,
     break an inequality by more than ``COMPAT_TOL``, naming every one it
-    breaks; None when there is none.  ``where`` opens the message: a key
-    reads "stratum KEY"."""
+    breaks.  ``where`` opens the message: a key reads "stratum KEY"."""
     violations = [(name, amount) for name, amount in zip(_CONSTRAINTS, excesses)
                   if amount > COMPAT_TOL]
-    if not violations:
-        return None
     detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
     if isinstance(where, StratumKey):
         where = f"stratum {where}"

@@ -208,14 +208,8 @@ class VerificationEntry:
     quantity: str
     closed: bounds.Interval
     searched: bounds.Interval
-    discrepancy: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        lower = abs(self.closed.lower - self.searched.lower)
-        upper = abs(self.closed.upper - self.searched.upper)
-        # NaN on either side is NaN, as np.maximum gives the report's
-        object.__setattr__(self, "discrepancy",
-                           upper if upper != upper else max(lower, upper))
+    # the larger endpoint gap, the report's array value
+    discrepancy: float = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, init=False)
@@ -228,26 +222,20 @@ class VerificationReport:
     upper endpoints and the closed form's (N, 2) attaining term indices.
     ``discrepancy`` (each entry's larger endpoint gap), ``max_discrepancy``,
     ``failures`` and ``passed`` are worked out from the arrays, and
-    ``entries`` is built when first read.  A report made from entries keeps
-    them and works out the same from their discrepancies.
+    ``entries`` is built when first read; nothing else makes a report.
     """
 
     # a field, so that repr and == read the entries
     entries: tuple[VerificationEntry, ...]
     tol: float
     discrepancy: np.ndarray = field(init=False, repr=False, compare=False)
-    _keys: Sequence[StratumKey] | None = field(init=False, repr=False,
-                                               compare=False)
+    _keys: Sequence[StratumKey] = field(init=False, repr=False, compare=False)
     _closed: np.ndarray = field(init=False, repr=False, compare=False)
     _terms: np.ndarray = field(init=False, repr=False, compare=False)
     _searched: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, entries: Sequence[VerificationEntry],
-                 tol: float) -> None:
-        entries = tuple(entries)
-        self._set(tol, np.array([e.discrepancy for e in entries], dtype=float),
-                  None, None, None, None)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("a VerificationReport comes from verify_bounds")
 
     @classmethod
     def _of(cls, keys: Sequence[StratumKey], closed: Sequence[bounds._Boxes],
@@ -262,33 +250,29 @@ class VerificationReport:
 
         closed_ends = entry_major([b[:2] for b in closed])
         searched_ends = entry_major(searched)
+        gaps = np.maximum(*np.abs(closed_ends - searched_ends).T)
         report = object.__new__(cls)
-        report._set(tol, np.maximum(*np.abs(closed_ends - searched_ends).T),
-                    keys, closed_ends, entry_major([b[2:] for b in closed]),
-                    searched_ends)
+        for name, value in (("tol", tol), ("discrepancy", gaps),
+                            ("_keys", keys), ("_closed", closed_ends),
+                            ("_terms", entry_major([b[2:] for b in closed])),
+                            ("_searched", searched_ends)):
+            object.__setattr__(report, name, value)
         return report
-
-    def _set(self, tol, discrepancy, keys, closed, terms, searched) -> None:
-        for name, value in (("tol", tol), ("discrepancy", discrepancy),
-                            ("_keys", keys), ("_closed", closed),
-                            ("_terms", terms), ("_searched", searched)):
-            object.__setattr__(self, name, value)
 
     def _entries(self, index: Sequence[int]) -> tuple[VerificationEntry, ...]:
         """The entries at ``index``, from the arrays."""
-        if self._keys is None:
-            return tuple(self.entries[i] for i in index)
         quantities = bounds.QUANTITIES
         entries = []
-        for i, (cl, cu), (li, ui), (sl, su) in zip(
-                index, self._closed[index].tolist(),
-                self._terms[index].tolist(), self._searched[index].tolist()):
+        for i, gap, (cl, cu), (li, ui), (sl, su) in zip(
+                index, self.discrepancy[index].tolist(),
+                self._closed[index].tolist(), self._terms[index].tolist(),
+                self._searched[index].tolist()):
             key, quantity = self._keys[i // 3], quantities[i % 3]
             entries.append(VerificationEntry(
                 key, quantity,
                 bounds.Interval._of(cl, cu, quantity, "conditional", (key,),
                                     (li,), (ui,)),
-                bounds.Interval(sl, su, quantity, "oracle")))
+                bounds.Interval(sl, su, quantity, "oracle"), gap))
         return tuple(entries)
 
     @cached_property

@@ -44,7 +44,7 @@ from pcause.model import (
     collapse,
     validate_compatibility,
 )
-from pcause.oracle import VerificationEntry, VerificationReport
+from pcause.oracle import VerificationEntry
 from pcause.simulate import (
     _MAX_ATTEMPTS_PER_REP,
     _MAX_DISCARD_RATE,
@@ -917,16 +917,20 @@ def reference_searched_boxes(quantity, joint, experimental, *,
             for key, table in joint.items()]
 
 
-def reference_verify_bounds(joint, experimental, *, tol=2e-3):
+def reference_verify_bounds(joint, experimental):
     entries = []
     for key, table in joint.items():
         pair = experimental.per_stratum[key]
         for quantity in ("PN", "PS", "PNS"):
             closed = reference_conditional(quantity, table, pair, key)
             searched = reference_feasible_extrema(table, pair, quantity)
-            entries.append(VerificationEntry(stratum=key, quantity=quantity,
-                                             closed=closed, searched=searched))
-    return VerificationReport(entries=tuple(entries), tol=tol)
+            lower = abs(closed.lower - searched.lower)
+            upper = abs(closed.upper - searched.upper)
+            # the larger endpoint gap, NaN when either is
+            gap = math.nan if math.isnan(lower + upper) else max(lower, upper)
+            entries.append(VerificationEntry(key, quantity, closed, searched,
+                                             gap))
+    return tuple(entries)
 
 
 def reference_load_experimental(source, joint):

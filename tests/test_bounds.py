@@ -319,6 +319,15 @@ class TestIncompatibility:
             assert iv.lower == pytest.approx(searched.lower, abs=TOL)
             assert iv.upper == pytest.approx(searched.upper, abs=TOL)
 
+    def test_screen_tolerance_is_1e_3(self):
+        # P(y_x'|s) must be at least P(x',y|s) = 0.1: 1.2e-3 below it is
+        # rejected, and 0.9e-3 below it is moved onto it
+        t = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=1.0)
+        with pytest.raises(pc.IncompatibilityError, match="unexposed-lower"):
+            pc.pn_interval_conditional(t, (0.45, 0.1 - 1.2e-3))
+        assert pc.pn_interval_conditional(t, (0.45, 0.1 - 0.9e-3)) == \
+            pc.pn_interval_conditional(t, (0.45, 0.1))
+
     def test_stratified_moves_accepted_pairs_onto_their_range(self):
         t = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=0.5)
         a, b = pc.StratumKey.of(g=1), pc.StratumKey.of(g=2)
@@ -364,6 +373,11 @@ class TestIntervalType:
     def test_invariants(self):
         with pytest.raises(pc.ValidationError):
             Interval(lower=0.5, upper=0.2, quantity="PN", method="oracle")
+        # a lower end above the upper by up to 1e-9 is rounding
+        with pytest.raises(pc.ValidationError):
+            Interval(lower=0.5 + 2e-9, upper=0.5, quantity="PN",
+                     method="oracle")
+        Interval(lower=0.5 + 0.5e-9, upper=0.5, quantity="PN", method="oracle")
         with pytest.raises(pc.ValidationError):
             Interval(lower=0.0, upper=1.0, quantity="XX", method="oracle")
         with pytest.raises(pc.ValidationError):

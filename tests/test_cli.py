@@ -74,6 +74,26 @@ class TestExitCodes:
         assert done.returncode == 0
         assert done.stdout == f"pcause {pc.__version__}\n"
 
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_a_closed_stdout_exits_1_with_one_line(self, unbuffered):
+        # the read end closes before the spawn, so every write to stdout
+        # fails, at once unbuffered and at the flush otherwise
+        env = {name: value for name, value in os.environ.items()
+               if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(pc.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pcause", "bounds", *DATA], env=env,
+                stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert done.stderr == "error: standard output was closed\n"
+
     def test_unwritable_report_path(self, capsys):
         assert run(["bounds", *DATA, "--json",
                     "/nonexistent/dir/report.json"]) == 1

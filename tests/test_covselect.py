@@ -80,6 +80,17 @@ class TestExactCheck:
         assert bad.max_deviation == pytest.approx(0.3, abs=1e-9)
         assert good.holds
 
+    @pytest.mark.parametrize("shift, holds", [(4e-9, False), (1e-9, True)])
+    def test_exposure_tolerance_is_1e_9(self, shift, holds):
+        # within t = 1, P(x|s=1) is up by ``shift`` and P(x|s=2) is not, so
+        # each deviates from the averaged P(x|t=1) by half of it
+        joint = pc.StratifiedJoint(strata={
+            _key("1", "1"): _table(0.5 + shift, 0.6, 0.2, 0.5),
+            _key("2", "1"): _table(0.5, 0.6, 0.2, 0.5)}, covariates=("s", "t"))
+        verdict = pc.ci_check(joint, pc.CIRelation(EXPOSURE_CI, "s", "t"))
+        assert verdict.max_deviation == pytest.approx(shift / 2, rel=1e-6)
+        assert verdict.holds is holds
+
     def test_detects_exposure_violation(self):
         joint = _broken_exposure_joint()
         bad = pc.ci_check(joint, pc.CIRelation(EXPOSURE_CI, "s", "t"))
@@ -128,6 +139,14 @@ class TestCountTest:
         assert verdict.p_value == 1.0
         assert verdict.holds
 
+    def test_a_p_value_at_alpha_holds(self):
+        joint = replace(_broken_outcome_joint(), total_n=40)
+        relation = pc.CIRelation(OUTCOME_CI, "s", "t")
+        p_value = pc.ci_check(joint, relation, mode="count-test").p_value
+        assert 0.0 < p_value < 1.0
+        assert pc.ci_check(joint, relation, mode="count-test",
+                           alpha=p_value).holds
+
     def test_sample_size_required(self):
         rng = np.random.default_rng(43)
         joint = random_ci_joint(rng)
@@ -152,6 +171,15 @@ class TestVarianceOrdering:
             for strat in (("t",), ("s", "t")):
                 assert values[strat][0] == pytest.approx(base[0], abs=1e-10)
                 assert values[strat][1] == pytest.approx(base[1], abs=1e-10)
+
+    @pytest.mark.parametrize("excess, observed", [(2e-12, False),
+                                                  (0.5e-12, True)])
+    def test_observed_allows_1e_12(self, excess, observed):
+        premise = covselect.CIVerdict(pc.CIRelation(OUTCOME_CI, "s", "t"),
+                                      "exact-probability", True, 1e-9)
+        verdict = covselect.OrderingVerdict("PN", ("s",), ("s", "t"),
+                                            0.01 + excess, 0.01, premise)
+        assert verdict.observed is observed
 
     def test_ordering_inequalities_directly(self):
         # the two mean-vs-harmonic-mean facts behind the orderings:

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from dataclasses import replace
 
@@ -11,6 +13,7 @@ from pcause.identify import (
     monotonicity_diagnostic,
     pns_point,
 )
+from pcause.model import load_experimental
 from pcause.simulate import builtin_scenarios
 
 from conftest import (
@@ -265,6 +268,18 @@ class TestMonotonicityDiagnostic:
         assert report.pn.value == pytest.approx(-0.6869850579528003, abs=1e-9)
         assert not report.pn_consistent
         assert not report.plausible
+
+    @pytest.mark.parametrize("gap, flagged", [(2e-12, 3), (0.5e-12, 0)])
+    def test_risk_differences_below_minus_1e_12_are_flagged(
+            self, cancer_joint, gap, flagged):
+        # each pair is inside both of its stratum's ranges
+        text = json.dumps({"strata": [
+            {"levels": {"stage": stage}, "p_event_do_exposed": do_x,
+             "p_event_do_unexposed": do_x + gap}
+            for stage, do_x in (("1", 0.2), ("2", 0.3), ("3", 0.5))]})
+        experimental = load_experimental(io.StringIO(text), cancer_joint)
+        report = monotonicity_diagnostic(cancer_joint, experimental)
+        assert len(report.flagged) == flagged
 
     def test_interval_consistency_checked(self, cancer_joint,
                                           cancer_experimental):

@@ -5,6 +5,7 @@ import pcause as pc
 import pcause.bounds
 from pcause.cli import run
 from pcause.identify import pns_point
+from pcause.model import _clip_pairs, _matched_pairs
 from pcause.oracle import VerificationEntry, feasible_extrema
 
 from conftest import CANCER_CSV, assert_intervals_certified, \
@@ -174,6 +175,28 @@ class TestArguments:
 
 
 class TestVerification:
+    def test_routes_agree_where_the_screen_moves_no_pair(
+            self, cancer_joint, cancer_experimental):
+        # the default tolerance, 2e-3, allows for a pair that the screen
+        # moves onto its range, which the closed forms see and the search
+        # does not; where no pair moves, the two routes agree to rounding,
+        # so a closed-form error far below that tolerance still shows here
+        rng = np.random.default_rng(3311)
+        instances = [(cancer_joint, cancer_experimental)]
+        for n_strata in (1, 3, 6):
+            for _ in range(300):
+                joint, measured = random_instance(rng, n_strata)
+                instances += [(joint, measured),
+                              (joint, pc.adjusted_experimental(joint))]
+        checked = 0
+        for joint, experimental in instances:
+            pairs = _matched_pairs(joint, experimental)
+            unmoved = (_clip_pairs(joint.cells, pairs) == pairs).all(axis=1)
+            gaps = pc.verify_bounds(joint, experimental).discrepancy
+            assert (gaps[unmoved.repeat(3)] <= 1e-12).all()
+            checked += 3 * int(unmoved.sum())
+        assert checked == 18_009
+
     def test_fixture_passes(self, cancer_joint, cancer_experimental):
         report = pc.verify_bounds(cancer_joint, cancer_experimental)
         assert report.passed
@@ -229,8 +252,8 @@ class TestVerification:
 
     def test_entries_compare_and_print_by_their_intervals(self, cancer_joint,
                                                          cancer_experimental):
-        # the discrepancy is worked out once per entry, as a field that
-        # neither repr nor == reads
+        # the discrepancy is the report's array value, a field that neither
+        # repr nor == reads
         entry = pc.verify_bounds(cancer_joint, cancer_experimental).entries[0]
         assert entry.discrepancy == max(
             abs(entry.closed.lower - entry.searched.lower),
@@ -240,5 +263,5 @@ class TestVerification:
             f"{entry.quantity!r}, closed={entry.closed!r}, "
             f"searched={entry.searched!r})")
         again = VerificationEntry(entry.stratum, entry.quantity,
-                                  entry.closed, entry.searched)
-        assert again == entry and again.discrepancy == entry.discrepancy
+                                  entry.closed, entry.searched, 0.5)
+        assert again == entry and hash(again) == hash(entry)

@@ -9,6 +9,7 @@ import pytest
 
 import pcause as pc
 from pcause.model import CountTable, collapse
+from pcause.oracle import VerificationReport
 from pcause.simulate import ReplicationStudy
 
 from conftest import CANCER_CSV, DATA_DIR
@@ -91,7 +92,8 @@ def test_data_types_have_exactly_the_documented_attributes(
 def test_tables_and_pairs_come_only_from_their_builders():
     for cls, builders in ((CountTable, "load_counts or collapse"),
                           (pc.ExperimentalQuantities,
-                           "load_experimental or adjusted_experimental")):
+                           "load_experimental or adjusted_experimental"),
+                          (VerificationReport, "verify_bounds")):
         for args, kwargs in (((), {}), (({},), {}),
                              ((), {"per_stratum": {}, "cells": {}})):
             with pytest.raises(TypeError, match=builders):

@@ -30,7 +30,6 @@ import pcause.oracle
 from pcause import cli
 from pcause.bounds import conditional_boxes
 from pcause.model import render_counts
-from pcause.oracle import VerificationReport
 
 from conftest import (
     CANCER_CSV,
@@ -217,7 +216,7 @@ def joint_and_pairs(request, cancer_joint, cancer_experimental):
 class TestLibrarySurface:
     def test_entries_are_the_tuple_of_the_entry_loop(self, joint_and_pairs):
         report = pc.verify_bounds(*joint_and_pairs)
-        expected = reference_verify_bounds(*joint_and_pairs).entries
+        expected = reference_verify_bounds(*joint_and_pairs)
         assert "entries" not in vars(report)
         entries = report.entries
         assert type(entries) is tuple and entries == expected
@@ -227,17 +226,9 @@ class TestLibrarySurface:
             assert repr(entries[n]) == repr(expected[n])
         assert entries[2:7] == expected[2:7]
         assert report.entries is entries
-
-    def test_a_report_from_entries_constructs_and_prints_as_before(
-            self, joint_and_pairs):
-        report = pc.verify_bounds(*joint_and_pairs)
-        entries = reference_verify_bounds(*joint_and_pairs).entries
-        again = VerificationReport(entries, report.tol)
-        assert again.entries is entries
-        assert repr(again) == (f"VerificationReport(entries={entries!r}, "
-                               f"tol={report.tol!r})")
+        again = pc.verify_bounds(*joint_and_pairs)
         assert again == report and hash(again) == hash(report)
-        assert VerificationReport(entries, 0.5) != report
+        assert pc.verify_bounds(*joint_and_pairs, tol=0.5) != report
 
     @pytest.mark.parametrize("tol", [2e-3, 1e-16, 0.0])
     @pytest.mark.parametrize("fault", [False, True])
@@ -249,12 +240,11 @@ class TestLibrarySurface:
                                if fault else pcause.bounds._box_rows):
             report = pc.verify_bounds(*joint_and_pairs, tol=tol)
         entries = (report.entries if fault else
-                   reference_verify_bounds(*joint_and_pairs, tol=tol).entries)
+                   reference_verify_bounds(*joint_and_pairs))
         max_discrepancy, failures, passed = reference_verdict(entries, tol)
-        for made in (report, VerificationReport(entries, tol)):
-            assert repr(made.max_discrepancy) == repr(max_discrepancy)
-            assert repr(made.failures) == repr(failures)
-            assert made.passed is passed
+        assert repr(report.max_discrepancy) == repr(max_discrepancy)
+        assert repr(report.failures) == repr(failures)
+        assert report.passed is passed
         if fault:
             assert not passed
 
