@@ -55,8 +55,7 @@ which returns every stratum's candidate terms (and, for PN and PS, the
 denominator) in tie-break order as arrays over the strata; each interval
 differs only in how it combines them.  One pass over those arrays gives
 every stratum's box as arrays of endpoints and attaining-term indices, from
-which the command line writes its report; :func:`conditional_boxes` builds
-its intervals from that pass, and the one-stratum functions
+which the command line writes its report, and the one-stratum functions
 (``pn_interval_conditional`` and its PS and PNS siblings,
 :func:`tian_pearl_interval`, and :func:`stratified_interval` of a
 one-stratum joint) are the same pass over one row.  A failing stratum
@@ -177,10 +176,6 @@ class Interval:
         if self.lower > self.upper + _INVERT_TOL:
             raise ValidationError(
                 f"interval lower {self.lower!r} exceeds upper {self.upper!r}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
     def contains(self, value: float) -> bool:
         return self.lower - _INVERT_TOL <= value <= self.upper + _INVERT_TOL
@@ -309,7 +304,7 @@ def _box_rows(quantities: Sequence[str], cells: np.ndarray,
             continue
         n = int(failed.argmax())
         if conflict[n]:
-            error = _conflict(excess[n].tolist(), keys[n])
+            error = _conflict(excess[n].tolist(), f"stratum {keys[n]}")
         elif empty[n]:
             error = PositivityError(
                 f"{quantity} undefined in stratum {keys[n]}: no probability "
@@ -349,25 +344,17 @@ def _one_box(quantity: str, method: str, table: StratumTable,
 
 def _conditional_rows(quantity: str, joint: StratifiedJoint,
                       experimental: ExperimentalQuantities) -> _Boxes:
-    """Every stratum's conditional box as arrays, in key order; raises as
-    :func:`conditional_boxes` does."""
-    if quantity not in QUANTITIES:
-        raise ValidationError(f"unknown quantity {quantity!r}")
-    return _boxes(quantity, joint.cells, _matched_pairs(joint, experimental),
-                  joint._coded)
-
-
-def conditional_boxes(quantity: str, joint: StratifiedJoint,
-                      experimental: ExperimentalQuantities) -> list[Interval]:
-    """Every stratum's conditional box, in key order, from one array pass.
+    """Every stratum's conditional box as arrays, in key order.
 
     Raises :class:`ValidationError` unless the pairs are for exactly the
     joint's strata, then the error of the first stratum, in key order, that
     fails the screen, positivity or inversion check, as a loop over the
     per-stratum functions below would.
     """
-    return _intervals(quantity, "conditional", joint._coded,
-                      _conditional_rows(quantity, joint, experimental))
+    if quantity not in QUANTITIES:
+        raise ValidationError(f"unknown quantity {quantity!r}")
+    return _boxes(quantity, joint.cells, _matched_pairs(joint, experimental),
+                  joint._coded)
 
 
 def pn_interval_conditional(table: StratumTable, pair: tuple[float, float], *,

@@ -168,12 +168,10 @@ class _Coded:
         self._keys = None
 
     @classmethod
-    def of(cls, keys: Sequence[StratumKey],
-           covariates: tuple[str, ...] = ()) -> "_Coded":
-        """The strata of ``keys``, in their order, over the sorted
-        ``covariates``, by default the keys' own, which every key has."""
+    def of(cls, keys: Sequence[StratumKey]) -> "_Coded":
+        """The strata of ``keys``, in order, over the covariates each has."""
         labels = [dict(key.labels) for key in keys]
-        covariates = covariates or tuple(sorted(set().union(*labels)))
+        covariates = tuple(sorted(set().union(*labels)))
         columns = [[label[name] for label in labels] for name in covariates]
         levels = tuple(tuple(sorted(set(column))) for column in columns)
         codes = np.array([list(map(dict(zip(lv, range(len(lv)))).__getitem__,
@@ -335,7 +333,7 @@ class StratifiedJoint:
                 raise ValidationError(
                     f"stratum {key} does not use covariates {covs}")
         tables = [strata[key] for key in keys]
-        self._set(_Coded.of(keys, covs),
+        self._set(_Coded.of(keys),
                   np.array([[t.p_exposed_event, t.p_exposed_noevent,
                              t.p_unexposed_event, t.p_unexposed_noevent]
                             for t in tables], dtype=float),
@@ -344,30 +342,15 @@ class StratifiedJoint:
     @classmethod
     def _of(cls, coded: _Coded, cells: np.ndarray, weights: np.ndarray,
             total_n: int | None) -> "StratifiedJoint":
-        """A joint from its strata's codes and its arrays."""
+        """A joint from its strata's codes and its arrays, whose rows must
+        already pass :class:`StratumTable`'s checks."""
         joint = object.__new__(cls)
         joint._set(coded, cells, weights, total_n)
         return joint
 
     def _set(self, coded: _Coded, cells: np.ndarray, weights: np.ndarray,
              total_n: int | None) -> None:
-        """Check the rows as :class:`StratumTable` checks one, raising its
-        error for the first stratum in key order that fails, then the
-        weights' total and ``total_n``; store the arrays read-only."""
-        negative = ~(cells >= 0.0)
-        sums = _running_sum(cells)
-        failed = (negative.any(axis=1) | (np.abs(sums - 1.0) > _SUM_TOL)
-                  | ~((weights > 0.0) & (weights <= 1.0 + _SUM_TOL)))
-        if failed.any():
-            k = int(failed.argmax())
-            if negative[k].any():
-                cell = cells[k, negative[k].argmax()].item()
-                raise ValidationError(f"negative cell probability {cell!r}")
-            if abs(sums[k] - 1.0) > _SUM_TOL:
-                raise ValidationError(
-                    f"cells sum to {sums[k].item()!r}, not 1")
-            raise ValidationError(
-                f"stratum weight {weights[k].item()!r} outside (0, 1]")
+        """Check the weights' total and ``total_n``; store the arrays."""
         total = sum(weights.tolist())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(f"stratum weights sum to {total!r}, not 1")
@@ -439,16 +422,12 @@ class CountTable:
         """A table from checked parts: its strata's counts and named cells
         in key order, in the dtype that ``_exact(total)`` gives."""
         table = object.__new__(cls)
-        table._set(coded, counts, named, total)
-        return table
-
-    def _set(self, coded: _Coded, counts: np.ndarray, named: np.ndarray,
-             total: int) -> None:
         counts.flags.writeable = named.flags.writeable = False
         for name, value in (("covariates", coded.covariates),
                             ("_coded", coded), ("_counts", counts),
                             ("_named", named), ("_total", total)):
-            object.__setattr__(self, name, value)
+            object.__setattr__(table, name, value)
+        return table
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -1182,16 +1161,13 @@ def _clip_pairs(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return _clip(pairs, cells[:, 0::2], 1.0 - cells[:, 1::2])
 
 
-def _conflict(excesses: Sequence[float], where: StratumKey | str,
-              ) -> IncompatibilityError:
+def _conflict(excesses: Sequence[float], where: str) -> IncompatibilityError:
     """The error for a pair whose excesses, in ``_CONSTRAINTS`` order,
     break an inequality by more than ``COMPAT_TOL``, naming every one it
-    breaks.  ``where`` opens the message: a key reads "stratum KEY"."""
+    breaks.  ``where`` opens the message."""
     violations = [(name, amount) for name, amount in zip(_CONSTRAINTS, excesses)
                   if amount > COMPAT_TOL]
     detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
-    if isinstance(where, StratumKey):
-        where = f"stratum {where}"
     return IncompatibilityError(
         f"{where}: experimental pair conflicts with joint cells ({detail})")
 

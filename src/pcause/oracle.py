@@ -179,8 +179,8 @@ def _failure(quantity: str, n: int, excess: np.ndarray, conflict: np.ndarray,
     if negative[n]:
         return RuntimeError(
             "response-type mass went negative; feasibility screening is broken")
-    frame = "exposed cases" if quantity == "PN" else "unexposed non-cases"
-    return PositivityError(f"{quantity} undefined: no {frame} in stratum")
+    return PositivityError(f"{quantity} undefined: no "
+                           f"{bounds._POSITIVE_FRAME[quantity]} in stratum")
 
 
 def feasible_extrema(table: StratumTable, pair: tuple[float, float],

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,9 @@ from pcause.bounds import (
     PNS_UPPER_TERMS,
     Interval,
     TermChoice,
+    _conditional_rows,
+    _intervals,
     _swap_pair,
-    conditional_boxes,
 )
 from pcause.covselect import EXPOSURE_CI
 from pcause.identify import (
@@ -279,6 +281,59 @@ def assert_intervals_certified(joint: pc.StratifiedJoint,
         assert tp.upper == pytest.approx(searched.upper, abs=tol)
 
 
+def _exact_terms(quantity, cells, pair):
+    """(denominator, lower terms, upper terms) of one stratum's exact cells
+    and pair, written from the module docstring of :mod:`pcause.bounds`."""
+    (do_x, do_xp), (xy, xy_, x_y, x_y_) = pair, cells
+    if quantity == "PNS":
+        return 1, (0, do_x - xy - x_y, 1 - do_xp - xy_ - x_y_, do_x - do_xp), \
+            (do_x, 1 - do_xp, xy + x_y_, do_x - do_xp + x_y + xy_)
+    if quantity == "PN":
+        return xy, (0, 1 - do_xp - xy_ - x_y_), (xy, 1 - do_xp - x_y_)
+    return x_y_, (0, do_x - xy - x_y), (x_y_, do_x - xy)
+
+
+def exact_intervals(quantity, quads):
+    """Each stratum's box, then the stratified and the Tian-Pearl interval,
+    as (lower, upper) Fractions, from integer counts in cell order per
+    stratum with sita-adjusted pairs: P(y_x|s) = P(y|x,s) and
+    P(y_x'|s) = P(y|x',s)."""
+    total = sum(map(sum, quads))
+    cells = [[Fraction(n, sum(quad)) for n in quad] for quad in quads]
+    weights = [Fraction(sum(quad), total) for quad in quads]
+    pairs = [(c[0] / (c[0] + c[1]), c[2] / (c[2] + c[3])) for c in cells]
+    terms = [_exact_terms(quantity, c, pair) for c, pair in zip(cells, pairs)]
+    boxes = [(max(lows) / d, min(ups) / d) for d, lows, ups in terms]
+    denom = sum(w * d for w, (d, _, _) in zip(weights, terms))
+    stratified = tuple(sum(w * pick(t) for w, t in zip(weights, ends)) / denom
+                       for pick, ends in ((max, [lows for _, lows, _ in terms]),
+                                          (min, [ups for _, _, ups in terms])))
+    pooled = [sum(w * c[i] for w, c in zip(weights, cells)) for i in range(4)]
+    marginal = tuple(sum(w * pair[i] for w, pair in zip(weights, pairs))
+                     for i in range(2))
+    d, lows, ups = _exact_terms(quantity, pooled, marginal)
+    return boxes + [stratified, (max(lows) / d, min(ups) / d)]
+
+
+def exact_gap(counts: CountTable) -> float:
+    """The largest distance of a printed endpoint (every box, stratified and
+    Tian-Pearl endpoint, with sita-adjusted pairs) from its exact value."""
+    joint = pc.to_probabilities(counts)
+    experimental = pc.adjusted_experimental(joint)
+    pooled = collapse(joint, ()).only()
+    gap = Fraction(0)
+    for quantity in ("PN", "PS", "PNS"):
+        printed = [*conditional_boxes(quantity, joint, experimental),
+                   pc.stratified_interval(quantity, joint, experimental),
+                   pc.tian_pearl_interval(quantity, pooled,
+                                          experimental.marginal)]
+        for iv, (lower, upper) in zip(printed, exact_intervals(
+                quantity, counts._counts.tolist()), strict=True):
+            gap = max(gap, abs(Fraction(iv.lower) - lower),
+                      abs(Fraction(iv.upper) - upper))
+    return float(gap)
+
+
 # The scalar point estimators and replication loop as they were before
 # scoring moved to identify._no_prevention: one stratum, one replication at
 # a time in Python floats.  The array kernel must give the same floats.
@@ -419,7 +474,8 @@ def reference_replicate_study(scenario: Scenario, n: int, reps: int,
 
 def reference_count_table(rows, covariates) -> CountTable:
     """The count table of (stratum, x, y, count) rows, built without the
-    parser: each cell's counts summed, strata in key order."""
+    parser: each cell's counts summed, strata in key order.  Every key
+    holds the ``covariates``."""
     quads: dict[pc.StratumKey, list] = {}
     for key, x, y, n in rows:
         quad, slot = quads.setdefault(key, [None] * 4), _cell_slot(x, y)
@@ -428,7 +484,7 @@ def reference_count_table(rows, covariates) -> CountTable:
     total = sum(n or 0 for quad in quads.values() for n in quad)
     dtype = np.int64 if total < 2**63 else object
     return CountTable._of(
-        _Coded.of(tuple(keys), tuple(sorted(covariates))),
+        _Coded.of(tuple(keys)),
         np.array([[n or 0 for n in quads[key]] for key in keys],
                  dtype).reshape(-1, 4),
         np.array([[n is not None for n in quads[key]] for key in keys],
@@ -828,6 +884,12 @@ def reference_tian_pearl_interval(quantity, table, marginal):
     if quantity not in ("PN", "PS", "PNS"):
         raise pc.ValidationError(f"unknown quantity {quantity!r}")
     return _reference_box(quantity, "tian-pearl", table, marginal)
+
+
+def conditional_boxes(quantity, joint, experimental):
+    """Every stratum's conditional box as an interval, in key order."""
+    return _intervals(quantity, "conditional", joint._coded,
+                      _conditional_rows(quantity, joint, experimental))
 
 
 def reference_conditional_boxes(quantity, joint, experimental):

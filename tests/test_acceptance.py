@@ -329,7 +329,8 @@ def test_criterion_8_no_prevention_collapse():
         pns_iv = feasible_extrema(t, pair, "PNS", no_prevention=True)
         pn = pc.pn_point(joint).value
         pns = pns_point(joint).value
-        worst = max(worst, pn_iv.width, pns_iv.width,
+        worst = max(worst, pn_iv.upper - pn_iv.lower,
+                    pns_iv.upper - pns_iv.lower,
                     abs(pn_iv.lower - pn), abs(pns_iv.lower - pns))
     ok = worst <= 2e-3
     _verdict(8, ok, f"100 monotone instances, max gap to the point "

@@ -328,6 +328,16 @@ class TestIncompatibility:
         assert pc.pn_interval_conditional(t, (0.45, 0.1 - 0.9e-3)) == \
             pc.pn_interval_conditional(t, (0.45, 0.1))
 
+    def test_a_pair_exactly_1e_3_outside_is_accepted(self):
+        # P(x, y|s) - P(y_x|s) = 0.002 - 0.001 is exactly 1e-3
+        t = pc.StratumTable(0.002, 0.498, 0.1, 0.4, weight=1.0)
+        assert pc.pn_interval_conditional(t, (0.001, 0.45)) == \
+            pc.pn_interval_conditional(t, (0.002, 0.45))
+        # beside a breach, the inequality at exactly 1e-3 is not named
+        with pytest.raises(pc.IncompatibilityError) as exc:
+            pc.pn_interval_conditional(t, (0.001, 0.1 - 1.2e-3))
+        assert str(exc.value).endswith("(unexposed-lower by 0.0012)")
+
     def test_stratified_moves_accepted_pairs_onto_their_range(self):
         t = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=0.5)
         a, b = pc.StratumKey.of(g=1), pc.StratumKey.of(g=2)
@@ -378,6 +388,8 @@ class TestIntervalType:
             Interval(lower=0.5 + 2e-9, upper=0.5, quantity="PN",
                      method="oracle")
         Interval(lower=0.5 + 0.5e-9, upper=0.5, quantity="PN", method="oracle")
+        # ... and exactly 1e-9 above still is
+        Interval(lower=0.5 + 1e-9, upper=0.5, quantity="PN", method="oracle")
         with pytest.raises(pc.ValidationError):
             Interval(lower=0.0, upper=1.0, quantity="XX", method="oracle")
         with pytest.raises(pc.ValidationError):
@@ -385,8 +397,10 @@ class TestIntervalType:
 
     def test_width_and_contains(self):
         iv = Interval(lower=0.2, upper=0.5, quantity="PN", method="oracle")
-        assert iv.width == pytest.approx(0.3, abs=TOL)
+        assert iv.upper - iv.lower == pytest.approx(0.3, abs=TOL)
         assert iv.contains(0.2) and iv.contains(0.5)
+        # the ends widened by exactly 1e-9 are inside
+        assert iv.contains(0.2 - 1e-9) and iv.contains(0.5 + 1e-9)
         assert not iv.contains(0.6)
 
     def test_unknown_quantity_rejected(self, cancer_joint, cancer_experimental):

@@ -1,7 +1,8 @@
 """The batched boxes, search and pair loader against the loops they replaced.
 
-``bounds.conditional_boxes`` computes every stratum's conditional box in one
-array pass, ``verify_bounds`` runs that pass and the response-type search
+``bounds._conditional_rows`` computes every stratum's conditional box in one
+array pass (as intervals, ``conftest.conditional_boxes``), ``verify_bounds``
+runs that pass and the response-type search
 (``oracle._searched_rows``) once over all strata and quantities,
 ``load_experimental`` reads its pairs in one pass, and the one-stratum
 functions are one-row calls of the same passes.  The ``reference_*``
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcause as pc
-from pcause.bounds import Interval, conditional_boxes
+from pcause.bounds import Interval
 from pcause.identify import monotonicity_diagnostic
 from pcause.model import (
     _MISMATCH,
@@ -32,6 +33,7 @@ from pcause.model import (
 from pcause.oracle import VerificationReport, _searched_rows
 
 from conftest import (
+    conditional_boxes,
     random_joint,
     random_pair,
     reference_conditional,

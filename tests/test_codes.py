@@ -76,8 +76,7 @@ def test_code_order_is_key_order(tmp_path_factory, drawn):
         assert [coded[k] for k in range(len(coded))] == sorted(keys)
         assert coded.keys() == tuple(sorted(keys))
         assert coded.names() == [str(key) for key in sorted(keys)]
-    assert loaded._coded == table._coded == _Coded.of(
-        tuple(sorted(keys)), table.covariates)
+    assert loaded._coded == table._coded == _Coded.of(tuple(sorted(keys)))
     assert loaded == table
 
 

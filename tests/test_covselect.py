@@ -91,6 +91,16 @@ class TestExactCheck:
         assert verdict.max_deviation == pytest.approx(shift / 2, rel=1e-6)
         assert verdict.holds is holds
 
+    def test_a_deviation_of_exactly_1e_9_holds(self):
+        # P(x|s=1) = 2e-9 and P(x|s=2) = 0 average to P(x|t=1) = 1e-9, so
+        # both strata deviate by exactly 1e-9: every step is exact
+        joint = pc.StratifiedJoint(strata={
+            _key("1", "1"): _table(2e-9, 0.5, 0.2, 0.5),
+            _key("2", "1"): _table(0.0, 0.5, 0.2, 0.5)}, covariates=("s", "t"))
+        verdict = pc.ci_check(joint, pc.CIRelation(EXPOSURE_CI, "s", "t"))
+        assert verdict.max_deviation == covselect.EXACT_TOL
+        assert verdict.holds
+
     def test_detects_exposure_violation(self):
         joint = _broken_exposure_joint()
         bad = pc.ci_check(joint, pc.CIRelation(EXPOSURE_CI, "s", "t"))
@@ -172,7 +182,9 @@ class TestVarianceOrdering:
                 assert values[strat][0] == pytest.approx(base[0], abs=1e-10)
                 assert values[strat][1] == pytest.approx(base[1], abs=1e-10)
 
+    # 0.01 + 1e-12 is exactly the bound, rounded alike on both sides
     @pytest.mark.parametrize("excess, observed", [(2e-12, False),
+                                                  (1e-12, True),
                                                   (0.5e-12, True)])
     def test_observed_allows_1e_12(self, excess, observed):
         premise = covselect.CIVerdict(pc.CIRelation(OUTCOME_CI, "s", "t"),

@@ -281,6 +281,21 @@ class TestMonotonicityDiagnostic:
         report = monotonicity_diagnostic(cancer_joint, experimental)
         assert len(report.flagged) == flagged
 
+    def test_a_risk_difference_of_exactly_minus_1e_12_is_not_flagged(self):
+        # 1e-12 - 2e-12 is exactly -1e-12; each pair is within the screen's
+        # 1e-3 of its cell, 5e-4
+        key = pc.StratumKey.of(g="1")
+        joint = pc.StratifiedJoint(
+            {key: pc.StratumTable(5e-4, 0.4995, 5e-4, 0.4995, weight=1.0)},
+            covariates=("g",))
+        text = json.dumps({"strata": [
+            {"levels": {"g": "1"}, "p_event_do_exposed": 1e-12,
+             "p_event_do_unexposed": 2e-12}]})
+        experimental = load_experimental(io.StringIO(text), joint)
+        report = monotonicity_diagnostic(joint, experimental)
+        assert report.risk_differences == ((key, -1e-12),)
+        assert report.flagged == ()
+
     def test_interval_consistency_checked(self, cancer_joint,
                                           cancer_experimental):
         report = monotonicity_diagnostic(cancer_joint, cancer_experimental)

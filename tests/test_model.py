@@ -57,6 +57,10 @@ class TestStratumTable:
         assert t.risk_exposed == pytest.approx(0.4, abs=TOL)
         assert t.risk_unexposed == pytest.approx(0.2, abs=TOL)
 
+    def test_weight_may_pass_one_by_1e_9(self):
+        assert pc.StratumTable(0.25, 0.25, 0.25, 0.25,
+                               weight=1.0 + 1e-9).weight == 1.0 + 1e-9
+
     def test_zero_cells_allowed_at_type_level(self):
         t = pc.StratumTable(0.3, 0.0, 0.0, 0.7, weight=1.0)
         assert t.risk_exposed == 1.0
@@ -430,6 +434,11 @@ class TestExperimental:
         marginal = (1 + 1e-9) * (1 + 5e-10)
         assert str(exc.value) == \
             f"marginal: probability {marginal!r} outside [0, 1]"
+        # a probability exactly 1e-9 below the range is rounding: clipped
+        joint = pc.StratifiedJoint({key: table}, ("g", "h"))
+        pairs = load_experimental(self._pairs([(dict(key.labels), 0.5,
+                                                -1e-9)]), joint)
+        assert pairs.marginal == (0.5, 0.0)
 
 
 class TestCompatibility:
@@ -450,6 +459,19 @@ class TestCompatibility:
         assert not report.compatible
         assert any(v.stratum == bad_key and v.constraint == "unexposed-lower"
                    and v.amount > 0.1 for v in report.violations)
+
+    def test_an_excess_of_exactly_1e_3_is_forgiven(self):
+        # P(x, y|s) - P(y_x|s) = 0.002 - 0.001 is exactly 1e-3
+        key = pc.StratumKey.of(g="1")
+        joint = pc.StratifiedJoint(
+            {key: pc.StratumTable(0.002, 0.498, 0.1, 0.4, weight=1.0)},
+            covariates=("g",))
+        for pair, names in (((0.001, 0.45), []),
+                            ((0.0009, 0.45), ["exposed-lower"])):
+            experimental = reference_from_per_stratum(
+                joint, {key: pair}, provenance="measured-experimental")
+            report = validate_compatibility(joint, experimental)
+            assert [v.constraint for v in report.violations] == names
 
     def test_stratum_mismatch_raises(self, cancer_joint, cancer_experimental):
         other = collapse(cancer_joint, ())

@@ -108,6 +108,18 @@ class TestNoPrevention:
             assert pns.lower == pytest.approx(
                 pns_point(joint).value, abs=TOL)
 
+    def test_prevention_tolerance_is_1e_3(self):
+        # P(y_x'|x) = (0.3755 - 0.25) / 0.5 is 0.251 against P(y|x) = 0.25,
+        # and P(y_x|x') = (0.3745 - 0.125) / 0.5 is 0.499 against
+        # P(y|x') = 0.5: both exactly 1e-3 apart in floats, and forgiven
+        t = pc.StratumTable(0.125, 0.375, 0.25, 0.25, weight=1.0)
+        for quantity in ("PN", "PS", "PNS"):
+            feasible_extrema(t, (0.3745, 0.3755), quantity, no_prevention=True)
+        for pair in ((0.3745, 0.376), (0.374, 0.3755)):
+            with pytest.raises(pc.IncompatibilityError,
+                               match="without prevention"):
+                feasible_extrema(t, pair, "PN", no_prevention=True)
+
     def test_prevention_required_cases_rejected(self):
         # exposed risk below unexposed risk forces a positive hurt mass
         t = pc.StratumTable(0.10, 0.40, 0.30, 0.20, weight=1.0)
@@ -199,6 +211,8 @@ class TestVerification:
 
     def test_fixture_passes(self, cancer_joint, cancer_experimental):
         report = pc.verify_bounds(cancer_joint, cancer_experimental)
+        # the library's default tolerance is the command line's
+        assert report.tol == 2e-3
         assert report.passed
         assert report.failures == ()
         assert len(report.entries) == 9

@@ -28,11 +28,11 @@ import pcause as pc
 import pcause.bounds
 import pcause.oracle
 from pcause import cli
-from pcause.bounds import conditional_boxes
 from pcause.model import render_counts
 
 from conftest import (
     CANCER_CSV,
+    conditional_boxes,
     reference_cli,
     reference_conditional_boxes,
     reference_count_table,
@@ -149,6 +149,8 @@ def _tables(draw):
 @example((("s",), [(str(i), (1 + i % 7, 2 + i % 5, 1 + i % 3, 3 + i % 4))
                    for i in range(40)]))
 @example((("p%d", "\U0001f600"), [(("%s", "%"), (4, 3, 2, 5))]))
+# covariate names that json writes as a template's slot, or ending in it
+@example((("\x01", 'x"\x01'), [(("a", "b"), (4, 3, 2, 5))]))
 def test_streamed_report_equals_the_dict_built_one(table):
     names, strata = table
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,10 +2,12 @@
 
     python3 tools/mutants.py REPO WORKDIR
 
-Each mutant is one textual change to a file of REPO: a tolerance scaled, a
-comparison flipped, a term nudged.  For each one, in order, this script
-copies REPO (without ``.git`` or ``__pycache__``) to ``WORKDIR/mutant``,
-applies the change, and runs tier-1 there with ``-x``.  When tier-1
+Each mutant is one textual change to a file of REPO: a tolerance scaled up
+or down, ``verify``'s default tolerance halved or doubled, a comparison
+with a tolerance or a level flipped at its boundary, a term nudged.  For
+each one, in order, this script copies REPO (without ``.git`` or
+``__pycache__``) to ``WORKDIR/mutant``, applies the change, and runs
+tier-1 there with ``-x``.  When tier-1
 passes, it runs ``tools/report_digests.py`` on the copy and compares its
 lines with those of REPO itself, both with ``WORKDIR/inputs`` as the
 digest script's WORKDIR.  It prints one line per mutant:
@@ -52,6 +54,87 @@ MUTANTS = (
     ("a.var spread_xp x (1 + 1e-7)", "src/pcause/identify.py",
      "spread_xp = risk_xp * (1.0 - risk_xp) / p_xp",
      "spread_xp = risk_xp * (1.0 - risk_xp) / p_xp * (1 + 1e-7)"),
+    # each module-level tolerance scaled down
+    ("bounds._INVERT_TOL 1e-9 -> 1e-12", "src/pcause/bounds.py",
+     "_INVERT_TOL = 1e-9", "_INVERT_TOL = 1e-12"),
+    ("model.COMPAT_TOL 1e-3 -> 0.65e-3", "src/pcause/model.py",
+     "COMPAT_TOL = 1e-3", "COMPAT_TOL = 0.65e-3"),
+    ("oracle._MASS_TOL 1e-9 -> 1e-12", "src/pcause/oracle.py",
+     "_MASS_TOL = 1e-9", "_MASS_TOL = 1e-12"),
+    ("identify._RD_TOL 1e-12 -> 1e-15", "src/pcause/identify.py",
+     "_RD_TOL = 1e-12", "_RD_TOL = 1e-15"),
+    ("covselect._AVAR_SLACK 1e-12 -> 1e-15", "src/pcause/covselect.py",
+     "_AVAR_SLACK = 1e-12", "_AVAR_SLACK = 1e-15"),
+    ("covselect.EXACT_TOL 1e-9 -> 1e-11", "src/pcause/covselect.py",
+     "EXACT_TOL = 1e-9", "EXACT_TOL = 1e-11"),
+    ("model._SUM_TOL 1e-9 -> 1e-11", "src/pcause/model.py",
+     "_SUM_TOL = 1e-9", "_SUM_TOL = 1e-11"),
+    # verify's default tolerance, halved and doubled where it is set
+    ("cli verify --tol default 2e-3 -> 1e-3", "src/pcause/cli.py",
+     "type=_tolerance, default=2e-3", "type=_tolerance, default=1e-3"),
+    ("cli verify --tol default 2e-3 -> 4e-3", "src/pcause/cli.py",
+     "type=_tolerance, default=2e-3", "type=_tolerance, default=4e-3"),
+    ("verify_bounds tol default 2e-3 -> 1e-3", "src/pcause/oracle.py",
+     "tol: float = 2e-3", "tol: float = 1e-3"),
+    ("verify_bounds tol default 2e-3 -> 4e-3", "src/pcause/oracle.py",
+     "tol: float = 2e-3", "tol: float = 4e-3"),
+    # each comparison with a tolerance or a level, flipped at its boundary
+    ("Interval lower > upper + _INVERT_TOL -> >=", "src/pcause/bounds.py",
+     "if self.lower > self.upper", "if self.lower >= self.upper"),
+    ("Interval.contains lower - tol <= -> <", "src/pcause/bounds.py",
+     "_INVERT_TOL <= value", "_INVERT_TOL < value"),
+    ("Interval.contains <= upper + tol -> <", "src/pcause/bounds.py",
+     "value <= self.upper", "value < self.upper"),
+    ("bounds._box_rows excess > COMPAT_TOL -> >=", "src/pcause/bounds.py",
+     "(excess > COMPAT_TOL)", "(excess >= COMPAT_TOL)"),
+    ("bounds._box_rows inverted > -> >=", "src/pcause/bounds.py",
+     "(lower > upper + _INVERT_TOL)", "(lower >= upper + _INVERT_TOL)"),
+    ("stratified_interval inverted > -> >=", "src/pcause/bounds.py",
+     "if lower > upper + _INVERT_TOL", "if lower >= upper + _INVERT_TOL"),
+    ("ci_check exact holds <= EXACT_TOL -> <", "src/pcause/covselect.py",
+     "holds=dev <= EXACT_TOL", "holds=dev < EXACT_TOL"),
+    ("lhs_avar <= rhs + _AVAR_SLACK -> <", "src/pcause/covselect.py",
+     "self.lhs_avar <= self.rhs_avar", "self.lhs_avar < self.rhs_avar"),
+    ("identify flagged rds < -_RD_TOL -> <=", "src/pcause/identify.py",
+     "rds < -_RD_TOL", "rds <= -_RD_TOL"),
+    ("StratumTable cell sum > _SUM_TOL -> >=", "src/pcause/model.py",
+     "abs(sum(cells) - 1.0) > _SUM_TOL", "abs(sum(cells) - 1.0) >= _SUM_TOL"),
+    ("StratumTable weight <= 1 + _SUM_TOL -> <", "src/pcause/model.py",
+     "self.weight <= 1.0 + _SUM_TOL", "self.weight < 1.0 + _SUM_TOL"),
+    ("joint weights' total > _SUM_TOL -> >=", "src/pcause/model.py",
+     "abs(total - 1.0) > _SUM_TOL", "abs(total - 1.0) >= _SUM_TOL"),
+    ("pairs values >= -_SUM_TOL -> >", "src/pcause/model.py",
+     "(values >= -_SUM_TOL)", "(values > -_SUM_TOL)"),
+    ("pairs values <= 1 + _SUM_TOL -> <", "src/pcause/model.py",
+     "(values <= 1.0 + _SUM_TOL)", "(values < 1.0 + _SUM_TOL)"),
+    ("model._conflict amount > COMPAT_TOL -> >=", "src/pcause/model.py",
+     "if amount > COMPAT_TOL", "if amount >= COMPAT_TOL"),
+    ("validate_compatibility excess > COMPAT_TOL -> >=", "src/pcause/model.py",
+     "np.nonzero(excess > COMPAT_TOL)", "np.nonzero(excess >= COMPAT_TOL)"),
+    ("oracle always-mass < -_MASS_TOL -> <=", "src/pcause/oracle.py",
+     "(points < -_MASS_TOL)", "(points <= -_MASS_TOL)"),
+    ("oracle helped < -_MASS_TOL -> <=", "src/pcause/oracle.py",
+     "(helped < -_MASS_TOL)", "(helped <= -_MASS_TOL)"),
+    ("oracle hurt < -_MASS_TOL -> <=", "src/pcause/oracle.py",
+     "(hurt < -_MASS_TOL)", "(hurt <= -_MASS_TOL)"),
+    ("oracle never < -_MASS_TOL -> <=", "src/pcause/oracle.py",
+     "(never < -_MASS_TOL)", "(never <= -_MASS_TOL)"),
+    ("oracle search excess > COMPAT_TOL -> >=", "src/pcause/oracle.py",
+     "(excess > COMPAT_TOL)", "(excess >= COMPAT_TOL)"),
+    ("oracle prevented beta > alpha + tol -> >=", "src/pcause/oracle.py",
+     "(beta > alpha + COMPAT_TOL)", "(beta >= alpha + COMPAT_TOL)"),
+    ("oracle prevented delta > gamma + tol -> >=", "src/pcause/oracle.py",
+     "(delta > gamma + COMPAT_TOL)", "(delta >= gamma + COMPAT_TOL)"),
+    ("VerificationReport.failures <= -> <", "src/pcause/oracle.py",
+     "~(self.discrepancy <= self.tol)", "~(self.discrepancy < self.tol)"),
+    ("Scenario cell total > _SUM_TOL -> >=", "src/pcause/simulate.py",
+     "abs(total - 1.0) > _SUM_TOL", "abs(total - 1.0) >= _SUM_TOL"),
+    ("cli --tol >= 0 -> > 0", "src/pcause/cli.py",
+     "math.isfinite(v) and v >= 0.0", "math.isfinite(v) and v > 0.0"),
+    ("cli --alpha 0 < v -> <=", "src/pcause/cli.py",
+     "lambda v: 0.0 < v < 1.0", "lambda v: 0.0 <= v < 1.0"),
+    ("cli --alpha v < 1 -> <=", "src/pcause/cli.py",
+     "lambda v: 0.0 < v < 1.0", "lambda v: 0.0 < v <= 1.0"),
 )
 
 _TIER1 = ("-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
