@@ -8,7 +8,7 @@ frequencies alone (given strongly ignorable assignment):
     PNS = sum_s (P(y|x,s) - P(y|x',s)) P(s)
 
 Their asymptotic variances, by the delta method over multinomial sampling
-of n subjects:
+of n subjects with the stratum shares P(s) held fixed:
 
     a.var(PN)  = sum_s [ (1 - PN)^2 P(y|x,s) P(y'|x,s) / (n P(x,s))
                          + P(y|x',s) P(y'|x',s) / (n P(x',s)) ]
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -69,12 +68,19 @@ class Estimate:
 
 
 def _square(a: np.ndarray) -> np.ndarray:
-    # Python's float ** 2 (the C library's pow), as the scalar formulas took
-    # it.  numpy's a ** 2 is a multiply, which differs from glibc 2.36's pow
-    # on about 830 of 10^6 uniform floats; np.power with an array exponent
-    # (AVX-512 SVML on x86-64, numpy 2.4) differs on about 54,000.
-    return np.fromiter(map(pow, a.ravel().tolist(), repeat(2)), float,
-                       a.size).reshape(a.shape)
+    # Python's float ** 2, as the scalar formulas took it: float_power's
+    # float64 loop calls the C library's pow, as float ** does.  A multiply
+    # differs from glibc 2.36's pow on about 830 of 10^6 uniform floats, and
+    # np.power with an array exponent (SVML, numpy 2.4) on about 54,000.
+    # pow flags overflow only where a finite float squares to inf, where
+    # float ** raises; it raises on no other flag, so the rest are ignored
+    # whatever the caller's numpy settings.
+    try:
+        with np.errstate(all="ignore", over="raise"):
+            return np.float_power(a, 2.0)
+    except FloatingPointError:
+        raise PositivityError("a.var too large for floating point (a squared "
+                              "term exceeds 1.8e308)") from None
 
 
 def _no_prevention(quantity: str, cells: np.ndarray, weights: np.ndarray,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pcause as pc
+from pcause import bounds
 from pcause.bounds import Interval, TermChoice, _swap_pair
 from pcause.model import collapse
 from pcause.oracle import feasible_extrema
@@ -365,6 +366,40 @@ class TestIncompatibility:
             cancer_joint, pairs, provenance="measured-experimental")
         with pytest.raises(pc.IncompatibilityError, match="stage=2"):
             pc.stratified_interval("PN", cancer_joint, bad)
+
+    # A screened pair leaves a non-empty box, so only float error can
+    # invert one; crafted PNS terms (no denominator) reach both checks.
+    # Each end is 0.5 in both strata, and halving is exact, so the weighted
+    # sums give the same ends and the gap to 0.5 is exactly what is added.
+    @pytest.mark.parametrize("route", ["boxes", "stratified"])
+    @pytest.mark.parametrize("gap", [1e-9, 2e-9])
+    def test_ends_may_invert_by_1e_9(self, route, gap, monkeypatch):
+        def chosen(quantity, cells, pairs):
+            upper = np.full(len(cells), 0.5)
+            first = np.zeros(len(cells), dtype=np.intp)
+            return None, upper + gap, upper, first, first
+
+        monkeypatch.setattr(bounds, "_chosen", chosen)
+        t = pc.StratumTable(0.2, 0.3, 0.1, 0.4, weight=0.5)
+        joint = pc.StratifiedJoint({S1: t, S2: t}, covariates=("stage",))
+        experimental = pc.adjusted_experimental(joint)
+
+        def ends():
+            if route == "boxes":
+                boxes = bounds._conditional_rows("PNS", joint, experimental)
+                return set(boxes.lower.tolist()), set(boxes.upper.tolist())
+            iv = pc.stratified_interval("PNS", joint, experimental)
+            return {iv.lower}, {iv.upper}
+
+        if gap == 1e-9:
+            assert ends() == ({0.5 + 1e-9}, {0.5})
+        else:
+            where = " in stratum stage=1" if route == "boxes" else ""
+            with pytest.raises(pc.IncompatibilityError) as exc:
+                ends()
+            assert str(exc.value) == (
+                f"PNS bounds invert{where}: lower 0.5 > upper 0.5; "
+                "observational and experimental inputs conflict")
 
 
 class TestPositivity:

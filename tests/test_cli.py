@@ -614,6 +614,27 @@ class TestInputErrors:
                                 "floating point\n")
         assert not report.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, levels", [
+        (["identify"], [("1",)]),
+        (["select", "--s", "s", "--t", "t"],
+         list(itertools.product("12", "12"))),
+    ])
+    def test_avar_square_overflow(self, command, levels, tmp_path, capsys):
+        # P(x, y) is about 5e-301 in every stratum, so PN's (1 - PN) ** 2
+        # exceeds the largest float
+        data = tmp_path / "tiny_cases.csv"
+        names = ("s", "t")[:len(levels[0])]
+        data.write_text(",".join((*names, "x", "y", "count")) + "\n" + "".join(
+            f"{','.join(level)},{x},{y},{c}\n" for level in levels
+            for (x, y), c in zip(((1, 1), (1, 0), (0, 1), (0, 0)),
+                                 (1, 10**300, 10**300, 1))))
+        assert run([*command, "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a.var too large for floating point "
+                                "(a squared term exceeds 1.8e308)\n")
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.001", "x"])
     def test_verify_tol_out_of_range(self, tol, capsys):
         assert run(["verify", *DATA, "--tol", tol]) == 2

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import pcause as pc
 from pcause.identify import (
     OUTSIDE_UNIT_WARNING,
+    _square,
     monotonicity_diagnostic,
     pns_point,
 )
@@ -225,6 +226,67 @@ class TestArrayKernel:
         assert (1.0 - v) ** 2 != (1.0 - v) * (1.0 - v)
         weights = [t.weight for _, t in _raw_joint(_PNS_SQUARE, 1000).items()]
         assert any(w ** 2 != w * w for w in weights)
+
+
+def _python_square_bits(values):
+    """The bit pattern of Python's x ** 2 of each float, or None when one
+    of them raises OverflowError.  pow returns a signalling NaN quieted, as
+    every float operation does; Python's ** returns it as it came, but no
+    signalling NaN reaches the a.var, whose inputs are sums and quotients."""
+    try:
+        squares = np.array([x ** 2 for x in values], dtype=float)
+    except OverflowError:
+        return None
+    bits = squares.view(np.uint64)
+    return np.where(np.isnan(squares), bits | np.uint64(1 << 51), bits)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSquare:
+    """The a.var's squares are Python's x ** 2, bit for bit, and overflow
+    where x ** 2 raises OverflowError, as one PositivityError and with no
+    numpy warning.  A numpy whose float_power calls a vector pow fails
+    here rather than moving printed digits."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=500)
+    @given(st.lists(st.floats(), min_size=1, max_size=8))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+              -1.0, math.inf, -math.inf, math.nan, -math.nan])
+    # 0.97726561227426 ** 2 is not 0.97726561227426 * 0.97726561227426
+    @example([1e-200, -1e-160, 1.3407807929942596e154, 0.97726561227426])
+    @example([0.5, 1.3407807929942597e154])
+    @example([-1.7976931348623157e308, math.inf])
+    def test_is_python_square(self, values):
+        a = np.array(values)
+        expected = _python_square_bits(values)
+        if expected is None:
+            with pytest.raises(pc.PositivityError,
+                               match=r"^a\.var too large for floating "):
+                _square(a)
+        else:
+            assert _square(a).view(np.uint64).tolist() == expected.tolist()
+
+    def test_seeded_uniforms_over_many_decades(self):
+        rng = np.random.default_rng(28)
+        a = (rng.uniform(-1.0, 1.0, 10**5)
+             * 10.0 ** rng.integers(-170, 150, 10**5)).reshape(-1, 4)
+        squares = _square(a)
+        assert squares.shape == a.shape
+        expected = _python_square_bits(a.ravel().tolist())
+        assert squares.ravel().view(np.uint64).tolist() == expected.tolist()
+        # the sample tells pow from a multiply
+        assert (a * a != squares).any()
+
+    @pytest.mark.parametrize("x", [1.3407807929942597e154, -1e200,
+                                   1.7976931348623157e308])
+    def test_overflow_raises_where_python_does(self, x):
+        with pytest.raises(OverflowError):
+            x ** 2
+        with pytest.raises(pc.PositivityError) as raised:
+            _square(np.array([[0.5, math.inf], [x, 2.0]]))
+        assert str(raised.value) == ("a.var too large for floating point (a "
+                                     "squared term exceeds 1.8e308)")
 
 
 class TestStratifierInvariance:

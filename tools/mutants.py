@@ -4,7 +4,8 @@
 
 Each mutant is one textual change to a file of REPO: a tolerance scaled up
 or down, ``verify``'s default tolerance halved or doubled, a comparison
-with a tolerance or a level flipped at its boundary, a term nudged.  For
+with a tolerance or a level flipped at its boundary, a term nudged, the
+a.var's squares taken as a multiply or let overflow.  For
 each one, in order, this script copies REPO (without ``.git`` or
 ``__pycache__``) to ``WORKDIR/mutant``, applies the change, and runs
 tier-1 there with ``-x``.  When tier-1
@@ -54,6 +55,11 @@ MUTANTS = (
     ("a.var spread_xp x (1 + 1e-7)", "src/pcause/identify.py",
      "spread_xp = risk_xp * (1.0 - risk_xp) / p_xp",
      "spread_xp = risk_xp * (1.0 - risk_xp) / p_xp * (1 + 1e-7)"),
+    # the a.var's squares taken as a multiply, and their overflow let through
+    ("identify._square float_power -> a * a", "src/pcause/identify.py",
+     "return np.float_power(a, 2.0)", "return a * a"),
+    ("identify._square overflow raise deleted", "src/pcause/identify.py",
+     'np.errstate(all="ignore", over="raise")', 'np.errstate(all="ignore")'),
     # each module-level tolerance scaled down
     ("bounds._INVERT_TOL 1e-9 -> 1e-12", "src/pcause/bounds.py",
      "_INVERT_TOL = 1e-9", "_INVERT_TOL = 1e-12"),
