@@ -143,20 +143,30 @@ _ROWS: dict[str, Callable[..., object]] = {
 
 def _floats(values: np.ndarray) -> list[str]:
     """json's text of each float of an array: its repr, or NaN, Infinity,
-    -Infinity.  For a column whose values repeat, :func:`_repeated_floats`
-    gives the same text with fewer reprs."""
-    texts = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        texts = [_NONFINITE.get(text, text) for text in texts]
+    -Infinity.  orjson's formatter (Ryu) writes the whole array in one call,
+    and its text is repr's wherever repr writes a plain decimal: at 0.0 and
+    -0.0, and for 1e-4 <= |x| < 1e16.  Elsewhere it writes another exponent
+    form (1e-7 for 1e-07, 1e16 for 1e+16) or null, so those values keep
+    repr, formatted once per distinct bit pattern."""
+    # imported here, at its first use, so that start-up and the commands
+    # that write no per-stratum section do without it
+    import orjson
+    values = np.ascontiguousarray(values, np.float64)
+    if not values.size:
+        return []
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[
+        1:-1].decode().split(",")
+    size = np.abs(values)
+    other = np.flatnonzero(~((size >= 1e-4) & (size < 1e16))
+                           & (values != 0.0))
+    if other.size:
+        bits, index = np.unique(values[other].view(np.int64),
+                                return_inverse=True)
+        spelled = [_NONFINITE.get(text, text) for text in
+                   map(float.__repr__, bits.view(np.float64).tolist())]
+        for n, k in zip(other.tolist(), index.tolist()):
+            texts[n] = spelled[k]
     return texts
-
-
-def _repeated_floats(values: np.ndarray) -> list[str]:
-    """:func:`_floats` of a contiguous array, formatting each distinct bit
-    pattern once: 0.0 and -0.0, which compare equal, keep their own text.
-    It costs a sort, so it pays only where many values repeat."""
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(_floats(bits.view(float)), dtype=object)[index].tolist()
 
 
 def _texts(strings: Iterable[str]) -> list[str]:
@@ -209,11 +219,16 @@ def _interval_items(intervals: Sequence[Interval | tuple[str, _Boxes]],
     :class:`Interval` made by :mod:`pcause.bounds`, or (quantity, the
     conditional boxes of ``strata``) for one item per stratum."""
     depth += 1
+    # every interval's two ends in one call: a call's fixed cost is that
+    # of about five floats
+    ends = iter(_floats(np.array(
+        [(item.lower, item.upper) for item in intervals
+         if isinstance(item, Interval)], np.float64).ravel()))
     for item in intervals:
         if isinstance(item, Interval):
             head, tail = _template("interval", depth, item.quantity,
                                    item.method).rsplit("%s", 1)
-            yield head % tuple(_floats(np.array((item.lower, item.upper))))
+            yield head % (next(ends), next(ends))
             yield from _list(_attainment_items(item, strata, depth + 1),
                              depth + 1)
             yield tail % ()
@@ -274,11 +289,9 @@ def _entry_items(report: VerificationReport, strata: _Strata,
     for block in _blocks(len(strata.coded)):
         rows = slice(3 * block.start, 3 * block.stop)
         discrepancy = report.discrepancy[rows]
-        # both routes' endpoints and the gaps repeat one another's values
-        # (the two routes agree on about a quarter of the boxes), so their
-        # distinct values are formatted once, in one pass
+        # both routes' endpoints and the gaps, formatted in one call
         n = 2 * len(discrepancy)
-        texts = _repeated_floats(np.concatenate((
+        texts = _floats(np.concatenate((
             report._closed[rows].ravel(), report._searched[rows].ravel(),
             discrepancy)))
         terms = report._terms[rows].T.tolist()

@@ -26,9 +26,10 @@ evidence systematically.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -67,20 +68,28 @@ class Estimate:
         return math.sqrt(self.avar)
 
 
+@contextmanager
+def _finite(term: str) -> Iterator[None]:
+    """Raise PositivityError where an a.var float overflows, naming the
+    ``term`` that does; every other flag is ignored, whatever the caller's
+    numpy settings, so no numpy warning escapes."""
+    try:
+        with np.errstate(all="ignore", over="raise"):
+            yield
+    except FloatingPointError:
+        raise PositivityError(f"a.var too large for floating point ({term} "
+                              "exceeds 1.8e308)") from None
+
+
 def _square(a: np.ndarray) -> np.ndarray:
     # Python's float ** 2, as the scalar formulas took it: float_power's
     # float64 loop calls the C library's pow, as float ** does.  A multiply
     # differs from glibc 2.36's pow on about 830 of 10^6 uniform floats, and
     # np.power with an array exponent (SVML, numpy 2.4) on about 54,000.
     # pow flags overflow only where a finite float squares to inf, where
-    # float ** raises; it raises on no other flag, so the rest are ignored
-    # whatever the caller's numpy settings.
-    try:
-        with np.errstate(all="ignore", over="raise"):
-            return np.float_power(a, 2.0)
-    except FloatingPointError:
-        raise PositivityError("a.var too large for floating point (a squared "
-                              "term exceeds 1.8e308)") from None
+    # float ** raises.
+    with _finite("a squared term"):
+        return np.float_power(a, 2.0)
 
 
 def _no_prevention(quantity: str, cells: np.ndarray, weights: np.ndarray,
@@ -92,7 +101,8 @@ def _no_prevention(quantity: str, cells: np.ndarray, weights: np.ndarray,
     ``cells`` is (R, K, 4): each stratum's P(x, y | s) in slot order, with
     the strata ordered as in a :class:`StratifiedJoint`; ``weights`` is
     (R, K) and ``keys`` names the K strata in errors.  Every float is what
-    the same formula gives one stratum at a time in Python.
+    the same formula gives one stratum at a time in Python, except that an
+    a.var float that overflows raises PositivityError.
     """
     exposed_event, exposed_noevent, unexposed_event, unexposed_noevent = \
         cells.transpose(2, 0, 1)
@@ -116,16 +126,18 @@ def _no_prevention(quantity: str, cells: np.ndarray, weights: np.ndarray,
         value = _running_sum(((1.0 - risk_xp)
                               - (exposed_noevent + unexposed_noevent))
                              * weights) / denom
-        if n is None:
-            return value, None
-        terms = ((_square(1.0 - value)[:, None] * risk_x * (1.0 - risk_x) / p_x
-                  + spread_xp) * _square(p_x / denom[:, None]))
     else:
         value = _running_sum((risk_x - risk_xp) * weights)
-        if n is None:
-            return value, None
-        terms = (risk_x * (1.0 - risk_x) / p_x + spread_xp) * _square(weights)
-    return value, _running_sum(terms) / n
+    if n is None:
+        return value, None
+    with _finite("a term"):
+        if quantity == "PN":
+            terms = ((_square(1.0 - value)[:, None] * risk_x * (1.0 - risk_x)
+                      / p_x + spread_xp) * _square(p_x / denom[:, None]))
+        else:
+            terms = ((risk_x * (1.0 - risk_x) / p_x + spread_xp)
+                     * _square(weights))
+        return value, _running_sum(terms) / n
 
 
 def _point(quantity: str, joint: StratifiedJoint) -> Estimate:

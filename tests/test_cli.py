@@ -614,6 +614,20 @@ class TestInputErrors:
                                 "floating point\n")
         assert not report.exists()
 
+    @staticmethod
+    def _avar_overflow(command, levels, counts, tmp_path, capsys):
+        """The one stderr line of ``command`` on ``counts`` in each stratum
+        of ``levels``, after checking that it exits 1 with no stdout."""
+        data = tmp_path / "tiny_cases.csv"
+        names = ("s", "t")[:len(levels[0])]
+        data.write_text(",".join((*names, "x", "y", "count")) + "\n" + "".join(
+            f"{','.join(level)},{x},{y},{c}\n" for level in levels
+            for (x, y), c in zip(((1, 1), (1, 0), (0, 1), (0, 0)), counts)))
+        assert run([*command, "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command, levels", [
         (["identify"], [("1",)]),
@@ -623,17 +637,20 @@ class TestInputErrors:
     def test_avar_square_overflow(self, command, levels, tmp_path, capsys):
         # P(x, y) is about 5e-301 in every stratum, so PN's (1 - PN) ** 2
         # exceeds the largest float
-        data = tmp_path / "tiny_cases.csv"
-        names = ("s", "t")[:len(levels[0])]
-        data.write_text(",".join((*names, "x", "y", "count")) + "\n" + "".join(
-            f"{','.join(level)},{x},{y},{c}\n" for level in levels
-            for (x, y), c in zip(((1, 1), (1, 0), (0, 1), (0, 0)),
-                                 (1, 10**300, 10**300, 1))))
-        assert run([*command, "--data", str(data)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: a.var too large for floating point "
-                                "(a squared term exceeds 1.8e308)\n")
+        err = self._avar_overflow(command, levels, (1, 10**300, 10**300, 1),
+                                  tmp_path, capsys)
+        assert err == ("error: a.var too large for floating point "
+                       "(a squared term exceeds 1.8e308)\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_avar_product_overflow(self, tmp_path, capsys):
+        # (1 - PN) ** 2 is finite, but its product with P(y|x,s) P(y'|x,s)
+        # / P(x,s) is not
+        err = self._avar_overflow(["identify"], [("1",)],
+                                  (10**103, 10**251, 10**174, 10**152),
+                                  tmp_path, capsys)
+        assert err == ("error: a.var too large for floating point "
+                       "(a term exceeds 1.8e308)\n")
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.001", "x"])
     def test_verify_tol_out_of_range(self, tol, capsys):

@@ -18,6 +18,7 @@ from pcause.model import collapse
 from pcause.simulate import builtin_scenarios
 
 from conftest import (
+    CANCER_CSV,
     random_ci_joint,
     reference_count_test,
     reference_exact_deviation,
@@ -324,6 +325,21 @@ class TestPValue:
                  "    assert pc.ci_check(joint, relation, "
                  "mode='exact-probability').holds\n" + scipy)
         assert self._fresh(exact) == "[]"
+
+    def test_orjson_loads_only_to_write_a_report(self, tmp_path):
+        # the report writer imports orjson at its first float: neither
+        # import, nor a simulate run, which writes none, pulls it in; a
+        # bounds report does
+        loaded = "print('orjson' in sys.modules)"
+        for module in ("pcause", "pcause.cli"):
+            assert self._fresh(f"import sys, {module}; {loaded}") == "False"
+        report = str(tmp_path / "report.json")
+        run = "import sys; from pcause.cli import run; assert run(%r) == 0\n"
+        simulate = ["simulate", "--setting", "1", "--n", "1000", "--reps",
+                    "20", "--seed", "7", "--json", report]
+        assert self._fresh(run % simulate + loaded) == "False"
+        bounds = ["bounds", "--data", str(CANCER_CSV), "--json", report]
+        assert self._fresh(run % bounds + loaded) == "True"
 
     @pytest.mark.parametrize("strata, df_positive", [
         ([(1, 1, (30, 20, 10, 40)), (1, 2, (25, 15, 12, 30)),

@@ -11,6 +11,7 @@ library surface that the reports were built from must be what it was.
 
 import errno
 import io
+import json
 import math
 import os
 import stat
@@ -66,12 +67,15 @@ def _widened(real):
 _NAN, _INF = math.nan, math.inf
 # each entry's closed and searched (lower, upper), entry by entry: values
 # that repeat within and across entries, 0.0 beside -0.0 (equal, but not
-# the same text), NaN and both infinities; the gaps come out as 0.0, NaN,
-# inf and 0.5
+# the same text), NaN and both infinities, and tiny ends on both sides of
+# 1e-4, below which repr writes an exponent; the gaps come out as 0.0, NaN,
+# inf, 0.5 and tiny ones
 _ODD_ENDS = (((0.0, 0.5), (-0.0, 0.5)), ((-0.0, 0.0), (0.0, -0.0)),
              ((_NAN, 0.25), (_NAN, 0.25)), ((-_INF, _INF), (-_INF, _INF)),
              ((0.25, _INF), (0.25, 0.5)), ((-_INF, 0.5), (0.0, 0.5)),
-             ((0.5, 0.5), (0.5, 0.5)), ((0.0, 1.0), (0.5, 1.0)))
+             ((0.5, 0.5), (0.5, 0.5)), ((0.0, 1.0), (0.5, 1.0)),
+             ((1e-9, 1e-4), (3e-7, 9.999999999999999e-05)),
+             ((1e-5, 2.5e-5), (1e-9, 1e-5)))
 
 
 def _odd(real, route):
@@ -198,8 +202,77 @@ def test_floats_that_repeat_are_written_as_json_writes_them(
         assert_same_as_reference(["bounds", *source], report)
         assert_same_as_reference(["verify", *source], report)
         text = report.read_text()
-        for word in ("NaN", " Infinity", "-Infinity", " -0.0,", " 0.0,"):
+        for word in ("NaN", " Infinity", "-Infinity", " -0.0,", " 0.0,",
+                     " 1e-09,", " 0.0001,"):
             assert word in text
+
+
+# a float either side of each bound of the range where orjson's text is
+# repr's: 1e-4 <= |x| < 1e16
+_EDGES = [float(np.nextafter(edge, toward)) for edge in (1e-4, 1e16)
+          for toward in (0.0, edge, np.inf)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloats:
+    """``cli._floats`` writes each float as ``json.dumps`` does: repr's
+    shortest round-trip digits, and NaN, Infinity and -Infinity."""
+
+    @staticmethod
+    def _check(values):
+        expected = [json.dumps(x) for x in values]
+        assert cli._floats(np.array(values, np.float64)) == expected
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=1000)
+    @given(st.lists(st.floats(), max_size=40))
+    @example([])
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              -2.225073858507201e-308, math.inf, -math.inf, math.nan,
+              -math.nan, 1.7976931348623157e308, -1.7976931348623157e308])
+    @example(_EDGES + [-x for x in _EDGES])
+    @example([1e-5, 1e-7, 1e15, 1e17, 1e22, 123456789012345.6, 0.1, -2.5])
+    def test_is_json_text(self, values):
+        self._check(values)
+
+    def test_seeded_bit_patterns(self):
+        # half any bit pattern at all, most of which repr writes with an
+        # exponent; half random digits at 2**-15 to 2**55, around and
+        # inside the range taken from orjson
+        rng = np.random.default_rng(20261020)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        exponents = rng.integers(1023 - 15, 1023 + 55, size=bits.size // 2,
+                                 dtype=np.uint64)
+        bits[1::2] = (bits[1::2] & np.uint64(0x800F_FFFF_FFFF_FFFF)
+                      | exponents << np.uint64(52))
+        values = bits.view(np.float64)
+        size = np.abs(values)
+        inside = ((size >= 1e-4) & (size < 1e16)).sum()
+        assert 400_000 < inside < 600_000
+        self._check(values.tolist())
+
+    def test_repr_writes_only_the_floats_orjson_writes_otherwise(
+            self, monkeypatch):
+        # repr runs once per distinct bit pattern outside the range, and
+        # never inside it or at zero: each of its texts passes _NONFINITE
+        seen = []
+
+        class Recording(dict):
+            def get(self, text, default):
+                seen.append(text)
+                return super().get(text, default)
+
+        monkeypatch.setattr(cli, "_NONFINITE", Recording(cli._NONFINITE))
+        inside = [0.0, -0.0, 1e-4, -1e-4, 0.5, _EDGES[3], -1e15]
+        self._check(inside)
+        assert seen == []
+        outside = [1e-5, _EDGES[0], 1e16, 1e-5, math.nan, 1e16, -math.inf]
+        self._check(outside)
+        assert sorted(seen) == sorted({repr(x) for x in outside})
+
+    def test_a_strided_or_integer_array(self):
+        assert cli._floats(np.arange(6.0)[::2]) == ["0.0", "2.0", "4.0"]
+        assert cli._floats(np.array([1, -3])) == ["1.0", "-3.0"]
 
 
 def _grid():

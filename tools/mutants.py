@@ -5,7 +5,9 @@
 Each mutant is one textual change to a file of REPO: a tolerance scaled up
 or down, ``verify``'s default tolerance halved or doubled, a comparison
 with a tolerance or a level flipped at its boundary, a term nudged, the
-a.var's squares taken as a multiply or let overflow.  For
+a.var's squares taken as a multiply or let overflow, the range of floats
+the report writer takes from orjson scaled, or its zero or non-finite case
+dropped.  For
 each one, in order, this script copies REPO (without ``.git`` or
 ``__pycache__``) to ``WORKDIR/mutant``, applies the change, and runs
 tier-1 there with ``-x``.  When tier-1
@@ -58,8 +60,23 @@ MUTANTS = (
     # the a.var's squares taken as a multiply, and their overflow let through
     ("identify._square float_power -> a * a", "src/pcause/identify.py",
      "return np.float_power(a, 2.0)", "return a * a"),
-    ("identify._square overflow raise deleted", "src/pcause/identify.py",
+    ("identify._finite overflow raise deleted", "src/pcause/identify.py",
      'np.errstate(all="ignore", over="raise")', 'np.errstate(all="ignore")'),
+    # the report writer's float text: the range it takes from orjson scaled
+    # either way, zero sent to repr, json's NaN and Infinity dropped
+    ("cli._floats 1e-4 -> 1e-5", "src/pcause/cli.py",
+     "size >= 1e-4", "size >= 1e-5"),
+    ("cli._floats 1e-4 -> 1e-3", "src/pcause/cli.py",
+     "size >= 1e-4", "size >= 1e-3"),
+    ("cli._floats 1e16 -> 1e15", "src/pcause/cli.py",
+     "size < 1e16", "size < 1e15"),
+    ("cli._floats 1e16 -> 1e17", "src/pcause/cli.py",
+     "size < 1e16", "size < 1e17"),
+    ("cli._floats != 0.0 dropped", "src/pcause/cli.py",
+     "(size < 1e16))\n                           & (values != 0.0))",
+     "(size < 1e16)))"),
+    ("cli._floats _NONFINITE dropped", "src/pcause/cli.py",
+     "_NONFINITE.get(text, text) for text in", "text for text in"),
     # each module-level tolerance scaled down
     ("bounds._INVERT_TOL 1e-9 -> 1e-12", "src/pcause/bounds.py",
      "_INVERT_TOL = 1e-9", "_INVERT_TOL = 1e-12"),

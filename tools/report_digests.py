@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 127 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 129 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -33,16 +33,19 @@ directory:
   with levels as JSON integers and one stratum twice (the last entry
   counts), and one whose last entry names a covariate the grid lacks
   (exit 1);
-* 41 runs on counts files that this script writes into WORKDIR to exercise
+* 43 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader and the bounds: CRLF and lone-CR line endings with comments
   and blank lines, duplicate cells on lines apart, quoted levels holding
   ``,``, ``"`` or a leading ``#`` with spaces around fields, a
   three-covariate table under ``identify --stratifier``, a zero cell with
   and without ``--smoothing add-half``, a 309-digit count (exit 1),
   ``bounds`` and ``verify`` on one stratum of counts 10**17, 3, 10**17 and
-  4, whose PS numerator cancels in floats, ``select`` (with and without
-  ``--smoothing add-half``), ``identify --stratifier s`` and ``bounds`` on
-  an s x t grid with one stratum absent and one zero cell, ``select``
+  4, whose PS numerator cancels in floats, ``bounds`` and ``verify`` on
+  six lopsided strata whose box ends run from 3e-9 to 3e-4 and whose gaps
+  between the two routes run from about 1e-23 to 1e-7, ``select`` (with
+  and without ``--smoothing add-half``), ``identify --stratifier s`` and
+  ``bounds`` on an s x t grid with one stratum absent and one zero cell,
+  ``select``
   with the roles ``--s s --t t`` and swapped on a 2 x 3 grid and on a grid
   whose ``s`` has one level (df 0), ``select --s b --t a`` on covariates
   named ``b`` and ``a``, ``bounds``, ``verify`` and ``identify`` on levels
@@ -151,6 +154,14 @@ _INGEST = {
     # risks that round to 1.0, so PS's numerator cancels in floats
     "cancelling-ps": (
         f"g,x,y,count\n1,1,1,{10**17}\n1,1,0,3\n1,0,1,{10**17}\n1,0,0,4\n",
+        [("bounds",), ("verify",)]),
+    # rare events: box ends of 3e-9 to 3e-4 and gaps between the routes of
+    # up to 1e-7, on both sides of 1e-4, below which repr writes exponents
+    "tiny-ends": (
+        "s,x,y,count\n" + "".join(
+            f"{k},{x},{y},{n}\n" for k in range(1, 7)
+            for (x, y), n in zip(((1, 1), (1, 0), (0, 1), (0, 0)),
+                                 (3, 10**(3 + k), 1, 10**(4 + k) + k))),
         [("bounds",), ("verify",)]),
     # a 3 x 3 grid without stratum s=3, t=3 and with one zero cell
     "ragged": (
