@@ -82,7 +82,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    COMPAT_TOL,
     ExperimentalQuantities,
     StratifiedJoint,
     StratumKey,
@@ -190,8 +189,8 @@ def _terms(quantity: str, cells: Sequence[np.ndarray],
            pair: tuple[np.ndarray, np.ndarray],
            ) -> tuple[np.ndarray | None, tuple, tuple]:
     """Candidate terms of every stratum, in tie-break order, for cell and
-    pair columns already in the quantity's frame (see :func:`_chosen`);
-    each term is a column or a constant.
+    pair columns already in the quantity's frame (see :func:`_chosen`),
+    each term a column.
 
     Returns (denominator, lower terms, upper terms).  For PN and PS the
     denominator is P(x,y|s) of the frame and the terms are numerators: the
@@ -204,8 +203,9 @@ def _terms(quantity: str, cells: Sequence[np.ndarray],
     do_exposed, do_unexposed = pair
     p_noevent_do_unexposed = 1.0 - do_unexposed
     p_noevent = exposed_noevent + unexposed_noevent
+    zero = np.zeros_like(exposed_event)
     if quantity == "PNS":
-        lows = (0.0,
+        lows = (zero,
                 do_exposed - (exposed_event + unexposed_event),
                 p_noevent_do_unexposed - p_noevent,
                 do_exposed - do_unexposed)
@@ -215,16 +215,8 @@ def _terms(quantity: str, cells: Sequence[np.ndarray],
                do_exposed - do_unexposed
                + unexposed_event + exposed_noevent)
         return None, lows, ups
-    return (exposed_event, (0.0, p_noevent_do_unexposed - p_noevent),
+    return (exposed_event, (zero, p_noevent_do_unexposed - p_noevent),
             (exposed_event, p_noevent_do_unexposed - unexposed_noevent))
-
-
-def _rows(terms: tuple, n_strata: int) -> np.ndarray:
-    """Terms as rows of one (terms, strata) array; constants repeat."""
-    rows = np.empty((len(terms), n_strata))
-    for row, term in zip(rows, terms):
-        row[:] = term
-    return rows
 
 
 def _chosen(quantity: str, cells: np.ndarray, pairs: np.ndarray,
@@ -241,7 +233,7 @@ def _chosen(quantity: str, cells: np.ndarray, pairs: np.ndarray,
         # the swap relabels cell (x, y) as (x', y'): the slot order reversed
         columns, pair = columns[::-1], _swap_pair(pair)
     denom, lows, ups = _terms(quantity, columns, pair)
-    lows, ups = _rows(lows, len(cells)), _rows(ups, len(cells))
+    lows, ups = np.array(lows), np.array(ups)
     li, ui = lows.argmax(axis=0), ups.argmin(axis=0)
     strata = np.arange(len(cells))
     return denom, lows[li, strata], ups[ui, strata], li, ui
@@ -283,8 +275,8 @@ def _box_rows(quantities: Sequence[str], cells: np.ndarray,
     fails, so that a caller running several routes can raise the error a
     row-by-row loop would meet first.
     """
-    excess = _excess_columns(cells, pairs)
-    conflict = (excess > COMPAT_TOL).any(axis=1)
+    excess, past = _excess_columns(cells, pairs)
+    conflict = past.any(axis=1)
     # the clip leaves a pair inside its range as it is
     pairs = _clip_pairs(cells, pairs)
     results = []
@@ -304,7 +296,7 @@ def _box_rows(quantities: Sequence[str], cells: np.ndarray,
             continue
         n = int(failed.argmax())
         if conflict[n]:
-            error = _conflict(excess[n].tolist(), f"stratum {keys[n]}")
+            error = _conflict(excess[n], past[n], f"stratum {keys[n]}")
         elif empty[n]:
             error = PositivityError(
                 f"{quantity} undefined in stratum {keys[n]}: no probability "

@@ -69,10 +69,10 @@ _GC_THRESHOLD0 = 100_000
 # json's spellings of the floats whose repr is not JSON
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Stands in the report for a per-stratum section, which is streamed to the
-# file.  json.dumps writes it after the section's key, on a line indented to
-# the section's depth; no other text matches, since every quote inside a
-# JSON string is escaped and these keys hold no other value.
+# Stands in the report's text for a per-stratum section, which is streamed
+# to the file.  json.dumps writes it after the section's key, on a line
+# indented to the section's depth; no other text matches, since every quote
+# inside a JSON string is escaped and these keys hold no other value.
 _SECTION = "<streamed section>"
 _MARKER = re.compile(r'\n( *)"(?:entries|flagged|intervals|risk_differences)": '
                      r'("<streamed section>")')
@@ -334,13 +334,18 @@ def _section(items: Callable[..., Iterator[str]], rows,
     return lambda depth: _list(items(rows, strata, depth), depth)
 
 
-def _write_report(path: str, report: dict,
-                  sections: Sequence[Callable[[int], Iterator[str]]]) -> None:
+def _write_report(path: str, report: dict) -> None:
     """Write the report to ``path``: its small sections as ``json.dumps``
-    gives them and each streamed section at its marker, a block of strata
-    at a time.  A failed write deletes what it wrote, unless ``path`` is not
-    a regular file (a pipe or a terminal)."""
-    text = json.dumps(report, indent=2)
+    gives them and each streamed section (a :func:`_section`) at its
+    marker, a block of strata at a time.  A failed write deletes what it
+    wrote, unless ``path`` is not a regular file (a pipe or a terminal)."""
+    sections = []
+
+    def streamed(section: Callable[[int], Iterator[str]]) -> str:
+        sections.append(section)  # in document order, as the markers
+        return _SECTION
+
+    text = json.dumps(report, indent=2, default=streamed)
     try:
         out = open(path, "w")
     except OSError as exc:
@@ -395,7 +400,7 @@ def _load_table(args, stratifier: Sequence[str] | None = None):
 
 
 def _load_experimental(args, joint):
-    if getattr(args, "experimental", None):
+    if args.experimental:
         return load_experimental(args.experimental, joint)
     return adjusted_experimental(joint)
 
@@ -425,9 +430,8 @@ def _print_data_line(joint) -> None:
     print(f"n = {joint.total_n} subjects in {_strata_phrase(joint.n_strata)} by {by}")
 
 
-# a handler's report, its streamed sections in document order, and the
-# failure to report after writing it
-_Handled = tuple[dict, list, str | None]
+# a handler's report and the failure to report after writing it
+_Handled = tuple[dict, str | None]
 
 
 def _cmd_bounds(args) -> _Handled:
@@ -450,10 +454,9 @@ def _cmd_bounds(args) -> _Handled:
         sys.stdout.write("".join(map("%s%.3f, %.3f]\n".__mod__, zip(
             labels, boxes.lower.tolist(), boxes.upper.tolist()))))
 
-    return (_report("bounds", _input_json(args, joint, experimental),
-                    intervals=_SECTION),
-            [_section(_interval_items, intervals, _Strata(joint._coded))],
-            None)
+    return _report("bounds", _input_json(args, joint, experimental),
+                   intervals=_section(_interval_items, intervals,
+                                      _Strata(joint._coded))), None
 
 
 def _parse_stratifier(raw: str | None) -> tuple[str, ...] | None:
@@ -483,24 +486,22 @@ def _cmd_identify(args) -> _Handled:
     for w in warnings:
         print(f"warning: {w}")
 
+    strata = _Strata(joint._coded)
     estimates = {
         "points": [_estimate_json(pn), _estimate_json(pns)],
         "monotonicity": {
-            "risk_differences": _SECTION,
-            "flagged": _SECTION,
+            "risk_differences": _section(_risk_items, diag, strata),
+            "flagged": _section(_stratum_items, diag, strata),
             "pn_consistent": diag.pn_consistent,
             "pns_consistent": diag.pns_consistent,
             "plausible": diag.plausible,
         },
     }
-    strata = _Strata(joint._coded)
-    return (_report("identify", _input_json(args, joint, experimental),
-                    intervals=_SECTION, estimates=estimates,
-                    warnings=warnings),
-            [_section(_interval_items, [diag.pn_interval, diag.pns_interval],
-                      strata),
-             _section(_risk_items, diag, strata),
-             _section(_stratum_items, diag, strata)], None)
+    intervals = _section(_interval_items,
+                         [diag.pn_interval, diag.pns_interval], strata)
+    return _report("identify", _input_json(args, joint, experimental),
+                   intervals=intervals, estimates=estimates,
+                   warnings=warnings), None
 
 
 def _cmd_select(args) -> _Handled:
@@ -544,7 +545,7 @@ def _cmd_select(args) -> _Handled:
         "note": report.note,
     }
     return _report("select", _input_json(args, joint),
-                   selection=selection), [], None
+                   selection=selection), None
 
 
 def _cmd_simulate(args) -> _Handled:
@@ -566,25 +567,17 @@ def _cmd_simulate(args) -> _Handled:
         print(f"{res.quantity:<9} {label:<12} {res.empirical_var:>14.4g} "
               f"{res.mean_avar:>12.4g} {res.population_avar:>16.4g}")
 
-    simulation = {
-        "scenario": study.scenario,
-        "source": source,
-        "n": study.n,
-        "reps": study.reps,
-        "seed": study.seed,
-        "discarded": study.discarded,
-        "attempts": study.attempts,
-        "results": [{
-            "quantity": r.quantity,
-            "stratifier": list(r.stratifier),
-            "empirical_var": r.empirical_var,
-            "mean_avar": r.mean_avar,
-            "population_avar": r.population_avar,
-        } for r in study.results],
-    }
     inputs = {"scenario": study.scenario, "source": source, "n": study.n,
               "reps": study.reps, "seed": study.seed}
-    return _report("simulate", inputs, simulation=simulation), [], None
+    simulation = {**inputs, "discarded": study.discarded,
+                  "attempts": study.attempts, "results": [{
+                      "quantity": r.quantity,
+                      "stratifier": list(r.stratifier),
+                      "empirical_var": r.empirical_var,
+                      "mean_avar": r.mean_avar,
+                      "population_avar": r.population_avar,
+                  } for r in study.results]}
+    return _report("simulate", inputs, simulation=simulation), None
 
 
 def _cmd_verify(args) -> _Handled:
@@ -608,14 +601,13 @@ def _cmd_verify(args) -> _Handled:
         "tol": report.tol,
         "max_discrepancy": report.max_discrepancy,
         "passed": report.passed,
-        "entries": _SECTION,
+        "entries": _section(_entry_items, report, _Strata(joint._coded)),
     }
     failure = None if report.passed else (
         f"verification failed: {len(report.failures)} of "
         f"{checked} boxes differ by more than {report.tol:g}")
-    return (_report("verify", _input_json(args, joint, experimental),
-                    verification=verification),
-            [_section(_entry_items, report, _Strata(joint._coded))], failure)
+    return _report("verify", _input_json(args, joint, experimental),
+                   verification=verification), failure
 
 
 def _checked(convert, accept, expected: str):
@@ -733,9 +725,9 @@ def _run(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        report, sections, failure = globals()[f"_cmd_{args.command}"](args)
-        if getattr(args, "json", None):
-            _write_report(args.json, report, sections)
+        report, failure = globals()[f"_cmd_{args.command}"](args)
+        if args.json:
+            _write_report(args.json, report)
         if failure is not None:
             raise PcauseError(failure)
     except PcauseError as exc:

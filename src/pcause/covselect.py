@@ -220,36 +220,24 @@ def compare_covariate_sets(joint: StratifiedJoint, s: str, t: str, *,
         raise MissingSampleSizeError(
             "comparing asymptotic variances needs a sample size")
 
-    candidates = []
-    by_strat: dict[tuple[str, ...], CandidateSummary] = {}
-    for strat in ((s,), (t,), tuple(sorted((s, t)))):
-        sub = collapse(joint, strat)
-        summary = CandidateSummary(
-            stratifier=strat,
-            pn=pn_point(sub),
-            pns=pns_point(sub),
-        )
-        candidates.append(summary)
-        by_strat[strat] = summary
+    both = tuple(sorted((s, t)))
+    subs = {strat: collapse(joint, strat) for strat in ((s,), (t,), both)}
+    by_strat = {strat: CandidateSummary(strat, pn_point(sub), pns_point(sub))
+                for strat, sub in subs.items()}
+    candidates = tuple(by_strat.values())
 
     outcome = ci_check(joint, CIRelation(OUTCOME_CI, s, t), mode, alpha=alpha)
     exposure = ci_check(joint, CIRelation(EXPOSURE_CI, s, t), mode,
                         alpha=alpha)
 
-    both = tuple(sorted((s, t)))
-    orderings = []
-    for quantity in ("PN", "PNS"):
-        pick = (lambda c: c.pn) if quantity == "PN" else (lambda c: c.pns)
-        orderings.append(OrderingVerdict(
-            quantity=quantity, lhs=(s,), rhs=both,
-            lhs_avar=pick(by_strat[(s,)]).avar,
-            rhs_avar=pick(by_strat[both]).avar,
-            premise=outcome))
-        orderings.append(OrderingVerdict(
-            quantity=quantity, lhs=both, rhs=(t,),
-            lhs_avar=pick(by_strat[both]).avar,
-            rhs_avar=pick(by_strat[(t,)]).avar,
-            premise=exposure))
+    # each predicted ordering: lhs's a.var is at most rhs's under a premise
+    orderings = tuple(
+        OrderingVerdict(quantity, lhs, rhs,
+                        getattr(by_strat[lhs], quantity.lower()).avar,
+                        getattr(by_strat[rhs], quantity.lower()).avar, premise)
+        for quantity in ("PN", "PNS")
+        for lhs, rhs, premise in (((s,), both, outcome),
+                                  (both, (t,), exposure)))
 
     if outcome.holds and exposure.holds:
         best_pn = min(candidates, key=lambda c: c.pn.avar).stratifier
@@ -266,9 +254,9 @@ def compare_covariate_sets(joint: StratifiedJoint, s: str, t: str, *,
         note = "conditional independence premises not established; " \
                "the variance orderings are not guaranteed"
 
-    return SelectionReport(candidates=tuple(candidates),
+    return SelectionReport(candidates=candidates,
                            premises=(outcome, exposure),
-                           orderings=tuple(orderings),
+                           orderings=orderings,
                            recommendation=recommendation,
                            note=note)
 

@@ -7,8 +7,8 @@ frequencies alone (given strongly ignorable assignment):
     PN  = sum_s (P(y'|x',s) - P(y'|s)) P(s) / P(x,y)
     PNS = sum_s (P(y|x,s) - P(y|x',s)) P(s)
 
-Their asymptotic variances, by the delta method over multinomial sampling
-of n subjects with the stratum shares P(s) held fixed:
+Their asymptotic variances, by the delta method over n subjects with each
+stratum's arms, n P(x, s) and n P(x', s) subjects, held fixed:
 
     a.var(PN)  = sum_s [ (1 - PN)^2 P(y|x,s) P(y'|x,s) / (n P(x,s))
                          + P(y|x',s) P(y'|x',s) / (n P(x',s)) ]

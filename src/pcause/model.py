@@ -92,6 +92,9 @@ def _read_json(source: Source, what: str):
         return json.loads(_read_text(source))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what} file is not valid JSON: nested too deeply"
+                         ) from exc
 
 
 @dataclass(frozen=True, order=True)
@@ -357,11 +360,8 @@ class StratifiedJoint:
         if total_n is not None and total_n <= 0:
             raise ValidationError(f"total_n must be positive, got {total_n!r}")
         cells.flags.writeable = weights.flags.writeable = False
-        for name, value in (("_coded", coded), ("cells", cells),
-                            ("weights", weights),
-                            ("covariates", coded.covariates),
-                            ("total_n", total_n)):
-            object.__setattr__(self, name, value)
+        vars(self).update(_coded=coded, cells=cells, weights=weights,
+                          covariates=coded.covariates, total_n=total_n)
 
     @cached_property
     def strata(self) -> Mapping[StratumKey, StratumTable]:
@@ -423,10 +423,8 @@ class CountTable:
         in key order, in the dtype that ``_exact(total)`` gives."""
         table = object.__new__(cls)
         counts.flags.writeable = named.flags.writeable = False
-        for name, value in (("covariates", coded.covariates),
-                            ("_coded", coded), ("_counts", counts),
-                            ("_named", named), ("_total", total)):
-            object.__setattr__(table, name, value)
+        vars(table).update(covariates=coded.covariates, _coded=coded,
+                           _counts=counts, _named=named, _total=total)
         return table
 
     def __eq__(self, other: object) -> bool:
@@ -1053,10 +1051,9 @@ class ExperimentalQuantities:
         clipped = _clip(values, 0.0, 1.0)
         clipped.flags.writeable = False
         built = object.__new__(cls)
-        for name, value in (("_coded", joint._coded), ("pairs", clipped[:-1]),
-                            ("marginal", tuple(clipped[-1].tolist())),
-                            ("provenance", provenance)):
-            object.__setattr__(built, name, value)
+        vars(built).update(_coded=joint._coded, pairs=clipped[:-1],
+                           marginal=tuple(clipped[-1].tolist()),
+                           provenance=provenance)
         return built
 
     @cached_property
@@ -1119,20 +1116,22 @@ _CONSTRAINTS = ("exposed-lower", "exposed-upper", "unexposed-lower",
                 "unexposed-upper")
 
 
-def _excess_columns(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """How far each stratum's pair lies past each consistency inequality
-    linking it to the stratum's cells, as a (K, 4) array in ``_CONSTRAINTS``
-    order, from (K, 4) cells and (K, 2) pairs.  Any distribution over joint
-    response behaviors must satisfy, within each stratum,
+def _excess_columns(cells: np.ndarray, pairs: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """How far each stratum's pair lies past each consistency inequality on
+    its cells, as a (K, 4) array in ``_CONSTRAINTS`` order, from (K, 4) cells
+    and (K, 2) pairs, and which of these exceed ``COMPAT_TOL``.  Any
+    distribution over joint response behaviors must satisfy, per stratum,
 
         P(x, y) <= P(y_x) <= 1 - P(x, y')
         P(x', y) <= P(y_x') <= 1 - P(x', y')
     """
     do_exposed, do_unexposed = pairs.T
-    return np.array((cells[:, 0] - do_exposed,
-                     do_exposed - (1.0 - cells[:, 1]),
-                     cells[:, 2] - do_unexposed,
-                     do_unexposed - (1.0 - cells[:, 3]))).T
+    excess = np.array((cells[:, 0] - do_exposed,
+                       do_exposed - (1.0 - cells[:, 1]),
+                       cells[:, 2] - do_unexposed,
+                       do_unexposed - (1.0 - cells[:, 3]))).T
+    return excess, excess > COMPAT_TOL
 
 
 def _one_row(table: StratumTable, pair: Sequence[float],
@@ -1161,13 +1160,14 @@ def _clip_pairs(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return _clip(pairs, cells[:, 0::2], 1.0 - cells[:, 1::2])
 
 
-def _conflict(excesses: Sequence[float], where: str) -> IncompatibilityError:
-    """The error for a pair whose excesses, in ``_CONSTRAINTS`` order,
-    break an inequality by more than ``COMPAT_TOL``, naming every one it
-    breaks.  ``where`` opens the message."""
-    violations = [(name, amount) for name, amount in zip(_CONSTRAINTS, excesses)
-                  if amount > COMPAT_TOL]
-    detail = "; ".join(f"{name} by {amount:.3g}" for name, amount in violations)
+def _conflict(excess: np.ndarray, past: np.ndarray,
+              where: str) -> IncompatibilityError:
+    """The error for a pair with these excesses, in ``_CONSTRAINTS`` order,
+    naming every inequality that ``past`` marks broken.  ``where`` opens
+    the message."""
+    detail = "; ".join(f"{name} by {amount:.3g}" for name, amount, broken
+                       in zip(_CONSTRAINTS, excess.tolist(), past.tolist())
+                       if broken)
     return IncompatibilityError(
         f"{where}: experimental pair conflicts with joint cells ({detail})")
 
@@ -1180,11 +1180,12 @@ def validate_compatibility(joint: StratifiedJoint,
     Raises :class:`ValidationError` when the stratum sets differ; returns a
     report listing violations (empty means compatible).
     """
-    excess = _excess_columns(joint.cells, _matched_pairs(joint, experimental))
+    excess, past = _excess_columns(joint.cells,
+                                   _matched_pairs(joint, experimental))
     return CompatibilityReport(violations=tuple(
         Violation(stratum=joint._coded[k], constraint=_CONSTRAINTS[c],
                   amount=excess[k, c].item())
-        for k, c in zip(*np.nonzero(excess > COMPAT_TOL))))
+        for k, c in zip(*np.nonzero(past))))
 
 
 def load_experimental(source: Source, joint: StratifiedJoint) -> ExperimentalQuantities:

@@ -96,8 +96,7 @@ def _searched_rows(quantities: Sequence[str], cells: np.ndarray,
     (exposed_event, exposed_noevent, unexposed_event,
      unexposed_noevent) = cells.T
     do_exposed, do_unexposed = pairs.T
-    excess = _excess_columns(cells, pairs)
-    conflict = (excess > COMPAT_TOL).any(axis=1)
+    excess, past = _excess_columns(cells, pairs)
     p_x = exposed_event + exposed_noevent
     p_xp = unexposed_event + unexposed_noevent
     empty_arm = (p_x <= 0.0) | (p_xp <= 0.0)
@@ -126,7 +125,7 @@ def _searched_rows(quantities: Sequence[str], cells: np.ndarray,
     helped_x, _, negative_x = _arm_masses(alpha, beta, a_pts)
     helped_xp, never_xp, negative_xp = _arm_masses(gamma, delta, b_pts)
     negative = negative_x | negative_xp
-    failed = conflict | empty_arm | prevented | negative
+    failed = past.any(axis=1) | empty_arm | prevented | negative
 
     results = []
     for quantity in quantities:
@@ -158,19 +157,19 @@ def _searched_rows(quantities: Sequence[str], cells: np.ndarray,
         fails = failed | undefined
         if fails.any():
             n = int(fails.argmax())
-            results.append((n, _failure(quantity, n, excess, conflict,
+            results.append((n, _failure(quantity, n, excess, past,
                                         empty_arm, prevented, negative)))
         else:
             results.append((len(cells), (lower, upper)))
     return results
 
 
-def _failure(quantity: str, n: int, excess: np.ndarray, conflict: np.ndarray,
+def _failure(quantity: str, n: int, excess: np.ndarray, past: np.ndarray,
              empty_arm: np.ndarray, prevented: np.ndarray,
              negative: np.ndarray) -> Exception:
     """The search's error for stratum ``n``, by the precedence above."""
-    if conflict[n]:
-        return _conflict(excess[n].tolist(), "response-type search")
+    if past[n].any():
+        return _conflict(excess[n], past[n], "response-type search")
     if empty_arm[n]:
         return PositivityError("both exposure arms need positive probability")
     if prevented[n]:
@@ -252,11 +251,10 @@ class VerificationReport:
         searched_ends = entry_major(searched)
         gaps = np.maximum(*np.abs(closed_ends - searched_ends).T)
         report = object.__new__(cls)
-        for name, value in (("tol", tol), ("discrepancy", gaps),
-                            ("_keys", keys), ("_closed", closed_ends),
-                            ("_terms", entry_major([b[2:] for b in closed])),
-                            ("_searched", searched_ends)):
-            object.__setattr__(report, name, value)
+        vars(report).update(tol=tol, discrepancy=gaps, _keys=keys,
+                            _closed=closed_ends,
+                            _terms=entry_major([b[2:] for b in closed]),
+                            _searched=searched_ends)
         return report
 
     def _entries(self, index: Sequence[int]) -> tuple[VerificationEntry, ...]:

@@ -93,8 +93,7 @@ class Scenario:
             if (x, s) not in conds:
                 raise ValidationError(
                     f"missing outcome conditional for (x={x}, {self.s_name}={s})")
-        object.__setattr__(self, "cells", cleaned)
-        object.__setattr__(self, "outcome_conditionals", conds)
+        vars(self).update(cells=cleaned, outcome_conditionals=conds)
 
     def outcome_cells(self) -> tuple[tuple[tuple[int, str, str, int], float], ...]:
         """The sampling distribution over (x, s, t, y), in a fixed order."""

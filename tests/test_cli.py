@@ -243,12 +243,21 @@ class _JsonProxy:
         return getattr(json, name)
 
 
-def _leaf_types(tree):
+# the keys whose value may be a streamed section, as cli._MARKER names them
+_STREAMED_KEYS = {"entries", "flagged", "intervals", "risk_differences"}
+
+
+def _leaf_types(tree, under=None):
+    """The types of the leaves of a report; a streamed section (a callable
+    that writes it) is not a leaf, but only as the value of such a key."""
     if type(tree) is dict:
         assert all(type(key) is str for key in tree)
-        return set().union(*map(_leaf_types, tree.values()))
+        return set().union(*(_leaf_types(value, key)
+                             for key, value in tree.items()))
     if type(tree) is list:
         return set().union(*map(_leaf_types, tree))
+    if callable(tree) and under in _STREAMED_KEYS:
+        return set()
     return {type(tree)}
 
 
@@ -480,6 +489,21 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot decode")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,what", [
+        (["bounds", *DATA, "--experimental"], "experimental"),
+        (["verify", *DATA, "--experimental"], "experimental"),
+        (["simulate", "--n", "100", "--reps", "2", "--seed", "1",
+          "--scenario"], "scenario"),
+    ])
+    def test_too_deeply_nested_input_file(self, argv, what, tmp_path, capsys):
+        # deeper than json.loads can recurse
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        assert run([*argv, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {what} file is not valid JSON: nested too deeply\n"
 
     def test_negative_seed_is_usage_error(self, capsys):
         assert run(["simulate", "--setting", "1", "--n", "100",

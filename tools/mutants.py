@@ -108,8 +108,8 @@ MUTANTS = (
      "_INVERT_TOL <= value", "_INVERT_TOL < value"),
     ("Interval.contains <= upper + tol -> <", "src/pcause/bounds.py",
      "value <= self.upper", "value < self.upper"),
-    ("bounds._box_rows excess > COMPAT_TOL -> >=", "src/pcause/bounds.py",
-     "(excess > COMPAT_TOL)", "(excess >= COMPAT_TOL)"),
+    ("model._excess_columns excess > COMPAT_TOL -> >=", "src/pcause/model.py",
+     "excess, excess > COMPAT_TOL", "excess, excess >= COMPAT_TOL"),
     ("bounds._box_rows inverted > -> >=", "src/pcause/bounds.py",
      "(lower > upper + _INVERT_TOL)", "(lower >= upper + _INVERT_TOL)"),
     ("stratified_interval inverted > -> >=", "src/pcause/bounds.py",
@@ -130,10 +130,6 @@ MUTANTS = (
      "(values >= -_SUM_TOL)", "(values > -_SUM_TOL)"),
     ("pairs values <= 1 + _SUM_TOL -> <", "src/pcause/model.py",
      "(values <= 1.0 + _SUM_TOL)", "(values < 1.0 + _SUM_TOL)"),
-    ("model._conflict amount > COMPAT_TOL -> >=", "src/pcause/model.py",
-     "if amount > COMPAT_TOL", "if amount >= COMPAT_TOL"),
-    ("validate_compatibility excess > COMPAT_TOL -> >=", "src/pcause/model.py",
-     "np.nonzero(excess > COMPAT_TOL)", "np.nonzero(excess >= COMPAT_TOL)"),
     ("oracle always-mass < -_MASS_TOL -> <=", "src/pcause/oracle.py",
      "(points < -_MASS_TOL)", "(points <= -_MASS_TOL)"),
     ("oracle helped < -_MASS_TOL -> <=", "src/pcause/oracle.py",
@@ -142,8 +138,6 @@ MUTANTS = (
      "(hurt < -_MASS_TOL)", "(hurt <= -_MASS_TOL)"),
     ("oracle never < -_MASS_TOL -> <=", "src/pcause/oracle.py",
      "(never < -_MASS_TOL)", "(never <= -_MASS_TOL)"),
-    ("oracle search excess > COMPAT_TOL -> >=", "src/pcause/oracle.py",
-     "(excess > COMPAT_TOL)", "(excess >= COMPAT_TOL)"),
     ("oracle prevented beta > alpha + tol -> >=", "src/pcause/oracle.py",
      "(beta > alpha + COMPAT_TOL)", "(beta >= alpha + COMPAT_TOL)"),
     ("oracle prevented delta > gamma + tol -> >=", "src/pcause/oracle.py",

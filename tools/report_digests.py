@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 129 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 131 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -66,6 +66,9 @@ directory:
   Arabic-Indic 3) and with 19 digits, a count of 2**63 (so the total passes
   2**63), levels ``\u00e9`` and ``\U0001f600``, a quoted level ``a,b`` and
   a level of 46 characters, longer than the reader's grid holds;
+* ``bounds --experimental`` and ``simulate --scenario`` on files that this
+  script writes into WORKDIR, nested 1,000 deep, deeper than ``json.loads``
+  recurses (exit 1);
 * after all of the above, on the parser those runs have used, eight argvs
   that end in argparse's own output: the usage errors ``bounds --data
   FIXTURE --frobnicate``, ``bounds`` without ``--data``, ``select --alpha 2``,
@@ -74,8 +77,9 @@ directory:
   and ``--version`` (exit 0).  The script sets ``COLUMNS=80`` in its own
   process, so the wrapped text does not depend on the terminal.
 
-It prints one line per job: the exit code, a SHA-256 over the exit code,
-stdout, stderr and the ``--json`` report, and the argv.  Reports record the
+It prints one line per job: the exit code (for a run that raises, the
+exception's type after ``raised-``), a SHA-256 over that, stdout, stderr and
+the ``--json`` report, and the argv.  Reports record the
 data path, so run both trees with the same WORKDIR and diff the outputs.
 """
 
@@ -359,6 +363,19 @@ def simulate_jobs(workdir: Path) -> list[tuple[str, ...]]:
     return argvs
 
 
+def nested_jobs(workdir: Path) -> list[tuple[str, ...]]:
+    """Write an experimental and a scenario file nested 1,000 deep and list
+    a bounds and a simulate run on them."""
+    argvs = []
+    for name, argv in (("experimental", ("bounds", "--data", FIXTURE)),
+                       ("scenario", ("simulate", "--n", "100", "--reps", "2",
+                                     "--seed", "1"))):
+        path = workdir / f"nested-{name}.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        argvs.append((*argv, f"--{name}", str(path)))
+    return argvs
+
+
 # argvs that end in argparse's own output, run last so that they meet the
 # parser the table jobs have used
 _PARSER_EXITS = [("bounds", "--data", FIXTURE, "--frobnicate"), ("bounds",),
@@ -385,7 +402,8 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
                   ("verify", "--data", FIXTURE, *smoothing),
                   ("verify", "--data", FIXTURE, "--tol", "0", *smoothing)]
     return (argvs + simulate_jobs(workdir) + measured_jobs(workdir)
-            + grid_pair_jobs(workdir) + ingest_jobs(workdir) + _PARSER_EXITS)
+            + grid_pair_jobs(workdir) + ingest_jobs(workdir)
+            + nested_jobs(workdir) + _PARSER_EXITS)
 
 
 def main(argv: list[str]) -> None:
@@ -405,7 +423,10 @@ def main(argv: list[str]) -> None:
         report.unlink(missing_ok=True)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = pcause.cli.run([*job, "--json", str(report)])
+            try:
+                code = pcause.cli.run([*job, "--json", str(report)])
+            except Exception as exc:  # a traceback, where exit 1 belongs
+                code = f"raised-{type(exc).__name__}"
         digest = hashlib.sha256()
         for part in (str(code), out.getvalue(), err.getvalue()):
             digest.update(part.encode() + b"\0")
