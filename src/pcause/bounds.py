@@ -54,12 +54,13 @@ Conditional, stratified and Tian-Pearl intervals share one term function,
 which returns every stratum's candidate terms (and, for PN and PS, the
 denominator) in tie-break order as arrays over the strata; each interval
 differs only in how it combines them.  One pass over those arrays gives
-every stratum's box as arrays of endpoints and attaining-term indices, from
-which the command line writes its report, and the one-stratum functions
-(``pn_interval_conditional`` and its PS and PNS siblings,
-:func:`tian_pearl_interval`, and :func:`stratified_interval` of a
-one-stratum joint) are the same pass over one row.  A failing stratum
-raises the error that a loop over the strata in key order would meet first.
+every stratum's box of every quantity as arrays of endpoints and
+attaining-term indices: ``pcause bounds`` runs it once for all of its
+quantities and writes its per-stratum lines and report from it, and the
+one-stratum functions (``pn_interval_conditional`` and its PS and PNS
+siblings, :func:`tian_pearl_interval`, and :func:`stratified_interval` of
+a one-stratum joint) are the same pass over one row.  A failing stratum
+gives the error that a loop over the strata in key order would meet first.
 Each interval records which candidate term produced each endpoint in every
 stratum (:class:`TermChoice`), with ties resolved toward the earlier term in
 the documented order.  The intervals this module makes keep that record as
@@ -264,9 +265,10 @@ def _box_rows(quantities: Sequence[str], cells: np.ndarray,
               pairs: np.ndarray, keys: Sequence[StratumKey],
               ) -> list[tuple[int, _Boxes | PcauseError]]:
     """For each quantity, the sharp box of each (K, 4) cell row and (K, 2)
-    pair, in order: the strata's conditional boxes, the stratified interval
-    of a one-stratum joint, or the Tian-Pearl interval of the pooled table.
-    The pairs are screened once for all the quantities.
+    pair, in order: every stratum's conditional box (one call per
+    ``bounds`` or ``verify`` run, for all of its quantities), or one row's
+    box (:func:`_one_box`).  The pairs are screened once for all the
+    quantities.
 
     A row fails when its pair lies farther than ``COMPAT_TOL`` outside its
     range, when its frame has no mass to divide by, or when its box
@@ -308,45 +310,27 @@ def _box_rows(quantities: Sequence[str], cells: np.ndarray,
     return results
 
 
-def _boxes(quantity: str, cells: np.ndarray, pairs: np.ndarray,
-           keys: Sequence[StratumKey]) -> _Boxes:
-    """One quantity's box of each row, as :func:`_box_rows` gives it;
-    raises the error of the first row that fails."""
-    (n, out), = _box_rows((quantity,), cells, pairs, keys)
-    if n < len(cells):
-        raise out
-    return out
-
-
-def _intervals(quantity: str, method: str, keys: Sequence[StratumKey],
-               boxes: _Boxes) -> list[Interval]:
-    """The boxes as intervals, each attained in its own stratum."""
-    return [Interval._of(lo, up, quantity, method, (key,), (li,), (ui,))
-            for lo, up, key, li, ui in zip(
-                boxes.lower.tolist(), boxes.upper.tolist(), keys,
-                boxes.lower_term.tolist(), boxes.upper_term.tolist())]
-
-
 def _one_box(quantity: str, method: str, table: StratumTable,
-             pair: tuple[float, float], key: StratumKey | None) -> Interval:
+             pair: Sequence[float], key: StratumKey | None) -> Interval:
+    """The box of one table and pair, attained in ``key``, as a one-row
+    :func:`_box_rows` pass; raises the row's error."""
     keys = (key if key is not None else StratumKey(()),)
-    return _intervals(quantity, method, keys,
-                      _boxes(quantity, *_one_row(table, pair), keys))[0]
+    (n, box), = _box_rows((quantity,), *_one_row(table, pair), keys)
+    if n == 0:
+        raise box
+    return Interval._of(box.lower.item(), box.upper.item(), quantity, method,
+                        keys, (box.lower_term.item(),),
+                        (box.upper_term.item(),))
 
 
-def _conditional_rows(quantity: str, joint: StratifiedJoint,
-                      experimental: ExperimentalQuantities) -> _Boxes:
-    """Every stratum's conditional box as arrays, in key order.
-
-    Raises :class:`ValidationError` unless the pairs are for exactly the
-    joint's strata, then the error of the first stratum, in key order, that
-    fails the screen, positivity or inversion check, as a loop over the
-    per-stratum functions below would.
-    """
-    if quantity not in QUANTITIES:
-        raise ValidationError(f"unknown quantity {quantity!r}")
-    return _boxes(quantity, joint.cells, _matched_pairs(joint, experimental),
-                  joint._coded)
+def _conditional_rows(quantities: Sequence[str], joint: StratifiedJoint,
+                      experimental: ExperimentalQuantities,
+                      ) -> list[tuple[int, _Boxes | PcauseError]]:
+    """:func:`_box_rows` of every stratum in key order, for all the
+    quantities in one pass; raises :class:`ValidationError` unless the
+    pairs are for exactly the joint's strata."""
+    return _box_rows(quantities, joint.cells,
+                     _matched_pairs(joint, experimental), joint._coded)
 
 
 def pn_interval_conditional(table: StratumTable, pair: tuple[float, float], *,
@@ -389,9 +373,8 @@ def stratified_interval(quantity: str, joint: StratifiedJoint,
     if joint.n_strata == 1:
         # With one stratum the weight is semantically 1 even if the stored
         # float drifted, so the interval is the stratum's conditional box.
-        keys = joint._coded
-        return _intervals(quantity, "stratified", keys, _boxes(
-            quantity, joint.cells, experimental.pairs, keys))[0]
+        return _one_box(quantity, "stratified", joint.only(),
+                        experimental.pairs[0].tolist(), joint._coded[0])
 
     pairs = _clip_pairs(joint.cells, experimental.pairs)
     cell, lows, ups, li, ui = _chosen(quantity, joint.cells, pairs)

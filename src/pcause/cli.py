@@ -444,12 +444,14 @@ def _cmd_bounds(args) -> _Handled:
     labels = [f"     {name}  [" for name in joint._coded.names()]
     _print_data_line(joint)
     print(f"experimental input: {experimental.provenance}")
-    for quantity in quantities:
+    rows = _conditional_rows(quantities, joint, experimental)
+    for quantity, (n, boxes) in zip(quantities, rows):
         strat = stratified_interval(quantity, joint, experimental)
         pooled_iv = tian_pearl_interval(quantity, pooled, experimental.marginal)
         print(f"{quantity:<4} stratified  [{strat.lower:.3f}, {strat.upper:.3f}]")
         print(f"{quantity:<4} tian-pearl  [{pooled_iv.lower:.3f}, {pooled_iv.upper:.3f}]")
-        boxes = _conditional_rows(quantity, joint, experimental)
+        if n < joint.n_strata:
+            raise boxes
         intervals += [strat, pooled_iv, (quantity, boxes)]
         sys.stdout.write("".join(map("%s%.3f, %.3f]\n".__mod__, zip(
             labels, boxes.lower.tolist(), boxes.upper.tolist()))))

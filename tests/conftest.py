@@ -22,7 +22,6 @@ from pcause.bounds import (
     Interval,
     TermChoice,
     _conditional_rows,
-    _intervals,
     _swap_pair,
 )
 from pcause.covselect import EXPOSURE_CI
@@ -887,9 +886,17 @@ def reference_tian_pearl_interval(quantity, table, marginal):
 
 
 def conditional_boxes(quantity, joint, experimental):
-    """Every stratum's conditional box as an interval, in key order."""
-    return _intervals(quantity, "conditional", joint._coded,
-                      _conditional_rows(quantity, joint, experimental))
+    """Every stratum's conditional box as an interval, in key order, from
+    the command line's box pass run for this quantity alone; raises the
+    error of the first stratum that fails."""
+    (n, boxes), = _conditional_rows((quantity,), joint, experimental)
+    if n < joint.n_strata:
+        raise boxes
+    return [Interval._of(lower, upper, quantity, "conditional", (key,),
+                         (li,), (ui,))
+            for lower, upper, key, li, ui in zip(
+                boxes.lower.tolist(), boxes.upper.tolist(), joint._coded,
+                boxes.lower_term.tolist(), boxes.upper_term.tolist())]
 
 
 def reference_conditional_boxes(quantity, joint, experimental):

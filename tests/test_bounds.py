@@ -8,6 +8,7 @@ from pcause.model import collapse
 from pcause.oracle import feasible_extrema
 
 from conftest import (
+    conditional_boxes,
     random_instance,
     random_pair,
     random_stratum,
@@ -386,8 +387,8 @@ class TestIncompatibility:
 
         def ends():
             if route == "boxes":
-                boxes = bounds._conditional_rows("PNS", joint, experimental)
-                return set(boxes.lower.tolist()), set(boxes.upper.tolist())
+                boxes = conditional_boxes("PNS", joint, experimental)
+                return {b.lower for b in boxes}, {b.upper for b in boxes}
             iv = pc.stratified_interval("PNS", joint, experimental)
             return {iv.lower}, {iv.upper}
 

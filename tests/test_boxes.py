@@ -1,8 +1,9 @@
 """The batched boxes, search and pair loader against the loops they replaced.
 
-``bounds._conditional_rows`` computes every stratum's conditional box in one
-array pass (as intervals, ``conftest.conditional_boxes``), ``verify_bounds``
-runs that pass and the response-type search
+``bounds._conditional_rows`` computes every stratum's conditional box of
+each quantity it is given in one array pass (``bounds._box_rows``; one
+quantity's boxes as intervals are ``conftest.conditional_boxes``),
+``verify_bounds`` runs that pass and the response-type search
 (``oracle._searched_rows``) once over all strata and quantities,
 ``load_experimental`` reads its pairs in one pass, and the one-stratum
 functions are one-row calls of the same passes.  The ``reference_*``

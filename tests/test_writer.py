@@ -80,10 +80,14 @@ _ODD_ENDS = (((0.0, 0.5), (-0.0, 0.5)), ((-0.0, 0.0), (0.0, -0.0)),
 
 def _odd(real, route):
     """``bounds._box_rows`` (route 0) or ``oracle._searched_rows`` (route 1)
-    with the ends of every box taken from ``_ODD_ENDS``, entry by entry."""
+    with the ends of every box taken from ``_ODD_ENDS``, entry by entry:
+    stratum k's box of quantity q gets entry 3k + q, whichever quantities
+    one call is given."""
     def odd(quantities, cells, *args):
         results = []
-        for q, (n, out) in enumerate(real(quantities, cells, *args)):
+        for quantity, (n, out) in zip(quantities,
+                                      real(quantities, cells, *args)):
+            q = pcause.bounds.QUANTITIES.index(quantity)
             lower, upper = np.array(
                 [_ODD_ENDS[(3 * k + q) % len(_ODD_ENDS)][route]
                  for k in range(len(cells))]).T
@@ -199,12 +203,71 @@ def test_floats_that_repeat_are_written_as_json_writes_them(
     data, report = tmp_path / "grid.csv", tmp_path / "report.json"
     _write_counts(data, ("s", "t"), _GRID)
     for source in (DATA, ["--data", str(data)]):
-        assert_same_as_reference(["bounds", *source], report)
-        assert_same_as_reference(["verify", *source], report)
-        text = report.read_text()
-        for word in ("NaN", " Infinity", "-Infinity", " -0.0,", " 0.0,",
-                     " 1e-09,", " 0.0001,"):
-            assert word in text
+        for command in ("bounds", "verify"):
+            assert_same_as_reference([command, *source], report)
+            text = report.read_text()
+            for word in ("NaN", " Infinity", "-Infinity", " -0.0,", " 0.0,",
+                         " 1e-09,", " 0.0001,"):
+                assert word in text
+
+
+@pytest.mark.parametrize("table", ["fixture", "grid"])
+@pytest.mark.parametrize("quantity", ["all", "PS"])
+def test_bounds_runs_one_box_pass_over_the_strata(table, quantity, tmp_path,
+                                                  monkeypatch):
+    data = CANCER_CSV
+    if table == "grid":
+        data = tmp_path / "grid.csv"
+        _write_counts(data, ("s", "t"), _GRID)
+    joint = pc.to_probabilities(pc.load_counts(data))
+    calls, real = [], pcause.bounds._box_rows
+
+    def recorded(quantities, cells, pairs, keys):
+        calls.append((tuple(quantities), cells, keys))
+        return real(quantities, cells, pairs, keys)
+    monkeypatch.setattr(pcause.bounds, "_box_rows", recorded)
+    code, _, _ = _captured(cli.run, ["bounds", "--data", str(data),
+                                     "--quantity", quantity])
+    assert code == 0
+    quantities = (pcause.bounds.QUANTITIES if quantity == "all"
+                  else (quantity,))
+    # one pass over the strata; the others are the Tian-Pearl intervals'
+    # one-row passes
+    (strata_call,) = [call for call in calls if len(call[1]) > 1]
+    assert strata_call[0] == quantities
+    assert np.array_equal(strata_call[1], joint.cells)
+    assert strata_call[2] == joint._coded
+    assert [(q, len(cells)) for q, cells, _ in calls if len(cells) == 1] == \
+        [((q,), 1) for q in quantities]
+
+
+def test_a_failing_box_is_reported_after_its_intervals(tmp_path,
+                                                       monkeypatch):
+    # PS fails in the first stratum of the strata's pass; the Tian-Pearl
+    # interval's one-row pass is left as it is.  No known input reaches a
+    # failing box: a pair outside its range fails the stratified interval
+    # first, and no digest job reaches the positivity or inversion check.
+    real = pcause.bounds._box_rows
+
+    def failing(quantities, cells, *args):
+        results = real(quantities, cells, *args)
+        if len(cells) == 1:
+            return results
+        return [(0, pc.PositivityError("PS fails in the first stratum"))
+                if quantity == "PS" else result
+                for quantity, result in zip(quantities, results)]
+    monkeypatch.setattr(pcause.bounds, "_box_rows", failing)
+    argv = ["bounds", *DATA]
+    code, out, err = _captured(cli.run, argv)
+    assert code == 1
+    assert err == "error: PS fails in the first stratum\n"
+    lines = out.splitlines()
+    assert [line.split("[")[0] for line in lines[2:]] == [
+        "PN   stratified  ", "PN   tian-pearl  ", "     stage=1  ",
+        "     stage=2  ", "     stage=3  ", "PS   stratified  ",
+        "PS   tian-pearl  "]
+    assert_same_as_reference(argv, tmp_path / "report.json")
+    assert not (tmp_path / "report.json").exists()
 
 
 # a float either side of each bound of the range where orjson's text is

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 131 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 134 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -28,6 +28,9 @@ directory:
   unknown provenance, a non-numeric pair, a pair outside its
   compatibility range by more than the 1e-3 tolerance and one inside it,
   and two strata outside their ranges, on different inequalities;
+* ``bounds --quantity PN`` and ``bounds --quantity PNS`` on the cancer
+  fixture, and ``bounds --quantity PNS`` with the pair file of two strata
+  outside their ranges, which run the box pass for one quantity;
 * ``bounds --experimental`` on a 3 x 3 grid with two pair files that this
   script writes into WORKDIR: one listing the strata in reverse key order,
   with levels as JSON integers and one stratum twice (the last entry
@@ -401,8 +404,13 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
                    *smoothing),
                   ("verify", "--data", FIXTURE, *smoothing),
                   ("verify", "--data", FIXTURE, "--tol", "0", *smoothing)]
-    return (argvs + simulate_jobs(workdir) + measured_jobs(workdir)
-            + grid_pair_jobs(workdir) + ingest_jobs(workdir)
+    argvs += simulate_jobs(workdir) + measured_jobs(workdir)
+    argvs += [("bounds", "--data", FIXTURE, "--quantity", quantity)
+              for quantity in ("PN", "PNS")]
+    argvs.append(("bounds", "--data", FIXTURE, "--quantity", "PNS",
+                  "--experimental",
+                  str(workdir / "measured-two-conflicts.json")))
+    return (argvs + grid_pair_jobs(workdir) + ingest_jobs(workdir)
             + nested_jobs(workdir) + _PARSER_EXITS)
 
 
