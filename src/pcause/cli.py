@@ -169,6 +169,35 @@ def _floats(values: np.ndarray) -> list[str]:
     return texts
 
 
+# How near its scaled fraction may come to a half before a value is handed
+# to %.3f itself: |v| * 1000 is within 6e-14 of its exact value.
+_TIE = 1e-6
+
+
+@lru_cache(maxsize=1)
+def _thousandths() -> np.ndarray:
+    """The text of k/1000 for k = 0..1000, then of -k/1000."""
+    texts = ["%.3f" % (k / 1000) for k in range(1001)]
+    return np.array(texts + ["-" + text for text in texts], object)
+
+
+def _three(values) -> list[str]:
+    """``"%.3f" % v`` of each value, looked up by its sign and its nearest
+    thousandth; a value beyond ±1 or not finite, or whose thousandths lie
+    within _TIE of a half, goes to %.3f, which rounds the exact value."""
+    values = np.asarray(values, np.float64)
+    scaled = np.abs(values) * 1000.0
+    inside = scaled <= 1000.0
+    scaled[~inside] = 0.0
+    near = np.rint(scaled)
+    texts = _thousandths()[near.astype(np.intp)
+                           + 1001 * np.signbit(values)].tolist()
+    for k in np.flatnonzero(~inside | (np.abs(scaled - near)
+                                       > 0.5 - _TIE)).tolist():
+        texts[k] = "%.3f" % values[k]
+    return texts
+
+
 def _texts(strings: Iterable[str]) -> list[str]:
     return list(map(encode_basestring_ascii, strings))
 
@@ -453,8 +482,8 @@ def _cmd_bounds(args) -> _Handled:
         if n < joint.n_strata:
             raise boxes
         intervals += [strat, pooled_iv, (quantity, boxes)]
-        sys.stdout.write("".join(map("%s%.3f, %.3f]\n".__mod__, zip(
-            labels, boxes.lower.tolist(), boxes.upper.tolist()))))
+        sys.stdout.write("".join(map("%s%s, %s]\n".__mod__, zip(
+            labels, _three(boxes.lower), _three(boxes.upper)))))
 
     return _report("bounds", _input_json(args, joint, experimental),
                    intervals=_section(_interval_items, intervals,
@@ -479,8 +508,9 @@ def _cmd_identify(args) -> _Handled:
     marks = [""] * joint.n_strata
     for k in diag._flagged:
         marks[k] = "  [negative]"
-    sys.stdout.write("".join(map("  risk difference %s: %.3f%s\n".__mod__,
-                                 zip(joint._coded.names(), diag._rds, marks))))
+    sys.stdout.write("".join(map("  risk difference %s: %s%s\n".__mod__,
+                                 zip(joint._coded.names(), _three(diag._rds),
+                                     marks))))
     verdict = "plausible" if diag.plausible else "implausible"
     print(f"no-prevention assumption: {verdict} "
           f"({len(diag._flagged)} of {joint.n_strata} strata flagged)")

@@ -49,7 +49,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence, Union
 
@@ -88,8 +88,12 @@ def _read_text(source: Source) -> str:
 
 
 def _read_json(source: Source, what: str):
+    return _parsed(_read_text(source), what)
+
+
+def _parsed(text: str, what: str):
     try:
-        return json.loads(_read_text(source))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -1188,10 +1192,76 @@ def validate_compatibility(joint: StratifiedJoint,
         for k, c in zip(*np.nonzero(past))))
 
 
+_ENTRY = ("levels", "p_event_do_exposed", "p_event_do_unexposed")
+
+
+def _plain_pairs(text: str, coded: _Coded) -> tuple[np.ndarray, str] | None:
+    """The pairs of a plain pairs file, as a (K, 2) array in key order,
+    and its provenance; None for any other file.
+
+    A plain file is one that orjson reads, with no container but the top
+    object, its ``strata`` list, the entries and their levels, so that
+    ``json.loads`` reads it too, even where a repeated key hides a value.
+    Each entry's levels are JSON strings for exactly ``coded``'s
+    covariates, its pair JSON numbers, and the last entry for a stratum
+    counts.  The entry loop of :func:`load_experimental` gives such a file
+    the same pairs, or the same mismatch error, the only error it can meet
+    there; it reads every other file.
+    """
+    import orjson
+
+    try:
+        data = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+    strata = data.get("strata") if type(data) is dict else None
+    if type(strata) is not list:
+        return None
+    # every "[" and "{" of the text, counted as bytes, opens one of the
+    # plain containers, so no other is hidden
+    raw = np.frombuffer(text.encode(), np.uint8)
+    n, covs = len(strata), coded.covariates
+    if sum(np.count_nonzero(raw == ord(c)) for c in "[{") != 2 * n + 2:
+        return None
+    try:
+        levels, *pair = [list(map(itemgetter(key), strata)) for key in _ENTRY]
+        if (set(map(type, levels)) != {dict}
+                or set(map(len, levels)) != {len(covs)}):
+            return None
+        columns = [list(map(itemgetter(name), levels)) for name in covs]
+    except (KeyError, TypeError):  # TypeError: an entry that is no object
+        return None
+    # JSON numbers, or bools, which float() reads as 1 and 0; no text or null
+    values = np.array(pair)
+    if values.dtype.kind not in "biuf":
+        return None
+    try:
+        # each entry's rank in each covariate's levels, as a table's codes
+        codes = np.array([list(map(dict(zip(lv, range(len(lv)))).get, column))
+                          for lv, column in zip(coded.levels, columns)],
+                         np.intp).reshape(len(covs), n).T
+        rows, listed = _groups(_Coded(covs, coded.levels, codes), covs)
+    except TypeError:  # a level that no stratum has
+        listed = None
+    if listed is None or listed != coded:
+        # the loop matches a level that is not a string by its str() text
+        if any(set(map(type, column)) != {str} for column in columns):
+            return None
+        raise ValidationError(_MISMATCH)
+    # each stratum's last entry
+    last = np.zeros(len(coded), np.intp)
+    np.maximum.at(last, rows, np.arange(n))
+    return values.T[last], data.get("provenance", PROVENANCE_MEASURED)
+
+
 def load_experimental(source: Source, joint: StratifiedJoint) -> ExperimentalQuantities:
     """Parse experimental pairs; the marginal comes from the joint's weights.
     A stratum listed twice takes its last entry."""
-    data = _read_json(source, "experimental")
+    text = _read_text(source)
+    plain = _plain_pairs(text, joint._coded)
+    if plain is not None:
+        return ExperimentalQuantities._weighted(joint, *plain)
+    data = _parsed(text, "experimental")
     coded = joint._coded
     covs, names = coded.covariates, set(coded.covariates)
     # each stratum's row by its levels, in covariate order

@@ -29,6 +29,7 @@ from pcause.model import (
     _MISMATCH,
     COMPAT_TOL,
     _matched_pairs,
+    collapse,
     load_experimental,
 )
 from pcause.oracle import VerificationReport, _searched_rows
@@ -322,33 +323,140 @@ _value = st.one_of(st.floats(min_value=0.0, max_value=1.0),
                                     None, [], 1.5, -1e-10, 1 + 1e-10,
                                     float("nan"), "1e999")))
 _FIELDS = ("p_event_do_exposed", "p_event_do_unexposed")
+# Levels as JSON strings, integers, floats or bools, which the loader
+# matches by their str() text, and a string that ends in a lone surrogate,
+# written as a \ud800 escape, which orjson rejects.  orjson reads the
+# integer 2**64 as a float, whose str() is another text; the joints draw a
+# level of 2**64 for it to match.
+_SPELLINGS = {
+    "text": str,
+    "int": lambda level: int(level) if level.isdigit() else level,
+    "float": lambda level: float(level) if level.isdigit() else level,
+    "bool": lambda level: level in ("1", "b"),
+    "surrogate": lambda level: level + "\ud800",
+}
+_pair_levels = st.lists(st.tuples(st.sampled_from(("1", "2", str(2**64))),
+                                  st.sampled_from("ab")),
+                        min_size=1, max_size=6, unique=True)
 
 
-def _pairs_file(entries, provenance=None):
-    data = {"strata": [{"levels": {name: value for name, value in key.labels},
+def _pairs_file(entries, provenance=None, spelling=str):
+    data = {"strata": [{"levels": {name: spelling(value)
+                                   for name, value in key.labels},
                         **dict(zip(_FIELDS, pair))} for key, pair in entries]}
     if provenance is not None:
         data["provenance"] = provenance
     return data
 
 
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
 @repeatable
-@given(_strata, _levels, st.data())
+@given(_strata, _pair_levels, st.data())
 def test_pair_loader_matches_the_entry_loop(draws, levels, data):
     joint, pairs = _joint(draws, levels)
     keys = list(joint.keys()) + [pc.StratumKey.of(g="9", h="z")]
+    if data.draw(st.integers(0, 3)) == 0:
+        # the pooled table: every level object is {}
+        joint = collapse(joint, ())
+        pairs = {pc.StratumKey(): pairs[keys[0]]}
+        keys = [pc.StratumKey(), keys[-1]]
     listed = data.draw(st.lists(st.tuples(st.sampled_from(keys),
                                           st.tuples(_value, _value)),
                                 max_size=9))
     # every stratum of the joint listed once with its drawn pair, most of
     # the time, so that files that load are common
-    if data.draw(st.booleans()):
+    if data.draw(st.integers(0, 3)) > 0:
         listed = [(key, pairs[key]) for key in joint.keys()] + listed
     text = _pairs_file(listed, data.draw(st.sampled_from(
-        (None, "sita-adjusted", "guessed"))))
-    if listed and data.draw(st.booleans()):
+        (None, "sita-adjusted", "guessed"))), _SPELLINGS[data.draw(
+            st.sampled_from(("text",) * 4 + tuple(_SPELLINGS)[1:]))])
+    if listed and data.draw(st.integers(0, 3)) == 0:
         del text["strata"][-1][data.draw(st.sampled_from(_FIELDS))]
+    if listed and data.draw(st.integers(0, 5)) == 0:
+        text["strata"][0]["note"] = "a fourth key"
     text = json.dumps(text)
+    # a key beside the strata, or one that "strata" repeats, holding
+    # brackets nested about as deep as json.loads recurses
+    depth = data.draw(st.sampled_from((None,) * 4 + (990, 1010)))
+    if depth is not None:
+        text = data.draw(st.sampled_from((
+            text[:-1] + f', "deep": {_nested(depth)}}}',
+            f'{{"strata": {_nested(depth)}, ' + text[1:])))
+    assert _outcome(load_experimental, io.StringIO(text), joint) == \
+        _outcome(reference_load_experimental, io.StringIO(text), joint)
+
+
+_STAGES = [("3", (0.5, 0.6)), ("2", (0.1, 0.4)), ("1", (0.15, 0.3)),
+           ("2", (0.3, 0.4))]
+
+
+def _stage_text(spelling=str, note=None, stages=_STAGES):
+    entries = [{"levels": {"stage": spelling(level)},
+                **dict(zip(_FIELDS, pair))} for level, pair in stages]
+    if note is not None:
+        entries[1]["note"] = note
+    return json.dumps({"strata": entries})
+
+
+# The fixture's three stages listed in reverse, stage 2 twice, as plain
+# files and as files that the entry loop reads; and the outcome each must
+# have besides the entry loop's.
+_PAIR_TEXTS = {
+    "last-entry": (_stage_text(), "loads"),
+    "integer-levels": (_stage_text(int), "loads"),
+    "fourth-key": (_stage_text(note="a fourth key"), "loads"),
+    "surrogate": (_stage_text(lambda level: level + "\ud800"),
+                  f"ValidationError: {_MISMATCH}"),
+    "unknown-stage": (_stage_text(stages=_STAGES + [("4", (0.5, 0.5))]),
+                      f"ValidationError: {_MISMATCH}"),
+    "missing-stage": (_stage_text(stages=_STAGES[:2]),
+                      f"ValidationError: {_MISMATCH}"),
+    "unknown-integer-stage": (
+        _stage_text(int, stages=_STAGES + [("4", (0.5, 0.5))]),
+        f"ValidationError: {_MISMATCH}"),
+    "deep-beside": (_stage_text()[:-1] + f', "deep": {_nested(1010)}}}',
+                    "ParseError: experimental file is not valid JSON: "
+                    "nested too deeply"),
+    "deep-repeated": ('{"strata": ' + _nested(1010) + ", "
+                      + _stage_text()[1:],
+                      "ParseError: experimental file is not valid JSON: "
+                      "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("name", _PAIR_TEXTS)
+def test_pair_files_on_either_decoder(cancer_joint, name):
+    text, expected = _PAIR_TEXTS[name]
+    outcome = _outcome(load_experimental, io.StringIO(text), cancer_joint)
+    assert outcome == _outcome(reference_load_experimental,
+                               io.StringIO(text), cancer_joint)
+    if expected != "loads":
+        assert outcome == expected
+        return
+    # the last entry for stage 2 counts
+    pairs = load_experimental(io.StringIO(text), cancer_joint).per_stratum
+    assert pairs == {pc.StratumKey.of(stage=level): pair
+                     for level, pair in sorted(dict(_STAGES).items())}
+
+
+def test_pair_files_for_a_pooled_table_and_a_level_of_2_64(cancer_joint):
+    pooled = collapse(cancer_joint, ())
+    text = json.dumps(_pairs_file([(pc.StratumKey(), (0.1, 0.2)),
+                                   (pc.StratumKey(), (0.25, 0.5))]))
+    assert '"levels": {}' in text
+    assert _outcome(load_experimental, io.StringIO(text), pooled) == \
+        _outcome(reference_load_experimental, io.StringIO(text), pooled)
+    assert load_experimental(io.StringIO(text), pooled).per_stratum == {
+        pc.StratumKey(): (0.25, 0.5)}
+    # a JSON integer level of 2**64 matches the level "18446744073709551616"
+    joint, pairs = _joint([_INSIDE] * 6, [(str(2**64), "a"), ("1", "b")])
+    text = json.dumps(_pairs_file(pairs.items(), spelling=_SPELLINGS["int"]))
+    assert "18446744073709551616," in text
+    loaded = load_experimental(io.StringIO(text), joint)
+    assert loaded.per_stratum == pairs
     assert _outcome(load_experimental, io.StringIO(text), joint) == \
         _outcome(reference_load_experimental, io.StringIO(text), joint)
 

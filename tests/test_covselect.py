@@ -326,10 +326,13 @@ class TestPValue:
                  "mode='exact-probability').holds\n" + scipy)
         assert self._fresh(exact) == "[]"
 
-    def test_orjson_loads_only_to_write_a_report(self, tmp_path):
-        # the report writer imports orjson at its first float: neither
-        # import, nor a simulate run, which writes none, pulls it in; a
-        # bounds report does
+    def test_orjson_loads_only_to_read_pairs_or_write_a_report(self,
+                                                                tmp_path):
+        # the pairs reader and the report writer import orjson at their
+        # first use: neither import, nor a simulate run, which writes no
+        # per-stratum section, nor a bounds run with neither a pair file
+        # nor a report pulls it in; a bounds report does, and so does a
+        # pair file without one
         loaded = "print('orjson' in sys.modules)"
         for module in ("pcause", "pcause.cli"):
             assert self._fresh(f"import sys, {module}; {loaded}") == "False"
@@ -338,8 +341,17 @@ class TestPValue:
         simulate = ["simulate", "--setting", "1", "--n", "1000", "--reps",
                     "20", "--seed", "7", "--json", report]
         assert self._fresh(run % simulate + loaded) == "False"
-        bounds = ["bounds", "--data", str(CANCER_CSV), "--json", report]
-        assert self._fresh(run % bounds + loaded) == "True"
+        bounds = ["bounds", "--data", str(CANCER_CSV)]
+        assert self._fresh(run % bounds + loaded) == "False"
+        assert self._fresh(run % [*bounds, "--json", report] + loaded) == \
+            "True"
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"strata": [
+            {"levels": {"stage": stage}, "p_event_do_exposed": do_x,
+             "p_event_do_unexposed": do_xp} for stage, do_x, do_xp in (
+                ("1", 0.15, 0.3), ("2", 0.3, 0.4), ("3", 0.5, 0.6))]}))
+        assert self._fresh(run % [*bounds, "--experimental", str(pairs)]
+                           + loaded) == "True"
 
     @pytest.mark.parametrize("strata, df_positive", [
         ([(1, 1, (30, 20, 10, 40)), (1, 2, (25, 15, 12, 30)),

@@ -17,6 +17,7 @@ import os
 import stat
 import tempfile
 import threading
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -336,6 +337,27 @@ class TestFloats:
     def test_a_strided_or_integer_array(self):
         assert cli._floats(np.arange(6.0)[::2]) == ["0.0", "2.0", "4.0"]
         assert cli._floats(np.array([1, -3])) == ["1.0", "-3.0"]
+
+
+def test_three_decimals_are_printf_s():
+    # every thousandth, the floats either side of each half thousandth,
+    # the odd sixteenths (exact ties, which %.3f rounds to even), signed
+    # zeros, non-finite values, values beyond 1 and subnormals, then
+    # seeded values in [-1.5, 1.5]
+    values = [k / 1000 for k in range(-1000, 1001)]
+    for k in range(-1000, 1000):
+        half = (k + 0.5) / 1000
+        values += [np.nextafter(half, -2.0), np.nextafter(half, 2.0)]
+    values += [j / 16 for j in range(-17, 18, 2)]
+    values += [0.0, -0.0, -1e-4, math.nan, math.inf, -math.inf, 1.0005,
+               -1.0005, 5e-324, -5e-324]
+    values += np.random.default_rng(20261022).uniform(-1.5, 1.5,
+                                                      10**6).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        texts = cli._three(np.array(values))
+    assert texts == ["%.3f" % v for v in values]
+    assert cli._three(np.array([0.0625, -0.0625])) == ["0.062", "-0.062"]
 
 
 def _grid():

@@ -7,7 +7,9 @@ or down, ``verify``'s default tolerance halved or doubled, a comparison
 with a tolerance or a level flipped at its boundary, a term nudged, the
 a.var's squares taken as a multiply or let overflow, the range of floats
 the report writer takes from orjson scaled, or its zero or non-finite case
-dropped.  For
+dropped, the three-decimal lines' tie margin or sign dropped, or the pairs
+reader's plain-file conditions dropped or its last entry made the first.
+For
 each one, in order, this script copies REPO (without ``.git`` or
 ``__pycache__``) to ``WORKDIR/mutant``, applies the change, and runs
 tier-1 there with ``-x``.  When tier-1
@@ -77,6 +79,21 @@ MUTANTS = (
      "(size < 1e16)))"),
     ("cli._floats _NONFINITE dropped", "src/pcause/cli.py",
      "_NONFINITE.get(text, text) for text in", "text for text in"),
+    # the three-decimal lines: exact half-thousandth ties sent to the
+    # table, and the minus sign dropped
+    ("cli._TIE 1e-6 -> 0", "src/pcause/cli.py", "_TIE = 1e-6", "_TIE = 0.0"),
+    ("cli._three sign bit dropped", "src/pcause/cli.py",
+     "1001 * np.signbit(values)", "0 * np.signbit(values)"),
+    # the pairs reader's plain files: levels that are not strings, or a
+    # container beside the plain ones, let in, and the first entry for a
+    # stratum taken
+    ("model._plain_pairs string levels dropped", "src/pcause/model.py",
+     "any(set(map(type, column)) != {str} for column in columns)", "False"),
+    ("model._plain_pairs other containers let in", "src/pcause/model.py",
+     "!= 2 * n + 2:", "< 0:"),
+    ("model._plain_pairs first entry wins", "src/pcause/model.py",
+     "last = np.zeros(len(coded), np.intp)\n    np.maximum.at(",
+     "last = np.full(len(coded), n)\n    np.minimum.at("),
     # each module-level tolerance scaled down
     ("bounds._INVERT_TOL 1e-9 -> 1e-12", "src/pcause/bounds.py",
      "_INVERT_TOL = 1e-9", "_INVERT_TOL = 1e-12"),

@@ -2,7 +2,7 @@
 
     python3 tools/report_digests.py REPO WORKDIR
 
-Runs 134 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
+Runs 140 jobs through ``pcause.cli.run`` of the tree at REPO (its ``src/``
 comes first on the import path), in one process, from REPO as the working
 directory:
 
@@ -22,20 +22,26 @@ directory:
 * ``simulate --scenario hopeless.json --n 120 --reps 40 --seed 2`` on a
   scenario that this script writes into WORKDIR, whose replication 3 is the
   first to use up its 50 attempts (exit 1);
-* ``bounds`` and ``verify`` on the cancer fixture with each of 9 measured-pair
-  files that this script writes into WORKDIR: a pair at ``1 + 1e-10`` (clipped
-  onto [0, 1]), a pair at ``-0.0``, a pair at 1.25, a missing stratum, an
-  unknown provenance, a non-numeric pair, a pair outside its
+* ``bounds`` and ``verify`` on the cancer fixture with each of 10
+  measured-pair files that this script writes into WORKDIR: a pair at
+  ``1 + 1e-10`` (clipped onto [0, 1]), a pair at ``-0.0``, a pair at 1.25, a
+  missing stratum, an unknown provenance, a non-numeric pair, a ``NaN`` pair
+  (which orjson does not read), a pair outside its
   compatibility range by more than the 1e-3 tolerance and one inside it,
   and two strata outside their ranges, on different inequalities;
 * ``bounds --quantity PN`` and ``bounds --quantity PNS`` on the cancer
   fixture, and ``bounds --quantity PNS`` with the pair file of two strata
   outside their ranges, which run the box pass for one quantity;
-* ``bounds --experimental`` on a 3 x 3 grid with two pair files that this
+* ``bounds --experimental`` on a 3 x 3 grid with three pair files that this
   script writes into WORKDIR: one listing the strata in reverse key order,
   with levels as JSON integers and one stratum twice (the last entry
-  counts), and one whose last entry names a covariate the grid lacks
-  (exit 1);
+  counts), its copy with levels as JSON strings, and one whose last entry
+  names a covariate the grid lacks (exit 1);
+* ``bounds --experimental`` with three pair files that this script writes
+  into WORKDIR: levels of 2**64 as a JSON integer on a table of two strata
+  (orjson reads the integer as a float), a key beside the cancer fixture's
+  strata nested 1,010 deep, which orjson reads and ``json.loads`` does not
+  (exit 1), and the levels ``{}`` of a table without covariates;
 * 43 runs on counts files that this script writes into WORKDIR to exercise
   the CSV reader and the bounds: CRLF and lone-CR line endings with comments
   and blank lines, duplicate cells on lines apart, quoted levels holding
@@ -270,6 +276,9 @@ _MEASURED = {
                         "measured-experimental"),
     "unknown-provenance": (_PAIRS, "guessed"),
     "non-numeric": ({**_PAIRS, "2": ("high", 0.4)}, "measured-experimental"),
+    # json.dumps writes NaN, which orjson does not read
+    "nan-pair": ({**_PAIRS, "2": (float("nan"), 0.4)},
+                 "measured-experimental"),
     "incompatible": ({**_PAIRS, "2": (17 / 96 - 2e-3, 0.4)},
                      "measured-experimental"),
     "inside-tolerance": ({**_PAIRS, "2": (17 / 96 - 5e-4, 0.4)},
@@ -309,6 +318,9 @@ _GRID_PAIRS = [{"levels": {"s": s, "t": t}, "p_event_do_exposed": 0.5,
 _GRID_PAIRS.insert(2, {**_GRID_PAIRS[4], "p_event_do_exposed": 0.1})
 _GRID_MEASURED = {
     "reversed": _GRID_PAIRS,
+    "reversed-text": [{**entry, "levels": {name: str(level) for name, level
+                                           in entry["levels"].items()}}
+                      for entry in _GRID_PAIRS],
     "extra-covariate": _GRID_PAIRS[:-1] + [
         {**_GRID_PAIRS[-1], "levels": {"s": 1, "t": 1, "u": 1}}],
 }
@@ -324,6 +336,46 @@ def grid_pair_jobs(workdir: Path) -> list[tuple[str, ...]]:
         path.write_text(json.dumps({"strata": strata}))
         argvs.append(("bounds", "--data", str(data), "--experimental",
                       str(path)))
+    return argvs
+
+
+def _pair_entries(rows) -> list[dict]:
+    return [{"levels": levels, "p_event_do_exposed": do_x,
+             "p_event_do_unexposed": do_xp} for levels, do_x, do_xp in rows]
+
+
+# counts (None for the fixture) and the text of a pair file, by name: a
+# level of 2**64 as a JSON integer, which orjson reads as a float; a key
+# beside the fixture's strata nested 1,010 deep, which orjson reads and
+# json.loads does not; and the levels {} of a table without covariates
+_DECODER_PAIRS = {
+    "big-level": (
+        "g,x,y,count\n" + "".join(
+            f"{g},{x},{y},{n}\n" for g, counts in (
+                (2**64, (5, 4, 3, 6)), (1, (7, 2, 4, 5)))
+            for (x, y), n in zip(((1, 1), (1, 0), (0, 1), (0, 0)), counts)),
+        json.dumps({"strata": _pair_entries([({"g": 2**64}, 0.5, 0.4),
+                                             ({"g": 1}, 0.6, 0.4)])})),
+    "deep-key": (None, json.dumps({"strata": _pair_entries(
+        ({"stage": stage}, *pair) for stage, pair in _PAIRS.items())})[:-1]
+        + ', "deep": ' + "[" * 1010 + "]" * 1010 + "}"),
+    "pooled": ("x,y,count\n1,1,14\n1,0,9\n0,1,6\n0,0,17\n",
+               json.dumps({"strata": _pair_entries([({}, 0.5, 0.3)])})),
+}
+
+
+def decoder_jobs(workdir: Path) -> list[tuple[str, ...]]:
+    """Write the files of ``_DECODER_PAIRS`` and list a bounds run on
+    each."""
+    argvs = []
+    for name, (counts, pairs) in _DECODER_PAIRS.items():
+        data = FIXTURE
+        if counts is not None:
+            data = str(workdir / f"decoder-{name}.csv")
+            Path(data).write_text(counts)
+        path = workdir / f"decoder-{name}.json"
+        path.write_text(pairs)
+        argvs.append(("bounds", "--data", data, "--experimental", str(path)))
     return argvs
 
 
@@ -410,7 +462,8 @@ def jobs(workdir: Path) -> list[tuple[str, ...]]:
     argvs.append(("bounds", "--data", FIXTURE, "--quantity", "PNS",
                   "--experimental",
                   str(workdir / "measured-two-conflicts.json")))
-    return (argvs + grid_pair_jobs(workdir) + ingest_jobs(workdir)
+    return (argvs + grid_pair_jobs(workdir) + decoder_jobs(workdir)
+            + ingest_jobs(workdir)
             + nested_jobs(workdir) + _PARSER_EXITS)
 
 
